@@ -102,32 +102,11 @@ pub enum ChordMsg<I> {
         /// Hops so far.
         hops: u32,
     },
-    /// Insert confirmation (also acknowledges [`ChordMsg::Delete`]).
+    /// Insert confirmation.
     InsertAck {
         /// Correlation id.
         qid: QueryId,
         /// Hops to the responsible node.
-        hops: u32,
-    },
-    /// Routed removal of the entry with logical identity `ident` stored
-    /// under `(ring_key, key)` (update maintenance): records a
-    /// tombstone at `version` that supersedes a strictly older stored
-    /// entry and keeps vetoing writes at `<= version`. Acknowledged
-    /// with [`ChordMsg::InsertAck`].
-    Delete {
-        /// Correlation id.
-        qid: QueryId,
-        /// Ring position to delete from.
-        ring_key: u64,
-        /// Original (order-preserving) key the entry was stored under.
-        key: Key,
-        /// Logical identity of the entry to remove.
-        ident: u64,
-        /// Version of the delete.
-        version: u64,
-        /// Issuer; receives the ack.
-        origin: NodeId,
-        /// Hops so far.
         hops: u32,
     },
     /// Many routed writes coalesced into one message: each distinct
@@ -253,7 +232,6 @@ mod tag {
     pub const BUCKET_GET: u8 = 6;
     pub const BCAST: u8 = 7;
     pub const BCAST_REPLY: u8 = 8;
-    pub const DELETE: u8 = 9;
     pub const OP_BATCH: u8 = 10;
     pub const BATCH_ACK: u8 = 11;
     pub const REPLICATE: u8 = 12;
@@ -308,16 +286,6 @@ impl<I: Item> Wire for ChordMsg<I> {
             ChordMsg::InsertAck { qid, hops } => {
                 tag::INSERT_ACK.encode(buf);
                 qid.encode(buf);
-                hops.encode(buf);
-            }
-            ChordMsg::Delete { qid, ring_key, key, ident, version, origin, hops } => {
-                tag::DELETE.encode(buf);
-                qid.encode(buf);
-                ring_key.encode(buf);
-                key.encode(buf);
-                ident.encode(buf);
-                version.encode(buf);
-                origin.encode(buf);
                 hops.encode(buf);
             }
             ChordMsg::BucketRange { qid, lo, hi, origin } => {
@@ -418,15 +386,6 @@ impl<I: Item> Wire for ChordMsg<I> {
             tag::INSERT_ACK => {
                 ChordMsg::InsertAck { qid: Wire::decode(buf)?, hops: Wire::decode(buf)? }
             }
-            tag::DELETE => ChordMsg::Delete {
-                qid: Wire::decode(buf)?,
-                ring_key: Wire::decode(buf)?,
-                key: Wire::decode(buf)?,
-                ident: Wire::decode(buf)?,
-                version: Wire::decode(buf)?,
-                origin: Wire::decode(buf)?,
-                hops: Wire::decode(buf)?,
-            },
             tag::BUCKET_RANGE => ChordMsg::BucketRange {
                 qid: Wire::decode(buf)?,
                 lo: Wire::decode(buf)?,
@@ -553,15 +512,6 @@ mod tests {
                 hops: 0,
             },
             ChordMsg::InsertAck { qid: 2, hops: 5 },
-            ChordMsg::Delete {
-                qid: 6,
-                ring_key: 7,
-                key: 70,
-                ident: 700,
-                version: 2,
-                origin: NodeId(4),
-                hops: 1,
-            },
             ChordMsg::OpBatch {
                 qid: 8,
                 origin: NodeId(3),
@@ -615,11 +565,11 @@ mod tests {
     #[test]
     fn edge_values_roundtrip() {
         roundtrip(ChordMsg::LookupReply { qid: u64::MAX, entries: vec![], hops: 0, ok: false });
-        roundtrip(ChordMsg::Delete {
+        roundtrip(ChordMsg::Insert {
             qid: 0,
             ring_key: u64::MAX,
             key: u64::MAX,
-            ident: u64::MAX,
+            item: RawItem(u64::MAX),
             version: u64::MAX,
             origin: NodeId(u32::MAX - 1),
             hops: u32::MAX,

@@ -3,6 +3,7 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 
+use unistore_overlay::{push_hop, BatchTracker, HopGroups};
 use unistore_simnet::{Effects, NodeBehavior, NodeId, SimTime, Timer};
 use unistore_util::fxhash::mix64;
 use unistore_util::rng::{derive_rng, stream};
@@ -41,11 +42,9 @@ pub struct ChordConfig {
     /// Deadline for driver-issued operations.
     pub query_timeout: SimTime,
     /// How many times the origin retransmits a timed-out batch before
-    /// reporting failure. Only the un-acked remainder is re-sent
-    /// (positional acks tell the origin exactly which ops landed), so
-    /// under message loss the outstanding set shrinks geometrically —
-    /// a whole-batch retry would face the same all-or-nothing odds
-    /// every attempt. Same name and default as P-Grid's knob.
+    /// reporting failure (only the un-acked remainder is re-sent, see
+    /// `unistore_overlay::BatchTracker`). Same name and default as
+    /// P-Grid's knob.
     pub op_retries: u32,
     /// Push applied writes to the successor replica and repair missed
     /// pushes with periodic digest-exchange anti-entropy (the same pull
@@ -97,14 +96,12 @@ enum Pending<I> {
     /// Batched writes awaiting positional acks for every op. The full
     /// op set is kept so a timed-out batch can retransmit exactly the
     /// un-acked remainder (re-application is idempotent under the
-    /// versioned store); `acked[i]` marks op `i` of the original list.
+    /// versioned store); the tracker marks ops by their position in the
+    /// original list.
     Batch {
         items: Vec<I>,
         ops: Vec<ChordBatchOp>,
-        acked: Vec<bool>,
-        done: u32,
-        hops: u32,
-        attempts: u32,
+        tracker: BatchTracker,
     },
     Buckets {
         expected: u32,
@@ -485,10 +482,7 @@ impl<I: Item> ChordNode<I> {
                 Pending::Batch {
                     items: items.clone(),
                     ops: ops.clone(),
-                    acked: vec![false; ops.len()],
-                    done: 0,
-                    hops: 0,
-                    attempts: 0,
+                    tracker: BatchTracker::new(ops.len()),
                 },
             );
         }
@@ -510,7 +504,7 @@ impl<I: Item> ChordNode<I> {
         fx: &mut Fx<I>,
     ) {
         let mut applied: Vec<u32> = Vec::new();
-        let mut groups: Vec<(NodeId, Vec<usize>)> = Vec::new();
+        let mut groups = HopGroups::new();
         for (i, op) in ops.iter().enumerate() {
             // The ring position is derived, not shipped: op tags cross
             // every edge of their route, so they carry only the original
@@ -531,11 +525,7 @@ impl<I: Item> ChordNode<I> {
                 }
                 applied.push(op.idx);
             } else {
-                let next = self.next_hop(ring_key);
-                match groups.iter_mut().find(|(n, _)| *n == next) {
-                    Some((_, idxs)) => idxs.push(i),
-                    None => groups.push((next, vec![i])),
-                }
+                push_hop(&mut groups, self.next_hop(ring_key), i);
             }
         }
         for (next, idxs) in groups {
@@ -559,67 +549,20 @@ impl<I: Item> ChordNode<I> {
     /// retransmission) re-mark already-marked ops, so they can only
     /// help; positions outside the batch are ignored.
     fn handle_batch_ack(&mut self, qid: QueryId, applied: Vec<u32>, ack_hops: u32, fx: &mut Fx<I>) {
-        let Some(Pending::Batch { acked, done, hops, .. }) = self.pending.get_mut(&qid) else {
+        let Some(Pending::Batch { tracker, .. }) = self.pending.get_mut(&qid) else {
             return;
         };
-        for idx in applied {
-            if let Some(slot) = acked.get_mut(idx as usize) {
-                if !*slot {
-                    *slot = true;
-                    *done += 1;
-                }
-            }
-        }
-        *hops = (*hops).max(ack_hops);
-        if *done as usize >= acked.len() {
-            let (ops_total, max_hops) = (*done, *hops);
+        if tracker.ack(&applied, ack_hops) {
+            let (ops, hops) = (tracker.done(), tracker.hops());
             self.pending.remove(&qid);
-            fx.emit(ChordEvent::BatchDone { qid, ops: ops_total, hops: max_hops, ok: true });
-        }
-    }
-
-    /// Routed removal by logical identity; acked like an insert.
-    #[allow(clippy::too_many_arguments)]
-    fn handle_delete(
-        &mut self,
-        from: NodeId,
-        qid: QueryId,
-        ring_key: u64,
-        key: Key,
-        ident: u64,
-        version: u64,
-        origin: NodeId,
-        hops: u32,
-        fx: &mut Fx<I>,
-    ) {
-        if from == NodeId::EXTERNAL && origin == self.id {
-            self.register(fx, qid, Pending::Insert);
-        }
-        if self.responsible(ring_key) {
-            self.apply_delete(ring_key, key, ident, version, fx);
-            if origin == self.id {
-                self.handle_insert_ack(qid, hops, fx);
-            } else {
-                fx.send(origin, ChordMsg::InsertAck { qid, hops });
-            }
-        } else {
-            let next = self.next_hop(ring_key);
-            fx.send(
-                next,
-                ChordMsg::Delete { qid, ring_key, key, ident, version, origin, hops: hops + 1 },
-            );
+            fx.emit(ChordEvent::BatchDone { qid, ops, hops, ok: true });
         }
     }
 
     /// Issues a locally originated exact-key lookup (the embedding
     /// UniStore node calls this as if it were the driver); completion
-    /// arrives as a [`ChordEvent::LookupDone`] emit.
-    pub fn local_lookup(&mut self, qid: QueryId, key: Key, fx: &mut Fx<I>) {
-        self.local_lookup_filtered(qid, key, None, fx);
-    }
-
-    /// Locally originated exact-key lookup carrying a semi-join filter
-    /// the owner applies before replying.
+    /// arrives as a [`ChordEvent::LookupDone`] emit. The owner applies
+    /// `filter` (semi-join pushdown) before replying.
     ///
     /// Every write pays both the exact index and the bucket index, so
     /// the two are exact mirrors: an inclusive `[key, key]` fetch
@@ -628,7 +571,7 @@ impl<I: Item> ChordNode<I> {
     /// whichever mirror is locally owned (zero hops), otherwise
     /// alternate between them so a hot key's reads land on two owners
     /// instead of one.
-    pub fn local_lookup_filtered(
+    pub fn local_lookup(
         &mut self,
         qid: QueryId,
         key: Key,
@@ -658,32 +601,6 @@ impl<I: Item> ChordNode<I> {
         (self.reads_via[0], self.reads_via[1])
     }
 
-    /// Issues a locally originated range scan over original keys
-    /// `[lo, hi]` through the auxiliary bucket index.
-    pub fn local_bucket_range(
-        &mut self,
-        qid: QueryId,
-        lo: Key,
-        hi: Key,
-        filter: Option<ItemFilter>,
-        fx: &mut Fx<I>,
-    ) {
-        self.handle_bucket_range(qid, lo, hi, filter, fx);
-    }
-
-    /// Issues a locally originated range scan via the finger-tree
-    /// broadcast (the index-free fallback plain Chord must use).
-    pub fn local_broadcast_range(
-        &mut self,
-        qid: QueryId,
-        lo: Key,
-        hi: Key,
-        filter: Option<ItemFilter>,
-        fx: &mut Fx<I>,
-    ) {
-        self.handle_bcast(NodeId::EXTERNAL, qid, lo, hi, self.ring_id, 0, filter, fx);
-    }
-
     /// Places an entry directly into the local store under every index
     /// position this node is responsible for (driver-side preloading).
     pub fn preload(&mut self, key: Key, item: I, version: u64) {
@@ -697,9 +614,10 @@ impl<I: Item> ChordNode<I> {
         }
     }
 
-    /// Origin-side bucket fan-out: one [`ChordMsg::BucketGet`] per bucket
-    /// intersecting `[lo, hi]`.
-    fn handle_bucket_range(
+    /// Origin-side bucket fan-out — a range scan over original keys
+    /// `[lo, hi]` through the auxiliary bucket index: one
+    /// [`ChordMsg::BucketGet`] per bucket intersecting the range.
+    pub(crate) fn handle_bucket_range(
         &mut self,
         qid: QueryId,
         lo: Key,
@@ -733,10 +651,12 @@ impl<I: Item> ChordNode<I> {
         }
     }
 
-    /// Broadcast branch: answer locally, split `(self, limit)` among the
-    /// fingers inside it, convergecast replies.
+    /// Broadcast branch (the index-free range scan plain Chord must
+    /// use): answer locally, split `(self, limit)` among the fingers
+    /// inside it, convergecast replies. `from == EXTERNAL` with `limit ==
+    /// ring_id` starts one at the origin.
     #[allow(clippy::too_many_arguments)]
-    fn handle_bcast(
+    pub(crate) fn handle_bcast(
         &mut self,
         from: NodeId,
         qid: QueryId,
@@ -844,32 +764,23 @@ impl<I: Item> ChordNode<I> {
                     fx.emit(ChordEvent::LookupDone { qid, entries: Vec::new(), hops: 0, ok: false })
                 }
                 Pending::Insert => fx.emit(ChordEvent::InsertDone { qid, hops: 0, ok: false }),
-                Pending::Batch { items, ops, acked, done, hops, attempts } => {
-                    let remainder: Vec<usize> = (0..ops.len()).filter(|&i| !acked[i]).collect();
-                    if attempts < self.cfg.op_retries && !remainder.is_empty() {
+                Pending::Batch { items, ops, mut tracker } => {
+                    match tracker.retry(self.cfg.op_retries) {
                         // Retransmit only the outstanding ops: acked work
                         // stays marked, a late ack from the previous
                         // attempt still counts, and re-applied ops are
-                        // no-ops at the versioned stores. The remainder
-                        // shrinks geometrically under independent loss,
-                        // where re-sending the whole batch would face the
-                        // same all-or-nothing odds every attempt.
-                        let (sub_items, sub_ops) = subset_batch(&items, &ops, &remainder);
-                        self.register(
-                            fx,
+                        // no-ops at the versioned stores.
+                        Some(remainder) => {
+                            let (sub_items, sub_ops) = subset_batch(&items, &ops, &remainder);
+                            self.register(fx, qid, Pending::Batch { items, ops, tracker });
+                            self.route_batch(qid, self.id, 0, sub_items, sub_ops, fx);
+                        }
+                        None => fx.emit(ChordEvent::BatchDone {
                             qid,
-                            Pending::Batch {
-                                items,
-                                ops,
-                                acked,
-                                done,
-                                hops,
-                                attempts: attempts + 1,
-                            },
-                        );
-                        self.route_batch(qid, self.id, 0, sub_items, sub_ops, fx);
-                    } else {
-                        fx.emit(ChordEvent::BatchDone { qid, ops: done, hops, ok: false })
+                            ops: tracker.done(),
+                            hops: tracker.hops(),
+                            ok: false,
+                        }),
                     }
                 }
                 Pending::Buckets { entries, hops, received, .. } => {
@@ -960,9 +871,6 @@ impl<I: Item> NodeBehavior for ChordNode<I> {
             }
             ChordMsg::BatchAck { qid, applied, hops } => {
                 self.handle_batch_ack(qid, applied, hops, fx)
-            }
-            ChordMsg::Delete { qid, ring_key, key, ident, version, origin, hops } => {
-                self.handle_delete(from, qid, ring_key, key, ident, version, origin, hops, fx)
             }
             ChordMsg::BucketRange { qid, lo, hi, .. } => {
                 self.handle_bucket_range(qid, lo, hi, None, fx)

@@ -11,7 +11,7 @@ use unistore_simnet::{Effects, NodeId};
 use unistore_util::Key;
 
 use crate::msg::{ChordBatchOp, ChordEvent, ChordMsg};
-use crate::node::{ring_key_bucket, ring_key_exact, ChordConfig, ChordNode, Item};
+use crate::node::{ring_key_exact, ChordConfig, ChordNode, Item};
 use crate::topology::ChordTopology;
 
 impl<I: Item + Send + 'static> Overlay for ChordNode<I> {
@@ -23,8 +23,6 @@ impl<I: Item + Send + 'static> Overlay for ChordNode<I> {
 
     const NAME: &'static str = "Chord";
     const ADAPTS_TO_SAMPLE: bool = false;
-    const PUSHES_FILTERS: bool = true;
-    const BATCHES_OPS: bool = true;
 
     fn plan(
         n_peers: usize,
@@ -80,8 +78,14 @@ impl<I: Item + Send + 'static> Overlay for ChordNode<I> {
         ChordNode::preload(self, key, item, version)
     }
 
-    fn local_lookup(&mut self, qid: u64, key: Key, fx: &mut Effects<ChordMsg<I>, ChordEvent<I>>) {
-        ChordNode::local_lookup(self, qid, key, fx)
+    fn local_lookup(
+        &mut self,
+        qid: u64,
+        key: Key,
+        filter: Option<ItemFilter>,
+        fx: &mut Effects<ChordMsg<I>, ChordEvent<I>>,
+    ) {
+        ChordNode::local_lookup(self, qid, key, filter, fx)
     }
 
     fn local_range(
@@ -90,85 +94,19 @@ impl<I: Item + Send + 'static> Overlay for ChordNode<I> {
         lo: Key,
         hi: Key,
         mode: RangeMode,
-        fx: &mut Effects<ChordMsg<I>, ChordEvent<I>>,
-    ) {
-        match mode {
-            RangeMode::Parallel => self.local_bucket_range(qid, lo, hi, None, fx),
-            RangeMode::Sequential => self.local_broadcast_range(qid, lo, hi, None, fx),
-        }
-    }
-
-    fn local_lookup_filtered(
-        &mut self,
-        qid: u64,
-        key: Key,
-        filter: Option<ItemFilter>,
-        fx: &mut Effects<ChordMsg<I>, ChordEvent<I>>,
-    ) {
-        ChordNode::local_lookup_filtered(self, qid, key, filter, fx)
-    }
-
-    fn local_range_filtered(
-        &mut self,
-        qid: u64,
-        lo: Key,
-        hi: Key,
-        mode: RangeMode,
         filter: Option<ItemFilter>,
         fx: &mut Effects<ChordMsg<I>, ChordEvent<I>>,
     ) {
         match mode {
-            RangeMode::Parallel => self.local_bucket_range(qid, lo, hi, filter, fx),
-            RangeMode::Sequential => self.local_broadcast_range(qid, lo, hi, filter, fx),
+            RangeMode::Parallel => self.handle_bucket_range(qid, lo, hi, filter, fx),
+            RangeMode::Sequential => {
+                self.handle_bcast(NodeId::EXTERNAL, qid, lo, hi, self.ring_id(), 0, filter, fx)
+            }
         }
     }
 
     fn lookup_msg(_cfg: &ChordConfig, qid: u64, key: Key, origin: NodeId) -> ChordMsg<I> {
         ChordMsg::Lookup { qid, ring_key: ring_key_exact(key), origin, hops: 0, filter: None }
-    }
-
-    fn insert_msgs(
-        cfg: &ChordConfig,
-        next_qid: &mut dyn FnMut() -> u64,
-        key: Key,
-        item: I,
-        version: u64,
-        origin: NodeId,
-    ) -> Vec<(u64, ChordMsg<I>)> {
-        // Both indexes: the exact position and the bucket position.
-        [ring_key_exact(key), ring_key_bucket(key, cfg.bucket_depth)]
-            .into_iter()
-            .map(|ring_key| {
-                let qid = next_qid();
-                let msg = ChordMsg::Insert {
-                    qid,
-                    ring_key,
-                    key,
-                    item: item.clone(),
-                    version,
-                    origin,
-                    hops: 0,
-                };
-                (qid, msg)
-            })
-            .collect()
-    }
-
-    fn delete_msgs(
-        cfg: &ChordConfig,
-        next_qid: &mut dyn FnMut() -> u64,
-        key: Key,
-        ident: u64,
-        version: u64,
-        origin: NodeId,
-    ) -> Vec<(u64, ChordMsg<I>)> {
-        [ring_key_exact(key), ring_key_bucket(key, cfg.bucket_depth)]
-            .into_iter()
-            .map(|ring_key| {
-                let qid = next_qid();
-                (qid, ChordMsg::Delete { qid, ring_key, key, ident, version, origin, hops: 0 })
-            })
-            .collect()
     }
 
     fn batch_msgs(

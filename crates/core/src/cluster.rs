@@ -14,7 +14,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use unistore_overlay::{per_op_batch_msgs, OpBatch, Overlay, OverlayDone, OverlayTopology};
+use unistore_overlay::{OpBatch, Overlay, OverlayDone, OverlayTopology};
 use unistore_pgrid::PGridPeer;
 use unistore_query::{CostModel, Coverage, Logical, Mqp, MqpNode, Relation, StatsDelta};
 use unistore_simnet::metrics::OpCost;
@@ -150,11 +150,9 @@ impl<O: Overlay<Item = Triple>> UniCluster<O> {
 
     /// Populates `self.net` with nodes spawned from `self.topology`.
     fn spawn_nodes(&mut self, n_peers: usize) {
-        let mut params = self.cfg.node_params();
-        params.seed = self.seed;
         for peer in 0..n_peers {
             let overlay = O::spawn(&self.topology, peer, &self.cfg.overlay, self.seed);
-            self.net.add_node(UniNode::new(overlay, n_peers, &params));
+            self.net.add_node(UniNode::new(overlay, n_peers, &self.cfg, self.seed));
         }
     }
 
@@ -510,17 +508,19 @@ impl<O: Overlay<Item = Triple>> UniCluster<O> {
         Ok(out)
     }
 
-    /// Injects a batch of routed write messages at `origin` and awaits
-    /// every ack; returns overall success and the hops the acked writes
-    /// traveled (summed per-op, deepest per batch).
-    fn run_writes(&mut self, origin: NodeId, msgs: Vec<(u64, O::Msg)>) -> (bool, u32) {
+    /// Runs one [`OpBatch`] through the routed write path — injected at
+    /// `origin` as the backend's coalesced batch messages — and awaits
+    /// every ack; returns overall success and the deepest hop count the
+    /// acked ops traveled (summed over the backend's messages).
+    fn run_batch(&mut self, origin: NodeId, batch: &OpBatch<Triple>) -> (bool, u32) {
+        let ocfg = self.cfg.overlay.clone();
+        let msgs = O::batch_msgs(&ocfg, &mut || self.fresh_qid(), batch, origin);
         let mut ok = true;
         let mut hops = 0u32;
         for (qid, msg) in msgs {
             self.net.inject(origin, UniMsg::Overlay(msg));
             match self.run_for_storage(qid) {
-                Some(OverlayDone::Insert { ok: acked, hops: h, .. })
-                | Some(OverlayDone::Batch { ok: acked, hops: h, .. }) => {
+                Some(OverlayDone::Batch { ok: acked, hops: h, .. }) => {
                     ok &= acked;
                     hops += h;
                 }
@@ -528,19 +528,6 @@ impl<O: Overlay<Item = Triple>> UniCluster<O> {
             }
         }
         (ok, hops)
-    }
-
-    /// Runs one [`OpBatch`] through the routed write path: coalesced
-    /// into per-hop batch messages when the backend batches and
-    /// [`UniConfig::batch_writes`] is on, expanded per-op otherwise.
-    fn run_batch(&mut self, origin: NodeId, batch: &OpBatch<Triple>) -> (bool, u32) {
-        if batch.is_empty() {
-            return (true, 0);
-        }
-        let ocfg = self.cfg.overlay.clone();
-        let batched = self.cfg.batch_writes && O::BATCHES_OPS;
-        let msgs = batch_write_msgs::<O>(&ocfg, batched, &mut || self.fresh_qid(), batch, origin);
-        self.run_writes(origin, msgs)
     }
 
     /// Inserts many tuples through the routed protocol path as **one
@@ -715,20 +702,4 @@ pub(crate) fn build_insert_batch(
         }
     }
     (batch, triples)
-}
-
-/// Builds the routed messages for one batch: coalesced per-hop
-/// [`OpBatch`] messages when the backend batches and the configuration
-/// allows, the per-op expansion otherwise.
-pub(crate) fn batch_write_msgs<O: Overlay<Item = Triple>>(
-    ocfg: &O::Config,
-    batched: bool,
-    next_qid: &mut dyn FnMut() -> u64,
-    batch: &OpBatch<Triple>,
-    origin: NodeId,
-) -> Vec<(u64, O::Msg)> {
-    match batched {
-        true => O::batch_msgs(ocfg, next_qid, batch, origin),
-        false => per_op_batch_msgs::<O>(ocfg, next_qid, batch, origin),
-    }
 }

@@ -71,37 +71,6 @@ impl Default for BackoffPolicy {
     }
 }
 
-/// The query-layer knobs a [`crate::UniNode`] needs, independent of the
-/// storage backend's configuration — one view shared by the simulated
-/// cluster driver and the live threaded runtime.
-#[derive(Clone, Copy, Debug)]
-pub struct NodeParams {
-    /// Time the origin waits for a query result.
-    pub query_timeout: SimTime,
-    /// Origin-side query re-dispatches before reporting failure.
-    pub query_retries: u32,
-    /// Planner behaviour.
-    pub plan_mode: PlanMode,
-    /// Statistics-dissemination tick: how often a node flushes buffered
-    /// [`unistore_query::cost::StatsDelta`]s to its peers.
-    pub stats_refresh: SimTime,
-    /// Capacity of the node-local (attr, value) result cache; `0`
-    /// disables caching.
-    pub result_cache: usize,
-    /// Minimum acceptable [`unistore_query::Coverage`] fraction for a
-    /// completion to be delivered as `ok` (0.0 = best-effort).
-    pub min_coverage: f64,
-    /// Retry / hedging policy.
-    pub backoff: BackoffPolicy,
-    /// Cap on attempt aliases outstanding at one origin before
-    /// re-dispatches defer and hedges are skipped (the retry-storm
-    /// guard — see [`UniConfig::attempt_budget`]).
-    pub attempt_budget: usize,
-    /// Seed for the node's private jitter stream (drivers set this to
-    /// the cluster seed; the default 0 keeps params deterministic).
-    pub seed: u64,
-}
-
 /// Cluster-level configuration, generic over the storage backend's own
 /// configuration (`PGridConfig` by default; `ChordConfig` for the ring
 /// backend — see [`crate::backends`]).
@@ -131,12 +100,6 @@ pub struct UniConfig<C = PGridConfig> {
     /// The staleness a remote plan can observe is bounded by one tick
     /// plus one hop (DESIGN.md §"Statistics distribution").
     pub stats_refresh: SimTime,
-    /// Route writes as coalesced [`unistore_overlay::OpBatch`]es on
-    /// backends that support them (`Overlay::BATCHES_OPS`). When
-    /// `false`, every write expands into the per-op message fan-out —
-    /// the uncoalesced baseline the ingest bench compares against
-    /// (DESIGN.md §"Batched write pipeline").
-    pub batch_writes: bool,
     /// Bound on queries admitted into the network at once by the
     /// pipelined drivers; submissions beyond the window queue at the
     /// driver until a completion frees a slot (DESIGN.md §"Concurrent
@@ -196,7 +159,6 @@ impl<C> UniConfig<C> {
             query_retries: 2,
             plan_mode: PlanMode::default(),
             stats_refresh: SimTime::from_secs(10),
-            batch_writes: true,
             max_in_flight: 32,
             result_cache: 0,
             min_coverage: 0.0,
@@ -274,28 +236,6 @@ impl<C> UniConfig<C> {
         self
     }
 
-    /// Enables or disables the batched write pipeline (on by default;
-    /// the ingest bench flips it off to measure the per-op baseline).
-    pub fn with_batch_writes(mut self, enabled: bool) -> Self {
-        self.batch_writes = enabled;
-        self
-    }
-
-    /// The query-layer knobs a node needs, backend-erased.
-    pub fn node_params(&self) -> NodeParams {
-        NodeParams {
-            query_timeout: self.query_timeout,
-            query_retries: self.query_retries,
-            plan_mode: self.plan_mode,
-            stats_refresh: self.stats_refresh,
-            result_cache: self.result_cache,
-            min_coverage: self.min_coverage,
-            backoff: self.backoff,
-            attempt_budget: self.attempt_budget,
-            seed: 0,
-        }
-    }
-
     /// Forces the Bloom-filtered semi-join pushdown on or off for every
     /// node (on by default; experiments flip it to measure the shipped
     /// bytes it saves).
@@ -351,15 +291,6 @@ mod tests {
         assert_eq!(c.stats_refresh, SimTime::from_secs(10), "dissemination on by default");
         let c = c.with_stats_refresh(SimTime::from_millis(50));
         assert_eq!(c.stats_refresh, SimTime::from_millis(50));
-        assert_eq!(c.node_params().stats_refresh, SimTime::from_millis(50));
-    }
-
-    #[test]
-    fn batch_writes_knob() {
-        let c = UniConfig::default();
-        assert!(c.batch_writes, "batched writes on by default");
-        let c = c.with_batch_writes(false);
-        assert!(!c.batch_writes);
     }
 
     #[test]
@@ -370,7 +301,6 @@ mod tests {
         let c = c.with_max_in_flight(8).with_result_cache(64);
         assert_eq!(c.max_in_flight, 8);
         assert_eq!(c.result_cache, 64);
-        assert_eq!(c.node_params().result_cache, 64);
     }
 
     #[test]
@@ -387,10 +317,6 @@ mod tests {
         let c = c.with_min_coverage(0.9).with_hedging(false);
         assert_eq!(c.min_coverage, 0.9);
         assert!(!c.backoff.hedging);
-        let p = c.node_params();
-        assert_eq!(p.min_coverage, 0.9);
-        assert!(!p.backoff.hedging);
-        assert_eq!(p.seed, 0, "drivers override the seed");
     }
 
     #[test]
@@ -399,7 +325,6 @@ mod tests {
         assert_eq!(c.attempt_budget, 64, "budget defaults to 2× admission window");
         let c = c.with_attempt_budget(8);
         assert_eq!(c.attempt_budget, 8);
-        assert_eq!(c.node_params().attempt_budget, 8);
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod stats;
 
 pub use backends::{chord_config, ChordLiveCluster, ChordOverlay, ChordUniCluster};
 pub use cluster::{QueryOutcome, UniCluster};
-pub use config::{BackoffPolicy, NodeParams, PlanMode, ScanPref, UniConfig};
+pub use config::{BackoffPolicy, PlanMode, ScanPref, UniConfig};
 pub use msg::{QueryMsg, UniEvent, UniMsg};
 pub use node::UniNode;
 pub use unistore_query::Coverage;

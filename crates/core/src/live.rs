@@ -55,14 +55,10 @@ pub struct LiveCluster<O: Overlay<Item = Triple> = PGridPeer<Triple>> {
     shutdown: Arc<AtomicBool>,
     next_qid: u64,
     n: usize,
-    /// Overlay configuration, kept for routed runtime writes.
-    ocfg: O::Config,
-    with_qgrams: bool,
-    /// Whether runtime writes ride the coalesced batch pipeline.
-    batch_writes: bool,
-    /// Admission window of the pipelined query API
-    /// ([`UniConfig::max_in_flight`]).
-    max_in_flight: usize,
+    /// The configuration the cluster was started with: runtime writes
+    /// read the overlay config and q-gram switch, the pipelined query
+    /// API its admission window.
+    cfg: UniConfig<O::Config>,
     /// Events received while some other waiter held the channel,
     /// buffered by qid for re-delivery — never discarded.
     buffered: FxHashMap<u64, UniEvent>,
@@ -115,12 +111,10 @@ impl<O: Overlay<Item = Triple>> LiveCluster<O> {
             SimTime::from_micros(200), // LAN-ish expectation for the model
         );
 
-        let mut params = cfg.node_params();
-        params.seed = seed;
         let mut nodes: Vec<UniNode<O>> = (0..n_peers)
             .map(|peer| {
                 let overlay = O::spawn(&topology, peer, &cfg.overlay, seed);
-                let mut node = UniNode::new(overlay, n_peers, &params);
+                let mut node = UniNode::new(overlay, n_peers, &cfg, seed);
                 node.cost = Some(model.clone());
                 node
             })
@@ -158,10 +152,7 @@ impl<O: Overlay<Item = Triple>> LiveCluster<O> {
             shutdown,
             next_qid: 1,
             n: n_peers,
-            ocfg: cfg.overlay.clone(),
-            with_qgrams: cfg.with_qgrams,
-            batch_writes: cfg.batch_writes,
-            max_in_flight: cfg.max_in_flight,
+            cfg,
             buffered: FxHashMap::default(),
             expected: FxHashSet::default(),
             in_flight: std::collections::VecDeque::new(),
@@ -251,7 +242,7 @@ impl<O: Overlay<Item = Triple>> LiveCluster<O> {
         );
         // Backpressure: hold the submission until the window has room,
         // servicing the oldest in-flight query meanwhile.
-        while self.in_flight.len() >= self.max_in_flight {
+        while self.in_flight.len() >= self.cfg.max_in_flight {
             let oldest = self.in_flight[0];
             match self.buffered.contains_key(&oldest) {
                 // Completed but unclaimed: its slot is free.
@@ -330,24 +321,20 @@ impl<O: Overlay<Item = Triple>> LiveCluster<O> {
 
     /// Inserts many tuples through the routed protocol path at runtime
     /// as **one batched write** (coalesced per-hop
-    /// [`unistore_overlay::OpBatch`] messages on batching backends),
-    /// waiting up to `timeout` wall-clock time
-    /// for the aggregated acks. After the acks, a single statistics
-    /// delta for the whole batch is handed to the origin node in-band:
+    /// [`unistore_overlay::OpBatch`] messages), waiting up to `timeout`
+    /// wall-clock time for the aggregated acks. After the acks, a single
+    /// statistics delta for the whole batch is handed to the origin node in-band:
     /// the origin folds it into its cost model immediately and
     /// disseminates it to the other nodes on its next stats-refresh tick
     /// — no restart, no rescan.
     pub fn insert_batch(&mut self, origin: NodeId, tuples: &[Tuple], timeout: Duration) -> bool {
-        let ocfg = self.ocfg.clone();
-        let (batch, triples) = crate::cluster::build_insert_batch(tuples, self.with_qgrams);
-        let batched = self.batch_writes && O::BATCHES_OPS;
+        let (batch, triples) = crate::cluster::build_insert_batch(tuples, self.cfg.with_qgrams);
         let mut next_qid = || {
             let q = self.next_qid;
             self.next_qid += 1;
             q
         };
-        let msgs =
-            crate::cluster::batch_write_msgs::<O>(&ocfg, batched, &mut next_qid, &batch, origin);
+        let msgs = O::batch_msgs(&self.cfg.overlay, &mut next_qid, &batch, origin);
         let mut pending: Vec<u64> = Vec::with_capacity(msgs.len());
         for (qid, msg) in msgs {
             pending.push(qid);

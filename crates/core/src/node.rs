@@ -35,7 +35,7 @@ use unistore_vql::{Term, TriplePattern};
 
 use unistore_query::cost::StatsDelta;
 
-use crate::config::{BackoffPolicy, NodeParams, PlanMode, ScanPref};
+use crate::config::{BackoffPolicy, PlanMode, ScanPref, UniConfig};
 use crate::msg::{QueryMsg, UniEvent, UniMsg};
 
 /// Effects buffer of the UniStore node, parameterized by the storage
@@ -273,35 +273,36 @@ pub struct UniNode<O: Overlay<Item = Triple>> {
 impl<O: Overlay<Item = Triple>> UniNode<O> {
     /// Wraps a wired overlay peer (built by the cluster driver through
     /// [`Overlay::spawn`]) into a full UniStore node of an
-    /// `n_peers`-wide deployment.
-    pub fn new(overlay: O, n_peers: usize, params: &NodeParams) -> Self {
+    /// `n_peers`-wide deployment. `seed` (the cluster seed) feeds the
+    /// node's private jitter stream.
+    pub fn new(overlay: O, n_peers: usize, cfg: &UniConfig<O::Config>, seed: u64) -> Self {
         let id = overlay.id().0 as u64;
         UniNode {
             overlay,
             cost: None,
             mappings: MappingSet::new(),
-            plan_mode: params.plan_mode,
+            plan_mode: cfg.plan_mode,
             trace: Vec::new(),
-            query_timeout: params.query_timeout,
-            query_retries: params.query_retries,
+            query_timeout: cfg.query_timeout,
+            query_retries: cfg.query_retries,
             n_peers,
-            stats_refresh: params.stats_refresh,
+            stats_refresh: cfg.stats_refresh,
             stats_outbox: StatsDelta::new(),
             stats_epoch: 0,
-            cache: ResultCache::new(params.result_cache),
+            cache: ResultCache::new(cfg.result_cache),
             cache_hits: 0,
             active: FxHashMap::default(),
             waiting: FxHashMap::default(),
             pending_results: FxHashMap::default(),
             clock: SimTime::ZERO,
-            rng: derive_rng(params.seed, stream::QUERY_NODE_BASE + id),
+            rng: derive_rng(seed, stream::QUERY_NODE_BASE + id),
             rtt: RttWindow::new(RTT_WINDOW),
-            min_coverage: params.min_coverage,
-            backoff: params.backoff,
+            min_coverage: cfg.min_coverage,
+            backoff: cfg.backoff,
             hedges: 0,
             retries: 0,
             suppressed: 0,
-            attempt_budget: params.attempt_budget,
+            attempt_budget: cfg.attempt_budget,
             attempt_of: FxHashMap::default(),
             exec_counter: 0,
         }
@@ -651,9 +652,9 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
         if let Some(pref) = self.plan_mode.join_pref {
             return match pref {
                 JoinStrategy::Fetch => fetch.map(JoinDecision::Fetch),
-                JoinStrategy::SemiJoin if O::PUSHES_FILTERS => semi_site
+                JoinStrategy::SemiJoin => semi_site
                     .map(|(col, fld)| JoinDecision::Semi(build_semi_filter(left, col, fld).0)),
-                JoinStrategy::SemiJoin | JoinStrategy::Collect => None,
+                JoinStrategy::Collect => None,
             };
         }
         let model = self.cost.as_ref()?;
@@ -668,7 +669,7 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
                 decision = Some(JoinDecision::Fetch(plan));
             }
         }
-        if O::PUSHES_FILTERS && !self.plan_mode.no_semi_join {
+        if !self.plan_mode.no_semi_join {
             if let Some((col, fld)) = semi_site {
                 let (filter, left_distinct) = build_semi_filter(left, col, fld);
                 let right_distinct = right_distinct_estimate(model, pattern, fld);
@@ -754,7 +755,7 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
             },
         );
         for (q, key) in qids.into_iter().zip(keys) {
-            self.with_overlay(fx, |p, ofx| p.local_lookup(q, key, ofx));
+            self.with_overlay(fx, |p, ofx| p.local_lookup(q, key, None, ofx));
         }
     }
 
@@ -877,11 +878,9 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
         for (q, op) in qids.into_iter().zip(ops) {
             let f = filter.clone();
             match op {
-                Op::Lookup(key) => {
-                    self.with_overlay(fx, |p, ofx| p.local_lookup_filtered(q, key, f, ofx))
-                }
+                Op::Lookup(key) => self.with_overlay(fx, |p, ofx| p.local_lookup(q, key, f, ofx)),
                 Op::Range(lo, hi, mode) => {
-                    self.with_overlay(fx, |p, ofx| p.local_range_filtered(q, lo, hi, mode, f, ofx))
+                    self.with_overlay(fx, |p, ofx| p.local_range(q, lo, hi, mode, f, ofx))
                 }
             }
         }

@@ -8,7 +8,7 @@
 //!
 //! * **retrieval**: exact-key lookups plus order-preserving range scans
 //!   (prefix scans are ranges over the order-preserving key encoding),
-//! * **placement**: routed inserts/deletes and driver-side preloading,
+//! * **placement**: routed write batches and driver-side preloading,
 //! * **routing**: responsibility tests and next-hop selection so mutant
 //!   query plans can travel toward the data,
 //! * **events**: a uniform completion surface ([`OverlayDone`]) for
@@ -22,12 +22,14 @@
 //! says ring DHTs need for range queries (§2). The whole
 //! VQL → MQP → adaptive-optimizer pipeline runs unchanged over either.
 
+pub mod batch;
 pub mod repair;
 
 use unistore_simnet::{Effects, NodeBehavior, NodeId};
 use unistore_util::item::Item;
 use unistore_util::Key;
 
+pub use batch::{push_hop, BatchTracker, HopGroups};
 pub use unistore_util::bloom::ItemFilter;
 pub use unistore_util::wire::{BatchOp, BatchVerb, OpBatch};
 
@@ -86,14 +88,19 @@ pub enum OverlayDone<I> {
         ok: bool,
     },
     /// A routed [`OpBatch`] completed: every op was acknowledged (`ok`)
-    /// or the batch timed out. Per-op acks are aggregated by the
-    /// backend, so driver-side bookkeeping stays O(batch), not O(op).
+    /// or its retries ran out. Per-op acks are aggregated by the
+    /// backend's [`BatchTracker`], so driver-side bookkeeping stays
+    /// O(batch), not O(op). Both fields below are the tracker's, on
+    /// success and on failure alike, on every backend.
     Batch {
         /// Correlation id of the whole batch.
         qid: u64,
-        /// Ops the batch carried.
+        /// Ops acknowledged ([`BatchTracker::done`]): all of them when
+        /// `ok`, the part that landed before the retries ran out
+        /// otherwise.
         ops: u32,
-        /// Deepest routed hop count over all sub-batches.
+        /// Deepest hop count over the acks received
+        /// ([`BatchTracker::hops`]).
         hops: u32,
         /// `false` when not every op was acknowledged in time.
         ok: bool,
@@ -196,20 +203,6 @@ pub trait Overlay:
     /// (an order-destroying hash cannot use a key distribution).
     const ADAPTS_TO_SAMPLE: bool;
 
-    /// Whether the backend applies a pushed-down [`ItemFilter`] at the
-    /// peers responsible for the data. When `false` (the default impls),
-    /// filtered retrieval degenerates to a full collect and the query
-    /// layer should not pay for building and shipping filters.
-    const PUSHES_FILTERS: bool = false;
-
-    /// Whether the backend routes [`OpBatch`]es natively: many write ops
-    /// in one wire message, grouped by next hop at the origin, re-split
-    /// and re-grouped at each routing step, per-op acks aggregated into
-    /// one [`OverlayDone::Batch`]. When `false` (the default),
-    /// [`Overlay::batch_msgs`] degenerates to the per-op message fan-out
-    /// and drivers should not expect any coalescing win.
-    const BATCHES_OPS: bool = false;
-
     // ---- topology bootstrap -------------------------------------------
 
     /// Plans a converged `n_peers` deployment. `sample` carries the
@@ -280,48 +273,28 @@ pub trait Overlay:
 
     /// Issues a locally originated exact-key lookup; completion surfaces
     /// as an emitted event that [`Overlay::done`] maps to
-    /// [`OverlayDone::Lookup`].
-    fn local_lookup(&mut self, qid: u64, key: Key, fx: &mut Effects<Self::Msg, Self::Out>);
+    /// [`OverlayDone::Lookup`]. A `filter` (semi-join pushdown) ships
+    /// with the request, and the responsible peer drops non-matching
+    /// items before replying.
+    fn local_lookup(
+        &mut self,
+        qid: u64,
+        key: Key,
+        filter: Option<ItemFilter>,
+        fx: &mut Effects<Self::Msg, Self::Out>,
+    );
 
-    /// Issues a locally originated range scan over `[lo, hi]`.
+    /// Issues a locally originated range scan over `[lo, hi]`; a
+    /// `filter` ships to every peer the scan reaches.
     fn local_range(
         &mut self,
         qid: u64,
         lo: Key,
         hi: Key,
         mode: RangeMode,
+        filter: Option<ItemFilter>,
         fx: &mut Effects<Self::Msg, Self::Out>,
     );
-
-    // ---- filtered retrieval (semi-join pushdown) ----------------------
-
-    /// Like [`Overlay::local_lookup`], but ships `filter` with the
-    /// request so the responsible peer drops non-matching items before
-    /// replying. The default ignores the filter (still correct — the
-    /// filter only ever removes rows the join would discard anyway).
-    fn local_lookup_filtered(
-        &mut self,
-        qid: u64,
-        key: Key,
-        _filter: Option<ItemFilter>,
-        fx: &mut Effects<Self::Msg, Self::Out>,
-    ) {
-        self.local_lookup(qid, key, fx);
-    }
-
-    /// Like [`Overlay::local_range`], but ships `filter` to every leaf
-    /// the scan reaches. The default ignores the filter.
-    fn local_range_filtered(
-        &mut self,
-        qid: u64,
-        lo: Key,
-        hi: Key,
-        mode: RangeMode,
-        _filter: Option<ItemFilter>,
-        fx: &mut Effects<Self::Msg, Self::Out>,
-    ) {
-        self.local_range(qid, lo, hi, mode, fx);
-    }
 
     // ---- driver-side routed operations --------------------------------
 
@@ -329,77 +302,23 @@ pub trait Overlay:
     /// peer.
     fn lookup_msg(cfg: &Self::Config, qid: u64, key: Key, origin: NodeId) -> Self::Msg;
 
-    /// Messages that insert `item` under `key` through the routed
-    /// protocol path — one per index the backend maintains, each with
-    /// its own correlation id drawn from `next_qid`.
-    fn insert_msgs(
-        cfg: &Self::Config,
-        next_qid: &mut dyn FnMut() -> u64,
-        key: Key,
-        item: Self::Item,
-        version: u64,
-        origin: NodeId,
-    ) -> Vec<(u64, Self::Msg)>;
-
-    /// Messages that remove the entry with logical identity `ident`
-    /// under `key` from every index (update maintenance).
-    fn delete_msgs(
-        cfg: &Self::Config,
-        next_qid: &mut dyn FnMut() -> u64,
-        key: Key,
-        ident: u64,
-        version: u64,
-        origin: NodeId,
-    ) -> Vec<(u64, Self::Msg)>;
-
     /// Messages that perform a whole [`OpBatch`] of writes through the
-    /// routed protocol path. Backends with `BATCHES_OPS` wrap the batch
-    /// in one (or few) coalesced wire messages whose completion surfaces
-    /// as [`OverlayDone::Batch`]; the default falls back to the per-op
-    /// [`Overlay::insert_msgs`] / [`Overlay::delete_msgs`] expansion.
+    /// routed protocol path — the one write constructor: the batch rides
+    /// coalesced wire messages, grouped by next hop at the origin and
+    /// re-split at each routing step, and its completion surfaces as one
+    /// [`OverlayDone::Batch`] per returned correlation id. An empty
+    /// batch yields no messages.
     fn batch_msgs(
         cfg: &Self::Config,
         next_qid: &mut dyn FnMut() -> u64,
         batch: &OpBatch<Self::Item>,
         origin: NodeId,
-    ) -> Vec<(u64, Self::Msg)> {
-        per_op_batch_msgs::<Self>(cfg, next_qid, batch, origin)
-    }
+    ) -> Vec<(u64, Self::Msg)>;
 
     // ---- event surface ------------------------------------------------
 
     /// Folds a backend-native completion event into the uniform view.
     fn done(ev: Self::Out) -> OverlayDone<Self::Item>;
-}
-
-/// The per-op fallback expansion of [`Overlay::batch_msgs`]: one routed
-/// message per (index key, op) through the backend's single-op
-/// constructors. Exposed so drivers can force the uncoalesced path for
-/// comparison even on backends that batch natively (the `bench-snapshot`
-/// ingest section measures exactly this).
-pub fn per_op_batch_msgs<O: Overlay>(
-    cfg: &O::Config,
-    next_qid: &mut dyn FnMut() -> u64,
-    batch: &OpBatch<O::Item>,
-    origin: NodeId,
-) -> Vec<(u64, O::Msg)> {
-    let mut out = Vec::with_capacity(batch.ops.len());
-    for op in &batch.ops {
-        match op.verb {
-            BatchVerb::Insert { item } => out.extend(O::insert_msgs(
-                cfg,
-                next_qid,
-                op.key,
-                batch.items[item as usize].clone(),
-                op.version,
-                origin,
-            )),
-            BatchVerb::Delete { ident } => {
-                out.extend(O::delete_msgs(cfg, next_qid, op.key, ident, op.version, origin))
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -7,10 +7,14 @@
 //! applied remainder plus one sub-batch per distinct next hop
 //! ([`OpBatch::subset`] re-indexes the payload table), so the batch only
 //! forks where responsibility actually diverges. Each peer that applies
-//! ops sends the origin one aggregated [`PGridMsg::BatchAck`]; the
-//! origin completes when every op is accounted for and emits a single
-//! [`PGridEvent::BatchDone`] — driver-side bookkeeping stays O(batch).
+//! ops sends the origin one aggregated [`PGridMsg::BatchAck`] naming
+//! their origin-side positions; the origin marks them in the shared
+//! [`BatchTracker`] — the same protocol Chord runs — completes when
+//! every op is marked and emits a single [`PGridEvent::BatchDone`], so
+//! driver-side bookkeeping stays O(batch). A timed-out attempt
+//! retransmits only the un-acked remainder.
 
+use unistore_overlay::{push_hop, BatchTracker, HopGroups};
 use unistore_simnet::NodeId;
 use unistore_util::wire::{BatchVerb, OpBatch};
 
@@ -19,189 +23,144 @@ use crate::msg::{PGridEvent, PGridMsg, QueryId};
 use crate::peer::{Fx, PGridPeer, Pending};
 use crate::routing::RouteDecision;
 
-/// Routing outcome of one batch step: op indices resolved locally, and
-/// one group of op indices per distinct next hop (first-seen order, so
-/// the fan-out is deterministic under the seeded RNG).
-struct BatchSplit {
-    local: Vec<usize>,
-    groups: Vec<(NodeId, Vec<usize>)>,
-    /// Per-op first hop (`None` = local or stuck), recorded at the
-    /// origin so a retry can route around it.
-    first_hops: Vec<Option<NodeId>>,
-}
-
-impl BatchSplit {
-    fn push_forward(&mut self, next: NodeId, op: usize) {
-        self.first_hops[op] = Some(next);
-        match self.groups.iter_mut().find(|(n, _)| *n == next) {
-            Some((_, idxs)) => idxs.push(op),
-            None => self.groups.push((next, vec![op])),
-        }
-    }
-}
-
 impl<I: Item> PGridPeer<I> {
     /// Handles a routed batch. `from == EXTERNAL` marks driver injection
-    /// at the origin, which registers completion tracking (with retry
-    /// state); relayed batches re-split and forward.
+    /// at the origin, which numbers the ops (the injected `positions` are
+    /// empty), registers the tracker that accumulates their positional
+    /// acks and issues the first attempt; relayed batches, one position
+    /// per op, re-split and forward.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn handle_op_batch(
         &mut self,
         from: NodeId,
         qid: QueryId,
-        attempt: u32,
         origin: NodeId,
         hops: u32,
+        positions: Vec<u32>,
         batch: OpBatch<I>,
         fx: &mut Fx<I>,
     ) {
+        let all: Vec<usize> = (0..batch.len()).collect();
         if from == NodeId::EXTERNAL && origin == self.id {
-            let expected = batch.len() as u32;
             self.register_pending(
                 fx,
                 qid,
                 Pending::Batch {
                     batch: batch.clone(),
                     last_hops: vec![None; batch.len()],
-                    expected,
-                    done: 0,
-                    hops: 0,
-                    attempts: 0,
+                    tracker: BatchTracker::new(batch.len()),
                 },
             );
-            self.issue_batch(qid, 0, &batch, &[], fx);
-            return;
-        }
-        let split = self.split_batch(&batch, &[]);
-        let applied = self.apply_batch_ops(&batch, &split.local, fx);
-        self.forward_groups(qid, attempt, origin, hops, &batch, split.groups, fx);
-        if applied > 0 {
-            if origin == self.id {
-                self.handle_batch_ack(qid, attempt, applied, hops, fx);
-            } else {
-                fx.send(origin, PGridMsg::BatchAck { qid, attempt, ops: applied, hops });
-            }
+            self.issue_batch(qid, &batch, &all, &[], fx);
+        } else if positions.len() == batch.len() {
+            self.route_batch(qid, origin, hops, &batch, &all, &positions, &[], fx);
         }
     }
 
-    /// Starts (or retries) an origin-side batch attempt, routing each op
-    /// around `avoid[op]` — its first hop in the previous, failed
-    /// attempt. Re-issuing already-applied ops is idempotent at the
-    /// versioned stores, so the retry ships the whole batch, stamped
-    /// with the new attempt number.
+    /// Starts (or retries) an origin-side attempt over the ops at
+    /// `idxs` — everything the first time, the un-acked remainder after
+    /// a timeout — routing each op around `avoid[op]`, its first hop in
+    /// the previous attempt. At the origin an op's position is its index.
     pub(crate) fn issue_batch(
         &mut self,
         qid: QueryId,
-        attempt: u32,
         batch: &OpBatch<I>,
+        idxs: &[usize],
         avoid: &[Option<NodeId>],
         fx: &mut Fx<I>,
     ) {
-        let split = self.split_batch(batch, avoid);
+        let positions: Vec<u32> = (0..batch.len() as u32).collect();
+        let first_hops = self.route_batch(qid, self.id, 0, batch, idxs, &positions, avoid, fx);
         if let Some(Pending::Batch { last_hops, .. }) = self.pending.get_mut(&qid) {
-            *last_hops = split.first_hops;
-        }
-        let applied = self.apply_batch_ops(batch, &split.local, fx);
-        self.forward_groups(qid, attempt, self.id, 0, batch, split.groups, fx);
-        if applied > 0 {
-            self.handle_batch_ack(qid, attempt, applied, 0, fx);
+            *last_hops = first_hops;
         }
     }
 
-    /// Routes every op of the batch: local / forward (grouped by next
-    /// hop) / stuck. Stuck ops are left to the origin's timeout and
-    /// retry, exactly like stuck single-op writes.
-    fn split_batch(&mut self, batch: &OpBatch<I>, avoid: &[Option<NodeId>]) -> BatchSplit {
-        let mut split = BatchSplit {
-            local: Vec::new(),
-            groups: Vec::new(),
-            first_hops: vec![None; batch.len()],
-        };
-        for (i, op) in batch.ops.iter().enumerate() {
+    /// Routes the ops at `idxs` one step: applies the ones this peer is
+    /// responsible for through the same leaf paths as single-op writes,
+    /// ships one re-grouped sub-batch per distinct next hop, and acks
+    /// the applied positions to the origin. Stuck ops are left to the
+    /// origin's timeout and retransmit. Returns each op's next hop
+    /// (`None` = local, stuck or not routed) for the origin's retry.
+    #[allow(clippy::too_many_arguments)]
+    fn route_batch(
+        &mut self,
+        qid: QueryId,
+        origin: NodeId,
+        hops: u32,
+        batch: &OpBatch<I>,
+        idxs: &[usize],
+        positions: &[u32],
+        avoid: &[Option<NodeId>],
+        fx: &mut Fx<I>,
+    ) -> Vec<Option<NodeId>> {
+        let mut applied: Vec<u32> = Vec::new();
+        let mut groups = HopGroups::new();
+        let mut next_hops = vec![None; batch.len()];
+        for &i in idxs {
+            let op = batch.ops[i];
             let shun = avoid.get(i).copied().flatten();
             // Longest-prefix jumps: fewer hops per op means fewer edges
             // the sub-batch's tags and payloads cross.
             match self.routing.route_jump(op.key, shun, &mut self.rng) {
-                RouteDecision::Local => split.local.push(i),
-                RouteDecision::Forward(next, _) => split.push_forward(next, i),
+                RouteDecision::Local => {
+                    match op.verb {
+                        BatchVerb::Insert { item } => {
+                            let item = batch.items[item as usize].clone();
+                            self.insert_at_leaf(op.key, item, op.version, fx);
+                        }
+                        BatchVerb::Delete { ident } => {
+                            self.delete_at_leaf(op.key, ident, op.version, fx)
+                        }
+                    }
+                    applied.push(positions[i]);
+                }
+                RouteDecision::Forward(next, _) => {
+                    next_hops[i] = Some(next);
+                    push_hop(&mut groups, next, i);
+                }
                 RouteDecision::Stuck(_) => {}
             }
         }
-        split
-    }
-
-    /// Ships one re-grouped sub-batch per next hop.
-    #[allow(clippy::too_many_arguments)]
-    fn forward_groups(
-        &mut self,
-        qid: QueryId,
-        attempt: u32,
-        origin: NodeId,
-        hops: u32,
-        batch: &OpBatch<I>,
-        groups: Vec<(NodeId, Vec<usize>)>,
-        fx: &mut Fx<I>,
-    ) {
-        for (next, idxs) in groups {
+        for (next, group) in groups {
             fx.send(
                 next,
                 PGridMsg::OpBatch {
                     qid,
-                    attempt,
                     origin,
                     hops: hops + 1,
-                    batch: batch.subset(&idxs),
+                    positions: group.iter().map(|&i| positions[i]).collect(),
+                    batch: batch.subset(&group),
                 },
             );
         }
-    }
-
-    /// Applies the locally resolved ops through the same leaf paths as
-    /// single-op writes (store apply + replica push / tombstone
-    /// cascade). Returns the number of ops processed.
-    fn apply_batch_ops(&mut self, batch: &OpBatch<I>, idxs: &[usize], fx: &mut Fx<I>) -> u32 {
-        for &i in idxs {
-            let op = batch.ops[i];
-            match op.verb {
-                BatchVerb::Insert { item } => {
-                    let item = batch.items[item as usize].clone();
-                    self.insert_at_leaf(op.key, item, op.version, fx);
-                }
-                BatchVerb::Delete { ident } => {
-                    self.delete_at_leaf(op.key, ident, op.version, 0, fx)
-                }
+        if !applied.is_empty() {
+            if origin == self.id {
+                self.handle_batch_ack(qid, &applied, hops, fx);
+            } else {
+                fx.send(origin, PGridMsg::BatchAck { qid, applied, hops });
             }
         }
-        idxs.len() as u32
+        next_hops
     }
 
-    /// Folds an aggregated ack into the pending batch; completes it when
-    /// every op of the **current attempt** is accounted for. Acks from a
-    /// superseded attempt are dropped: the aggregated count cannot name
-    /// which ops it covers, so mixing attempts could declare a batch
-    /// complete while an op lost in both attempts was never applied.
+    /// Folds a positional ack into the pending batch and completes it
+    /// when every op is marked. Late and duplicate acks (an earlier
+    /// attempt's stragglers) re-mark marked ops, so they can only help.
     pub(crate) fn handle_batch_ack(
         &mut self,
         qid: QueryId,
-        attempt: u32,
-        ops: u32,
+        applied: &[u32],
         ack_hops: u32,
         fx: &mut Fx<I>,
     ) {
-        let Some(Pending::Batch { expected, done, hops, attempts, .. }) =
-            self.pending.get_mut(&qid)
-        else {
+        let Some(Pending::Batch { tracker, .. }) = self.pending.get_mut(&qid) else {
             return;
         };
-        if attempt != *attempts {
-            return;
-        }
-        *done += ops;
-        *hops = (*hops).max(ack_hops);
-        if *done >= *expected {
-            let (ops_total, max_hops) = (*expected, *hops);
+        if tracker.ack(applied, ack_hops) {
+            let (ops, hops) = (tracker.done(), tracker.hops());
             self.pending.remove(&qid);
-            fx.emit(PGridEvent::BatchDone { qid, ops: ops_total, hops: max_hops, ok: true });
+            fx.emit(PGridEvent::BatchDone { qid, ops, hops, ok: true });
         }
     }
 }
@@ -216,11 +175,16 @@ mod tests {
     use crate::config::PGridConfig;
     use crate::item::RawItem;
     use crate::msg::PeerRef;
-    use unistore_simnet::Effects;
+    use crate::peer::timer::QUERY_TIMEOUT;
+    use unistore_simnet::{Effects, NodeBehavior, SimTime, Timer};
     use unistore_util::BitPath;
 
     fn peer(id: u32, path: &str) -> PGridPeer<RawItem> {
         PGridPeer::new(NodeId(id), BitPath::parse(path).unwrap(), PGridConfig::default(), 42)
+    }
+
+    fn add_ref(p: &mut PGridPeer<RawItem>, id: u32, path: &str) {
+        p.routing_mut().add_ref(PeerRef { id: NodeId(id), path: BitPath::parse(path).unwrap() });
     }
 
     /// Keys routed by their top bits: peer "00" owns keys starting 00.
@@ -234,90 +198,108 @@ mod tests {
         k
     }
 
+    /// Driver injection of a whole batch at its origin `p`.
+    fn inject(p: &mut PGridPeer<RawItem>, qid: QueryId, batch: OpBatch<RawItem>) -> Fx<RawItem> {
+        let mut fx = Effects::new();
+        p.handle_op_batch(NodeId::EXTERNAL, qid, p.id(), 0, Vec::new(), batch, &mut fx);
+        fx
+    }
+
+    fn timeout(p: &mut PGridPeer<RawItem>, qid: QueryId) -> Fx<RawItem> {
+        let mut fx = Effects::new();
+        p.on_timer(SimTime::ZERO, Timer::new(QUERY_TIMEOUT, qid), &mut fx);
+        fx
+    }
+
+    /// `(next hop, positions, sub-batch, hops)` of every forwarded
+    /// sub-batch.
+    fn forwards(fx: &Fx<RawItem>) -> Vec<(NodeId, Vec<u32>, OpBatch<RawItem>, u32)> {
+        fx.sends()
+            .iter()
+            .filter_map(|(to, m)| match m {
+                PGridMsg::OpBatch { positions, batch, hops, .. } => {
+                    Some((*to, positions.clone(), batch.clone(), *hops))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn batch_forks_only_where_responsibility_diverges() {
         // Peer 0 at "00" with one ref into "01" and one into "1": a batch
         // spanning all three regions must split into exactly one local
-        // apply + two sub-batches, payloads re-indexed per group.
+        // apply + two sub-batches, payloads re-indexed per group and
+        // every op still carrying its origin position.
         let mut p = peer(0, "00");
-        p.routing_mut().add_ref(PeerRef { id: NodeId(1), path: BitPath::parse("01").unwrap() });
-        p.routing_mut().add_ref(PeerRef { id: NodeId(2), path: BitPath::parse("1").unwrap() });
+        add_ref(&mut p, 1, "01");
+        add_ref(&mut p, 2, "1");
         let mut batch = OpBatch::new();
         let a = batch.add_item(RawItem(10));
         let b = batch.add_item(RawItem(20));
         batch.push_insert(key("00"), a, 0); // local
         batch.push_insert(key("010"), a, 0); // peer 1
-        batch.push_insert(key("011"), b, 0); // peer 1 (same group)
         batch.push_insert(key("10"), b, 0); // peer 2
-        let mut fx = Effects::new();
-        p.handle_op_batch(NodeId::EXTERNAL, 7, 0, NodeId(0), 0, batch, &mut fx);
+        batch.push_insert(key("011"), b, 0); // peer 1 (same group)
+        let fx = inject(&mut p, 7, batch);
         // Local op applied immediately.
         assert_eq!(p.store().get(key("00")), vec![RawItem(10)]);
         // Exactly two forwards, one per divergent subtree.
-        let sends: Vec<_> = fx
-            .sends()
-            .iter()
-            .filter_map(|(to, m)| match m {
-                PGridMsg::OpBatch { batch, hops, .. } => Some((*to, batch.clone(), *hops)),
-                _ => None,
-            })
-            .collect();
+        let sends = forwards(&fx);
         assert_eq!(sends.len(), 2, "one sub-batch per next hop");
-        let to1 = sends.iter().find(|(to, _, _)| *to == NodeId(1)).expect("group for peer 1");
-        assert_eq!(to1.1.ops.len(), 2, "both 01-keys ride one message");
-        assert_eq!(to1.1.items.len(), 2, "referenced payloads only, shipped once");
-        assert_eq!(to1.2, 1, "hop count incremented");
-        let to2 = sends.iter().find(|(to, _, _)| *to == NodeId(2)).expect("group for peer 2");
-        assert_eq!(to2.1.ops.len(), 1);
-        assert_eq!(to2.1.items, vec![RawItem(20)], "unreferenced payloads dropped");
+        let to1 = sends.iter().find(|s| s.0 == NodeId(1)).expect("group for peer 1");
+        assert_eq!(to1.1, vec![1, 3], "origin positions survive the re-grouping");
+        assert_eq!(to1.2.ops.len(), 2, "both 01-keys ride one message");
+        assert_eq!(to1.2.items.len(), 2, "referenced payloads only, shipped once");
+        assert_eq!(to1.3, 1, "hop count incremented");
+        let to2 = sends.iter().find(|s| s.0 == NodeId(2)).expect("group for peer 2");
+        assert_eq!(to2.1, vec![2]);
+        assert_eq!(to2.2.items, vec![RawItem(20)], "unreferenced payloads dropped");
         // No completion yet: 1 of 4 ops acked.
         assert!(fx.emits().is_empty());
     }
 
     #[test]
-    fn relayed_batch_acks_origin_and_forwards_remainder() {
+    fn relayed_batch_acks_positions_and_forwards_remainder() {
         let mut p = peer(5, "1");
-        p.routing_mut().add_ref(PeerRef { id: NodeId(6), path: BitPath::parse("0").unwrap() });
+        add_ref(&mut p, 6, "0");
         let mut batch = OpBatch::new();
         let a = batch.add_item(RawItem(1));
         batch.push_insert(key("11"), a, 0); // local to peer 5
         batch.push_insert(key("0"), a, 0); // forwarded to peer 6
         let mut fx = Effects::new();
-        p.handle_op_batch(NodeId(3), 9, 0, NodeId(3), 2, batch, &mut fx);
+        // A sub-batch of a larger one: its ops sit at positions 40 and 41.
+        p.handle_op_batch(NodeId(3), 9, NodeId(3), 2, vec![40, 41], batch, &mut fx);
         assert_eq!(p.store().get(key("11")), vec![RawItem(1)]);
-        let mut acked = 0;
-        let mut forwarded = 0;
-        for (to, m) in fx.sends() {
-            match m {
-                PGridMsg::BatchAck { qid: 9, attempt: 0, ops: 1, hops: 2 } => {
-                    assert_eq!(*to, NodeId(3));
-                    acked += 1;
-                }
-                PGridMsg::OpBatch { qid: 9, hops: 3, batch, .. } => {
-                    assert_eq!(*to, NodeId(6));
-                    assert_eq!(batch.ops.len(), 1);
-                    forwarded += 1;
-                }
-                _ => {}
-            }
-        }
-        assert_eq!((acked, forwarded), (1, 1));
+        let acks: Vec<_> = fx
+            .sends()
+            .iter()
+            .filter_map(|(to, m)| match m {
+                PGridMsg::BatchAck { qid: 9, applied, hops } => Some((*to, applied.clone(), *hops)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(acks, vec![(NodeId(3), vec![40], 2)], "the applied op is acked by position");
+        let fwd = forwards(&fx);
+        assert_eq!(fwd.len(), 1);
+        assert_eq!((fwd[0].0, &fwd[0].1, fwd[0].3), (NodeId(6), &vec![41], 3));
     }
 
     #[test]
     fn batch_completes_when_every_op_is_acked() {
         let mut p = peer(0, "0");
-        p.routing_mut().add_ref(PeerRef { id: NodeId(1), path: BitPath::parse("1").unwrap() });
+        add_ref(&mut p, 1, "1");
         let mut batch = OpBatch::new();
         let a = batch.add_item(RawItem(4));
         batch.push_insert(key("0"), a, 0); // local
         batch.push_insert(key("10"), a, 0); // remote
         batch.push_insert(key("11"), a, 0); // remote
-        let mut fx = Effects::new();
-        p.handle_op_batch(NodeId::EXTERNAL, 3, 0, NodeId(0), 0, batch, &mut fx);
+        let fx = inject(&mut p, 3, batch);
         assert!(fx.emits().is_empty(), "2 remote ops outstanding");
         let mut fx2 = Effects::new();
-        p.handle_batch_ack(3, 0, 2, 4, &mut fx2);
+        p.handle_batch_ack(3, &[1], 2, &mut fx2);
+        assert!(fx2.emits().is_empty(), "1 remote op outstanding");
+        p.handle_batch_ack(3, &[2], 4, &mut fx2);
         match fx2.emits() {
             [PGridEvent::BatchDone { qid: 3, ops: 3, hops: 4, ok: true }] => {}
             other => panic!("unexpected emits {other:?}"),
@@ -327,13 +309,21 @@ mod tests {
     #[test]
     fn batch_delete_tombstones_at_the_leaf() {
         let mut p = peer(0, "0");
+        p.routing_mut().add_replica(NodeId(8));
         let k = key("0");
         p.preload(k, RawItem(9), 0);
         let mut batch: OpBatch<RawItem> = OpBatch::new();
         batch.push_delete(k, 9, 1); // RawItem ident == payload
-        let mut fx = Effects::new();
-        p.handle_op_batch(NodeId::EXTERNAL, 4, 0, NodeId(0), 0, batch, &mut fx);
+        let fx = inject(&mut p, 4, batch);
         assert!(p.store().get(k).is_empty(), "batched delete removes the entry");
+        assert!(
+            matches!(
+                fx.sends(),
+                [(NodeId(8), PGridMsg::Delete { key, ident: 9, version: 1 })] if *key == k
+            ),
+            "the tombstone cascades to the replica: {:?}",
+            fx.sends()
+        );
         match fx.emits() {
             [PGridEvent::BatchDone { qid: 4, ops: 1, ok: true, .. }] => {}
             other => panic!("unexpected emits {other:?}"),
@@ -341,67 +331,75 @@ mod tests {
     }
 
     #[test]
-    fn timed_out_batch_retries_around_the_previous_first_hop() {
-        use unistore_simnet::{NodeBehavior, SimTime, Timer};
-        // Two references cover the "1" subtree; the retry of a timed-out
-        // sub-batch must route around the first attempt's hop.
+    fn timed_out_batch_retransmits_only_the_remainder_around_the_first_hop() {
+        // Two references cover the "1" subtree. Op 0 is local, ops 1-3
+        // go remote; only op 2 is acked before the timeout.
         let mut p = peer(0, "0");
-        p.routing_mut().add_ref(PeerRef { id: NodeId(1), path: BitPath::parse("1").unwrap() });
-        p.routing_mut().add_ref(PeerRef { id: NodeId(2), path: BitPath::parse("1").unwrap() });
+        add_ref(&mut p, 1, "1");
+        add_ref(&mut p, 2, "1");
         let mut batch = OpBatch::new();
         let a = batch.add_item(RawItem(1));
-        batch.push_insert(key("1"), a, 0);
-        let mut fx = Effects::new();
-        p.handle_op_batch(NodeId::EXTERNAL, 5, 0, NodeId(0), 0, batch, &mut fx);
-        let first_to = |fx: &Effects<PGridMsg<RawItem>, PGridEvent<RawItem>>| {
-            fx.sends()
-                .iter()
-                .find_map(|(to, m)| matches!(m, PGridMsg::OpBatch { .. }).then_some(*to))
-                .expect("sub-batch forwarded")
+        let b = batch.add_item(RawItem(2));
+        batch.push_insert(key("0"), a, 0);
+        batch.push_insert(key("10"), a, 0);
+        batch.push_insert(key("11"), b, 0);
+        batch.push_insert(key("101"), a, 0);
+        let fx = inject(&mut p, 5, batch);
+        let first = forwards(&fx);
+        let first_hop = |pos: u32| {
+            first.iter().find(|s| s.1.contains(&pos)).expect("op forwarded in attempt 0").0
         };
-        let first = first_to(&fx);
-        // No ack arrives; the origin-side timeout fires and re-issues.
-        let mut fx2 = Effects::new();
-        p.on_timer(SimTime::ZERO, Timer::new(crate::peer::timer::QUERY_TIMEOUT, 5), &mut fx2);
-        let second = first_to(&fx2);
-        assert_ne!(first, second, "retry must exclude the failed first hop");
-        // A straggler ack from the superseded attempt is dropped: the
-        // aggregated count cannot name its ops, so it must not combine
-        // with the retry's acks into a false completion.
-        let mut fx_stale = Effects::new();
-        p.handle_batch_ack(5, 0, 1, 2, &mut fx_stale);
-        assert!(fx_stale.emits().is_empty(), "stale-attempt ack must not complete the batch");
-        // The retried attempt completes normally.
+        let mut fx_ack = Effects::new();
+        p.handle_batch_ack(5, &[2], 2, &mut fx_ack);
+        assert!(fx_ack.emits().is_empty());
+
+        let fx2 = timeout(&mut p, 5);
+        assert!(fx2.emits().is_empty(), "a retry remains: re-issue, do not fail");
+        let second = forwards(&fx2);
+        let mut resent: Vec<u32> = second.iter().flat_map(|s| s.1.clone()).collect();
+        resent.sort_unstable();
+        assert_eq!(resent, vec![1, 3], "acked op 2 and local op 0 are not re-sent");
+        for (to, positions, sub, _) in &second {
+            assert_eq!(sub.ops.len(), positions.len());
+            for &pos in positions {
+                assert_ne!(*to, first_hop(pos), "op {pos} must avoid its previous first hop");
+            }
+        }
+        assert!(
+            second.iter().all(|s| s.2.items == vec![RawItem(1)]),
+            "the acked op's payload is not re-shipped: {second:?}"
+        );
+
+        // An attempt-0 straggler (op 1) lands after the retransmit, then
+        // the retransmit's ack for op 3: together they complete.
         let mut fx3 = Effects::new();
-        p.handle_batch_ack(5, 1, 1, 2, &mut fx3);
+        p.handle_batch_ack(5, &[1], 3, &mut fx3);
+        assert!(fx3.emits().is_empty());
+        p.handle_batch_ack(5, &[3], 1, &mut fx3);
         match fx3.emits() {
-            [PGridEvent::BatchDone { qid: 5, ops: 1, ok: true, .. }] => {}
+            [PGridEvent::BatchDone { qid: 5, ops: 4, hops: 3, ok: true }] => {}
             other => panic!("unexpected emits {other:?}"),
         }
     }
 
     #[test]
-    fn exhausted_retries_fail_the_batch() {
-        use unistore_simnet::{NodeBehavior, SimTime, Timer};
+    fn exhausted_retries_report_what_was_acked() {
         let mut p = peer(0, "0");
-        p.routing_mut().add_ref(PeerRef { id: NodeId(1), path: BitPath::parse("1").unwrap() });
+        add_ref(&mut p, 1, "1");
         let mut batch = OpBatch::new();
         let a = batch.add_item(RawItem(1));
-        batch.push_insert(key("1"), a, 0);
-        let mut fx = Effects::new();
-        p.handle_op_batch(NodeId::EXTERNAL, 6, 0, NodeId(0), 0, batch, &mut fx);
+        batch.push_insert(key("0"), a, 0); // local: acked at once
+        batch.push_insert(key("10"), a, 0); // acked late, at depth 3
+        batch.push_insert(key("11"), a, 0); // never acked
+        inject(&mut p, 6, batch);
         let retries = PGridConfig::default().op_retries;
-        for i in 0..=retries {
-            let mut fxt = Effects::new();
-            p.on_timer(SimTime::ZERO, Timer::new(crate::peer::timer::QUERY_TIMEOUT, 6), &mut fxt);
-            if i == retries {
-                match fxt.emits() {
-                    [PGridEvent::BatchDone { qid: 6, ok: false, .. }] => {}
-                    other => panic!("unexpected emits {other:?}"),
-                }
-            } else {
-                assert!(fxt.emits().is_empty(), "attempt {i} should re-issue, not fail");
-            }
+        for i in 0..retries {
+            assert!(timeout(&mut p, 6).emits().is_empty(), "attempt {i} should re-issue");
+        }
+        p.handle_batch_ack(6, &[1], 3, &mut Effects::new());
+        match timeout(&mut p, 6).emits() {
+            [PGridEvent::BatchDone { qid: 6, ops: 2, hops: 3, ok: false }] => {}
+            other => panic!("unexpected emits {other:?}"),
         }
     }
 
@@ -410,25 +408,21 @@ mod tests {
         // The version laws make op order across a fork irrelevant: a
         // delete at v2 and an insert at v1 of the same identity converge
         // to the tombstone no matter the application order.
-        let mk = |order: [usize; 2]| {
+        let mk = |insert_first: bool| {
             let mut p = peer(0, "0");
             let mut batch = OpBatch::new();
             let a = batch.add_item(RawItem(9));
-            let ops = [(0usize, a), (1, a)];
-            let mut b2 = OpBatch::new();
-            let a2 = b2.add_item(RawItem(9));
-            for &i in &order {
-                match ops[i].0 {
-                    0 => b2.push_insert(key("0"), a2, 1),
-                    _ => b2.push_delete(key("0"), 9, 2),
-                }
+            if insert_first {
+                batch.push_insert(key("0"), a, 1);
             }
-            let _ = batch;
-            let mut fx = Effects::new();
-            p.handle_op_batch(NodeId::EXTERNAL, 1, 0, NodeId(0), 0, b2, &mut fx);
+            batch.push_delete(key("0"), 9, 2);
+            if !insert_first {
+                batch.push_insert(key("0"), a, 1);
+            }
+            inject(&mut p, 1, batch);
             p.store().get(key("0"))
         };
-        assert_eq!(mk([0, 1]), mk([1, 0]));
-        assert!(mk([0, 1]).is_empty(), "the newer tombstone wins either way");
+        assert_eq!(mk(true), mk(false));
+        assert!(mk(true).is_empty(), "the newer tombstone wins either way");
     }
 }

@@ -81,9 +81,9 @@ impl<I: Item> PGridPeer<I> {
                 // retry per explicit failure, so remaining attempts run
                 // synchronously and a true dead end still fails fast
                 // instead of burning timeout rounds. (Writes differ on
-                // purpose: a stuck insert/delete waits for its timeout
-                // because maintenance may repair the level, and a
-                // spurious failure report for a write is worse than a
+                // purpose: a stuck insert or batch op waits for its
+                // timeout because maintenance may repair the level, and
+                // a spurious failure report for a write is worse than a
                 // late one.)
                 self.handle_lookup_reply(qid, Vec::new(), 0, false, fx);
             }
@@ -224,43 +224,14 @@ impl<I: Item> PGridPeer<I> {
         }
     }
 
-    /// Handles a routed delete (index maintenance for updates); the
-    /// removal propagates once through the replica group.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn handle_delete(
-        &mut self,
-        from: NodeId,
-        qid: QueryId,
-        key: Key,
-        ident: u64,
-        version: Version,
-        origin: NodeId,
-        hops: u32,
-        fx: &mut Fx<I>,
-    ) {
-        if from == NodeId::EXTERNAL && origin == self.id {
-            self.register_pending(
-                fx,
-                qid,
-                Pending::Delete { key, ident, version, attempts: 0, last_hop: None },
-            );
-            self.issue_delete(qid, key, ident, version, None, fx);
-            return;
-        }
+    /// Handles a tombstone cascading through the replica group: applied
+    /// here when this peer still covers the key, forwarded when its path
+    /// migrated away.
+    pub(crate) fn handle_delete(&mut self, key: Key, ident: u64, version: Version, fx: &mut Fx<I>) {
         match self.routing.route(key, &mut self.rng) {
-            RouteDecision::Local => {
-                self.delete_at_leaf(key, ident, version, hops, fx);
-                if origin == self.id {
-                    self.handle_insert_ack(qid, hops, fx);
-                } else if qid != 0 {
-                    fx.send(origin, PGridMsg::InsertAck { qid, hops });
-                }
-            }
+            RouteDecision::Local => self.delete_at_leaf(key, ident, version, fx),
             RouteDecision::Forward(next, _) => {
-                fx.send(
-                    next,
-                    PGridMsg::Delete { qid, key, ident, version, origin, hops: hops + 1 },
-                );
+                fx.send(next, PGridMsg::Delete { key, ident, version });
             }
             RouteDecision::Stuck(_) => {}
         }
@@ -274,43 +245,12 @@ impl<I: Item> PGridPeer<I> {
         key: Key,
         ident: u64,
         version: Version,
-        hops: u32,
         fx: &mut Fx<I>,
     ) {
         let removed = self.store.remove(key, ident, version);
         if removed {
             for &r in self.routing.replicas() {
-                fx.send(r, PGridMsg::Delete { qid: 0, key, ident, version, origin: self.id, hops });
-            }
-        }
-    }
-
-    /// Starts (or retries) an origin-side delete attempt.
-    pub(crate) fn issue_delete(
-        &mut self,
-        qid: QueryId,
-        key: Key,
-        ident: u64,
-        version: Version,
-        avoid: Option<NodeId>,
-        fx: &mut Fx<I>,
-    ) {
-        match self.routing.route_excluding(key, avoid, &mut self.rng) {
-            RouteDecision::Local => {
-                self.delete_at_leaf(key, ident, version, 0, fx);
-                self.handle_insert_ack(qid, 0, fx);
-            }
-            RouteDecision::Forward(next, _) => {
-                if let Some(Pending::Delete { last_hop, .. }) = self.pending.get_mut(&qid) {
-                    *last_hop = Some(next);
-                }
-                fx.send(
-                    next,
-                    PGridMsg::Delete { qid, key, ident, version, origin: self.id, hops: 1 },
-                );
-            }
-            RouteDecision::Stuck(_) => {
-                // Leave the pending op to its timeout (and retries).
+                fx.send(r, PGridMsg::Delete { key, ident, version });
             }
         }
     }

@@ -96,22 +96,20 @@ pub enum PGridMsg<I> {
         /// Hops the insert took.
         hops: u32,
     },
-    /// Removes the entry with the given logical identity under a key
-    /// (index maintenance on updates). Routed like an insert; acked with
-    /// [`PGridMsg::InsertAck`].
+    /// A tombstone cascading through a replica group: the leaf that
+    /// applied a batched delete tells its replicas to remove the entry
+    /// with the given logical identity; a replica that removes something
+    /// passes it on, one that removes nothing stops the cascade. Routed
+    /// like an insert (a replica whose path migrated forwards it), never
+    /// acked — the origin's ack comes from the batch that carried the
+    /// delete.
     Delete {
-        /// Correlation id.
-        qid: QueryId,
         /// Placement key.
         key: Key,
         /// Logical identity of the entry to remove.
         ident: u64,
         /// Version of the delete (removes entries with `version <= this`).
         version: Version,
-        /// Issuer, receives the ack.
-        origin: NodeId,
-        /// Routing hops so far.
-        hops: u32,
     },
     /// Many routed writes coalesced into one message (shared-payload
     /// [`OpBatch`] encoding). Routed like inserts, but per *op*: at each
@@ -122,28 +120,29 @@ pub enum PGridMsg<I> {
     OpBatch {
         /// Correlation id of the whole batch.
         qid: QueryId,
-        /// Origin-side attempt number, echoed by acks. A retried batch
-        /// counts only its current attempt's acks toward completion —
-        /// count-based acks cannot name which ops they cover, so a late
-        /// ack from a previous attempt must not combine with the
-        /// retry's acks into a false completion.
-        attempt: u32,
         /// Issuer, receives the aggregated acks.
         origin: NodeId,
         /// Routing hops of this sub-batch so far.
         hops: u32,
+        /// `positions[i]` is the place of `batch.ops[i]` in the origin's
+        /// full op list, stable across sub-batch re-grouping and echoed
+        /// by [`PGridMsg::BatchAck`], so the origin knows exactly which
+        /// ops landed. Ascending (re-grouping keeps op order), so it
+        /// travels gap-encoded. Empty on the driver-injected batch,
+        /// which never crosses the wire: the origin numbers the ops.
+        positions: Vec<u32>,
         /// The ops and their shared payloads.
         batch: OpBatch<I>,
     },
-    /// Aggregated ack: `ops` write ops of batch `qid` were applied at
-    /// the sending leaf.
+    /// Aggregated ack naming the ops of batch `qid` applied at the
+    /// sending leaf by their origin-side positions. Positional acks are
+    /// idempotent, which is what lets a timed-out batch retransmit only
+    /// its un-acked remainder (`unistore_overlay::BatchTracker`).
     BatchAck {
         /// Correlation id of the batch.
         qid: QueryId,
-        /// Attempt the acked sub-batch belonged to.
-        attempt: u32,
-        /// Ops applied at the acking leaf.
-        ops: u32,
+        /// Origin-side positions of the ops applied at the acking leaf.
+        applied: Vec<u32>,
         /// Hops the sub-batch travelled to that leaf.
         hops: u32,
     },
@@ -310,19 +309,26 @@ impl<I: Item> Wire for PGridMsg<I> {
                 hops.encode(buf);
                 ok.encode(buf);
             }
-            PGridMsg::OpBatch { qid, attempt, origin, hops, batch } => {
+            PGridMsg::OpBatch { qid, origin, hops, positions, batch } => {
                 tag::OP_BATCH.encode(buf);
                 qid.encode(buf);
-                attempt.encode(buf);
                 origin.encode(buf);
                 hops.encode(buf);
                 batch.encode(buf);
+                // One gap per op (the op count is the batch's): ascending
+                // positions cost one byte each however long the origin's
+                // list is.
+                debug_assert_eq!(positions.len(), batch.len(), "one position per op");
+                let mut prev = 0u32;
+                for &pos in positions {
+                    pos.wrapping_sub(prev).encode(buf);
+                    prev = pos;
+                }
             }
-            PGridMsg::BatchAck { qid, attempt, ops, hops } => {
+            PGridMsg::BatchAck { qid, applied, hops } => {
                 tag::BATCH_ACK.encode(buf);
                 qid.encode(buf);
-                attempt.encode(buf);
-                ops.encode(buf);
+                put_list(buf, applied);
                 hops.encode(buf);
             }
             PGridMsg::Insert { qid, key, item, version, origin, hops } => {
@@ -339,14 +345,11 @@ impl<I: Item> Wire for PGridMsg<I> {
                 qid.encode(buf);
                 hops.encode(buf);
             }
-            PGridMsg::Delete { qid, key, ident, version, origin, hops } => {
+            PGridMsg::Delete { key, ident, version } => {
                 tag::DELETE.encode(buf);
-                qid.encode(buf);
                 key.encode(buf);
                 ident.encode(buf);
                 version.encode(buf);
-                origin.encode(buf);
-                hops.encode(buf);
             }
             PGridMsg::Range { qid, lo, hi, lmin, origin, hops, filter } => {
                 tag::RANGE.encode(buf);
@@ -446,17 +449,23 @@ impl<I: Item> Wire for PGridMsg<I> {
                 hops: Wire::decode(buf)?,
                 ok: Wire::decode(buf)?,
             },
-            tag::OP_BATCH => PGridMsg::OpBatch {
-                qid: Wire::decode(buf)?,
-                attempt: Wire::decode(buf)?,
-                origin: Wire::decode(buf)?,
-                hops: Wire::decode(buf)?,
-                batch: Wire::decode(buf)?,
-            },
+            tag::OP_BATCH => {
+                let qid = Wire::decode(buf)?;
+                let origin = Wire::decode(buf)?;
+                let hops = Wire::decode(buf)?;
+                let batch: OpBatch<I> = Wire::decode(buf)?;
+                let mut prev = 0u32;
+                let positions = (0..batch.len())
+                    .map(|_| {
+                        prev = prev.wrapping_add(u32::decode(buf)?);
+                        Ok(prev)
+                    })
+                    .collect::<Result<Vec<u32>, WireError>>()?;
+                PGridMsg::OpBatch { qid, origin, hops, positions, batch }
+            }
             tag::BATCH_ACK => PGridMsg::BatchAck {
                 qid: Wire::decode(buf)?,
-                attempt: Wire::decode(buf)?,
-                ops: Wire::decode(buf)?,
+                applied: Wire::decode(buf)?,
                 hops: Wire::decode(buf)?,
             },
             tag::INSERT => PGridMsg::Insert {
@@ -471,12 +480,9 @@ impl<I: Item> Wire for PGridMsg<I> {
                 PGridMsg::InsertAck { qid: Wire::decode(buf)?, hops: Wire::decode(buf)? }
             }
             tag::DELETE => PGridMsg::Delete {
-                qid: Wire::decode(buf)?,
                 key: Wire::decode(buf)?,
                 ident: Wire::decode(buf)?,
                 version: Wire::decode(buf)?,
-                origin: Wire::decode(buf)?,
-                hops: Wire::decode(buf)?,
             },
             tag::RANGE => PGridMsg::Range {
                 qid: Wire::decode(buf)?,
@@ -564,15 +570,15 @@ pub enum PGridEvent<I> {
         ok: bool,
     },
     /// A batched write the local peer issued completed: every op acked,
-    /// or the batch timed out with ops still outstanding.
+    /// or its retries ran out with ops still outstanding.
     BatchDone {
         /// Correlation id of the batch.
         qid: QueryId,
-        /// Ops the batch carried.
+        /// Ops acknowledged (all of them when `ok`).
         ops: u32,
         /// Deepest hop count over all acked sub-batches.
         hops: u32,
-        /// `false` on timeout.
+        /// `false` when the retries ran out.
         ok: bool,
     },
 }
@@ -619,12 +625,13 @@ mod tests {
                 hops: 0,
             },
             PGridMsg::InsertAck { qid: 1, hops: 4 },
-            PGridMsg::Delete { qid: 4, key: 9, ident: 11, version: 2, origin: NodeId(1), hops: 3 },
+            PGridMsg::Delete { key: 9, ident: 11, version: 2 },
             PGridMsg::OpBatch {
                 qid: 12,
-                attempt: 1,
                 origin: NodeId(2),
                 hops: 1,
+                // Ascending with gaps, as a re-grouped sub-batch is.
+                positions: vec![4, 5, 300],
                 batch: {
                     let mut b = OpBatch::new();
                     let i = b.add_item(RawItem(77));
@@ -634,7 +641,7 @@ mod tests {
                     b
                 },
             },
-            PGridMsg::BatchAck { qid: 12, attempt: 1, ops: 3, hops: 4 },
+            PGridMsg::BatchAck { qid: 12, applied: vec![4, 5, 300], hops: 4 },
             PGridMsg::Range {
                 qid: 2,
                 lo: 10,

@@ -55,8 +55,6 @@ impl<I: Item + Send + 'static> Overlay for PGridPeer<I> {
 
     const NAME: &'static str = "P-Grid";
     const ADAPTS_TO_SAMPLE: bool = true;
-    const PUSHES_FILTERS: bool = true;
-    const BATCHES_OPS: bool = true;
 
     fn plan(n_peers: usize, cfg: &PGridConfig, sample: Option<&[Key]>, seed: u64) -> PGridTopology {
         let mut rng = derive_rng(seed, stream::OVERLAY);
@@ -133,8 +131,16 @@ impl<I: Item + Send + 'static> Overlay for PGridPeer<I> {
         PGridPeer::preload(self, key, item, version)
     }
 
-    fn local_lookup(&mut self, qid: u64, key: Key, fx: &mut Effects<PGridMsg<I>, PGridEvent<I>>) {
-        PGridPeer::local_lookup(self, qid, key, fx)
+    fn local_lookup(
+        &mut self,
+        qid: u64,
+        key: Key,
+        filter: Option<ItemFilter>,
+        fx: &mut Effects<PGridMsg<I>, PGridEvent<I>>,
+    ) {
+        // The embedding layer acts as the driver: completion arrives as
+        // a `PGridEvent::LookupDone` emit.
+        self.handle_lookup(NodeId::EXTERNAL, qid, key, PGridPeer::id(self), 0, filter, fx);
     }
 
     fn local_range(
@@ -143,67 +149,22 @@ impl<I: Item + Send + 'static> Overlay for PGridPeer<I> {
         lo: Key,
         hi: Key,
         mode: RangeMode,
-        fx: &mut Effects<PGridMsg<I>, PGridEvent<I>>,
-    ) {
-        let native = match mode {
-            RangeMode::Parallel => crate::msg::RangeMode::Parallel,
-            RangeMode::Sequential => crate::msg::RangeMode::Sequential,
-        };
-        PGridPeer::local_range(self, qid, lo, hi, native, fx)
-    }
-
-    fn local_lookup_filtered(
-        &mut self,
-        qid: u64,
-        key: Key,
         filter: Option<ItemFilter>,
         fx: &mut Effects<PGridMsg<I>, PGridEvent<I>>,
     ) {
-        PGridPeer::local_lookup_filtered(self, qid, key, filter, fx)
-    }
-
-    fn local_range_filtered(
-        &mut self,
-        qid: u64,
-        lo: Key,
-        hi: Key,
-        mode: RangeMode,
-        filter: Option<ItemFilter>,
-        fx: &mut Effects<PGridMsg<I>, PGridEvent<I>>,
-    ) {
-        let native = match mode {
-            RangeMode::Parallel => crate::msg::RangeMode::Parallel,
-            RangeMode::Sequential => crate::msg::RangeMode::Sequential,
-        };
-        PGridPeer::local_range_filtered(self, qid, lo, hi, native, filter, fx)
+        let me = PGridPeer::id(self);
+        match mode {
+            RangeMode::Parallel => {
+                self.handle_range(NodeId::EXTERNAL, qid, lo, hi, 0, me, 0, filter, fx)
+            }
+            RangeMode::Sequential => {
+                self.handle_range_seq(NodeId::EXTERNAL, qid, lo, hi, me, 0, filter, fx)
+            }
+        }
     }
 
     fn lookup_msg(_cfg: &PGridConfig, qid: u64, key: Key, origin: NodeId) -> PGridMsg<I> {
         PGridMsg::Lookup { qid, key, origin, hops: 0, filter: None }
-    }
-
-    fn insert_msgs(
-        _cfg: &PGridConfig,
-        next_qid: &mut dyn FnMut() -> u64,
-        key: Key,
-        item: I,
-        version: u64,
-        origin: NodeId,
-    ) -> Vec<(u64, PGridMsg<I>)> {
-        let qid = next_qid();
-        vec![(qid, PGridMsg::Insert { qid, key, item, version, origin, hops: 0 })]
-    }
-
-    fn delete_msgs(
-        _cfg: &PGridConfig,
-        next_qid: &mut dyn FnMut() -> u64,
-        key: Key,
-        ident: u64,
-        version: u64,
-        origin: NodeId,
-    ) -> Vec<(u64, PGridMsg<I>)> {
-        let qid = next_qid();
-        vec![(qid, PGridMsg::Delete { qid, key, ident, version, origin, hops: 0 })]
     }
 
     fn batch_msgs(
@@ -215,10 +176,12 @@ impl<I: Item + Send + 'static> Overlay for PGridPeer<I> {
         if batch.is_empty() {
             return Vec::new();
         }
-        // The whole batch is one wire message; the origin peer splits it
-        // per next hop and re-splits at every routing step.
+        // The whole batch is one injected message (no positions: the
+        // origin peer numbers the ops); the origin splits it per next hop
+        // and every routing step re-splits.
         let qid = next_qid();
-        vec![(qid, PGridMsg::OpBatch { qid, attempt: 0, origin, hops: 0, batch: batch.clone() })]
+        let positions = Vec::new();
+        vec![(qid, PGridMsg::OpBatch { qid, origin, hops: 0, positions, batch: batch.clone() })]
     }
 
     fn done(ev: PGridEvent<I>) -> OverlayDone<I> {

@@ -8,6 +8,7 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 
+use unistore_overlay::BatchTracker;
 use unistore_simnet::{Effects, NodeBehavior, NodeId, SimTime, Timer};
 use unistore_util::rng::{derive_rng, stream};
 use unistore_util::wire::OpBatch;
@@ -38,36 +39,29 @@ pub(crate) mod timer {
 
 /// State of a driver-issued operation awaiting completion at the origin.
 ///
-/// Lookup / insert / delete keep their request parameters so a timed-out
-/// attempt can be re-issued (`PGridConfig::op_retries`) through a
-/// different reference; `last_hop` remembers the first hop of the latest
-/// attempt so the retry can avoid it.
+/// Lookup / insert keep their request parameters so a timed-out attempt
+/// can be re-issued (`PGridConfig::op_retries`) through a different
+/// reference; `last_hop` remembers the first hop of the latest attempt
+/// so the retry can avoid it.
 #[derive(Debug)]
 pub(crate) enum Pending<I> {
     /// Exact-key lookup (with the semi-join filter to re-ship on retry).
     Lookup { key: Key, attempts: u32, last_hop: Option<NodeId>, filter: Option<ItemFilter> },
     /// Insert waiting for its ack.
     Insert { key: Key, item: I, version: u64, attempts: u32, last_hop: Option<NodeId> },
-    /// Delete (index maintenance) waiting for its ack.
-    Delete { key: Key, ident: u64, version: u64, attempts: u32, last_hop: Option<NodeId> },
-    /// Batched writes accumulating aggregated acks until every op is
-    /// accounted for. The full op set is kept so a timed-out attempt can
-    /// be re-issued (idempotent under the versioned store), avoiding
-    /// per-op the first hop of the previous attempt.
+    /// Batched writes accumulating positional acks until every op is
+    /// marked. The full op set is kept so a timed-out attempt can
+    /// retransmit its un-acked remainder (re-application is idempotent
+    /// under the versioned store), routing each op around the first hop
+    /// of the previous attempt.
     Batch {
-        /// The ops and shared payloads, for retry.
+        /// The ops and shared payloads, for retransmits.
         batch: OpBatch<I>,
         /// Per-op first hop of the latest attempt (`None` = resolved
-        /// locally or routing was stuck).
+        /// locally, routing was stuck, or not part of that attempt).
         last_hops: Vec<Option<NodeId>>,
-        /// Total ops the batch carries.
-        expected: u32,
-        /// Ops acknowledged so far (across leaves).
-        done: u32,
-        /// Max hops over the received acks.
-        hops: u32,
-        /// Attempts so far.
-        attempts: u32,
+        /// Which ops are acked, how deep, and how many attempts so far.
+        tracker: BatchTracker,
     },
     /// Range query accumulating leaf replies until the covered intervals
     /// add up to `[lo, hi]`.
@@ -185,75 +179,6 @@ impl<I: Item> PGridPeer<I> {
         }
     }
 
-    /// Issues a locally originated exact-key lookup: the embedding layer
-    /// (UniStore's query executor) calls this as if it were the driver;
-    /// completion arrives as a [`PGridEvent::LookupDone`] emit.
-    pub fn local_lookup(&mut self, qid: QueryId, key: Key, fx: &mut Fx<I>) {
-        self.local_lookup_filtered(qid, key, None, fx);
-    }
-
-    /// Locally originated lookup carrying a semi-join filter the leaf
-    /// applies before replying.
-    pub fn local_lookup_filtered(
-        &mut self,
-        qid: QueryId,
-        key: Key,
-        filter: Option<ItemFilter>,
-        fx: &mut Fx<I>,
-    ) {
-        self.handle_lookup(NodeId::EXTERNAL, qid, key, self.id, 0, filter, fx);
-    }
-
-    /// Issues a locally originated range query.
-    pub fn local_range(
-        &mut self,
-        qid: QueryId,
-        lo: Key,
-        hi: Key,
-        mode: crate::msg::RangeMode,
-        fx: &mut Fx<I>,
-    ) {
-        self.local_range_filtered(qid, lo, hi, mode, None, fx);
-    }
-
-    /// Locally originated range query carrying a semi-join filter every
-    /// reached leaf applies before replying.
-    pub fn local_range_filtered(
-        &mut self,
-        qid: QueryId,
-        lo: Key,
-        hi: Key,
-        mode: crate::msg::RangeMode,
-        filter: Option<ItemFilter>,
-        fx: &mut Fx<I>,
-    ) {
-        match mode {
-            crate::msg::RangeMode::Parallel => {
-                self.handle_range(NodeId::EXTERNAL, qid, lo, hi, 0, self.id, 0, filter, fx)
-            }
-            crate::msg::RangeMode::Sequential => {
-                self.handle_range_seq(NodeId::EXTERNAL, qid, lo, hi, self.id, 0, filter, fx)
-            }
-        }
-    }
-
-    /// Issues a locally originated insert.
-    pub fn local_insert(&mut self, qid: QueryId, key: Key, item: I, version: u64, fx: &mut Fx<I>) {
-        self.handle_insert(NodeId::EXTERNAL, qid, key, item, version, self.id, 0, fx);
-    }
-
-    /// Issues a locally originated delete.
-    pub fn local_delete(
-        &mut self,
-        qid: QueryId,
-        key: Key,
-        ident: u64,
-        version: u64,
-        fx: &mut Fx<I>,
-    ) {
-        self.handle_delete(NodeId::EXTERNAL, qid, key, ident, version, self.id, 0, fx);
-    }
-
     pub(crate) fn fresh_nonce(&mut self) -> u64 {
         let n = self.next_nonce;
         self.next_nonce += 1;
@@ -320,40 +245,30 @@ impl<I: Item> PGridPeer<I> {
                     fx.emit(PGridEvent::InsertDone { qid, hops: 0, ok: false })
                 }
             }
-            Pending::Delete { key, ident, version, attempts, last_hop } => {
-                if attempts < self.cfg.op_retries {
-                    self.register_pending(
-                        fx,
+            Pending::Batch { batch, last_hops, mut tracker } => {
+                match tracker.retry(self.cfg.op_retries) {
+                    // Retransmit only the outstanding ops, each routed
+                    // around its first hop of the failed attempt: acked
+                    // work stays marked and a late ack from that attempt
+                    // still counts.
+                    Some(remainder) => {
+                        self.register_pending(
+                            fx,
+                            qid,
+                            Pending::Batch {
+                                batch: batch.clone(),
+                                last_hops: last_hops.clone(),
+                                tracker,
+                            },
+                        );
+                        self.issue_batch(qid, &batch, &remainder, &last_hops, fx);
+                    }
+                    None => fx.emit(PGridEvent::BatchDone {
                         qid,
-                        Pending::Delete { key, ident, version, attempts: attempts + 1, last_hop },
-                    );
-                    self.issue_delete(qid, key, ident, version, last_hop, fx);
-                } else {
-                    fx.emit(PGridEvent::InsertDone { qid, hops: 0, ok: false })
-                }
-            }
-            Pending::Batch { batch, last_hops, expected, hops, attempts, .. } => {
-                if attempts < self.cfg.op_retries {
-                    self.register_pending(
-                        fx,
-                        qid,
-                        Pending::Batch {
-                            batch: batch.clone(),
-                            last_hops: last_hops.clone(),
-                            expected,
-                            done: 0,
-                            hops,
-                            attempts: attempts + 1,
-                        },
-                    );
-                    // Re-issue the whole batch (idempotent at the
-                    // versioned stores), routing each op around the
-                    // first hop of the failed attempt. The new attempt
-                    // number gates the acks: leftovers from the failed
-                    // attempt cannot count toward this one.
-                    self.issue_batch(qid, attempts + 1, &batch, &last_hops, fx);
-                } else {
-                    fx.emit(PGridEvent::BatchDone { qid, ops: 0, hops: 0, ok: false })
+                        ops: tracker.done(),
+                        hops: tracker.hops(),
+                        ok: false,
+                    }),
                 }
             }
             Pending::Range { items, hops, leaves, .. } => {
@@ -388,15 +303,13 @@ impl<I: Item> NodeBehavior for PGridPeer<I> {
                 self.handle_insert(from, qid, key, item, version, origin, hops, fx)
             }
             PGridMsg::InsertAck { qid, hops } => self.handle_insert_ack(qid, hops, fx),
-            PGridMsg::OpBatch { qid, attempt, origin, hops, batch } => {
-                self.handle_op_batch(from, qid, attempt, origin, hops, batch, fx)
+            PGridMsg::OpBatch { qid, origin, hops, positions, batch } => {
+                self.handle_op_batch(from, qid, origin, hops, positions, batch, fx)
             }
-            PGridMsg::BatchAck { qid, attempt, ops, hops } => {
-                self.handle_batch_ack(qid, attempt, ops, hops, fx)
+            PGridMsg::BatchAck { qid, applied, hops } => {
+                self.handle_batch_ack(qid, &applied, hops, fx)
             }
-            PGridMsg::Delete { qid, key, ident, version, origin, hops } => {
-                self.handle_delete(from, qid, key, ident, version, origin, hops, fx)
-            }
+            PGridMsg::Delete { key, ident, version } => self.handle_delete(key, ident, version, fx),
             PGridMsg::Range { qid, lo, hi, lmin, origin, hops, filter } => {
                 self.handle_range(from, qid, lo, hi, lmin, origin, hops, filter, fx)
             }

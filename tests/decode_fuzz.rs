@@ -140,15 +140,17 @@ impl FuzzSeeds for PGridMsg<Triple> {
                 hops: 0,
             },
             PGridMsg::InsertAck { qid: 1, hops: 4 },
-            PGridMsg::Delete { qid: 4, key: 9, ident: 11, version: 2, origin: NodeId(1), hops: 3 },
+            PGridMsg::Delete { key: 9, ident: 11, version: 2 },
             PGridMsg::OpBatch {
                 qid: 12,
-                attempt: 1,
                 origin: NodeId(2),
                 hops: 1,
+                // A re-grouped remainder: ascending with gaps, one
+                // position past the one-byte varint range.
+                positions: vec![7, 157, 307],
                 batch: sample_batch(),
             },
-            PGridMsg::BatchAck { qid: 12, attempt: 1, ops: 3, hops: 4 },
+            PGridMsg::BatchAck { qid: 12, applied: vec![7, 157, 307], hops: 4 },
             PGridMsg::Range {
                 qid: 2,
                 lo: 10,
@@ -210,15 +212,6 @@ impl FuzzSeeds for ChordMsg<Triple> {
                 hops: 0,
             },
             ChordMsg::InsertAck { qid: 2, hops: 5 },
-            ChordMsg::Delete {
-                qid: 6,
-                ring_key: 7,
-                key: 70,
-                ident: 700,
-                version: 2,
-                origin: NodeId(4),
-                hops: 1,
-            },
             ChordMsg::OpBatch {
                 qid: 8,
                 origin: NodeId(3),

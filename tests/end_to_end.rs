@@ -221,10 +221,10 @@ fn live_threaded_runtime_answers_queries() {
 }
 
 #[test]
-fn batched_insert_coalesces_messages_and_matches_per_op_results() {
-    // The same 16-tuple ingest through the batch pipeline and through
-    // the per-op fan-out: identical observable state, a fraction of the
-    // messages, one aggregated completion per batch.
+fn batched_insert_coalesces_messages_and_matches_the_oracle() {
+    // A 16-tuple ingest through the batch pipeline: oracle-exact
+    // observable state, a fraction of the messages a message per
+    // (key, op) would cost, one aggregated completion per batch.
     let tuples: Vec<Tuple> = (0..16)
         .map(|i| {
             Tuple::new(&format!("batch-obj{i}"))
@@ -237,31 +237,24 @@ fn batched_insert_coalesces_messages_and_matches_per_op_results() {
     let (ok, cost_batched) = batched.insert_batch(NodeId(2), &tuples);
     assert!(ok, "batched insert must be fully acked");
     assert!(cost_batched.hops > 0, "batch completion reports real routed hops");
-
-    let mut per_op = UniCluster::build(16, UniConfig::default().with_batch_writes(false), 31);
-    per_op.load(small_world(31));
-    let mut per_op_msgs = 0u64;
-    for t in &tuples {
-        let (ok, c) = per_op.insert_tuple(NodeId(2), t);
-        assert!(ok, "per-op insert must be acked");
-        per_op_msgs += c.messages;
-    }
+    // The retired per-op write path spent 712 messages on this ingest
+    // (measured at PR 12); the batch must stay under a third of that.
     assert!(
-        cost_batched.messages * 3 <= per_op_msgs,
-        "64-op batches must coalesce messages (batched {} vs per-op {per_op_msgs})",
+        cost_batched.messages <= 237,
+        "64-op batches must coalesce messages (got {})",
         cost_batched.messages
     );
+    let mut oracle = batched.oracle();
     for q in [
         "SELECT ?n WHERE {(?a,'name',?n) (?a,'age',?g) FILTER ?g >= 30}",
         "SELECT ?g WHERE {('batch-obj3','age',?g)}",
     ] {
-        let a = batched.query(NodeId(5), q).unwrap();
-        let b = per_op.query(NodeId(5), q).unwrap();
-        assert!(a.ok && b.ok);
+        let got = batched.query(NodeId(5), q).unwrap();
+        assert!(got.ok);
         assert_eq!(
-            normalize_strings(&a.relation),
-            normalize_strings(&b.relation),
-            "batched and per-op loads must agree: {q}"
+            normalize_strings(&got.relation),
+            normalize_strings(&oracle.query(q).unwrap()),
+            "batched load must agree with the oracle: {q}"
         );
     }
 }
