@@ -2202,6 +2202,38 @@ fn ingest_snapshot() {
     }
     assert!(answers.windows(2).all(|w| w[0] == w[1]), "both backends must agree on answers");
 
+    // What such a write costs the statistics plane: the digest of one
+    // 64-tuple Zipf batch, which the next stats flush hands to every
+    // peer whichever backend routed the writes.
+    use unistore_util::wire::Wire;
+    /// Ceiling on `StatsDelta` bytes per recorded triple: a third of
+    /// the 26.3 B the batch's triples average when shipped as a list.
+    const DELTA_BYTES_PER_TRIPLE_CEILING: f64 = 8.8;
+    let world = PubWorld::generate(
+        &PubParams { n_authors: 60, n_conferences: 15, ..Default::default() },
+        SEED,
+    );
+    let batch = unistore_workload::zipf_write_batches(&world, "published_in", 1, 64, 1.1, SEED);
+    let mut delta = unistore_query::StatsDelta::new();
+    let mut flat_bytes = 0;
+    for t in batch.iter().flatten().flat_map(Tuple::to_triples) {
+        flat_bytes += t.wire_size();
+        delta.record_insert(t);
+    }
+    let delta_bytes_per_triple = delta.wire_size() as f64 / delta.len() as f64;
+    println!(
+        "\nstats digest of one 64-tuple Zipf batch: {} B for {} triples ({:.2} B/triple; \
+         the triples themselves encode to {flat_bytes} B)",
+        delta.wire_size(),
+        delta.len(),
+        delta_bytes_per_triple
+    );
+    assert!(
+        delta_bytes_per_triple <= DELTA_BYTES_PER_TRIPLE_CEILING,
+        "stats digest costs {delta_bytes_per_triple:.2} B per triple, over the \
+         {DELTA_BYTES_PER_TRIPLE_CEILING} ceiling"
+    );
+
     println!("\n## Ingest — batched write pipeline (batch size 64)\n");
     header(&["backend", "triples", "msgs", "KiB", "msgs/1k", "KiB/1k", "triples/s"]);
     for r in &rows {
@@ -2233,7 +2265,8 @@ fn ingest_snapshot() {
         json.push_str(&format!(
             "  {{\"backend\": \"{}\", \"batch_triples\": {}, \
              \"triples\": {}, \"msgs\": {}, \"kib\": {:.3}, \"msgs_per_1k\": {:.3}, \
-             \"kib_per_1k\": {:.3}, \"wall_triples_per_sec\": {:.1}}}{}\n",
+             \"kib_per_1k\": {:.3}, \"wall_triples_per_sec\": {:.1}, \
+             \"stats_delta_bytes_per_triple\": {:.3}}}{}\n",
             r.backend,
             BATCH_TUPLES * 4,
             r.triples,
@@ -2242,6 +2275,7 @@ fn ingest_snapshot() {
             r.msgs_per_1k,
             r.kib_per_1k,
             r.wall_tps,
+            delta_bytes_per_triple,
             if i + 1 < rows.len() { "," } else { "" },
         ));
     }

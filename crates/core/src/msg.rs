@@ -152,6 +152,24 @@ impl<M: Wire> Wire for UniMsg<M> {
             t => return Err(WireError::BadTag(t)),
         })
     }
+
+    /// The tag plus every field's own size, so a field that knows its
+    /// size — above all the stats flush's [`Shared`] payload, sent to
+    /// every peer — is never encoded just to be measured.
+    fn wire_size(&self) -> usize {
+        1 + match self {
+            UniMsg::Overlay(m) => m.wire_size(),
+            UniMsg::Query(QueryMsg::Execute { mqp }) => mqp.wire_size(),
+            UniMsg::Query(QueryMsg::Route { key, mqp }) => key.wire_size() + mqp.wire_size(),
+            UniMsg::Query(QueryMsg::Result { qid, relation, hops, coverage }) => {
+                qid.wire_size() + relation.wire_size() + hops.wire_size() + coverage.wire_size()
+            }
+            UniMsg::Query(QueryMsg::StatsDelta { epoch, span, delta }) => {
+                epoch.wire_size() + span.wire_size() + delta.wire_size()
+            }
+            UniMsg::Query(QueryMsg::StatsProbe { qid }) => qid.wire_size(),
+        }
+    }
 }
 
 /// Events a UniStore node emits to the driver.
@@ -199,8 +217,8 @@ mod tests {
     use unistore_store::Value;
     use unistore_vql::parse;
 
-    #[test]
-    fn envelope_roundtrip() {
+    /// One message of every arm, around the given storage message.
+    fn every_arm<M>(overlay: M) -> Vec<UniMsg<M>> {
         let q = parse("SELECT ?n WHERE {(?a,'name',?n)} LIMIT 2").unwrap();
         let mqp = Mqp::new(
             7,
@@ -210,14 +228,8 @@ mod tests {
             Some(2),
         );
         let rel = Relation { schema: vec![Arc::from("n")], rows: vec![vec![Value::str("alice")]] };
-        let msgs: Vec<UniMsg<PGridMsg<Triple>>> = vec![
-            UniMsg::Overlay(PGridMsg::Lookup {
-                qid: 1,
-                key: 2,
-                origin: NodeId(3),
-                hops: 0,
-                filter: None,
-            }),
+        vec![
+            UniMsg::Overlay(overlay),
             UniMsg::Query(QueryMsg::Execute { mqp: mqp.clone() }),
             UniMsg::Query(QueryMsg::Route { key: 99, mqp }),
             UniMsg::Query(QueryMsg::Result {
@@ -241,29 +253,41 @@ mod tests {
                 }),
             }),
             UniMsg::Query(QueryMsg::StatsProbe { qid: 11 }),
-        ];
-        for m in msgs {
+        ]
+    }
+
+    /// Every arm round-trips, and its arithmetic size is its encoded
+    /// length — the simulator charges the former for the latter.
+    fn roundtrip_every_arm<M: Wire + std::fmt::Debug>(overlay: M) {
+        for m in every_arm(overlay) {
             let b = m.to_bytes();
-            assert_eq!(b.len(), m.wire_size());
-            let back = UniMsg::<PGridMsg<Triple>>::from_bytes(&b).unwrap();
+            assert_eq!(b.len(), m.wire_size(), "{m:?}");
+            let back = UniMsg::<M>::from_bytes(&b).unwrap();
             assert_eq!(format!("{back:?}"), format!("{m:?}"));
         }
     }
 
     #[test]
+    fn envelope_roundtrip() {
+        roundtrip_every_arm(PGridMsg::<Triple>::Lookup {
+            qid: 1,
+            key: 2,
+            origin: NodeId(3),
+            hops: 0,
+            filter: None,
+        });
+    }
+
+    #[test]
     fn envelope_roundtrip_chord_backend() {
         // The same envelope carries any backend's storage messages.
-        let m: UniMsg<ChordMsg<Triple>> = UniMsg::Overlay(ChordMsg::Lookup {
+        roundtrip_every_arm(ChordMsg::<Triple>::Lookup {
             qid: 4,
             ring_key: 77,
             origin: NodeId(1),
             hops: 2,
             filter: None,
         });
-        let b = m.to_bytes();
-        assert_eq!(b.len(), m.wire_size());
-        let back = UniMsg::<ChordMsg<Triple>>::from_bytes(&b).unwrap();
-        assert_eq!(format!("{back:?}"), format!("{m:?}"));
     }
 
     #[test]

@@ -340,15 +340,16 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
         if self.cache.cap == 0 {
             return;
         }
-        for t in delta.inserted.iter().chain(delta.deleted.iter()) {
-            for a in self.mappings.expand(&t.attr) {
-                let key = idx::attr_value_key(&a, &t.value);
+        for (attr, value) in delta.pairs() {
+            let keys: Vec<Key> =
+                self.mappings.expand(attr).iter().map(|a| idx::attr_value_key(a, value)).collect();
+            for &key in &keys {
                 self.cache.invalidate(key);
-                for active in self.active.values_mut() {
-                    if let Some(Wait::Scan { cache_key, .. }) = active.wait.as_mut() {
-                        if *cache_key == Some(key) {
-                            *cache_key = None;
-                        }
+            }
+            for active in self.active.values_mut() {
+                if let Some(Wait::Scan { cache_key, .. }) = active.wait.as_mut() {
+                    if cache_key.is_some_and(|key| keys.contains(&key)) {
+                        *cache_key = None;
                     }
                 }
             }

@@ -19,10 +19,10 @@ use std::sync::Arc;
 
 use unistore_store::index::{attr_value_key, attr_value_range};
 use unistore_store::qgram;
-use unistore_store::{Triple, Value};
+use unistore_store::{Oid, Triple, Value};
 use unistore_util::stats::Histogram;
-use unistore_util::wire::Wire;
-use unistore_util::FxHashMap;
+use unistore_util::wire::{get_len, get_varint, put_varint, varint_size, Wire, WireError};
+use unistore_util::{intern, CompactStr, FxHashMap};
 
 use crate::strategy::{JoinStrategy, RangeAlgo, ScanStrategy};
 
@@ -57,16 +57,17 @@ impl NetParams {
 /// one row).
 pub const UNKNOWN_ATTR_SELECTIVITY: f64 = 0.01;
 
-/// Bumps a refcount.
-fn bump<K: std::hash::Hash + Eq>(map: &mut FxHashMap<K, u32>, k: K) {
-    *map.entry(k).or_insert(0) += 1;
+/// Bumps a refcount by `n`.
+fn bump<K: std::hash::Hash + Eq>(map: &mut FxHashMap<K, u32>, k: K, n: u32) {
+    *map.entry(k).or_insert(0) += n;
 }
 
-/// Drops a refcount, removing the entry when it reaches zero. Unknown
-/// keys are ignored (saturating semantics).
-fn unbump<K: std::hash::Hash + Eq>(map: &mut FxHashMap<K, u32>, k: &K) {
+/// Drops a refcount by `n`, removing the entry when it reaches zero.
+/// Unknown keys are ignored and known ones stop at zero (saturating
+/// semantics).
+fn unbump<K: std::hash::Hash + Eq>(map: &mut FxHashMap<K, u32>, k: &K, n: u32) {
     if let Some(rc) = map.get_mut(k) {
-        *rc -= 1;
+        *rc = rc.saturating_sub(n);
         if *rc == 0 {
             map.remove(k);
         }
@@ -128,19 +129,177 @@ impl AttrStats {
     }
 }
 
-/// A batch of statistics-relevant write events, shippable over the
-/// wire: the in-band currency of statistics dissemination.
+/// One OID-table entry of a [`StatsDelta`]: the OID's placement hash
+/// and its length in bytes — all the statistics ever read of an OID
+/// (the distinct-OID refcount and the triple's wire size).
+type OidRef = (u64, u32);
+
+fn oid_ref(oid: &Oid) -> OidRef {
+    (oid.hash(), oid.as_str().len() as u32)
+}
+
+/// Wire size of an OID of `len` bytes (a length-prefixed string).
+fn oid_wire_size(len: u32) -> usize {
+    varint_size(len as u64) + len as usize
+}
+
+/// A value's *representation*, as opposed to its meaning: `Int(2)` and
+/// `Float(2.0)` are semantically equal but encode to different sizes,
+/// and the byte statistics are exact, so they must not share a group.
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum ValueRepr {
+    Str(CompactStr),
+    Int(i64),
+    Float(u64),
+}
+
+impl ValueRepr {
+    fn of(v: &Value) -> Self {
+        match v {
+            Value::Str(s) => ValueRepr::Str(s.clone()),
+            Value::Int(i) => ValueRepr::Int(*i),
+            Value::Float(f) => ValueRepr::Float(f.to_bits()),
+        }
+    }
+}
+
+type GroupKey = (Arc<str>, ValueRepr);
+
+/// The write events of one sign that share an `(attr, value)` pair.
+#[derive(Clone, Debug)]
+struct Group {
+    attr: Arc<str>,
+    value: Value,
+    /// Indexes into the delta's OID table, never descending and never
+    /// empty; a repeated index is a repeated write event.
+    oids: Vec<u32>,
+}
+
+impl Group {
+    fn key(&self) -> GroupKey {
+        (self.attr.clone(), ValueRepr::of(&self.value))
+    }
+
+    /// The first table index, then the distance from each to the next:
+    /// how the indexes travel (one byte each while neighbours are under
+    /// 128 table entries apart).
+    fn gaps(&self) -> impl Iterator<Item = u64> + '_ {
+        self.oids.iter().scan(0, |prev, &i| Some((i - std::mem::replace(prev, i)) as u64))
+    }
+
+    fn encode(&self, buf: &mut bytes::BytesMut) {
+        self.attr.encode(buf);
+        self.value.encode(buf);
+        put_varint(buf, self.oids.len() as u64);
+        self.gaps().for_each(|gap| put_varint(buf, gap));
+    }
+
+    fn wire_size(&self) -> usize {
+        self.attr.wire_size()
+            + self.value.wire_size()
+            + varint_size(self.oids.len() as u64)
+            + self.gaps().map(varint_size).sum::<usize>()
+    }
+}
+
+/// Adds `x` to a never-descending list.
+fn insert_sorted(list: &mut Vec<u32>, x: u32) {
+    match list.last() {
+        Some(&last) if last > x => list.insert(list.partition_point(|&y| y <= x), x),
+        _ => list.push(x),
+    }
+}
+
+/// Removes from two never-descending lists the elements they share,
+/// one for one. Returns whether anything was removed.
+fn cancel_common(a: &mut Vec<u32>, b: &mut Vec<u32>) -> bool {
+    let (mut only_a, mut only_b) = (Vec::new(), Vec::new());
+    let (mut i, mut j) = (0, 0);
+    while let (Some(&x), Some(&y)) = (a.get(i), b.get(j)) {
+        match x.cmp(&y) {
+            std::cmp::Ordering::Less => {
+                only_a.push(x);
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                only_b.push(y);
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    only_a.extend(a.iter().skip(i));
+    only_b.extend(b.iter().skip(j));
+    let cancelled = only_a.len() < a.len();
+    (*a, *b) = (only_a, only_b);
+    cancelled
+}
+
+/// Insert-side and delete-side positions in [`StatsDelta::groups`].
+const INSERTED: usize = 0;
+const DELETED: usize = 1;
+
+/// Where a recorded OID or `(attr, value)` pair sits in a
+/// [`StatsDelta`]. Probed, never iterated: the vectors alone decide
+/// what goes on the wire and in which order.
+#[derive(Clone, Default)]
+struct DeltaIndex {
+    oids: FxHashMap<OidRef, u32>,
+    groups: [FxHashMap<GroupKey, u32>; 2],
+}
+
+impl DeltaIndex {
+    fn build(oids: &[OidRef], groups: &[Vec<Group>; 2]) -> Self {
+        let mut index = DeltaIndex::default();
+        for (i, oid) in oids.iter().enumerate() {
+            index.oids.entry(*oid).or_insert(i as u32);
+        }
+        for (map, side) in index.groups.iter_mut().zip(groups) {
+            for (i, g) in side.iter().enumerate() {
+                map.entry(g.key()).or_insert(i as u32);
+            }
+        }
+        index
+    }
+}
+
+/// A digest of a batch of statistics-relevant write events, shippable
+/// over the wire: the in-band currency of statistics dissemination.
 ///
-/// Writers record the triples they inserted and deleted; receivers fold
-/// the batch into their snapshot with [`GlobalStats::apply_delta`].
-/// Deltas merge by concatenation, so a node can buffer everything it
+/// A write batch names few distinct `(attr, value)` pairs over many
+/// objects (one 16-op ingest trial: 2 048 triples, about 30 pairs,
+/// 1 024 OIDs), and every statistic depends on a triple only through its
+/// pair, its OID's hash and its size. So the delta holds each OID once
+/// — hash and byte length, in first-seen order — and, per sign, one
+/// group per pair in first-seen order listing the OIDs written under
+/// it. Receivers fold it in group by group with
+/// [`GlobalStats::apply_delta`]; deltas [`StatsDelta::merge`] by
+/// uniting tables and groups, so a node can buffer everything it
 /// learns between two dissemination ticks into one message.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Default)]
 pub struct StatsDelta {
-    /// Triples inserted since the last flush.
-    pub inserted: Vec<Triple>,
-    /// Triples deleted since the last flush.
-    pub deleted: Vec<Triple>,
+    /// Every OID the groups refer to, once, in first-seen order.
+    oids: Vec<OidRef>,
+    /// Groups of inserted (`[INSERTED]`) and deleted (`[DELETED]`)
+    /// triples, each side in first-seen order.
+    groups: [Vec<Group>; 2],
+    /// Lookup side of `oids` and `groups`, built when a write is first
+    /// recorded and dropped whenever the vectors are re-numbered; a
+    /// delta that is only decoded, folded and forwarded never pays it.
+    index: Option<Box<DeltaIndex>>,
+}
+
+impl std::fmt::Debug for StatsDelta {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("StatsDelta")
+            .field("oids", &self.oids)
+            .field("inserted", &self.groups[INSERTED])
+            .field("deleted", &self.groups[DELETED])
+            .finish()
+    }
 }
 
 impl StatsDelta {
@@ -151,28 +310,82 @@ impl StatsDelta {
 
     /// Records one inserted triple.
     pub fn record_insert(&mut self, t: Triple) {
-        self.inserted.push(t);
+        let oid = self.oid_slot(oid_ref(&t.oid));
+        self.record(INSERTED, t.attr, t.value, [oid]);
     }
 
     /// Records one deleted triple.
     pub fn record_delete(&mut self, t: Triple) {
-        self.deleted.push(t);
+        let oid = self.oid_slot(oid_ref(&t.oid));
+        self.record(DELETED, t.attr, t.value, [oid]);
     }
 
-    /// Folds another delta into this one.
+    fn index(&mut self) -> &mut DeltaIndex {
+        self.index.get_or_insert_with(|| Box::new(DeltaIndex::build(&self.oids, &self.groups)))
+    }
+
+    /// The OID's position in the table, appending it when new.
+    fn oid_slot(&mut self, oid: OidRef) -> u32 {
+        let next = self.oids.len() as u32;
+        let slot = *self.index().oids.entry(oid).or_insert(next);
+        if slot == next {
+            self.oids.push(oid);
+        }
+        slot
+    }
+
+    /// Adds write events of one sign under `(attr, value)`, opening the
+    /// group when the pair is new on that side.
+    fn record(
+        &mut self,
+        side: usize,
+        attr: Arc<str>,
+        value: Value,
+        oids: impl IntoIterator<Item = u32>,
+    ) {
+        let next = self.groups[side].len() as u32;
+        let key = (attr.clone(), ValueRepr::of(&value));
+        let slot = *self.index().groups[side].entry(key).or_insert(next);
+        if slot == next {
+            self.groups[side].push(Group { attr, value, oids: Vec::new() });
+        }
+        let group = &mut self.groups[side][slot as usize];
+        for oid in oids {
+            insert_sorted(&mut group.oids, oid);
+        }
+    }
+
+    /// Folds another delta into this one: its OIDs join the table, its
+    /// groups join the groups of the same pair and sign.
     pub fn merge(&mut self, other: StatsDelta) {
-        self.inserted.extend(other.inserted);
-        self.deleted.extend(other.deleted);
+        let renumber: Vec<u32> = other.oids.iter().map(|&oid| self.oid_slot(oid)).collect();
+        for (side, groups) in other.groups.into_iter().enumerate() {
+            for g in groups {
+                let oids = g.oids.iter().map(|&i| renumber[i as usize]);
+                self.record(side, g.attr, g.value, oids);
+            }
+        }
     }
 
     /// Whether the delta carries no events.
     pub fn is_empty(&self) -> bool {
-        self.inserted.is_empty() && self.deleted.is_empty()
+        self.groups.iter().all(Vec::is_empty)
     }
 
     /// Number of recorded write events.
     pub fn len(&self) -> usize {
-        self.inserted.len() + self.deleted.len()
+        self.groups.iter().flatten().map(|g| g.oids.len()).sum()
+    }
+
+    /// The table entries a group's events refer to, one per event.
+    fn oids_of<'a>(&'a self, g: &'a Group) -> impl ExactSizeIterator<Item = OidRef> + 'a {
+        g.oids.iter().map(|&i| self.oids[i as usize])
+    }
+
+    /// The `(attr, value)` pairs the delta's writes name: each once per
+    /// sign it was written under.
+    pub fn pairs(&self) -> impl Iterator<Item = (&Arc<str>, &Value)> {
+        self.groups.iter().flatten().map(|g| (&g.attr, &g.value))
     }
 
     /// Cancels matched insert/delete pairs of identical triples: a
@@ -181,56 +394,121 @@ impl StatsDelta {
     /// dissemination fan-out at all. Dissemination flushes call this
     /// before encoding; survivor order is preserved, so the compacted
     /// wire bytes stay deterministic.
+    ///
+    /// Identical means the same OID under the same group, so one probe
+    /// per inserted group finds everything it can cancel. A write and a
+    /// removal that differ in representation (`Int(2)` against
+    /// `Float(2.0)`) differ in size and do not net to zero; both stay.
     pub fn compact(&mut self) {
-        if self.inserted.is_empty() || self.deleted.is_empty() {
+        if self.groups.iter().any(Vec::is_empty) {
             return;
         }
-        // Quadratic pairing over exact triple equality — a tick's
-        // buffer holds at most a few writes, and float-carrying values
-        // rule out a hash multiset.
-        let mut del_used = vec![false; self.deleted.len()];
-        let inserted = std::mem::take(&mut self.inserted);
-        for t in inserted {
-            let pair = self
-                .deleted
-                .iter()
-                .enumerate()
-                .find(|(j, d)| !del_used[*j] && **d == t)
-                .map(|(j, _)| j);
-            match pair {
-                Some(j) => del_used[j] = true,
-                None => self.inserted.push(t),
+        self.index();
+        let Some(index) = self.index.take() else { return };
+        let [inserted, deleted] = &mut self.groups;
+        let mut cancelled = false;
+        for g in inserted.iter_mut() {
+            if let Some(&d) = index.groups[DELETED].get(&g.key()) {
+                cancelled |= cancel_common(&mut g.oids, &mut deleted[d as usize].oids);
             }
         }
-        let mut j = 0;
-        self.deleted.retain(|_| {
-            let used = del_used[j];
-            j += 1;
-            !used
-        });
+        if !cancelled {
+            self.index = Some(index);
+            return;
+        }
+        // Drop what emptied and re-number the table to the OIDs still
+        // referred to, keeping their order; the index is rebuilt when
+        // next needed.
+        for side in &mut self.groups {
+            side.retain(|g| !g.oids.is_empty());
+        }
+        let mut used = vec![false; self.oids.len()];
+        for &i in self.groups.iter().flatten().flat_map(|g| &g.oids) {
+            used[i as usize] = true;
+        }
+        let renumber: Vec<u32> = used
+            .iter()
+            .scan(0, |kept, &u| Some(std::mem::replace(kept, *kept + u as u32)))
+            .collect();
+        let mut used = used.into_iter();
+        self.oids.retain(|_| used.next() == Some(true));
+        for i in self.groups.iter_mut().flatten().flat_map(|g| &mut g.oids) {
+            *i = renumber[*i as usize];
+        }
     }
 }
 
+// Layout: the OID table (count; per OID the hash as 8 fixed bytes —
+// high-entropy, a varint would average 9–10 — and the varint length),
+// then the inserted and the deleted groups (count; per group attr,
+// value, OID count and the table indexes as gaps).
 impl Wire for StatsDelta {
     fn encode(&self, buf: &mut bytes::BytesMut) {
-        unistore_util::wire::put_list(buf, &self.inserted);
-        unistore_util::wire::put_list(buf, &self.deleted);
+        use bytes::BufMut;
+        put_varint(buf, self.oids.len() as u64);
+        for (hash, len) in &self.oids {
+            buf.put_u64(*hash);
+            len.encode(buf);
+        }
+        for side in &self.groups {
+            put_varint(buf, side.len() as u64);
+            side.iter().for_each(|g| g.encode(buf));
+        }
     }
 
-    fn decode(buf: &mut bytes::Bytes) -> Result<Self, unistore_util::wire::WireError> {
-        Ok(StatsDelta { inserted: Wire::decode(buf)?, deleted: Wire::decode(buf)? })
+    fn decode(buf: &mut bytes::Bytes) -> Result<Self, WireError> {
+        use bytes::Buf;
+        let n_oids = get_len(buf)?;
+        let mut oids = Vec::with_capacity(n_oids.min(1024));
+        for _ in 0..n_oids {
+            if buf.remaining() < 8 {
+                return Err(WireError::UnexpectedEof);
+            }
+            oids.push((buf.get_u64(), u32::decode(buf)?));
+        }
+        let mut groups = [Vec::new(), Vec::new()];
+        for side in &mut groups {
+            for _ in 0..get_len(buf)? {
+                let attr = unistore_util::wire::decode_str(buf, intern)?;
+                let value = Value::decode(buf)?;
+                // Handlers index the table without bounds checks and
+                // rely on a group being a write: reject empty groups
+                // and indexes that run backwards (a gap that overflows)
+                // or off the table.
+                let n = get_len(buf)?;
+                if n == 0 {
+                    return Err(WireError::BadLength(0));
+                }
+                let mut group = Vec::with_capacity(n.min(1024));
+                let mut prev = 0u64;
+                for _ in 0..n {
+                    let gap = get_varint(buf)?;
+                    prev = prev
+                        .checked_add(gap)
+                        .filter(|&i| i < n_oids as u64)
+                        .ok_or(WireError::BadLength(gap))?;
+                    group.push(prev as u32);
+                }
+                side.push(Group { attr, value, oids: group });
+            }
+        }
+        Ok(StatsDelta { oids, groups, index: None })
     }
 
     fn wire_size(&self) -> usize {
-        self.inserted.wire_size() + self.deleted.wire_size()
+        let table: usize = self.oids.iter().map(|(_, len)| 8 + len.wire_size()).sum();
+        let groups = self.groups.iter().map(|side| {
+            varint_size(side.len() as u64) + side.iter().map(Group::wire_size).sum::<usize>()
+        });
+        varint_size(self.oids.len() as u64) + table + groups.sum::<usize>()
     }
 }
 
 /// Global statistics: what the paper's peers gossip. Bulk-built once
 /// per load, then maintained incrementally: every routed write folds in
-/// as an O(delta) [`GlobalStats::apply_insert`] /
-/// [`GlobalStats::apply_delete`] instead of a rescan of every triple
-/// (protocol described in DESIGN.md §"Statistics distribution").
+/// as an O(delta) [`GlobalStats::apply_delta`] instead of a rescan of
+/// every triple (protocol described in DESIGN.md §"Statistics
+/// distribution").
 #[derive(Clone, Debug)]
 pub struct GlobalStats {
     /// Total triples in the system.
@@ -284,28 +562,7 @@ impl GlobalStats {
 
     /// Folds one inserted triple into the snapshot — O(1) amortized.
     pub fn apply_insert(&mut self, t: &Triple) {
-        self.total += 1.0;
-        self.bytes += t.wire_size() as f64;
-        self.avg_triple_bytes = self.bytes / self.total;
-        bump(&mut self.oids, t.oid.hash());
-        self.oid_distinct = self.oids.len() as f64;
-        bump(&mut self.values, t.value.key_bits());
-        self.value_distinct = self.values.len() as f64;
-        let a = self.attrs.entry(t.attr.clone()).or_insert_with(|| AttrStats::empty(&t.attr));
-        a.count += 1.0;
-        bump(&mut a.values, t.value.key_bits());
-        a.distinct = a.values.len() as f64;
-        bump(&mut a.join_values, t.value.semantic_hash());
-        a.join_distinct = a.join_values.len() as f64;
-        a.hist.add(attr_value_key(&t.attr, &t.value));
-        if let Value::Str(s) = &t.value {
-            let gs = qgram::qgrams(s);
-            a.gram_postings += gs.len() as f64;
-            for g in gs {
-                bump(&mut a.grams, g);
-            }
-            a.gram_distinct = a.grams.len() as f64;
-        }
+        self.fold_inserts(&t.attr, &t.value, std::iter::once(oid_ref(&t.oid)));
     }
 
     /// Folds one deleted triple out of the snapshot — the exact inverse
@@ -317,45 +574,104 @@ impl GlobalStats {
     /// aggregates — indistinguishable at the statistics' granularity,
     /// and the OID refcount itself saturates.
     pub fn apply_delete(&mut self, t: &Triple) {
-        let Some(a) = self.attrs.get_mut(&t.attr) else { return };
-        if a.count < 1.0 || !a.values.contains_key(&t.value.key_bits()) {
+        self.fold_deletes(&t.attr, &t.value, std::iter::once(oid_ref(&t.oid)));
+    }
+
+    /// Folds a write batch into the snapshot, all inserts before all
+    /// deletes — O(delta), and O(groups) in everything but the OID
+    /// refcounts and the byte sum.
+    pub fn apply_delta(&mut self, delta: &StatsDelta) {
+        for g in &delta.groups[INSERTED] {
+            self.fold_inserts(&g.attr, &g.value, delta.oids_of(g));
+        }
+        for g in &delta.groups[DELETED] {
+            self.fold_deletes(&g.attr, &g.value, delta.oids_of(g));
+        }
+    }
+
+    /// Folds in the triples `(oid, attr, value)` for every given OID:
+    /// everything that depends on the pair alone is derived once and
+    /// counted by the group's size; only the OID refcount and the byte
+    /// sum are touched per triple. A single insert is a group of one.
+    fn fold_inserts(
+        &mut self,
+        attr: &Arc<str>,
+        value: &Value,
+        oids: impl ExactSizeIterator<Item = OidRef>,
+    ) {
+        let n = oids.len() as u32;
+        let pair_bytes = attr.wire_size() + value.wire_size();
+        for (hash, len) in oids {
+            self.bytes += (oid_wire_size(len) + pair_bytes) as f64;
+            bump(&mut self.oids, hash, 1);
+        }
+        self.total += n as f64;
+        self.avg_triple_bytes = self.bytes / self.total;
+        self.oid_distinct = self.oids.len() as f64;
+        let key_bits = value.key_bits();
+        bump(&mut self.values, key_bits, n);
+        self.value_distinct = self.values.len() as f64;
+        let a = self.attrs.entry(attr.clone()).or_insert_with(|| AttrStats::empty(attr));
+        a.count += n as f64;
+        bump(&mut a.values, key_bits, n);
+        a.distinct = a.values.len() as f64;
+        bump(&mut a.join_values, value.semantic_hash(), n);
+        a.join_distinct = a.join_values.len() as f64;
+        a.hist.add_n(attr_value_key(attr, value), n);
+        if let Value::Str(s) = value {
+            let gs = qgram::qgrams(s);
+            a.gram_postings += (gs.len() * n as usize) as f64;
+            for g in gs {
+                bump(&mut a.grams, g, n);
+            }
+            a.gram_distinct = a.grams.len() as f64;
+        }
+    }
+
+    /// The inverse of [`GlobalStats::fold_inserts`], for as many of the
+    /// OIDs — taken from the front — as the snapshot still counts
+    /// triples of the pair; the rest are ignored, as a delete the
+    /// snapshot never saw the insert of is.
+    fn fold_deletes(
+        &mut self,
+        attr: &Arc<str>,
+        value: &Value,
+        oids: impl ExactSizeIterator<Item = OidRef>,
+    ) {
+        let Some(a) = self.attrs.get_mut(attr) else { return };
+        let key_bits = value.key_bits();
+        let n = (oids.len() as u32).min(a.values.get(&key_bits).copied().unwrap_or(0));
+        if n == 0 {
             return;
         }
-        self.total -= 1.0;
-        self.bytes -= t.wire_size() as f64;
+        let pair_bytes = attr.wire_size() + value.wire_size();
+        for (hash, len) in oids.take(n as usize) {
+            self.bytes -= (oid_wire_size(len) + pair_bytes) as f64;
+            unbump(&mut self.oids, &hash, 1);
+        }
+        self.total -= n as f64;
         self.avg_triple_bytes = if self.total > 0.0 { self.bytes / self.total } else { 16.0 };
-        unbump(&mut self.oids, &t.oid.hash());
         self.oid_distinct = self.oids.len() as f64;
-        unbump(&mut self.values, &t.value.key_bits());
+        unbump(&mut self.values, &key_bits, n);
         self.value_distinct = self.values.len() as f64;
-        a.count -= 1.0;
-        unbump(&mut a.values, &t.value.key_bits());
+        a.count -= n as f64;
+        unbump(&mut a.values, &key_bits, n);
         a.distinct = a.values.len() as f64;
-        unbump(&mut a.join_values, &t.value.semantic_hash());
+        unbump(&mut a.join_values, &value.semantic_hash(), n);
         a.join_distinct = a.join_values.len() as f64;
-        a.hist.remove(attr_value_key(&t.attr, &t.value));
-        if let Value::Str(s) = &t.value {
+        a.hist.remove_n(attr_value_key(attr, value), n);
+        if let Value::Str(s) = value {
             let gs = qgram::qgrams(s);
-            a.gram_postings -= gs.len() as f64;
+            a.gram_postings -= (gs.len() * n as usize) as f64;
             for g in gs {
-                unbump(&mut a.grams, &g);
+                unbump(&mut a.grams, &g, n);
             }
             a.gram_distinct = a.grams.len() as f64;
         }
         if a.count <= 0.0 {
             // A fresh build over the survivors would not contain the
             // attribute at all; match it.
-            self.attrs.remove(&t.attr);
-        }
-    }
-
-    /// Folds a write batch into the snapshot — O(delta).
-    pub fn apply_delta(&mut self, delta: &StatsDelta) {
-        for t in &delta.inserted {
-            self.apply_insert(t);
-        }
-        for t in &delta.deleted {
-            self.apply_delete(t);
+            self.attrs.remove(attr);
         }
     }
 
@@ -940,17 +1256,161 @@ mod tests {
         assert!(stats.attrs.is_empty());
     }
 
+    /// The write events a delta stands for, as sortable text:
+    /// `(side, oid hash, oid length, attr, value representation)`.
+    fn events(d: &StatsDelta) -> Vec<String> {
+        let mut out = Vec::new();
+        for (side, groups) in d.groups.iter().enumerate() {
+            for g in groups {
+                for oid in d.oids_of(g) {
+                    out.push(format!("{side} {oid:?} {} {:?}", g.attr, g.value));
+                }
+            }
+        }
+        out.sort();
+        out
+    }
+
+    /// The same for a plain triple on one side.
+    fn event(side: usize, t: &Triple) -> String {
+        format!("{side} {:?} {} {:?}", oid_ref(&t.oid), t.attr, t.value)
+    }
+
     #[test]
     fn stats_delta_wire_roundtrip() {
         let mut d = StatsDelta::new();
         d.record_insert(Triple::new("o1", "name", Value::str("alice")));
+        d.record_insert(Triple::new("o3", "name", Value::str("alice")));
         d.record_delete(Triple::new("o2", "age", Value::Int(44)));
+        d.record_delete(Triple::new("o1", "age", Value::Int(44)));
         let b = d.to_bytes();
         assert_eq!(b.len(), d.wire_size());
         let back = StatsDelta::from_bytes(&b).unwrap();
         assert_eq!(format!("{back:?}"), format!("{d:?}"));
         assert!(StatsDelta::new().is_empty());
-        assert_eq!(d.len(), 2);
+        assert_eq!(d.len(), 4);
+        // A decoded delta can be recorded into like the one it came from.
+        let mut back = back;
+        for d in [&mut d, &mut back] {
+            d.record_insert(Triple::new("o2", "name", Value::str("alice")));
+        }
+        assert_eq!(back.to_bytes(), d.to_bytes());
+    }
+
+    #[test]
+    fn digest_ships_each_oid_and_each_pair_once() {
+        // 64 objects × 2 attributes, 3 distinct pairs: the digest is the
+        // OID table plus one byte per event, not 128 triples.
+        let mut d = StatsDelta::new();
+        let mut flat = 0;
+        for i in 0..64 {
+            for t in [
+                Triple::new(&format!("obj-{i:04}"), "pub:year", Value::Int(2006)),
+                Triple::new(
+                    &format!("obj-{i:04}"),
+                    "pub:venue",
+                    Value::str(["icde", "vldb"][i % 2]),
+                ),
+            ] {
+                flat += t.wire_size();
+                d.record_insert(t);
+            }
+        }
+        assert_eq!(d.len(), 128);
+        assert_eq!(d.pairs().count(), 3);
+        assert!(d.wire_size() * 3 < flat, "{} B against {flat} B flat", d.wire_size());
+    }
+
+    #[test]
+    fn semantically_equal_values_of_different_size_do_not_share_a_group() {
+        let net = NetParams { n_peers: 8.0, n_leaves: 8.0, replication: 1.0, hop_ms: 1.0 };
+        let ts = [
+            Triple::new("a", "x", Value::Int(2)),
+            Triple::new("b", "x", Value::Float(2.0)),
+            Triple::new("c", "x", Value::Int(2)),
+        ];
+        assert_eq!(ts[0].value, ts[1].value);
+        assert_ne!(ts[0].value.wire_size(), ts[1].value.wire_size());
+        let mut d = StatsDelta::new();
+        for t in &ts {
+            d.record_insert(t.clone());
+        }
+        assert_eq!(d.pairs().count(), 2);
+        let mut stats = GlobalStats::empty(net);
+        stats.apply_delta(&d);
+        assert_stats_match(&stats, &GlobalStats::build(&ts, net));
+    }
+
+    /// Encodes a delta by hand: the table, then per side `(attr, value,
+    /// gaps)` groups.
+    fn raw_delta(oids: &[OidRef], sides: [&[(&str, Value, &[u64])]; 2]) -> bytes::Bytes {
+        use bytes::BufMut;
+        let mut buf = bytes::BytesMut::new();
+        put_varint(&mut buf, oids.len() as u64);
+        for (hash, len) in oids {
+            buf.put_u64(*hash);
+            len.encode(&mut buf);
+        }
+        for side in sides {
+            put_varint(&mut buf, side.len() as u64);
+            for (attr, value, gaps) in side {
+                attr.to_string().encode(&mut buf);
+                value.encode(&mut buf);
+                put_varint(&mut buf, gaps.len() as u64);
+                gaps.iter().for_each(|g| put_varint(&mut buf, *g));
+            }
+        }
+        buf.freeze()
+    }
+
+    #[test]
+    fn hostile_digests_are_rejected_not_trusted() {
+        let table = [(7, 2), (8, 2), (9, 2)];
+        let v = Value::Int(1);
+        // The well-formed shape decodes; a repeated index (gap 0) is a
+        // repeated event.
+        let ok = raw_delta(&table, [&[("a", v.clone(), &[0, 2, 0])], &[]]);
+        assert_eq!(StatsDelta::from_bytes(&ok).unwrap().len(), 3);
+        let bad: Vec<(&str, bytes::Bytes)> = vec![
+            ("index past the table", raw_delta(&table, [&[("a", v.clone(), &[3])], &[]])),
+            ("gaps running past the table", raw_delta(&table, [&[], &[("a", v.clone(), &[1, 2])]])),
+            (
+                "descending indexes (a gap that wraps)",
+                raw_delta(&table, [&[("a", v.clone(), &[2, u64::MAX])], &[]]),
+            ),
+            ("zero-length group", raw_delta(&table, [&[("a", v.clone(), &[])], &[]])),
+            ("index into an empty table", raw_delta(&[], [&[("a", v.clone(), &[0])], &[]])),
+            ("group count over the cap", {
+                let mut buf = bytes::BytesMut::new();
+                put_varint(&mut buf, 0);
+                put_varint(&mut buf, (1 << 28) + 1);
+                buf.freeze()
+            }),
+            ("table count over the cap", {
+                let mut buf = bytes::BytesMut::new();
+                put_varint(&mut buf, u64::MAX);
+                buf.freeze()
+            }),
+            ("event count over the cap", {
+                let mut buf = bytes::BytesMut::new();
+                put_varint(&mut buf, 0);
+                put_varint(&mut buf, 1);
+                "a".to_string().encode(&mut buf);
+                v.encode(&mut buf);
+                put_varint(&mut buf, u64::MAX >> 1);
+                buf.freeze()
+            }),
+        ];
+        for (what, bytes) in bad {
+            assert!(
+                matches!(StatsDelta::from_bytes(&bytes), Err(WireError::BadLength(_))),
+                "{what}: {:?}",
+                StatsDelta::from_bytes(&bytes)
+            );
+        }
+        // A table that ends early is an EOF, not a short table.
+        let cut = raw_delta(&table, [&[], &[]]).slice(0..12);
+        assert_eq!(StatsDelta::from_bytes(&cut).unwrap_err(), WireError::UnexpectedEof);
     }
 
     #[test]
@@ -969,8 +1429,12 @@ mod tests {
         // c only deleted → delete survives.
         d.record_delete(c.clone());
         d.compact();
-        assert_eq!(d.inserted, vec![a]);
-        assert_eq!(d.deleted, vec![c]);
+        assert_eq!(events(&d), vec![event(INSERTED, &a), event(DELETED, &c)]);
+        // b's OID left the table with it, and the delta still records.
+        assert_eq!(d.oids.len(), 2);
+        d.record_insert(b.clone());
+        assert_eq!(d.len(), 3);
+        assert_eq!(StatsDelta::from_bytes(&d.to_bytes()).unwrap().to_bytes(), d.to_bytes());
 
         // Compaction never changes the net effect on a snapshot.
         let net = NetParams { n_peers: 8.0, n_leaves: 8.0, replication: 1.0, hop_ms: 1.0 };
@@ -993,6 +1457,194 @@ mod tests {
         d3.record_insert(b);
         d3.compact();
         assert_eq!(d3.len(), 1);
+    }
+
+    mod digest_matches_triple_lists {
+        //! The digest is a change of representation, not of meaning:
+        //! whatever is recorded, folding the digest equals folding the
+        //! triples one by one — inserts, then deletes — and, when every
+        //! delete names a live triple or a pair nobody wrote, a rebuild
+        //! over the survivors.
+
+        use super::*;
+        use proptest::prelude::*;
+
+        const NET: NetParams =
+            NetParams { n_peers: 16.0, n_leaves: 16.0, replication: 1.0, hop_ms: 1.0 };
+
+        /// A small alphabet so that duplicates, shared pairs and emptied
+        /// attributes are the common case: OIDs of three lengths, three
+        /// attributes, and values that collide every way values can —
+        /// `Int(2)`/`Float(2.0)` (equal, different size), strings sharing
+        /// q-grams, and two long strings sharing their whole key prefix.
+        fn triple((o, a, v): (usize, usize, usize)) -> Triple {
+            let value = match v % 8 {
+                0 => Value::Int(2),
+                1 => Value::Float(2.0),
+                2 => Value::Float(2.5),
+                3 => Value::Int(-7),
+                4 => Value::str("icde"),
+                5 => Value::str("icdt"),
+                6 => Value::str("a-long-conference-name-2006"),
+                _ => Value::str("a-long-conference-name-2007"),
+            };
+            let oid = ["o", "obj-1", "object-number-2", "p", "obj-2"][o % 5];
+            Triple::new(oid, ["x", "y", "pub:z"][a % 3], value)
+        }
+
+        fn same_fact(a: &Triple, b: &Triple) -> bool {
+            a.oid == b.oid && a.attr == b.attr && ValueRepr::of(&a.value) == ValueRepr::of(&b.value)
+        }
+
+        /// Plays `ops` against `live`, recording them: an insert always;
+        /// a delete as asked when it names a live triple, and otherwise
+        /// turned into a delete of a pair nobody ever writes. Returns the
+        /// delta and the recorded inserts and deletes in order.
+        fn play(
+            ops: &[(bool, (usize, usize, usize))],
+            live: &mut Vec<Triple>,
+        ) -> (StatsDelta, Vec<Triple>, Vec<Triple>) {
+            let (mut delta, mut ins, mut del) = (StatsDelta::new(), Vec::new(), Vec::new());
+            for &(delete, spec) in ops {
+                let mut t = triple(spec);
+                if !delete {
+                    delta.record_insert(t.clone());
+                    live.push(t.clone());
+                    ins.push(t);
+                    continue;
+                }
+                match live.iter().position(|l| same_fact(l, &t)) {
+                    Some(pos) => drop(live.remove(pos)),
+                    None if spec.2 % 2 == 0 => t.attr = intern("ghost"),
+                    None => t.value = Value::str("never-written"),
+                }
+                delta.record_delete(t.clone());
+                del.push(t);
+            }
+            (delta, ins, del)
+        }
+
+        fn folded_one_by_one(base: &GlobalStats, ins: &[Triple], del: &[Triple]) -> GlobalStats {
+            let mut s = base.clone();
+            ins.iter().for_each(|t| s.apply_insert(t));
+            del.iter().for_each(|t| s.apply_delete(t));
+            s
+        }
+
+        fn spec() -> impl Strategy<Value = (usize, usize, usize)> {
+            (0usize..5, 0usize..3, 0usize..8)
+        }
+
+        proptest! {
+            #[test]
+            fn apply_equals_per_triple_fold_equals_rebuild(
+                base in proptest::collection::vec(spec(), 0..12),
+                ops in proptest::collection::vec((any::<bool>(), spec()), 1..80),
+                cut in 0usize..80,
+            ) {
+                let mut live: Vec<Triple> = base.into_iter().map(triple).collect();
+                let start = GlobalStats::build(&live, NET);
+                let cut = cut.min(ops.len());
+                let (a, a_ins, a_del) = play(&ops[..cut], &mut live);
+                let (b, b_ins, b_del) = play(&ops[cut..], &mut live);
+                let rebuilt = GlobalStats::build(&live, NET);
+
+                // a then b, as digests and triple by triple.
+                let mut digests = start.clone();
+                digests.apply_delta(&a);
+                assert_stats_match(&digests, &folded_one_by_one(&start, &a_ins, &a_del));
+                let after_a = digests.clone();
+                digests.apply_delta(&b);
+                assert_stats_match(&digests, &folded_one_by_one(&after_a, &b_ins, &b_del));
+                assert_stats_match(&digests, &rebuilt);
+
+                // One merged delta says the same as the two in turn …
+                let mut merged = a.clone();
+                merged.merge(b.clone());
+                prop_assert_eq!(merged.len(), a.len() + b.len());
+                let mut s = start.clone();
+                s.apply_delta(&merged);
+                assert_stats_match(&s, &rebuilt);
+                // … so does its wire image …
+                let bytes = merged.to_bytes();
+                prop_assert_eq!(bytes.len(), merged.wire_size());
+                let back = StatsDelta::from_bytes(&bytes).unwrap();
+                prop_assert_eq!(back.to_bytes(), bytes);
+                let mut s = start.clone();
+                s.apply_delta(&back);
+                assert_stats_match(&s, &rebuilt);
+                // … and what is left of it after compaction.
+                merged.compact();
+                let mut s = start.clone();
+                s.apply_delta(&merged);
+                assert_stats_match(&s, &rebuilt);
+            }
+
+            /// Over-deleting (a known pair under OIDs that never held
+            /// it, more deletes than inserts) is where group order could
+            /// show; one pair per delta keeps the orders the same, and
+            /// the fold must then saturate exactly as single deletes do.
+            #[test]
+            fn over_deletes_saturate_like_single_deletes(
+                base in proptest::collection::vec(spec(), 0..12),
+                pair in spec(),
+                oids in proptest::collection::vec(0usize..5, 1..12),
+            ) {
+                let base: Vec<Triple> = base.into_iter().map(triple).collect();
+                let start = GlobalStats::build(&base, NET);
+                let mut oids = oids;
+                oids.sort_unstable();
+                let del: Vec<Triple> = oids.iter().map(|&o| triple((o, pair.1, pair.2))).collect();
+                let mut d = StatsDelta::new();
+                del.iter().for_each(|t| d.record_delete(t.clone()));
+                let mut s = start.clone();
+                s.apply_delta(&d);
+                assert_stats_match(&s, &folded_one_by_one(&start, &[], &del));
+            }
+
+            /// `compact` cancels what the retired pairing over two triple
+            /// lists cancelled: per identical triple, as many inserts as
+            /// there are deletes to match them.
+            #[test]
+            fn compact_matches_the_list_pairing(
+                ops in proptest::collection::vec((any::<bool>(), spec()), 0..60),
+            ) {
+                let mut d = StatsDelta::new();
+                let (mut ins, mut del): (Vec<Triple>, Vec<Triple>) = (Vec::new(), Vec::new());
+                for (delete, s) in ops {
+                    let t = triple(s);
+                    match delete {
+                        true => { d.record_delete(t.clone()); del.push(t) }
+                        false => { d.record_insert(t.clone()); ins.push(t) }
+                    }
+                }
+                // The list pairing, verbatim but for comparing values by
+                // representation: first unused identical delete wins.
+                let mut used = vec![false; del.len()];
+                ins.retain(|t| {
+                    let pair = (0..del.len()).find(|&j| !used[j] && same_fact(&del[j], t));
+                    pair.map(|j| used[j] = true).is_none()
+                });
+                let mut j = 0;
+                del.retain(|_| { j += 1; !used[j - 1] });
+                let mut want: Vec<String> = ins
+                    .iter()
+                    .map(|t| event(INSERTED, t))
+                    .chain(del.iter().map(|t| event(DELETED, t)))
+                    .collect();
+                want.sort();
+
+                d.compact();
+                prop_assert_eq!(events(&d), want);
+                // Still a well-formed digest: no empty group, no OID
+                // nobody refers to, and it round-trips.
+                prop_assert!(d.groups.iter().flatten().all(|g| !g.oids.is_empty()));
+                let referred: FxHashMap<u32, ()> =
+                    d.groups.iter().flatten().flat_map(|g| &g.oids).map(|&i| (i, ())).collect();
+                prop_assert_eq!(referred.len(), d.oids.len());
+                prop_assert_eq!(StatsDelta::from_bytes(&d.to_bytes()).unwrap().to_bytes(), d.to_bytes());
+            }
+        }
     }
 
     mod incremental_matches_rebuild {

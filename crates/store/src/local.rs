@@ -4,6 +4,9 @@
 //! oracle and require identical answers (oracle testing). Experiments
 //! also use it to verify result completeness.
 
+use unistore_util::item::Item;
+use unistore_util::FxHashMap;
+
 use crate::qgram::edit_distance;
 use crate::triple::{Oid, Triple};
 use crate::value::Value;
@@ -12,6 +15,16 @@ use crate::value::Value;
 #[derive(Clone, Debug, Default)]
 pub struct LocalTripleStore {
     triples: Vec<Triple>,
+    /// Where each stored fact sits in `triples`, by its identity hash
+    /// ([`Item::ident`]); facts whose hashes collide take the next free
+    /// hash up. Only [`Self::insert`]'s duplicate check reads it.
+    slots: FxHashMap<u64, u32>,
+}
+
+/// Whether two triples state the same fact (values compared by
+/// meaning, as the DHT's identity does).
+fn same_fact(a: &Triple, b: &Triple) -> bool {
+    a.oid == b.oid && a.attr == b.attr && a.value.eq_values(&b.value)
 }
 
 impl LocalTripleStore {
@@ -25,20 +38,27 @@ impl LocalTripleStore {
     /// of the same attribute coexists (mirroring the DHT's identity
     /// semantics).
     pub fn insert(&mut self, t: Triple) {
-        let exists = self
-            .triples
-            .iter()
-            .any(|e| e.oid == t.oid && e.attr == t.attr && e.value.eq_values(&t.value));
-        if !exists {
-            self.triples.push(t);
+        let mut hash = t.ident();
+        while let Some(&slot) = self.slots.get(&hash) {
+            if same_fact(&self.triples[slot as usize], &t) {
+                return;
+            }
+            hash = hash.wrapping_add(1);
         }
+        self.slots.insert(hash, self.triples.len() as u32);
+        self.triples.push(t);
     }
 
     /// Replaces all values of `(oid, attr)` with one new value (the
     /// oracle-side view of an update).
     pub fn replace(&mut self, t: Triple) {
-        self.triples.retain(|e| !(e.oid == t.oid && e.attr == t.attr));
-        self.triples.push(t);
+        let mut kept = std::mem::take(&mut self.triples);
+        kept.retain(|e| !(e.oid == t.oid && e.attr == t.attr));
+        kept.push(t);
+        // Everything after the first removed triple moved: file them all
+        // again.
+        self.slots.clear();
+        self.insert_all(kept);
     }
 
     /// Bulk insert.
@@ -237,5 +257,26 @@ mod tests {
         assert_eq!(s.len(), 6);
         assert_eq!(s.by_attr_value("year", &Value::Int(2008)).len(), 1);
         assert_eq!(s.by_attr_value("year", &Value::Int(2006)).len(), 0);
+    }
+
+    #[test]
+    fn duplicate_check_survives_replace_and_keeps_insertion_order() {
+        let mut s = store();
+        let before: Vec<Triple> = s.all().to_vec();
+        // Re-inserting everything — values compared by meaning — adds
+        // nothing and moves nothing.
+        s.insert_all(before.iter().cloned());
+        s.insert(Triple::new("a12", "year", Value::Float(2006.0)));
+        assert_eq!(s.all(), &before[..]);
+        // A replace shifts every later triple; the shifted ones must
+        // still be found, and the replaced-away value must be gone.
+        s.replace(Triple::new("a12", "title", Value::str("Similarity, revised")));
+        let after: Vec<Triple> = s.all().to_vec();
+        assert_eq!(after.len(), before.len());
+        assert_eq!(after.last().unwrap().value, Value::str("Similarity, revised"));
+        s.insert_all(after.iter().cloned());
+        assert_eq!(s.all(), &after[..]);
+        s.insert(Triple::new("a12", "title", Value::str("Similarity...")));
+        assert_eq!(s.len(), before.len() + 1);
     }
 }

@@ -229,13 +229,22 @@ impl Histogram {
 
     /// Records one key.
     pub fn add(&mut self, key: u64) {
+        self.add_n(key, 1);
+    }
+
+    /// Records `n` occurrences of one key — the state `n` calls of
+    /// [`Histogram::add`] would leave, in one bucket and one map probe.
+    pub fn add_n(&mut self, key: u64, n: u32) {
+        if n == 0 {
+            return;
+        }
         let b = self.bucket_of(key);
-        self.buckets[b] += 1;
-        self.count += 1;
+        self.buckets[b] += n as u64;
+        self.count += n as u64;
         if let Some(rc) = self.distinct.get_mut(&key) {
-            *rc += 1;
+            *rc += n;
         } else if self.distinct.len() < self.distinct_cap {
-            self.distinct.insert(key, 1);
+            self.distinct.insert(key, n);
         }
     }
 
@@ -244,21 +253,33 @@ impl Histogram {
     /// exact (below the cap); beyond the cap the counters saturate at
     /// zero instead of corrupting the estimates.
     pub fn remove(&mut self, key: u64) {
-        if !self.distinct.contains_key(&key) && self.distinct.len() < self.distinct_cap {
-            return; // exact tracking says the key was never recorded
-        }
+        self.remove_n(key, 1);
+    }
+
+    /// Removes up to `n` occurrences of `key` — the state `n` calls of
+    /// [`Histogram::remove`] would leave: a tracked key gives up at
+    /// most its live occurrences, an untracked one (only possible at
+    /// the cap) at most what its bucket holds.
+    pub fn remove_n(&mut self, key: u64, n: u32) {
         let b = self.bucket_of(key);
-        if self.buckets[b] == 0 || self.count == 0 {
-            return;
-        }
-        self.buckets[b] -= 1;
-        self.count -= 1;
-        if let Some(rc) = self.distinct.get_mut(&key) {
-            *rc -= 1;
-            if *rc == 0 {
-                self.distinct.remove(&key);
+        // Every occurrence is counted in its bucket and in the total.
+        let held = self.buckets[b].min(self.count);
+        let n = match self.distinct.get(&key).copied() {
+            Some(rc) if rc > n => {
+                self.distinct.insert(key, rc - n);
+                n
             }
-        }
+            Some(rc) => {
+                self.distinct.remove(&key);
+                rc
+            }
+            // Exact tracking says the key was never recorded.
+            None if self.distinct.len() < self.distinct_cap => return,
+            None => n,
+        };
+        let n = (n as u64).min(held);
+        self.buckets[b] -= n;
+        self.count -= n;
     }
 
     /// Total number of recorded keys.
@@ -477,6 +498,37 @@ mod tests {
         h.remove(999);
         h.remove(500);
         assert_eq!(h.bucket_counts(), &snapshot[..]);
+    }
+
+    #[test]
+    fn histogram_counted_ops_equal_repeated_single_ops() {
+        let ops: [(bool, u64, u32); 7] = [
+            (true, 5, 3),
+            (true, 500, 2),
+            (false, 5, 2),
+            (false, 5, 4),  // more than are left: stops at zero
+            (false, 77, 3), // never added
+            (true, 5, 1),
+            (false, 500, 0),
+        ];
+        let mut counted = Histogram::new(0, 999, 10);
+        let mut single = Histogram::new(0, 999, 10);
+        for (add, key, n) in ops {
+            match add {
+                true => counted.add_n(key, n),
+                false => counted.remove_n(key, n),
+            }
+            for _ in 0..n {
+                match add {
+                    true => single.add(key),
+                    false => single.remove(key),
+                }
+            }
+            assert_eq!(counted.count(), single.count());
+            assert_eq!(counted.bucket_counts(), single.bucket_counts());
+            assert_eq!(counted.distinct_estimate(), single.distinct_estimate());
+        }
+        assert_eq!(counted.count(), 3);
     }
 
     #[test]

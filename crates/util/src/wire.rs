@@ -116,6 +116,15 @@ pub fn get_varint(buf: &mut Bytes) -> Result<u64, WireError> {
     }
 }
 
+/// Reads a collection length: a varint no larger than the sanity cap.
+pub fn get_len(buf: &mut Bytes) -> Result<usize, WireError> {
+    let len = get_varint(buf)?;
+    if len > MAX_LEN {
+        return Err(WireError::BadLength(len));
+    }
+    Ok(len as usize)
+}
+
 /// Encodes a length-prefixed list, pre-reserving the buffer from a
 /// first-item size estimate. The hot reply paths (triple lists, range
 /// replies, batch payloads) carry many homogeneous items; growing the
@@ -259,11 +268,7 @@ impl Wire for f64 {
 /// caller builds its target type (`String`, `Arc<str>`, inline bytes)
 /// in a single copy, with no intermediate `Vec<u8>`.
 pub fn decode_str<R>(buf: &mut Bytes, f: impl FnOnce(&str) -> R) -> Result<R, WireError> {
-    let len = get_varint(buf)?;
-    if len > MAX_LEN {
-        return Err(WireError::BadLength(len));
-    }
-    let len = len as usize;
+    let len = get_len(buf)?;
     if buf.remaining() < len {
         return Err(WireError::UnexpectedEof);
     }
@@ -323,11 +328,8 @@ impl<T: Wire> Wire for Vec<T> {
     }
 
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        let len = get_varint(buf)?;
-        if len > MAX_LEN {
-            return Err(WireError::BadLength(len));
-        }
-        let mut out = Vec::with_capacity(len.min(1024) as usize);
+        let len = get_len(buf)?;
+        let mut out = Vec::with_capacity(len.min(1024));
         for _ in 0..len {
             out.push(T::decode(buf)?);
         }

@@ -102,10 +102,17 @@ fn sample_coverage() -> Coverage {
     c
 }
 
+/// A digest with every shape the format has: a group over several
+/// OIDs (gaps), a repeated event (gap 0), a group that skips table
+/// entries, a string value, both signs.
 fn sample_stats_delta() -> StatsDelta {
     let mut d = StatsDelta::new();
-    d.record_insert(Triple::new("o9", "rating", Value::Int(5)));
-    d.record_delete(Triple::new("o9", "rating", Value::Int(4)));
+    for oid in ["o1", "o2", "o3", "o2"] {
+        d.record_insert(Triple::new(oid, "rating", Value::Int(5)));
+    }
+    d.record_insert(Triple::new("o3", "name", Value::str("carol")));
+    d.record_delete(Triple::new("o1", "rating", Value::Int(4)));
+    d.record_delete(Triple::new("object-4", "rating", Value::Int(4)));
     d
 }
 
@@ -340,6 +347,43 @@ fn truncated_encodings_rejected() {
     sweep::<Coverage>();
     sweep::<Relation>();
     sweep::<Mqp>();
+}
+
+/// Handlers trust a decoded digest's table indexes; whatever the
+/// decoder lets through must fold, merge and compact without a panic.
+mod stats_delta_use {
+    use super::*;
+    use unistore_query::cost::{GlobalStats, NetParams};
+
+    fn use_if_decodes(bytes: &[u8]) {
+        let Ok(d) = StatsDelta::from_bytes(&Bytes::copy_from_slice(bytes)) else { return };
+        let net = NetParams { n_peers: 4.0, n_leaves: 4.0, replication: 1.0, hop_ms: 1.0 };
+        let mut stats = GlobalStats::empty(net);
+        stats.apply_delta(&sample_stats_delta());
+        stats.apply_delta(&d);
+        let mut merged = sample_stats_delta();
+        merged.merge(d.clone());
+        assert_eq!(merged.len(), sample_stats_delta().len() + d.len());
+        merged.compact();
+        stats.apply_delta(&merged);
+        assert_eq!(merged.to_bytes().len(), merged.wire_size());
+    }
+
+    proptest! {
+        #[test]
+        fn bitflipped_digests_fold(pos: u64, mask in 1u8..=255u8) {
+            let mut bytes = sample_stats_delta().to_bytes().to_vec();
+            let at = pos as usize % bytes.len();
+            bytes[at] ^= mask;
+            use_if_decodes(&bytes);
+        }
+
+        #[test]
+        fn random_digests_fold(data in proptest::collection::vec(0u8..4, 0..24)) {
+            // Tiny bytes so that counts, tags and gaps are often valid.
+            use_if_decodes(&data);
+        }
+    }
 }
 
 /// A zero-length buffer must decode to `UnexpectedEof`, not panic.
