@@ -1,45 +1,53 @@
 //! A counting global allocator for the allocation-trajectory record.
 //!
-//! Every binary, bench and test that links `unistore-bench` allocates
-//! through [`CountingAlloc`]: a thin wrapper over the system allocator
-//! that maintains process-wide counters of allocation calls and
-//! requested bytes. The overhead is two relaxed atomic adds per
-//! allocation, so timing benches stay honest while `bench-snapshot`
-//! turns the counters into allocs/op and bytes/op for `BENCH_alloc.json`.
+//! Every binary and test that links `unistore-bench` allocates through
+//! [`CountingAlloc`]: a thin wrapper over the system allocator that
+//! counts, per thread, allocation calls and requested bytes;
+//! `alloc-snapshot` turns the counters into allocs/op and bytes/op for
+//! `BENCH_alloc.json`.
 //!
-//! The counters are global, not per-thread: [`measure`] deltas are only
-//! meaningful when the measured closure is the sole allocating activity,
-//! which holds for the single-threaded simulation harness.
+//! The counters are per-thread, so a [`measure`] delta is exactly what
+//! the measured closure allocated on its own thread — the whole of it
+//! for the single-threaded simulation harness — whatever other threads
+//! (parallel tests) do meanwhile.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::cell::Cell;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and without destructors: reading them from
+    // inside the allocator neither allocates nor can observe a torn-down
+    // slot.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
 
-/// System allocator plus relaxed counters of calls and requested bytes.
+fn count(bytes: usize) {
+    ALLOCS.with(|c| c.set(c.get() + 1));
+    BYTES.with(|c| c.set(c.get() + bytes as u64));
+}
+
+/// System allocator plus per-thread counters of calls and requested
+/// bytes.
 pub struct CountingAlloc;
 
 // SAFETY: defers every operation to `System`; the counters never affect
 // the returned pointers or layouts.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Relaxed);
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A grow is a fresh backing allocation from the caller's point
         // of view: count the new size, like a Vec doubling would cost.
-        ALLOCS.fetch_add(1, Relaxed);
-        BYTES.fetch_add(new_size as u64, Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -73,15 +81,12 @@ impl AllocStats {
     }
 }
 
-/// Runs `f` and returns its result plus the allocation delta it caused.
-///
-/// Counters are process-wide: concurrent allocating threads would be
-/// attributed to the closure. The snapshot harness is single-threaded.
+/// Runs `f` and returns its result plus the allocations it made on the
+/// calling thread.
 pub fn measure<R>(f: impl FnOnce() -> R) -> (R, AllocStats) {
-    let a0 = ALLOCS.load(Relaxed);
-    let b0 = BYTES.load(Relaxed);
+    let (a0, b0) = (ALLOCS.get(), BYTES.get());
     let r = f();
-    let stats = AllocStats { allocs: ALLOCS.load(Relaxed) - a0, bytes: BYTES.load(Relaxed) - b0 };
+    let stats = AllocStats { allocs: ALLOCS.get() - a0, bytes: BYTES.get() - b0 };
     (r, stats)
 }
 

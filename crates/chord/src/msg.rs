@@ -85,30 +85,6 @@ pub enum ChordMsg<I> {
         /// `false` on a routing failure.
         ok: bool,
     },
-    /// Routed insert, stored at the successor of `ring_key`.
-    Insert {
-        /// Correlation id.
-        qid: QueryId,
-        /// Ring position to store under.
-        ring_key: u64,
-        /// Original (order-preserving) key, kept for bucket filtering.
-        key: Key,
-        /// Payload.
-        item: I,
-        /// Version for loose-consistency updates (0 = initial insert).
-        version: u64,
-        /// Issuer; receives the ack.
-        origin: NodeId,
-        /// Hops so far.
-        hops: u32,
-    },
-    /// Insert confirmation.
-    InsertAck {
-        /// Correlation id.
-        qid: QueryId,
-        /// Hops to the responsible node.
-        hops: u32,
-    },
     /// Many routed writes coalesced into one message: each distinct
     /// payload travels once in `items`, referenced by the ops' compact
     /// tags. At every node the batch re-splits into a locally applied
@@ -226,8 +202,6 @@ pub enum ChordMsg<I> {
 mod tag {
     pub const LOOKUP: u8 = 1;
     pub const LOOKUP_REPLY: u8 = 2;
-    pub const INSERT: u8 = 3;
-    pub const INSERT_ACK: u8 = 4;
     pub const BUCKET_RANGE: u8 = 5;
     pub const BUCKET_GET: u8 = 6;
     pub const BCAST: u8 = 7;
@@ -271,21 +245,6 @@ impl<I: Item> Wire for ChordMsg<I> {
                 tag::BATCH_ACK.encode(buf);
                 qid.encode(buf);
                 put_list(buf, applied);
-                hops.encode(buf);
-            }
-            ChordMsg::Insert { qid, ring_key, key, item, version, origin, hops } => {
-                tag::INSERT.encode(buf);
-                qid.encode(buf);
-                ring_key.encode(buf);
-                key.encode(buf);
-                item.encode(buf);
-                version.encode(buf);
-                origin.encode(buf);
-                hops.encode(buf);
-            }
-            ChordMsg::InsertAck { qid, hops } => {
-                tag::INSERT_ACK.encode(buf);
-                qid.encode(buf);
                 hops.encode(buf);
             }
             ChordMsg::BucketRange { qid, lo, hi, origin } => {
@@ -374,18 +333,6 @@ impl<I: Item> Wire for ChordMsg<I> {
                 applied: Wire::decode(buf)?,
                 hops: Wire::decode(buf)?,
             },
-            tag::INSERT => ChordMsg::Insert {
-                qid: Wire::decode(buf)?,
-                ring_key: Wire::decode(buf)?,
-                key: Wire::decode(buf)?,
-                item: Wire::decode(buf)?,
-                version: Wire::decode(buf)?,
-                origin: Wire::decode(buf)?,
-                hops: Wire::decode(buf)?,
-            },
-            tag::INSERT_ACK => {
-                ChordMsg::InsertAck { qid: Wire::decode(buf)?, hops: Wire::decode(buf)? }
-            }
             tag::BUCKET_RANGE => ChordMsg::BucketRange {
                 qid: Wire::decode(buf)?,
                 lo: Wire::decode(buf)?,
@@ -437,15 +384,6 @@ pub enum ChordEvent<I> {
         /// Hops of the route.
         hops: u32,
         /// `false` on failure/timeout.
-        ok: bool,
-    },
-    /// An insert issued locally was acknowledged.
-    InsertDone {
-        /// Correlation id.
-        qid: QueryId,
-        /// Hops to the responsible node.
-        hops: u32,
-        /// `false` on timeout.
         ok: bool,
     },
     /// A batched write issued locally completed (or timed out).
@@ -502,16 +440,6 @@ mod tests {
                 }),
             },
             ChordMsg::LookupReply { qid: 1, entries: entries.clone(), hops: 4, ok: true },
-            ChordMsg::Insert {
-                qid: 2,
-                ring_key: 7,
-                key: 700,
-                item: RawItem(1),
-                version: 3,
-                origin: NodeId(0),
-                hops: 0,
-            },
-            ChordMsg::InsertAck { qid: 2, hops: 5 },
             ChordMsg::OpBatch {
                 qid: 8,
                 origin: NodeId(3),
@@ -565,14 +493,20 @@ mod tests {
     #[test]
     fn edge_values_roundtrip() {
         roundtrip(ChordMsg::LookupReply { qid: u64::MAX, entries: vec![], hops: 0, ok: false });
-        roundtrip(ChordMsg::Insert {
+        roundtrip(ChordMsg::OpBatch {
             qid: 0,
-            ring_key: u64::MAX,
-            key: u64::MAX,
-            item: RawItem(u64::MAX),
-            version: u64::MAX,
             origin: NodeId(u32::MAX - 1),
             hops: u32::MAX,
+            items: vec![RawItem(u64::MAX)],
+            ops: vec![ChordBatchOp {
+                bucket: true,
+                idx: u32::MAX,
+                op: BatchOp {
+                    key: u64::MAX,
+                    version: u64::MAX,
+                    verb: BatchVerb::Insert { item: 0 },
+                },
+            }],
         });
         roundtrip(ChordMsg::Bcast { qid: 1, lo: u64::MAX, hi: 0, limit: 0, hops: 0, filter: None });
     }

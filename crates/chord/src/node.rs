@@ -92,7 +92,6 @@ mod timer {
 #[derive(Debug)]
 enum Pending<I> {
     Lookup,
-    Insert,
     /// Batched writes awaiting positional acks for every op. The full
     /// op set is kept so a timed-out batch can retransmit exactly the
     /// un-acked remainder (re-application is idempotent under the
@@ -423,44 +422,6 @@ impl<I: Item> ChordNode<I> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn handle_insert(
-        &mut self,
-        from: NodeId,
-        qid: QueryId,
-        ring_key: u64,
-        key: Key,
-        item: I,
-        version: u64,
-        origin: NodeId,
-        hops: u32,
-        fx: &mut Fx<I>,
-    ) {
-        if from == NodeId::EXTERNAL && origin == self.id {
-            self.register(fx, qid, Pending::Insert);
-        }
-        if self.responsible(ring_key) {
-            self.apply_insert(ring_key, key, item, version, fx);
-            if origin == self.id {
-                self.handle_insert_ack(qid, hops, fx);
-            } else {
-                fx.send(origin, ChordMsg::InsertAck { qid, hops });
-            }
-        } else {
-            let next = self.next_hop(ring_key);
-            fx.send(
-                next,
-                ChordMsg::Insert { qid, ring_key, key, item, version, origin, hops: hops + 1 },
-            );
-        }
-    }
-
-    fn handle_insert_ack(&mut self, qid: QueryId, hops: u32, fx: &mut Fx<I>) {
-        if self.pending.remove(&qid).is_some() {
-            fx.emit(ChordEvent::InsertDone { qid, hops, ok: true });
-        }
-    }
-
     /// Handles a routed batch of writes arriving on the wire; the
     /// origin additionally registers the pending state that accumulates
     /// the positional acks (and feeds retransmits on timeout).
@@ -763,7 +724,6 @@ impl<I: Item> ChordNode<I> {
                 Pending::Lookup => {
                     fx.emit(ChordEvent::LookupDone { qid, entries: Vec::new(), hops: 0, ok: false })
                 }
-                Pending::Insert => fx.emit(ChordEvent::InsertDone { qid, hops: 0, ok: false }),
                 Pending::Batch { items, ops, mut tracker } => {
                     match tracker.retry(self.cfg.op_retries) {
                         // Retransmit only the outstanding ops: acked work
@@ -862,10 +822,6 @@ impl<I: Item> NodeBehavior for ChordNode<I> {
             ChordMsg::LookupReply { qid, entries, hops, ok } => {
                 self.handle_lookup_reply(qid, entries, hops, ok, fx)
             }
-            ChordMsg::Insert { qid, ring_key, key, item, version, origin, hops } => {
-                self.handle_insert(from, qid, ring_key, key, item, version, origin, hops, fx)
-            }
-            ChordMsg::InsertAck { qid, hops } => self.handle_insert_ack(qid, hops, fx),
             ChordMsg::OpBatch { qid, origin, hops, items, ops } => {
                 self.handle_op_batch(from, qid, origin, hops, items, ops, fx)
             }

@@ -147,7 +147,6 @@ impl<I: Item + Send + 'static> Overlay for ChordNode<I> {
                 hops,
                 complete,
             },
-            ChordEvent::InsertDone { qid, hops, ok } => OverlayDone::Insert { qid, hops, ok },
             ChordEvent::BatchDone { qid, ops, hops, ok } => {
                 OverlayDone::Batch { qid, ops, hops, ok }
             }

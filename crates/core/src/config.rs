@@ -26,14 +26,12 @@ pub struct PlanMode {
     pub scan_pref: Option<ScanPref>,
     /// Forced join strategy (None = cost-based). Forcing
     /// [`JoinStrategy::SemiJoin`] turns the Bloom-filter pushdown on
-    /// wherever a join site admits it.
+    /// wherever a join site admits it; [`JoinStrategy::Collect`] turns
+    /// it off.
     pub join_pref: Option<JoinStrategy>,
     /// Whether plans may travel to the data (mutant forwarding). When
     /// `false` every step executes from the current peer.
     pub no_forward: bool,
-    /// Disables the Bloom-filtered semi-join pushdown in cost-based
-    /// planning (experiments compare shipped bytes with and without it).
-    pub no_semi_join: bool,
 }
 
 /// Retry and hedging policy for origin-side query re-dispatch
@@ -235,14 +233,6 @@ impl<C> UniConfig<C> {
         self.stats_refresh = interval;
         self
     }
-
-    /// Forces the Bloom-filtered semi-join pushdown on or off for every
-    /// node (on by default; experiments flip it to measure the shipped
-    /// bytes it saves).
-    pub fn with_semi_join(mut self, enabled: bool) -> Self {
-        self.plan_mode.no_semi_join = !enabled;
-        self
-    }
 }
 
 impl UniConfig<PGridConfig> {
@@ -337,15 +327,5 @@ mod tests {
     #[should_panic(expected = "coverage fraction")]
     fn out_of_range_coverage_rejected() {
         let _ = UniConfig::default().with_min_coverage(1.5);
-    }
-
-    #[test]
-    fn semi_join_knob_toggles_plan_mode() {
-        let c = UniConfig::default();
-        assert!(!c.plan_mode.no_semi_join, "pushdown on by default");
-        let c = c.with_semi_join(false);
-        assert!(c.plan_mode.no_semi_join);
-        let c = c.with_semi_join(true);
-        assert!(!c.plan_mode.no_semi_join);
     }
 }

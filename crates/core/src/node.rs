@@ -670,20 +670,18 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
                 decision = Some(JoinDecision::Fetch(plan));
             }
         }
-        if !self.plan_mode.no_semi_join {
-            if let Some((col, fld)) = semi_site {
-                let (filter, left_distinct) = build_semi_filter(left, col, fld);
-                let right_distinct = right_distinct_estimate(model, pattern, fld);
-                let cost = model.semi_join(
-                    left_distinct as f64,
-                    right_distinct,
-                    &right_best,
-                    filter.wire_size() as f64,
-                    SEMI_JOIN_FPR,
-                );
-                if cost.score() < best_score {
-                    decision = Some(JoinDecision::Semi(filter));
-                }
+        if let Some((col, fld)) = semi_site {
+            let (filter, left_distinct) = build_semi_filter(left, col, fld);
+            let right_distinct = right_distinct_estimate(model, pattern, fld);
+            let cost = model.semi_join(
+                left_distinct as f64,
+                right_distinct,
+                &right_best,
+                filter.wire_size() as f64,
+                SEMI_JOIN_FPR,
+            );
+            if cost.score() < best_score {
+                decision = Some(JoinDecision::Semi(filter));
             }
         }
         decision

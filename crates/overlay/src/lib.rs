@@ -78,15 +78,6 @@ pub enum OverlayDone<I> {
         /// `true` when every expected contribution arrived.
         complete: bool,
     },
-    /// A routed insert or delete was acknowledged.
-    Insert {
-        /// Correlation id.
-        qid: u64,
-        /// Hops to the responsible peer.
-        hops: u32,
-        /// `false` on timeout.
-        ok: bool,
-    },
     /// A routed [`OpBatch`] completed: every op was acknowledged (`ok`)
     /// or its retries ran out. Per-op acks are aggregated by the
     /// backend's [`BatchTracker`], so driver-side bookkeeping stays
@@ -113,7 +104,6 @@ impl<I> OverlayDone<I> {
         match self {
             OverlayDone::Lookup { qid, .. }
             | OverlayDone::Range { qid, .. }
-            | OverlayDone::Insert { qid, .. }
             | OverlayDone::Batch { qid, .. } => *qid,
         }
     }
@@ -123,17 +113,16 @@ impl<I> OverlayDone<I> {
         match self {
             OverlayDone::Lookup { hops, .. }
             | OverlayDone::Range { hops, .. }
-            | OverlayDone::Insert { hops, .. }
             | OverlayDone::Batch { hops, .. } => *hops,
         }
     }
 
     /// Retrieved items, when the operation retrieves (`None` for
-    /// inserts/deletes).
+    /// write batches).
     pub fn items(&self) -> Option<&[I]> {
         match self {
             OverlayDone::Lookup { items, .. } | OverlayDone::Range { items, .. } => Some(items),
-            OverlayDone::Insert { .. } | OverlayDone::Batch { .. } => None,
+            OverlayDone::Batch { .. } => None,
         }
     }
 
@@ -141,9 +130,7 @@ impl<I> OverlayDone<I> {
     /// `ok` otherwise).
     pub fn ok(&self) -> bool {
         match self {
-            OverlayDone::Lookup { ok, .. }
-            | OverlayDone::Insert { ok, .. }
-            | OverlayDone::Batch { ok, .. } => *ok,
+            OverlayDone::Lookup { ok, .. } | OverlayDone::Batch { ok, .. } => *ok,
             OverlayDone::Range { complete, .. } => *complete,
         }
     }
@@ -334,7 +321,7 @@ mod tests {
         assert_eq!(d.items(), Some(&[1u32, 2][..]));
         assert!(d.ok());
 
-        let d: OverlayDone<u32> = OverlayDone::Insert { qid: 9, hops: 1, ok: false };
+        let d: OverlayDone<u32> = OverlayDone::Batch { qid: 9, ops: 0, hops: 1, ok: false };
         assert_eq!(d.qid(), 9);
         assert!(d.items().is_none());
         assert!(!d.ok());

@@ -24,7 +24,9 @@
 
 use rand::Rng;
 
+use unistore_overlay::{push_hop, HopGroups};
 use unistore_simnet::NodeId;
+use unistore_util::wire::OpBatch;
 use unistore_util::{BitPath, Key};
 
 use crate::item::{Item, Version};
@@ -32,8 +34,8 @@ use crate::msg::{PGridMsg, PeerRef};
 use crate::peer::{Fx, PGridPeer};
 use crate::routing::RouteDecision;
 
-/// Reserved query id for internal re-route inserts (never registered as
-/// pending, so stray acks are ignored).
+/// Reserved query id for internal re-route batches (never registered as
+/// pending, so their acks are ignored).
 const REROUTE_QID: u64 = 0;
 
 impl<I: Item> PGridPeer<I> {
@@ -154,28 +156,34 @@ impl<I: Item> PGridPeer<I> {
     }
 
     /// Entries handed over without structural context: apply what we are
-    /// responsible for, re-route the rest through normal insert routing;
-    /// what cannot be routed yet is stashed and retried every exchange
-    /// round.
+    /// responsible for, re-route the rest as one write batch per next
+    /// hop; what cannot be routed yet is stashed and retried every
+    /// exchange round.
     pub(crate) fn handle_exchange_data(&mut self, entries: Vec<(Key, Version, I)>, fx: &mut Fx<I>) {
+        let mut foreign = OpBatch::new();
+        let mut groups = HopGroups::new();
         for (key, version, item) in entries {
             if self.routing.responsible(key) {
                 self.store.apply(key, item, version);
             } else if let RouteDecision::Forward(next, _) = self.routing.route(key, &mut self.rng) {
-                fx.send(
-                    next,
-                    PGridMsg::Insert {
-                        qid: REROUTE_QID,
-                        key,
-                        item,
-                        version,
-                        origin: self.id,
-                        hops: 0,
-                    },
-                );
+                push_hop(&mut groups, next, foreign.len());
+                let item = foreign.add_item(item);
+                foreign.push_insert(key, item, version);
             } else {
                 self.reroute_stash.push((key, version, item));
             }
+        }
+        for (next, group) in groups {
+            fx.send(
+                next,
+                PGridMsg::OpBatch {
+                    qid: REROUTE_QID,
+                    origin: self.id,
+                    hops: 0,
+                    positions: group.iter().map(|&i| i as u32).collect(),
+                    batch: foreign.subset(&group),
+                },
+            );
         }
     }
 
@@ -344,15 +352,50 @@ mod tests {
 
     #[test]
     fn exchange_data_reroutes_foreign_entries() {
-        let ids = vec![NodeId(0), NodeId(1)];
+        let ids = vec![NodeId(0), NodeId(1), NodeId(2)];
         let mut v = bpeer(1, ids);
         let mut fx0 = Effects::new();
         v.extend_path(false, &mut fx0); // v at "0"
+        v.extend_path(false, &mut fx0); // v at "00"
         v.routing_mut().add_ref(PeerRef { id: NodeId(0), path: BitPath::parse("1").unwrap() });
+        v.routing_mut().add_ref(PeerRef { id: NodeId(2), path: BitPath::parse("01").unwrap() });
+        let (hi, mid) = (1u64 << 63, 1u64 << 62);
         let mut fx = Effects::new();
-        v.handle_exchange_data(vec![(5, 0, RawItem(5)), ((1 << 63) + 1, 0, RawItem(1))], &mut fx);
-        // Own-side entry applied, foreign entry re-routed as insert.
+        v.handle_exchange_data(
+            vec![
+                (5, 0, RawItem(5)),
+                (hi + 1, 0, RawItem(1)),
+                (mid + 2, 3, RawItem(2)),
+                (hi + 3, 0, RawItem(3)),
+            ],
+            &mut fx,
+        );
+        // Own-side entry applied; the foreign ones leave as one write
+        // batch per next hop, nothing dropped and nothing else sent.
         assert_eq!(v.store().get(5), vec![RawItem(5)]);
-        assert!(matches!(fx.sends()[0].1, PGridMsg::Insert { qid: 0, .. }));
+        type Entry = (Key, Version, RawItem);
+        let mut rerouted: Vec<(NodeId, Vec<Entry>)> = Vec::new();
+        for (to, msg) in fx.sends() {
+            match msg {
+                PGridMsg::OpBatch { qid: REROUTE_QID, origin, hops: 0, positions, batch } => {
+                    assert_eq!(*origin, NodeId(1));
+                    assert_eq!(positions.len(), batch.len(), "one position per op");
+                    let entries = batch
+                        .ops
+                        .iter()
+                        .map(|op| (op.key, op.version, *batch.item_of(op).expect("insert op")))
+                        .collect();
+                    rerouted.push((*to, entries));
+                }
+                other => panic!("unexpected send {other:?}"),
+            }
+        }
+        assert_eq!(
+            rerouted,
+            vec![
+                (NodeId(0), vec![(hi + 1, 0, RawItem(1)), (hi + 3, 0, RawItem(3))]),
+                (NodeId(2), vec![(mid + 2, 3, RawItem(2))]),
+            ]
+        );
     }
 }

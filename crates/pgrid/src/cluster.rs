@@ -11,6 +11,7 @@ use rand::Rng;
 use unistore_simnet::metrics::OpCost;
 use unistore_simnet::{LatencyModel, NodeId, SimNet, SimTime};
 use unistore_util::rng::{derive_rng, stream};
+use unistore_util::wire::OpBatch;
 use unistore_util::{BitPath, Key};
 
 use crate::config::PGridConfig;
@@ -204,7 +205,7 @@ impl<I: Item> PGridCluster<I> {
                 matches!(ev,
                     PGridEvent::LookupDone { qid: q, .. }
                     | PGridEvent::RangeDone { qid: q, .. }
-                    | PGridEvent::InsertDone { qid: q, .. } if *q == qid)
+                    | PGridEvent::BatchDone { qid: q, .. } if *q == qid)
             }) {
                 let mut outs = self.net.take_outputs();
                 let (t, _, ev) = outs.swap_remove(pos);
@@ -240,14 +241,21 @@ impl<I: Item> PGridCluster<I> {
         }
     }
 
-    /// Issues an insert from `origin`, routed through the overlay.
+    /// Issues an insert from `origin`, routed through the overlay as a
+    /// one-op write batch.
     pub fn insert(&mut self, origin: NodeId, key: Key, item: I, version: Version) -> InsertOutcome {
         let qid = self.fresh_qid();
         let before = self.net.metrics();
         let start = self.net.now();
-        self.net.inject(origin, PGridMsg::Insert { qid, key, item, version, origin, hops: 0 });
+        let mut batch = OpBatch::new();
+        let item = batch.add_item(item);
+        batch.push_insert(key, item, version);
+        self.net.inject(
+            origin,
+            PGridMsg::OpBatch { qid, origin, hops: 0, positions: Vec::new(), batch },
+        );
         match self.run_for_event(qid) {
-            Some((t, PGridEvent::InsertDone { hops, ok, .. })) => {
+            Some((t, PGridEvent::BatchDone { hops, ok, .. })) => {
                 let d = self.net.metrics().delta(&before);
                 InsertOutcome {
                     ok,
@@ -412,6 +420,40 @@ mod tests {
         // A lookup from anywhere now finds it.
         let found = c.lookup(NodeId(7), key);
         assert_eq!(found.items, vec![RawItem(1)]);
+    }
+
+    #[test]
+    fn bootstrap_converges_to_a_trie_that_answers_lookups() {
+        // The pairwise construction end to end, shaped like experiment
+        // E12: every peer brings 16 keys, splits and path extensions
+        // re-route what a peer can no longer keep, routing gossip fills
+        // the levels the meetings missed. After 180 simulated seconds
+        // every sampled key must be found from a random origin.
+        let n = 32usize;
+        let cfg = PGridConfig {
+            split_threshold: 4,
+            exchange_interval: SimTime::from_secs(1),
+            maintenance_interval: SimTime::from_secs(10),
+            ..quiet_cfg()
+        };
+        let mut c: PGridCluster<RawItem> = PGridCluster::build_bootstrap(
+            n,
+            cfg,
+            ConstantLatency(SimTime::from_millis(10)),
+            20070415,
+        );
+        let keys = spread_keys(n as u64 * 16);
+        for (i, &k) in keys.iter().enumerate() {
+            c.net.node_mut(NodeId((i % n) as u32)).preload(k, RawItem(k), 0);
+        }
+        c.settle(SimTime::from_secs(180));
+        assert!(c.net.iter_nodes().all(|(_, p)| !p.path().is_empty()), "every peer specialized");
+        for i in 0..40 {
+            let origin = c.random_peer();
+            let key = keys[(i * 13) % keys.len()];
+            let out = c.lookup(origin, key);
+            assert!(out.ok && out.items == vec![RawItem(key)], "lookup {i} from {origin} failed");
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Exact-key lookup and insert routing.
+//! Exact-key lookup routing, and the leaf-side write primitives the
+//! batch path ([`crate::batch`]) applies.
 //!
 //! Greedy prefix routing (paper §2): at each peer the key either matches
 //! the local path — resolve locally — or differs first at bit `l`, in
@@ -81,8 +82,8 @@ impl<I: Item> PGridPeer<I> {
                 // retry per explicit failure, so remaining attempts run
                 // synchronously and a true dead end still fails fast
                 // instead of burning timeout rounds. (Writes differ on
-                // purpose: a stuck insert or batch op waits for its
-                // timeout because maintenance may repair the level, and
+                // purpose: a stuck batch op waits for its timeout
+                // because maintenance may repair the level, and
                 // a spurious failure report for a write is worse than a
                 // late one.)
                 self.handle_lookup_reply(qid, Vec::new(), 0, false, fx);
@@ -137,90 +138,12 @@ impl<I: Item> PGridPeer<I> {
         }
     }
 
-    /// Handles a routed insert; applied and replicated at the leaf.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn handle_insert(
-        &mut self,
-        from: NodeId,
-        qid: QueryId,
-        key: Key,
-        item: I,
-        version: Version,
-        origin: NodeId,
-        hops: u32,
-        fx: &mut Fx<I>,
-    ) {
-        if from == NodeId::EXTERNAL && origin == self.id {
-            self.register_pending(
-                fx,
-                qid,
-                Pending::Insert { key, item: item.clone(), version, attempts: 0, last_hop: None },
-            );
-            self.issue_insert(qid, key, item, version, None, fx);
-            return;
-        }
-        match self.routing.route(key, &mut self.rng) {
-            RouteDecision::Local => {
-                self.insert_at_leaf(key, item, version, fx);
-                if origin == self.id {
-                    self.handle_insert_ack(qid, hops, fx);
-                } else {
-                    fx.send(origin, PGridMsg::InsertAck { qid, hops });
-                }
-            }
-            RouteDecision::Forward(next, _) => {
-                fx.send(next, PGridMsg::Insert { qid, key, item, version, origin, hops: hops + 1 });
-            }
-            RouteDecision::Stuck(_) => {
-                // Leave the pending op to its timeout: an unreachable
-                // leaf is indistinguishable from loss for the origin.
-            }
-        }
-    }
-
     /// Applies an insert at the responsible leaf and pushes the change
     /// to the replica group when it was new.
     pub(crate) fn insert_at_leaf(&mut self, key: Key, item: I, version: Version, fx: &mut Fx<I>) {
         let changed = self.store.apply(key, item.clone(), version);
         if changed {
             self.push_to_replicas(key, version, item, fx);
-        }
-    }
-
-    /// Starts (or retries) an origin-side insert attempt.
-    pub(crate) fn issue_insert(
-        &mut self,
-        qid: QueryId,
-        key: Key,
-        item: I,
-        version: Version,
-        avoid: Option<NodeId>,
-        fx: &mut Fx<I>,
-    ) {
-        match self.routing.route_excluding(key, avoid, &mut self.rng) {
-            RouteDecision::Local => {
-                self.insert_at_leaf(key, item, version, fx);
-                self.handle_insert_ack(qid, 0, fx);
-            }
-            RouteDecision::Forward(next, _) => {
-                if let Some(Pending::Insert { last_hop, .. }) = self.pending.get_mut(&qid) {
-                    *last_hop = Some(next);
-                }
-                fx.send(
-                    next,
-                    PGridMsg::Insert { qid, key, item, version, origin: self.id, hops: 1 },
-                );
-            }
-            RouteDecision::Stuck(_) => {
-                // Leave the pending op to its timeout (and retries).
-            }
-        }
-    }
-
-    /// Completes a pending insert at the origin.
-    pub(crate) fn handle_insert_ack(&mut self, qid: QueryId, hops: u32, fx: &mut Fx<I>) {
-        if self.pending.remove(&qid).is_some() {
-            fx.emit(PGridEvent::InsertDone { qid, hops, ok: true });
         }
     }
 
@@ -266,6 +189,7 @@ mod tests {
     use crate::item::RawItem;
     use crate::msg::PeerRef;
     use unistore_simnet::Effects;
+    use unistore_util::wire::OpBatch;
     use unistore_util::BitPath;
 
     fn peer(id: u32, path: &str) -> PGridPeer<RawItem> {
@@ -343,13 +267,22 @@ mod tests {
         }
     }
 
+    /// A one-insert write batch, the unit the routed write path carries.
+    fn one_insert(key: Key, item: RawItem) -> OpBatch<RawItem> {
+        let mut batch = OpBatch::new();
+        let i = batch.add_item(item);
+        batch.push_insert(key, i, 0);
+        batch
+    }
+
     #[test]
     fn insert_applies_and_replicates_at_leaf() {
         let mut p = peer(0, "0");
         p.routing_mut().add_replica(NodeId(8));
         let key = 0u64;
         let mut fx = Effects::new();
-        p.handle_insert(NodeId::EXTERNAL, 2, key, RawItem(1), 0, NodeId(0), 0, &mut fx);
+        let batch = one_insert(key, RawItem(1));
+        p.handle_op_batch(NodeId::EXTERNAL, 2, NodeId(0), 0, Vec::new(), batch, &mut fx);
         assert_eq!(p.store().get(key), vec![RawItem(1)]);
         // One replicate push + zero acks on the wire (origin = self).
         let pushes: Vec<_> =
@@ -365,9 +298,25 @@ mod tests {
         p.routing_mut().add_replica(NodeId(8));
         let key = 0u64;
         let mut fx = Effects::new();
-        p.handle_insert(NodeId(3), 2, key, RawItem(1), 0, NodeId(3), 0, &mut fx);
+        p.handle_op_batch(
+            NodeId(3),
+            2,
+            NodeId(3),
+            0,
+            vec![0],
+            one_insert(key, RawItem(1)),
+            &mut fx,
+        );
         let mut fx2 = Effects::new();
-        p.handle_insert(NodeId(3), 3, key, RawItem(1), 0, NodeId(3), 0, &mut fx2);
+        p.handle_op_batch(
+            NodeId(3),
+            3,
+            NodeId(3),
+            0,
+            vec![0],
+            one_insert(key, RawItem(1)),
+            &mut fx2,
+        );
         let pushes2 =
             fx2.sends().iter().filter(|(_, m)| matches!(m, PGridMsg::Replicate { .. })).count();
         assert_eq!(pushes2, 0, "unchanged store must not push");

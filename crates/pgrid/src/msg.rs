@@ -73,34 +73,11 @@ pub enum PGridMsg<I> {
         /// `false` when routing got stuck before reaching the leaf.
         ok: bool,
     },
-    /// Insert/update, routed like a lookup; applied at the leaf and
-    /// replicated.
-    Insert {
-        /// Correlation id for the ack.
-        qid: QueryId,
-        /// Placement key.
-        key: Key,
-        /// Payload.
-        item: I,
-        /// Version for loose-consistency updates (0 = initial insert).
-        version: Version,
-        /// Issuer, receives the ack.
-        origin: NodeId,
-        /// Routing hops so far.
-        hops: u32,
-    },
-    /// Confirms an insert reached a responsible leaf.
-    InsertAck {
-        /// Correlation id.
-        qid: QueryId,
-        /// Hops the insert took.
-        hops: u32,
-    },
     /// A tombstone cascading through a replica group: the leaf that
     /// applied a batched delete tells its replicas to remove the entry
     /// with the given logical identity; a replica that removes something
     /// passes it on, one that removes nothing stops the cascade. Routed
-    /// like an insert (a replica whose path migrated forwards it), never
+    /// like a write op (a replica whose path migrated forwards it), never
     /// acked — the origin's ack comes from the batch that carried the
     /// delete.
     Delete {
@@ -112,7 +89,7 @@ pub enum PGridMsg<I> {
         version: Version,
     },
     /// Many routed writes coalesced into one message (shared-payload
-    /// [`OpBatch`] encoding). Routed like inserts, but per *op*: at each
+    /// [`OpBatch`] encoding). Routed like lookups, but per *op*: at each
     /// peer the batch re-splits into one sub-batch per next hop plus a
     /// locally applied remainder, so it only forks where responsibility
     /// diverges. Every peer that applies ops acks the origin with one
@@ -268,8 +245,6 @@ pub enum PGridMsg<I> {
 mod tag {
     pub const LOOKUP: u8 = 1;
     pub const LOOKUP_REPLY: u8 = 2;
-    pub const INSERT: u8 = 3;
-    pub const INSERT_ACK: u8 = 4;
     pub const DELETE: u8 = 21;
     pub const RANGE: u8 = 5;
     pub const RANGE_SEQ: u8 = 6;
@@ -329,20 +304,6 @@ impl<I: Item> Wire for PGridMsg<I> {
                 tag::BATCH_ACK.encode(buf);
                 qid.encode(buf);
                 put_list(buf, applied);
-                hops.encode(buf);
-            }
-            PGridMsg::Insert { qid, key, item, version, origin, hops } => {
-                tag::INSERT.encode(buf);
-                qid.encode(buf);
-                key.encode(buf);
-                item.encode(buf);
-                version.encode(buf);
-                origin.encode(buf);
-                hops.encode(buf);
-            }
-            PGridMsg::InsertAck { qid, hops } => {
-                tag::INSERT_ACK.encode(buf);
-                qid.encode(buf);
                 hops.encode(buf);
             }
             PGridMsg::Delete { key, ident, version } => {
@@ -468,17 +429,6 @@ impl<I: Item> Wire for PGridMsg<I> {
                 applied: Wire::decode(buf)?,
                 hops: Wire::decode(buf)?,
             },
-            tag::INSERT => PGridMsg::Insert {
-                qid: Wire::decode(buf)?,
-                key: Wire::decode(buf)?,
-                item: Wire::decode(buf)?,
-                version: Wire::decode(buf)?,
-                origin: Wire::decode(buf)?,
-                hops: Wire::decode(buf)?,
-            },
-            tag::INSERT_ACK => {
-                PGridMsg::InsertAck { qid: Wire::decode(buf)?, hops: Wire::decode(buf)? }
-            }
             tag::DELETE => PGridMsg::Delete {
                 key: Wire::decode(buf)?,
                 ident: Wire::decode(buf)?,
@@ -560,15 +510,6 @@ pub enum PGridEvent<I> {
         /// Number of leaf replies received.
         leaves: u32,
     },
-    /// An insert the local peer issued was acknowledged (or timed out).
-    InsertDone {
-        /// Correlation id.
-        qid: QueryId,
-        /// Hops to the responsible leaf.
-        hops: u32,
-        /// `false` on timeout.
-        ok: bool,
-    },
     /// A batched write the local peer issued completed: every op acked,
     /// or its retries ran out with ops still outstanding.
     BatchDone {
@@ -616,15 +557,6 @@ mod tests {
                 filter: filter.clone(),
             },
             PGridMsg::LookupReply { qid: 9, items: vec![RawItem(1)], hops: 3, ok: true },
-            PGridMsg::Insert {
-                qid: 1,
-                key: 5,
-                item: RawItem(5),
-                version: 2,
-                origin: NodeId(0),
-                hops: 0,
-            },
-            PGridMsg::InsertAck { qid: 1, hops: 4 },
             PGridMsg::Delete { key: 9, ident: 11, version: 2 },
             PGridMsg::OpBatch {
                 qid: 12,

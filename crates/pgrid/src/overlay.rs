@@ -192,7 +192,6 @@ impl<I: Item + Send + 'static> Overlay for PGridPeer<I> {
             PGridEvent::RangeDone { qid, items, complete, hops, .. } => {
                 OverlayDone::Range { qid, items, hops, complete }
             }
-            PGridEvent::InsertDone { qid, hops, ok } => OverlayDone::Insert { qid, hops, ok },
             PGridEvent::BatchDone { qid, ops, hops, ok } => {
                 OverlayDone::Batch { qid, ops, hops, ok }
             }

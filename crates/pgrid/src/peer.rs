@@ -39,16 +39,14 @@ pub(crate) mod timer {
 
 /// State of a driver-issued operation awaiting completion at the origin.
 ///
-/// Lookup / insert keep their request parameters so a timed-out attempt
-/// can be re-issued (`PGridConfig::op_retries`) through a different
-/// reference; `last_hop` remembers the first hop of the latest attempt
-/// so the retry can avoid it.
+/// A lookup keeps its request parameters so a timed-out attempt can be
+/// re-issued (`PGridConfig::op_retries`) through a different reference;
+/// `last_hop` remembers the first hop of the latest attempt so the
+/// retry can avoid it.
 #[derive(Debug)]
 pub(crate) enum Pending<I> {
     /// Exact-key lookup (with the semi-join filter to re-ship on retry).
     Lookup { key: Key, attempts: u32, last_hop: Option<NodeId>, filter: Option<ItemFilter> },
-    /// Insert waiting for its ack.
-    Insert { key: Key, item: I, version: u64, attempts: u32, last_hop: Option<NodeId> },
     /// Batched writes accumulating positional acks until every op is
     /// marked. The full op set is kept so a timed-out attempt can
     /// retransmit its un-acked remainder (re-application is idempotent
@@ -227,24 +225,6 @@ impl<I: Item> PGridPeer<I> {
                     fx.emit(PGridEvent::LookupDone { qid, items: Vec::new(), hops: 0, ok: false })
                 }
             }
-            Pending::Insert { key, item, version, attempts, last_hop } => {
-                if attempts < self.cfg.op_retries {
-                    self.register_pending(
-                        fx,
-                        qid,
-                        Pending::Insert {
-                            key,
-                            item: item.clone(),
-                            version,
-                            attempts: attempts + 1,
-                            last_hop,
-                        },
-                    );
-                    self.issue_insert(qid, key, item, version, last_hop, fx);
-                } else {
-                    fx.emit(PGridEvent::InsertDone { qid, hops: 0, ok: false })
-                }
-            }
             Pending::Batch { batch, last_hops, mut tracker } => {
                 match tracker.retry(self.cfg.op_retries) {
                     // Retransmit only the outstanding ops, each routed
@@ -299,10 +279,6 @@ impl<I: Item> NodeBehavior for PGridPeer<I> {
             PGridMsg::LookupReply { qid, items, hops, ok } => {
                 self.handle_lookup_reply(qid, items, hops, ok, fx)
             }
-            PGridMsg::Insert { qid, key, item, version, origin, hops } => {
-                self.handle_insert(from, qid, key, item, version, origin, hops, fx)
-            }
-            PGridMsg::InsertAck { qid, hops } => self.handle_insert_ack(qid, hops, fx),
             PGridMsg::OpBatch { qid, origin, hops, positions, batch } => {
                 self.handle_op_batch(from, qid, origin, hops, positions, batch, fx)
             }

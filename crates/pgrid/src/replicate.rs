@@ -20,7 +20,7 @@ impl<I: Item> PGridPeer<I> {
     pub(crate) fn push_to_replicas(&mut self, key: Key, version: Version, item: I, fx: &mut Fx<I>) {
         let entries = vec![(key, version, item)];
         for &r in self.routing.replicas() {
-            fx.send(r, PGridMsg::Replicate { entries: clone_entries(&entries) });
+            fx.send(r, PGridMsg::Replicate { entries: entries.clone() });
         }
     }
 
@@ -63,10 +63,6 @@ impl<I: Item> PGridPeer<I> {
             self.store.apply_record(key, ident, item, version);
         }
     }
-}
-
-fn clone_entries<I: Clone>(entries: &[(Key, Version, I)]) -> Vec<(Key, Version, I)> {
-    entries.to_vec()
 }
 
 #[cfg(test)]

@@ -888,23 +888,5 @@ mod tests {
         fn prop_vec_roundtrip(v in proptest::collection::vec(any::<u64>(), 0..32)) {
             roundtrip(v);
         }
-
-        /// Pooling is invisible on the wire: the same value encodes to
-        /// byte-identical output and reports the same size with the
-        /// thread-local scratch pool on and off.
-        #[test]
-        fn prop_pooling_is_wire_invisible(
-            v in proptest::collection::vec(".{0,24}", 0..16),
-        ) {
-            pool::set_enabled(true);
-            let pooled_bytes = v.to_bytes();
-            let pooled_size = v.wire_size();
-            pool::set_enabled(false);
-            let plain_bytes = v.to_bytes();
-            let plain_size = v.wire_size();
-            pool::set_enabled(true);
-            prop_assert_eq!(pooled_bytes, plain_bytes);
-            prop_assert_eq!(pooled_size, plain_size);
-        }
     }
 }

@@ -7,14 +7,8 @@
 //! The pool keeps a small per-thread stack of cleared buffers that
 //! retain their high-water capacity: steady-state scratch encodes touch
 //! the allocator zero times.
-//!
-//! [`take`] hands out a [`PooledBuf`] RAII handle; dropping it returns
-//! the storage. Pooling can be forced off per thread via [`set_enabled`]
-//! (the oracle suite runs both modes to prove the wire format is
-//! byte-identical either way).
 
-use std::cell::{Cell, RefCell};
-use std::ops::{Deref, DerefMut};
+use std::cell::RefCell;
 
 use bytes::BytesMut;
 
@@ -28,150 +22,84 @@ const MAX_RETAINED_CAPACITY: usize = 1 << 20;
 
 thread_local! {
     static POOL: RefCell<Vec<BytesMut>> = const { RefCell::new(Vec::new()) };
-    static ENABLED: Cell<bool> = const { Cell::new(true) };
 }
 
-/// Turns pooling on (the default) or off for the current thread. Turning
-/// it off also drops any retained buffers.
-pub fn set_enabled(on: bool) {
-    ENABLED.with(|e| e.set(on));
-    if !on {
-        POOL.with(|p| p.borrow_mut().clear());
-    }
-}
-
-/// Whether pooling is active on the current thread.
-pub fn enabled() -> bool {
-    ENABLED.with(Cell::get)
-}
-
-/// Number of buffers currently parked in this thread's pool.
-pub fn pooled_count() -> usize {
-    POOL.with(|p| p.borrow().len())
-}
-
-/// An empty scratch buffer from the pool (or freshly allocated when the
-/// pool is empty or disabled). Returns its storage on drop.
-pub fn take() -> PooledBuf {
-    let buf = match enabled() {
-        true => POOL.with(|p| p.borrow_mut().pop()).unwrap_or_default(),
-        false => BytesMut::new(),
-    };
-    debug_assert!(buf.is_empty(), "pooled buffers are parked cleared");
-    PooledBuf { buf }
-}
-
-/// Runs `f` with a pooled scratch buffer.
+/// Runs `f` with an empty scratch buffer popped from this thread's pool
+/// (freshly allocated when the pool is empty), then parks the cleared
+/// storage back. Re-entrant: the pool is not borrowed while `f` runs,
+/// so a nested call (`put_list` sizes its first item while an outer
+/// encode holds a buffer) pops the next buffer down.
 pub fn with_buf<R>(f: impl FnOnce(&mut BytesMut) -> R) -> R {
-    let mut buf = take();
-    f(&mut buf)
-}
-
-/// RAII handle to a pooled [`BytesMut`]; derefs to the buffer and parks
-/// the (cleared) storage back in the thread's pool on drop.
-#[derive(Debug)]
-pub struct PooledBuf {
-    buf: BytesMut,
-}
-
-impl PooledBuf {
-    /// Consumes the handle, keeping the bytes: the backing storage
-    /// leaves the pool for good (used when the encode result must
-    /// outlive the scratch scope).
-    pub fn into_inner(self) -> BytesMut {
-        // Drop glue would park the storage; moving the field out via
-        // ManuallyDrop hands it to the caller instead.
-        let this = std::mem::ManuallyDrop::new(self);
-        // SAFETY: `this` is never dropped, so `buf` is read exactly once.
-        unsafe { std::ptr::read(&this.buf) }
-    }
-}
-
-impl Deref for PooledBuf {
-    type Target = BytesMut;
-
-    fn deref(&self) -> &BytesMut {
-        &self.buf
-    }
-}
-
-impl DerefMut for PooledBuf {
-    fn deref_mut(&mut self) -> &mut BytesMut {
-        &mut self.buf
-    }
-}
-
-impl Drop for PooledBuf {
-    fn drop(&mut self) {
-        if !enabled() || self.buf.capacity() == 0 || self.buf.capacity() > MAX_RETAINED_CAPACITY {
-            return;
-        }
-        let buf = std::mem::take(&mut self.buf);
+    let mut buf = POOL.with(|p| p.borrow_mut().pop()).unwrap_or_default();
+    let r = f(&mut buf);
+    if buf.capacity() != 0 && buf.capacity() <= MAX_RETAINED_CAPACITY {
         POOL.with(|p| {
             let mut pool = p.borrow_mut();
             if pool.len() < MAX_POOLED {
-                let mut buf = buf;
                 buf.clear();
                 pool.push(buf);
             }
         });
     }
+    r
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn pooled_count() -> usize {
+        POOL.with(|p| p.borrow().len())
+    }
+
     #[test]
     fn buffers_are_reused() {
-        set_enabled(true);
         POOL.with(|p| p.borrow_mut().clear());
-        {
-            let mut b = take();
+        with_buf(|b| {
             b.reserve(128);
             b.extend_from_slice(b"warm");
-        }
+        });
         assert_eq!(pooled_count(), 1);
-        let b = take();
-        assert!(b.is_empty(), "reused buffer comes back cleared");
-        assert!(b.capacity() >= 128, "reused buffer keeps its capacity");
-        drop(b);
+        with_buf(|b| {
+            assert!(b.is_empty(), "reused buffer comes back cleared");
+            assert!(b.capacity() >= 128, "reused buffer keeps its capacity");
+        });
     }
 
     #[test]
-    fn disabled_pool_retains_nothing() {
-        set_enabled(false);
-        {
-            let mut b = take();
-            b.extend_from_slice(b"xyz");
-        }
-        assert_eq!(pooled_count(), 0);
-        set_enabled(true);
-    }
-
-    #[test]
-    fn into_inner_detaches_storage() {
-        set_enabled(true);
+    fn nested_calls_get_distinct_buffers_and_both_return() {
         POOL.with(|p| p.borrow_mut().clear());
-        let mut b = take();
-        b.extend_from_slice(b"keep me");
-        let owned = b.into_inner();
-        assert_eq!(&owned[..], b"keep me");
-        assert_eq!(pooled_count(), 0, "detached storage never re-enters the pool");
+        with_buf(|outer| {
+            outer.extend_from_slice(b"outer");
+            with_buf(|inner| {
+                assert!(inner.is_empty(), "inner buffer is its own, empty storage");
+                inner.extend_from_slice(b"inner");
+            });
+            assert_eq!(&outer[..], b"outer", "inner encode left the outer bytes alone");
+        });
+        assert_eq!(pooled_count(), 2, "both buffers are parked");
+        with_buf(|b| assert!(b.is_empty()));
     }
 
     #[test]
     fn pool_depth_is_bounded() {
-        set_enabled(true);
         POOL.with(|p| p.borrow_mut().clear());
-        let handles: Vec<_> = (0..2 * MAX_POOLED)
-            .map(|_| {
-                let mut b = take();
-                b.extend_from_slice(b"x");
-                b
-            })
-            .collect();
-        drop(handles);
-        assert!(pooled_count() <= MAX_POOLED);
+        fn nest(depth: usize) {
+            if depth > 0 {
+                with_buf(|b| {
+                    b.extend_from_slice(b"x");
+                    nest(depth - 1);
+                });
+            }
+        }
+        nest(2 * MAX_POOLED);
+        assert_eq!(pooled_count(), MAX_POOLED);
+    }
+
+    #[test]
+    fn oversized_buffers_are_not_retained() {
+        POOL.with(|p| p.borrow_mut().clear());
+        with_buf(|b| b.reserve(MAX_RETAINED_CAPACITY + 1));
+        assert_eq!(pooled_count(), 0);
     }
 }

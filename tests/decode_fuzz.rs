@@ -138,15 +138,6 @@ impl FuzzSeeds for PGridMsg<Triple> {
                 filter: sample_filter(),
             },
             PGridMsg::LookupReply { qid: 9, items: vec![t.clone()], hops: 3, ok: true },
-            PGridMsg::Insert {
-                qid: 1,
-                key: 5,
-                item: t.clone(),
-                version: 2,
-                origin: NodeId(0),
-                hops: 0,
-            },
-            PGridMsg::InsertAck { qid: 1, hops: 4 },
             PGridMsg::Delete { key: 9, ident: 11, version: 2 },
             PGridMsg::OpBatch {
                 qid: 12,
@@ -209,16 +200,6 @@ impl FuzzSeeds for ChordMsg<Triple> {
                 filter: sample_filter(),
             },
             ChordMsg::LookupReply { qid: 1, entries: entries.clone(), hops: 4, ok: true },
-            ChordMsg::Insert {
-                qid: 2,
-                ring_key: 7,
-                key: 700,
-                item: t.clone(),
-                version: 3,
-                origin: NodeId(0),
-                hops: 0,
-            },
-            ChordMsg::InsertAck { qid: 2, hops: 5 },
             ChordMsg::OpBatch {
                 qid: 8,
                 origin: NodeId(3),

@@ -256,7 +256,7 @@ fn multi_join_queries_match_oracle() {
 fn semi_join_forced_on_and_off_agree_with_oracle_on_both_backends() {
     // The semi-join acceptance bar: the Bloom filter may only remove
     // rows the hash join would discard, so forcing the pushdown on and
-    // off must yield the *identical* relation — on both backends, and
+    // off (plain collect) must yield the *identical* relation — on both backends, and
     // equal to the oracle. Join shapes cover value- and
     // subject-position sharing and a range-shaped right side.
     let queries = [
@@ -275,7 +275,7 @@ fn semi_join_forced_on_and_off_agree_with_oracle_on_both_backends() {
     let tuples = world.all_tuples();
     let modes = [
         PlanMode { join_pref: Some(JoinStrategy::SemiJoin), ..Default::default() },
-        PlanMode { no_semi_join: true, ..Default::default() },
+        PlanMode { join_pref: Some(JoinStrategy::Collect), ..Default::default() },
     ];
     for q in queries {
         let mut relations: Vec<Vec<Vec<String>>> = Vec::new();
@@ -395,27 +395,6 @@ fn heterogeneous_world_with_mappings_matches_oracle() {
     assert_eq!(dist.relation.len(), 30, "all 30 authors despite split schemas");
 }
 
-/// The wire-buffer pool is a pure optimization: with pooling forced
-/// off, every message re-sizes through a fresh scratch buffer, and the
-/// distributed answers must not move on either backend. Pool state is
-/// thread-local, so forcing it here cannot leak into other tests.
-#[test]
-fn oracle_holds_with_pooling_disabled() {
-    unistore_util::wire::pool::set_enabled(false);
-    let mut both = world_clusters(16, 47);
-    check(
-        &mut both,
-        &[
-            "SELECT ?n WHERE {(?a,'name',?n)}",
-            "SELECT ?n,?g WHERE {(?a,'name',?n) (?a,'age',?g) FILTER ?g >= 30 AND ?g < 45}",
-            "SELECT ?n,?conf WHERE {(?a,'name',?n) (?a,'has_published',?t)
-             (?p,'title',?t) (?p,'published_in',?conf)}",
-        ],
-    );
-    assert_eq!(unistore_util::wire::pool::pooled_count(), 0, "disabled pool must stay empty");
-    unistore_util::wire::pool::set_enabled(true);
-}
-
 /// The failure-masking layer at its strictest settings — a fail-fast
 /// coverage floor, hedged retries, replication and (on Chord) liveness
 /// probing — must be invisible on a healthy network: full coverage and
@@ -445,24 +424,6 @@ fn failure_masking_is_invisible_on_the_healthy_path() {
             "SELECT ?n,?conf WHERE {(?a,'name',?n) (?a,'has_published',?t)
              (?p,'title',?t) (?p,'published_in',?conf)}",
             "SELECT ?cn WHERE {(?c,'confname',?cn) FILTER prefix(?cn,'ICDE')}",
-        ],
-    );
-}
-
-/// The same queries with pooling explicitly on (the default): the
-/// pooled scratch path and the disabled path must agree bit-for-bit at
-/// the relation level across both backends.
-#[test]
-fn oracle_holds_with_pooling_enabled() {
-    unistore_util::wire::pool::set_enabled(true);
-    let mut both = world_clusters(16, 47);
-    check(
-        &mut both,
-        &[
-            "SELECT ?n WHERE {(?a,'name',?n)}",
-            "SELECT ?n,?g WHERE {(?a,'name',?n) (?a,'age',?g) FILTER ?g >= 30 AND ?g < 45}",
-            "SELECT ?n,?conf WHERE {(?a,'name',?n) (?a,'has_published',?t)
-             (?p,'title',?t) (?p,'published_in',?conf)}",
         ],
     );
 }
