@@ -204,6 +204,13 @@ fn floors(rows: &[Row]) {
         "filtered leaf-scan allocs/op must be independent of dropped candidates \
          (100 dropped: {few:.2}, 1600 dropped: {many:.2})"
     );
+    // The plan holder joins, binds and plans without per-row scratch
+    // allocations (4 060 / 4 050 before it did; what is left is mostly
+    // the rows themselves and message decode).
+    for backend in ["P-Grid", "Chord+buckets"] {
+        let join3 = allocs("join3", backend);
+        assert!(join3 <= 2600.0, "join3 on {backend}: {join3:.0} allocs/op, ceiling 2 600");
+    }
 }
 
 /// Writes `BENCH_alloc.json`.

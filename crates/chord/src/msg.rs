@@ -4,7 +4,7 @@ use bytes::{Bytes, BytesMut};
 
 use unistore_simnet::NodeId;
 use unistore_util::item::Item;
-use unistore_util::wire::{put_list, BatchOp, BatchVerb, Wire, WireError};
+use unistore_util::wire::{encoded_len, put_list, BatchOp, BatchVerb, Wire, WireError};
 use unistore_util::{ItemFilter, Key};
 
 use crate::store::RecordKey;
@@ -369,6 +369,27 @@ impl<I: Item> Wire for ChordMsg<I> {
             tag::PONG => ChordMsg::Pong,
             other => return Err(WireError::BadTag(other)),
         })
+    }
+
+    /// Arithmetic for the variants that carry entry lists — scan
+    /// replies, and the replication and anti-entropy traffic that is
+    /// most of a churn campaign's bytes — sized on every simulated
+    /// send; the control variants are small and keep the
+    /// encode-and-measure default.
+    fn wire_size(&self) -> usize {
+        match self {
+            ChordMsg::LookupReply { qid, entries, hops, ok } => {
+                1 + qid.wire_size() + entries.wire_size() + hops.wire_size() + ok.wire_size()
+            }
+            ChordMsg::BcastReply { qid, entries, nodes, hops } => {
+                1 + qid.wire_size() + entries.wire_size() + nodes.wire_size() + hops.wire_size()
+            }
+            ChordMsg::Replicate { entries } | ChordMsg::DigestReply { entries } => {
+                1 + entries.wire_size()
+            }
+            ChordMsg::Digest { entries } => 1 + entries.wire_size(),
+            other => encoded_len(other),
+        }
     }
 }
 

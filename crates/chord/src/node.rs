@@ -213,10 +213,7 @@ impl<I: Item> ChordNode<I> {
 
     /// True if this node owns ring position `k` (`k ∈ (pred, self]`).
     pub(crate) fn responsible(&self, k: u64) -> bool {
-        if self.predecessor.1 == self.ring_id {
-            return true; // singleton ring
-        }
-        in_open_closed(self.predecessor.1, self.ring_id, k)
+        owns(self.predecessor.1, self.ring_id, k)
     }
 
     /// Next hop for ring position `k`: the successor if `k` lands in
@@ -345,9 +342,7 @@ impl<I: Item> ChordNode<I> {
             // before they are ever cloned out of the store.
             let entries = match range {
                 None => collect_keyed(&filter, self.store.iter_ring(ring_key)),
-                Some((lo, hi)) => {
-                    collect_keyed(&filter, self.store.iter_ring_filtered(ring_key, lo, hi))
-                }
+                Some((lo, hi)) => self.store.scan_bucket(ring_key, lo, hi, &filter),
             };
             self.answer_lookup(qid, origin, entries, hops, true, fx);
         } else {
@@ -632,13 +627,8 @@ impl<I: Item> ChordNode<I> {
         // Replica copies answer no queries: a broadcast visits every
         // node, so serving only records this node is primary for keeps
         // results duplicate-free under successor replication.
-        let local = collect_keyed(
-            &filter,
-            self.store
-                .iter_by_key_ring(lo, hi)
-                .filter(|&(rk, _, _)| self.responsible(rk))
-                .map(|(_, k, i)| (k, i)),
-        );
+        let (pred, me) = (self.predecessor.1, self.ring_id);
+        let local = self.store.scan_by_key_where(lo, hi, &filter, |rk| owns(pred, me, rk));
         // Children: fingers strictly inside (self, limit), each getting
         // the sub-interval up to the next finger (or the limit). At the
         // origin `limit == self.ring_id`, which means the full circle.
@@ -768,6 +758,12 @@ impl<I: Item> ChordNode<I> {
             }
         }
     }
+}
+
+/// Whether the node at ring position `me` with predecessor `pred` owns
+/// ring position `k` (`k ∈ (pred, me]`; a singleton ring owns all).
+fn owns(pred: u64, me: u64, k: u64) -> bool {
+    pred == me || in_open_closed(pred, me, k)
 }
 
 /// Sub-batch of the ops at `indices`, with the payload table re-indexed

@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use std::ops::Bound;
 
 use unistore_util::item::Item;
-use unistore_util::{ItemFilter, Key};
+use unistore_util::{FieldHashColumns, ItemFilter, Key};
 
 /// Applies an optional semi-join filter over borrowed `(key, item)`
 /// candidates, cloning only the survivors into reply entries — dropped
@@ -50,13 +50,78 @@ pub struct ChordEntry<I> {
 /// version still vetoes stale writes.
 #[derive(Clone, Debug, Default)]
 pub struct ChordStore<I> {
-    entries: BTreeMap<(u64, Key, u64), (u64, Option<I>)>,
+    entries: Entries<I>,
+    /// Join-key hashes of recently filtered bucket and broadcast scans;
+    /// every mutator invalidates it.
+    hash_columns: FieldHashColumns<ScanBounds>,
+}
+
+type Entries<I> = BTreeMap<RecordKey, (u64, Option<I>)>;
+
+/// What a memoized scan covered: the ring position (`None` for a scan
+/// across all of them) and the original-key interval.
+type ScanBounds = (Option<u64>, Key, Key);
+
+/// Live entries under `ring_key` with original key in `[lo, hi]`, as
+/// `(ring position, original key, item)`.
+fn live_in_bucket<I>(
+    entries: &Entries<I>,
+    ring_key: u64,
+    lo: Key,
+    hi: Key,
+) -> impl Iterator<Item = (u64, Key, &I)> {
+    // An inverted interval yields an explicitly empty (but
+    // well-formed) bound pair: BTreeMap panics on start > end.
+    let bounds = match lo <= hi {
+        true => (Bound::Included((ring_key, lo, 0)), Bound::Included((ring_key, hi, u64::MAX))),
+        false => (Bound::Included((ring_key, lo, 0)), Bound::Excluded((ring_key, lo, 0))),
+    };
+    entries
+        .range(bounds)
+        .filter_map(|(&(rk, key, _), (_, item))| item.as_ref().map(|i| (rk, key, i)))
+}
+
+/// Live entries at any ring position with original key in `[lo, hi]`.
+fn live_by_key<I>(entries: &Entries<I>, lo: Key, hi: Key) -> impl Iterator<Item = (u64, Key, &I)> {
+    entries
+        .iter()
+        .filter(move |(&(_, key, _), _)| key >= lo && key <= hi)
+        .filter_map(|(&(rk, key, _), (_, item))| item.as_ref().map(|i| (rk, key, i)))
+}
+
+/// The one filtered-scan routine: clones the candidates at ring
+/// positions `serve` admits that survive `filter`, probing the memoized
+/// hash column of `(bounds, field)` instead of re-hashing each
+/// candidate. The column covers *every* candidate of the scan, so it
+/// does not depend on `serve` (ring responsibility changes without the
+/// store changing).
+fn collect_scan<'a, I: Item + 'a, C: Iterator<Item = (u64, Key, &'a I)>>(
+    hash_columns: &mut FieldHashColumns<ScanBounds>,
+    bounds: ScanBounds,
+    filter: &Option<ItemFilter>,
+    candidates: impl Fn() -> C,
+    serve: impl Fn(u64) -> bool,
+) -> Vec<(Key, I)> {
+    let Some(f) = filter else {
+        return candidates()
+            .filter(|&(rk, _, _)| serve(rk))
+            .map(|(_, key, i)| (key, i.clone()))
+            .collect();
+    };
+    let hashes = hash_columns.column(bounds, f.field, |column| {
+        column.extend(candidates().map(|(_, _, i)| i.field_hash(f.field)))
+    });
+    candidates()
+        .zip(hashes)
+        .filter(|&((rk, _, _), &h)| serve(rk) && f.keeps(h))
+        .map(|((_, key, i), _)| (key, i.clone()))
+        .collect()
 }
 
 impl<I: Item> ChordStore<I> {
     /// Empty store.
     pub fn new() -> Self {
-        ChordStore { entries: BTreeMap::new() }
+        ChordStore { entries: BTreeMap::new(), hash_columns: FieldHashColumns::default() }
     }
 
     /// Stores an entry under a ring position. Applies the write only if
@@ -80,16 +145,14 @@ impl<I: Item> ChordStore<I> {
         version: u64,
     ) -> bool {
         match self.entries.get_mut(&(ring_key, key, ident)) {
-            Some((existing, _)) if *existing >= version => false,
-            Some(slot) => {
-                *slot = (version, item);
-                true
-            }
+            Some((existing, _)) if *existing >= version => return false,
+            Some(slot) => *slot = (version, item),
             None => {
                 self.entries.insert((ring_key, key, ident), (version, item));
-                true
             }
         }
+        self.hash_columns.invalidate();
+        true
     }
 
     /// All entries stored under one ring position.
@@ -125,15 +188,50 @@ impl<I: Item> ChordStore<I> {
         lo: Key,
         hi: Key,
     ) -> impl Iterator<Item = (Key, &I)> {
-        // An inverted interval yields an explicitly empty (but
-        // well-formed) bound pair: BTreeMap panics on start > end.
-        let bounds = match lo <= hi {
-            true => (Bound::Included((ring_key, lo, 0)), Bound::Included((ring_key, hi, u64::MAX))),
-            false => (Bound::Included((ring_key, lo, 0)), Bound::Excluded((ring_key, lo, 0))),
-        };
-        self.entries
-            .range(bounds)
-            .filter_map(|(&(_, key, _), (_, item))| item.as_ref().map(|i| (key, i)))
+        live_in_bucket(&self.entries, ring_key, lo, hi).map(|(_, key, i)| (key, i))
+    }
+
+    /// The leaf side of a bucket scan: the live entries under
+    /// `ring_key` with original key in `[lo, hi]` that survive `filter`
+    /// — what [`collect_keyed`] over [`ChordStore::iter_ring_filtered`]
+    /// returns, probing memoized join-key hashes.
+    pub fn scan_bucket(
+        &mut self,
+        ring_key: u64,
+        lo: Key,
+        hi: Key,
+        filter: &Option<ItemFilter>,
+    ) -> Vec<(Key, I)> {
+        let entries = &self.entries;
+        collect_scan(
+            &mut self.hash_columns,
+            (Some(ring_key), lo, hi),
+            filter,
+            || live_in_bucket(entries, ring_key, lo, hi),
+            |_| true,
+        )
+    }
+
+    /// The leaf side of a broadcast scan: the live entries with original
+    /// key in `[lo, hi]`, at the ring positions `serve` admits, that
+    /// survive `filter` — what [`collect_keyed`] over the admitted part
+    /// of [`ChordStore::iter_by_key_ring`] returns, probing memoized
+    /// join-key hashes.
+    pub fn scan_by_key_where(
+        &mut self,
+        lo: Key,
+        hi: Key,
+        filter: &Option<ItemFilter>,
+        serve: impl Fn(u64) -> bool,
+    ) -> Vec<(Key, I)> {
+        let entries = &self.entries;
+        collect_scan(
+            &mut self.hash_columns,
+            (None, lo, hi),
+            filter,
+            || live_by_key(entries, lo, hi),
+            serve,
+        )
     }
 
     /// Borrowed scan over every live entry with original key in
@@ -146,10 +244,7 @@ impl<I: Item> ChordStore<I> {
     /// ring position, so node-local scans can be restricted to records
     /// the node is primary for (replica copies answer no queries).
     pub fn iter_by_key_ring(&self, lo: Key, hi: Key) -> impl Iterator<Item = (u64, Key, &I)> {
-        self.entries
-            .iter()
-            .filter(move |(&(_, key, _), _)| key >= lo && key <= hi)
-            .filter_map(|(&(rk, key, _), (_, item))| item.as_ref().map(|i| (rk, key, i)))
+        live_by_key(&self.entries, lo, hi)
     }
 
     /// Removes the entry with logical identity `ident` stored under
@@ -196,8 +291,121 @@ impl<I: Item> ChordStore<I> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unistore_util::fxhash::hash_bytes;
+    use unistore_util::fxhash::{hash_bytes, mix64};
     use unistore_util::item::RawItem as TestItem;
+    use unistore_util::wire::Wire;
+    use unistore_util::BloomFilter;
+
+    /// An item with two hashable fields; field 1 is absent (`None`) on
+    /// every third tag, every other field on all items.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    struct Tagged {
+        id: u64,
+        tag: u64,
+    }
+
+    impl Wire for Tagged {
+        fn encode(&self, buf: &mut bytes::BytesMut) {
+            self.id.encode(buf);
+            self.tag.encode(buf);
+        }
+        fn decode(buf: &mut bytes::Bytes) -> Result<Self, unistore_util::wire::WireError> {
+            Ok(Tagged { id: u64::decode(buf)?, tag: u64::decode(buf)? })
+        }
+    }
+
+    impl Item for Tagged {
+        fn ident(&self) -> u64 {
+            self.id
+        }
+        fn field_hash(&self, field: u8) -> Option<u64> {
+            match field {
+                0 => Some(mix64(self.tag)),
+                1 if self.tag % 3 != 0 => Some(mix64(self.id)),
+                _ => None,
+            }
+        }
+    }
+
+    fn filter_on(field: u8, accepted: &[u64]) -> Option<ItemFilter> {
+        let bloom = BloomFilter::from_hashes(accepted.iter().map(|&a| mix64(a)), 0.01);
+        Some(ItemFilter { field, bloom })
+    }
+
+    /// The original-key ranges the property draws from, one inverted;
+    /// times two ring positions, the broadcast scan and three fields,
+    /// far more `(bounds, field)` pairs than the memo holds columns.
+    const RANGES: [(Key, Key); 4] = [(0, 15), (3, 9), (5, 5), (12, 3)];
+
+    proptest::proptest! {
+        /// Whatever mutations run in between, the memoized bucket and
+        /// broadcast scans are the unmemoized filter over the same
+        /// candidates, order included.
+        #[test]
+        fn prop_filtered_scans_match_unmemoized_filter(
+            ops in proptest::collection::vec((0u8..10, 0u64..16, 0u64..6, 0u64..4), 1..120),
+            accepted in proptest::collection::vec(0u64..6, 0..4),
+        ) {
+            let mut s: ChordStore<Tagged> = ChordStore::new();
+            for (op, key, id, version) in ops {
+                let ring_key = key % 2;
+                match op {
+                    // Inserts, stale writes, in-place updates, un-deletes.
+                    0..=3 => {
+                        s.insert(ring_key, key, Tagged { id, tag: key ^ version }, version);
+                    }
+                    4 => {
+                        s.remove(ring_key, key, id, version);
+                    }
+                    _ => {
+                        let (lo, hi) = RANGES[(key % 4) as usize];
+                        let field = (id % 3) as u8;
+                        let serve = |rk: u64| rk != version % 3;
+                        // Twice: the second scan probes the column the
+                        // first one built, with a different filter.
+                        for f in [filter_on(field, &accepted), filter_on(field, &[version, id])] {
+                            let expected = collect_keyed(&f, s.iter_ring_filtered(ring_key, lo, hi));
+                            proptest::prop_assert_eq!(s.scan_bucket(ring_key, lo, hi, &f), expected);
+                            let expected = collect_keyed(
+                                &f,
+                                s.iter_by_key_ring(lo, hi)
+                                    .filter(|&(rk, _, _)| serve(rk))
+                                    .map(|(_, k, i)| (k, i)),
+                            );
+                            proptest::prop_assert_eq!(
+                                s.scan_by_key_where(lo, hi, &f, serve),
+                                expected
+                            );
+                        }
+                        let all = collect_keyed(&None, s.iter_ring_filtered(ring_key, lo, hi));
+                        proptest::prop_assert_eq!(s.scan_bucket(ring_key, lo, hi, &None), all);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn any_write_invalidates_every_memoized_scan() {
+        let mut s: ChordStore<Tagged> = ChordStore::new();
+        for k in 0..8u64 {
+            s.insert(1, k, Tagged { id: k, tag: k }, 0);
+        }
+        let f = filter_on(0, &[1, 2]);
+        let hit = |id| (id, Tagged { id, tag: id });
+        assert_eq!(s.scan_bucket(1, 0, 3, &f), vec![hit(1), hit(2)]);
+        // The rule is per store: a write at another ring position, far
+        // outside [0, 3], still makes the memoized column stale — the
+        // next scan sees the entry written after that.
+        s.insert(9, 40, Tagged { id: 40, tag: 1 }, 0);
+        s.insert(1, 2, Tagged { id: 20, tag: 1 }, 0);
+        assert_eq!(
+            s.scan_bucket(1, 0, 3, &f),
+            vec![hit(1), hit(2), (2, Tagged { id: 20, tag: 1 })]
+        );
+        assert!(s.scan_bucket(1, 6, 2, &f).is_empty(), "inverted range");
+        assert!(s.scan_bucket(1, 6, 2, &f).is_empty(), "inverted range, memoized");
+    }
 
     #[test]
     fn insert_get_roundtrip() {

@@ -646,15 +646,19 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
     /// side with a plain scan and hash-join at the plan holder.
     fn plan_join(&self, mqp: &Mqp) -> Option<JoinDecision> {
         let (left, pattern) = mqp.root.fetch_join_site()?;
-        let fetch = self.fetch_plan(left, pattern);
+        // Both strategies start from the distinct join keys of a left
+        // column — usually the same one, hashed once for the two.
+        let mut keys = None;
+        let fetch = fetch_plan(left, pattern, &self.mappings, &mut keys);
         let semi_site = semi_join_site(left, pattern);
         // Forced preference (experiments) wins outright — but a forced
         // strategy the site cannot support still degrades to collect.
         if let Some(pref) = self.plan_mode.join_pref {
             return match pref {
                 JoinStrategy::Fetch => fetch.map(JoinDecision::Fetch),
-                JoinStrategy::SemiJoin => semi_site
-                    .map(|(col, fld)| JoinDecision::Semi(build_semi_filter(left, col, fld).0)),
+                JoinStrategy::SemiJoin => semi_site.map(|(col, fld)| {
+                    JoinDecision::Semi(build_semi_filter(column_keys(&mut keys, left, col), fld).0)
+                }),
                 JoinStrategy::Collect => None,
             };
         }
@@ -671,7 +675,7 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
             }
         }
         if let Some((col, fld)) = semi_site {
-            let (filter, left_distinct) = build_semi_filter(left, col, fld);
+            let (filter, left_distinct) = build_semi_filter(column_keys(&mut keys, left, col), fld);
             let right_distinct = right_distinct_estimate(model, pattern, fld);
             let cost = model.semi_join(
                 left_distinct as f64,
@@ -685,44 +689,6 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
             }
         }
         decision
-    }
-
-    /// Builds the per-binding fetch plan for a join site, if the right
-    /// pattern is point-addressable from the left relation's bindings
-    /// and the fan-out stays under [`FETCH_CAP`].
-    fn fetch_plan(&self, left: &Relation, pattern: &TriplePattern) -> Option<FetchPlan> {
-        // Value-position fetch: attribute literal, value var bound left.
-        let value_fetch = match (&pattern.attr, &pattern.value) {
-            (Term::Lit(Value::Str(attr)), Term::Var(v)) => {
-                left.col(v).map(|col| FetchPlan::ByValue {
-                    keys: distinct_col(left, col)
-                        .iter()
-                        .flat_map(|val| {
-                            self.mappings
-                                .expand(attr)
-                                .iter()
-                                .map(|a| idx::attr_value_key(a, val))
-                                .collect::<Vec<_>>()
-                        })
-                        .collect(),
-                    pattern: pattern.clone(),
-                })
-            }
-            _ => None,
-        };
-        // Subject-position fetch: subject var bound left → OID lookups.
-        let subject_fetch = match &pattern.subject {
-            Term::Var(s) => left.col(s).map(|col| FetchPlan::ByOid {
-                keys: distinct_col(left, col)
-                    .iter()
-                    .filter_map(|v| v.as_str().map(|s| idx::oid_key(&Oid::new(s))))
-                    .collect(),
-                pattern: pattern.clone(),
-            }),
-            Term::Lit(_) => None,
-        };
-        let plan = value_fetch.or(subject_fetch)?;
-        (1..=FETCH_CAP).contains(&plan.keys().len()).then_some(plan)
     }
 
     fn execute_fetch(&mut self, mut mqp: Mqp, plan: FetchPlan, fx: &mut UniFx<O::Msg>) {
@@ -1099,15 +1065,82 @@ fn anchor_key(pattern: &TriplePattern) -> Option<Key> {
     }
 }
 
-fn distinct_col(rel: &Relation, col: usize) -> Vec<Value> {
-    let mut seen: FxHashSet<u64> = FxHashSet::default();
-    let mut out = Vec::new();
-    for row in &rel.rows {
-        if seen.insert(value_hash(&row[col])) {
-            out.push(row[col].clone());
+/// The distinct join keys of one column of a plan's materialized left
+/// side: their hashes (what a semi-join filter is built from) and the
+/// row each first occurs in (what a fetch join derives its keys from).
+/// Values are distinct when their [`value_hash`]es are.
+struct ColumnKeys {
+    col: usize,
+    hashes: FxHashSet<u64>,
+    first_rows: Vec<usize>,
+}
+
+impl ColumnKeys {
+    fn of(rel: &Relation, col: usize) -> ColumnKeys {
+        let mut hashes = FxHashSet::default();
+        let mut first_rows = Vec::new();
+        for (i, row) in rel.rows.iter().enumerate() {
+            if hashes.insert(value_hash(&row[col])) {
+                first_rows.push(i);
+            }
         }
+        ColumnKeys { col, hashes, first_rows }
     }
-    out
+}
+
+/// The keys of `col`, from `memo` when it holds that column.
+fn column_keys<'a>(memo: &'a mut Option<ColumnKeys>, rel: &Relation, col: usize) -> &'a ColumnKeys {
+    let held = memo.take().filter(|keys| keys.col == col);
+    memo.insert(held.unwrap_or_else(|| ColumnKeys::of(rel, col)))
+}
+
+/// Passes a fetch plan's derived key through. Tests count the calls, to
+/// pin that a left side over [`FETCH_CAP`] is turned down before any.
+fn derived(key: Key) -> Key {
+    #[cfg(test)]
+    tests::KEYS_DERIVED.with(|n| n.set(n.get() + 1));
+    key
+}
+
+/// Builds the per-binding fetch plan for a join site, if the right
+/// pattern is point-addressable from the left relation's bindings and
+/// the fan-out stays under [`FETCH_CAP`] — counted on the distinct
+/// bindings, before any key is derived: a left side too large to fetch
+/// from is the common case on a wide join.
+fn fetch_plan(
+    left: &Relation,
+    pattern: &TriplePattern,
+    mappings: &MappingSet,
+    memo: &mut Option<ColumnKeys>,
+) -> Option<FetchPlan> {
+    // Value-position fetch: attribute literal, value var bound left.
+    let value_col = match (&pattern.attr, &pattern.value) {
+        (Term::Lit(Value::Str(attr)), Term::Var(v)) => left.col(v).map(|col| (attr, col)),
+        _ => None,
+    };
+    if let Some((attr, col)) = value_col {
+        let bound = &column_keys(memo, left, col).first_rows;
+        let attrs = mappings.expand(attr);
+        if !(1..=FETCH_CAP).contains(&(bound.len() * attrs.len())) {
+            return None;
+        }
+        let keys = bound
+            .iter()
+            .flat_map(|&r| attrs.iter().map(move |a| (a, &left.rows[r][col])))
+            .map(|(a, val)| derived(idx::attr_value_key(a, val)))
+            .collect();
+        return Some(FetchPlan::ByValue { keys, pattern: pattern.clone() });
+    }
+    // Subject-position fetch: subject var bound left → OID lookups.
+    let Term::Var(subject) = &pattern.subject else { return None };
+    let col = left.col(subject)?;
+    let bound = &column_keys(memo, left, col).first_rows;
+    let oids = || bound.iter().filter_map(|&r| left.rows[r][col].as_str());
+    if !(1..=FETCH_CAP).contains(&oids().count()) {
+        return None;
+    }
+    let keys = oids().map(|s| derived(idx::oid_key(&Oid::new(s)))).collect();
+    Some(FetchPlan::ByOid { keys, pattern: pattern.clone() })
 }
 
 /// Locates the semi-join site of a join: the first pattern position
@@ -1131,10 +1164,9 @@ fn semi_join_site(left: &Relation, pattern: &TriplePattern) -> Option<(usize, u8
 /// hashes (the same hashes [`Triple::field_hash`] yields at the leaves,
 /// so no true match is ever dropped). Returns the filter and the
 /// distinct-key count that sized it.
-fn build_semi_filter(left: &Relation, col: usize, fld: u8) -> (ItemFilter, usize) {
-    let hashes: FxHashSet<u64> = left.rows.iter().map(|r| value_hash(&r[col])).collect();
-    let n = hashes.len();
-    (ItemFilter { field: fld, bloom: BloomFilter::from_hashes(hashes, SEMI_JOIN_FPR) }, n)
+fn build_semi_filter(keys: &ColumnKeys, fld: u8) -> (ItemFilter, usize) {
+    let bloom = BloomFilter::from_hashes(keys.hashes.iter().copied(), SEMI_JOIN_FPR);
+    (ItemFilter { field: fld, bloom }, keys.hashes.len())
 }
 
 /// Distinct join keys expected in the scanned region — the denominator
@@ -1327,13 +1359,65 @@ mod tests {
         assert!(anchor_key(&q.patterns[0]).is_some(), "value literal anchors");
     }
 
+    thread_local! {
+        /// Calls of `derived` on this test thread.
+        pub(super) static KEYS_DERIVED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
     #[test]
     fn distinct_col_dedups_semantically() {
         let rel = Relation {
             schema: vec![std::sync::Arc::from("x")],
             rows: vec![vec![Value::Int(3)], vec![Value::Float(3.0)], vec![Value::Int(4)]],
         };
-        assert_eq!(distinct_col(&rel, 0).len(), 2);
+        let keys = ColumnKeys::of(&rel, 0);
+        assert_eq!(keys.first_rows, vec![0, 2]);
+        assert_eq!(keys.hashes.len(), 2);
+    }
+
+    #[test]
+    fn fetch_plan_counts_bindings_before_deriving_keys() {
+        // `n` distinct subjects, each bound twice, plus one non-string
+        // binding that derives no OID key and so does not count.
+        let left_with = |n: usize| Relation {
+            schema: vec![std::sync::Arc::from("a")],
+            rows: (0..n)
+                .chain(0..n)
+                .map(|i| vec![Value::str(&format!("o{i}"))])
+                .chain([vec![Value::Int(7)]])
+                .collect(),
+        };
+        let by_oid = &parse("SELECT ?g WHERE {(?a,'age',?g)}").unwrap().patterns[0];
+        let keys_derived = || KEYS_DERIVED.with(|n| n.replace(0));
+
+        keys_derived();
+        let mut memo = None;
+        let plan = fetch_plan(&left_with(FETCH_CAP), by_oid, &MappingSet::new(), &mut memo);
+        let plan = plan.expect("512 distinct bindings are within the cap");
+        assert!(matches!(plan, FetchPlan::ByOid { .. }));
+        assert_eq!(plan.keys().len(), FETCH_CAP);
+        assert_eq!(plan.keys()[3], idx::oid_key(&Oid::new("o3")), "first-occurrence order");
+        assert_eq!(keys_derived(), FETCH_CAP);
+        assert_eq!(memo.as_ref().map(|k| k.hashes.len()), Some(FETCH_CAP + 1));
+
+        let mut memo = None;
+        let plan = fetch_plan(&left_with(FETCH_CAP + 1), by_oid, &MappingSet::new(), &mut memo);
+        assert!(plan.is_none(), "513 distinct bindings are over the cap");
+        assert_eq!(keys_derived(), 0, "turned down before any key was derived");
+        // The column's hashes stay behind for the semi-join filter.
+        let (_, distinct) = build_semi_filter(column_keys(&mut memo, &left_with(0), 0), 0);
+        assert_eq!(distinct, FETCH_CAP + 2, "memo reused, not rebuilt from the empty relation");
+
+        // Value-position fetch multiplies by the mapped attributes.
+        let by_value = &parse("SELECT ?x WHERE {(?x,'name',?a)}").unwrap().patterns[0];
+        let mut maps = MappingSet::new();
+        maps.add(&unistore_store::Mapping::new("name", "foaf:name"));
+        let plan = fetch_plan(&left_with(FETCH_CAP / 2 - 1), by_value, &maps, &mut None);
+        assert_eq!(plan.expect("255 bindings + 1, two attributes").keys().len(), FETCH_CAP);
+        assert_eq!(keys_derived(), FETCH_CAP);
+        assert!(fetch_plan(&left_with(FETCH_CAP / 2), by_value, &maps, &mut None).is_none());
+        assert_eq!(keys_derived(), 0);
+        assert!(fetch_plan(&left_with(0).project(&[]), by_oid, &maps, &mut None).is_none());
     }
 
     #[test]
@@ -1410,7 +1494,7 @@ mod tests {
                     })
                     .collect();
                 let left = Relation { schema: vec![std::sync::Arc::from("x")], rows };
-                let (filter, _) = build_semi_filter(&left, 0, fld);
+                let (filter, _) = build_semi_filter(&ColumnKeys::of(&left, 0), fld);
                 for (oid, attr, val) in &triples {
                     let t = Triple::new(oid, attr, val.clone());
                     let matches_left = left.rows.iter().any(|r| match fld {

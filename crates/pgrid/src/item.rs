@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
-use unistore_util::Key;
+use unistore_util::{FieldHashColumns, ItemFilter, Key};
 
 pub use unistore_util::item::{Item, RawItem};
 
@@ -40,12 +40,30 @@ pub struct LocalStore<I> {
     /// [`LocalStore::len`] is O(1) — it is consulted on every bootstrap
     /// `Exchange` message.
     live: usize,
+    /// Join-key hashes of recently filtered range scans, keyed by the
+    /// scan's `(lo, hi)`; every mutator invalidates it.
+    hash_columns: FieldHashColumns<(Key, Key)>,
+}
+
+/// Live items of `entries` with keys in `[lo, hi]`, in key order.
+fn live_in_range<I>(
+    entries: &BTreeMap<(Key, u64), Entry<I>>,
+    lo: Key,
+    hi: Key,
+) -> impl Iterator<Item = &I> {
+    // An inverted interval yields an explicitly empty (but
+    // well-formed) bound pair: BTreeMap panics on start > end.
+    let bounds = match lo <= hi {
+        true => (Bound::Included((lo, 0)), Bound::Included((hi, u64::MAX))),
+        false => (Bound::Included((lo, 0)), Bound::Excluded((lo, 0))),
+    };
+    entries.range(bounds).filter_map(|(_, e)| e.item.as_ref())
 }
 
 impl<I: Item> LocalStore<I> {
     /// Empty store.
     pub fn new() -> Self {
-        LocalStore { entries: BTreeMap::new(), live: 0 }
+        LocalStore { entries: BTreeMap::new(), live: 0, hash_columns: FieldHashColumns::default() }
     }
 
     /// Applies an entry; returns `true` if the store changed (new entry
@@ -65,19 +83,19 @@ impl<I: Item> LocalStore<I> {
         version: Version,
     ) -> bool {
         match self.entries.get_mut(&(key, ident)) {
-            Some(existing) if existing.version >= version => false,
+            Some(existing) if existing.version >= version => return false,
             Some(existing) => {
                 self.live -= existing.item.is_some() as usize;
                 self.live += item.is_some() as usize;
                 *existing = Entry { item, version };
-                true
             }
             None => {
                 self.live += item.is_some() as usize;
                 self.entries.insert((key, ident), Entry { item, version });
-                true
             }
         }
+        self.hash_columns.invalidate();
+        true
     }
 
     /// All live items stored under `key`.
@@ -101,13 +119,26 @@ impl<I: Item> LocalStore<I> {
 
     /// Borrowed view of the live items with keys in `[lo, hi]`.
     pub fn iter_range(&self, lo: Key, hi: Key) -> impl Iterator<Item = &I> {
-        // An inverted interval yields an explicitly empty (but
-        // well-formed) bound pair: BTreeMap panics on start > end.
-        let bounds = match lo <= hi {
-            true => (Bound::Included((lo, 0)), Bound::Included((hi, u64::MAX))),
-            false => (Bound::Included((lo, 0)), Bound::Excluded((lo, 0))),
-        };
-        self.entries.range(bounds).filter_map(|(_, e)| e.item.as_ref())
+        live_in_range(&self.entries, lo, hi)
+    }
+
+    /// The leaf side of a range scan: the live items with keys in
+    /// `[lo, hi]` that survive `filter`, cloned in key order — what
+    /// [`ItemFilter::collect_filtered`] over [`LocalStore::iter_range`]
+    /// returns. A filtered scan probes the memoized
+    /// [`FieldHashColumns`] column of its `(lo, hi, field)` instead of
+    /// re-hashing every candidate's field; only survivors are cloned.
+    pub fn scan_range(&mut self, lo: Key, hi: Key, filter: &Option<ItemFilter>) -> Vec<I> {
+        let Some(f) = filter else { return self.get_range(lo, hi) };
+        let entries = &self.entries;
+        let hashes = self.hash_columns.column((lo, hi), f.field, |column| {
+            column.extend(live_in_range(entries, lo, hi).map(|i| i.field_hash(f.field)))
+        });
+        live_in_range(entries, lo, hi)
+            .zip(hashes)
+            .filter(|&(_, &h)| f.keeps(h))
+            .map(|(i, _)| i.clone())
+            .collect()
     }
 
     /// Iterates `(key, entry)` pairs in key order (tombstones included).
@@ -166,6 +197,7 @@ impl<I: Item> LocalStore<I> {
         }
         self.entries = kept;
         self.live = live;
+        self.hash_columns.invalidate();
         moved
     }
 
@@ -186,13 +218,136 @@ impl<I: Item> LocalStore<I> {
     pub fn clear(&mut self) {
         self.entries.clear();
         self.live = 0;
+        self.hash_columns.invalidate();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use unistore_util::fxhash::mix64;
     use unistore_util::wire::Wire;
+    use unistore_util::BloomFilter;
+
+    thread_local! {
+        /// `Tagged::field_hash` calls on this test thread.
+        static FIELD_HASHES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// An item with two hashable fields; field 1 is absent (`None`) on
+    /// every third tag, every other field on all items.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    struct Tagged {
+        id: u64,
+        tag: u64,
+    }
+
+    impl Wire for Tagged {
+        fn encode(&self, buf: &mut bytes::BytesMut) {
+            self.id.encode(buf);
+            self.tag.encode(buf);
+        }
+        fn decode(buf: &mut bytes::Bytes) -> Result<Self, unistore_util::wire::WireError> {
+            Ok(Tagged { id: u64::decode(buf)?, tag: u64::decode(buf)? })
+        }
+    }
+
+    impl Item for Tagged {
+        fn ident(&self) -> u64 {
+            self.id
+        }
+        fn field_hash(&self, field: u8) -> Option<u64> {
+            FIELD_HASHES.with(|n| n.set(n.get() + 1));
+            match field {
+                0 => Some(mix64(self.tag)),
+                1 if self.tag % 3 != 0 => Some(mix64(self.id)),
+                _ => None,
+            }
+        }
+    }
+
+    /// A filter on `field` accepting the hashes of `accepted` (as tags
+    /// and as ids, so both fields have survivors and casualties).
+    fn filter_on(field: u8, accepted: &[u64]) -> Option<ItemFilter> {
+        let bloom = BloomFilter::from_hashes(accepted.iter().map(|&a| mix64(a)), 0.01);
+        Some(ItemFilter { field, bloom })
+    }
+
+    /// The scan ranges the property draws from: more `(range, field)`
+    /// pairs than the memo holds columns, one of them inverted.
+    const RANGES: [(Key, Key); 6] = [(0, 15), (0, 7), (4, 11), (8, 15), (5, 5), (12, 3)];
+
+    proptest! {
+        /// Whatever mutations run in between, a memoized filtered scan
+        /// is the unmemoized filter over the same range, order included.
+        #[test]
+        fn prop_scan_range_matches_unmemoized_filter(
+            ops in proptest::collection::vec((0u8..12, 0u64..16, 0u64..6, 0u64..4), 1..120),
+            accepted in proptest::collection::vec(0u64..6, 0..4),
+        ) {
+            let mut s: LocalStore<Tagged> = LocalStore::new();
+            for (op, key, id, version) in ops {
+                match op {
+                    // Inserts, stale writes, in-place updates, un-deletes.
+                    0..=3 => {
+                        s.apply(key, Tagged { id, tag: key ^ version }, version);
+                    }
+                    4 => {
+                        s.remove(key, id, version);
+                    }
+                    5 => {
+                        s.split_off_outside(key.min(id * 3), key.max(id * 3));
+                    }
+                    6 if version == 0 => s.clear(),
+                    _ => {
+                        let (lo, hi) = RANGES[(key % 6) as usize];
+                        let field = (id % 3) as u8;
+                        // Twice: the second scan probes the column the
+                        // first one built, with a different filter.
+                        for f in [filter_on(field, &accepted), filter_on(field, &[version, id])] {
+                            let expected = ItemFilter::collect_filtered(&f, s.iter_range(lo, hi));
+                            prop_assert_eq!(s.scan_range(lo, hi, &f), expected);
+                        }
+                        prop_assert_eq!(s.scan_range(lo, hi, &None), s.get_range(lo, hi));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn any_write_invalidates_every_memoized_range() {
+        let hashes_during = |f: &mut dyn FnMut()| {
+            FIELD_HASHES.with(|n| n.set(0));
+            f();
+            FIELD_HASHES.with(|n| n.get())
+        };
+        let mut s: LocalStore<Tagged> = LocalStore::new();
+        for k in 0..8u64 {
+            s.apply(k, Tagged { id: k, tag: k }, 0);
+        }
+        let f = filter_on(0, &[1, 2]);
+        let expected = vec![Tagged { id: 1, tag: 1 }, Tagged { id: 2, tag: 2 }];
+        assert_eq!(hashes_during(&mut || assert_eq!(s.scan_range(0, 3, &f), expected)), 4);
+        assert_eq!(hashes_during(&mut || assert_eq!(s.scan_range(0, 3, &f), expected)), 0);
+        // The rule is per store: a write far outside [0, 3] still makes
+        // the column stale; a rejected write changes nothing and does
+        // not.
+        assert!(!s.apply(7, Tagged { id: 7, tag: 7 }, 0));
+        assert_eq!(hashes_during(&mut || assert_eq!(s.scan_range(0, 3, &f), expected)), 0);
+        assert!(s.apply(7, Tagged { id: 70, tag: 7 }, 0));
+        assert_eq!(hashes_during(&mut || assert_eq!(s.scan_range(0, 3, &f), expected)), 4);
+        // An inverted range is empty, memoized or not.
+        assert!(s.scan_range(6, 2, &f).is_empty());
+        assert!(s.scan_range(6, 2, &f).is_empty());
+        // Exact-key lookups and unfiltered scans never touch the memo.
+        let untouched = hashes_during(&mut || {
+            assert_eq!(s.scan_range(0, 7, &None).len(), 9);
+            assert_eq!(s.get(7).len(), 2);
+        });
+        assert_eq!(untouched, 0);
+    }
 
     #[test]
     fn apply_and_get() {

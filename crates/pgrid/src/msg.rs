@@ -4,7 +4,7 @@
 use bytes::{Bytes, BytesMut};
 
 use unistore_simnet::NodeId;
-use unistore_util::wire::{put_list, OpBatch, Wire, WireError};
+use unistore_util::wire::{encoded_len, put_list, OpBatch, Wire, WireError};
 use unistore_util::{BitPath, ItemFilter, Key};
 
 use crate::item::{Item, Version};
@@ -479,6 +479,32 @@ impl<I: Item> Wire for PGridMsg<I> {
             tag::EXCHANGE_REFS => PGridMsg::ExchangeRefs { peers: Wire::decode(buf)? },
             other => return Err(WireError::BadTag(other)),
         })
+    }
+
+    /// Arithmetic for the variants that carry item or entry lists —
+    /// scan replies, replication, anti-entropy and bootstrap hand-off —
+    /// sized on every simulated send; the control variants are small
+    /// and keep the encode-and-measure default.
+    fn wire_size(&self) -> usize {
+        match self {
+            PGridMsg::LookupReply { qid, items, hops, ok } => {
+                1 + qid.wire_size() + items.wire_size() + hops.wire_size() + ok.wire_size()
+            }
+            PGridMsg::RangeReply { qid, cov_lo, cov_hi, items, hops, aborted } => {
+                1 + qid.wire_size()
+                    + cov_lo.wire_size()
+                    + cov_hi.wire_size()
+                    + items.wire_size()
+                    + hops.wire_size()
+                    + aborted.wire_size()
+            }
+            PGridMsg::Replicate { entries }
+            | PGridMsg::ExchangeData { entries }
+            | PGridMsg::ExchangeReplica { entries } => 1 + entries.wire_size(),
+            PGridMsg::Digest { entries } => 1 + entries.wire_size(),
+            PGridMsg::DigestReply { entries } => 1 + entries.wire_size(),
+            other => encoded_len(other),
+        }
     }
 }
 

@@ -92,8 +92,7 @@ impl<I: Item> PGridPeer<I> {
         let leaf_lo = path.min_key().max(lo);
         let leaf_hi = path.max_key().min(hi);
         if leaf_lo <= leaf_hi {
-            let items =
-                ItemFilter::collect_filtered(&filter, self.store.iter_range(leaf_lo, leaf_hi));
+            let items = self.store.scan_range(leaf_lo, leaf_hi, &filter);
             self.send_range_reply(qid, origin, leaf_lo, leaf_hi, items, hops, false, fx);
         }
     }
@@ -131,8 +130,7 @@ impl<I: Item> PGridPeer<I> {
             RouteDecision::Local => {
                 let path = self.routing.path();
                 let leaf_hi = path.max_key().min(hi);
-                let items =
-                    ItemFilter::collect_filtered(&filter, self.store.iter_range(lo, leaf_hi));
+                let items = self.store.scan_range(lo, leaf_hi, &filter);
                 self.send_range_reply(qid, origin, lo, leaf_hi, items, hops, false, fx);
                 if leaf_hi < hi {
                     // Hand over to the owner of the next key.

@@ -50,8 +50,11 @@ pub fn eval_expr(e: &Expr, rel: &Relation, row: &[Value]) -> bool {
 
 /// Filters a relation in place.
 pub fn filter_relation(rel: &mut Relation, expr: &Expr) {
-    let schema = rel.clone();
-    rel.rows.retain(|row| eval_expr(expr, &schema, row));
+    // `eval_expr` reads only the schema: lend it the relation with the
+    // rows moved out instead of cloning every row to get one.
+    let mut rows = std::mem::take(&mut rel.rows);
+    rows.retain(|row| eval_expr(expr, rel, row));
+    rel.rows = rows;
 }
 
 /// Extracts, from a filter, the tightest `lo ≤ var ≤ hi` bounds it

@@ -364,6 +364,13 @@ impl Wire for Coverage {
             skipped: Wire::decode(buf)?,
         })
     }
+
+    fn wire_size(&self) -> usize {
+        self.parts_ok.wire_size()
+            + self.parts_total.wire_size()
+            + self.shortfalls.wire_size()
+            + self.skipped.wire_size()
+    }
 }
 
 /// A complete mutant plan as it travels the network.
@@ -421,6 +428,14 @@ pub fn bind_triples(
         Term::Lit(Value::Str(a)) => Some(mappings.expand(a)),
         _ => None,
     };
+    // Each position's column, resolved once: the schema lists the
+    // pattern's variables in first-occurrence order, so a variable's
+    // first occurrence pushes the next column and a repeat compares
+    // against the column already pushed.
+    let positions = [&pattern.subject, &pattern.attr, &pattern.value].map(|term| match term {
+        Term::Var(v) => schema.iter().position(|s| s == v),
+        Term::Lit(_) => None,
+    });
     let mut rel = Relation::empty(schema);
     'next: for t in triples {
         // Literal positions first, matched by reference — a rejected
@@ -447,40 +462,28 @@ pub fn bind_triples(
         }
         // Variable positions: clone only values that enter the row;
         // repeated variables compare against the bound value in place.
-        let mut row: Vec<Option<Value>> = vec![None; rel.schema.len()];
-        for (pos, term) in [(0u8, &pattern.subject), (1, &pattern.attr), (2, &pattern.value)] {
-            if let Term::Var(v) = term {
-                // The schema was built from this pattern's variables,
-                // so the lookup always hits; skip the triple instead of
-                // panicking if that invariant ever breaks.
-                let Some(col) = rel.col(v) else { continue 'next };
-                match &row[col] {
-                    None => {
-                        row[col] = Some(match pos {
-                            0 => Value::Str(t.oid.0.clone().into()),
-                            1 => Value::Str(t.attr.clone().into()),
-                            _ => t.value.clone(),
-                        })
-                    }
-                    Some(bound) => {
-                        let agrees = match pos {
-                            0 => bound.as_str() == Some(t.oid.0.as_ref()),
-                            1 => bound.as_str() == Some(t.attr.as_ref()),
-                            _ => bound.eq_values(&t.value),
-                        };
-                        if !agrees {
-                            continue 'next; // repeated var mismatch
-                        }
+        let mut row: Vec<Value> = Vec::with_capacity(rel.schema.len());
+        for (pos, col) in positions.iter().enumerate() {
+            let Some(col) = *col else { continue };
+            match row.get(col) {
+                None => row.push(match pos {
+                    0 => Value::Str(t.oid.0.clone().into()),
+                    1 => Value::Str(t.attr.clone().into()),
+                    _ => t.value.clone(),
+                }),
+                Some(bound) => {
+                    let agrees = match pos {
+                        0 => bound.as_str() == Some(t.oid.0.as_ref()),
+                        1 => bound.as_str() == Some(t.attr.as_ref()),
+                        _ => bound.eq_values(&t.value),
+                    };
+                    if !agrees {
+                        continue 'next; // repeated var mismatch
                     }
                 }
             }
         }
-        // Every schema variable occurs in the pattern, so each slot is
-        // bound by the loop above; an incomplete row is dropped rather
-        // than unwrapped.
-        if let Some(vals) = row.into_iter().collect::<Option<Vec<Value>>>() {
-            rel.rows.push(vals);
-        }
+        rel.rows.push(row);
     }
     rel
 }
@@ -581,6 +584,25 @@ impl Wire for MqpNode {
             t => return Err(WireError::BadTag(t)),
         })
     }
+
+    /// Arithmetic over the tree: a plan's embedded relations are sized
+    /// (per forward decision and per simulated send), never encoded, to
+    /// be measured.
+    fn wire_size(&self) -> usize {
+        1 + match self {
+            MqpNode::Scan { pattern } => pattern.wire_size(),
+            MqpNode::Mat(rel) => rel.wire_size(),
+            MqpNode::Join { left, right } => left.wire_size() + right.wire_size(),
+            MqpNode::Filter { input, expr } => input.wire_size() + expr.wire_size(),
+            MqpNode::Project { input, vars } => input.wire_size() + vars.wire_size(),
+            MqpNode::OrderBy { input, items } => input.wire_size() + items.wire_size(),
+            MqpNode::Limit { input, n } => input.wire_size() + n.wire_size(),
+            MqpNode::TopN { input, items, n } => {
+                input.wire_size() + items.wire_size() + n.wire_size()
+            }
+            MqpNode::Skyline { input, items } => input.wire_size() + items.wire_size(),
+        }
+    }
 }
 
 impl Wire for Mqp {
@@ -604,6 +626,16 @@ impl Wire for Mqp {
             hops: Wire::decode(buf)?,
             coverage: Wire::decode(buf)?,
         })
+    }
+
+    fn wire_size(&self) -> usize {
+        self.qid.wire_size()
+            + self.origin.wire_size()
+            + self.root.wire_size()
+            + self.filters.wire_size()
+            + self.limit_hint.wire_size()
+            + self.hops.wire_size()
+            + self.coverage.wire_size()
     }
 }
 
@@ -715,6 +747,125 @@ mod tests {
         let rel = bind_triples(&q.patterns[0], &triples, &MappingSet::new());
         assert_eq!(rel.len(), 1);
         assert_eq!(rel.rows[0][0], Value::str("year"));
+    }
+
+    /// `bind_triples` as it was before it resolved column positions
+    /// once — one `Option` slot per column and a collecting pass per
+    /// triple. Kept as the reference the property below compares with.
+    fn reference_bind_triples(
+        pattern: &TriplePattern,
+        triples: &[Triple],
+        mappings: &MappingSet,
+    ) -> Relation {
+        let mut schema: Vec<Arc<str>> = Vec::new();
+        for t in [&pattern.subject, &pattern.attr, &pattern.value] {
+            if let Term::Var(v) = t {
+                if !schema.iter().any(|s| s == v) {
+                    schema.push(v.clone());
+                }
+            }
+        }
+        let accepted_attrs: Option<Vec<Arc<str>>> = match &pattern.attr {
+            Term::Lit(Value::Str(a)) => Some(mappings.expand(a)),
+            _ => None,
+        };
+        let mut rel = Relation::empty(schema);
+        'next: for t in triples {
+            if let Term::Lit(expected) = &pattern.subject {
+                let ok = matches!(expected, Value::Str(s) if s.as_ref() == t.oid.0.as_ref());
+                if !ok {
+                    continue 'next;
+                }
+            }
+            if matches!(&pattern.attr, Term::Lit(_)) {
+                let ok = accepted_attrs
+                    .as_ref()
+                    .is_some_and(|acc| acc.iter().any(|a| a.as_ref() == t.attr.as_ref()));
+                if !ok {
+                    continue 'next;
+                }
+            }
+            if let Term::Lit(expected) = &pattern.value {
+                if !expected.eq_values(&t.value) {
+                    continue 'next;
+                }
+            }
+            let mut row: Vec<Option<Value>> = vec![None; rel.schema.len()];
+            for (pos, term) in [(0u8, &pattern.subject), (1, &pattern.attr), (2, &pattern.value)] {
+                if let Term::Var(v) = term {
+                    let Some(col) = rel.col(v) else { continue 'next };
+                    match &row[col] {
+                        None => {
+                            row[col] = Some(match pos {
+                                0 => Value::Str(t.oid.0.clone().into()),
+                                1 => Value::Str(t.attr.clone().into()),
+                                _ => t.value.clone(),
+                            })
+                        }
+                        Some(bound) => {
+                            let agrees = match pos {
+                                0 => bound.as_str() == Some(t.oid.0.as_ref()),
+                                1 => bound.as_str() == Some(t.attr.as_ref()),
+                                _ => bound.eq_values(&t.value),
+                            };
+                            if !agrees {
+                                continue 'next;
+                            }
+                        }
+                    }
+                }
+            }
+            if let Some(vals) = row.into_iter().collect::<Option<Vec<Value>>>() {
+                rel.rows.push(vals);
+            }
+        }
+        rel
+    }
+
+    /// Names that serve as OIDs, attributes and string values alike, so
+    /// repeated variables across positions find agreeing triples.
+    const NAMES: [&str; 4] = ["n", "m", "name", "label"];
+
+    /// A pattern position: one of two variables (repeats are common) or
+    /// a literal — a name, or a number where a name is expected.
+    fn term(pick: u64) -> Term {
+        match pick % 8 {
+            0..=2 => Term::Var(Arc::from("x")),
+            3 | 4 => Term::Var(Arc::from("y")),
+            5 => Term::Lit(Value::Int((pick / 8 % 3) as i64)),
+            _ => Term::Lit(Value::str(NAMES[(pick / 8 % 4) as usize])),
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_bind_triples_matches_reference(
+            picks in (proptest::any::<u64>(), proptest::any::<u64>(), proptest::any::<u64>()),
+            triples in proptest::collection::vec((0usize..4, 0usize..4, 0u64..12), 0..40),
+            mapped: bool,
+        ) {
+            let pattern =
+                TriplePattern { subject: term(picks.0), attr: term(picks.1), value: term(picks.2) };
+            let triples: Vec<Triple> = triples
+                .into_iter()
+                .map(|(oid, attr, v)| {
+                    let value = match v % 3 {
+                        0 => Value::Int((v / 3 % 3) as i64),
+                        1 => Value::Float((v / 3 % 3) as f64),
+                        _ => Value::str(NAMES[(v / 3) as usize]),
+                    };
+                    Triple::new(NAMES[oid], NAMES[attr], value)
+                })
+                .collect();
+            let mut maps = MappingSet::new();
+            if mapped {
+                maps.add(&unistore_store::Mapping::new("name", "label"));
+            }
+            proptest::prop_assert_eq!(
+                bind_triples(&pattern, &triples, &maps),
+                reference_bind_triples(&pattern, &triples, &maps)
+            );
+        }
     }
 
     #[test]

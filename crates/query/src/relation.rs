@@ -9,6 +9,7 @@ use std::sync::Arc;
 use bytes::{Bytes, BytesMut};
 
 use unistore_store::Value;
+use unistore_util::fxhash::mix64;
 use unistore_util::wire::{Wire, WireError};
 use unistore_util::FxHashMap;
 
@@ -60,6 +61,12 @@ impl Relation {
 
     /// Natural (hash) join on all shared variables. With no shared
     /// variables this degenerates to the Cartesian product.
+    ///
+    /// The hash table is always built on `other` and probed with
+    /// `self`'s rows in order, whichever side is smaller: output rows
+    /// come out in `self`'s order and, per `self` row, in `other`'s
+    /// order — an order `LIMIT` makes observable, so the build side is
+    /// not chosen by size.
     pub fn join(&self, other: &Relation) -> Relation {
         let shared: Vec<Arc<str>> =
             self.schema.iter().filter(|v| other.col(v).is_some()).cloned().collect();
@@ -76,14 +83,18 @@ impl Relation {
             .filter(|(_, v)| self.col(v).is_none())
             .map(|(i, _)| i)
             .collect();
+        let joined = |l: &[Value], r: &[Value]| {
+            let mut row = Vec::with_capacity(schema.len());
+            row.extend_from_slice(l);
+            row.extend(other_extra.iter().map(|&i| r[i].clone()));
+            row
+        };
 
         let mut rows = Vec::new();
         if shared.is_empty() {
             for l in &self.rows {
                 for r in &other.rows {
-                    let mut row = l.clone();
-                    row.extend(other_extra.iter().map(|&i| r[i].clone()));
-                    rows.push(row);
+                    rows.push(joined(l, r));
                 }
             }
             return Relation { schema, rows };
@@ -94,25 +105,32 @@ impl Relation {
         // local instead of panicking if it ever breaks.
         let l_keys: Vec<usize> = shared.iter().filter_map(|v| self.col(v)).collect();
         let r_keys: Vec<usize> = shared.iter().filter_map(|v| other.col(v)).collect();
-        // Hash the smaller side.
-        let mut table: FxHashMap<Vec<u64>, Vec<usize>> = FxHashMap::default();
-        for (i, r) in other.rows.iter().enumerate() {
-            let key: Vec<u64> = r_keys.iter().map(|&k| value_hash(&r[k])).collect();
-            table.entry(key).or_default().push(i);
+        // One mixed hash per row over its join columns; rows that only
+        // collide are told apart by the `eq_values` check below.
+        let key_of = |row: &[Value], cols: &[usize]| {
+            cols.iter().fold(0u64, |h, &c| mix64(h ^ value_hash(&row[c])))
+        };
+        // Chained table: `heads` maps a key to its first `other` row,
+        // `next[i]` to the following row with the same key. Inserting
+        // in reverse makes every chain ascend, so a probe meets its
+        // matches in `other`'s order.
+        const END: u32 = u32::MAX;
+        assert!(other.rows.len() < END as usize, "relation too large to index with u32");
+        let mut heads: FxHashMap<u64, u32> =
+            FxHashMap::with_capacity_and_hasher(other.rows.len(), Default::default());
+        let mut next = vec![END; other.rows.len()];
+        for (i, r) in other.rows.iter().enumerate().rev() {
+            next[i] = heads.insert(key_of(r, &r_keys), i as u32).unwrap_or(END);
         }
         for l in &self.rows {
-            let key: Vec<u64> = l_keys.iter().map(|&k| value_hash(&l[k])).collect();
-            if let Some(matches) = table.get(&key) {
-                for &ri in matches {
-                    let r = &other.rows[ri];
-                    // Verify (hash collisions, numeric equality).
-                    let eq = l_keys.iter().zip(&r_keys).all(|(&lk, &rk)| l[lk].eq_values(&r[rk]));
-                    if eq {
-                        let mut row = l.clone();
-                        row.extend(other_extra.iter().map(|&i| r[i].clone()));
-                        rows.push(row);
-                    }
+            let mut at = heads.get(&key_of(l, &l_keys)).copied().unwrap_or(END);
+            while at != END {
+                let r = &other.rows[at as usize];
+                // Verify (hash collisions, numeric equality).
+                if l_keys.iter().zip(&r_keys).all(|(&lk, &rk)| l[lk].eq_values(&r[rk])) {
+                    rows.push(joined(l, r));
                 }
+                at = next[at as usize];
             }
         }
         Relation { schema, rows }
@@ -158,8 +176,7 @@ pub fn value_hash(v: &Value) -> u64 {
 
 impl Wire for Relation {
     fn encode(&self, buf: &mut BytesMut) {
-        let schema: Vec<Arc<str>> = self.schema.clone();
-        schema.encode(buf);
+        self.schema.encode(buf);
         unistore_util::wire::put_varint(buf, self.rows.len() as u64);
         for r in &self.rows {
             debug_assert_eq!(r.len(), self.schema.len());
@@ -184,6 +201,12 @@ impl Wire for Relation {
             rows.push(row);
         }
         Ok(Relation { schema, rows })
+    }
+
+    fn wire_size(&self) -> usize {
+        self.schema.wire_size()
+            + unistore_util::wire::varint_size(self.rows.len() as u64)
+            + self.rows.iter().flatten().map(Wire::wire_size).sum::<usize>()
     }
 }
 
@@ -243,6 +266,71 @@ mod tests {
         let r = rel(&["b", "a"], &[&[Value::Int(2), Value::Int(1)]]);
         let j = l.join(&r);
         assert_eq!(j.len(), 1);
+    }
+
+    /// Small mixed-type values: ints, the floats equal to them, and
+    /// one-letter strings — duplicates and Int/Float matches abound.
+    struct SmallValue;
+    impl proptest::Strategy for SmallValue {
+        type Value = Value;
+
+        fn generate(&self, rng: &mut proptest::TestRng) -> Value {
+            let n = (rng.next_u64() % 3) as i64;
+            match rng.next_u64() % 3 {
+                0 => Value::Int(n),
+                1 => Value::Float(n as f64),
+                _ => Value::str(["p", "q", "r"][n as usize]),
+            }
+        }
+    }
+
+    /// The definition `join` must equal as an ordered row list: every
+    /// `(l, r)` pair in `left`-major order that agrees on all shared
+    /// variables (all pairs when none is shared).
+    fn nested_loop_join(left: &Relation, right: &Relation) -> Vec<Vec<Value>> {
+        let shared: Vec<(usize, usize)> = (left.schema.iter().enumerate())
+            .filter_map(|(lc, v)| right.col(v).map(|rc| (lc, rc)))
+            .collect();
+        let extra: Vec<usize> =
+            (0..right.schema.len()).filter(|&rc| left.col(&right.schema[rc]).is_none()).collect();
+        let mut rows = Vec::new();
+        for l in &left.rows {
+            for r in &right.rows {
+                if shared.iter().all(|&(lc, rc)| l[lc].eq_values(&r[rc])) {
+                    rows.push(l.iter().chain(extra.iter().map(|&rc| &r[rc])).cloned().collect());
+                }
+            }
+        }
+        rows
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_join_is_the_ordered_nested_loop(
+            left in proptest::collection::vec(proptest::collection::vec(SmallValue, 3..4), 0..24),
+            right in proptest::collection::vec(proptest::collection::vec(SmallValue, 3..4), 0..24),
+            right_schema in 0usize..5,
+        ) {
+            // One, two (reordered) and three shared columns, none
+            // (Cartesian), and a shared column `right` lists last.
+            let right_schema: &[&str] = [
+                &["a", "x", "y"],
+                &["b", "x", "a"],
+                &["c", "a", "b"],
+                &["x", "y", "z"],
+                &["x", "y", "c"],
+            ][right_schema];
+            let schema = |names: &[&str]| names.iter().map(|s| Arc::from(*s)).collect();
+            let left = Relation { schema: schema(&["a", "b", "c"]), rows: left };
+            let right = Relation { schema: schema(right_schema), rows: right };
+            let joined = left.join(&right);
+            proptest::prop_assert_eq!(&joined.rows, &nested_loop_join(&left, &right));
+            let width = 3 + right_schema.iter().filter(|v| !["a", "b", "c"].contains(v)).count();
+            proptest::prop_assert_eq!(joined.schema.len(), width);
+            // Empty sides, either way round.
+            let none = Relation::empty(right.schema.clone());
+            proptest::prop_assert!(left.join(&none).is_empty() && none.join(&left).is_empty());
+        }
     }
 
     #[test]

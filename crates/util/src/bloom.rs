@@ -152,7 +152,14 @@ impl ItemFilter {
     /// Whether the item survives the filter. Conservative: items whose
     /// type does not expose the addressed field always pass.
     pub fn accepts<I: Item>(&self, item: &I) -> bool {
-        match item.field_hash(self.field) {
+        self.keeps(item.field_hash(self.field))
+    }
+
+    /// [`ItemFilter::accepts`] on an already computed
+    /// [`Item::field_hash`] — the form a [`FieldHashColumns`] scan
+    /// probes with, so both answer the same by construction.
+    pub fn keeps(&self, field_hash: Option<u64>) -> bool {
+        match field_hash {
             Some(h) => self.bloom.contains(h),
             None => true,
         }
@@ -193,6 +200,97 @@ impl Wire for ItemFilter {
 
     fn wire_size(&self) -> usize {
         1 + self.bloom.wire_size()
+    }
+}
+
+/// Columns a [`FieldHashColumns`] keeps. Four covers the scans one leaf
+/// sees while a join runs (a pattern's range clipped to the leaf, times
+/// the subject and value fields); a constant, not a tuning knob.
+const MAX_COLUMNS: usize = 4;
+
+/// One memoized column: `Item::field_hash(field)` of every candidate of
+/// the scan `bounds`, in the scan's iteration order.
+#[derive(Clone, Debug)]
+struct HashColumn<B> {
+    bounds: B,
+    field: u8,
+    /// The store generation the hashes were computed at; `None` until
+    /// first filled.
+    built_at: Option<u64>,
+    hashes: Vec<Option<u64>>,
+}
+
+/// A store's memo of join-key hashes for filtered scans.
+///
+/// A semi-join probes the same stored items query after query, and
+/// hashing a candidate's field (a byte-at-a-time string hash) costs more
+/// than the Bloom probe it feeds. The memo keeps, for the few most
+/// recently used `(scan bounds, field)` pairs, the column of
+/// [`Item::field_hash`] values over that scan's candidates; the store
+/// zips a scan's candidates with the column and probes with the stored
+/// hash ([`ItemFilter::keeps`]). Every mutation of the store calls
+/// [`FieldHashColumns::invalidate`], which makes *all* columns stale —
+/// the rule is per store, not per range, so a writer pays one increment
+/// and no column can outlive a change to the candidates it describes.
+#[derive(Clone, Debug)]
+pub struct FieldHashColumns<B> {
+    /// Bumped by every store mutation.
+    generation: u64,
+    /// Most recently used first.
+    columns: Vec<HashColumn<B>>,
+}
+
+impl<B> Default for FieldHashColumns<B> {
+    fn default() -> Self {
+        FieldHashColumns { generation: 0, columns: Vec::new() }
+    }
+}
+
+impl<B: Copy + PartialEq> FieldHashColumns<B> {
+    /// Marks every column stale. Stores call this from each mutator.
+    #[inline]
+    pub fn invalidate(&mut self) {
+        self.generation += 1;
+    }
+
+    /// The hash column of `(bounds, field)`. When none is current,
+    /// `fill` is called with an empty vector to push
+    /// `item.field_hash(field)` for every candidate of the scan, in the
+    /// order the scan yields them; the least recently used column makes
+    /// room.
+    pub fn column(
+        &mut self,
+        bounds: B,
+        field: u8,
+        fill: impl FnOnce(&mut Vec<Option<u64>>),
+    ) -> &[Option<u64>] {
+        let at = match self.columns.iter().position(|c| c.bounds == bounds && c.field == field) {
+            Some(at) => at,
+            None => {
+                // Re-key the evicted column so its allocation is reused.
+                match self.columns.len() < MAX_COLUMNS {
+                    true => self.columns.push(HashColumn {
+                        bounds,
+                        field,
+                        built_at: None,
+                        hashes: Vec::new(),
+                    }),
+                    false => {
+                        let lru = &mut self.columns[MAX_COLUMNS - 1];
+                        (lru.bounds, lru.field, lru.built_at) = (bounds, field, None);
+                    }
+                }
+                self.columns.len() - 1
+            }
+        };
+        self.columns[..=at].rotate_right(1);
+        let column = &mut self.columns[0];
+        if column.built_at != Some(self.generation) {
+            column.hashes.clear();
+            fill(&mut column.hashes);
+            column.built_at = Some(self.generation);
+        }
+        &column.hashes
     }
 }
 
@@ -276,6 +374,38 @@ mod tests {
         let mut v = vec![RawItem(1), RawItem(2)];
         ItemFilter::retain(&Some(f), &mut v);
         assert_eq!(v.len(), 2);
+    }
+
+    #[test]
+    fn columns_refill_when_stale_and_evict_least_recently_used() {
+        let mut memo: FieldHashColumns<u8> = FieldHashColumns::default();
+        let mut fills = 0;
+        let mut get = |memo: &mut FieldHashColumns<u8>, bounds: u8, field: u8| {
+            let before = fills;
+            let got = memo
+                .column(bounds, field, |c| {
+                    fills += 1;
+                    c.extend([Some(bounds as u64), None, Some(field as u64)]);
+                })
+                .to_vec();
+            assert_eq!(got, vec![Some(bounds as u64), None, Some(field as u64)]);
+            fills > before
+        };
+        assert!(get(&mut memo, 1, 0), "first use fills");
+        assert!(!get(&mut memo, 1, 0), "second use does not");
+        assert!(get(&mut memo, 1, 2), "the field is part of the key");
+        memo.invalidate();
+        assert!(get(&mut memo, 1, 0), "stale after any mutation");
+        assert!(get(&mut memo, 1, 2), "every column is");
+        // Four columns are kept; when a fifth arrives it is (1, 2) that
+        // goes, not (1, 0), which was touched after it.
+        for bounds in 2..=3 {
+            assert!(get(&mut memo, bounds, 0));
+        }
+        assert!(!get(&mut memo, 1, 0));
+        assert!(get(&mut memo, 4, 0), "evicts (1, 2)");
+        assert!(!get(&mut memo, 1, 0));
+        assert!(get(&mut memo, 1, 2), "which was the least recently used");
     }
 
     proptest! {

@@ -36,7 +36,7 @@ pub mod wire;
 pub mod zipf;
 
 pub use bits::BitPath;
-pub use bloom::{BloomFilter, ItemFilter};
+pub use bloom::{BloomFilter, FieldHashColumns, ItemFilter};
 pub use compact::{intern, CompactStr};
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use keys::Key;

@@ -40,6 +40,16 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+/// Size of `value` measured by encoding it into pooled scratch — the
+/// default [`Wire::wire_size`], and what an arithmetic override falls
+/// back to for its cold variants.
+pub fn encoded_len<T: Wire>(value: &T) -> usize {
+    pool::with_buf(|buf| {
+        value.encode(buf);
+        buf.len()
+    })
+}
+
 /// Sanity cap for decoded collection lengths (guards fuzzed input).
 const MAX_LEN: u64 = 1 << 28;
 
@@ -58,10 +68,7 @@ pub trait Wire: Sized {
     /// bytes are allocation-free in steady state); hot types should
     /// still override with arithmetic.
     fn wire_size(&self) -> usize {
-        pool::with_buf(|buf| {
-            self.encode(buf);
-            buf.len()
-        })
+        encoded_len(self)
     }
 
     /// Convenience: encodes into a fresh buffer, sized exactly (one

@@ -96,6 +96,25 @@ fn sample_mqp() -> Mqp {
     Mqp::new(7, 3, MqpNode::Scan { pattern: q.patterns[0].clone() }, q.filters.clone(), Some(2))
 }
 
+/// Plans that between them hold every `MqpNode` variant, each with a
+/// materialized relation embedded (what a travelling plan ships).
+fn sample_full_plans() -> Vec<Mqp> {
+    [
+        "SELECT ?n WHERE {(?a,'name',?n) (?a,'age',?g) FILTER ?g >= 30} ORDER BY ?g DESC LIMIT 2",
+        "SELECT ?n WHERE {(?a,'name',?n) (?a,'age',?g)} ORDER BY ?g TOP 3",
+        "SELECT ?n WHERE {(?a,'name',?n) (?a,'age',?g)} ORDER BY SKYLINE OF ?g MIN",
+    ]
+    .into_iter()
+    .map(|src| {
+        let q = unistore_vql::analyze(unistore_vql::parse(src).expect("static query"))
+            .expect("static query");
+        let mut root = MqpNode::from_logical(&unistore_query::Logical::from_query(&q));
+        root.resolve_first_scan(sample_relation());
+        Mqp::new(8, 2, root, q.query.filters.clone(), None)
+    })
+    .collect()
+}
+
 fn sample_coverage() -> Coverage {
     let mut c = Coverage::full();
     c.record_scan(2, 3);
@@ -181,7 +200,8 @@ impl FuzzSeeds for PGridMsg<Triple> {
             PGridMsg::Pong { nonce: 77 },
             PGridMsg::TableRequest,
             PGridMsg::Exchange { path: unistore_util::BitPath::ROOT, store_len: 12 },
-            PGridMsg::ExchangeData { entries },
+            PGridMsg::ExchangeData { entries: entries.clone() },
+            PGridMsg::ExchangeReplica { entries },
             PGridMsg::ExchangeAdopt { bit: true },
         ]
     }
@@ -305,8 +325,34 @@ impl FuzzSeeds for Relation {
 
 impl FuzzSeeds for Mqp {
     fn seeds() -> Vec<Self> {
-        vec![sample_mqp()]
+        let mut out = vec![sample_mqp()];
+        out.extend(sample_full_plans());
+        out
     }
+}
+
+/// The simulator charges `wire_size()` bytes per send and the plan
+/// holder compares it with the forward cap, in most types by
+/// arithmetic: it must be the encoder's byte count on every variant,
+/// behind both backends' envelopes.
+#[test]
+fn wire_size_is_the_encoded_length_on_every_seed() {
+    fn sweep<T: FuzzSeeds>() {
+        for seed in T::seeds() {
+            let encoded = seed.to_bytes().len();
+            assert_eq!(seed.wire_size(), encoded, "wire_size disagrees with encode for {seed:?}");
+        }
+    }
+    sweep::<UniMsg<PGridMsg<Triple>>>();
+    sweep::<UniMsg<ChordMsg<Triple>>>();
+    sweep::<PGridMsg<Triple>>();
+    sweep::<ChordMsg<Triple>>();
+    sweep::<OpBatch<Triple>>();
+    sweep::<StatsDelta>();
+    sweep::<BloomFilter>();
+    sweep::<Coverage>();
+    sweep::<Relation>();
+    sweep::<Mqp>();
 }
 
 /// Truncation must always be rejected — one deterministic sweep per
