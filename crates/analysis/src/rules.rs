@@ -16,7 +16,7 @@
 //!   in wire-emitting modules, where any hash map needs a justified
 //!   suppression (iteration order must provably never reach the wire).
 //! * **L3 `wire-exhaustive` / `decode-alloc`** — every variant of the
-//!   four message enums must have a handler arm and decode-roundtrip
+//!   five message enums must have a handler arm and decode-roundtrip
 //!   test coverage, and every `with_capacity`/`reserve` inside a
 //!   decode function must clamp its length argument.
 
@@ -322,7 +322,7 @@ pub struct EnumSpec {
     pub coverage_dirs: &'static [&'static str],
 }
 
-/// The four protocol enums the gate tracks.
+/// The five protocol enums the gate tracks.
 pub const ENUM_SPECS: &[EnumSpec] = &[
     EnumSpec {
         name: "UniMsg",
@@ -347,6 +347,12 @@ pub const ENUM_SPECS: &[EnumSpec] = &[
         file: "crates/chord/src/msg.rs",
         handler_dir: "crates/chord/src/",
         coverage_dirs: &["crates/chord/src/", "crates/core/src/", "tests/"],
+    },
+    EnumSpec {
+        name: "RepairMsg",
+        file: "crates/overlay/src/repair/msg.rs",
+        handler_dir: "crates/overlay/src/",
+        coverage_dirs: &["crates/overlay/", "crates/pgrid/src/", "crates/chord/src/", "tests/"],
     },
 ];
 

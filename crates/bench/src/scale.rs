@@ -11,7 +11,9 @@
 //! BOTH backends at every size; total attempts (initial + retries +
 //! hedges) stay ≤3× offered (the retry-storm bound); the replication
 //! repair of a write issued *during* the failure window converges after
-//! revival.
+//! revival; the repair plane's heal-phase bytes (`repair_kib`) stay
+//! under a quarter of what the flat-digest protocol sent in the same
+//! phase and grow sub-linearly with the records a peer stores.
 
 use std::path::Path;
 
@@ -34,6 +36,14 @@ use crate::{both_backends, f, latency_summary};
 /// Chord's ping), the campaign's settings since it was introduced.
 const PROBE_SECS: [(&str, u64); 2] = [(PGrid::LABEL, 30), (Chord::LABEL, 20)];
 
+/// `repair_kib` of the flat `(key, version)` digest protocol in the same
+/// heal phase, measured once on the commit before the hash-tree repair
+/// replaced it (digest and digest-reply bytes; DESIGN.md § "Repair on
+/// both backends"). It re-listed every stored record on every tick, so
+/// it is flat in N: the same records, spread over more peers.
+const FLAT_REPAIR_KIB: [(&str, [f64; 3]); 2] =
+    [(PGrid::LABEL, [5_640.0, 5_119.7, 5_585.8]), (Chord::LABEL, [19_606.3, 20_040.7, 22_222.2])];
+
 /// The *live* replica group of `key`: the union, over all up
 /// primaries, of `Overlay::replica_group`. Tracks runtime drift
 /// (P-Grid path migrations, Chord successor re-pointing) that the
@@ -55,6 +65,13 @@ fn live_group<B: Backend>(cluster: &UniCluster<B>, key: Key) -> (Vec<NodeId>, Ve
     group.sort_unstable();
     group.dedup();
     (group, primaries)
+}
+
+/// Bytes the replica-repair plane has sent so far, over all peers.
+fn repair_sent<B: Backend>(cluster: &UniCluster<B>) -> u64 {
+    (0..cluster.net.len() as u32)
+        .map(|i| cluster.net.node(NodeId(i)).overlay.repair_stats().total())
+        .sum()
 }
 
 /// Repair-convergence predicate: every up member of the live
@@ -111,6 +128,9 @@ fn campaign<B: Backend>(n: usize, world: &PubWorld) -> Row {
     let mut canary_acked = false;
     let (mut writes_ok, mut writes_err) = (0u64, 0u64);
     let mut repair_s: Option<f64> = None;
+    // Repair-plane bytes and the clock when the window closed: the heal
+    // phase runs from there to the end of the campaign.
+    let mut at_close: Option<(u64, SimTime)> = None;
     for (i, q) in reads.iter().enumerate() {
         cluster.query_submit(origins[i % origins.len()], q).expect("query parses");
         if (i + 1) % 10 == 0 {
@@ -193,6 +213,9 @@ fn campaign<B: Backend>(n: usize, world: &PubWorld) -> Row {
         }
         cluster.settle(SimTime::from_secs(2));
         if let Some(w) = win {
+            if at_close.is_none() && cluster.net.now() > w.until {
+                at_close = Some((repair_sent(&cluster), cluster.net.now()));
+            }
             if repair_s.is_none() && cluster.net.now() > w.until && converged(&cluster, canary_key)
             {
                 repair_s = Some(cluster.net.now().saturating_sub(w.until).as_secs_f64());
@@ -253,6 +276,7 @@ fn campaign<B: Backend>(n: usize, world: &PubWorld) -> Row {
         .map(|(a, b)| (a - b) as f64)
         .collect();
     let md = cluster.net.metrics().delta(&metrics_before);
+    let (sent_at_close, closed_at) = at_close.expect("the traffic outlasts the fault window");
     Row::new()
         .str("backend", B::LABEL)
         .int("n", n as u64)
@@ -273,6 +297,8 @@ fn campaign<B: Backend>(n: usize, world: &PubWorld) -> Row {
         .float("gini_load", gini(&loads), 4)
         .float("stale_frac", refs_stale as f64 / (refs_total.max(1)) as f64, 4)
         .float("repair_s", repair_s.unwrap_or(600.0), 1)
+        .float("heal_s", cluster.net.now().saturating_sub(closed_at).as_secs_f64(), 1)
+        .float("repair_kib", (repair_sent(&cluster) - sent_at_close) as f64 / 1024.0, 1)
         .int("downs", md.downs)
         .int("ups", md.ups)
 }
@@ -306,6 +332,33 @@ fn floors(rows: &[Row]) {
             r.get_int("downs") > 0 && r.get_int("ups") > 0,
             "{backend} n={n}: no churn actually executed"
         );
+    }
+    for (backend, flat) in FLAT_REPAIR_KIB {
+        let mine: Vec<&Row> = rows.iter().filter(|r| r.get_str("backend") == backend).collect();
+        for (r, flat) in mine.iter().zip(flat) {
+            let (n, kib) = (r.get_int("n"), r.get_float("repair_kib"));
+            assert!(
+                kib <= flat / 4.0,
+                "{backend} n={n}: {kib} KiB of repair traffic in the heal phase, the flat \
+                 digests sent {flat}"
+            );
+        }
+        // Peers at the smallest N store N_max/N_min times the records of
+        // peers at the largest: what one of them sends per heal-second
+        // must grow by less than that, i.e. the cluster-wide rate must be
+        // lower where ranges are larger.
+        if let [small, .., large] = mine.as_slice() {
+            let rate = |r: &Row| r.get_float("repair_kib") / r.get_float("heal_s");
+            assert!(
+                rate(small) < rate(large),
+                "{backend}: repair bytes per peer grew at least linearly with records per peer \
+                 ({} KiB/s at n={} against {} at n={})",
+                f(rate(small)),
+                small.get_int("n"),
+                f(rate(large)),
+                large.get_int("n")
+            );
+        }
     }
     // The paper's balancing claim, quantified at the largest measured
     // size: report P-Grid's load skew against Chord's.

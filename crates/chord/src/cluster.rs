@@ -80,7 +80,7 @@ impl<I: Item> ChordCluster<I> {
         }
         for &(_, id) in &topo.ring_order {
             let w = topo.wiring(id);
-            net.node_mut(id).set_topology(w.predecessor, w.successor, w.successor2, w.fingers);
+            net.node_mut(id).set_topology(w);
         }
 
         ChordCluster { net, topo, cfg, next_qid: 1, rng }
@@ -241,6 +241,7 @@ impl<I: Item> ChordCluster<I> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use unistore_overlay::repair::{diff_newer, RepairStore};
     use unistore_simnet::ConstantLatency;
     use unistore_util::item::RawItem;
 
@@ -398,20 +399,35 @@ mod tests {
         assert_eq!(c.net.node(replica).store().len(), 0, "pushes to the dead replica are lost");
 
         // Revival re-arms the anti-entropy chain; within a few jittered
-        // periods the digest pull repairs everything the replica missed.
+        // periods the exchange repairs everything the replica missed.
         c.net.schedule_up(replica, c.net.now());
         let deadline = c.net.now() + SimTime::from_secs(30);
         while c.net.now() < deadline && c.net.step() {}
-        let digest = c.net.node(replica).store().digest();
-        let missing: Vec<_> = c
-            .net
-            .node(primary)
-            .store()
-            .newer_than(&digest)
+        let all = ((0, 0, 0), (u64::MAX, u64::MAX, u64::MAX));
+        let run: Vec<_> =
+            c.net.node(replica).store().records(all).map(|(k, v, _)| (k, v)).collect();
+        let missing: Vec<_> = diff_newer(c.net.node(primary).store().records(all), &run)
             .into_iter()
             .filter(|e| c.responsible_node(e.0 .0) == primary)
             .collect();
         assert!(missing.is_empty(), "replica still missing {} records", missing.len());
+
+        // Fixpoint: once an exchange has completed the two summaries are
+        // equal, so every later tick is a root probe answered by silence.
+        let stats = |c: &ChordCluster<RawItem>| {
+            (0..8u32).map(|i| c.net.node(NodeId(i)).repair.stats()).collect::<Vec<_>>()
+        };
+        let before = stats(&c);
+        let deadline = c.net.now() + SimTime::from_secs(30);
+        while c.net.now() < deadline && c.net.step() {}
+        for (was, now) in before.iter().zip(stats(&c)) {
+            assert!(now.probe_bytes > was.probe_bytes, "every node keeps probing");
+            assert_eq!(
+                (now.descent_bytes, now.payload_bytes),
+                (was.descent_bytes, was.payload_bytes),
+                "an in-sync pair exchanges the root probe only"
+            );
+        }
 
         // Replica copies answer no queries: a broadcast over the whole
         // key space sees each written record exactly once.

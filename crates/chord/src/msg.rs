@@ -2,6 +2,7 @@
 
 use bytes::{Bytes, BytesMut};
 
+use unistore_overlay::repair::RepairMsg;
 use unistore_simnet::NodeId;
 use unistore_util::item::Item;
 use unistore_util::wire::{encoded_len, put_list, BatchOp, BatchVerb, Wire, WireError};
@@ -178,18 +179,10 @@ pub enum ChordMsg<I> {
         /// `(record key, version, item-or-tombstone)` records.
         entries: Vec<(RecordKey, u64, Option<I>)>,
     },
-    /// Anti-entropy request: "here is what I have". Sent by a replica
-    /// to its predecessor (the primary of its replica set).
-    Digest {
-        /// `(record key, version)` summary of the sender's store.
-        entries: Vec<(RecordKey, u64)>,
-    },
-    /// Anti-entropy response: records the requester was missing —
-    /// tombstones included, so deletes propagate.
-    DigestReply {
-        /// `(record key, version, item-or-tombstone)` records.
-        entries: Vec<(RecordKey, u64, Option<I>)>,
-    },
+    /// Anti-entropy between a replica and its predecessor (the primary
+    /// of its replica set): one message of the hash-tree replica repair
+    /// (`unistore_overlay::repair`) over [`RecordKey`]s.
+    Repair(RepairMsg<RecordKey, I>),
     /// Routing-liveness probe of a successor or finger. A peer that
     /// stays silent past the ping deadline is suspected and `next_hop`
     /// routes around it until it is heard from again.
@@ -209,8 +202,7 @@ mod tag {
     pub const OP_BATCH: u8 = 10;
     pub const BATCH_ACK: u8 = 11;
     pub const REPLICATE: u8 = 12;
-    pub const DIGEST: u8 = 13;
-    pub const DIGEST_REPLY: u8 = 14;
+    pub const REPAIR: u8 = 13;
     pub const PING: u8 = 15;
     pub const PONG: u8 = 16;
 }
@@ -284,13 +276,9 @@ impl<I: Item> Wire for ChordMsg<I> {
                 tag::REPLICATE.encode(buf);
                 put_list(buf, entries);
             }
-            ChordMsg::Digest { entries } => {
-                tag::DIGEST.encode(buf);
-                put_list(buf, entries);
-            }
-            ChordMsg::DigestReply { entries } => {
-                tag::DIGEST_REPLY.encode(buf);
-                put_list(buf, entries);
+            ChordMsg::Repair(msg) => {
+                tag::REPAIR.encode(buf);
+                msg.encode(buf);
             }
             ChordMsg::Ping => tag::PING.encode(buf),
             ChordMsg::Pong => tag::PONG.encode(buf),
@@ -363,8 +351,7 @@ impl<I: Item> Wire for ChordMsg<I> {
                 hops: Wire::decode(buf)?,
             },
             tag::REPLICATE => ChordMsg::Replicate { entries: Wire::decode(buf)? },
-            tag::DIGEST => ChordMsg::Digest { entries: Wire::decode(buf)? },
-            tag::DIGEST_REPLY => ChordMsg::DigestReply { entries: Wire::decode(buf)? },
+            tag::REPAIR => ChordMsg::Repair(Wire::decode(buf)?),
             tag::PING => ChordMsg::Ping,
             tag::PONG => ChordMsg::Pong,
             other => return Err(WireError::BadTag(other)),
@@ -384,10 +371,8 @@ impl<I: Item> Wire for ChordMsg<I> {
             ChordMsg::BcastReply { qid, entries, nodes, hops } => {
                 1 + qid.wire_size() + entries.wire_size() + nodes.wire_size() + hops.wire_size()
             }
-            ChordMsg::Replicate { entries } | ChordMsg::DigestReply { entries } => {
-                1 + entries.wire_size()
-            }
-            ChordMsg::Digest { entries } => 1 + entries.wire_size(),
+            ChordMsg::Replicate { entries } => 1 + entries.wire_size(),
+            ChordMsg::Repair(msg) => 1 + msg.wire_size(),
             other => encoded_len(other),
         }
     }
@@ -436,6 +421,7 @@ pub enum ChordEvent<I> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use unistore_overlay::repair::{Part, Summary};
     use unistore_util::item::RawItem;
 
     fn roundtrip(msg: ChordMsg<RawItem>) {
@@ -495,8 +481,20 @@ mod tests {
             ChordMsg::Replicate {
                 entries: vec![((9, 90, 900), 1, Some(RawItem(9))), ((8, 80, 800), 2, None)],
             },
-            ChordMsg::Digest { entries: vec![((9, 90, 900), 1), ((8, 80, 800), 2)] },
-            ChordMsg::DigestReply { entries: vec![((9, 90, 900), 3, None)] },
+            ChordMsg::Repair(RepairMsg::Probe {
+                span: ((8, 0, 0), (9, u64::MAX, u64::MAX)),
+                summary: Summary { count: 2, hash: u64::MAX },
+            }),
+            ChordMsg::Repair(RepairMsg::Descend {
+                parts: vec![Part::Run {
+                    span: ((8, 0, 0), (9, 90, 900)),
+                    entries: vec![((8, 80, 800), 2), ((9, 90, 900), 1)],
+                }],
+            }),
+            ChordMsg::Repair(RepairMsg::Records {
+                entries: vec![((9, 90, 900), 3, None)],
+                want: vec![(8, 80, 800)],
+            }),
             ChordMsg::Ping,
             ChordMsg::Pong,
         ];
@@ -572,12 +570,24 @@ mod tests {
                         ((ring, key, ident), version, (it % 2 == 1).then_some(RawItem(it)))
                     })
                     .collect();
-                let digest: Vec<(RecordKey, u64)> =
-                    recs.iter().map(|&(ring, key, ident, version, _)| ((ring, key, ident), version)).collect();
+                // A run is ascending in key order, distinct, and short.
+                let mut run: Vec<(RecordKey, u64)> =
+                    records.iter().map(|&(key, version, _)| (key, version)).collect();
+                run.sort_unstable();
+                run.dedup_by_key(|&mut (key, _)| key);
+                let span = match (run.first(), run.last()) {
+                    (Some(&(lo, _)), Some(&(hi, _))) => (lo, hi),
+                    _ => ((0, 0, 0), (0, 0, 0)),
+                };
+                let summary = Summary { count: run.len() as u64, hash: span.0 .0 ^ span.1 .2 };
+                let want: Vec<RecordKey> = run.iter().map(|&(key, _)| key).collect();
                 let msgs = [
                     ChordMsg::Replicate { entries: records.clone() },
-                    ChordMsg::Digest { entries: digest },
-                    ChordMsg::DigestReply { entries: records },
+                    ChordMsg::Repair(RepairMsg::Probe { span, summary }),
+                    ChordMsg::Repair(RepairMsg::Descend {
+                        parts: vec![Part::Run { span, entries: run }],
+                    }),
+                    ChordMsg::Repair(RepairMsg::Records { entries: records, want }),
                 ];
                 for msg in msgs {
                     let bytes = msg.to_bytes();

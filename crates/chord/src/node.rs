@@ -3,6 +3,7 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 
+use unistore_overlay::repair::ReplicaRepair;
 use unistore_overlay::{push_hop, BatchTracker, HopGroups};
 use unistore_simnet::{Effects, NodeBehavior, NodeId, SimTime, Timer};
 use unistore_util::fxhash::mix64;
@@ -15,6 +16,7 @@ pub use unistore_util::item::Item;
 use crate::msg::{ChordBatchOp, ChordEvent, ChordMsg, QueryId};
 use crate::ring::{in_open_closed, in_open_open};
 use crate::store::{collect_keyed, ChordStore};
+use crate::topology::RingWiring;
 
 /// Effects buffer specialized to Chord.
 pub type Fx<I> = Effects<ChordMsg<I>, ChordEvent<I>>;
@@ -47,12 +49,12 @@ pub struct ChordConfig {
     /// P-Grid's knob.
     pub op_retries: u32,
     /// Push applied writes to the successor replica and repair missed
-    /// pushes with periodic digest-exchange anti-entropy (the same pull
-    /// protocol P-Grid runs, see `unistore_overlay::repair`). Off by
+    /// pushes with periodic hash-tree anti-entropy (the same exchange
+    /// P-Grid runs, see `unistore_overlay::repair`). Off by
     /// default: the baseline comparison counts messages on the healthy
     /// path, and replication traffic would distort it.
     pub replicate: bool,
-    /// Period of the anti-entropy digest exchange with the predecessor
+    /// Period of the anti-entropy probe sent to the predecessor
     /// (jittered ±50% to avoid lockstep). Only armed when `replicate`.
     pub anti_entropy_interval: SimTime,
     /// Period of the routing-liveness probe: each tick pings the
@@ -130,6 +132,9 @@ pub struct ChordNode<I: Item> {
     /// `(id, ring position)` of the predecessor — the primary this node
     /// replicates under successor replication.
     pub(crate) predecessor: (NodeId, u64),
+    /// The predecessor's predecessor: the replicated primary range is
+    /// `(predecessor2, predecessor]`.
+    pub(crate) predecessor2: (NodeId, u64),
     pub(crate) successor: (NodeId, u64),
     /// The successor's successor: routing fallback when the successor
     /// is suspected dead and is not itself the destination owner.
@@ -137,6 +142,8 @@ pub struct ChordNode<I: Item> {
     /// Deduped fingers, ascending ring distance from `ring_id`.
     fingers: Vec<(NodeId, u64)>,
     pub(crate) store: ChordStore<I>,
+    /// Anti-entropy with the predecessor ([`crate::replicate`]).
+    pub(crate) repair: ReplicaRepair,
     pub(crate) cfg: ChordConfig,
     pending: FxHashMap<QueryId, Pending<I>>,
     bcast: FxHashMap<QueryId, BcastState<I>>,
@@ -162,10 +169,12 @@ impl<I: Item> ChordNode<I> {
             id,
             ring_id,
             predecessor: (id, ring_id), // patched by the builder
+            predecessor2: (id, ring_id),
             successor: (id, ring_id),
             successor2: (id, ring_id),
             fingers: Vec::new(),
             store: ChordStore::new(),
+            repair: ReplicaRepair::default(),
             cfg,
             pending: FxHashMap::default(),
             bcast: FxHashMap::default(),
@@ -198,17 +207,12 @@ impl<I: Item> ChordNode<I> {
     }
 
     /// Wires the topology (cluster builder only).
-    pub fn set_topology(
-        &mut self,
-        predecessor: (NodeId, u64),
-        successor: (NodeId, u64),
-        successor2: (NodeId, u64),
-        fingers: Vec<(NodeId, u64)>,
-    ) {
-        self.predecessor = predecessor;
-        self.successor = successor;
-        self.successor2 = successor2;
-        self.fingers = fingers;
+    pub fn set_topology(&mut self, w: RingWiring) {
+        self.predecessor = w.predecessor;
+        self.predecessor2 = w.predecessor2;
+        self.successor = w.successor;
+        self.successor2 = w.successor2;
+        self.fingers = w.fingers;
     }
 
     /// True if this node owns ring position `k` (`k ∈ (pred, self]`).
@@ -246,7 +250,7 @@ impl<I: Item> ChordNode<I> {
     }
 
     /// Arms the next anti-entropy tick with ±50% jitter to avoid
-    /// lockstep digest storms (the same idiom as P-Grid's
+    /// lockstep probe storms (the same idiom as P-Grid's
     /// `arm_periodic`).
     fn arm_anti_entropy(&mut self, fx: &mut Fx<I>) {
         let jitter = self.rng.gen_range(0.5..1.5);
@@ -837,8 +841,7 @@ impl<I: Item> NodeBehavior for ChordNode<I> {
                 self.handle_bcast_reply(qid, entries, nodes, hops, fx)
             }
             ChordMsg::Replicate { entries } => self.handle_replicate(entries),
-            ChordMsg::Digest { entries } => self.handle_digest(from, entries, fx),
-            ChordMsg::DigestReply { entries } => self.handle_replicate(entries),
+            ChordMsg::Repair(msg) => self.handle_repair(from, msg, fx),
             ChordMsg::Ping => fx.send(from, ChordMsg::Pong),
             ChordMsg::Pong => {}
         }

@@ -6,7 +6,7 @@
 //! need for range queries (§2). Every write pays both indexes, which is
 //! part of the honest comparison against P-Grid.
 
-use unistore_overlay::{ItemFilter, OpBatch, Overlay, OverlayDone, RangeMode};
+use unistore_overlay::{ItemFilter, OpBatch, Overlay, OverlayDone, RangeMode, RepairStats};
 use unistore_simnet::{Effects, NodeId};
 use unistore_util::Key;
 
@@ -39,7 +39,7 @@ impl<I: Item + Send + 'static> Overlay for ChordNode<I> {
         let id = NodeId(peer as u32);
         let mut node = ChordNode::new(id, topology.by_id[peer], cfg.clone(), seed);
         let w = topology.wiring(id);
-        node.set_topology(w.predecessor, w.successor, w.successor2, w.fingers);
+        node.set_topology(w);
         node
     }
 
@@ -72,6 +72,10 @@ impl<I: Item + Send + 'static> Overlay for ChordNode<I> {
 
     fn replica_group(&self, key: Key) -> Vec<NodeId> {
         self.replica_peers(key)
+    }
+
+    fn repair_stats(&self) -> RepairStats {
+        self.repair.stats()
     }
 
     fn preload(&mut self, key: Key, item: I, version: u64) {

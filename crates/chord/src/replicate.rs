@@ -1,23 +1,39 @@
-//! Successor replication and digest-exchange anti-entropy.
+//! Successor replication and hash-tree anti-entropy.
 //!
 //! The Chord-side port of P-Grid's hybrid push/pull repair (paper ref
 //! [4], Datta et al., ICDCS 2003): a primary **pushes** every applied
 //! write to its successor; a replica that missed pushes (offline,
-//! lossy link) catches up through periodic **pull anti-entropy** — it
-//! offers its version digest to its predecessor (the primary of its
-//! replica set), which answers with every record it owns that is
-//! strictly newer than (or absent from) the digest. Both backends
-//! drive the exchange through
-//! [`unistore_overlay::repair::diff_newer`], so the version rules —
-//! strictly newer wins, tombstones travel — are shared by
-//! construction.
+//! lossy link) catches up through periodic **anti-entropy** with its
+//! predecessor (the primary of its replica set). The exchange itself is
+//! [`unistore_overlay::repair`]'s, shared with P-Grid; this module only
+//! names the partner and the span shared with it — the *predecessor's*
+//! primary range `(predecessor2, predecessor]`, not the whole store:
+//! the replica also holds its own primary records, the primary also
+//! holds replica copies of *its* predecessor's, and summaries over
+//! everything would never match.
 
+use unistore_overlay::repair::{RepairMsg, Span};
 use unistore_simnet::NodeId;
 use unistore_util::Key;
 
 use crate::msg::ChordMsg;
 use crate::node::{ChordNode, Fx, Item};
 use crate::store::RecordKey;
+
+/// The record keys at ring positions `(after, upto]`: one span, or two
+/// when the interval wraps through zero (`after == upto` is the whole
+/// ring).
+fn ring_spans(after: u64, upto: u64) -> impl Iterator<Item = Span<RecordKey>> {
+    let from = |ring| (ring, 0, 0);
+    let to = |ring| (ring, Key::MAX, u64::MAX);
+    let tail = after.checked_add(1).map(|first| (from(first), to(u64::MAX)));
+    match after < upto {
+        true => [tail.map(|(lo, _)| (lo, to(upto))), None],
+        false => [Some((from(0), to(upto))), tail],
+    }
+    .into_iter()
+    .flatten()
+}
 
 impl<I: Item> ChordNode<I> {
     /// Applies a routed insert this node is responsible for; under
@@ -73,31 +89,40 @@ impl<I: Item> ChordNode<I> {
         }
     }
 
-    /// Periodic anti-entropy: offer our digest to the predecessor, the
-    /// primary of this node's replica set.
+    /// Periodic anti-entropy: probe the predecessor with our summary
+    /// of its primary range.
     pub(crate) fn run_anti_entropy(&mut self, fx: &mut Fx<I>) {
-        let (pred, _) = self.predecessor;
+        let (pred, pred_ring) = self.predecessor;
         if pred == self.id() {
             return; // singleton ring
         }
-        fx.send(pred, ChordMsg::Digest { entries: self.store.digest() });
+        for span in ring_spans(self.predecessor2.1, pred_ring) {
+            fx.send(pred, ChordMsg::Repair(self.repair.probe(&mut self.store, span)));
+        }
     }
 
-    /// Answers a digest with everything the requester is missing,
-    /// tombstones included — restricted to records this node is
-    /// *primary* for: its store also holds replica copies pulled from
-    /// its own predecessor, and relaying those would smear every record
-    /// around the ring one hop per exchange.
-    pub(crate) fn handle_digest(
+    /// One step of a repair exchange, confined to what this node and
+    /// the sender both hold: the predecessor's primary range when the
+    /// sender is the primary we replicate, our own when it is our
+    /// replica (on a two-node ring it is both). Replica copies of any
+    /// other range are neither summarized nor relayed — that would
+    /// smear every record around the ring one hop per exchange.
+    pub(crate) fn handle_repair(
         &mut self,
         from: NodeId,
-        digest: Vec<(RecordKey, u64)>,
+        msg: RepairMsg<RecordKey, I>,
         fx: &mut Fx<I>,
     ) {
-        let mut newer = self.store.newer_than(&digest);
-        newer.retain(|&((rk, _, _), _, _)| self.responsible(rk));
-        if !newer.is_empty() {
-            fx.send(from, ChordMsg::DigestReply { entries: newer });
+        let (pred, pred_ring) = self.predecessor;
+        let mut shared: Vec<Span<RecordKey>> = Vec::with_capacity(4);
+        if from == pred {
+            shared.extend(ring_spans(self.predecessor2.1, pred_ring));
+        }
+        if from == self.successor.0 {
+            shared.extend(ring_spans(pred_ring, self.ring_id()));
+        }
+        for reply in self.repair.handle(&mut self.store, &shared, msg) {
+            fx.send(from, ChordMsg::Repair(reply));
         }
     }
 }
@@ -106,6 +131,8 @@ impl<I: Item> ChordNode<I> {
 mod tests {
     use super::*;
     use crate::node::ChordConfig;
+    use crate::topology::RingWiring;
+    use unistore_overlay::repair::Part;
     use unistore_simnet::Effects;
     use unistore_util::item::RawItem;
 
@@ -113,12 +140,25 @@ mod tests {
         ChordConfig { replicate: true, ..ChordConfig::default() }
     }
 
-    /// Three-point ring: predecessor at 50, self at 100, successor at
-    /// 200 — this node is primary for `(50, 100]`.
-    fn node(cfg: ChordConfig) -> ChordNode<RawItem> {
-        let mut n = ChordNode::new(NodeId(0), 100, cfg, 7);
-        n.set_topology((NodeId(1), 50), (NodeId(2), 200), (NodeId(1), 50), Vec::new());
+    /// The member at ring position `me` of the three-point ring 50 →
+    /// 100 → 200 (ids 1, 0, 2): node 0 is primary for `(50, 100]` and
+    /// replicates node 1's `(200, 50]`, which wraps through zero.
+    fn member(me: u32, cfg: ChordConfig) -> ChordNode<RawItem> {
+        let ring = [(NodeId(1), 50), (NodeId(0), 100), (NodeId(2), 200)];
+        let at = ring.iter().position(|&(id, _)| id == NodeId(me)).unwrap();
+        let mut n = ChordNode::new(NodeId(me), ring[at].1, cfg, 7);
+        n.set_topology(RingWiring {
+            predecessor: ring[(at + 2) % 3],
+            predecessor2: ring[(at + 1) % 3],
+            successor: ring[(at + 1) % 3],
+            successor2: ring[(at + 2) % 3],
+            fingers: Vec::new(),
+        });
         n
+    }
+
+    fn node(cfg: ChordConfig) -> ChordNode<RawItem> {
+        member(0, cfg)
     }
 
     #[test]
@@ -165,46 +205,101 @@ mod tests {
     }
 
     #[test]
-    fn anti_entropy_pulls_from_predecessor() {
-        let mut n = node(replicating());
-        n.store_mut().insert(80, 5, RawItem(5), 1);
+    fn ring_spans_cover_the_interval_once() {
+        let all = |after, upto| ring_spans(after, upto).collect::<Vec<_>>();
+        assert_eq!(all(50, 100), vec![((51, 0, 0), (100, u64::MAX, u64::MAX))]);
+        assert_eq!(
+            all(200, 50),
+            vec![
+                ((0, 0, 0), (50, u64::MAX, u64::MAX)),
+                ((201, 0, 0), (u64::MAX, u64::MAX, u64::MAX))
+            ],
+            "a wrapping interval is two spans"
+        );
+        assert_eq!(all(u64::MAX, 50), vec![((0, 0, 0), (50, u64::MAX, u64::MAX))]);
+        assert_eq!(all(7, 7).len(), 2, "the whole ring");
+    }
+
+    /// The probes node 0 sends on a tick, unwrapped.
+    fn probes(n: &mut ChordNode<RawItem>) -> Vec<RepairMsg<RecordKey, RawItem>> {
         let mut fx = Effects::new();
         n.run_anti_entropy(&mut fx);
-        assert_eq!(fx.sends().len(), 1);
-        let (to, msg) = &fx.sends()[0];
-        assert_eq!(*to, NodeId(1), "the digest goes to the primary");
-        match msg {
-            ChordMsg::Digest { entries } => assert_eq!(entries.len(), 1),
-            other => panic!("unexpected message {other:?}"),
-        }
+        fx.sends()
+            .iter()
+            .map(|(to, msg)| {
+                assert_eq!(*to, NodeId(1), "the probe goes to the primary");
+                match msg {
+                    ChordMsg::Repair(probe @ RepairMsg::Probe { .. }) => probe.clone(),
+                    other => panic!("unexpected message {other:?}"),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn anti_entropy_pulls_from_predecessor() {
+        let mut n = node(replicating());
+        // A replica copy from the predecessor's range (200, 50] and a
+        // primary record of our own, which is none of its business.
+        n.store_mut().insert(40, 5, RawItem(5), 1);
+        n.store_mut().insert(80, 6, RawItem(6), 1);
+        let sent = probes(&mut n);
+        assert_eq!(sent.len(), 2, "the predecessor's range wraps: one probe per span");
+        let counts: Vec<u64> = sent
+            .iter()
+            .map(|p| match p {
+                RepairMsg::Probe { summary, .. } => summary.count,
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(counts, vec![1, 0], "only the replica copy is summarized");
     }
 
     #[test]
     fn digest_answered_with_owned_records_only() {
-        let mut n = node(replicating());
-        // Primary record (ring position in (50, 100]) and a replica
-        // copy pulled from this node's own predecessor (position 40).
-        n.store_mut().insert(80, 5, RawItem(5), 1);
-        n.store_mut().insert(40, 6, RawItem(6), 1);
+        // Node 1 is the primary of (200, 50]; its store also holds a
+        // replica copy of node 2's range (position 150).
+        let mut primary = member(1, replicating());
+        primary.store_mut().insert(40, 5, RawItem(5), 1);
+        primary.store_mut().insert(150, 6, RawItem(6), 1);
+        let mut replica = node(replicating());
         let mut fx = Effects::new();
-        n.handle_digest(NodeId(9), Vec::new(), &mut fx);
-        assert_eq!(fx.sends().len(), 1);
-        match &fx.sends()[0].1 {
-            ChordMsg::DigestReply { entries } => {
-                assert_eq!(entries.len(), 1, "replica copies must not relay");
-                assert_eq!(entries[0].0 .0, 80);
-            }
-            other => panic!("unexpected message {other:?}"),
+        for probe in probes(&mut replica) {
+            primary.handle_repair(NodeId(0), probe, &mut fx);
         }
+        let [(to, ChordMsg::Repair(RepairMsg::Descend { parts }))] = fx.sends() else {
+            panic!("unexpected sends {:?}", fx.sends())
+        };
+        assert_eq!(*to, NodeId(0));
+        match parts.as_slice() {
+            [Part::Run { entries, .. }] => {
+                assert_eq!(entries.len(), 1, "replica copies must not relay");
+                assert_eq!(entries[0].0 .0, 40);
+            }
+            other => panic!("unexpected parts {other:?}"),
+        }
+        // A probe for anything but the range we share is ignored, from
+        // the replica and from a stranger alike.
+        let mut fx = Effects::new();
+        let span = ((101, 0, 0), (200, u64::MAX, u64::MAX));
+        let foreign = RepairMsg::Probe { span, summary: Default::default() };
+        primary.handle_repair(NodeId(0), foreign, &mut fx);
+        for probe in probes(&mut replica) {
+            primary.handle_repair(NodeId(9), probe, &mut fx);
+        }
+        assert!(fx.is_empty());
     }
 
     #[test]
     fn digest_with_nothing_missing_stays_silent() {
-        let mut n = node(replicating());
-        n.store_mut().insert(80, 5, RawItem(5), 1);
-        let digest = n.store().digest();
+        let mut primary = member(1, replicating());
+        primary.store_mut().insert(40, 5, RawItem(5), 1);
+        let mut replica = node(replicating());
+        replica.store_mut().insert(40, 5, RawItem(5), 1);
         let mut fx = Effects::new();
-        n.handle_digest(NodeId(9), digest, &mut fx);
+        for probe in probes(&mut replica) {
+            primary.handle_repair(NodeId(0), probe, &mut fx);
+        }
         assert!(fx.is_empty());
     }
 

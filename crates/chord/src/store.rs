@@ -14,6 +14,7 @@
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
+use unistore_overlay::repair::{RepairStore, Span, SummaryMemo};
 use unistore_util::item::Item;
 use unistore_util::{FieldHashColumns, ItemFilter, Key};
 
@@ -33,7 +34,7 @@ pub fn collect_keyed<'a, I: Item + 'a>(
 
 /// Full address of one stored record: `(ring position, original key,
 /// logical identity)` — the Chord counterpart of P-Grid's `(key, ident)`
-/// record key in the shared digest-exchange protocol.
+/// record key in the shared replica repair.
 pub type RecordKey = (u64, Key, u64);
 
 /// One stored entry: the original key plus the payload.
@@ -54,6 +55,9 @@ pub struct ChordStore<I> {
     /// Join-key hashes of recently filtered bucket and broadcast scans;
     /// every mutator invalidates it.
     hash_columns: FieldHashColumns<ScanBounds>,
+    /// Root range summaries of the replica repair; every mutator
+    /// invalidates them too.
+    summaries: SummaryMemo<RecordKey>,
 }
 
 type Entries<I> = BTreeMap<RecordKey, (u64, Option<I>)>;
@@ -121,7 +125,11 @@ fn collect_scan<'a, I: Item + 'a, C: Iterator<Item = (u64, Key, &'a I)>>(
 impl<I: Item> ChordStore<I> {
     /// Empty store.
     pub fn new() -> Self {
-        ChordStore { entries: BTreeMap::new(), hash_columns: FieldHashColumns::default() }
+        ChordStore {
+            entries: BTreeMap::new(),
+            hash_columns: FieldHashColumns::default(),
+            summaries: SummaryMemo::default(),
+        }
     }
 
     /// Stores an entry under a ring position. Applies the write only if
@@ -152,6 +160,7 @@ impl<I: Item> ChordStore<I> {
             }
         }
         self.hash_columns.invalidate();
+        self.summaries.invalidate();
         true
     }
 
@@ -262,21 +271,6 @@ impl<I: Item> ChordStore<I> {
         shadowed
     }
 
-    /// `(record key, version)` summary of every record — tombstones
-    /// included — offered to a partner in digest-exchange anti-entropy.
-    pub fn digest(&self) -> Vec<(RecordKey, u64)> {
-        self.entries.iter().map(|(&k, &(v, _))| (k, v)).collect()
-    }
-
-    /// Records strictly newer than what `digest` reports (or absent
-    /// from it) — the pull half of anti-entropy, shared with P-Grid
-    /// through [`unistore_overlay::repair::diff_newer`]. Tombstones
-    /// travel too, so deletes propagate to repaired replicas.
-    pub fn newer_than(&self, digest: &[(RecordKey, u64)]) -> Vec<(RecordKey, u64, Option<I>)> {
-        let mine = self.entries.iter().map(|(&k, (v, item))| (k, *v, item.as_ref()));
-        unistore_overlay::repair::diff_newer(mine, digest)
-    }
-
     /// Number of live entries (tombstones excluded).
     pub fn len(&self) -> usize {
         self.entries.values().filter(|(_, item)| item.is_some()).count()
@@ -288,44 +282,40 @@ impl<I: Item> ChordStore<I> {
     }
 }
 
+/// The replica repair sees the store as versioned records under
+/// [`RecordKey`], tombstones included (deletes must propagate).
+impl<I: Item> RepairStore for ChordStore<I> {
+    type Key = RecordKey;
+    type Item = I;
+
+    fn records(
+        &self,
+        (lo, hi): Span<RecordKey>,
+    ) -> impl Iterator<Item = (RecordKey, u64, Option<&I>)> {
+        self.entries.range(lo..=hi).map(|(&k, (v, item))| (k, *v, item.as_ref()))
+    }
+
+    fn record(&self, key: RecordKey) -> Option<(u64, Option<&I>)> {
+        self.entries.get(&key).map(|(v, item)| (*v, item.as_ref()))
+    }
+
+    fn apply(&mut self, (ring_key, key, ident): RecordKey, version: u64, item: Option<I>) -> bool {
+        self.apply_record(ring_key, key, ident, item, version)
+    }
+
+    fn summaries(&mut self) -> &mut SummaryMemo<RecordKey> {
+        &mut self.summaries
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use unistore_overlay::repair::{diff_newer, ReplicaRepair};
     use unistore_util::fxhash::{hash_bytes, mix64};
+    use unistore_util::item::testing::Tagged;
     use unistore_util::item::RawItem as TestItem;
-    use unistore_util::wire::Wire;
     use unistore_util::BloomFilter;
-
-    /// An item with two hashable fields; field 1 is absent (`None`) on
-    /// every third tag, every other field on all items.
-    #[derive(Clone, Copy, Debug, PartialEq)]
-    struct Tagged {
-        id: u64,
-        tag: u64,
-    }
-
-    impl Wire for Tagged {
-        fn encode(&self, buf: &mut bytes::BytesMut) {
-            self.id.encode(buf);
-            self.tag.encode(buf);
-        }
-        fn decode(buf: &mut bytes::Bytes) -> Result<Self, unistore_util::wire::WireError> {
-            Ok(Tagged { id: u64::decode(buf)?, tag: u64::decode(buf)? })
-        }
-    }
-
-    impl Item for Tagged {
-        fn ident(&self) -> u64 {
-            self.id
-        }
-        fn field_hash(&self, field: u8) -> Option<u64> {
-            match field {
-                0 => Some(mix64(self.tag)),
-                1 if self.tag % 3 != 0 => Some(mix64(self.id)),
-                _ => None,
-            }
-        }
-    }
 
     fn filter_on(field: u8, accepted: &[u64]) -> Option<ItemFilter> {
         let bloom = BloomFilter::from_hashes(accepted.iter().map(|&a| mix64(a)), 0.01);
@@ -518,6 +508,13 @@ mod tests {
         assert_eq!(s.len(), 1);
     }
 
+    /// Every record key.
+    const ALL: Span<RecordKey> = ((0, 0, 0), (u64::MAX, u64::MAX, u64::MAX));
+
+    fn run_of(s: &ChordStore<TestItem>) -> Vec<(RecordKey, u64)> {
+        s.records(ALL).map(|(k, v, _)| (k, v)).collect()
+    }
+
     #[test]
     fn digest_and_newer_than() {
         let mut a: ChordStore<TestItem> = ChordStore::new();
@@ -525,12 +522,14 @@ mod tests {
         a.insert(1, 10, TestItem(1), 1);
         a.insert(2, 20, TestItem(2), 1);
         b.insert(1, 10, TestItem(1), 1);
-        // b lacks the record under ring position 2 → pull must return it.
-        let missing = a.newer_than(&b.digest());
+        // b lacks the record under ring position 2 → it must travel.
+        let missing = diff_newer(a.records(ALL), &run_of(&b));
         assert_eq!(missing.len(), 1);
         assert_eq!(missing[0].0, (2, 20, TestItem(2).ident()));
-        // a has everything b has → nothing to pull the other way.
-        assert!(b.newer_than(&a.digest()).is_empty());
+        // a has everything b has → nothing to ship the other way.
+        assert!(diff_newer(b.records(ALL), &run_of(&a)).is_empty());
+        // A ring-position span sees only its own records.
+        assert_eq!(a.records(((2, 0, 0), (2, u64::MAX, u64::MAX))).count(), 1);
     }
 
     #[test]
@@ -539,10 +538,31 @@ mod tests {
         a.insert(1, 10, TestItem(7), 0);
         a.remove(1, 10, 7, 2);
         let fresh: ChordStore<TestItem> = ChordStore::new();
-        let missing = a.newer_than(&fresh.digest());
+        let missing = diff_newer(a.records(ALL), &run_of(&fresh));
         assert_eq!(missing.len(), 1);
         assert!(missing[0].2.is_none(), "the tombstone travels");
         assert_eq!(missing[0].1, 2, "at the delete's version");
+        assert_eq!(a.record((1, 10, 7)), Some((2, None)));
+    }
+
+    /// The Chord side of P-Grid's test of the same name: a live entry
+    /// and a tombstone of EQUAL version cannot overwrite each other, so
+    /// the range summary must not tell them apart.
+    #[test]
+    fn equal_version_conflict_is_outside_the_summary() {
+        let mut live: ChordStore<TestItem> = ChordStore::new();
+        let mut dead: ChordStore<TestItem> = ChordStore::new();
+        live.insert(1, 10, TestItem(7), 3);
+        dead.remove(1, 10, 7, 3);
+        assert!(!live.apply_record(1, 10, 7, None, 3), "the tombstone cannot win the tie");
+        assert!(!dead.insert(1, 10, TestItem(7), 3), "nor can the live entry");
+        let mut repair = ReplicaRepair::default();
+        let probe = repair.probe(&mut live, ALL);
+        assert!(repair.handle(&mut dead, &[ALL], probe).is_empty(), "in sync: silence");
+        // Any applied write drops the memoized summary.
+        let before = repair.probe(&mut live, ALL);
+        live.insert(1, 10, TestItem(7), 4);
+        assert_ne!(repair.probe(&mut live, ALL), before);
     }
 
     #[test]

@@ -26,6 +26,10 @@ pub struct RingWiring {
     /// `(id, ring position)` of the predecessor — the primary of this
     /// member's replica set under successor replication.
     pub predecessor: (NodeId, u64),
+    /// `(id, ring position)` of the predecessor's predecessor: where the
+    /// primary range `(predecessor2, predecessor]` this member
+    /// replicates begins.
+    pub predecessor2: (NodeId, u64),
     /// `(id, ring position)` of the successor.
     pub successor: (NodeId, u64),
     /// `(id, ring position)` of the successor's successor — the
@@ -69,6 +73,7 @@ impl ChordTopology {
         let (succ_ring, succ_id) = self.ring_order[(pos + 1) % m];
         let (succ2_ring, succ2_id) = self.ring_order[(pos + 2) % m];
         let (pred_ring, pred_id) = self.ring_order[(pos + m - 1) % m];
+        let (pred2_ring, pred2_id) = self.ring_order[(pos + 2 * m - 2) % m];
         let mut fingers: Vec<(NodeId, u64)> = Vec::new();
         for k in 0..64u32 {
             let target = ring.wrapping_add(1u64 << k);
@@ -81,6 +86,7 @@ impl ChordTopology {
         fingers.sort_by_key(|&(_, r)| r.wrapping_sub(ring));
         RingWiring {
             predecessor: (pred_id, pred_ring),
+            predecessor2: (pred2_id, pred2_ring),
             successor: (succ_id, succ_ring),
             successor2: (succ2_id, succ2_ring),
             fingers,
@@ -127,6 +133,10 @@ mod tests {
             assert_eq!(w.successor.1, topo.ring_order[(pos + 1) % 16].0);
             assert_eq!(w.predecessor.1, topo.ring_order[(pos + 15) % 16].0);
             assert_eq!(w.predecessor.0, topo.ring_order[(pos + 15) % 16].1);
+            assert_eq!(w.predecessor2, {
+                let (ring, id) = topo.ring_order[(pos + 14) % 16];
+                (id, ring)
+            });
             assert!(!w.fingers.iter().any(|&(f, _)| f == id), "no self-fingers");
             let _ = ring;
         }

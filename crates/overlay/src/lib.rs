@@ -30,6 +30,7 @@ use unistore_util::item::Item;
 use unistore_util::Key;
 
 pub use batch::{push_hop, BatchTracker, HopGroups};
+pub use repair::RepairStats;
 pub use unistore_util::bloom::ItemFilter;
 pub use unistore_util::wire::{BatchOp, BatchVerb, OpBatch};
 
@@ -249,6 +250,14 @@ pub trait Overlay:
     /// backend out.
     fn replica_group(&self, _key: Key) -> Vec<NodeId> {
         Vec::new()
+    }
+
+    /// Bytes this peer's replica repair has sent so far, by message
+    /// kind. Observability only: the scale campaign's `repair_kib`
+    /// column is the sum over all peers across the heal phase. The
+    /// default (all zero) opts a backend out.
+    fn repair_stats(&self) -> repair::RepairStats {
+        repair::RepairStats::default()
     }
 
     // ---- local placement and retrieval --------------------------------

@@ -1,23 +1,192 @@
-//! Backend-agnostic digest-exchange anti-entropy.
+//! Backend-agnostic hash-tree replica repair.
 //!
-//! Both backends repair replicas with the same pull protocol (paper
-//! ref [4], Datta et al.: hybrid push/pull with loose consistency): a
-//! replica offers a **digest** — `(record key, version)` pairs covering
-//! its store, tombstones included — and the partner answers with every
-//! record that is strictly newer than (or absent from) the digest. The
-//! stores differ only in their record key — `(key, ident)` for P-Grid's
-//! trie leaves, `(ring position, key, ident)` for Chord's ring — so the
-//! diff that drives the exchange lives here, generic over the key.
+//! Both backends keep replicas loosely consistent with the hybrid
+//! push/pull scheme of the paper's ref [4] (Datta et al.): writes are
+//! pushed, and whatever a push missed is repaired by periodic
+//! anti-entropy. The pull half lives here, once: [`ReplicaRepair`]
+//! compares **range hashes** and ships only what diverged.
+//!
+//! A range's [`Summary`] is its record count plus an order-independent
+//! fold (XOR) of one hash per `(record key, version)`. A tick sends one
+//! [`RepairMsg::Probe`] — span and summary, ≈ 40–65 bytes — to the
+//! partner; an in-sync partner stays silent. On a mismatch the two
+//! sides take turns *describing* the spans they disagree on
+//! ([`RepairMsg::Descend`]): a side holding more than [`LEAF_MAX`]
+//! records in a span splits it into [`FANOUT`] sub-ranges of equal
+//! record share and sends their summaries, the other side answers only
+//! for the sub-ranges whose summaries differ from its own; a side
+//! holding at most [`LEAF_MAX`] sends the `(record key, version)` run
+//! itself, which the other side settles through [`diff_newer`] —
+//! shipping what the run lacks and asking back for what the run shows
+//! newer ([`RepairMsg::Records`]). Round trips are O(log n), bytes are
+//! proportional to the divergence, and because the leaf step is
+//! push-pull the two summaries are equal after a completed exchange.
+//!
+//! The tombstone bit is deliberately **not** hashed: both stores apply
+//! a record only when its version is strictly newer, so a live entry
+//! and a tombstone of equal version can never overwrite each other —
+//! hashing the bit would send every tick down the tree to a leaf that
+//! ships nothing. The hash covers exactly what the version rule can
+//! reconcile.
+//!
+//! The exchange is stateless on both sides: every message carries the
+//! spans it talks about, replies chain off the message that caused
+//! them, and a lost message just ends the round — the next tick starts
+//! over from the root. The stores differ only in their record key —
+//! `(key, ident)` for P-Grid's trie leaves, `(ring position, key,
+//! ident)` for Chord's ring — so everything here is generic over it.
 
+pub mod msg;
+
+use std::fmt::Debug;
 use std::hash::Hash;
 
+use unistore_util::fxhash::mix64;
+use unistore_util::wire::Wire;
 use unistore_util::FxHashMap;
 
+pub use msg::{Child, Part, RepairMsg};
+
+/// Sub-ranges per split.
+pub const FANOUT: usize = 16;
+
+/// A span holding at most this many records is described by the run of
+/// its `(record key, version)` pairs instead of a further split.
+pub const LEAF_MAX: usize = 32;
+
+// `describe` hands every child of a split a non-empty share.
+const _: () = assert!(LEAF_MAX >= FANOUT);
+
+/// Root summaries memoized per store (a Chord node probes up to two
+/// spans and is probed on up to two).
+const MEMO_SPANS: usize = 4;
+
+/// An inclusive range of record keys, `lo <= hi`.
+pub type Span<K> = (K, K);
+
+/// The ordered record key of a versioned store.
+pub trait RecordKey: Copy + Ord + Hash + Debug + Wire {
+    /// This record's term in a range hash: a mix of every key component
+    /// and the version.
+    fn mix(&self, version: u64) -> u64;
+
+    /// The next key in order, `None` at the maximum.
+    fn succ(&self) -> Option<Self>;
+}
+
+impl RecordKey for (u64, u64) {
+    fn mix(&self, version: u64) -> u64 {
+        mix64(self.0 ^ mix64(self.1 ^ mix64(version)))
+    }
+
+    fn succ(&self) -> Option<Self> {
+        match self.1.checked_add(1) {
+            Some(b) => Some((self.0, b)),
+            None => self.0.checked_add(1).map(|a| (a, 0)),
+        }
+    }
+}
+
+impl RecordKey for (u64, u64, u64) {
+    fn mix(&self, version: u64) -> u64 {
+        mix64(self.0 ^ (self.1, self.2).mix(version))
+    }
+
+    fn succ(&self) -> Option<Self> {
+        match (self.1, self.2).succ() {
+            Some((b, c)) => Some((self.0, b, c)),
+            None => self.0.checked_add(1).map(|a| (a, 0, 0)),
+        }
+    }
+}
+
+/// What two replicas compare: how many records a span holds and the
+/// XOR of their [`RecordKey::mix`] terms.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Summary {
+    /// Records in the span, tombstones included.
+    pub count: u64,
+    /// XOR over the records' hash terms.
+    pub hash: u64,
+}
+
+impl Summary {
+    /// Folds one record in.
+    pub fn add<K: RecordKey>(&mut self, key: &K, version: u64) {
+        self.count += 1;
+        self.hash ^= key.mix(version);
+    }
+
+    fn of<K: RecordKey>(records: impl Iterator<Item = (K, u64)>) -> Self {
+        let mut s = Summary::default();
+        for (k, v) in records {
+            s.add(&k, v);
+        }
+        s
+    }
+}
+
+/// Root summaries a store has already computed, so a tick (or a probe)
+/// on an unchanged store does not rescan it. Stores clear it from every
+/// mutator, next to their `FieldHashColumns::invalidate`.
+#[derive(Clone, Debug)]
+pub struct SummaryMemo<K> {
+    roots: Vec<(Span<K>, Summary)>,
+}
+
+impl<K> Default for SummaryMemo<K> {
+    fn default() -> Self {
+        SummaryMemo { roots: Vec::new() }
+    }
+}
+
+impl<K: PartialEq> SummaryMemo<K> {
+    /// Forgets everything. Stores call this from each mutator.
+    #[inline]
+    pub fn invalidate(&mut self) {
+        self.roots.clear();
+    }
+
+    fn get(&self, span: &Span<K>) -> Option<Summary> {
+        self.roots.iter().find(|(s, _)| s == span).map(|&(_, sum)| sum)
+    }
+
+    fn put(&mut self, span: Span<K>, summary: Summary) {
+        if self.roots.len() == MEMO_SPANS {
+            self.roots.remove(0);
+        }
+        self.roots.push((span, summary));
+    }
+}
+
+/// What [`ReplicaRepair`] needs from a versioned store.
+pub trait RepairStore {
+    /// The store's record key.
+    type Key: RecordKey;
+    /// The stored payload.
+    type Item: Clone + Wire;
+
+    /// The records with keys in `span` in ascending key order, as
+    /// `(record key, version, payload-or-tombstone)`.
+    fn records(
+        &self,
+        span: Span<Self::Key>,
+    ) -> impl Iterator<Item = (Self::Key, u64, Option<&Self::Item>)>;
+
+    /// Version and payload-or-tombstone of one record.
+    fn record(&self, key: Self::Key) -> Option<(u64, Option<&Self::Item>)>;
+
+    /// Applies one record under the store's strictly-newer rule.
+    fn apply(&mut self, key: Self::Key, version: u64, item: Option<Self::Item>) -> bool;
+
+    /// The store's root-summary memo.
+    fn summaries(&mut self) -> &mut SummaryMemo<Self::Key>;
+}
+
 /// Records strictly newer than what `theirs` reports (or absent from
-/// it): the reply half of a digest exchange. `mine` iterates this
-/// store's records as `(record key, version, payload-or-tombstone)`;
-/// tombstones travel too — deletes must propagate, or revived replicas
-/// would resurrect deleted data.
+/// it): what the leaf step ships. `mine` iterates this store's records
+/// as `(record key, version, payload)`; tombstones travel too — deletes
+/// must propagate, or revived replicas would resurrect deleted data.
 pub fn diff_newer<'a, K, I>(
     mine: impl Iterator<Item = (K, u64, Option<&'a I>)>,
     theirs: &[(K, u64)],
@@ -30,6 +199,186 @@ where
     mine.filter(|(k, v, _)| known.get(k).is_none_or(|have| *v > *have))
         .map(|(k, v, i)| (k, v, i.cloned()))
         .collect()
+}
+
+/// Bytes a node's repair plane has sent, by message kind (each as
+/// [`RepairMsg::wire_size`], envelope tags excluded). Deterministic;
+/// the scale campaign's `repair_kib` column reads it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RepairStats {
+    /// Root probes, one per tick and shared span.
+    pub probe_bytes: u64,
+    /// Splits and runs exchanged on the way down.
+    pub descent_bytes: u64,
+    /// Shipped records and want-lists.
+    pub payload_bytes: u64,
+}
+
+impl RepairStats {
+    /// All repair-plane bytes.
+    pub fn total(&self) -> u64 {
+        self.probe_bytes + self.descent_bytes + self.payload_bytes
+    }
+}
+
+/// The one anti-entropy implementation. A backend decides only *whom*
+/// to repair with and *which span* it shares with that partner, then
+/// forwards what [`ReplicaRepair::probe`] and [`ReplicaRepair::handle`]
+/// return; the struct itself holds no exchange state, only counters.
+#[derive(Clone, Debug, Default)]
+pub struct ReplicaRepair {
+    stats: RepairStats,
+}
+
+impl ReplicaRepair {
+    /// Bytes sent so far.
+    pub fn stats(&self) -> RepairStats {
+        self.stats
+    }
+
+    /// An anti-entropy tick: the probe to send to the partner this
+    /// store shares `span` with.
+    pub fn probe<S: RepairStore>(
+        &mut self,
+        store: &mut S,
+        span: Span<S::Key>,
+    ) -> RepairMsg<S::Key, S::Item> {
+        let msg = RepairMsg::Probe { span, summary: root_summary(store, span) };
+        self.count(&msg);
+        msg
+    }
+
+    /// Handles a partner's message and returns the replies to send
+    /// back (at most one `Descend` and one `Records`). `shared` lists
+    /// the spans this store shares with the sender: anything outside
+    /// them is ignored, so a partner can neither read nor write records
+    /// it does not replicate.
+    pub fn handle<S: RepairStore>(
+        &mut self,
+        store: &mut S,
+        shared: &[Span<S::Key>],
+        msg: RepairMsg<S::Key, S::Item>,
+    ) -> Vec<RepairMsg<S::Key, S::Item>> {
+        let mut replies = Vec::new();
+        if !msg.well_formed() {
+            return replies;
+        }
+        let admits = |span: &Span<S::Key>| shared.iter().any(|s| s.0 <= span.0 && span.1 <= s.1);
+        match msg {
+            RepairMsg::Probe { span, summary } => {
+                if admits(&span) && root_summary(store, span) != summary {
+                    let part = describe(span, &run_of(store, span));
+                    replies.push(RepairMsg::Descend { parts: vec![part] });
+                }
+            }
+            RepairMsg::Descend { parts } => {
+                let (mut differing, mut entries, mut want) = (Vec::new(), Vec::new(), Vec::new());
+                for part in parts.iter().filter(|p| admits(&p.span())) {
+                    match part {
+                        Part::Split { span, children } => {
+                            // One scan of the span serves every child:
+                            // its summary here and, where that differs,
+                            // this side's description of it.
+                            let run = run_of(store, *span);
+                            let (mut rest, mut lo) = (run.as_slice(), Some(span.0));
+                            for child in children {
+                                let Some(from) = lo else { break };
+                                let (mine, after) =
+                                    rest.split_at(rest.partition_point(|&(k, _)| k <= child.hi));
+                                if Summary::of(mine.iter().copied()) != child.summary {
+                                    differing.push(describe((from, child.hi), mine));
+                                }
+                                (rest, lo) = (after, child.hi.succ());
+                            }
+                        }
+                        Part::Run { span, entries: theirs } => {
+                            entries.extend(diff_newer(store.records(*span), theirs));
+                            want.extend(
+                                theirs
+                                    .iter()
+                                    .filter(|&&(k, v)| store.record(k).is_none_or(|(m, _)| v > m))
+                                    .map(|&(k, _)| k),
+                            );
+                        }
+                    }
+                }
+                if !differing.is_empty() {
+                    replies.push(RepairMsg::Descend { parts: differing });
+                }
+                if !entries.is_empty() || !want.is_empty() {
+                    replies.push(RepairMsg::Records { entries, want });
+                }
+            }
+            RepairMsg::Records { entries, want } => {
+                for (key, version, item) in entries {
+                    if admits(&(key, key)) {
+                        store.apply(key, version, item);
+                    }
+                }
+                let entries: Vec<_> = want
+                    .into_iter()
+                    .filter(|k| admits(&(*k, *k)))
+                    .filter_map(|k| store.record(k).map(|(v, item)| (k, v, item.cloned())))
+                    .collect();
+                if !entries.is_empty() {
+                    replies.push(RepairMsg::Records { entries, want: Vec::new() });
+                }
+            }
+        }
+        for reply in &replies {
+            self.count(reply);
+        }
+        replies
+    }
+
+    fn count<K: RecordKey, I: Wire>(&mut self, msg: &RepairMsg<K, I>) {
+        let bytes = msg.wire_size() as u64;
+        match msg {
+            RepairMsg::Probe { .. } => self.stats.probe_bytes += bytes,
+            RepairMsg::Descend { .. } => self.stats.descent_bytes += bytes,
+            RepairMsg::Records { .. } => self.stats.payload_bytes += bytes,
+        }
+    }
+}
+
+/// The store's summary over a span it probes or is probed on, from the
+/// memo when the store has not changed since it was computed.
+fn root_summary<S: RepairStore>(store: &mut S, span: Span<S::Key>) -> Summary {
+    if let Some(known) = store.summaries().get(&span) {
+        return known;
+    }
+    let summary = Summary::of(store.records(span).map(|(k, v, _)| (k, v)));
+    store.summaries().put(span, summary);
+    summary
+}
+
+/// The `(record key, version)` pairs a store holds in `span`, ascending.
+fn run_of<S: RepairStore>(store: &S, span: Span<S::Key>) -> Vec<(S::Key, u64)> {
+    store.records(span).map(|(k, v, _)| (k, v)).collect()
+}
+
+/// One side's description of a span the two replicas disagree on, from
+/// the `run` it holds there: the run itself when it is short, else
+/// [`FANOUT`] equal-share sub-ranges.
+fn describe<K: RecordKey>(span: Span<K>, run: &[(K, u64)]) -> Part<K> {
+    let n = run.len();
+    if n <= LEAF_MAX {
+        return Part::Run { span, entries: run.to_vec() };
+    }
+    // n > LEAF_MAX >= FANOUT: every share is non-empty, so the upper
+    // bounds ascend strictly; the last share is stretched to the span's
+    // end so the children tile it.
+    let children = (0..FANOUT)
+        .map(|i| {
+            let share = run.get(i * n / FANOUT..(i + 1) * n / FANOUT).unwrap_or_default();
+            let hi = match share.last() {
+                Some(&(k, _)) if i + 1 < FANOUT => k,
+                _ => span.1,
+            };
+            Child { hi, summary: Summary::of(share.iter().copied()) }
+        })
+        .collect();
+    Part::Split { span, children }
 }
 
 #[cfg(test)]
@@ -62,6 +411,41 @@ mod tests {
         let out = diff_newer(records().into_iter(), &[(1, 3), (2, 1), (3, 5)]);
         assert!(out.is_empty());
         let out = diff_newer(records().into_iter(), &[]);
-        assert_eq!(out.len(), 3, "empty digest pulls everything");
+        assert_eq!(out.len(), 3, "empty run pulls everything");
+    }
+
+    #[test]
+    fn succ_carries_across_components() {
+        assert_eq!((1u64, 2u64).succ(), Some((1, 3)));
+        assert_eq!((1u64, u64::MAX).succ(), Some((2, 0)));
+        assert_eq!((u64::MAX, u64::MAX).succ(), None);
+        assert_eq!((1u64, u64::MAX, u64::MAX).succ(), Some((2, 0, 0)));
+        assert_eq!((1u64, 2u64, u64::MAX).succ(), Some((1, 3, 0)));
+        assert_eq!((u64::MAX, u64::MAX, u64::MAX).succ(), None);
+    }
+
+    #[test]
+    fn summary_is_order_independent_and_version_sensitive() {
+        let recs = [((1u64, 9u64), 0u64), ((2, 8), 3), ((7, 7), 1)];
+        let forward = Summary::of(recs.iter().copied());
+        let backward = Summary::of(recs.iter().rev().copied());
+        assert_eq!(forward, backward);
+        let mut bumped = recs;
+        bumped[1].1 = 4;
+        assert_ne!(Summary::of(bumped.iter().copied()), forward);
+        // Swapping key components is a different record.
+        assert_ne!((1u64, 9u64).mix(0), (9u64, 1u64).mix(0));
+    }
+
+    #[test]
+    fn memo_keeps_the_most_recent_spans() {
+        let mut memo: SummaryMemo<u64> = SummaryMemo::default();
+        for i in 0..=MEMO_SPANS as u64 {
+            memo.put((i, i), Summary { count: i, hash: i });
+        }
+        assert_eq!(memo.get(&(0, 0)), None, "the oldest span made room");
+        assert_eq!(memo.get(&(1, 1)), Some(Summary { count: 1, hash: 1 }));
+        memo.invalidate();
+        assert_eq!(memo.get(&(1, 1)), None);
     }
 }

@@ -12,7 +12,8 @@ pub struct PGridConfig {
     pub replication: usize,
     /// Period of the routing-table maintenance timer (ping + exchange).
     pub maintenance_interval: SimTime,
-    /// Period of the anti-entropy (pull) timer for replica convergence.
+    /// Period of the anti-entropy timer for replica convergence (one
+    /// `unistore_overlay::repair` probe to a random replica per tick).
     pub anti_entropy_interval: SimTime,
     /// How long a requester waits before declaring a query failed.
     pub query_timeout: SimTime,

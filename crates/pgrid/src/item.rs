@@ -9,6 +9,7 @@
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
+use unistore_overlay::repair::{RepairStore, Span, SummaryMemo};
 use unistore_util::{FieldHashColumns, ItemFilter, Key};
 
 pub use unistore_util::item::{Item, RawItem};
@@ -43,6 +44,9 @@ pub struct LocalStore<I> {
     /// Join-key hashes of recently filtered range scans, keyed by the
     /// scan's `(lo, hi)`; every mutator invalidates it.
     hash_columns: FieldHashColumns<(Key, Key)>,
+    /// Root range summaries of the replica repair; every mutator
+    /// invalidates them too.
+    summaries: SummaryMemo<(Key, u64)>,
 }
 
 /// Live items of `entries` with keys in `[lo, hi]`, in key order.
@@ -63,7 +67,19 @@ fn live_in_range<I>(
 impl<I: Item> LocalStore<I> {
     /// Empty store.
     pub fn new() -> Self {
-        LocalStore { entries: BTreeMap::new(), live: 0, hash_columns: FieldHashColumns::default() }
+        LocalStore {
+            entries: BTreeMap::new(),
+            live: 0,
+            hash_columns: FieldHashColumns::default(),
+            summaries: SummaryMemo::default(),
+        }
+    }
+
+    /// Every mutator ends here: nothing memoized over the old contents
+    /// may outlive them.
+    fn invalidate_memos(&mut self) {
+        self.hash_columns.invalidate();
+        self.summaries.invalidate();
     }
 
     /// Applies an entry; returns `true` if the store changed (new entry
@@ -94,7 +110,7 @@ impl<I: Item> LocalStore<I> {
                 self.entries.insert((key, ident), Entry { item, version });
             }
         }
-        self.hash_columns.invalidate();
+        self.invalidate_memos();
         true
     }
 
@@ -146,28 +162,6 @@ impl<I: Item> LocalStore<I> {
         self.entries.iter().map(|(&(k, _), e)| (k, e))
     }
 
-    /// Version digest for anti-entropy: `(key, ident, version)` triples,
-    /// tombstones included (deletes must propagate).
-    pub fn digest(&self) -> Vec<(Key, u64, Version)> {
-        self.entries.iter().map(|(&(k, id), e)| (k, id, e.version)).collect()
-    }
-
-    /// Records strictly newer than what `digest` reports (or absent from
-    /// it) — the pull half of anti-entropy, shared with Chord through
-    /// [`unistore_overlay::repair::diff_newer`]. Tombstones travel too.
-    pub fn newer_than(
-        &self,
-        digest: &[(Key, u64, Version)],
-    ) -> Vec<(Key, u64, Version, Option<I>)> {
-        let known: Vec<((Key, u64), Version)> =
-            digest.iter().map(|&(k, id, v)| ((k, id), v)).collect();
-        let mine = self.entries.iter().map(|(&(k, id), e)| ((k, id), e.version, e.item.as_ref()));
-        unistore_overlay::repair::diff_newer(mine, &known)
-            .into_iter()
-            .map(|((k, id), v, item)| (k, id, v, item))
-            .collect()
-    }
-
     /// Number of entries, live only. O(1): the count is maintained by
     /// every mutation.
     pub fn len(&self) -> usize {
@@ -197,7 +191,7 @@ impl<I: Item> LocalStore<I> {
         }
         self.entries = kept;
         self.live = live;
-        self.hash_columns.invalidate();
+        self.invalidate_memos();
         moved
     }
 
@@ -218,7 +212,33 @@ impl<I: Item> LocalStore<I> {
     pub fn clear(&mut self) {
         self.entries.clear();
         self.live = 0;
-        self.hash_columns.invalidate();
+        self.invalidate_memos();
+    }
+}
+
+/// The replica repair sees the store as versioned records under
+/// `(key, ident)`, tombstones included (deletes must propagate).
+impl<I: Item> RepairStore for LocalStore<I> {
+    type Key = (Key, u64);
+    type Item = I;
+
+    fn records(
+        &self,
+        (lo, hi): Span<(Key, u64)>,
+    ) -> impl Iterator<Item = ((Key, u64), Version, Option<&I>)> {
+        self.entries.range(lo..=hi).map(|(&k, e)| (k, e.version, e.item.as_ref()))
+    }
+
+    fn record(&self, key: (Key, u64)) -> Option<(Version, Option<&I>)> {
+        self.entries.get(&key).map(|e| (e.version, e.item.as_ref()))
+    }
+
+    fn apply(&mut self, (key, ident): (Key, u64), version: Version, item: Option<I>) -> bool {
+        self.apply_record(key, ident, item, version)
+    }
+
+    fn summaries(&mut self) -> &mut SummaryMemo<(Key, u64)> {
+        &mut self.summaries
     }
 }
 
@@ -226,46 +246,11 @@ impl<I: Item> LocalStore<I> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use unistore_overlay::repair::{RepairMsg, ReplicaRepair};
     use unistore_util::fxhash::mix64;
+    use unistore_util::item::testing::{field_hashes_during, Tagged};
     use unistore_util::wire::Wire;
     use unistore_util::BloomFilter;
-
-    thread_local! {
-        /// `Tagged::field_hash` calls on this test thread.
-        static FIELD_HASHES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-    }
-
-    /// An item with two hashable fields; field 1 is absent (`None`) on
-    /// every third tag, every other field on all items.
-    #[derive(Clone, Copy, Debug, PartialEq)]
-    struct Tagged {
-        id: u64,
-        tag: u64,
-    }
-
-    impl Wire for Tagged {
-        fn encode(&self, buf: &mut bytes::BytesMut) {
-            self.id.encode(buf);
-            self.tag.encode(buf);
-        }
-        fn decode(buf: &mut bytes::Bytes) -> Result<Self, unistore_util::wire::WireError> {
-            Ok(Tagged { id: u64::decode(buf)?, tag: u64::decode(buf)? })
-        }
-    }
-
-    impl Item for Tagged {
-        fn ident(&self) -> u64 {
-            self.id
-        }
-        fn field_hash(&self, field: u8) -> Option<u64> {
-            FIELD_HASHES.with(|n| n.set(n.get() + 1));
-            match field {
-                0 => Some(mix64(self.tag)),
-                1 if self.tag % 3 != 0 => Some(mix64(self.id)),
-                _ => None,
-            }
-        }
-    }
 
     /// A filter on `field` accepting the hashes of `accepted` (as tags
     /// and as ids, so both fields have survivors and casualties).
@@ -318,31 +303,26 @@ mod tests {
 
     #[test]
     fn any_write_invalidates_every_memoized_range() {
-        let hashes_during = |f: &mut dyn FnMut()| {
-            FIELD_HASHES.with(|n| n.set(0));
-            f();
-            FIELD_HASHES.with(|n| n.get())
-        };
         let mut s: LocalStore<Tagged> = LocalStore::new();
         for k in 0..8u64 {
             s.apply(k, Tagged { id: k, tag: k }, 0);
         }
         let f = filter_on(0, &[1, 2]);
         let expected = vec![Tagged { id: 1, tag: 1 }, Tagged { id: 2, tag: 2 }];
-        assert_eq!(hashes_during(&mut || assert_eq!(s.scan_range(0, 3, &f), expected)), 4);
-        assert_eq!(hashes_during(&mut || assert_eq!(s.scan_range(0, 3, &f), expected)), 0);
+        assert_eq!(field_hashes_during(|| assert_eq!(s.scan_range(0, 3, &f), expected)), 4);
+        assert_eq!(field_hashes_during(|| assert_eq!(s.scan_range(0, 3, &f), expected)), 0);
         // The rule is per store: a write far outside [0, 3] still makes
         // the column stale; a rejected write changes nothing and does
         // not.
         assert!(!s.apply(7, Tagged { id: 7, tag: 7 }, 0));
-        assert_eq!(hashes_during(&mut || assert_eq!(s.scan_range(0, 3, &f), expected)), 0);
+        assert_eq!(field_hashes_during(|| assert_eq!(s.scan_range(0, 3, &f), expected)), 0);
         assert!(s.apply(7, Tagged { id: 70, tag: 7 }, 0));
-        assert_eq!(hashes_during(&mut || assert_eq!(s.scan_range(0, 3, &f), expected)), 4);
+        assert_eq!(field_hashes_during(|| assert_eq!(s.scan_range(0, 3, &f), expected)), 4);
         // An inverted range is empty, memoized or not.
         assert!(s.scan_range(6, 2, &f).is_empty());
         assert!(s.scan_range(6, 2, &f).is_empty());
         // Exact-key lookups and unfiltered scans never touch the memo.
-        let untouched = hashes_during(&mut || {
+        let untouched = field_hashes_during(|| {
             assert_eq!(s.scan_range(0, 7, &None).len(), 9);
             assert_eq!(s.get(7).len(), 2);
         });
@@ -402,19 +382,72 @@ mod tests {
         assert!(s.get_range(10, 5).is_empty());
     }
 
+    /// Every record key.
+    const ALL: Span<(Key, u64)> = ((0, 0), (Key::MAX, u64::MAX));
+
+    fn run_of(s: &LocalStore<RawItem>) -> Vec<((Key, u64), Version)> {
+        s.records(ALL).map(|(k, v, _)| (k, v)).collect()
+    }
+
     #[test]
     fn digest_and_newer_than() {
+        use unistore_overlay::repair::diff_newer;
         let mut a: LocalStore<RawItem> = LocalStore::new();
         let mut b: LocalStore<RawItem> = LocalStore::new();
         a.apply(1, RawItem(1), 1);
         a.apply(2, RawItem(2), 1);
+        a.remove(3, 3, 2);
         b.apply(1, RawItem(1), 1);
-        // b lacks key 2 → pull must return it.
-        let missing = a.newer_than(&b.digest());
-        assert_eq!(missing.len(), 1);
-        assert_eq!(missing[0].0, 2);
-        // a has everything b has → nothing to pull the other way.
-        assert!(b.newer_than(&a.digest()).is_empty());
+        // b lacks key 2 and the key-3 tombstone → both must travel.
+        let missing = diff_newer(a.records(ALL), &run_of(&b));
+        assert_eq!(missing, vec![((2, 2), 1, Some(RawItem(2))), ((3, 3), 2, None)]);
+        // a has everything b has → nothing to ship the other way.
+        assert!(diff_newer(b.records(ALL), &run_of(&a)).is_empty());
+        // A sub-span sees only its own records.
+        assert_eq!(a.records(((2, 0), (2, u64::MAX))).count(), 1);
+        assert_eq!(a.record((3, 3)), Some((2, None)));
+    }
+
+    #[test]
+    fn root_summary_is_memoized_until_the_store_changes() {
+        let mut s: LocalStore<RawItem> = LocalStore::new();
+        s.apply(1, RawItem(1), 1);
+        let mut repair = ReplicaRepair::default();
+        let first = repair.probe(&mut s, ALL);
+        assert_eq!(repair.probe(&mut s, ALL), first, "an unchanged store probes the same");
+        assert!(!s.apply(1, RawItem(1), 1), "a rejected write changes nothing");
+        assert_eq!(repair.probe(&mut s, ALL), first);
+        s.apply(2, RawItem(2), 0);
+        let RepairMsg::Probe { summary, .. } = repair.probe(&mut s, ALL) else { unreachable!() };
+        assert_eq!(summary.count, 2, "every mutator drops the memo");
+        s.remove(2, 2, 1);
+        let RepairMsg::Probe { summary: after, .. } = repair.probe(&mut s, ALL) else {
+            unreachable!()
+        };
+        assert_eq!(after.count, 2, "a tombstone is a record");
+        assert_ne!(after.hash, summary.hash, "at a newer version");
+        s.clear();
+        let RepairMsg::Probe { summary, .. } = repair.probe(&mut s, ALL) else { unreachable!() };
+        assert_eq!(summary.count, 0);
+    }
+
+    /// Strictly-newer resolves nothing between a live entry and a
+    /// tombstone of EQUAL version, so the summary must not see the
+    /// difference either: a hash over the tombstone bit would re-descend
+    /// into this record on every tick and ship nothing each time.
+    #[test]
+    fn equal_version_conflict_is_outside_the_summary() {
+        let mut live: LocalStore<RawItem> = LocalStore::new();
+        let mut dead: LocalStore<RawItem> = LocalStore::new();
+        live.apply(5, RawItem(5), 3);
+        dead.remove(5, 5, 3);
+        assert!(!live.apply_record(5, 5, None, 3), "the tombstone cannot win the tie");
+        assert!(!dead.apply(5, RawItem(5), 3), "nor can the live entry");
+        let mut repair = ReplicaRepair::default();
+        let probe = repair.probe(&mut live, ALL);
+        assert!(repair.handle(&mut dead, &[ALL], probe).is_empty(), "in sync: silence");
+        let probe = repair.probe(&mut dead, ALL);
+        assert!(repair.handle(&mut live, &[ALL], probe).is_empty());
     }
 
     #[test]

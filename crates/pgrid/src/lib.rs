@@ -14,7 +14,7 @@
 //! * **order-preserving key placement**, hence native **range queries** —
 //!   both the sequential leaf-walk and the parallel *shower* algorithm
 //!   ([`range`]),
-//! * replica groups with push replication and pull anti-entropy, giving
+//! * replica groups with push replication and hash-tree anti-entropy, giving
 //!   the paper's *loose update consistency* [ref 4] ([`replicate`]),
 //! * converged-state construction with **data-adaptive load balancing**
 //!   (deep trie where data is dense; [`construct`]) as well as the

@@ -3,6 +3,7 @@
 
 use bytes::{Bytes, BytesMut};
 
+use unistore_overlay::repair::RepairMsg;
 use unistore_simnet::NodeId;
 use unistore_util::wire::{encoded_len, put_list, OpBatch, Wire, WireError};
 use unistore_util::{BitPath, ItemFilter, Key};
@@ -175,17 +176,9 @@ pub enum PGridMsg<I> {
         /// `(key, version, item)` entries.
         entries: Vec<(Key, Version, I)>,
     },
-    /// Anti-entropy request: "here is what I have".
-    Digest {
-        /// `(key, ident, version)` summary of the sender's store.
-        entries: Vec<(Key, u64, Version)>,
-    },
-    /// Anti-entropy response: records the requester was missing —
-    /// including tombstones (`item == None`), so deletes propagate.
-    DigestReply {
-        /// `(key, ident, version, item-or-tombstone)` records.
-        entries: Vec<(Key, u64, Version, Option<I>)>,
-    },
+    /// Anti-entropy: one message of the hash-tree replica repair
+    /// (`unistore_overlay::repair`) over `(key, ident)` record keys.
+    Repair(RepairMsg<(Key, u64), I>),
     /// Liveness probe.
     Ping {
         /// Echo token.
@@ -250,8 +243,7 @@ mod tag {
     pub const RANGE_SEQ: u8 = 6;
     pub const RANGE_REPLY: u8 = 7;
     pub const REPLICATE: u8 = 8;
-    pub const DIGEST: u8 = 9;
-    pub const DIGEST_REPLY: u8 = 10;
+    pub const REPAIR: u8 = 9;
     pub const PING: u8 = 11;
     pub const PONG: u8 = 12;
     pub const TABLE_REQUEST: u8 = 13;
@@ -344,13 +336,9 @@ impl<I: Item> Wire for PGridMsg<I> {
                 tag::REPLICATE.encode(buf);
                 entries.encode(buf);
             }
-            PGridMsg::Digest { entries } => {
-                tag::DIGEST.encode(buf);
-                entries.encode(buf);
-            }
-            PGridMsg::DigestReply { entries } => {
-                tag::DIGEST_REPLY.encode(buf);
-                entries.encode(buf);
+            PGridMsg::Repair(msg) => {
+                tag::REPAIR.encode(buf);
+                msg.encode(buf);
             }
             PGridMsg::Ping { nonce } => {
                 tag::PING.encode(buf);
@@ -460,8 +448,7 @@ impl<I: Item> Wire for PGridMsg<I> {
                 aborted: Wire::decode(buf)?,
             },
             tag::REPLICATE => PGridMsg::Replicate { entries: Wire::decode(buf)? },
-            tag::DIGEST => PGridMsg::Digest { entries: Wire::decode(buf)? },
-            tag::DIGEST_REPLY => PGridMsg::DigestReply { entries: Wire::decode(buf)? },
+            tag::REPAIR => PGridMsg::Repair(Wire::decode(buf)?),
             tag::PING => PGridMsg::Ping { nonce: Wire::decode(buf)? },
             tag::PONG => PGridMsg::Pong { nonce: Wire::decode(buf)? },
             tag::TABLE_REQUEST => PGridMsg::TableRequest,
@@ -501,8 +488,7 @@ impl<I: Item> Wire for PGridMsg<I> {
             PGridMsg::Replicate { entries }
             | PGridMsg::ExchangeData { entries }
             | PGridMsg::ExchangeReplica { entries } => 1 + entries.wire_size(),
-            PGridMsg::Digest { entries } => 1 + entries.wire_size(),
-            PGridMsg::DigestReply { entries } => 1 + entries.wire_size(),
+            PGridMsg::Repair(msg) => 1 + msg.wire_size(),
             other => encoded_len(other),
         }
     }
@@ -554,6 +540,7 @@ pub enum PGridEvent<I> {
 mod tests {
     use super::*;
     use crate::item::RawItem;
+    use unistore_overlay::repair::{Part, Summary};
 
     fn roundtrip(msg: PGridMsg<RawItem>) {
         let bytes = msg.to_bytes();
@@ -619,10 +606,17 @@ mod tests {
                 aborted: false,
             },
             PGridMsg::Replicate { entries: entries.clone() },
-            PGridMsg::Digest { entries: vec![(1, 2, 3)] },
-            PGridMsg::DigestReply {
-                entries: vec![(42u64, 7u64, 1u64, Some(RawItem(7))), (43, 8, 2, None)],
-            },
+            PGridMsg::Repair(RepairMsg::Probe {
+                span: ((8, 0), (15, u64::MAX)),
+                summary: Summary { count: 3, hash: 0xDEAD_BEEF },
+            }),
+            PGridMsg::Repair(RepairMsg::Descend {
+                parts: vec![Part::Run { span: ((8, 0), (9, 7)), entries: vec![((8, 1), 2)] }],
+            }),
+            PGridMsg::Repair(RepairMsg::Records {
+                entries: vec![((42, 7), 1, Some(RawItem(7))), ((43, 8), 2, None)],
+                want: vec![(44, 9)],
+            }),
             PGridMsg::Ping { nonce: 77 },
             PGridMsg::Pong { nonce: 77 },
             PGridMsg::TableRequest,

@@ -6,7 +6,9 @@
 //! converged-state construction ([`crate::construct`]), including the
 //! data-adaptive balanced trie when a key sample is supplied.
 
-use unistore_overlay::{ItemFilter, OpBatch, Overlay, OverlayDone, OverlayTopology, RangeMode};
+use unistore_overlay::{
+    ItemFilter, OpBatch, Overlay, OverlayDone, OverlayTopology, RangeMode, RepairStats,
+};
 use unistore_simnet::{Effects, NodeId};
 use unistore_util::rng::{derive_rng, stream};
 use unistore_util::{BitPath, Key};
@@ -114,6 +116,10 @@ impl<I: Item + Send + 'static> Overlay for PGridPeer<I> {
         group.sort_unstable();
         group.dedup();
         group
+    }
+
+    fn repair_stats(&self) -> RepairStats {
+        self.repair.stats()
     }
 
     fn routing_refs(&self) -> Vec<NodeId> {

@@ -8,6 +8,7 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 
+use unistore_overlay::repair::ReplicaRepair;
 use unistore_overlay::BatchTracker;
 use unistore_simnet::{Effects, NodeBehavior, NodeId, SimTime, Timer};
 use unistore_util::rng::{derive_rng, stream};
@@ -29,7 +30,7 @@ pub(crate) mod timer {
     pub const QUERY_TIMEOUT: u32 = 1;
     /// Periodic routing maintenance.
     pub const MAINTAIN: u32 = 2;
-    /// Periodic anti-entropy pull.
+    /// Periodic anti-entropy probe.
     pub const ANTI_ENTROPY: u32 = 3;
     /// Bootstrap: initiate a pairwise exchange; payload unused.
     pub const EXCHANGE: u32 = 4;
@@ -86,6 +87,8 @@ pub struct PGridPeer<I: Item> {
     pub(crate) cfg: PGridConfig,
     pub(crate) routing: RoutingTable,
     pub(crate) store: LocalStore<I>,
+    /// Anti-entropy with same-path replicas ([`crate::replicate`]).
+    pub(crate) repair: ReplicaRepair,
     pub(crate) rng: StdRng,
     pub(crate) pending: FxHashMap<QueryId, Pending<I>>,
     pub(crate) pending_pings: FxHashMap<u64, NodeId>,
@@ -114,6 +117,7 @@ impl<I: Item> PGridPeer<I> {
             cfg,
             routing,
             store: LocalStore::new(),
+            repair: ReplicaRepair::default(),
             rng,
             pending: FxHashMap::default(),
             pending_pings: FxHashMap::default(),
@@ -296,8 +300,7 @@ impl<I: Item> NodeBehavior for PGridPeer<I> {
                 self.handle_range_reply(qid, cov_lo, cov_hi, items, hops, aborted, fx)
             }
             PGridMsg::Replicate { entries } => self.handle_replicate(entries),
-            PGridMsg::Digest { entries } => self.handle_digest(from, entries, fx),
-            PGridMsg::DigestReply { entries } => self.handle_digest_reply(entries),
+            PGridMsg::Repair(msg) => self.handle_repair(from, msg, fx),
             PGridMsg::Ping { nonce } => fx.send(from, PGridMsg::Pong { nonce }),
             PGridMsg::Pong { nonce } => {
                 self.pending_pings.remove(&nonce);

@@ -4,10 +4,13 @@
 //! consistency guarantees" [ref 4, Datta et al., ICDCS 2003]: a hybrid
 //! push/pull scheme. Writes are **pushed** to the replica group of the
 //! responsible leaf; replicas that were offline catch up through periodic
-//! **pull anti-entropy** (version-digest exchange with a random replica).
-//! Readers contact a single replica, so reads may be stale until
-//! anti-entropy converges — experiment E10 measures exactly this.
+//! **anti-entropy** with a random replica — the shared hash-tree exchange
+//! of [`unistore_overlay::repair`], for which this module only names the
+//! partner and the span shared with it (the leaf's key range). Readers
+//! contact a single replica, so reads may be stale until anti-entropy
+//! converges — experiment E10 measures exactly this.
 
+use unistore_overlay::repair::{RepairMsg, Span};
 use unistore_simnet::NodeId;
 use unistore_util::Key;
 
@@ -33,34 +36,37 @@ impl<I: Item> PGridPeer<I> {
         }
     }
 
-    /// Periodic anti-entropy: offer our digest to one random replica.
+    /// The record keys of this peer's leaf: what it shares with every
+    /// same-path replica.
+    fn leaf_span(&self) -> Span<(Key, u64)> {
+        let path = self.routing.path();
+        ((path.min_key(), 0), (path.max_key(), u64::MAX))
+    }
+
+    /// Periodic anti-entropy: probe one random replica with the
+    /// summary of our leaf.
     pub(crate) fn run_anti_entropy(&mut self, fx: &mut Fx<I>) {
         let replicas = self.routing.replicas();
         if replicas.is_empty() {
             return;
         }
         let pick = replicas[rand::Rng::gen_range(&mut self.rng, 0..replicas.len())];
-        fx.send(pick, PGridMsg::Digest { entries: self.store.digest() });
+        let span = self.leaf_span();
+        fx.send(pick, PGridMsg::Repair(self.repair.probe(&mut self.store, span)));
     }
 
-    /// Answers a digest with everything the requester is missing,
-    /// tombstones included.
-    pub(crate) fn handle_digest(
+    /// One step of a repair exchange, confined to our leaf: a partner
+    /// whose path has moved on can neither pull nor push records of
+    /// key ranges we no longer share.
+    pub(crate) fn handle_repair(
         &mut self,
         from: NodeId,
-        digest: Vec<(Key, u64, Version)>,
+        msg: RepairMsg<(Key, u64), I>,
         fx: &mut Fx<I>,
     ) {
-        let newer = self.store.newer_than(&digest);
-        if !newer.is_empty() {
-            fx.send(from, PGridMsg::DigestReply { entries: newer });
-        }
-    }
-
-    /// Applies pulled records (live entries and tombstones alike).
-    pub(crate) fn handle_digest_reply(&mut self, entries: Vec<(Key, u64, Version, Option<I>)>) {
-        for (key, ident, version, item) in entries {
-            self.store.apply_record(key, ident, item, version);
+        let shared = [self.leaf_span()];
+        for reply in self.repair.handle(&mut self.store, &shared, msg) {
+            fx.send(from, PGridMsg::Repair(reply));
         }
     }
 }
@@ -104,8 +110,26 @@ mod tests {
         let (to, msg) = &fx.sends()[0];
         assert_eq!(*to, NodeId(7));
         match msg {
-            PGridMsg::Digest { entries } => assert_eq!(entries, &[(3, 3, 1)]),
+            PGridMsg::Repair(RepairMsg::Probe { span, summary }) => {
+                assert_eq!(*span, ((0, 0), (u64::MAX >> 1, u64::MAX)), "the leaf of path 0");
+                assert_eq!(summary.count, 1);
+            }
             other => panic!("unexpected message {other:?}"),
+        }
+    }
+
+    /// The probe `from` would send after preloading `entries`.
+    fn probe_of(from: u32, entries: &[(Key, u64)]) -> RepairMsg<(Key, u64), RawItem> {
+        let mut p = peer(from);
+        p.routing_mut().add_replica(NodeId(0));
+        for &(k, v) in entries {
+            p.preload(k, RawItem(k), v);
+        }
+        let mut fx = Effects::new();
+        p.run_anti_entropy(&mut fx);
+        match fx.sends() {
+            [(_, PGridMsg::Repair(probe))] => probe.clone(),
+            other => panic!("unexpected sends {other:?}"),
         }
     }
 
@@ -115,15 +139,36 @@ mod tests {
         p.preload(1, RawItem(1), 1);
         p.preload(2, RawItem(2), 1);
         let mut fx = Effects::new();
-        // Requester already has key 1 at the same version.
-        p.handle_digest(NodeId(9), vec![(1, 1, 1)], &mut fx);
-        assert_eq!(fx.sends().len(), 1);
-        match &fx.sends()[0].1 {
-            PGridMsg::DigestReply { entries } => {
+        // Requester already has key 1 at the same version: we describe
+        // our leaf (a two-record run), it settles the run against its
+        // own and asks back for key 2 alone.
+        p.handle_repair(NodeId(9), probe_of(9, &[(1, 1)]), &mut fx);
+        let [(to, PGridMsg::Repair(RepairMsg::Descend { parts }))] = fx.sends() else {
+            panic!("unexpected sends {:?}", fx.sends())
+        };
+        assert_eq!(*to, NodeId(9));
+        let mut requester = peer(9);
+        requester.preload(1, RawItem(1), 1);
+        let mut fx = Effects::new();
+        requester.handle_repair(NodeId(0), RepairMsg::Descend { parts: parts.clone() }, &mut fx);
+        let [(_, PGridMsg::Repair(RepairMsg::Records { entries, want }))] = fx.sends() else {
+            panic!("unexpected sends {:?}", fx.sends())
+        };
+        assert!(entries.is_empty(), "nothing we lack");
+        assert_eq!(want, &[(2, RawItem(2).ident())]);
+        let mut fx = Effects::new();
+        p.handle_repair(
+            NodeId(9),
+            RepairMsg::Records { entries: Vec::new(), want: want.clone() },
+            &mut fx,
+        );
+        match fx.sends() {
+            [(_, PGridMsg::Repair(RepairMsg::Records { entries, want }))] => {
                 assert_eq!(entries.len(), 1);
-                assert_eq!(entries[0].0, 2);
+                assert_eq!(entries[0].0 .0, 2);
+                assert!(want.is_empty());
             }
-            other => panic!("unexpected message {other:?}"),
+            other => panic!("unexpected sends {other:?}"),
         }
     }
 
@@ -132,7 +177,28 @@ mod tests {
         let mut p = peer(0);
         p.preload(1, RawItem(1), 1);
         let mut fx = Effects::new();
-        p.handle_digest(NodeId(9), vec![(1, 1, 1)], &mut fx);
+        p.handle_repair(NodeId(9), probe_of(9, &[(1, 1)]), &mut fx);
         assert!(fx.is_empty());
+    }
+
+    #[test]
+    fn repair_is_confined_to_the_leaf() {
+        // Path "0": keys with the top bit set belong to someone else.
+        let foreign = 1u64 << 63;
+        let mut p = peer(0);
+        p.preload(1, RawItem(1), 1);
+        let mut fx = Effects::new();
+        let whole = ((0, 0), (u64::MAX, u64::MAX));
+        let probe = RepairMsg::Probe { span: whole, summary: Default::default() };
+        p.handle_repair(NodeId(9), probe, &mut fx);
+        assert!(fx.is_empty(), "a span wider than the leaf is not shared");
+        let push = RepairMsg::Records {
+            entries: vec![((foreign, 7), 1, Some(RawItem(7))), ((2, 2), 1, Some(RawItem(2)))],
+            want: vec![(foreign, 7)],
+        };
+        p.handle_repair(NodeId(9), push, &mut fx);
+        assert!(fx.is_empty());
+        assert_eq!(p.store().get(2), vec![RawItem(2)]);
+        assert!(p.store().get(foreign).is_empty(), "foreign records are not applied");
     }
 }

@@ -50,6 +50,69 @@ impl Item for RawItem {
     }
 }
 
+/// Dev-only support shared by the overlay crates' test modules (one
+/// definition instead of a copy per crate). Compiled unconditionally
+/// because `#[cfg(test)]` items are invisible across crates; nothing
+/// outside `#[cfg(test)]` code refers to it.
+pub mod testing {
+    use super::{Item, Wire};
+    use crate::fxhash::mix64;
+
+    thread_local! {
+        /// [`Tagged::field_hash`] calls on this thread.
+        static FIELD_HASHES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// `Tagged::field_hash` calls made on this thread while `f` runs.
+    pub fn field_hashes_during(f: impl FnOnce()) -> usize {
+        FIELD_HASHES.with(|n| n.set(0));
+        f();
+        FIELD_HASHES.with(|n| n.get())
+    }
+
+    /// An item whose identity (`id`) is decoupled from its payload
+    /// (`tag`), with two hashable fields: field 0 is the tag, field 1
+    /// the id — absent (`None`) on every third tag — and every other
+    /// field is absent on all items.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct Tagged {
+        /// Logical identity.
+        pub id: u64,
+        /// Payload.
+        pub tag: u64,
+    }
+
+    impl Wire for Tagged {
+        fn encode(&self, buf: &mut bytes::BytesMut) {
+            self.id.encode(buf);
+            self.tag.encode(buf);
+        }
+
+        fn decode(buf: &mut bytes::Bytes) -> Result<Self, crate::wire::WireError> {
+            Ok(Tagged { id: u64::decode(buf)?, tag: u64::decode(buf)? })
+        }
+
+        fn wire_size(&self) -> usize {
+            self.id.wire_size() + self.tag.wire_size()
+        }
+    }
+
+    impl Item for Tagged {
+        fn ident(&self) -> u64 {
+            self.id
+        }
+
+        fn field_hash(&self, field: u8) -> Option<u64> {
+            FIELD_HASHES.with(|n| n.set(n.get() + 1));
+            match field {
+                0 => Some(mix64(self.tag)),
+                1 if self.tag % 3 != 0 => Some(mix64(self.id)),
+                _ => None,
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -23,6 +23,7 @@ use std::sync::Arc;
 use unistore::{QueryMsg, UniMsg};
 use unistore_chord::msg::ChordBatchOp;
 use unistore_chord::ChordMsg;
+use unistore_overlay::repair::{Child, Part, RecordKey, RepairMsg, Span, Summary, FANOUT};
 use unistore_pgrid::PGridMsg;
 use unistore_query::cost::StatsDelta;
 use unistore_query::{Coverage, Mqp, MqpNode, Relation};
@@ -144,6 +145,18 @@ fn sample_batch() -> OpBatch<Triple> {
     b
 }
 
+/// A well-formed split of `span`: [`FANOUT`] children with ascending
+/// upper bounds from `hi`, the last stretched to the span's end.
+fn sample_split<K: RecordKey>(span: Span<K>, hi: impl Fn(u64) -> K) -> Part<K> {
+    let children = (0..FANOUT as u64)
+        .map(|i| Child {
+            hi: if i + 1 == FANOUT as u64 { span.1 } else { hi(i) },
+            summary: Summary { count: i, hash: i.wrapping_mul(0x9E37_79B9_7F4A_7C15) },
+        })
+        .collect();
+    Part::Split { span, children }
+}
+
 impl FuzzSeeds for PGridMsg<Triple> {
     fn seeds() -> Vec<Self> {
         let t = Triple::new("o1", "name", Value::str("alice"));
@@ -194,8 +207,20 @@ impl FuzzSeeds for PGridMsg<Triple> {
                 aborted: false,
             },
             PGridMsg::Replicate { entries: entries.clone() },
-            PGridMsg::Digest { entries: vec![(1, 2, 3)] },
-            PGridMsg::DigestReply { entries: vec![(42u64, 7u64, 1u64, Some(t)), (43, 8, 2, None)] },
+            PGridMsg::Repair(RepairMsg::Probe {
+                span: ((8, 0), (15, u64::MAX)),
+                summary: Summary { count: 3, hash: 0xDEAD_BEEF_0BAD_F00D },
+            }),
+            PGridMsg::Repair(RepairMsg::Descend {
+                parts: vec![
+                    sample_split(((8, 0), (15, u64::MAX)), |i| (8 + i / 4, i * 1000)),
+                    Part::Run { span: ((8, 0), (8, 99)), entries: vec![((8, 1), 2), ((8, 7), 0)] },
+                ],
+            }),
+            PGridMsg::Repair(RepairMsg::Records {
+                entries: vec![((42, 7), 1, Some(t)), ((43, 8), 2, None)],
+                want: vec![(44, 9)],
+            }),
             PGridMsg::Ping { nonce: 77 },
             PGridMsg::Pong { nonce: 77 },
             PGridMsg::TableRequest,
@@ -247,8 +272,20 @@ impl FuzzSeeds for ChordMsg<Triple> {
             ChordMsg::Replicate {
                 entries: vec![((9, 90, 900), 1, Some(t.clone())), ((8, 80, 800), 2, None)],
             },
-            ChordMsg::Digest { entries: vec![((9, 90, 900), 1)] },
-            ChordMsg::DigestReply { entries: vec![((9, 90, 900), 3, None)] },
+            ChordMsg::Repair(RepairMsg::Probe {
+                span: ((8, 0, 0), (9, u64::MAX, u64::MAX)),
+                summary: Summary { count: 2, hash: u64::MAX },
+            }),
+            ChordMsg::Repair(RepairMsg::Descend {
+                parts: vec![
+                    sample_split(((8, 0, 0), (9, u64::MAX, u64::MAX)), |i| (8, 80 + i, 800)),
+                    Part::Run { span: ((9, 0, 0), (9, 90, 900)), entries: vec![((9, 90, 900), 1)] },
+                ],
+            }),
+            ChordMsg::Repair(RepairMsg::Records {
+                entries: vec![((9, 90, 900), 3, None), ((8, 80, 800), 1, Some(t.clone()))],
+                want: vec![(8, 81, 800)],
+            }),
             ChordMsg::Ping,
             ChordMsg::Pong,
         ]
