@@ -65,7 +65,7 @@ fn in_wire_emitting(path: &str) -> bool {
             "crates/util/src/bloom.rs"
                 | "crates/query/src/relation.rs"
                 | "crates/query/src/mqp.rs"
-                | "crates/query/src/cost.rs"
+                | "crates/query/src/cost/delta.rs"
                 | "crates/core/src/stats.rs"
                 | "crates/simnet/src/metrics.rs"
         )
@@ -490,7 +490,7 @@ mod tests {
         assert_eq!(findings("crates/store/src/a.rs", src).len(), 2);
         let fx = "fn f(m: FxHashMap<u8, u8>) {}";
         assert!(findings("crates/store/src/a.rs", fx).is_empty());
-        assert_eq!(findings("crates/query/src/cost.rs", fx).len(), 1, "wire-emitting module");
+        assert_eq!(findings("crates/query/src/cost/delta.rs", fx).len(), 1, "wire-emitting module");
     }
 
     #[test]

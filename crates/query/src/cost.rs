@@ -14,963 +14,31 @@
 //! critical-path hop depth and bytes for every candidate physical
 //! operator — experiment E8 compares these predictions against measured
 //! values.
-
-use std::sync::Arc;
-
-use unistore_store::index::{attr_value_key, attr_value_range};
-use unistore_store::qgram;
-use unistore_store::{Oid, Triple, Value};
-use unistore_util::stats::Histogram;
-use unistore_util::wire::{get_len, get_varint, put_varint, varint_size, Wire, WireError};
-use unistore_util::{intern, CompactStr, FxHashMap};
-
-use crate::strategy::{JoinStrategy, RangeAlgo, ScanStrategy};
-
-/// Overlay parameters the model derives its guarantees from.
-#[derive(Clone, Copy, Debug)]
-pub struct NetParams {
-    /// Number of peers.
-    pub n_peers: f64,
-    /// Number of trie leaves (= peer count / replication).
-    pub n_leaves: f64,
-    /// Replication factor.
-    pub replication: f64,
-    /// Expected one-way link delay in milliseconds (latency prediction).
-    pub hop_ms: f64,
-}
-
-impl NetParams {
-    /// Expected routing depth: log₂ of the leaf count.
-    pub fn log_n(&self) -> f64 {
-        self.n_leaves.max(2.0).log2()
-    }
-}
-
-/// Selectivity assumed for attributes the statistics have never seen.
-///
-/// Statistics are disseminated with bounded staleness, so an attribute
-/// can be live in the system before any snapshot mentions it. Pricing
-/// such a scan at zero cardinality *and* zero cost made every
-/// ghost-attribute plan look free and win `choose_scan` / join
-/// arbitration outright; instead, unknown attributes are floored at
-/// this conservative fraction of the total triple count (never below
-/// one row).
-pub const UNKNOWN_ATTR_SELECTIVITY: f64 = 0.01;
-
-/// Bumps a refcount by `n`.
-fn bump<K: std::hash::Hash + Eq>(map: &mut FxHashMap<K, u32>, k: K, n: u32) {
-    *map.entry(k).or_insert(0) += n;
-}
-
-/// Drops a refcount by `n`, removing the entry when it reaches zero.
-/// Unknown keys are ignored and known ones stop at zero (saturating
-/// semantics).
-fn unbump<K: std::hash::Hash + Eq>(map: &mut FxHashMap<K, u32>, k: &K, n: u32) {
-    if let Some(rc) = map.get_mut(k) {
-        *rc = rc.saturating_sub(n);
-        if *rc == 0 {
-            map.remove(k);
-        }
-    }
-}
-
-/// Per-attribute statistics.
-///
-/// The `f64` fields are the numbers the cost formulas consume; the
-/// private refcount maps are the support state that lets deltas keep
-/// them *exact* under interleaved inserts and deletes (an incrementally
-/// maintained snapshot is indistinguishable from a fresh
-/// [`GlobalStats::build`] over the surviving triples — property-tested
-/// below).
-#[derive(Clone, Debug)]
-pub struct AttrStats {
-    /// Number of triples with this attribute.
-    pub count: f64,
-    /// Distinct values *in the order-preserving key space* — long
-    /// strings collapse onto their encoded prefix. Drives range and
-    /// lookup selectivity over keys.
-    pub distinct: f64,
-    /// Distinct values under semantic equality (`Value::semantic_hash`;
-    /// no prefix collapse). Drives the semi-join selectivity, where
-    /// membership is tested on full join keys, not key prefixes.
-    pub join_distinct: f64,
-    /// Histogram over A#v-index keys (range selectivity).
-    pub hist: Histogram,
-    /// Total q-gram postings (string values only).
-    pub gram_postings: f64,
-    /// Distinct q-grams.
-    pub gram_distinct: f64,
-    /// Live key-space values (refcounted; drives `distinct`).
-    values: FxHashMap<u64, u32>,
-    /// Live semantic values (refcounted; drives `join_distinct`).
-    join_values: FxHashMap<u64, u32>,
-    /// Live q-grams (refcounted with multiplicity; drives
-    /// `gram_distinct`).
-    grams: FxHashMap<u32, u32>,
-}
-
-impl AttrStats {
-    /// Empty statistics for one attribute. The histogram spans exactly
-    /// this attribute's slice of the key space, so its 256 buckets
-    /// resolve value ranges *within* the attribute.
-    fn empty(attr: &str) -> Self {
-        let (lo, hi) = unistore_store::index::attr_range(attr);
-        AttrStats {
-            count: 0.0,
-            distinct: 0.0,
-            join_distinct: 0.0,
-            hist: Histogram::new(lo, hi, 256),
-            gram_postings: 0.0,
-            gram_distinct: 0.0,
-            values: FxHashMap::default(),
-            join_values: FxHashMap::default(),
-            grams: FxHashMap::default(),
-        }
-    }
-}
-
-/// One OID-table entry of a [`StatsDelta`]: the OID's placement hash
-/// and its length in bytes — all the statistics ever read of an OID
-/// (the distinct-OID refcount and the triple's wire size).
-type OidRef = (u64, u32);
-
-fn oid_ref(oid: &Oid) -> OidRef {
-    (oid.hash(), oid.as_str().len() as u32)
-}
-
-/// Wire size of an OID of `len` bytes (a length-prefixed string).
-fn oid_wire_size(len: u32) -> usize {
-    varint_size(len as u64) + len as usize
-}
-
-/// A value's *representation*, as opposed to its meaning: `Int(2)` and
-/// `Float(2.0)` are semantically equal but encode to different sizes,
-/// and the byte statistics are exact, so they must not share a group.
-#[derive(Clone, PartialEq, Eq, Hash)]
-enum ValueRepr {
-    Str(CompactStr),
-    Int(i64),
-    Float(u64),
-}
-
-impl ValueRepr {
-    fn of(v: &Value) -> Self {
-        match v {
-            Value::Str(s) => ValueRepr::Str(s.clone()),
-            Value::Int(i) => ValueRepr::Int(*i),
-            Value::Float(f) => ValueRepr::Float(f.to_bits()),
-        }
-    }
-}
-
-type GroupKey = (Arc<str>, ValueRepr);
-
-/// The write events of one sign that share an `(attr, value)` pair.
-#[derive(Clone, Debug)]
-struct Group {
-    attr: Arc<str>,
-    value: Value,
-    /// Indexes into the delta's OID table, never descending and never
-    /// empty; a repeated index is a repeated write event.
-    oids: Vec<u32>,
-}
-
-impl Group {
-    fn key(&self) -> GroupKey {
-        (self.attr.clone(), ValueRepr::of(&self.value))
-    }
-
-    /// The first table index, then the distance from each to the next:
-    /// how the indexes travel (one byte each while neighbours are under
-    /// 128 table entries apart).
-    fn gaps(&self) -> impl Iterator<Item = u64> + '_ {
-        self.oids.iter().scan(0, |prev, &i| Some((i - std::mem::replace(prev, i)) as u64))
-    }
-
-    fn encode(&self, buf: &mut bytes::BytesMut) {
-        self.attr.encode(buf);
-        self.value.encode(buf);
-        put_varint(buf, self.oids.len() as u64);
-        self.gaps().for_each(|gap| put_varint(buf, gap));
-    }
-
-    fn wire_size(&self) -> usize {
-        self.attr.wire_size()
-            + self.value.wire_size()
-            + varint_size(self.oids.len() as u64)
-            + self.gaps().map(varint_size).sum::<usize>()
-    }
-}
-
-/// Adds `x` to a never-descending list.
-fn insert_sorted(list: &mut Vec<u32>, x: u32) {
-    match list.last() {
-        Some(&last) if last > x => list.insert(list.partition_point(|&y| y <= x), x),
-        _ => list.push(x),
-    }
-}
-
-/// Removes from two never-descending lists the elements they share,
-/// one for one. Returns whether anything was removed.
-fn cancel_common(a: &mut Vec<u32>, b: &mut Vec<u32>) -> bool {
-    let (mut only_a, mut only_b) = (Vec::new(), Vec::new());
-    let (mut i, mut j) = (0, 0);
-    while let (Some(&x), Some(&y)) = (a.get(i), b.get(j)) {
-        match x.cmp(&y) {
-            std::cmp::Ordering::Less => {
-                only_a.push(x);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                only_b.push(y);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    only_a.extend(a.iter().skip(i));
-    only_b.extend(b.iter().skip(j));
-    let cancelled = only_a.len() < a.len();
-    (*a, *b) = (only_a, only_b);
-    cancelled
-}
-
-/// Insert-side and delete-side positions in [`StatsDelta::groups`].
-const INSERTED: usize = 0;
-const DELETED: usize = 1;
-
-/// Where a recorded OID or `(attr, value)` pair sits in a
-/// [`StatsDelta`]. Probed, never iterated: the vectors alone decide
-/// what goes on the wire and in which order.
-#[derive(Clone, Default)]
-struct DeltaIndex {
-    oids: FxHashMap<OidRef, u32>,
-    groups: [FxHashMap<GroupKey, u32>; 2],
-}
-
-impl DeltaIndex {
-    fn build(oids: &[OidRef], groups: &[Vec<Group>; 2]) -> Self {
-        let mut index = DeltaIndex::default();
-        for (i, oid) in oids.iter().enumerate() {
-            index.oids.entry(*oid).or_insert(i as u32);
-        }
-        for (map, side) in index.groups.iter_mut().zip(groups) {
-            for (i, g) in side.iter().enumerate() {
-                map.entry(g.key()).or_insert(i as u32);
-            }
-        }
-        index
-    }
-}
-
-/// A digest of a batch of statistics-relevant write events, shippable
-/// over the wire: the in-band currency of statistics dissemination.
-///
-/// A write batch names few distinct `(attr, value)` pairs over many
-/// objects (one 16-op ingest trial: 2 048 triples, about 30 pairs,
-/// 1 024 OIDs), and every statistic depends on a triple only through its
-/// pair, its OID's hash and its size. So the delta holds each OID once
-/// — hash and byte length, in first-seen order — and, per sign, one
-/// group per pair in first-seen order listing the OIDs written under
-/// it. Receivers fold it in group by group with
-/// [`GlobalStats::apply_delta`]; deltas [`StatsDelta::merge`] by
-/// uniting tables and groups, so a node can buffer everything it
-/// learns between two dissemination ticks into one message.
-#[derive(Clone, Default)]
-pub struct StatsDelta {
-    /// Every OID the groups refer to, once, in first-seen order.
-    oids: Vec<OidRef>,
-    /// Groups of inserted (`[INSERTED]`) and deleted (`[DELETED]`)
-    /// triples, each side in first-seen order.
-    groups: [Vec<Group>; 2],
-    /// Lookup side of `oids` and `groups`, built when a write is first
-    /// recorded and dropped whenever the vectors are re-numbered; a
-    /// delta that is only decoded, folded and forwarded never pays it.
-    index: Option<Box<DeltaIndex>>,
-}
-
-impl std::fmt::Debug for StatsDelta {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StatsDelta")
-            .field("oids", &self.oids)
-            .field("inserted", &self.groups[INSERTED])
-            .field("deleted", &self.groups[DELETED])
-            .finish()
-    }
-}
-
-impl StatsDelta {
-    /// An empty delta.
-    pub fn new() -> Self {
-        StatsDelta::default()
-    }
-
-    /// Records one inserted triple.
-    pub fn record_insert(&mut self, t: Triple) {
-        let oid = self.oid_slot(oid_ref(&t.oid));
-        self.record(INSERTED, t.attr, t.value, [oid]);
-    }
-
-    /// Records one deleted triple.
-    pub fn record_delete(&mut self, t: Triple) {
-        let oid = self.oid_slot(oid_ref(&t.oid));
-        self.record(DELETED, t.attr, t.value, [oid]);
-    }
-
-    fn index(&mut self) -> &mut DeltaIndex {
-        self.index.get_or_insert_with(|| Box::new(DeltaIndex::build(&self.oids, &self.groups)))
-    }
-
-    /// The OID's position in the table, appending it when new.
-    fn oid_slot(&mut self, oid: OidRef) -> u32 {
-        let next = self.oids.len() as u32;
-        let slot = *self.index().oids.entry(oid).or_insert(next);
-        if slot == next {
-            self.oids.push(oid);
-        }
-        slot
-    }
-
-    /// Adds write events of one sign under `(attr, value)`, opening the
-    /// group when the pair is new on that side.
-    fn record(
-        &mut self,
-        side: usize,
-        attr: Arc<str>,
-        value: Value,
-        oids: impl IntoIterator<Item = u32>,
-    ) {
-        let next = self.groups[side].len() as u32;
-        let key = (attr.clone(), ValueRepr::of(&value));
-        let slot = *self.index().groups[side].entry(key).or_insert(next);
-        if slot == next {
-            self.groups[side].push(Group { attr, value, oids: Vec::new() });
-        }
-        let group = &mut self.groups[side][slot as usize];
-        for oid in oids {
-            insert_sorted(&mut group.oids, oid);
-        }
-    }
-
-    /// Folds another delta into this one: its OIDs join the table, its
-    /// groups join the groups of the same pair and sign.
-    pub fn merge(&mut self, other: StatsDelta) {
-        let renumber: Vec<u32> = other.oids.iter().map(|&oid| self.oid_slot(oid)).collect();
-        for (side, groups) in other.groups.into_iter().enumerate() {
-            for g in groups {
-                let oids = g.oids.iter().map(|&i| renumber[i as usize]);
-                self.record(side, g.attr, g.value, oids);
-            }
-        }
-    }
-
-    /// Whether the delta carries no events.
-    pub fn is_empty(&self) -> bool {
-        self.groups.iter().all(Vec::is_empty)
-    }
-
-    /// Number of recorded write events.
-    pub fn len(&self) -> usize {
-        self.groups.iter().flatten().map(|g| g.oids.len()).sum()
-    }
-
-    /// The table entries a group's events refer to, one per event.
-    fn oids_of<'a>(&'a self, g: &'a Group) -> impl ExactSizeIterator<Item = OidRef> + 'a {
-        g.oids.iter().map(|&i| self.oids[i as usize])
-    }
-
-    /// The `(attr, value)` pairs the delta's writes name: each once per
-    /// sign it was written under.
-    pub fn pairs(&self) -> impl Iterator<Item = (&Arc<str>, &Value)> {
-        self.groups.iter().flatten().map(|g| (&g.attr, &g.value))
-    }
-
-    /// Cancels matched insert/delete pairs of identical triples: a
-    /// value written and removed again within one buffering interval
-    /// nets to zero in every statistic, so the pair need not ride the
-    /// dissemination fan-out at all. Dissemination flushes call this
-    /// before encoding; survivor order is preserved, so the compacted
-    /// wire bytes stay deterministic.
-    ///
-    /// Identical means the same OID under the same group, so one probe
-    /// per inserted group finds everything it can cancel. A write and a
-    /// removal that differ in representation (`Int(2)` against
-    /// `Float(2.0)`) differ in size and do not net to zero; both stay.
-    pub fn compact(&mut self) {
-        if self.groups.iter().any(Vec::is_empty) {
-            return;
-        }
-        self.index();
-        let Some(index) = self.index.take() else { return };
-        let [inserted, deleted] = &mut self.groups;
-        let mut cancelled = false;
-        for g in inserted.iter_mut() {
-            if let Some(&d) = index.groups[DELETED].get(&g.key()) {
-                cancelled |= cancel_common(&mut g.oids, &mut deleted[d as usize].oids);
-            }
-        }
-        if !cancelled {
-            self.index = Some(index);
-            return;
-        }
-        // Drop what emptied and re-number the table to the OIDs still
-        // referred to, keeping their order; the index is rebuilt when
-        // next needed.
-        for side in &mut self.groups {
-            side.retain(|g| !g.oids.is_empty());
-        }
-        let mut used = vec![false; self.oids.len()];
-        for &i in self.groups.iter().flatten().flat_map(|g| &g.oids) {
-            used[i as usize] = true;
-        }
-        let renumber: Vec<u32> = used
-            .iter()
-            .scan(0, |kept, &u| Some(std::mem::replace(kept, *kept + u as u32)))
-            .collect();
-        let mut used = used.into_iter();
-        self.oids.retain(|_| used.next() == Some(true));
-        for i in self.groups.iter_mut().flatten().flat_map(|g| &mut g.oids) {
-            *i = renumber[*i as usize];
-        }
-    }
-}
-
-// Layout: the OID table (count; per OID the hash as 8 fixed bytes —
-// high-entropy, a varint would average 9–10 — and the varint length),
-// then the inserted and the deleted groups (count; per group attr,
-// value, OID count and the table indexes as gaps).
-impl Wire for StatsDelta {
-    fn encode(&self, buf: &mut bytes::BytesMut) {
-        use bytes::BufMut;
-        put_varint(buf, self.oids.len() as u64);
-        for (hash, len) in &self.oids {
-            buf.put_u64(*hash);
-            len.encode(buf);
-        }
-        for side in &self.groups {
-            put_varint(buf, side.len() as u64);
-            side.iter().for_each(|g| g.encode(buf));
-        }
-    }
-
-    fn decode(buf: &mut bytes::Bytes) -> Result<Self, WireError> {
-        use bytes::Buf;
-        let n_oids = get_len(buf)?;
-        let mut oids = Vec::with_capacity(n_oids.min(1024));
-        for _ in 0..n_oids {
-            if buf.remaining() < 8 {
-                return Err(WireError::UnexpectedEof);
-            }
-            oids.push((buf.get_u64(), u32::decode(buf)?));
-        }
-        let mut groups = [Vec::new(), Vec::new()];
-        for side in &mut groups {
-            for _ in 0..get_len(buf)? {
-                let attr = unistore_util::wire::decode_str(buf, intern)?;
-                let value = Value::decode(buf)?;
-                // Handlers index the table without bounds checks and
-                // rely on a group being a write: reject empty groups
-                // and indexes that run backwards (a gap that overflows)
-                // or off the table.
-                let n = get_len(buf)?;
-                if n == 0 {
-                    return Err(WireError::BadLength(0));
-                }
-                let mut group = Vec::with_capacity(n.min(1024));
-                let mut prev = 0u64;
-                for _ in 0..n {
-                    let gap = get_varint(buf)?;
-                    prev = prev
-                        .checked_add(gap)
-                        .filter(|&i| i < n_oids as u64)
-                        .ok_or(WireError::BadLength(gap))?;
-                    group.push(prev as u32);
-                }
-                side.push(Group { attr, value, oids: group });
-            }
-        }
-        Ok(StatsDelta { oids, groups, index: None })
-    }
-
-    fn wire_size(&self) -> usize {
-        let table: usize = self.oids.iter().map(|(_, len)| 8 + len.wire_size()).sum();
-        let groups = self.groups.iter().map(|side| {
-            varint_size(side.len() as u64) + side.iter().map(Group::wire_size).sum::<usize>()
-        });
-        varint_size(self.oids.len() as u64) + table + groups.sum::<usize>()
-    }
-}
-
-/// Global statistics: what the paper's peers gossip. Bulk-built once
-/// per load, then maintained incrementally: every routed write folds in
-/// as an O(delta) [`GlobalStats::apply_delta`] instead of a rescan of
-/// every triple (protocol described in DESIGN.md §"Statistics
-/// distribution").
-#[derive(Clone, Debug)]
-pub struct GlobalStats {
-    /// Total triples in the system.
-    pub total: f64,
-    /// Distinct OIDs.
-    pub oid_distinct: f64,
-    /// Distinct values across all attributes (v index).
-    pub value_distinct: f64,
-    /// Mean wire size of one triple, bytes.
-    pub avg_triple_bytes: f64,
-    /// Per-attribute statistics.
-    pub attrs: FxHashMap<Arc<str>, AttrStats>,
-    /// Overlay parameters.
-    pub net: NetParams,
-    /// Running sum of triple wire sizes (drives `avg_triple_bytes`).
-    bytes: f64,
-    /// Live OID hashes (refcounted; drives `oid_distinct`).
-    oids: FxHashMap<u64, u32>,
-    /// Live value key-bits (refcounted; drives `value_distinct`).
-    values: FxHashMap<u64, u32>,
-}
-
-impl GlobalStats {
-    /// Statistics of an empty system.
-    pub fn empty(net: NetParams) -> Self {
-        GlobalStats {
-            total: 0.0,
-            oid_distinct: 0.0,
-            value_distinct: 0.0,
-            avg_triple_bytes: 16.0,
-            attrs: FxHashMap::default(),
-            net,
-            bytes: 0.0,
-            oids: FxHashMap::default(),
-            values: FxHashMap::default(),
-        }
-    }
-
-    /// Builds statistics from a triple sample (typically: everything the
-    /// workload generator inserted). Equivalent to folding every triple
-    /// into [`GlobalStats::empty`] with [`GlobalStats::apply_insert`] —
-    /// which is exactly how it is implemented, so the bulk and
-    /// incremental paths cannot drift apart.
-    pub fn build<'a>(triples: impl IntoIterator<Item = &'a Triple>, net: NetParams) -> Self {
-        let mut stats = GlobalStats::empty(net);
-        for t in triples {
-            stats.apply_insert(t);
-        }
-        stats
-    }
-
-    /// Folds one inserted triple into the snapshot — O(1) amortized.
-    pub fn apply_insert(&mut self, t: &Triple) {
-        self.fold_inserts(&t.attr, &t.value, std::iter::once(oid_ref(&t.oid)));
-    }
-
-    /// Folds one deleted triple out of the snapshot — the exact inverse
-    /// of [`GlobalStats::apply_insert`]. Deletes of triples whose
-    /// `(attr, value)` the snapshot never counted are ignored outright
-    /// (the per-attr value refcounts are the authority), so a stray or
-    /// duplicated delete cannot corrupt the totals; a delete of a known
-    /// `(attr, value)` under an unknown OID still decrements the
-    /// aggregates — indistinguishable at the statistics' granularity,
-    /// and the OID refcount itself saturates.
-    pub fn apply_delete(&mut self, t: &Triple) {
-        self.fold_deletes(&t.attr, &t.value, std::iter::once(oid_ref(&t.oid)));
-    }
-
-    /// Folds a write batch into the snapshot, all inserts before all
-    /// deletes — O(delta), and O(groups) in everything but the OID
-    /// refcounts and the byte sum.
-    pub fn apply_delta(&mut self, delta: &StatsDelta) {
-        for g in &delta.groups[INSERTED] {
-            self.fold_inserts(&g.attr, &g.value, delta.oids_of(g));
-        }
-        for g in &delta.groups[DELETED] {
-            self.fold_deletes(&g.attr, &g.value, delta.oids_of(g));
-        }
-    }
-
-    /// Folds in the triples `(oid, attr, value)` for every given OID:
-    /// everything that depends on the pair alone is derived once and
-    /// counted by the group's size; only the OID refcount and the byte
-    /// sum are touched per triple. A single insert is a group of one.
-    fn fold_inserts(
-        &mut self,
-        attr: &Arc<str>,
-        value: &Value,
-        oids: impl ExactSizeIterator<Item = OidRef>,
-    ) {
-        let n = oids.len() as u32;
-        let pair_bytes = attr.wire_size() + value.wire_size();
-        for (hash, len) in oids {
-            self.bytes += (oid_wire_size(len) + pair_bytes) as f64;
-            bump(&mut self.oids, hash, 1);
-        }
-        self.total += n as f64;
-        self.avg_triple_bytes = self.bytes / self.total;
-        self.oid_distinct = self.oids.len() as f64;
-        let key_bits = value.key_bits();
-        bump(&mut self.values, key_bits, n);
-        self.value_distinct = self.values.len() as f64;
-        let a = self.attrs.entry(attr.clone()).or_insert_with(|| AttrStats::empty(attr));
-        a.count += n as f64;
-        bump(&mut a.values, key_bits, n);
-        a.distinct = a.values.len() as f64;
-        bump(&mut a.join_values, value.semantic_hash(), n);
-        a.join_distinct = a.join_values.len() as f64;
-        a.hist.add_n(attr_value_key(attr, value), n);
-        if let Value::Str(s) = value {
-            let gs = qgram::qgrams(s);
-            a.gram_postings += (gs.len() * n as usize) as f64;
-            for g in gs {
-                bump(&mut a.grams, g, n);
-            }
-            a.gram_distinct = a.grams.len() as f64;
-        }
-    }
-
-    /// The inverse of [`GlobalStats::fold_inserts`], for as many of the
-    /// OIDs — taken from the front — as the snapshot still counts
-    /// triples of the pair; the rest are ignored, as a delete the
-    /// snapshot never saw the insert of is.
-    fn fold_deletes(
-        &mut self,
-        attr: &Arc<str>,
-        value: &Value,
-        oids: impl ExactSizeIterator<Item = OidRef>,
-    ) {
-        let Some(a) = self.attrs.get_mut(attr) else { return };
-        let key_bits = value.key_bits();
-        let n = (oids.len() as u32).min(a.values.get(&key_bits).copied().unwrap_or(0));
-        if n == 0 {
-            return;
-        }
-        let pair_bytes = attr.wire_size() + value.wire_size();
-        for (hash, len) in oids.take(n as usize) {
-            self.bytes -= (oid_wire_size(len) + pair_bytes) as f64;
-            unbump(&mut self.oids, &hash, 1);
-        }
-        self.total -= n as f64;
-        self.avg_triple_bytes = if self.total > 0.0 { self.bytes / self.total } else { 16.0 };
-        self.oid_distinct = self.oids.len() as f64;
-        unbump(&mut self.values, &key_bits, n);
-        self.value_distinct = self.values.len() as f64;
-        a.count -= n as f64;
-        unbump(&mut a.values, &key_bits, n);
-        a.distinct = a.values.len() as f64;
-        unbump(&mut a.join_values, &value.semantic_hash(), n);
-        a.join_distinct = a.join_values.len() as f64;
-        a.hist.remove_n(attr_value_key(attr, value), n);
-        if let Value::Str(s) = value {
-            let gs = qgram::qgrams(s);
-            a.gram_postings -= (gs.len() * n as usize) as f64;
-            for g in gs {
-                unbump(&mut a.grams, &g, n);
-            }
-            a.gram_distinct = a.grams.len() as f64;
-        }
-        if a.count <= 0.0 {
-            // A fresh build over the survivors would not contain the
-            // attribute at all; match it.
-            self.attrs.remove(attr);
-        }
-    }
-
-    /// Mean triples stored per leaf.
-    pub fn triples_per_leaf(&self) -> f64 {
-        (self.total / self.net.n_leaves).max(1.0)
-    }
-
-    /// Conservative cardinality assumed for scans on attributes the
-    /// statistics have never seen (see [`UNKNOWN_ATTR_SELECTIVITY`]).
-    pub fn unknown_attr_card(&self) -> f64 {
-        (self.total * UNKNOWN_ATTR_SELECTIVITY).max(1.0)
-    }
-
-    fn attr(&self, attr: &str) -> Option<&AttrStats> {
-        self.attrs.get(attr)
-    }
-}
-
-/// Predicted cost of a physical operator or plan.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct CostVector {
-    /// Total messages.
-    pub messages: f64,
-    /// Critical-path length in hops (latency = depth × hop delay).
-    pub depth: f64,
-    /// Bytes moved.
-    pub bytes: f64,
-}
-
-impl CostVector {
-    /// Accumulates another operator's cost executed *after* this one.
-    pub fn then(&self, next: &CostVector) -> CostVector {
-        CostVector {
-            messages: self.messages + next.messages,
-            depth: self.depth + next.depth,
-            bytes: self.bytes + next.bytes,
-        }
-    }
-
-    /// Predicted latency in milliseconds.
-    pub fn latency_ms(&self, hop_ms: f64) -> f64 {
-        self.depth * hop_ms
-    }
-
-    /// Scalar score for strategy selection: message count dominates
-    /// (bandwidth is the scarce resource in the paper's setting), depth
-    /// breaks ties toward lower latency.
-    pub fn score(&self) -> f64 {
-        self.messages + 0.01 * self.depth + 1e-6 * self.bytes
-    }
-}
-
-/// A priced scan: predicted cost and output cardinality.
-#[derive(Clone, Debug)]
-pub struct ScanEstimate {
-    /// Predicted network cost.
-    pub cost: CostVector,
-    /// Predicted result rows.
-    pub cardinality: f64,
-}
-
-/// The cost model over one statistics snapshot.
-#[derive(Clone, Debug)]
-pub struct CostModel {
-    /// The statistics driving the predictions.
-    pub stats: GlobalStats,
-}
-
-impl CostModel {
-    /// Creates the model.
-    pub fn new(stats: GlobalStats) -> Self {
-        CostModel { stats }
-    }
-
-    /// Folds a statistics delta into the model — O(delta), no rescan.
-    pub fn apply_delta(&mut self, delta: &StatsDelta) {
-        self.stats.apply_delta(delta);
-    }
-
-    /// Prices one scan strategy. `limit_hint` enables early-termination
-    /// pricing for sequential ranges under LIMIT.
-    pub fn scan(&self, s: &ScanStrategy, limit_hint: Option<usize>) -> ScanEstimate {
-        let st = &self.stats;
-        let log_n = st.net.log_n();
-        let per_leaf = st.triples_per_leaf();
-        let row_bytes = st.avg_triple_bytes;
-        match s {
-            ScanStrategy::OidLookup { .. } => {
-                let card = (st.total / st.oid_distinct.max(1.0)).max(1.0);
-                ScanEstimate {
-                    cost: CostVector {
-                        messages: log_n + 1.0,
-                        depth: log_n + 1.0,
-                        bytes: card * row_bytes,
-                    },
-                    cardinality: card,
-                }
-            }
-            ScanStrategy::AttrValueLookup { attr, .. } => {
-                let card =
-                    st.attr(attr).map_or(st.unknown_attr_card(), |a| a.count / a.distinct.max(1.0));
-                ScanEstimate {
-                    cost: CostVector {
-                        messages: log_n + 1.0,
-                        depth: log_n + 1.0,
-                        bytes: card * row_bytes,
-                    },
-                    cardinality: card,
-                }
-            }
-            ScanStrategy::AttrRange { attr, lo, hi, algo } => {
-                let card = match st.attr(attr) {
-                    None => st.unknown_attr_card(),
-                    Some(a) => {
-                        let (klo, khi) = attr_value_range(attr, lo.as_ref(), hi.as_ref());
-                        a.hist.estimate_range(klo, khi).max(1.0)
-                    }
-                };
-                let leaves = (card / per_leaf).ceil().clamp(1.0, st.net.n_leaves);
-                let (messages, depth, eff_card) = match algo {
-                    RangeAlgo::Parallel => (log_n + 2.0 * leaves, log_n + 2.0, card),
-                    RangeAlgo::Sequential => {
-                        // Early termination: visit only the leaves needed
-                        // to fill the limit.
-                        let eff_leaves = match limit_hint {
-                            Some(n) if card > 0.0 => {
-                                (n as f64 * leaves / card).ceil().clamp(1.0, leaves)
-                            }
-                            _ => leaves,
-                        };
-                        let eff_card =
-                            if eff_leaves < leaves { card * eff_leaves / leaves } else { card };
-                        (log_n + 2.0 * eff_leaves, log_n + eff_leaves + 1.0, eff_card)
-                    }
-                };
-                ScanEstimate {
-                    cost: CostVector { messages, depth, bytes: eff_card * row_bytes },
-                    cardinality: eff_card,
-                }
-            }
-            ScanStrategy::AttrPrefix { attr, prefix, .. } => {
-                let card = match st.attr(attr) {
-                    None => st.unknown_attr_card(),
-                    Some(a) => {
-                        let (klo, khi) = unistore_store::index::attr_prefix_range(attr, prefix);
-                        a.hist.estimate_range(klo, khi).max(1.0)
-                    }
-                };
-                let leaves = (card / per_leaf).ceil().clamp(1.0, st.net.n_leaves);
-                ScanEstimate {
-                    cost: CostVector {
-                        messages: log_n + 2.0 * leaves,
-                        depth: log_n + 2.0,
-                        bytes: card * row_bytes,
-                    },
-                    cardinality: card,
-                }
-            }
-            ScanStrategy::QGram { attr, target, k } => {
-                let grams = (target.len() + qgram::QGRAM_Q - 1) as f64;
-                let (candidates, verified) = match st.attr(attr) {
-                    None => (st.unknown_attr_card(), st.unknown_attr_card()),
-                    Some(a) => {
-                        let posting = a.gram_postings / a.gram_distinct.max(1.0);
-                        let candidates = (grams * posting).min(a.count);
-                        // Verified matches: crude selectivity — strings
-                        // within distance k of one target are rare.
-                        let sel = ((*k as f64 + 1.0) / a.distinct.max(1.0)).min(1.0);
-                        (candidates, (a.count * sel).max(1.0))
-                    }
-                };
-                ScanEstimate {
-                    cost: CostVector {
-                        messages: grams * (log_n + 1.0),
-                        depth: log_n + 1.0,
-                        bytes: candidates * row_bytes,
-                    },
-                    cardinality: verified,
-                }
-            }
-            ScanStrategy::ValueLookup { .. } => {
-                let card = (st.total / st.value_distinct.max(1.0)).max(1.0);
-                ScanEstimate {
-                    cost: CostVector {
-                        messages: log_n + 1.0,
-                        depth: log_n + 1.0,
-                        bytes: card * row_bytes,
-                    },
-                    cardinality: card,
-                }
-            }
-            ScanStrategy::FullScan { .. } => {
-                let leaves = st.net.n_leaves;
-                ScanEstimate {
-                    cost: CostVector {
-                        messages: 2.0 * leaves,
-                        depth: log_n + 2.0,
-                        bytes: st.total * row_bytes,
-                    },
-                    cardinality: st.total,
-                }
-            }
-        }
-    }
-
-    /// Picks the cheapest scan among candidates. Returns the index into
-    /// `candidates` plus the estimate.
-    pub fn choose_scan(
-        &self,
-        candidates: &[ScanStrategy],
-        limit_hint: Option<usize>,
-    ) -> (usize, ScanEstimate) {
-        let mut best: Option<(usize, ScanEstimate)> = None;
-        for (i, s) in candidates.iter().enumerate() {
-            let est = self.scan(s, limit_hint);
-            // Strict `<` keeps the first of equally-cheap candidates,
-            // matching `Iterator::min_by` so plan choices (and bench
-            // snapshot digests) are unchanged by the unwrap removal.
-            let replace = best.as_ref().is_none_or(|(_, b)| est.cost.score() < b.cost.score());
-            if replace {
-                best = Some((i, est));
-            }
-        }
-        // An empty candidate list is a planner bug; price it as
-        // unplannable instead of panicking.
-        best.unwrap_or((
-            0,
-            ScanEstimate {
-                cost: CostVector {
-                    messages: f64::INFINITY,
-                    depth: f64::INFINITY,
-                    bytes: f64::INFINITY,
-                },
-                cardinality: 0.0,
-            },
-        ))
-    }
-
-    /// Prices a join given the left cardinality and the right side's
-    /// best independent scan. Fetch join costs one lookup per distinct
-    /// left binding.
-    pub fn join(
-        &self,
-        left_card: f64,
-        right_best: &ScanEstimate,
-        fetch_possible: bool,
-    ) -> (JoinStrategy, CostVector) {
-        let log_n = self.stats.net.log_n();
-        let collect = right_best.cost;
-        if !fetch_possible {
-            return (JoinStrategy::Collect, collect);
-        }
-        let fetch = CostVector {
-            messages: left_card.max(1.0) * (log_n + 1.0),
-            depth: log_n + 1.0,
-            bytes: right_best.cardinality.min(left_card) * self.stats.avg_triple_bytes,
-        };
-        if fetch.score() < collect.score() {
-            (JoinStrategy::Fetch, fetch)
-        } else {
-            (JoinStrategy::Collect, collect)
-        }
-    }
-
-    /// Prices a Bloom-filtered semi-join pushdown of the right side's
-    /// best scan: the message structure and critical path are the
-    /// collect scan's (the filter rides the existing request messages),
-    /// but every request grows by the filter's wire size and the leaves
-    /// reply with only the rows whose join key appears on the left —
-    /// plus the filter's false positives.
-    ///
-    /// `left_distinct` is the number of distinct join keys on the
-    /// materialized side, `right_distinct` the estimated distinct join
-    /// keys in the scanned region (drives the semi-join selectivity
-    /// `min(1, left/right)`), `filter_bytes` the encoded filter size and
-    /// `fpr` its false-positive rate.
-    pub fn semi_join(
-        &self,
-        left_distinct: f64,
-        right_distinct: f64,
-        right_best: &ScanEstimate,
-        filter_bytes: f64,
-        fpr: f64,
-    ) -> CostVector {
-        let sel = (left_distinct / right_distinct.max(1.0) + fpr).min(1.0);
-        let surviving = right_best.cardinality * sel;
-        CostVector {
-            messages: right_best.cost.messages,
-            depth: right_best.cost.depth,
-            bytes: right_best.cost.messages * filter_bytes
-                + surviving * self.stats.avg_triple_bytes,
-        }
-    }
-}
+//!
+//! Three files: `estimator` prices operators over a snapshot,
+//! `statistics` holds the snapshot and its folds, `delta` is the write
+//! digest that travels between peers.
+
+mod delta;
+mod estimator;
+mod statistics;
+
+pub use delta::StatsDelta;
+pub use estimator::{CostModel, CostVector, NetParams, ScanEstimate, UNKNOWN_ATTR_SELECTIVITY};
+pub use statistics::{AttrStats, GlobalStats};
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::sync::Arc;
+
+    use unistore_store::{Triple, Value};
+    use unistore_util::wire::{put_varint, Wire, WireError};
+    use unistore_util::{intern, FxHashMap};
+
+    use super::delta::*;
+    use super::estimator::*;
+    use super::statistics::*;
+    use crate::strategy::{JoinStrategy, RangeAlgo, ScanStrategy};
     use unistore_vql::parse;
 
     fn sample_triples() -> Vec<Triple> {
