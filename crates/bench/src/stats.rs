@@ -1,8 +1,10 @@
 //! `BENCH_stats.json`: the statistics-maintenance trajectory — the plan
 //! quality a runtime-insert workload observes (the estimate the planner
 //! prices a freshly inserted attribute at, against the stale floor and
-//! the true cardinality), plus an in-code check that incremental delta
-//! maintenance beats the rebuild-from-scratch path decisively.
+//! the true cardinality) and how many distinct snapshots the 16 peers
+//! hold once the write's stats tick has settled (ceiling 1), plus an
+//! in-code check that incremental delta maintenance beats the
+//! rebuild-from-scratch path decisively.
 
 // The speedup floor compares two wall-clock loops; the times themselves
 // are not recorded (the frozen benchmark reports
@@ -10,12 +12,13 @@
 #![allow(clippy::disallowed_methods)]
 
 use std::path::Path;
+use std::sync::Arc;
 use std::time::Instant;
 
 use unistore::UniCluster;
 use unistore_query::cost::NetParams;
 use unistore_query::{GlobalStats, ScanStrategy};
-use unistore_simnet::NodeId;
+use unistore_simnet::{NodeId, SimTime};
 use unistore_store::{Triple, Tuple, Value};
 use unistore_workload::{PubParams, PubWorld};
 
@@ -84,17 +87,28 @@ pub fn snapshot() {
         .find(|d| d.pattern.contains("rating"))
         .map(|d| d.choice)
         .unwrap_or_default();
+    // One settled stats tick later every peer has folded the origin's
+    // flush: peers that folded the same deltas hold one snapshot.
+    cluster.settle(PGrid::config().stats_refresh + SimTime::from_secs(1));
+    let mut snapshots: Vec<*const _> = (0..cluster.net.len())
+        .map(|i| Arc::as_ptr(cluster.net.node(NodeId(i as u32)).cost_model().expect("loaded")))
+        .collect();
+    snapshots.sort_unstable();
+    snapshots.dedup();
+    let snapshots = snapshots.len();
 
     let row = Row::new()
         .int("dataset_triples", triples.len() as u64)
         .str("runtime_insert_plan_choice", choice)
         .float("est_rows_fresh", fresh.scan(&scan, None).cardinality, 3)
         .float("est_rows_stale_floor", stale.scan(&scan, None).cardinality, 3)
-        .int("actual_rows", actual as u64);
+        .int("actual_rows", actual as u64)
+        .int("snapshots_after_tick", snapshots as u64);
     emit(Path::new("BENCH_stats.json"), "Stats — runtime-insert plan quality", &[row], |_| {
         println!(
             "\nincremental stats maintenance: {speedup:.0}x cheaper per insert than a rebuild"
         );
+        assert!(snapshots <= 1, "{snapshots} statistics snapshots across one settled cluster");
         assert!(
             speedup > 10.0,
             "incremental stats must beat per-write rebuilds decisively (got {speedup:.1}x)"

@@ -703,3 +703,170 @@ pub(crate) fn build_insert_batch(
     }
     (batch, triples)
 }
+
+#[cfg(test)]
+mod tests {
+    //! The statistics plane across a whole cluster: after a settled tick
+    //! the peers that folded the same deltas hold one snapshot, and every
+    //! snapshot — shared or private — is exactly the fold of the deltas
+    //! its holder received.
+
+    use proptest::prelude::*;
+    use unistore_query::GlobalStats;
+
+    use super::*;
+    use crate::backends::{chord_config, ChordUniCluster};
+
+    const TICK: SimTime = SimTime::from_secs(2);
+    const SETTLE: SimTime = SimTime::from_secs(3);
+
+    fn world() -> Vec<Tuple> {
+        (0..24)
+            .map(|i| {
+                Tuple::new(&format!("w{i}"))
+                    .with("rating", Value::Int(i % 5))
+                    .with("name", Value::str(&format!("name-{}", i % 7)))
+            })
+            .collect()
+    }
+
+    /// A write batch that also introduces the attribute `tag`, so a
+    /// snapshot shows whether its holder folded the batch's delta.
+    fn batch(tag: &str) -> Vec<Tuple> {
+        (0..6i64)
+            .map(|i| {
+                Tuple::new(&format!("{tag}-{i}"))
+                    .with("rating", Value::Int(i % 3))
+                    .with(tag, Value::Int(i))
+            })
+            .collect()
+    }
+
+    fn snapshot<O: Overlay<Item = Triple>>(c: &UniCluster<O>, node: usize) -> Arc<CostModel> {
+        c.net.node(NodeId(node as u32)).cost_model().expect("loaded").clone()
+    }
+
+    /// Loss-free: inserts, an update and a delete from two origins over
+    /// three ticks leave all 16 peers on one snapshot, equal to a rebuild
+    /// over the driver's triples.
+    fn one_snapshot_after_the_tick<O: Overlay<Item = Triple>>(mut c: UniCluster<O>) {
+        c.load(world());
+        for (tick, origin) in [(0, 3u32), (1, 9), (2, 3)] {
+            let (ok, _) = c.insert_batch(NodeId(origin), &batch(&format!("t{tick}")));
+            assert!(ok, "routed insert acked");
+            if tick == 1 {
+                let old = c.triples().iter().find(|t| &*t.attr == "t0").cloned().expect("t0");
+                assert!(c.update(NodeId(origin), &old, Value::Int(99), 1));
+                let gone = c.triples().iter().find(|t| &*t.attr == "name").cloned().expect("name");
+                assert!(c.delete(NodeId(origin), &gone, 2));
+            }
+            c.settle(SETTLE);
+        }
+        let shared = snapshot(&c, 0);
+        for node in 1..c.net.len() {
+            assert!(Arc::ptr_eq(&shared, &snapshot(&c, node)), "node {node} holds its own copy");
+        }
+        assert!(shared.stats == GlobalStats::build(c.triples(), shared.stats.net));
+    }
+
+    #[test]
+    fn loss_free_cluster_shares_one_exact_snapshot_pgrid() {
+        one_snapshot_after_the_tick(UniCluster::build(
+            16,
+            UniConfig::default().with_stats_refresh(TICK),
+            5,
+        ));
+    }
+
+    #[test]
+    fn loss_free_cluster_shares_one_exact_snapshot_chord() {
+        one_snapshot_after_the_tick(ChordUniCluster::build_overlay(
+            16,
+            chord_config().with_stats_refresh(TICK),
+            6,
+        ));
+    }
+
+    /// Under 2 % loss during dissemination, a peer that missed a delta
+    /// keeps a private snapshot, and it is exactly the load-time snapshot
+    /// with the deltas it did receive folded in, in tick order.
+    fn lossy_ticks_keep_every_snapshot_exact<O: Overlay<Item = Triple>>(mut c: UniCluster<O>) {
+        c.load(world());
+        let load = snapshot(&c, 0);
+        let mut deltas = Vec::new();
+        for tick in 0..8u32 {
+            let tag = format!("t{tick}");
+            let tuples = batch(&tag);
+            let (ok, _) = c.insert_batch(NodeId(tick * 5 % 16), &tuples);
+            assert!(ok, "routed insert acked");
+            let mut d = StatsDelta::new();
+            tuples.iter().flat_map(Tuple::to_triples).for_each(|t| d.record_insert(t));
+            deltas.push((tag, d));
+            c.net.set_loss_rate(0.02);
+            c.settle(SETTLE);
+            c.net.set_loss_rate(0.0);
+        }
+        let mut missed = 0;
+        for node in 0..c.net.len() {
+            let held = snapshot(&c, node);
+            let mut want = load.stats.clone();
+            for (tag, d) in &deltas {
+                match held.stats.attrs.contains_key(tag.as_str()) {
+                    true => want.apply_delta(d),
+                    false => missed += 1,
+                }
+            }
+            assert!(held.stats == want, "node {node} is not the fold of the deltas it received");
+        }
+        assert!(missed > 0, "the loss must cost some peer a delta");
+    }
+
+    #[test]
+    fn lossy_dissemination_keeps_private_snapshots_exact_pgrid() {
+        lossy_ticks_keep_every_snapshot_exact(UniCluster::build(
+            16,
+            UniConfig::default().with_stats_refresh(TICK),
+            7,
+        ));
+    }
+
+    #[test]
+    fn lossy_dissemination_keeps_private_snapshots_exact_chord() {
+        lossy_ticks_keep_every_snapshot_exact(ChordUniCluster::build_overlay(
+            16,
+            chord_config().with_stats_refresh(TICK),
+            8,
+        ));
+    }
+
+    proptest! {
+        /// One tick of writes at one origin, one write per delta as the
+        /// driver hands them over — including deletes of pairs the
+        /// snapshot does not count yet, followed by their inserts. The
+        /// receivers fold the compacted flush (inserts before deletes);
+        /// so must the origin, whatever it planned on in between.
+        #[test]
+        fn origin_ends_the_tick_holding_what_receivers_hold(
+            ops in proptest::collection::vec((any::<bool>(), 0usize..4, 0i64..6), 1..24),
+        ) {
+            let mut c = UniCluster::build(8, UniConfig::default().with_stats_refresh(TICK), 9);
+            c.load((0..4).map(|i| Tuple::new(&format!("o{i}")).with("score", Value::Int(i))));
+            let origin = NodeId(5);
+            for (delete, oid, value) in ops {
+                let t = Triple::new(&format!("o{oid}"), "score", Value::Int(value));
+                let mut d = StatsDelta::new();
+                match delete {
+                    true => d.record_delete(t),
+                    false => d.record_insert(t),
+                }
+                let (epoch, delta) = (c.stats_epoch, Shared::new(d));
+                c.net.inject(origin, UniMsg::Query(QueryMsg::StatsDelta { epoch, span: 0, delta }));
+            }
+            c.settle(SETTLE);
+            let held = snapshot(&c, origin.index());
+            for node in 0..c.net.len() {
+                prop_assert!(snapshot(&c, node).stats == held.stats, "node {} differs", node);
+            }
+        }
+    }
+}

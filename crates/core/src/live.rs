@@ -115,7 +115,7 @@ impl<O: Overlay<Item = Triple>> LiveCluster<O> {
             .map(|peer| {
                 let overlay = O::spawn(&topology, peer, &cfg.overlay, seed);
                 let mut node = UniNode::new(overlay, n_peers, &cfg, seed);
-                node.cost = Some(model.clone());
+                node.reset_stats(model.clone(), 0);
                 node
             })
             .collect();

@@ -197,9 +197,15 @@ struct PendingQuery {
 pub struct UniNode<O: Overlay<Item = Triple>> {
     /// The embedded storage-layer peer.
     pub overlay: O,
-    /// Cost model snapshot (the paper's gossiped statistics; distributed
-    /// by the driver here, see DESIGN.md).
-    pub cost: Option<Arc<CostModel>>,
+    /// Statistics snapshot (the paper's gossiped statistics; see
+    /// DESIGN.md § Statistics distribution): exactly what the deltas this
+    /// node folded make of the load-time snapshot, so peers that folded
+    /// the same deltas in the same order can share one.
+    stats: Option<Arc<CostModel>>,
+    /// A write origin's planning view between two stats ticks: `stats`
+    /// plus the origin's own unflushed writes. Kept only while `stats`
+    /// is shared; an unshared snapshot takes the writes in place.
+    view: Option<Arc<CostModel>>,
     /// Known schema mappings.
     pub mappings: MappingSet,
     /// Planner behaviour.
@@ -279,7 +285,8 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
         let id = overlay.id().0 as u64;
         UniNode {
             overlay,
-            cost: None,
+            stats: None,
+            view: None,
             mappings: MappingSet::new(),
             plan_mode: cfg.plan_mode,
             trace: Vec::new(),
@@ -308,15 +315,33 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
         }
     }
 
-    /// Folds a statistics delta into this node's cost-model snapshot —
-    /// O(delta). A node that has no model yet (pre-load) skips the fold:
-    /// it will receive a full snapshot at load time.
+    /// The planning view: the statistics snapshot plus, at a write
+    /// origin between two stats ticks, its own unflushed writes. `None`
+    /// before the first load.
+    pub fn cost_model(&self) -> Option<&Arc<CostModel>> {
+        self.view.as_ref().or(self.stats.as_ref())
+    }
+
+    /// Folds a disseminated statistics delta into this node's snapshot
+    /// (and planning view) — O(delta), and no copy at all when a peer
+    /// holding the same snapshot folded the same delta object first. A
+    /// node that has no model yet (pre-load) skips the fold: it will
+    /// receive a full snapshot at load time.
     pub(crate) fn apply_stats_delta(&mut self, delta: &StatsDelta) {
-        if let Some(model) = self.cost.as_mut() {
-            // Copy-on-write: nodes share the bulk-built Arc snapshot
-            // until the first delta diverges them.
-            Arc::make_mut(model).apply_delta(delta);
+        for model in [&mut self.stats, &mut self.view].into_iter().flatten() {
+            CostModel::apply_shared(model, delta);
         }
+    }
+
+    /// Folds a write this node originated into its planning view only:
+    /// the snapshot takes it with the tick's flush, as every receiver
+    /// does. An unshared snapshot is its own view and folds it now.
+    fn apply_own_write(&mut self, delta: &StatsDelta) {
+        let Some(stats) = self.stats.as_mut() else { return };
+        if self.view.is_none() && Arc::strong_count(stats) > 1 {
+            self.view = Some(stats.clone());
+        }
+        CostModel::apply_shared(self.view.as_mut().unwrap_or(stats), delta);
     }
 
     /// Installs a freshly rebuilt snapshot: adopts its epoch and
@@ -324,7 +349,8 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
     /// writes). Deltas from earlier epochs still in flight are dropped
     /// on receipt by the epoch gate.
     pub(crate) fn reset_stats(&mut self, model: Arc<CostModel>, epoch: u64) {
-        self.cost = Some(model);
+        self.stats = Some(model);
+        self.view = None;
         self.stats_epoch = epoch;
         self.stats_outbox = StatsDelta::new();
         // A full rebuild may have replaced any row wholesale.
@@ -364,17 +390,24 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
     /// along the tree clones the bytes, not the encoding work. Matched
     /// insert/delete pairs accumulated within the tick cancel before
     /// encoding.
+    ///
+    /// An origin that planned on a private view drops it and folds the
+    /// flushed delta into its snapshot *before* the fan-out, so it ends
+    /// the tick holding what its receivers will, and memoizes the fold
+    /// on the one delta object they all receive.
     fn flush_stats_outbox(&mut self, fx: &mut UniFx<O::Msg>) {
-        if self.stats_outbox.is_empty() {
-            return;
-        }
+        let planned_on_view = self.view.take().is_some();
         let mut delta = std::mem::take(&mut self.stats_outbox);
         delta.compact();
         if delta.is_empty() {
             return;
         }
+        let delta = Shared::new(delta);
+        if planned_on_view {
+            self.apply_stats_delta(delta.get());
+        }
         let span = self.n_peers as u32;
-        self.fanout_stats_delta(self.stats_epoch, span, &Shared::new(delta), fx);
+        self.fanout_stats_delta(self.stats_epoch, span, &delta, fx);
     }
 
     /// Sends the broadcast-tree children of a node covering `span`
@@ -631,7 +664,7 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
                 return s.clone();
             }
         }
-        match &self.cost {
+        match self.cost_model() {
             Some(model) => {
                 let (i, _) = model.choose_scan(cands, limit_hint);
                 cands[i].clone()
@@ -662,7 +695,7 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
                 JoinStrategy::Collect => None,
             };
         }
-        let model = self.cost.as_ref()?;
+        let model = self.cost_model()?;
         let cands = scan_candidates(&pattern.clone(), &mqp.filters);
         let (_, right_best) = model.choose_scan(&cands, None);
         let mut best_score = right_best.cost.score(); // collect baseline
@@ -915,16 +948,19 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
                 if epoch != self.stats_epoch {
                     return;
                 }
-                self.apply_stats_delta(delta.get());
                 // Write origins hand the driver's delta to one node
-                // (span 0); that node disseminates it to the rest on
-                // its next stats tick. Tree deltas stop at their span.
+                // (span 0); that node plans on it at once and
+                // disseminates it to the rest on its next stats tick.
+                // Tree deltas stop at their span.
                 if from == NodeId::EXTERNAL {
+                    self.apply_own_write(delta.get());
                     self.stats_outbox.merge(delta.get().clone());
+                } else {
+                    self.apply_stats_delta(delta.get());
                 }
             }
             QueryMsg::StatsProbe { qid } => {
-                let (total, attrs) = match &self.cost {
+                let (total, attrs) = match self.cost_model() {
                     Some(model) => {
                         let mut attrs: Vec<_> =
                             model.stats.attrs.iter().map(|(k, a)| (k.clone(), a.count)).collect();

@@ -770,4 +770,133 @@ mod tests {
             }
         }
     }
+
+    mod fold_memo {
+        //! `CostModel::apply_shared`: holders of one snapshot that fold
+        //! one delta object end up sharing one result, and nothing else
+        //! ever takes that result.
+
+        use super::*;
+
+        fn base() -> Arc<CostModel> {
+            Arc::new(model())
+        }
+
+        fn delta() -> StatsDelta {
+            let mut d = StatsDelta::new();
+            d.record_insert(Triple::new("x1", "rating", Value::Int(5)));
+            d.record_insert(Triple::new("x2", "rating", Value::Int(3)));
+            d.record_delete(Triple::new("p3", "age", Value::Int(23)));
+            d
+        }
+
+        /// What a private fold of `d` into `base` produces.
+        fn folded(base: &CostModel, d: &StatsDelta) -> GlobalStats {
+            let mut stats = base.stats.clone();
+            stats.apply_delta(d);
+            stats
+        }
+
+        #[test]
+        fn same_base_and_delta_share_the_result() {
+            let (b, d) = (base(), delta());
+            let (mut x, mut y) = (b.clone(), b.clone());
+            CostModel::apply_shared(&mut x, &d);
+            CostModel::apply_shared(&mut y, &d);
+            assert!(Arc::ptr_eq(&x, &y), "the second holder took the first's copy");
+            assert!(!Arc::ptr_eq(&x, &b), "the shared base itself is never folded into");
+            assert_stats_match(&x.stats, &folded(&b, &d));
+            assert_stats_match(&b.stats, &model().stats);
+            // Attributes the delta left alone are not copied at all.
+            let name: Arc<str> = Arc::from("name");
+            assert!(Arc::ptr_eq(&x.stats.attrs[&name], &b.stats.attrs[&name]));
+        }
+
+        #[test]
+        fn a_different_base_never_hits() {
+            let d = delta();
+            let (b1, b2) = (base(), base());
+            let (mut x, mut y) = (b1.clone(), b2.clone());
+            CostModel::apply_shared(&mut x, &d);
+            CostModel::apply_shared(&mut y, &d);
+            assert!(!Arc::ptr_eq(&x, &y), "equal content is not the same snapshot");
+            assert_stats_match(&x.stats, &y.stats);
+            // The memo now serves the second base's holders.
+            let mut z = b2.clone();
+            CostModel::apply_shared(&mut z, &d);
+            assert!(Arc::ptr_eq(&y, &z));
+        }
+
+        #[test]
+        fn a_freed_base_never_hits() {
+            let d = delta();
+            let b = base();
+            let freed = Arc::as_ptr(&b);
+            let mut x = b.clone();
+            CostModel::apply_shared(&mut x, &d);
+            drop(b);
+            // While the memo names the freed base its allocation stays
+            // reserved, so no snapshot can turn up at that address ...
+            let fresh: Vec<Arc<CostModel>> = (0..64).map(|_| base()).collect();
+            assert!(fresh.iter().all(|f| !std::ptr::eq(Arc::as_ptr(f), freed)));
+            // ... and every one of them, shared or not, folds for itself.
+            for f in &fresh {
+                let (mut shared, _other) = (f.clone(), f.clone());
+                CostModel::apply_shared(&mut shared, &d);
+                assert!(!Arc::ptr_eq(&shared, &x));
+                assert_stats_match(&shared.stats, &x.stats);
+            }
+        }
+
+        #[test]
+        fn clones_and_decoded_deltas_carry_no_memo() {
+            let (b, d) = (base(), delta());
+            let mut x = b.clone();
+            CostModel::apply_shared(&mut x, &d);
+            let decoded = StatsDelta::from_bytes(&d.to_bytes()).unwrap();
+            for other in [d.clone(), decoded] {
+                let mut y = b.clone();
+                CostModel::apply_shared(&mut y, &other);
+                assert!(!Arc::ptr_eq(&x, &y));
+                assert_stats_match(&y.stats, &x.stats);
+            }
+        }
+
+        #[test]
+        fn a_memoized_result_is_never_folded_in_place() {
+            let (b, d) = (base(), delta());
+            let mut later = StatsDelta::new();
+            later.record_insert(Triple::new("x3", "rating", Value::Int(1)));
+            let (mut x, mut y) = (b.clone(), b.clone());
+            CostModel::apply_shared(&mut x, &d);
+            // x is the only node holding the result, but the memo holds
+            // it too: the next fold must copy, not write through.
+            let memoized = Arc::as_ptr(&x);
+            CostModel::apply_shared(&mut x, &later);
+            assert!(!std::ptr::eq(Arc::as_ptr(&x), memoized));
+            CostModel::apply_shared(&mut y, &d);
+            assert!(std::ptr::eq(Arc::as_ptr(&y), memoized));
+            assert_stats_match(&y.stats, &folded(&b, &d));
+            // An unshared snapshot with no memo to match folds in place.
+            drop(later);
+            let alone = Arc::as_ptr(&x);
+            let mut again = StatsDelta::new();
+            again.record_insert(Triple::new("x4", "rating", Value::Int(2)));
+            CostModel::apply_shared(&mut x, &again);
+            assert!(std::ptr::eq(Arc::as_ptr(&x), alone));
+        }
+
+        #[test]
+        fn recording_into_a_folded_delta_forgets_the_memo() {
+            let b = base();
+            let mut d = delta();
+            let mut x = b.clone();
+            CostModel::apply_shared(&mut x, &d);
+            d.record_insert(Triple::new("x5", "rating", Value::Int(4)));
+            let mut y = b.clone();
+            CostModel::apply_shared(&mut y, &d);
+            assert!(!Arc::ptr_eq(&x, &y));
+            assert_stats_match(&y.stats, &folded(&b, &d));
+        }
+    }
 }

@@ -7,6 +7,8 @@ use unistore_store::{Oid, Triple, Value};
 use unistore_util::wire::{get_len, get_varint, put_varint, varint_size, Wire, WireError};
 use unistore_util::{intern, CompactStr, FxHashMap};
 
+use super::statistics::FoldMemo;
+
 /// One OID-table entry of a [`StatsDelta`]: the OID's placement hash
 /// and its length in bytes — all the statistics ever read of an OID
 /// (the distinct-OID refcount and the triple's wire size).
@@ -163,6 +165,9 @@ pub struct StatsDelta {
     /// recorded and dropped whenever the vectors are re-numbered; a
     /// delta that is only decoded, folded and forwarded never pays it.
     index: Option<Box<DeltaIndex>>,
+    /// The last copying fold of this very object (see
+    /// [`crate::CostModel::apply_shared`]).
+    pub(super) memo: FoldMemo,
 }
 
 impl std::fmt::Debug for StatsDelta {
@@ -194,6 +199,9 @@ impl StatsDelta {
     }
 
     fn index(&mut self) -> &mut DeltaIndex {
+        // Every change to the delta comes through here, and a fold
+        // memoized before the change no longer describes it.
+        self.memo = FoldMemo::default();
         self.index.get_or_insert_with(|| Box::new(DeltaIndex::build(&self.oids, &self.groups)))
     }
 
@@ -368,7 +376,7 @@ impl Wire for StatsDelta {
                 side.push(Group { attr, value, oids: group });
             }
         }
-        Ok(StatsDelta { oids, groups, index: None })
+        Ok(StatsDelta { oids, groups, index: None, memo: FoldMemo::default() })
     }
 
     fn wire_size(&self) -> usize {

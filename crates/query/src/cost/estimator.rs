@@ -9,7 +9,7 @@ use super::StatsDelta;
 use crate::strategy::{JoinStrategy, RangeAlgo, ScanStrategy};
 
 /// Overlay parameters the model derives its guarantees from.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NetParams {
     /// Number of peers.
     pub n_peers: f64,
@@ -83,7 +83,7 @@ pub struct ScanEstimate {
 }
 
 /// The cost model over one statistics snapshot.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CostModel {
     /// The statistics driving the predictions.
     pub stats: GlobalStats,

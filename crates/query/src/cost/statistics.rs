@@ -1,7 +1,7 @@
 //! The statistics snapshot: [`GlobalStats`] and its per-attribute
 //! [`AttrStats`], bulk-built once and folded forward by write deltas.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 
 use unistore_store::index::attr_value_key;
 use unistore_store::qgram;
@@ -11,7 +11,7 @@ use unistore_util::wire::{varint_size, Wire};
 use unistore_util::FxHashMap;
 
 use super::delta::{oid_ref, OidRef, StatsDelta, DELETED, INSERTED};
-use super::estimator::{NetParams, UNKNOWN_ATTR_SELECTIVITY};
+use super::estimator::{CostModel, NetParams, UNKNOWN_ATTR_SELECTIVITY};
 
 /// Bumps a refcount by `n`.
 fn bump<K: std::hash::Hash + Eq>(map: &mut FxHashMap<K, u32>, k: K, n: u32) {
@@ -38,7 +38,7 @@ fn unbump<K: std::hash::Hash + Eq>(map: &mut FxHashMap<K, u32>, k: &K, n: u32) {
 /// maintained snapshot is indistinguishable from a fresh
 /// [`GlobalStats::build`] over the surviving triples — property-tested
 /// below).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AttrStats {
     /// Number of triples with this attribute.
     pub count: f64,
@@ -95,7 +95,7 @@ fn oid_wire_size(len: u32) -> usize {
 /// as an O(delta) [`GlobalStats::apply_delta`] instead of a rescan of
 /// every triple (protocol described in DESIGN.md §"Statistics
 /// distribution").
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GlobalStats {
     /// Total triples in the system.
     pub total: f64,
@@ -105,8 +105,9 @@ pub struct GlobalStats {
     pub value_distinct: f64,
     /// Mean wire size of one triple, bytes.
     pub avg_triple_bytes: f64,
-    /// Per-attribute statistics.
-    pub attrs: FxHashMap<Arc<str>, AttrStats>,
+    /// Per-attribute statistics, each behind its own `Arc` so that
+    /// copies of a snapshot share every attribute a fold leaves alone.
+    pub attrs: FxHashMap<Arc<str>, Arc<AttrStats>>,
     /// Overlay parameters.
     pub net: NetParams,
     /// Running sum of triple wire sizes (drives `avg_triple_bytes`).
@@ -197,7 +198,8 @@ impl GlobalStats {
         let key_bits = value.key_bits();
         bump(&mut self.values, key_bits, n);
         self.value_distinct = self.values.len() as f64;
-        let a = self.attrs.entry(attr.clone()).or_insert_with(|| AttrStats::empty(attr));
+        let a = self.attrs.entry(attr.clone()).or_insert_with(|| Arc::new(AttrStats::empty(attr)));
+        let a = Arc::make_mut(a);
         a.count += n as f64;
         bump(&mut a.values, key_bits, n);
         a.distinct = a.values.len() as f64;
@@ -230,6 +232,7 @@ impl GlobalStats {
         if n == 0 {
             return;
         }
+        let a = Arc::make_mut(a);
         let pair_bytes = attr.wire_size() + value.wire_size();
         for (hash, len) in oids.take(n as usize) {
             self.bytes -= (oid_wire_size(len) + pair_bytes) as f64;
@@ -273,6 +276,52 @@ impl GlobalStats {
     }
 
     pub(super) fn attr(&self, attr: &str) -> Option<&AttrStats> {
-        self.attrs.get(attr)
+        self.attrs.get(attr).map(Arc::as_ref)
+    }
+}
+
+/// What a [`StatsDelta`] remembers of the last fold that had to copy a
+/// shared snapshot: the snapshot it started from and the one it made.
+/// Every other holder of that same snapshot that folds the same delta
+/// object takes the result instead of making its own copy, so peers
+/// that fold the same deltas in the same order hold one snapshot. The
+/// `Weak` keeps the base's allocation, and with it its address, from
+/// being reused while the memo can still match it; the strong result
+/// keeps anyone from folding into it in place. Never on the wire: a
+/// clone or a decoded delta starts empty.
+#[derive(Default)]
+pub(super) struct FoldMemo(Mutex<Option<(Weak<CostModel>, Arc<CostModel>)>>);
+
+impl Clone for FoldMemo {
+    fn clone(&self) -> Self {
+        FoldMemo::default()
+    }
+}
+
+impl CostModel {
+    /// Folds a delta into a snapshot that other holders may share — the
+    /// statistics gossip's one fold. A snapshot this delta already took
+    /// from the same base is reused by pointer; a snapshot nobody else
+    /// holds is folded in place; a shared one is copied, folded, and
+    /// memoized on the delta for the base's other holders.
+    pub fn apply_shared(model: &mut Arc<CostModel>, delta: &StatsDelta) {
+        // The memo is only ever written in one assignment, so a guard
+        // poisoned by a panicking fold still holds a consistent memo.
+        let mut memo = delta.memo.0.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((base, result)) = memo.as_ref() {
+            if std::ptr::eq(base.as_ptr(), Arc::as_ptr(model)) {
+                *model = result.clone();
+                return;
+            }
+        }
+        if Arc::strong_count(model) == 1 {
+            Arc::make_mut(model).apply_delta(delta);
+            return;
+        }
+        let mut copy = CostModel::clone(model);
+        copy.apply_delta(delta);
+        let base = Arc::downgrade(model);
+        *model = Arc::new(copy);
+        *memo = Some((base, model.clone()));
     }
 }

@@ -185,7 +185,7 @@ pub fn gini(loads: &[f64]) -> f64 {
 /// so an interleaved insert/delete sequence lands on exactly the state
 /// a fresh histogram over the surviving keys would have (as long as the
 /// distinct tracking cap is never exceeded).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Histogram {
     lo: u64,
     hi: u64,

@@ -52,7 +52,7 @@ fn run_simulated<O: Overlay<Item = Triple>>(mut cluster: UniCluster<O>, backend:
 
     // Origin node: fresh as soon as the in-band delta delivers.
     cluster.settle(SimTime::from_millis(10));
-    let origin_stats = cluster.net.node(origin).cost.as_ref().expect("model distributed");
+    let origin_stats = cluster.net.node(origin).cost_model().expect("model distributed");
     assert_eq!(
         origin_stats.stats.attrs.get("rating").map(|a| a.count),
         Some(5.0),
@@ -90,7 +90,7 @@ fn run_simulated<O: Overlay<Item = Triple>>(mut cluster: UniCluster<O>, backend:
     // Every other node converges within one dissemination tick.
     cluster.settle(STATS_TICK + SimTime::from_secs(1));
     for peer in 0..cluster.net.len() {
-        let stats = cluster.net.node(NodeId(peer as u32)).cost.as_ref().unwrap();
+        let stats = cluster.net.node(NodeId(peer as u32)).cost_model().unwrap();
         assert_eq!(
             stats.stats.attrs.get("rating").map(|a| a.count),
             Some(5.0),
@@ -133,7 +133,7 @@ fn rebuild_discards_stale_in_flight_deltas() {
         "master model must count each write exactly once"
     );
     for peer in 0..cluster.net.len() {
-        let stats = cluster.net.node(NodeId(peer as u32)).cost.as_ref().unwrap();
+        let stats = cluster.net.node(NodeId(peer as u32)).cost_model().unwrap();
         assert_eq!(
             stats.stats.attrs.get("rating").map(|a| a.count),
             Some(2.0),
