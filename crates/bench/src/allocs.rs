@@ -16,7 +16,7 @@ use std::path::Path;
 
 use bytes::BytesMut;
 use unistore::UniCluster;
-use unistore_chord::store::{collect_keyed, ChordStore};
+use unistore_chord::store::ChordStore;
 use unistore_pgrid::LocalStore;
 use unistore_simnet::NodeId;
 use unistore_store::index::TripleKeys;
@@ -133,24 +133,24 @@ fn leaf_scan_rows() -> Vec<Row> {
         let mut pg: LocalStore<Triple> = LocalStore::new();
         let mut ch: ChordStore<Triple> = ChordStore::new();
         for (i, t) in survivors.iter().enumerate() {
-            pg.apply(7, t.clone(), 0);
+            pg.insert(7, t.clone(), 0);
             ch.insert(7, i as u64, t.clone(), 0);
         }
         for i in 0..dropped {
             let t = Triple::new(&format!("d{i}"), "year", Value::Int(10_000 + i as i64));
-            pg.apply(7, t.clone(), 0);
+            pg.insert(7, t.clone(), 0);
             ch.insert(7, 1000 + i as u64, t, 0);
         }
-        std::hint::black_box(ItemFilter::collect_filtered(&filter, pg.iter_key(7)));
+        std::hint::black_box(pg.lookup(7, &filter));
         let (_, scan) = measure(|| {
             for _ in 0..SCAN_PASSES {
-                std::hint::black_box(ItemFilter::collect_filtered(&filter, pg.iter_key(7)));
+                std::hint::black_box(pg.lookup(7, &filter));
             }
         });
         rows.push(row("leaf-scan", &format!("pgrid, {dropped} dropped"), SCAN_PASSES, scan));
         let (_, keyed) = measure(|| {
             for _ in 0..SCAN_PASSES {
-                std::hint::black_box(collect_keyed(&filter, ch.iter_ring(7)));
+                std::hint::black_box(ch.lookup(7, &filter));
             }
         });
         rows.push(row("leaf-scan", &format!("chord, {dropped} dropped"), SCAN_PASSES, keyed));

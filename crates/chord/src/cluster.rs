@@ -241,7 +241,8 @@ impl<I: Item> ChordCluster<I> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unistore_overlay::repair::{diff_newer, RepairStore};
+    use crate::store::ALL;
+    use unistore_overlay::repair::diff_newer;
     use unistore_simnet::ConstantLatency;
     use unistore_util::item::RawItem;
 
@@ -403,10 +404,9 @@ mod tests {
         c.net.schedule_up(replica, c.net.now());
         let deadline = c.net.now() + SimTime::from_secs(30);
         while c.net.now() < deadline && c.net.step() {}
-        let all = ((0, 0, 0), (u64::MAX, u64::MAX, u64::MAX));
         let run: Vec<_> =
-            c.net.node(replica).store().records(all).map(|(k, v, _)| (k, v)).collect();
-        let missing: Vec<_> = diff_newer(c.net.node(primary).store().records(all), &run)
+            c.net.node(replica).store().records(ALL).map(|(k, v, _)| (k, v)).collect();
+        let missing: Vec<_> = diff_newer(c.net.node(primary).store().records(ALL), &run)
             .into_iter()
             .filter(|e| c.responsible_node(e.0 .0) == primary)
             .collect();

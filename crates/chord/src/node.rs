@@ -15,7 +15,7 @@ pub use unistore_util::item::Item;
 
 use crate::msg::{ChordBatchOp, ChordEvent, ChordMsg, QueryId};
 use crate::ring::{in_open_closed, in_open_open};
-use crate::store::{collect_keyed, ChordStore};
+use crate::store::ChordStore;
 use crate::topology::RingWiring;
 
 /// Effects buffer specialized to Chord.
@@ -345,7 +345,7 @@ impl<I: Item> ChordNode<I> {
             // Semi-join pushdown: drop non-matching items at the data,
             // before they are ever cloned out of the store.
             let entries = match range {
-                None => collect_keyed(&filter, self.store.iter_ring(ring_key)),
+                None => self.store.lookup(ring_key, &filter),
                 Some((lo, hi)) => self.store.scan_bucket(ring_key, lo, hi, &filter),
             };
             self.answer_lookup(qid, origin, entries, hops, true, fx);

@@ -12,6 +12,7 @@ use unistore_util::Key;
 
 use crate::msg::{ChordBatchOp, ChordEvent, ChordMsg};
 use crate::node::{ring_key_exact, ChordConfig, ChordNode, Item};
+use crate::store::ALL;
 use crate::topology::ChordTopology;
 
 impl<I: Item + Send + 'static> Overlay for ChordNode<I> {
@@ -63,7 +64,7 @@ impl<I: Item + Send + 'static> Overlay for ChordNode<I> {
     fn holds(&self, key: Key) -> bool {
         // Key-ordered scan over both indexes (exact and bucket mirror):
         // a planned holder of either index counts once it has the entry.
-        self.store().iter_by_key(key, key).next().is_some()
+        self.store().read(ALL, &None).any(|((_, k, _), _)| k == key)
     }
 
     fn routing_refs(&self) -> Vec<NodeId> {

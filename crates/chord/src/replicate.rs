@@ -67,7 +67,7 @@ impl<I: Item> ChordNode<I> {
         version: u64,
         fx: &mut Fx<I>,
     ) {
-        self.store.remove(ring_key, key, ident, version);
+        self.store.remove((ring_key, key, ident), version);
         if self.cfg.replicate {
             self.push_record((ring_key, key, ident), version, None, fx);
         }
@@ -84,8 +84,8 @@ impl<I: Item> ChordNode<I> {
     /// Applies pushed or pulled records — live entries and tombstones
     /// alike — under the shared strictly-newer rule.
     pub(crate) fn handle_replicate(&mut self, entries: Vec<(RecordKey, u64, Option<I>)>) {
-        for ((ring_key, key, ident), version, item) in entries {
-            self.store.apply_record(ring_key, key, ident, item, version);
+        for (record, version, item) in entries {
+            self.store.apply(record, version, item);
         }
     }
 

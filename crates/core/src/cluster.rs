@@ -572,7 +572,10 @@ impl<O: Overlay<Item = Triple>> UniCluster<O> {
     /// Deletes many facts through the routed protocol path as one
     /// batched write: every fact's index entries become delete ops of a
     /// single [`OpBatch`], and the statistics absorb the batch as one
-    /// O(delta) fold.
+    /// O(delta) fold. `version` must be strictly above the stored
+    /// entries' (loaded data is at version 0): at an equal version the
+    /// delete loses like any equal-version write and is a no-op on both
+    /// backends.
     pub fn delete_batch(&mut self, origin: NodeId, facts: &[Triple], version: u64) -> bool {
         let mut batch: OpBatch<Triple> = OpBatch::new();
         for triple in facts {
@@ -643,7 +646,9 @@ impl<O: Overlay<Item = Triple>> UniCluster<O> {
 
     /// Deletes one fact through the protocol path: removes its entry
     /// from every index it was stored under, as one batched write. The
-    /// statistics absorb the write as an O(delta) fold — no rescan.
+    /// statistics absorb the write as an O(delta) fold — no rescan. As
+    /// for [`Self::delete_batch`], `version` must be strictly above the
+    /// stored entry's, or the delete is a no-op on both backends.
     pub fn delete(&mut self, origin: NodeId, triple: &Triple, version: u64) -> bool {
         self.delete_batch(origin, std::slice::from_ref(triple), version)
     }

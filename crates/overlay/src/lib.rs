@@ -24,6 +24,7 @@
 
 pub mod batch;
 pub mod repair;
+pub mod store;
 
 use unistore_simnet::{Effects, NodeBehavior, NodeId};
 use unistore_util::item::Item;
@@ -31,6 +32,7 @@ use unistore_util::Key;
 
 pub use batch::{push_hop, BatchTracker, HopGroups};
 pub use repair::RepairStats;
+pub use store::VersionedStore;
 pub use unistore_util::bloom::ItemFilter;
 pub use unistore_util::wire::{BatchOp, BatchVerb, OpBatch};
 

@@ -22,7 +22,7 @@
 //! proportional to the divergence, and because the leaf step is
 //! push-pull the two summaries are equal after a completed exchange.
 //!
-//! The tombstone bit is deliberately **not** hashed: both stores apply
+//! The tombstone bit is deliberately **not** hashed: the store applies
 //! a record only when its version is strictly newer, so a live entry
 //! and a tombstone of equal version can never overwrite each other —
 //! hashing the bit would send every tick down the tree to a leaf that
@@ -32,9 +32,10 @@
 //! The exchange is stateless on both sides: every message carries the
 //! spans it talks about, replies chain off the message that caused
 //! them, and a lost message just ends the round — the next tick starts
-//! over from the root. The stores differ only in their record key —
-//! `(key, ident)` for P-Grid's trie leaves, `(ring position, key,
-//! ident)` for Chord's ring — so everything here is generic over it.
+//! over from the root. Both backends repair the one
+//! [`VersionedStore`], so everything here is generic over its record
+//! key: `(key, ident)` for P-Grid's trie leaves, `(ring position, key,
+//! ident)` for Chord's ring.
 
 pub mod msg;
 
@@ -42,8 +43,11 @@ use std::fmt::Debug;
 use std::hash::Hash;
 
 use unistore_util::fxhash::mix64;
+use unistore_util::item::Item;
 use unistore_util::wire::Wire;
 use unistore_util::FxHashMap;
+
+use crate::store::VersionedStore;
 
 pub use msg::{Child, Part, RepairMsg};
 
@@ -117,7 +121,7 @@ impl Summary {
         self.hash ^= key.mix(version);
     }
 
-    fn of<K: RecordKey>(records: impl Iterator<Item = (K, u64)>) -> Self {
+    pub(crate) fn of<K: RecordKey>(records: impl Iterator<Item = (K, u64)>) -> Self {
         let mut s = Summary::default();
         for (k, v) in records {
             s.add(&k, v);
@@ -127,10 +131,10 @@ impl Summary {
 }
 
 /// Root summaries a store has already computed, so a tick (or a probe)
-/// on an unchanged store does not rescan it. Stores clear it from every
-/// mutator, next to their `FieldHashColumns::invalidate`.
+/// on an unchanged store does not rescan it. The store clears it from
+/// every applied mutation, next to its `FieldHashColumns::invalidate`.
 #[derive(Clone, Debug)]
-pub struct SummaryMemo<K> {
+pub(crate) struct SummaryMemo<K> {
     roots: Vec<(Span<K>, Summary)>,
 }
 
@@ -141,46 +145,22 @@ impl<K> Default for SummaryMemo<K> {
 }
 
 impl<K: PartialEq> SummaryMemo<K> {
-    /// Forgets everything. Stores call this from each mutator.
+    /// Forgets everything.
     #[inline]
-    pub fn invalidate(&mut self) {
+    pub(crate) fn invalidate(&mut self) {
         self.roots.clear();
     }
 
-    fn get(&self, span: &Span<K>) -> Option<Summary> {
+    pub(crate) fn get(&self, span: &Span<K>) -> Option<Summary> {
         self.roots.iter().find(|(s, _)| s == span).map(|&(_, sum)| sum)
     }
 
-    fn put(&mut self, span: Span<K>, summary: Summary) {
+    pub(crate) fn put(&mut self, span: Span<K>, summary: Summary) {
         if self.roots.len() == MEMO_SPANS {
             self.roots.remove(0);
         }
         self.roots.push((span, summary));
     }
-}
-
-/// What [`ReplicaRepair`] needs from a versioned store.
-pub trait RepairStore {
-    /// The store's record key.
-    type Key: RecordKey;
-    /// The stored payload.
-    type Item: Clone + Wire;
-
-    /// The records with keys in `span` in ascending key order, as
-    /// `(record key, version, payload-or-tombstone)`.
-    fn records(
-        &self,
-        span: Span<Self::Key>,
-    ) -> impl Iterator<Item = (Self::Key, u64, Option<&Self::Item>)>;
-
-    /// Version and payload-or-tombstone of one record.
-    fn record(&self, key: Self::Key) -> Option<(u64, Option<&Self::Item>)>;
-
-    /// Applies one record under the store's strictly-newer rule.
-    fn apply(&mut self, key: Self::Key, version: u64, item: Option<Self::Item>) -> bool;
-
-    /// The store's root-summary memo.
-    fn summaries(&mut self) -> &mut SummaryMemo<Self::Key>;
 }
 
 /// Records strictly newer than what `theirs` reports (or absent from
@@ -238,12 +218,12 @@ impl ReplicaRepair {
 
     /// An anti-entropy tick: the probe to send to the partner this
     /// store shares `span` with.
-    pub fn probe<S: RepairStore>(
+    pub fn probe<K: RecordKey, I: Item>(
         &mut self,
-        store: &mut S,
-        span: Span<S::Key>,
-    ) -> RepairMsg<S::Key, S::Item> {
-        let msg = RepairMsg::Probe { span, summary: root_summary(store, span) };
+        store: &mut VersionedStore<K, I>,
+        span: Span<K>,
+    ) -> RepairMsg<K, I> {
+        let msg = RepairMsg::Probe { span, summary: store.summary(span) };
         self.count(&msg);
         msg
     }
@@ -253,20 +233,20 @@ impl ReplicaRepair {
     /// the spans this store shares with the sender: anything outside
     /// them is ignored, so a partner can neither read nor write records
     /// it does not replicate.
-    pub fn handle<S: RepairStore>(
+    pub fn handle<K: RecordKey, I: Item>(
         &mut self,
-        store: &mut S,
-        shared: &[Span<S::Key>],
-        msg: RepairMsg<S::Key, S::Item>,
-    ) -> Vec<RepairMsg<S::Key, S::Item>> {
+        store: &mut VersionedStore<K, I>,
+        shared: &[Span<K>],
+        msg: RepairMsg<K, I>,
+    ) -> Vec<RepairMsg<K, I>> {
         let mut replies = Vec::new();
         if !msg.well_formed() {
             return replies;
         }
-        let admits = |span: &Span<S::Key>| shared.iter().any(|s| s.0 <= span.0 && span.1 <= s.1);
+        let admits = |span: &Span<K>| shared.iter().any(|s| s.0 <= span.0 && span.1 <= s.1);
         match msg {
             RepairMsg::Probe { span, summary } => {
-                if admits(&span) && root_summary(store, span) != summary {
+                if admits(&span) && store.summary(span) != summary {
                     let part = describe(span, &run_of(store, span));
                     replies.push(RepairMsg::Descend { parts: vec![part] });
                 }
@@ -341,19 +321,8 @@ impl ReplicaRepair {
     }
 }
 
-/// The store's summary over a span it probes or is probed on, from the
-/// memo when the store has not changed since it was computed.
-fn root_summary<S: RepairStore>(store: &mut S, span: Span<S::Key>) -> Summary {
-    if let Some(known) = store.summaries().get(&span) {
-        return known;
-    }
-    let summary = Summary::of(store.records(span).map(|(k, v, _)| (k, v)));
-    store.summaries().put(span, summary);
-    summary
-}
-
 /// The `(record key, version)` pairs a store holds in `span`, ascending.
-fn run_of<S: RepairStore>(store: &S, span: Span<S::Key>) -> Vec<(S::Key, u64)> {
+fn run_of<K: RecordKey, I: Item>(store: &VersionedStore<K, I>, span: Span<K>) -> Vec<(K, u64)> {
     store.records(span).map(|(k, v, _)| (k, v)).collect()
 }
 

@@ -4,71 +4,40 @@
 //! costs bytes proportional to the divergence, reaches a fixpoint, and
 //! survives the loss of any one message without leaving state behind.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use proptest::prelude::*;
-use unistore_overlay::repair::{
-    diff_newer, RepairMsg, RepairStats, RepairStore, ReplicaRepair, Span, SummaryMemo, LEAF_MAX,
-};
+use unistore_overlay::repair::{diff_newer, RepairMsg, RepairStats, ReplicaRepair, Span, LEAF_MAX};
+use unistore_overlay::VersionedStore;
 use unistore_util::item::testing::Tagged;
 use unistore_util::wire::Wire;
 
 type Key = (u64, u64);
 type Msg = RepairMsg<Key, Tagged>;
+type MemStore = VersionedStore<Key, Tagged>;
 
 /// Every record key.
 const ALL: Span<Key> = ((0, 0), (u64::MAX, u64::MAX));
 
-/// The reference store: the version rule both backends share, nothing
-/// else.
-#[derive(Clone, Debug, Default)]
-struct MemStore {
-    entries: BTreeMap<Key, (u64, Option<Tagged>)>,
-    summaries: SummaryMemo<Key>,
+fn run(store: &MemStore, span: Span<Key>) -> Vec<(Key, u64)> {
+    store.records(span).map(|(k, v, _)| (k, v)).collect()
 }
 
-impl RepairStore for MemStore {
-    type Key = Key;
-    type Item = Tagged;
-
-    fn records(&self, (lo, hi): Span<Key>) -> impl Iterator<Item = (Key, u64, Option<&Tagged>)> {
-        self.entries.range(lo..=hi).map(|(&k, (v, item))| (k, *v, item.as_ref()))
-    }
-
-    fn record(&self, key: Key) -> Option<(u64, Option<&Tagged>)> {
-        self.entries.get(&key).map(|(v, item)| (*v, item.as_ref()))
-    }
-
-    fn apply(&mut self, key: Key, version: u64, item: Option<Tagged>) -> bool {
-        if self.entries.get(&key).is_some_and(|(have, _)| *have >= version) {
-            return false;
-        }
-        self.entries.insert(key, (version, item));
-        self.summaries.invalidate();
-        true
-    }
-
-    fn summaries(&mut self) -> &mut SummaryMemo<Key> {
-        &mut self.summaries
-    }
+/// Every record, tombstones included: what two stores are compared by.
+fn contents(store: &MemStore) -> Vec<(Key, u64, Option<Tagged>)> {
+    store.records(ALL).map(|(k, v, item)| (k, v, item.copied())).collect()
 }
 
-impl MemStore {
-    fn run(&self, span: Span<Key>) -> Vec<(Key, u64)> {
-        self.records(span).map(|(k, v, _)| (k, v)).collect()
+/// `store` after applying what `diff_newer` says `other` would ship
+/// over `span`, and how many records that is.
+fn repaired_from(store: &MemStore, other: &MemStore, span: Span<Key>) -> (MemStore, usize) {
+    let shipped = diff_newer(other.records(span), &run(store, span));
+    let mut out = store.clone();
+    let n = shipped.len();
+    for (k, v, item) in shipped {
+        assert!(out.apply(k, v, item), "diff_newer ships only what applies");
     }
-
-    /// This store after applying what `diff_newer` says `other` would
-    /// ship over `span`, and how many records that is.
-    fn repaired_from(&self, other: &MemStore, span: Span<Key>) -> (MemStore, usize) {
-        let shipped = diff_newer(other.records(span), &self.run(span));
-        let mut out = self.clone();
-        let n = shipped.len();
-        for (k, v, item) in shipped {
-            assert!(out.apply(k, v, item), "diff_newer ships only what applies");
-        }
-        (out, n)
-    }
+    (out, n)
 }
 
 #[derive(Clone, Debug, Default)]
@@ -187,16 +156,16 @@ proptest! {
         let (a, b) = if flip { (b, a) } else { (a, b) };
         // Either everything, or a span with records on both sides of it.
         let span = if sub { ((1_500, 1), (4_000, 1)) } else { ALL };
-        let (want_a, to_a) = a.repaired_from(&b, span);
-        let (want_b, to_b) = b.repaired_from(&a, span);
-        let n = a.run(span).len().max(b.run(span).len()).max(1);
+        let (want_a, to_a) = repaired_from(&a, &b, span);
+        let (want_b, to_b) = repaired_from(&b, &a, span);
+        let n = run(&a, span).len().max(run(&b, span).len()).max(1);
 
         let mut a = Replica { store: a, repair: ReplicaRepair::default() };
         let mut b = Replica { store: b, repair: ReplicaRepair::default() };
         let trace = exchange(&mut a, &mut b, span, None);
 
-        prop_assert_eq!(&a.store.entries, &want_a.entries, "requester, shape {}", shape);
-        prop_assert_eq!(&b.store.entries, &want_b.entries, "partner, shape {}", shape);
+        prop_assert_eq!(contents(&a.store), contents(&want_a), "requester, shape {}", shape);
+        prop_assert_eq!(contents(&b.store), contents(&want_b), "partner, shape {}", shape);
         prop_assert_eq!(trace.shipped, [to_a, to_b], "each diverged record travels once");
 
         // Bytes follow the divergence, round trips the depth of the tree.
@@ -226,8 +195,8 @@ proptest! {
         shape in 1u8..6,
     ) {
         let (a, b) = deal(&thin(rows, scale), shape);
-        let (want_a, _) = a.repaired_from(&b, ALL);
-        let (want_b, _) = b.repaired_from(&a, ALL);
+        let (want_a, _) = repaired_from(&a, &b, ALL);
+        let (want_b, _) = repaired_from(&b, &a, ALL);
         let fresh = |s: &MemStore| Replica { store: s.clone(), repair: ReplicaRepair::default() };
         let sent = exchange(&mut fresh(&a), &mut fresh(&b), ALL, None).msgs;
         // Every message of a short exchange, a spread of a long one.
@@ -236,14 +205,14 @@ proptest! {
             exchange(&mut a, &mut b, ALL, Some(lose));
             // Whatever did arrive was a step towards the goal …
             for (side, want) in [(&a, &want_a), (&b, &want_b)] {
-                for (k, have) in &side.store.entries {
-                    prop_assert!(want.entries.get(k).is_some_and(|w| w.0 >= have.0));
+                for (k, have, _) in side.store.records(ALL) {
+                    prop_assert!(want.record(k).is_some_and(|(w, _)| w >= have));
                 }
             }
             // … and the next tick starts over from the root and finishes.
             exchange(&mut a, &mut b, ALL, None);
-            prop_assert_eq!(&a.store.entries, &want_a.entries, "lost message {}", lose);
-            prop_assert_eq!(&b.store.entries, &want_b.entries, "lost message {}", lose);
+            prop_assert_eq!(contents(&a.store), contents(&want_a), "lost message {}", lose);
+            prop_assert_eq!(contents(&b.store), contents(&want_b), "lost message {}", lose);
             prop_assert_eq!(exchange(&mut a, &mut b, ALL, None).msgs, 1);
         }
     }
@@ -267,8 +236,8 @@ fn records_outside_the_shared_span_are_neither_read_nor_written() {
     a.store.apply((15, 1), 1, item(1));
     b.store.apply((25, 2), 1, item(2));
     exchange(&mut a, &mut b, span, None);
-    assert_eq!(b.store.run(ALL), vec![((15, 1), 1), ((25, 2), 1)]);
-    assert_eq!(a.store.run(ALL), vec![((5, 1), 1), ((15, 1), 1)]);
+    assert_eq!(run(&b.store, ALL), vec![((15, 1), 1), ((25, 2), 1)]);
+    assert_eq!(run(&a.store, ALL), vec![((5, 1), 1), ((15, 1), 1)]);
     // A partner that pushes or asks outside the span is ignored.
     let push = RepairMsg::Records { entries: vec![((30, 3), 9, item(3))], want: vec![(25, 2)] };
     assert!(b.repair.handle(&mut b.store, &[span], push).is_empty());

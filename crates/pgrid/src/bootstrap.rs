@@ -29,7 +29,7 @@ use unistore_simnet::NodeId;
 use unistore_util::wire::OpBatch;
 use unistore_util::{BitPath, Key};
 
-use crate::item::{Item, Version};
+use crate::item::{key_span, Item, Version};
 use crate::msg::{PGridMsg, PeerRef};
 use crate::peer::{Fx, PGridPeer};
 use crate::routing::RouteDecision;
@@ -95,8 +95,8 @@ impl<I: Item> PGridPeer<I> {
                     PGridMsg::ExchangeReplica {
                         entries: self
                             .store
-                            .iter()
-                            .filter_map(|(k, e)| e.item.clone().map(|i| (k, e.version, i)))
+                            .records(key_span(0, Key::MAX))
+                            .filter_map(|((k, _), v, item)| item.map(|i| (k, v, i.clone())))
                             .collect(),
                     },
                 );
@@ -164,7 +164,7 @@ impl<I: Item> PGridPeer<I> {
         let mut groups = HopGroups::new();
         for (key, version, item) in entries {
             if self.routing.responsible(key) {
-                self.store.apply(key, item, version);
+                self.store.insert(key, item, version);
             } else if let RouteDecision::Forward(next, _) = self.routing.route(key, &mut self.rng) {
                 push_hop(&mut groups, next, foreign.len());
                 let item = foreign.add_item(item);
@@ -195,7 +195,7 @@ impl<I: Item> PGridPeer<I> {
     ) {
         self.routing.add_replica(from);
         for (key, version, item) in entries {
-            self.store.apply(key, item, version);
+            self.store.insert(key, item, version);
         }
     }
 

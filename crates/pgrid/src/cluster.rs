@@ -422,6 +422,37 @@ mod tests {
         assert_eq!(found.items, vec![RawItem(1)]);
     }
 
+    /// A delete at the live entry's own version loses like any
+    /// equal-version write, and losing is silent: a leaf that shadowed
+    /// nothing cascades nothing, so the delete cannot bounce around the
+    /// replica group doubling its sends every hop.
+    #[test]
+    fn equal_version_delete_is_a_silent_no_op() {
+        let mut c = PGridCluster::build(
+            16,
+            quiet_cfg().with_replication(3),
+            Topology::Uniform,
+            ConstantLatency(SimTime::from_millis(5)),
+            3,
+        );
+        let key = 0xDEAD_BEEF_0000_0001;
+        c.preload(key, RawItem(1), 0);
+        let replicas = c.responsible_peers(key).to_vec();
+        assert!(replicas.len() >= 3);
+        c.net.inject(replicas[0], PGridMsg::Delete { key, ident: RawItem(1).ident(), version: 0 });
+        c.settle(SimTime::from_millis(10));
+        let early = c.net.metrics().sent;
+        c.settle(SimTime::from_millis(30));
+        assert_eq!(c.net.metrics().sent, early, "the delete keeps cascading");
+        for p in replicas {
+            assert_eq!(
+                c.net.node(p).store().get(key),
+                vec![RawItem(1)],
+                "equal version won on {p}"
+            );
+        }
+    }
+
     #[test]
     fn bootstrap_converges_to_a_trie_that_answers_lookups() {
         // The pairwise construction end to end, shaped like experiment

@@ -44,7 +44,7 @@ impl<I: Item> PGridPeer<I> {
         // the responsible subtree instead of hammering one peer.
         match self.routing.route_read(key, None) {
             RouteDecision::Local => {
-                let items = ItemFilter::collect_filtered(&filter, self.store.iter_key(key));
+                let items = self.store.lookup(key, &filter);
                 self.answer_lookup(qid, origin, items, hops, true, fx);
             }
             RouteDecision::Forward(next, _) => {
@@ -68,7 +68,7 @@ impl<I: Item> PGridPeer<I> {
     ) {
         match self.routing.route_read(key, avoid) {
             RouteDecision::Local => {
-                let items = ItemFilter::collect_filtered(&filter, self.store.iter_key(key));
+                let items = self.store.lookup(key, &filter);
                 self.handle_lookup_reply(qid, items, 0, true, fx);
             }
             RouteDecision::Forward(next, _) => {
@@ -141,7 +141,7 @@ impl<I: Item> PGridPeer<I> {
     /// Applies an insert at the responsible leaf and pushes the change
     /// to the replica group when it was new.
     pub(crate) fn insert_at_leaf(&mut self, key: Key, item: I, version: Version, fx: &mut Fx<I>) {
-        let changed = self.store.apply(key, item.clone(), version);
+        let changed = self.store.insert(key, item.clone(), version);
         if changed {
             self.push_to_replicas(key, version, item, fx);
         }
@@ -170,7 +170,7 @@ impl<I: Item> PGridPeer<I> {
         version: Version,
         fx: &mut Fx<I>,
     ) {
-        let removed = self.store.remove(key, ident, version);
+        let removed = self.store.remove((key, ident), version);
         if removed {
             for &r in self.routing.replicas() {
                 fx.send(r, PGridMsg::Delete { key, ident, version });

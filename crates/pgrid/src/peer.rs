@@ -166,7 +166,7 @@ impl<I: Item> PGridPeer<I> {
     /// Places an entry directly into the local store (driver-side
     /// preloading; bypasses the network on purpose).
     pub fn preload(&mut self, key: Key, item: I, version: u64) {
-        self.store.apply(key, item, version);
+        self.store.insert(key, item, version);
     }
 
     /// Picks a next hop toward `key`, or `None` when the key is local or

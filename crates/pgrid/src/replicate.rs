@@ -32,7 +32,7 @@ impl<I: Item> PGridPeer<I> {
     /// only apply), loops are impossible.
     pub(crate) fn handle_replicate(&mut self, entries: Vec<(Key, Version, I)>) {
         for (key, version, item) in entries {
-            self.store.apply(key, item, version);
+            self.store.insert(key, item, version);
         }
     }
 

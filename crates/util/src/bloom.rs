@@ -172,20 +172,6 @@ impl ItemFilter {
             items.retain(|i| f.accepts(i));
         }
     }
-
-    /// Filters **before** materializing: walks borrowed candidates and
-    /// clones only the survivors, so a semi-join leaf scan never
-    /// allocates for dropped candidates (the borrow-based counterpart
-    /// of [`ItemFilter::retain`]).
-    pub fn collect_filtered<'a, I: Item + 'a>(
-        filter: &Option<ItemFilter>,
-        candidates: impl Iterator<Item = &'a I>,
-    ) -> Vec<I> {
-        match filter {
-            Some(f) => candidates.filter(|i| f.accepts(*i)).cloned().collect(),
-            None => candidates.cloned().collect(),
-        }
-    }
 }
 
 impl Wire for ItemFilter {
