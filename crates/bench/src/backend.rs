@@ -1,9 +1,10 @@
 //! The two storage backends every snapshot sweeps, behind one trait.
 //!
 //! A snapshot cell is written once as `fn cell<B: Backend>(..)` and run
-//! on both backends with [`both_backends!`]; what differs between the
-//! backends — the row label, the healthy-path configuration and the
-//! failure-masking configuration — is what [`Backend`] names.
+//! on both backends with [`both_backends!`](crate::both_backends!);
+//! what differs between the backends — the row label, the healthy-path
+//! configuration and the failure-masking configuration — is what
+//! [`Backend`] names.
 
 use unistore::{chord_config, ChordOverlay, UniConfig};
 use unistore_overlay::Overlay;

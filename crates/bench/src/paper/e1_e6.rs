@@ -340,7 +340,7 @@ pub(super) fn e6_chord() {
 
         let out = ch.range(NodeId(0), lo, hi, ChordRangeMode::Buckets);
         assert!(out.complete);
-        let mut rows_set: Vec<u64> = out.entries.iter().map(|(k, _)| *k).collect();
+        let mut rows_set: Vec<u64> = out.entries.iter().map(|r| r.0).collect();
         rows_set.sort_unstable();
         rows_set.dedup();
         assert_eq!(rows_set.len(), expect, "chord buckets incomplete");
@@ -354,7 +354,7 @@ pub(super) fn e6_chord() {
 
         let out = ch.range(NodeId(0), lo, hi, ChordRangeMode::Broadcast);
         assert!(out.complete);
-        let mut rows_set: Vec<u64> = out.entries.iter().map(|(k, _)| *k).collect();
+        let mut rows_set: Vec<u64> = out.entries.iter().map(|r| r.0).collect();
         rows_set.sort_unstable();
         rows_set.dedup();
         row(&[

@@ -3,14 +3,15 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 
+use unistore_overlay::{run_op, Overlay, OverlayDone};
 use unistore_simnet::metrics::OpCost;
-use unistore_simnet::{LatencyModel, NodeId, SimNet, SimTime};
+use unistore_simnet::{LatencyModel, NodeId, SimNet};
 use unistore_util::item::Item;
 use unistore_util::rng::{derive_rng, stream};
 use unistore_util::wire::{BatchOp, BatchVerb};
 use unistore_util::Key;
 
-use crate::msg::{ChordBatchOp, ChordEvent, ChordMsg, QueryId};
+use crate::msg::{ChordBatchOp, ChordMsg, QueryId};
 use crate::node::{ring_key_exact, ChordConfig, ChordNode};
 use crate::ring::in_open_closed;
 use crate::topology::ChordTopology;
@@ -28,8 +29,8 @@ pub enum ChordRangeMode {
 /// Result of a Chord range query.
 #[derive(Clone, Debug)]
 pub struct ChordRangeOutcome<I> {
-    /// `(original key, item)` matches.
-    pub entries: Vec<(Key, I)>,
+    /// Matching items.
+    pub entries: Vec<I>,
     /// Nodes or buckets that contributed.
     pub contributors: u32,
     /// Whether all expected contributions arrived.
@@ -41,8 +42,8 @@ pub struct ChordRangeOutcome<I> {
 /// Result of a Chord lookup.
 #[derive(Clone, Debug)]
 pub struct ChordLookupOutcome<I> {
-    /// `(original key, item)` matches.
-    pub entries: Vec<(Key, I)>,
+    /// Items stored under the key.
+    pub entries: Vec<I>,
     /// `false` on failure.
     pub ok: bool,
     /// Network cost of the operation.
@@ -60,8 +61,9 @@ pub struct ChordCluster<I: Item> {
     rng: StdRng,
 }
 
-impl<I: Item> ChordCluster<I> {
-    /// Builds a converged ring of `n` nodes with exact finger tables.
+impl<I: Item + Send + 'static> ChordCluster<I> {
+    /// Builds a converged ring of `n` nodes with exact finger tables,
+    /// through [`Overlay::plan`] and [`Overlay::spawn`].
     pub fn build(
         n: usize,
         cfg: ChordConfig,
@@ -70,19 +72,11 @@ impl<I: Item> ChordCluster<I> {
     ) -> Self {
         assert!(n >= 1);
         let rng = derive_rng(seed, stream::OVERLAY);
-        let topo = ChordTopology::plan(n, cfg.bucket_depth, seed);
-
+        let topo = ChordNode::<I>::plan(n, &cfg, None, seed);
         let mut net = SimNet::new(latency, seed);
-        // Create nodes in NodeId order (ids dense 0..n), then wire
-        // successor, predecessor and fingers from the planned ring.
-        for (i, &ring) in topo.by_id.iter().enumerate() {
-            net.add_node(ChordNode::new(NodeId(i as u32), ring, cfg.clone(), seed));
+        for peer in 0..n {
+            net.add_node(ChordNode::spawn(&topo, peer, &cfg, seed));
         }
-        for &(_, id) in &topo.ring_order {
-            let w = topo.wiring(id);
-            net.node_mut(id).set_topology(w);
-        }
-
         ChordCluster { net, topo, cfg, next_qid: 1, rng }
     }
 
@@ -115,47 +109,14 @@ impl<I: Item> ChordCluster<I> {
         q
     }
 
-    fn run_for_event(&mut self, qid: QueryId) -> Option<(SimTime, ChordEvent<I>)> {
-        let deadline = self.net.now() + SimTime::from_secs(120_000);
-        loop {
-            if let Some(pos) = self.net.outputs().iter().position(|(_, _, ev)| {
-                matches!(ev,
-                    ChordEvent::LookupDone { qid: q, .. }
-                    | ChordEvent::BatchDone { qid: q, .. }
-                    | ChordEvent::RangeDone { qid: q, .. } if *q == qid)
-            }) {
-                let mut outs = self.net.take_outputs();
-                let (t, _, ev) = outs.swap_remove(pos);
-                return Some((t, ev));
-            }
-            if self.net.now() > deadline || !self.net.step() {
-                return None;
-            }
-        }
-    }
-
     /// Exact-key lookup from `origin`.
     pub fn lookup(&mut self, origin: NodeId, key: Key) -> ChordLookupOutcome<I> {
         let qid = self.fresh_qid();
-        let before = self.net.metrics();
-        let start = self.net.now();
-        self.net.inject(
-            origin,
-            ChordMsg::Lookup { qid, ring_key: ring_key_exact(key), origin, hops: 0, filter: None },
-        );
-        match self.run_for_event(qid) {
-            Some((t, ChordEvent::LookupDone { entries, hops, ok, .. })) => {
-                let d = self.net.metrics().delta(&before);
-                ChordLookupOutcome {
-                    entries,
-                    ok,
-                    cost: OpCost {
-                        messages: d.sent,
-                        bytes: d.bytes,
-                        latency: t.saturating_sub(start),
-                        hops,
-                    },
-                }
+        let msg =
+            ChordMsg::Lookup { qid, ring_key: ring_key_exact(key), origin, hops: 0, filter: None };
+        match run_op(&mut self.net, origin, msg, qid) {
+            Some((OverlayDone::Lookup { items, ok, .. }, cost)) => {
+                ChordLookupOutcome { entries: items, ok, cost }
             }
             _ => ChordLookupOutcome { entries: Vec::new(), ok: false, cost: OpCost::default() },
         }
@@ -165,22 +126,17 @@ impl<I: Item> ChordCluster<I> {
     /// two-op write batch — the "additional structure" means every write
     /// pays twice, which is part of the honest comparison.
     pub fn insert(&mut self, origin: NodeId, key: Key, item: I) -> (bool, OpCost) {
-        let before = self.net.metrics();
-        let start = self.net.now();
         let qid = self.fresh_qid();
         let op = BatchOp { key, version: 0, verb: BatchVerb::Insert { item: 0 } };
         let ops = vec![
             ChordBatchOp { bucket: false, idx: 0, op },
             ChordBatchOp { bucket: true, idx: 1, op },
         ];
-        self.net.inject(origin, ChordMsg::OpBatch { qid, origin, hops: 0, items: vec![item], ops });
-        let (ok, hops) = match self.run_for_event(qid) {
-            Some((_, ChordEvent::BatchDone { hops, ok, .. })) => (ok, hops),
-            _ => (false, 0),
-        };
-        let d = self.net.metrics().delta(&before);
-        let t = self.net.now();
-        (ok, OpCost { messages: d.sent, bytes: d.bytes, latency: t.saturating_sub(start), hops })
+        let msg = ChordMsg::OpBatch { qid, origin, hops: 0, items: vec![item], ops };
+        match run_op(&mut self.net, origin, msg, qid) {
+            Some((OverlayDone::Batch { ok, .. }, cost)) => (ok, cost),
+            _ => (false, OpCost::default()),
+        }
     }
 
     /// Range query over original keys `[lo, hi]`.
@@ -192,8 +148,6 @@ impl<I: Item> ChordCluster<I> {
         mode: ChordRangeMode,
     ) -> ChordRangeOutcome<I> {
         let qid = self.fresh_qid();
-        let before = self.net.metrics();
-        let start = self.net.now();
         let msg = match mode {
             ChordRangeMode::Buckets => ChordMsg::BucketRange { qid, lo, hi, origin },
             ChordRangeMode::Broadcast => {
@@ -201,21 +155,9 @@ impl<I: Item> ChordCluster<I> {
                 ChordMsg::Bcast { qid, lo, hi, limit: self_ring, hops: 0, filter: None }
             }
         };
-        self.net.inject(origin, msg);
-        match self.run_for_event(qid) {
-            Some((t, ChordEvent::RangeDone { entries, contributors, hops, complete, .. })) => {
-                let d = self.net.metrics().delta(&before);
-                ChordRangeOutcome {
-                    entries,
-                    contributors,
-                    complete,
-                    cost: OpCost {
-                        messages: d.sent,
-                        bytes: d.bytes,
-                        latency: t.saturating_sub(start),
-                        hops,
-                    },
-                }
+        match run_op(&mut self.net, origin, msg, qid) {
+            Some((OverlayDone::Range { items, complete, parts, .. }, cost)) => {
+                ChordRangeOutcome { entries: items, contributors: parts, complete, cost }
             }
             _ => ChordRangeOutcome {
                 entries: Vec::new(),
@@ -243,7 +185,7 @@ mod tests {
     use super::*;
     use crate::store::ALL;
     use unistore_overlay::repair::diff_newer;
-    use unistore_simnet::ConstantLatency;
+    use unistore_simnet::{ConstantLatency, SimTime};
     use unistore_util::item::RawItem;
 
     fn cluster(n: usize) -> ChordCluster<RawItem> {
@@ -268,8 +210,7 @@ mod tests {
             let origin = c.random_node();
             let out = c.lookup(origin, k << 50);
             assert!(out.ok);
-            assert_eq!(out.entries.len(), 1, "key {k}");
-            assert_eq!(out.entries[0].1, RawItem(k));
+            assert_eq!(out.entries, vec![RawItem(k)], "key {k}");
         }
     }
 
@@ -309,7 +250,7 @@ mod tests {
         let out = c.range(NodeId(0), 10 << 54, 50 << 54, ChordRangeMode::Broadcast);
         assert!(out.complete);
         assert_eq!(out.contributors, 32, "broadcast must visit all nodes");
-        let mut got: Vec<u64> = out.entries.iter().map(|(_, r)| r.0).collect();
+        let mut got: Vec<u64> = out.entries.iter().map(|r| r.0).collect();
         got.sort_unstable();
         got.dedup(); // entries exist under both indexes
         assert_eq!(got, (10..=50).collect::<Vec<_>>());
@@ -327,7 +268,7 @@ mod tests {
         let hi = 24u64 << 56;
         let buckets = c.range(NodeId(1), lo, hi, ChordRangeMode::Buckets);
         assert!(buckets.complete);
-        let mut got: Vec<u64> = buckets.entries.iter().map(|(_, r)| r.0).collect();
+        let mut got: Vec<u64> = buckets.entries.iter().map(|r| r.0).collect();
         got.sort_unstable();
         assert_eq!(got, (20..=24).collect::<Vec<_>>());
 
@@ -433,7 +374,7 @@ mod tests {
         // key space sees each written record exactly once.
         let out = c.range(primary, 0, u64::MAX, ChordRangeMode::Broadcast);
         assert!(out.complete);
-        let mut got: Vec<u64> = out.entries.iter().map(|(k, _)| *k).collect();
+        let mut got: Vec<u64> = out.entries.iter().map(|r| r.0 << 45).collect();
         got.sort_unstable();
         assert_eq!(got, written, "repair must not duplicate broadcast results");
     }

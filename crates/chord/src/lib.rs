@@ -36,7 +36,7 @@ pub mod store;
 pub mod topology;
 
 pub use cluster::{ChordCluster, ChordRangeMode};
-pub use msg::{ChordEvent, ChordMsg};
+pub use msg::ChordMsg;
 pub use node::{ChordConfig, ChordNode};
 pub use ring::ring_dist;
 pub use topology::ChordTopology;

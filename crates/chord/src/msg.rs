@@ -1,4 +1,4 @@
-//! Chord protocol messages and driver events.
+//! Chord protocol messages.
 
 use bytes::{Bytes, BytesMut};
 
@@ -376,46 +376,6 @@ impl<I: Item> Wire for ChordMsg<I> {
             other => encoded_len(other),
         }
     }
-}
-
-/// Events a Chord node surfaces to the driver.
-#[derive(Clone, Debug)]
-pub enum ChordEvent<I> {
-    /// A lookup issued locally finished.
-    LookupDone {
-        /// Correlation id.
-        qid: QueryId,
-        /// `(original key, item)` entries.
-        entries: Vec<(Key, I)>,
-        /// Hops of the route.
-        hops: u32,
-        /// `false` on failure/timeout.
-        ok: bool,
-    },
-    /// A batched write issued locally completed (or timed out).
-    BatchDone {
-        /// Correlation id of the batch.
-        qid: QueryId,
-        /// Ops the batch carried.
-        ops: u32,
-        /// Deepest hop count over all acked sub-batches.
-        hops: u32,
-        /// `false` on timeout.
-        ok: bool,
-    },
-    /// A range query issued locally finished.
-    RangeDone {
-        /// Correlation id.
-        qid: QueryId,
-        /// Matching entries.
-        entries: Vec<(Key, I)>,
-        /// Nodes (broadcast) or buckets (bucket mode) that contributed.
-        contributors: u32,
-        /// Deepest hop count.
-        hops: u32,
-        /// Whether all expected contributions arrived.
-        complete: bool,
-    },
 }
 
 #[cfg(test)]

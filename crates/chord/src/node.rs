@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use unistore_overlay::repair::ReplicaRepair;
-use unistore_overlay::{push_hop, BatchTracker, HopGroups};
+use unistore_overlay::{push_hop, BatchTracker, HopGroups, OverlayDone};
 use unistore_simnet::{Effects, NodeBehavior, NodeId, SimTime, Timer};
 use unistore_util::fxhash::mix64;
 use unistore_util::rng::{derive_rng, stream};
@@ -13,13 +13,13 @@ use unistore_util::{FxHashMap, FxHashSet, ItemFilter, Key};
 
 pub use unistore_util::item::Item;
 
-use crate::msg::{ChordBatchOp, ChordEvent, ChordMsg, QueryId};
+use crate::msg::{ChordBatchOp, ChordMsg, QueryId};
 use crate::ring::{in_open_closed, in_open_open};
 use crate::store::ChordStore;
 use crate::topology::RingWiring;
 
 /// Effects buffer specialized to Chord.
-pub type Fx<I> = Effects<ChordMsg<I>, ChordEvent<I>>;
+pub type Fx<I> = Effects<ChordMsg<I>, OverlayDone<I>>;
 
 /// Salt separating the exact-key index from the bucket index on the ring.
 const EXACT_SALT: u64 = 0x5155_4552_595f_4b45; // "QUERY_KE"
@@ -398,9 +398,9 @@ impl<I: Item> ChordNode<I> {
         match self.pending.get_mut(&qid) {
             Some(Pending::Lookup) => {
                 self.pending.remove(&qid);
-                fx.emit(ChordEvent::LookupDone {
+                fx.emit(OverlayDone::Lookup {
                     qid,
-                    entries: reply_entries,
+                    items: items_of(reply_entries),
                     hops: reply_hops,
                     ok,
                 });
@@ -411,10 +411,10 @@ impl<I: Item> ChordNode<I> {
                 *hops = (*hops).max(reply_hops);
                 *failed |= !ok;
                 if *received >= *expected {
-                    let (entries, hops, contributors, complete) =
-                        (std::mem::take(entries), *hops, *received, !*failed);
+                    let (items, hops, parts, complete) =
+                        (items_of(std::mem::take(entries)), *hops, *received, !*failed);
                     self.pending.remove(&qid);
-                    fx.emit(ChordEvent::RangeDone { qid, entries, contributors, hops, complete });
+                    fx.emit(OverlayDone::Range { qid, items, hops, complete, parts });
                 }
             }
             _ => {}
@@ -513,15 +513,15 @@ impl<I: Item> ChordNode<I> {
             return;
         };
         if tracker.ack(&applied, ack_hops) {
-            let (ops, hops) = (tracker.done(), tracker.hops());
+            let (ops, hops) = (tracker.acked(), tracker.hops());
             self.pending.remove(&qid);
-            fx.emit(ChordEvent::BatchDone { qid, ops, hops, ok: true });
+            fx.emit(OverlayDone::Batch { qid, ops, hops, ok: true });
         }
     }
 
     /// Issues a locally originated exact-key lookup (the embedding
     /// UniStore node calls this as if it were the driver); completion
-    /// arrives as a [`ChordEvent::LookupDone`] emit. The owner applies
+    /// arrives as an [`OverlayDone::Lookup`] emit. The owner applies
     /// `filter` (semi-join pushdown) before replying.
     ///
     /// Every write pays both the exact index and the bucket index, so
@@ -702,12 +702,12 @@ impl<I: Item> ChordNode<I> {
                 parent,
                 ChordMsg::BcastReply { qid, entries: st.entries, nodes: st.nodes, hops: st.hops },
             ),
-            None => fx.emit(ChordEvent::RangeDone {
+            None => fx.emit(OverlayDone::Range {
                 qid,
-                entries: st.entries,
-                contributors: st.nodes,
+                items: items_of(st.entries),
                 hops: st.hops,
                 complete: true,
+                parts: st.nodes,
             }),
         }
     }
@@ -716,7 +716,7 @@ impl<I: Item> ChordNode<I> {
         if let Some(p) = self.pending.remove(&qid) {
             match p {
                 Pending::Lookup => {
-                    fx.emit(ChordEvent::LookupDone { qid, entries: Vec::new(), hops: 0, ok: false })
+                    fx.emit(OverlayDone::Lookup { qid, items: Vec::new(), hops: 0, ok: false })
                 }
                 Pending::Batch { items, ops, mut tracker } => {
                     match tracker.retry(self.cfg.op_retries) {
@@ -729,35 +729,33 @@ impl<I: Item> ChordNode<I> {
                             self.register(fx, qid, Pending::Batch { items, ops, tracker });
                             self.route_batch(qid, self.id, 0, sub_items, sub_ops, fx);
                         }
-                        None => fx.emit(ChordEvent::BatchDone {
+                        None => fx.emit(OverlayDone::Batch {
                             qid,
-                            ops: tracker.done(),
+                            ops: tracker.acked(),
                             hops: tracker.hops(),
                             ok: false,
                         }),
                     }
                 }
-                Pending::Buckets { entries, hops, received, .. } => {
-                    fx.emit(ChordEvent::RangeDone {
-                        qid,
-                        entries,
-                        contributors: received,
-                        hops,
-                        complete: false,
-                    })
-                }
+                Pending::Buckets { entries, hops, received, .. } => fx.emit(OverlayDone::Range {
+                    qid,
+                    items: items_of(entries),
+                    hops,
+                    complete: false,
+                    parts: received,
+                }),
             }
             return;
         }
         // An origin-side broadcast that never completed.
         if let Some(st) = self.bcast.remove(&qid) {
             if st.parent.is_none() {
-                fx.emit(ChordEvent::RangeDone {
+                fx.emit(OverlayDone::Range {
                     qid,
-                    entries: st.entries,
-                    contributors: st.nodes,
+                    items: items_of(st.entries),
                     hops: st.hops,
                     complete: false,
+                    parts: st.nodes,
                 });
             }
         }
@@ -768,6 +766,12 @@ impl<I: Item> ChordNode<I> {
 /// ring position `k` (`k ∈ (pred, me]`; a singleton ring owns all).
 fn owns(pred: u64, me: u64, k: u64) -> bool {
     pred == me || in_open_closed(pred, me, k)
+}
+
+/// The items of `(original key, item)` entries: a completion at the
+/// origin carries what was stored, not where.
+fn items_of<I>(entries: Vec<(Key, I)>) -> Vec<I> {
+    entries.into_iter().map(|(_, item)| item).collect()
 }
 
 /// Sub-batch of the ops at `indices`, with the payload table re-indexed
@@ -792,7 +796,7 @@ fn subset_batch<I: Clone>(
 
 impl<I: Item> NodeBehavior for ChordNode<I> {
     type Msg = ChordMsg<I>;
-    type Out = ChordEvent<I>;
+    type Out = OverlayDone<I>;
 
     fn on_start(&mut self, _now: SimTime, fx: &mut Fx<I>) {
         // Also runs on revival, so a node that was down resumes the

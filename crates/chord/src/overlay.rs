@@ -10,14 +10,13 @@ use unistore_overlay::{ItemFilter, OpBatch, Overlay, OverlayDone, RangeMode, Rep
 use unistore_simnet::{Effects, NodeId};
 use unistore_util::Key;
 
-use crate::msg::{ChordBatchOp, ChordEvent, ChordMsg};
+use crate::msg::{ChordBatchOp, ChordMsg};
 use crate::node::{ring_key_exact, ChordConfig, ChordNode, Item};
 use crate::store::ALL;
 use crate::topology::ChordTopology;
 
 impl<I: Item + Send + 'static> Overlay for ChordNode<I> {
     type WireMsg = ChordMsg<I>;
-    type Event = ChordEvent<I>;
     type Item = I;
     type Config = ChordConfig;
     type Topology = ChordTopology;
@@ -88,7 +87,7 @@ impl<I: Item + Send + 'static> Overlay for ChordNode<I> {
         qid: u64,
         key: Key,
         filter: Option<ItemFilter>,
-        fx: &mut Effects<ChordMsg<I>, ChordEvent<I>>,
+        fx: &mut Effects<ChordMsg<I>, OverlayDone<I>>,
     ) {
         ChordNode::local_lookup(self, qid, key, filter, fx)
     }
@@ -100,7 +99,7 @@ impl<I: Item + Send + 'static> Overlay for ChordNode<I> {
         hi: Key,
         mode: RangeMode,
         filter: Option<ItemFilter>,
-        fx: &mut Effects<ChordMsg<I>, ChordEvent<I>>,
+        fx: &mut Effects<ChordMsg<I>, OverlayDone<I>>,
     ) {
         match mode {
             RangeMode::Parallel => self.handle_bucket_range(qid, lo, hi, filter, fx),
@@ -136,26 +135,6 @@ impl<I: Item + Send + 'static> Overlay for ChordNode<I> {
             .collect();
         let qid = next_qid();
         vec![(qid, ChordMsg::OpBatch { qid, origin, hops: 0, items: batch.items.clone(), ops })]
-    }
-
-    fn done(ev: ChordEvent<I>) -> OverlayDone<I> {
-        match ev {
-            ChordEvent::LookupDone { qid, entries, hops, ok } => OverlayDone::Lookup {
-                qid,
-                items: entries.into_iter().map(|(_, i)| i).collect(),
-                hops,
-                ok,
-            },
-            ChordEvent::RangeDone { qid, entries, hops, complete, .. } => OverlayDone::Range {
-                qid,
-                items: entries.into_iter().map(|(_, i)| i).collect(),
-                hops,
-                complete,
-            },
-            ChordEvent::BatchDone { qid, ops, hops, ok } => {
-                OverlayDone::Batch { qid, ops, hops, ok }
-            }
-        }
     }
 }
 

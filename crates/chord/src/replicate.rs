@@ -1,7 +1,7 @@
 //! Successor replication and hash-tree anti-entropy.
 //!
 //! The Chord-side port of P-Grid's hybrid push/pull repair (paper ref
-//! [4], Datta et al., ICDCS 2003): a primary **pushes** every applied
+//! \[4\], Datta et al., ICDCS 2003): a primary **pushes** every applied
 //! write to its successor; a replica that missed pushes (offline,
 //! lossy link) catches up through periodic **anti-entropy** with its
 //! predecessor (the primary of its replica set). The exchange itself is

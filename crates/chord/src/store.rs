@@ -6,7 +6,7 @@
 //! Records therefore keep their original order-preserving key next to
 //! the ring position, so that bucket scans can filter to the requested
 //! interval. The records live in the shared [`VersionedStore`], under
-//! the same superseding rule as P-Grid's (paper ref [4] loose
+//! the same superseding rule as P-Grid's (paper ref \[4\] loose
 //! consistency), so both backends resolve concurrent updates
 //! identically.
 

@@ -1,7 +1,6 @@
 //! Concrete backend wirings of the generic stack.
 //!
-//! [`UniCluster`](crate::UniCluster) and
-//! [`LiveCluster`](crate::live::LiveCluster) default to the P-Grid
+//! [`UniCluster`] and [`LiveCluster`] default to the P-Grid
 //! backend; this module names the Chord-backed instantiations and
 //! provides a ready-to-use configuration for them, so experiments and
 //! oracle tests can run the identical VQL → MQP pipeline over both

@@ -65,10 +65,10 @@ pub struct UniCluster<O: Overlay<Item = Triple> = PGridPeer<Triple>> {
     /// Snapshot generation: bumped by every full rebuild so stale
     /// in-flight deltas cannot be double-counted (see
     /// [`QueryMsg::StatsDelta`]).
-    stats_epoch: u64,
+    pub(crate) stats_epoch: u64,
     /// Completion table: finished queries awaiting their waiter. Every
-    /// drained event lands here (or in `done_storage`) — never on the
-    /// floor — so any number of queries can overlap.
+    /// completion of a query in flight lands here (storage completions
+    /// in `done_storage`), so any number of queries can overlap.
     done_queries: FxHashMap<u64, QueryOutcome>,
     /// Completion table for driver-issued raw storage ops.
     done_storage: FxHashMap<u64, OverlayDone<Triple>>,
@@ -332,12 +332,13 @@ impl<O: Overlay<Item = Triple>> UniCluster<O> {
     }
 
     /// Routes every event the network produced since the last pump into
-    /// the qid-keyed completion tables. Nothing is discarded: query
-    /// completions for any in-flight qid, storage acks, all of it lands
-    /// in a table for its waiter. A `QueryDone` for a qid that is not
-    /// in flight is a stale completion (a superseded retry attempt, or
-    /// a duplicate of one already resolved) and is dropped here — the
-    /// driver-side half of the attempt-staleness guard.
+    /// the qid-keyed completion tables: query completions for any
+    /// in-flight qid and driver-issued storage completions each land in
+    /// a table for their waiter. A `QueryDone` for a qid that is not in
+    /// flight is a stale completion (a superseded retry attempt, or a
+    /// duplicate of one already resolved) and is dropped here — the
+    /// driver-side half of the attempt-staleness guard; the node drops
+    /// the storage half (see `UniNode::on_overlay_event`).
     fn pump_outputs(&mut self) {
         let mut freed = false;
         for (t, _, ev) in self.net.take_outputs() {
@@ -402,16 +403,8 @@ impl<O: Overlay<Item = Triple>> UniCluster<O> {
     /// queue at the driver and enter the network as completions free
     /// slots (backpressure, not rejection).
     pub fn query_submit(&mut self, origin: NodeId, src: &str) -> Result<u64, VqlError> {
-        let analyzed = analyze(parse(src)?)?;
-        let logical = Logical::from_query(&analyzed);
-        let qid = self.fresh_qid();
-        let mqp = Mqp::new(
-            qid,
-            origin.0,
-            MqpNode::from_logical(&logical),
-            analyzed.query.filters.clone(),
-            analyzed.query.limit.map(|n| n as u64),
-        );
+        let mqp = plan_query(origin, src, || self.fresh_qid())?;
+        let qid = mqp.qid;
         self.queued_at.insert(qid, self.net.now());
         self.admit_queue.push_back((qid, origin, mqp));
         self.try_admit();
@@ -599,7 +592,7 @@ impl<O: Overlay<Item = Triple>> UniCluster<O> {
 
     /// Updates the value of `(oid, attr)` through the protocol path:
     /// one batch deletes the old index entries and inserts the new ones
-    /// with a newer version (paper ref [4] loose-consistency updates —
+    /// with a newer version (paper ref \[4\] loose-consistency updates —
     /// the versioned stores make the delete/insert ops order-independent
     /// even when the batch forks). The statistics absorb the write as an
     /// O(delta) fold — no rescan.
@@ -684,6 +677,26 @@ impl<O: Overlay<Item = Triple>> UniCluster<O> {
         // File (or drop as stale) whatever completed along the way.
         self.pump_outputs();
     }
+}
+
+/// Parses, analyzes and plans VQL `src` into the mutant query plan a
+/// driver injects at `origin` — shared by the simulated cluster driver
+/// and the live threaded runtime. The plan's qid is drawn from `qid`
+/// only once the query is known to be valid.
+pub(crate) fn plan_query(
+    origin: NodeId,
+    src: &str,
+    qid: impl FnOnce() -> u64,
+) -> Result<Mqp, VqlError> {
+    let analyzed = analyze(parse(src)?)?;
+    let logical = Logical::from_query(&analyzed);
+    Ok(Mqp::new(
+        qid(),
+        origin.0,
+        MqpNode::from_logical(&logical),
+        analyzed.query.filters.clone(),
+        analyzed.query.limit.map(|n| n as u64),
+    ))
 }
 
 /// Expands tuples into triples and their full index fan-out as one
@@ -842,6 +855,30 @@ mod tests {
             chord_config().with_stats_refresh(TICK),
             8,
         ));
+    }
+
+    /// Retries purge an attempt while its storage ops are still out (the
+    /// owner of the scanned key is down); their late completions have no
+    /// reader and must not pile up in the driver's raw-storage table.
+    #[test]
+    fn purged_attempts_leave_no_storage_completions() {
+        let cfg = UniConfig {
+            query_timeout: SimTime::from_secs(1),
+            plan_mode: PlanMode { no_forward: true, ..PlanMode::default() },
+            ..UniConfig::default()
+        };
+        let mut c = UniCluster::build(16, cfg, 11);
+        c.load(
+            (0..8).map(|i| Tuple::new(&format!("o{i}")).with("name", Value::str(&format!("n{i}")))),
+        );
+        let key = unistore_store::index::attr_value_key("name", &Value::str("n3"));
+        let owner = NodeId(c.topology().holders(key)[0] as u32);
+        c.net.schedule_down(owner, c.net.now());
+        let origin = NodeId((owner.0 + 1) % 16);
+        c.query(origin, "SELECT ?o WHERE {(?o,'name','n3')}").expect("parses");
+        c.settle(SimTime::from_secs(60));
+        let orphans = c.done_storage.keys().filter(|&&qid| qid >= 1 << 62).count();
+        assert_eq!(orphans, 0, "executor completions filed for the driver");
     }
 
     proptest! {

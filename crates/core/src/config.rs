@@ -76,7 +76,7 @@ impl Default for BackoffPolicy {
 pub struct UniConfig<C = PGridConfig> {
     /// The storage-layer overlay configuration.
     pub overlay: C,
-    /// Maintain the q-gram index on insert (paper ref [6]).
+    /// Maintain the q-gram index on insert (paper ref \[6\]).
     pub with_qgrams: bool,
     /// Build the topology adapted to the data sample where the backend
     /// supports it (P-Grid's balanced converged state); `false` builds

@@ -24,20 +24,19 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 
-use unistore_overlay::{Overlay, OverlayTopology};
+use unistore_overlay::Overlay;
 use unistore_pgrid::PGridPeer;
-use unistore_query::{Logical, Mqp, MqpNode, Relation, StatsDelta};
+use unistore_query::{Relation, StatsDelta};
 use unistore_simnet::{Effects, NodeBehavior, NodeId, SimTime, Timer};
-use unistore_store::index::TripleKeys;
 use unistore_store::{Triple, Tuple};
 use unistore_util::wire::Shared;
-use unistore_util::{FxHashMap, FxHashSet, Key};
-use unistore_vql::{analyze, parse, VqlError};
+use unistore_util::{FxHashMap, FxHashSet};
+use unistore_vql::VqlError;
 
+use crate::cluster::{build_insert_batch, plan_query, UniCluster};
 use crate::config::UniConfig;
 use crate::msg::{QueryMsg, UniEvent, UniMsg};
 use crate::node::UniNode;
-use crate::stats::build_cost_model;
 
 type Inbox<M> = (NodeId, UniMsg<M>);
 
@@ -59,6 +58,9 @@ pub struct LiveCluster<O: Overlay<Item = Triple> = PGridPeer<Triple>> {
     /// read the overlay config and q-gram switch, the pipelined query
     /// API its admission window.
     cfg: UniConfig<O::Config>,
+    /// Generation of the load-time statistics snapshot: the live
+    /// runtime never rebuilds, so every runtime delta rides it.
+    stats_epoch: u64,
     /// Events received while some other waiter held the channel,
     /// buffered by qid for re-delivery — never discarded.
     buffered: FxHashMap<u64, UniEvent>,
@@ -90,44 +92,19 @@ impl LiveCluster<PGridPeer<Triple>> {
 
 impl<O: Overlay<Item = Triple>> LiveCluster<O> {
     /// Builds the overlay, loads the tuples, distributes statistics and
-    /// starts one thread per node.
+    /// starts one thread per node. The deployment is the one the
+    /// simulated driver's bulk load produces for the same tuples and
+    /// seed over a LAN ([`UniCluster::load`]): same topology, same
+    /// placement, same statistics snapshot.
     pub fn start_overlay(
         n_peers: usize,
         cfg: UniConfig<O::Config>,
         tuples: Vec<Tuple>,
         seed: u64,
     ) -> Self {
-        let triples: Vec<Triple> = tuples.iter().flat_map(Tuple::to_triples).collect();
-        let sample: Vec<Key> =
-            triples.iter().flat_map(|t| TripleKeys::derive(t, cfg.with_qgrams).primary()).collect();
-        let adapt = cfg.balanced && O::ADAPTS_TO_SAMPLE && !sample.is_empty();
-        let topology =
-            O::plan(n_peers, &cfg.overlay, if adapt { Some(&sample) } else { None }, seed);
-        let model = build_cost_model(
-            &triples,
-            n_peers,
-            topology.partitions(),
-            topology.replication(),
-            SimTime::from_micros(200), // LAN-ish expectation for the model
-        );
-
-        let mut nodes: Vec<UniNode<O>> = (0..n_peers)
-            .map(|peer| {
-                let overlay = O::spawn(&topology, peer, &cfg.overlay, seed);
-                let mut node = UniNode::new(overlay, n_peers, &cfg, seed);
-                node.reset_stats(model.clone(), 0);
-                node
-            })
-            .collect();
-
-        // Driver-side preload, as in the simulated cluster.
-        for t in &triples {
-            for key in TripleKeys::derive(t, cfg.with_qgrams).all() {
-                for p in topology.holders(key) {
-                    nodes[p].overlay.preload(key, t.clone(), 0);
-                }
-            }
-        }
+        let mut loaded = UniCluster::<O>::build_overlay(n_peers, cfg.clone(), seed);
+        loaded.load(tuples);
+        let stats_epoch = loaded.stats_epoch;
 
         let (out_tx, outputs) = bounded::<(NodeId, UniEvent)>(1024);
         type Channel<M> = (Sender<Inbox<M>>, Receiver<Inbox<M>>);
@@ -137,7 +114,7 @@ impl<O: Overlay<Item = Triple>> LiveCluster<O> {
         let shutdown = Arc::new(AtomicBool::new(false));
 
         let mut handles = Vec::with_capacity(n_peers);
-        for (node, (_tx, rx)) in nodes.into_iter().zip(channels) {
+        for (node, (_tx, rx)) in loaded.net.into_nodes().zip(channels) {
             let peers = senders.clone();
             let out = out_tx.clone();
             let stop = shutdown.clone();
@@ -153,6 +130,7 @@ impl<O: Overlay<Item = Triple>> LiveCluster<O> {
             next_qid: 1,
             n: n_peers,
             cfg,
+            stats_epoch,
             buffered: FxHashMap::default(),
             expected: FxHashSet::default(),
             in_flight: std::collections::VecDeque::new(),
@@ -197,6 +175,12 @@ impl<O: Overlay<Item = Triple>> LiveCluster<O> {
         }
     }
 
+    fn fresh_qid(&mut self) -> u64 {
+        let q = self.next_qid;
+        self.next_qid += 1;
+        q
+    }
+
     /// Non-blocking drain of the event channel into the buffer.
     fn drain_ready(&mut self) {
         while let Ok((_, ev)) = self.outputs.try_recv() {
@@ -229,17 +213,8 @@ impl<O: Overlay<Item = Triple>> LiveCluster<O> {
         src: &str,
         timeout: Duration,
     ) -> Result<u64, VqlError> {
-        let analyzed = analyze(parse(src)?)?;
-        let logical = Logical::from_query(&analyzed);
-        let qid = self.next_qid;
-        self.next_qid += 1;
-        let mqp = Mqp::new(
-            qid,
-            origin.0,
-            MqpNode::from_logical(&logical),
-            analyzed.query.filters.clone(),
-            analyzed.query.limit.map(|n| n as u64),
-        );
+        let mqp = plan_query(origin, src, || self.fresh_qid())?;
+        let qid = mqp.qid;
         // Backpressure: hold the submission until the window has room,
         // servicing the oldest in-flight query meanwhile.
         while self.in_flight.len() >= self.cfg.max_in_flight {
@@ -328,13 +303,9 @@ impl<O: Overlay<Item = Triple>> LiveCluster<O> {
     /// disseminates it to the other nodes on its next stats-refresh tick
     /// — no restart, no rescan.
     pub fn insert_batch(&mut self, origin: NodeId, tuples: &[Tuple], timeout: Duration) -> bool {
-        let (batch, triples) = crate::cluster::build_insert_batch(tuples, self.cfg.with_qgrams);
-        let mut next_qid = || {
-            let q = self.next_qid;
-            self.next_qid += 1;
-            q
-        };
-        let msgs = O::batch_msgs(&self.cfg.overlay, &mut next_qid, &batch, origin);
+        let (batch, triples) = build_insert_batch(tuples, self.cfg.with_qgrams);
+        let ocfg = self.cfg.overlay.clone();
+        let msgs = O::batch_msgs(&ocfg, &mut || self.fresh_qid(), &batch, origin);
         let mut pending: Vec<u64> = Vec::with_capacity(msgs.len());
         for (qid, msg) in msgs {
             pending.push(qid);
@@ -362,13 +333,11 @@ impl<O: Overlay<Item = Triple>> LiveCluster<O> {
         for t in triples {
             delta.record_insert(t);
         }
-        // The live runtime never rebuilds snapshots, so every delta
-        // rides the initial epoch.
         self.senders[origin.index()]
             .send((
                 NodeId::EXTERNAL,
                 UniMsg::Query(QueryMsg::StatsDelta {
-                    epoch: 0,
+                    epoch: self.stats_epoch,
                     span: 0,
                     delta: Shared::new(delta),
                 }),
@@ -387,8 +356,7 @@ impl<O: Overlay<Item = Triple>> LiveCluster<O> {
     /// `(total, per-attribute counts)`. Observability for staleness
     /// tests — the only way to see inside a running node.
     pub fn stats_probe(&mut self, node: NodeId, timeout: Duration) -> Option<StatsSummary> {
-        let qid = self.next_qid;
-        self.next_qid += 1;
+        let qid = self.fresh_qid();
         self.expected.insert(qid);
         self.senders[node.index()]
             .send((NodeId::EXTERNAL, UniMsg::Query(QueryMsg::StatsProbe { qid })))

@@ -71,6 +71,10 @@ const RTT_MIN_SAMPLES: usize = 8;
 /// extra lookups).
 const FORWARD_BYTE_CAP: usize = 64 * 1024;
 
+/// Executor namespace bit of a qid: the executor's own overlay ops and
+/// retry attempts, disjoint from driver-assigned qids.
+const EXEC_QID: u64 = 1 << 62;
+
 /// Fetch joins cap their lookup fan-out; beyond this the executor falls
 /// back to collecting (or Bloom-filtering) the right side.
 const FETCH_CAP: usize = 512;
@@ -135,35 +139,26 @@ impl ResultCache {
     }
 }
 
-/// What a suspended plan is waiting for.
-enum Wait {
-    Scan {
-        pattern: TriplePattern,
-        outstanding: usize,
-        triples: Vec<Triple>,
-        /// Count-filter parameters when the scan used the q-gram index.
-        qgram: Option<(String, usize)>,
-        max_hops: u32,
-        /// Key to cache the collected rows under when the scan was a
-        /// single remote exact-match lookup. Cleared if any completion
-        /// fails or an invalidation for the key races the scan.
-        cache_key: Option<Key>,
-        /// Storage ops this wait issued over the network (coverage
-        /// denominator; cache-resolved lookups never leave the node and
-        /// are vacuously complete).
-        issued: u32,
-        /// Ops that came back failed or partial (`!done.ok()`) — the
-        /// coverage shortfall of this scan.
-        failed: u32,
-    },
-    Fetch {
-        pattern: TriplePattern,
-        outstanding: usize,
-        triples: Vec<Triple>,
-        max_hops: u32,
-        issued: u32,
-        failed: u32,
-    },
+/// The storage ops a suspended plan waits for: a scan, or a fetch
+/// join — a scan with no q-gram filter and no cache key.
+struct Wait {
+    pattern: TriplePattern,
+    outstanding: usize,
+    triples: Vec<Triple>,
+    /// Count-filter parameters when the scan used the q-gram index.
+    qgram: Option<(String, usize)>,
+    max_hops: u32,
+    /// Key to cache the collected rows under when the scan was a
+    /// single remote exact-match lookup. Cleared if any completion
+    /// fails or an invalidation for the key races the scan.
+    cache_key: Option<Key>,
+    /// Storage ops this wait issued over the network (coverage
+    /// denominator; cache-resolved lookups never leave the node and
+    /// are vacuously complete).
+    issued: u32,
+    /// Ops that came back failed or partial (`!done.ok()`) — the
+    /// coverage shortfall of this scan.
+    failed: u32,
 }
 
 struct Active {
@@ -372,11 +367,9 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
             for &key in &keys {
                 self.cache.invalidate(key);
             }
-            for active in self.active.values_mut() {
-                if let Some(Wait::Scan { cache_key, .. }) = active.wait.as_mut() {
-                    if cache_key.is_some_and(|key| keys.contains(&key)) {
-                        *cache_key = None;
-                    }
+            for wait in self.active.values_mut().filter_map(|active| active.wait.as_mut()) {
+                if wait.cache_key.is_some_and(|key| keys.contains(&key)) {
+                    wait.cache_key = None;
                 }
             }
         }
@@ -449,8 +442,7 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
 
     fn fresh_exec_qid(&mut self) -> u64 {
         self.exec_counter += 1;
-        // Executor namespace: disjoint from driver-assigned qids.
-        (1 << 62) | ((self.id().0 as u64) << 32) | self.exec_counter
+        EXEC_QID | ((self.id().0 as u64) << 32) | self.exec_counter
     }
 
     /// Runs a storage-layer action, wrapping its effects into the node's
@@ -458,9 +450,9 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
     fn with_overlay(
         &mut self,
         fx: &mut UniFx<O::Msg>,
-        f: impl FnOnce(&mut O, &mut Effects<O::Msg, O::Out>),
+        f: impl FnOnce(&mut O, &mut Effects<O::Msg, OverlayDone<Triple>>),
     ) {
-        let mut ofx: Effects<O::Msg, O::Out> = Effects::new();
+        let mut ofx: Effects<O::Msg, OverlayDone<Triple>> = Effects::new();
         f(&mut self.overlay, &mut ofx);
         let (sends, timers, emits) = ofx.drain();
         for (to, m) in sends {
@@ -469,51 +461,38 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
         for (d, t) in timers {
             fx.set_timer(d, t);
         }
-        for e in emits {
-            self.on_overlay_event(O::done(e), fx);
+        for done in emits {
+            self.on_overlay_event(done, fx);
         }
     }
 
     fn on_overlay_event(&mut self, done: OverlayDone<Triple>, fx: &mut UniFx<O::Msg>) {
         let qid = done.qid();
         let Some(query_qid) = self.waiting.remove(&qid) else {
-            // Driver-issued raw storage op: surface it.
-            fx.emit(UniEvent::Storage(done));
+            // Driver-issued raw storage op: surface it. An executor op
+            // nobody waits for belonged to a purged attempt, and its
+            // late completion has no reader anywhere.
+            if qid & EXEC_QID == 0 {
+                fx.emit(UniEvent::Storage(done));
+            }
             return;
         };
-        let Some(active) = self.active.get_mut(&query_qid) else {
+        let Some(wait) = self.active.get_mut(&query_qid).and_then(|a| a.wait.as_mut()) else {
             return;
         };
-        let finished = match active.wait.as_mut() {
-            Some(Wait::Scan { outstanding, triples, max_hops, cache_key, failed, .. }) => {
-                if let Some(items) = done.items() {
-                    triples.extend(items.iter().cloned());
-                }
-                if !done.ok() {
-                    // A failed or partial completion must not be cached
-                    // as the key's full row set — and it is a coverage
-                    // shortfall the origin must hear about.
-                    *cache_key = None;
-                    *failed += 1;
-                }
-                *max_hops = (*max_hops).max(done.hops());
-                *outstanding -= 1;
-                *outstanding == 0
-            }
-            Some(Wait::Fetch { outstanding, triples, max_hops, failed, .. }) => {
-                if let Some(items) = done.items() {
-                    triples.extend(items.iter().cloned());
-                }
-                if !done.ok() {
-                    *failed += 1;
-                }
-                *max_hops = (*max_hops).max(done.hops());
-                *outstanding -= 1;
-                *outstanding == 0
-            }
-            None => false,
-        };
-        if finished {
+        if let Some(items) = done.items() {
+            wait.triples.extend(items.iter().cloned());
+        }
+        if !done.ok() {
+            // A failed or partial completion must not be cached as the
+            // key's full row set — and it is a coverage shortfall the
+            // origin must hear about.
+            wait.cache_key = None;
+            wait.failed += 1;
+        }
+        wait.max_hops = wait.max_hops.max(done.hops());
+        wait.outstanding -= 1;
+        if wait.outstanding == 0 {
             self.finish_wait(query_qid, fx);
         }
     }
@@ -523,14 +502,10 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
         // Every caller installs wait state before finishing it; if the
         // invariant ever breaks, drop the attempt — the origin's retry
         // timer picks it up — rather than panic mid-dispatch.
-        let Some(wait) = active.wait.take() else { return };
-        let (pattern, mut triples, qgram, max_hops, cache_key, issued, failed) = match wait {
-            Wait::Scan { pattern, triples, qgram, max_hops, cache_key, issued, failed, .. } => {
-                (pattern, triples, qgram, max_hops, cache_key, issued, failed)
-            }
-            Wait::Fetch { pattern, triples, max_hops, issued, failed, .. } => {
-                (pattern, triples, None, max_hops, None, issued, failed)
-            }
+        let Some(Wait { pattern, mut triples, qgram, max_hops, cache_key, issued, failed, .. }) =
+            active.wait.take()
+        else {
+            return;
         };
         // Dedup triples that arrived through several index entries or
         // replicas.
@@ -742,11 +717,13 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
             qid,
             Active {
                 mqp,
-                wait: Some(Wait::Fetch {
+                wait: Some(Wait {
                     pattern,
                     outstanding: qids.len(),
                     triples: Vec::new(),
+                    qgram: None,
                     max_hops: 0,
+                    cache_key: None,
                     issued: qids.len() as u32,
                     failed: 0,
                 }),
@@ -855,7 +832,7 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
             qid,
             Active {
                 mqp,
-                wait: Some(Wait::Scan {
+                wait: Some(Wait {
                     pattern,
                     outstanding: qids.len(),
                     triples: cached,

@@ -21,7 +21,7 @@ use unistore_simnet::NodeId;
 #[derive(Clone, Debug)]
 pub struct BatchTracker {
     acked: Vec<bool>,
-    done: u32,
+    n_acked: u32,
     hops: u32,
     attempts: u32,
 }
@@ -29,7 +29,7 @@ pub struct BatchTracker {
 impl BatchTracker {
     /// Tracks a batch of `ops` ops, none acked yet.
     pub fn new(ops: usize) -> Self {
-        BatchTracker { acked: vec![false; ops], done: 0, hops: 0, attempts: 0 }
+        BatchTracker { acked: vec![false; ops], n_acked: 0, hops: 0, attempts: 0 }
     }
 
     /// Folds an ack naming applied op positions, `hops` from the origin;
@@ -40,17 +40,17 @@ impl BatchTracker {
             if let Some(slot) = self.acked.get_mut(pos as usize) {
                 if !*slot {
                     *slot = true;
-                    self.done += 1;
+                    self.n_acked += 1;
                 }
             }
         }
         self.hops = self.hops.max(hops);
-        self.done as usize >= self.acked.len()
+        self.n_acked as usize >= self.acked.len()
     }
 
     /// Ops acked so far.
-    pub fn done(&self) -> u32 {
-        self.done
+    pub fn acked(&self) -> u32 {
+        self.n_acked
     }
 
     /// Deepest hop count over the acks received so far.
@@ -66,7 +66,7 @@ impl BatchTracker {
     /// Called when the batch timed out: the remainder to retransmit,
     /// counting the attempt against `op_retries`, or `None` when the
     /// retries are spent (or nothing is outstanding) and the batch
-    /// should be reported failed with [`Self::done`] / [`Self::hops`].
+    /// should be reported failed with [`Self::acked`] / [`Self::hops`].
     pub fn retry(&mut self, op_retries: u32) -> Option<Vec<usize>> {
         let remainder = self.remainder();
         if self.attempts >= op_retries || remainder.is_empty() {
@@ -99,9 +99,9 @@ mod tests {
         let mut t = BatchTracker::new(3);
         assert!(!t.ack(&[0, 0, 2], 4), "a position acked twice is one op");
         assert!(!t.ack(&[3, 7, u32::MAX], 9), "positions outside the batch are ignored");
-        assert_eq!((t.done(), t.remainder()), (2, vec![1]));
+        assert_eq!((t.acked(), t.remainder()), (2, vec![1]));
         assert!(t.ack(&[1], 2));
-        assert_eq!((t.done(), t.hops()), (3, 9), "hops keep the deepest ack");
+        assert_eq!((t.acked(), t.hops()), (3, 9), "hops keep the deepest ack");
     }
 
     #[test]
@@ -128,7 +128,7 @@ mod tests {
         t.ack(&[0], 2);
         assert_eq!(t.retry(2), Some(vec![1, 2]));
         assert_eq!(t.retry(2), None, "two retries allowed, both spent");
-        assert_eq!((t.done(), t.hops()), (2, 5));
+        assert_eq!((t.acked(), t.hops()), (2, 5));
         assert_eq!(BatchTracker::new(0).retry(2), None, "nothing outstanding");
         assert_eq!(BatchTracker::new(1).retry(0), None, "zero retries configured");
     }

@@ -11,8 +11,9 @@
 //! * **placement**: routed write batches and driver-side preloading,
 //! * **routing**: responsibility tests and next-hop selection so mutant
 //!   query plans can travel toward the data,
-//! * **events**: a uniform completion surface ([`OverlayDone`]) for
-//!   locally issued operations,
+//! * **completions**: one completion type ([`OverlayDone`]) that every
+//!   backend emits for locally issued operations, and one driver-side
+//!   wait ([`run_op`]) for raw overlay clusters,
 //! * **bootstrap**: converged-topology planning ([`OverlayTopology`])
 //!   shared by the simulated cluster driver and the live runtime.
 //!
@@ -26,7 +27,8 @@ pub mod batch;
 pub mod repair;
 pub mod store;
 
-use unistore_simnet::{Effects, NodeBehavior, NodeId};
+use unistore_simnet::metrics::OpCost;
+use unistore_simnet::{Effects, NodeBehavior, NodeId, SimNet, SimTime};
 use unistore_util::item::Item;
 use unistore_util::Key;
 
@@ -51,11 +53,9 @@ pub enum RangeMode {
     Sequential,
 }
 
-/// Uniform completion of a locally issued overlay operation.
-///
-/// Every backend surfaces its native completion events through
-/// [`Overlay::done`], so the layers above correlate by `qid` without
-/// knowing which DHT answered.
+/// Completion of a locally issued overlay operation: the
+/// [`NodeBehavior::Out`] of every backend, so the layers above
+/// correlate by `qid` without knowing which DHT answered.
 #[derive(Clone, Debug)]
 pub enum OverlayDone<I> {
     /// An exact-key lookup finished.
@@ -80,6 +80,9 @@ pub enum OverlayDone<I> {
         hops: u32,
         /// `true` when every expected contribution arrived.
         complete: bool,
+        /// Contributions received: leaf replies on P-Grid; on Chord the
+        /// nodes a broadcast covered or the buckets a bucket scan read.
+        parts: u32,
     },
     /// A routed [`OpBatch`] completed: every op was acknowledged (`ok`)
     /// or its retries ran out. Per-op acks are aggregated by the
@@ -89,7 +92,7 @@ pub enum OverlayDone<I> {
     Batch {
         /// Correlation id of the whole batch.
         qid: u64,
-        /// Ops acknowledged ([`BatchTracker::done`]): all of them when
+        /// Ops acknowledged ([`BatchTracker::acked`]): all of them when
         /// `ok`, the part that landed before the retries ran out
         /// otherwise.
         ops: u32,
@@ -139,6 +142,48 @@ impl<I> OverlayDone<I> {
     }
 }
 
+/// Simulated time [`run_op`] waits for a completion before giving up.
+/// Backend op timeouts end every operation long before; the cap only
+/// bounds a network whose periodic timers would otherwise step forever.
+const RUN_OP_CAP: SimTime = SimTime::from_secs(120_000);
+
+/// Injects `msg` at `origin` and steps `net` until the completion of
+/// `qid` surfaces: the raw overlay clusters' one wait. Returns the
+/// completion with the network cost of the operation — the metrics
+/// delta since the injection, the simulated time to the completion and
+/// its hop count — or `None` when the network went quiet or the cap
+/// passed first. Other completions emitted meanwhile are discarded.
+pub fn run_op<N, I>(
+    net: &mut SimNet<N>,
+    origin: NodeId,
+    msg: N::Msg,
+    qid: u64,
+) -> Option<(OverlayDone<I>, OpCost)>
+where
+    N: NodeBehavior<Out = OverlayDone<I>>,
+{
+    let before = net.metrics();
+    let start = net.now();
+    let deadline = start + RUN_OP_CAP;
+    net.inject(origin, msg);
+    loop {
+        if let Some(pos) = net.outputs().iter().position(|(_, _, done)| done.qid() == qid) {
+            let (t, _, done) = net.take_outputs().swap_remove(pos);
+            let d = net.metrics().delta(&before);
+            let cost = OpCost {
+                messages: d.sent,
+                bytes: d.bytes,
+                latency: t.saturating_sub(start),
+                hops: done.hops(),
+            };
+            return Some((done, cost));
+        }
+        if net.now() > deadline || !net.step() {
+            return None;
+        }
+    }
+}
+
 /// A planned, converged deployment of an overlay: the driver-side view
 /// of where every key lives, produced by [`Overlay::plan`] and consumed
 /// peer-by-peer through [`Overlay::spawn`].
@@ -160,24 +205,22 @@ pub trait OverlayTopology {
 ///
 /// The trait extends [`NodeBehavior`]: an overlay node is hosted on a
 /// simulated (or live) node, exchanges its own message type and emits
-/// its own event type; [`Overlay::done`] folds the latter into the
-/// uniform [`OverlayDone`]. Backends must keep their timer kinds below
-/// 100 — the embedding node reserves kinds ≥ 100 for the query layer.
+/// [`OverlayDone`] completions. Backends must keep their timer kinds
+/// below 100 — the embedding node reserves kinds ≥ 100 for the query
+/// layer.
 ///
-/// `WireMsg`/`Event` restate the hosting [`NodeBehavior`]'s associated
-/// types (the supertrait bound pins them equal) so that embedding
-/// layers generic over `O: Overlay` get the `Debug + Send` bounds the
-/// live threaded runtime needs.
+/// `WireMsg` restates the hosting [`NodeBehavior`]'s message type (the
+/// supertrait bound pins them equal) so that embedding layers generic
+/// over `O: Overlay` get the `Debug + Send` bounds the live threaded
+/// runtime needs.
 pub trait Overlay:
-    NodeBehavior<Msg = <Self as Overlay>::WireMsg, Out = <Self as Overlay>::Event>
+    NodeBehavior<Msg = <Self as Overlay>::WireMsg, Out = OverlayDone<<Self as Overlay>::Item>>
     + Sized
     + Send
     + 'static
 {
     /// The backend's network message type (`== NodeBehavior::Msg`).
     type WireMsg: unistore_util::wire::Wire + Clone + std::fmt::Debug + Send + 'static;
-    /// The backend's native completion event type (`== NodeBehavior::Out`).
-    type Event: std::fmt::Debug + Send + 'static;
     /// Payload type stored in the overlay.
     type Item: Item;
     /// Backend configuration.
@@ -270,10 +313,9 @@ pub trait Overlay:
     fn preload(&mut self, key: Key, item: Self::Item, version: u64);
 
     /// Issues a locally originated exact-key lookup; completion surfaces
-    /// as an emitted event that [`Overlay::done`] maps to
-    /// [`OverlayDone::Lookup`]. A `filter` (semi-join pushdown) ships
-    /// with the request, and the responsible peer drops non-matching
-    /// items before replying.
+    /// as an emitted [`OverlayDone::Lookup`]. A `filter` (semi-join
+    /// pushdown) ships with the request, and the responsible peer drops
+    /// non-matching items before replying.
     fn local_lookup(
         &mut self,
         qid: u64,
@@ -312,11 +354,6 @@ pub trait Overlay:
         batch: &OpBatch<Self::Item>,
         origin: NodeId,
     ) -> Vec<(u64, Self::Msg)>;
-
-    // ---- event surface ------------------------------------------------
-
-    /// Folds a backend-native completion event into the uniform view.
-    fn done(ev: Self::Out) -> OverlayDone<Self::Item>;
 }
 
 #[cfg(test)]
@@ -338,7 +375,7 @@ mod tests {
         assert!(!d.ok());
 
         let d: OverlayDone<u32> =
-            OverlayDone::Range { qid: 4, items: vec![], hops: 0, complete: true };
+            OverlayDone::Range { qid: 4, items: vec![], hops: 0, complete: true, parts: 2 };
         assert!(d.ok());
         assert_eq!(d.items(), Some(&[][..]));
     }

@@ -1,7 +1,7 @@
 //! Backend-agnostic hash-tree replica repair.
 //!
 //! Both backends keep replicas loosely consistent with the hybrid
-//! push/pull scheme of the paper's ref [4] (Datta et al.): writes are
+//! push/pull scheme of the paper's ref \[4\] (Datta et al.): writes are
 //! pushed, and whatever a push missed is repaired by periodic
 //! anti-entropy. The pull half lives here, once: [`ReplicaRepair`]
 //! compares **range hashes** and ships only what diverged.

@@ -1,6 +1,6 @@
 //! The one versioned store under both backends.
 //!
-//! The paper's loosely consistent updates (ref [4], Datta et al.) ask
+//! The paper's loosely consistent updates (ref \[4\], Datta et al.) ask
 //! three things of a peer's local store, whichever overlay addresses
 //! it: a write applies only when its version is strictly newer than the
 //! stored one, a delete leaves a tombstone that keeps vetoing stale

@@ -10,16 +10,16 @@
 //! ops sends the origin one aggregated [`PGridMsg::BatchAck`] naming
 //! their origin-side positions; the origin marks them in the shared
 //! [`BatchTracker`] — the same protocol Chord runs — completes when
-//! every op is marked and emits a single [`PGridEvent::BatchDone`], so
+//! every op is marked and emits a single [`OverlayDone::Batch`], so
 //! driver-side bookkeeping stays O(batch). A timed-out attempt
 //! retransmits only the un-acked remainder.
 
-use unistore_overlay::{push_hop, BatchTracker, HopGroups};
+use unistore_overlay::{push_hop, BatchTracker, HopGroups, OverlayDone};
 use unistore_simnet::NodeId;
 use unistore_util::wire::{BatchVerb, OpBatch};
 
 use crate::item::Item;
-use crate::msg::{PGridEvent, PGridMsg, QueryId};
+use crate::msg::{PGridMsg, QueryId};
 use crate::peer::{Fx, PGridPeer, Pending};
 use crate::routing::RouteDecision;
 
@@ -158,9 +158,9 @@ impl<I: Item> PGridPeer<I> {
             return;
         };
         if tracker.ack(applied, ack_hops) {
-            let (ops, hops) = (tracker.done(), tracker.hops());
+            let (ops, hops) = (tracker.acked(), tracker.hops());
             self.pending.remove(&qid);
-            fx.emit(PGridEvent::BatchDone { qid, ops, hops, ok: true });
+            fx.emit(OverlayDone::Batch { qid, ops, hops, ok: true });
         }
     }
 }
@@ -301,7 +301,7 @@ mod tests {
         assert!(fx2.emits().is_empty(), "1 remote op outstanding");
         p.handle_batch_ack(3, &[2], 4, &mut fx2);
         match fx2.emits() {
-            [PGridEvent::BatchDone { qid: 3, ops: 3, hops: 4, ok: true }] => {}
+            [OverlayDone::Batch { qid: 3, ops: 3, hops: 4, ok: true }] => {}
             other => panic!("unexpected emits {other:?}"),
         }
     }
@@ -325,7 +325,7 @@ mod tests {
             fx.sends()
         );
         match fx.emits() {
-            [PGridEvent::BatchDone { qid: 4, ops: 1, ok: true, .. }] => {}
+            [OverlayDone::Batch { qid: 4, ops: 1, ok: true, .. }] => {}
             other => panic!("unexpected emits {other:?}"),
         }
     }
@@ -377,7 +377,7 @@ mod tests {
         assert!(fx3.emits().is_empty());
         p.handle_batch_ack(5, &[3], 1, &mut fx3);
         match fx3.emits() {
-            [PGridEvent::BatchDone { qid: 5, ops: 4, hops: 3, ok: true }] => {}
+            [OverlayDone::Batch { qid: 5, ops: 4, hops: 3, ok: true }] => {}
             other => panic!("unexpected emits {other:?}"),
         }
     }
@@ -398,7 +398,7 @@ mod tests {
         }
         p.handle_batch_ack(6, &[1], 3, &mut Effects::new());
         match timeout(&mut p, 6).emits() {
-            [PGridEvent::BatchDone { qid: 6, ops: 2, hops: 3, ok: false }] => {}
+            [OverlayDone::Batch { qid: 6, ops: 2, hops: 3, ok: false }] => {}
             other => panic!("unexpected emits {other:?}"),
         }
     }

@@ -1,6 +1,6 @@
 //! Dynamic overlay construction by pairwise exchanges.
 //!
-//! Aberer's original P-Grid construction (paper ref [1]): peers start
+//! Aberer's original P-Grid construction (paper ref \[1\]): peers start
 //! unspecialized (path ε) and meet pairwise at random. Depending on how
 //! their current paths relate, a meeting either *splits* the key space
 //! between them, makes them *replicas*, aligns an unspecialized peer with

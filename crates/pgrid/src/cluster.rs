@@ -8,6 +8,7 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 
+use unistore_overlay::{run_op, Overlay, OverlayDone};
 use unistore_simnet::metrics::OpCost;
 use unistore_simnet::{LatencyModel, NodeId, SimNet, SimTime};
 use unistore_util::rng::{derive_rng, stream};
@@ -15,9 +16,9 @@ use unistore_util::wire::OpBatch;
 use unistore_util::{BitPath, Key};
 
 use crate::config::PGridConfig;
-use crate::construct::{leaf_of, plan_topology};
+use crate::construct::leaf_of;
 use crate::item::{Item, Version};
-use crate::msg::{PGridEvent, PGridMsg, PeerRef, QueryId, RangeMode};
+use crate::msg::{PGridMsg, QueryId, RangeMode};
 use crate::peer::PGridPeer;
 
 /// How the overlay's trie is shaped at build time.
@@ -77,8 +78,9 @@ pub struct PGridCluster<I: Item> {
     rng: StdRng,
 }
 
-impl<I: Item> PGridCluster<I> {
-    /// Builds a converged overlay of `n_peers` peers.
+impl<I: Item + Send + 'static> PGridCluster<I> {
+    /// Builds a converged overlay of `n_peers` peers through
+    /// [`Overlay::plan`] and [`Overlay::spawn`].
     ///
     /// Leaf count is `n_peers / cfg.replication`; peers are spread over
     /// the leaves so every leaf has at least `replication` peers. Routing
@@ -92,41 +94,22 @@ impl<I: Item> PGridCluster<I> {
         seed: u64,
     ) -> Self {
         assert!(n_peers >= 1);
-        let mut rng = derive_rng(seed, stream::OVERLAY);
         let sample = match &topology {
             Topology::Balanced { sample } => Some(sample.as_slice()),
             Topology::Uniform => None,
         };
-        let plan = plan_topology(
-            n_peers,
-            cfg.replication,
-            cfg.refs_per_level,
-            cfg.max_depth,
-            sample,
-            &mut rng,
-        );
-
+        let topology = PGridPeer::<I>::plan(n_peers, &cfg, sample, seed);
         let mut net = SimNet::new(latency, seed);
         for peer in 0..n_peers {
-            let path = plan.leaves[plan.peer_leaf[peer]];
-            let id = net.add_node(PGridPeer::new(NodeId(peer as u32), path, cfg.clone(), seed));
-            debug_assert_eq!(id.index(), peer);
+            net.add_node(PGridPeer::spawn(&topology, peer, &cfg, seed));
         }
-        for peer in 0..n_peers {
-            let node = net.node_mut(NodeId(peer as u32));
-            for &(p, path) in &plan.peer_refs[peer] {
-                node.routing_mut().add_ref(PeerRef { id: NodeId(p as u32), path });
-            }
-            for &r in &plan.peer_replicas[peer] {
-                node.routing_mut().add_replica(NodeId(r as u32));
-            }
-        }
-
+        let plan = topology.plan;
         let leaf_peers = plan
             .leaf_peers
             .iter()
             .map(|ps| ps.iter().map(|&p| NodeId(p as u32)).collect())
             .collect();
+        let rng = derive_rng(seed, stream::OVERLAY);
         PGridCluster { net, leaves: plan.leaves, leaf_peers, next_qid: 1, rng }
     }
 
@@ -196,46 +179,13 @@ impl<I: Item> PGridCluster<I> {
         q
     }
 
-    /// Drives the simulation until the event for `qid` is emitted.
-    /// The per-query timeout guarantees termination.
-    fn run_for_event(&mut self, qid: QueryId) -> Option<(SimTime, PGridEvent<I>)> {
-        let deadline = self.net.now() + SimTime::from_micros(60_000_000_000); // hard cap: 60k simulated seconds
-        loop {
-            if let Some(pos) = self.net.outputs().iter().position(|(_, _, ev)| {
-                matches!(ev,
-                    PGridEvent::LookupDone { qid: q, .. }
-                    | PGridEvent::RangeDone { qid: q, .. }
-                    | PGridEvent::BatchDone { qid: q, .. } if *q == qid)
-            }) {
-                let mut outs = self.net.take_outputs();
-                let (t, _, ev) = outs.swap_remove(pos);
-                return Some((t, ev));
-            }
-            if self.net.now() > deadline || !self.net.step() {
-                return None;
-            }
-        }
-    }
-
     /// Issues an exact-key lookup from `origin`.
     pub fn lookup(&mut self, origin: NodeId, key: Key) -> LookupOutcome<I> {
         let qid = self.fresh_qid();
-        let before = self.net.metrics();
-        let start = self.net.now();
-        self.net.inject(origin, PGridMsg::Lookup { qid, key, origin, hops: 0, filter: None });
-        match self.run_for_event(qid) {
-            Some((t, PGridEvent::LookupDone { items, hops, ok, .. })) => {
-                let d = self.net.metrics().delta(&before);
-                LookupOutcome {
-                    items,
-                    ok,
-                    cost: OpCost {
-                        messages: d.sent,
-                        bytes: d.bytes,
-                        latency: t.saturating_sub(start),
-                        hops,
-                    },
-                }
+        let msg = PGridMsg::Lookup { qid, key, origin, hops: 0, filter: None };
+        match run_op(&mut self.net, origin, msg, qid) {
+            Some((OverlayDone::Lookup { items, ok, .. }, cost)) => {
+                LookupOutcome { items, ok, cost }
             }
             _ => LookupOutcome { items: Vec::new(), ok: false, cost: OpCost::default() },
         }
@@ -245,28 +195,12 @@ impl<I: Item> PGridCluster<I> {
     /// one-op write batch.
     pub fn insert(&mut self, origin: NodeId, key: Key, item: I, version: Version) -> InsertOutcome {
         let qid = self.fresh_qid();
-        let before = self.net.metrics();
-        let start = self.net.now();
         let mut batch = OpBatch::new();
         let item = batch.add_item(item);
         batch.push_insert(key, item, version);
-        self.net.inject(
-            origin,
-            PGridMsg::OpBatch { qid, origin, hops: 0, positions: Vec::new(), batch },
-        );
-        match self.run_for_event(qid) {
-            Some((t, PGridEvent::BatchDone { hops, ok, .. })) => {
-                let d = self.net.metrics().delta(&before);
-                InsertOutcome {
-                    ok,
-                    cost: OpCost {
-                        messages: d.sent,
-                        bytes: d.bytes,
-                        latency: t.saturating_sub(start),
-                        hops,
-                    },
-                }
-            }
+        let msg = PGridMsg::OpBatch { qid, origin, hops: 0, positions: Vec::new(), batch };
+        match run_op(&mut self.net, origin, msg, qid) {
+            Some((OverlayDone::Batch { ok, .. }, cost)) => InsertOutcome { ok, cost },
             _ => InsertOutcome { ok: false, cost: OpCost::default() },
         }
     }
@@ -274,8 +208,6 @@ impl<I: Item> PGridCluster<I> {
     /// Issues a range query from `origin` with the chosen algorithm.
     pub fn range(&mut self, origin: NodeId, lo: Key, hi: Key, mode: RangeMode) -> RangeOutcome<I> {
         let qid = self.fresh_qid();
-        let before = self.net.metrics();
-        let start = self.net.now();
         let msg = match mode {
             RangeMode::Parallel => {
                 PGridMsg::Range { qid, lo, hi, lmin: 0, origin, hops: 0, filter: None }
@@ -284,21 +216,9 @@ impl<I: Item> PGridCluster<I> {
                 PGridMsg::RangeSeq { qid, lo, hi, origin, hops: 0, filter: None }
             }
         };
-        self.net.inject(origin, msg);
-        match self.run_for_event(qid) {
-            Some((t, PGridEvent::RangeDone { items, complete, hops, leaves, .. })) => {
-                let d = self.net.metrics().delta(&before);
-                RangeOutcome {
-                    items,
-                    complete,
-                    leaves,
-                    cost: OpCost {
-                        messages: d.sent,
-                        bytes: d.bytes,
-                        latency: t.saturating_sub(start),
-                        hops,
-                    },
-                }
+        match run_op(&mut self.net, origin, msg, qid) {
+            Some((OverlayDone::Range { items, complete, parts, .. }, cost)) => {
+                RangeOutcome { items, complete, leaves: parts, cost }
             }
             _ => RangeOutcome {
                 items: Vec::new(),

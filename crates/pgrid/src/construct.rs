@@ -3,7 +3,7 @@
 //! The bootstrap protocol ([`crate::bootstrap`]) *converges to* a trie
 //! whose leaves hold roughly equal data volumes — that is P-Grid's
 //! load-balancing invariant under its order-preserving hash (paper §2,
-//! ref [2]: "a mature load-balancing technique able to deal with nearly
+//! ref \[2\]: "a mature load-balancing technique able to deal with nearly
 //! arbitrary data skews"). Experiments that are not about construction
 //! itself start from that converged state directly:
 //!

@@ -41,6 +41,6 @@ pub mod routing;
 pub use cluster::PGridCluster;
 pub use config::PGridConfig;
 pub use item::{Item, LocalStore};
-pub use msg::{PGridEvent, PGridMsg, QueryId, RangeMode};
+pub use msg::{PGridMsg, QueryId, RangeMode};
 pub use overlay::PGridTopology;
 pub use peer::PGridPeer;

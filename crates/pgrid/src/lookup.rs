@@ -7,11 +7,12 @@
 //! hop extends the matched prefix by at least one bit, bounding the hop
 //! count by the trie depth, i.e. O(log N) for a balanced overlay.
 
+use unistore_overlay::OverlayDone;
 use unistore_simnet::NodeId;
 use unistore_util::{ItemFilter, Key};
 
 use crate::item::{Item, Version};
-use crate::msg::{PGridEvent, PGridMsg, QueryId};
+use crate::msg::{PGridMsg, QueryId};
 use crate::peer::{Fx, PGridPeer, Pending};
 use crate::routing::RouteDecision;
 
@@ -134,7 +135,7 @@ impl<I: Item> PGridPeer<I> {
             }
         }
         if self.pending.remove(&qid).is_some() {
-            fx.emit(PGridEvent::LookupDone { qid, items, hops, ok });
+            fx.emit(OverlayDone::Lookup { qid, items, hops, ok });
         }
     }
 
@@ -206,7 +207,7 @@ mod tests {
         assert_eq!(fx.sends().len(), 0);
         assert_eq!(fx.emits().len(), 1);
         match &fx.emits()[0] {
-            PGridEvent::LookupDone { qid, items, hops, ok } => {
+            OverlayDone::Lookup { qid, items, hops, ok } => {
                 assert_eq!(*qid, 1);
                 assert_eq!(items, &[RawItem(9)]);
                 assert_eq!(*hops, 0);
@@ -244,7 +245,7 @@ mod tests {
         // Origin is self → failure emitted, not sent.
         assert_eq!(fx.emits().len(), 1);
         match &fx.emits()[0] {
-            PGridEvent::LookupDone { ok: false, .. } => {}
+            OverlayDone::Lookup { ok: false, .. } => {}
             other => panic!("unexpected event {other:?}"),
         }
     }
@@ -361,7 +362,7 @@ mod tests {
         let mut fx = Effects::new();
         p.handle_lookup(NodeId::EXTERNAL, 1, key, NodeId(0), 0, Some(filter), &mut fx);
         match &fx.emits()[0] {
-            PGridEvent::LookupDone { items, ok: true, .. } => {
+            OverlayDone::Lookup { items, ok: true, .. } => {
                 // 2 is definitely absent from the filter; 1 and 3 must
                 // survive (no false negatives).
                 assert!(items.contains(&F(1)) && items.contains(&F(3)));

@@ -1,5 +1,4 @@
-//! Messages exchanged between P-Grid peers, and events emitted to the
-//! simulation driver.
+//! Messages exchanged between P-Grid peers.
 
 use bytes::{Bytes, BytesMut};
 
@@ -492,48 +491,6 @@ impl<I: Item> Wire for PGridMsg<I> {
             other => encoded_len(other),
         }
     }
-}
-
-/// Events a P-Grid peer surfaces to the simulation driver.
-#[derive(Clone, Debug)]
-pub enum PGridEvent<I> {
-    /// A lookup the local peer issued finished.
-    LookupDone {
-        /// Correlation id.
-        qid: QueryId,
-        /// Items found (empty = key absent).
-        items: Vec<I>,
-        /// Hops of the successful route (0 when resolved locally).
-        hops: u32,
-        /// `false` on routing failure or timeout.
-        ok: bool,
-    },
-    /// A range query the local peer issued finished.
-    RangeDone {
-        /// Correlation id.
-        qid: QueryId,
-        /// All matching items across leaves.
-        items: Vec<I>,
-        /// `true` when the covered intervals add up to the full query
-        /// range (no loss, no routing holes).
-        complete: bool,
-        /// Maximum hop count over all branches.
-        hops: u32,
-        /// Number of leaf replies received.
-        leaves: u32,
-    },
-    /// A batched write the local peer issued completed: every op acked,
-    /// or its retries ran out with ops still outstanding.
-    BatchDone {
-        /// Correlation id of the batch.
-        qid: QueryId,
-        /// Ops acknowledged (all of them when `ok`).
-        ops: u32,
-        /// Deepest hop count over all acked sub-batches.
-        hops: u32,
-        /// `false` when the retries ran out.
-        ok: bool,
-    },
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@ use unistore_util::{BitPath, Key};
 
 use crate::construct::{leaf_of, plan_topology, TopologyPlan};
 use crate::item::Item;
-use crate::msg::{PGridEvent, PGridMsg, PeerRef};
+use crate::msg::{PGridMsg, PeerRef};
 use crate::peer::PGridPeer;
 use crate::PGridConfig;
 
@@ -50,7 +50,6 @@ impl OverlayTopology for PGridTopology {
 
 impl<I: Item + Send + 'static> Overlay for PGridPeer<I> {
     type WireMsg = PGridMsg<I>;
-    type Event = PGridEvent<I>;
     type Item = I;
     type Config = PGridConfig;
     type Topology = PGridTopology;
@@ -142,10 +141,10 @@ impl<I: Item + Send + 'static> Overlay for PGridPeer<I> {
         qid: u64,
         key: Key,
         filter: Option<ItemFilter>,
-        fx: &mut Effects<PGridMsg<I>, PGridEvent<I>>,
+        fx: &mut Effects<PGridMsg<I>, OverlayDone<I>>,
     ) {
         // The embedding layer acts as the driver: completion arrives as
-        // a `PGridEvent::LookupDone` emit.
+        // an `OverlayDone::Lookup` emit.
         self.handle_lookup(NodeId::EXTERNAL, qid, key, PGridPeer::id(self), 0, filter, fx);
     }
 
@@ -156,7 +155,7 @@ impl<I: Item + Send + 'static> Overlay for PGridPeer<I> {
         hi: Key,
         mode: RangeMode,
         filter: Option<ItemFilter>,
-        fx: &mut Effects<PGridMsg<I>, PGridEvent<I>>,
+        fx: &mut Effects<PGridMsg<I>, OverlayDone<I>>,
     ) {
         let me = PGridPeer::id(self);
         match mode {
@@ -188,20 +187,6 @@ impl<I: Item + Send + 'static> Overlay for PGridPeer<I> {
         let qid = next_qid();
         let positions = Vec::new();
         vec![(qid, PGridMsg::OpBatch { qid, origin, hops: 0, positions, batch: batch.clone() })]
-    }
-
-    fn done(ev: PGridEvent<I>) -> OverlayDone<I> {
-        match ev {
-            PGridEvent::LookupDone { qid, items, hops, ok } => {
-                OverlayDone::Lookup { qid, items, hops, ok }
-            }
-            PGridEvent::RangeDone { qid, items, complete, hops, .. } => {
-                OverlayDone::Range { qid, items, hops, complete }
-            }
-            PGridEvent::BatchDone { qid, ops, hops, ok } => {
-                OverlayDone::Batch { qid, ops, hops, ok }
-            }
-        }
     }
 }
 

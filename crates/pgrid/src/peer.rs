@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use unistore_overlay::repair::ReplicaRepair;
-use unistore_overlay::BatchTracker;
+use unistore_overlay::{BatchTracker, OverlayDone};
 use unistore_simnet::{Effects, NodeBehavior, NodeId, SimTime, Timer};
 use unistore_util::rng::{derive_rng, stream};
 use unistore_util::wire::OpBatch;
@@ -17,12 +17,12 @@ use unistore_util::{BitPath, FxHashMap, ItemFilter, Key};
 
 use crate::config::PGridConfig;
 use crate::item::{Item, LocalStore};
-use crate::msg::{PGridEvent, PGridMsg, QueryId};
+use crate::msg::{PGridMsg, QueryId};
 use crate::range::IntervalSet;
 use crate::routing::{RouteDecision, RoutingTable};
 
 /// Effects buffer specialized to the P-Grid protocol.
-pub type Fx<I> = Effects<PGridMsg<I>, PGridEvent<I>>;
+pub type Fx<I> = Effects<PGridMsg<I>, OverlayDone<I>>;
 
 /// Timer kinds used by the peer.
 pub(crate) mod timer {
@@ -226,7 +226,7 @@ impl<I: Item> PGridPeer<I> {
                     );
                     self.issue_lookup(qid, key, last_hop, filter, fx);
                 } else {
-                    fx.emit(PGridEvent::LookupDone { qid, items: Vec::new(), hops: 0, ok: false })
+                    fx.emit(OverlayDone::Lookup { qid, items: Vec::new(), hops: 0, ok: false })
                 }
             }
             Pending::Batch { batch, last_hops, mut tracker } => {
@@ -247,16 +247,16 @@ impl<I: Item> PGridPeer<I> {
                         );
                         self.issue_batch(qid, &batch, &remainder, &last_hops, fx);
                     }
-                    None => fx.emit(PGridEvent::BatchDone {
+                    None => fx.emit(OverlayDone::Batch {
                         qid,
-                        ops: tracker.done(),
+                        ops: tracker.acked(),
                         hops: tracker.hops(),
                         ok: false,
                     }),
                 }
             }
             Pending::Range { items, hops, leaves, .. } => {
-                fx.emit(PGridEvent::RangeDone { qid, items, complete: false, hops, leaves })
+                fx.emit(OverlayDone::Range { qid, items, hops, complete: false, parts: leaves })
             }
         }
     }
@@ -264,7 +264,7 @@ impl<I: Item> PGridPeer<I> {
 
 impl<I: Item> NodeBehavior for PGridPeer<I> {
     type Msg = PGridMsg<I>;
-    type Out = PGridEvent<I>;
+    type Out = OverlayDone<I>;
 
     fn on_start(&mut self, _now: SimTime, fx: &mut Fx<I>) {
         self.arm_periodic(fx, self.cfg.maintenance_interval, timer::MAINTAIN);

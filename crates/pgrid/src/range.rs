@@ -17,11 +17,12 @@
 //!   messages for selective ranges, higher latency for wide ones —
 //!   exactly the trade-off the paper's cost-based optimizer arbitrates.
 
+use unistore_overlay::OverlayDone;
 use unistore_simnet::NodeId;
 use unistore_util::{ItemFilter, Key};
 
 use crate::item::Item;
-use crate::msg::{PGridEvent, PGridMsg, QueryId};
+use crate::msg::{PGridMsg, QueryId};
 use crate::peer::{Fx, PGridPeer, Pending};
 use crate::routing::RouteDecision;
 
@@ -217,7 +218,7 @@ impl<I: Item> PGridPeer<I> {
             let complete = !*aborted;
             let (items, hops, leaves) = (std::mem::take(items), *hops, *leaves);
             self.pending.remove(&qid);
-            fx.emit(PGridEvent::RangeDone { qid, items, complete, hops, leaves });
+            fx.emit(OverlayDone::Range { qid, items, hops, complete, parts: leaves });
         }
     }
 }
@@ -279,7 +280,7 @@ mod tests {
         assert_eq!(fx.sends().len(), 0);
         assert_eq!(fx.emits().len(), 1);
         match &fx.emits()[0] {
-            PGridEvent::RangeDone { complete: false, leaves: 3, .. } => {}
+            OverlayDone::Range { complete: false, parts: 3, .. } => {}
             other => panic!("unexpected event {other:?}"),
         }
     }
@@ -297,7 +298,7 @@ mod tests {
         p.handle_range_reply(7, 1u64 << 63, u64::MAX, vec![RawItem(9)], 2, false, &mut fx2);
         assert_eq!(fx2.emits().len(), 1);
         match &fx2.emits()[0] {
-            PGridEvent::RangeDone { items, complete: true, hops: 2, leaves: 2, .. } => {
+            OverlayDone::Range { items, complete: true, hops: 2, parts: 2, .. } => {
                 assert_eq!(items.len(), 2);
             }
             other => panic!("unexpected event {other:?}"),
@@ -317,7 +318,7 @@ mod tests {
         assert_eq!(fx.sends().len(), 0);
         assert_eq!(fx.emits().len(), 1);
         match &fx.emits()[0] {
-            PGridEvent::RangeDone { items, complete: true, .. } => {
+            OverlayDone::Range { items, complete: true, .. } => {
                 let mut got: Vec<u64> = items.iter().map(|r| r.0).collect();
                 got.sort_unstable();
                 assert_eq!(got, vec![10, 20]);

@@ -1,6 +1,6 @@
 //! Replication and loosely consistent updates.
 //!
-//! The paper relies on P-Grid's update mechanism "with lose [sic]
+//! The paper relies on P-Grid's update mechanism "with lose \[sic\]
 //! consistency guarantees" [ref 4, Datta et al., ICDCS 2003]: a hybrid
 //! push/pull scheme. Writes are **pushed** to the replica group of the
 //! responsible leaf; replicas that were offline catch up through periodic

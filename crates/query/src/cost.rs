@@ -1,6 +1,6 @@
 //! The cost model.
 //!
-//! Paper §2 / ref [5]: *"For each physical operator, and thus, for each
+//! Paper §2 / ref \[5\]: *"For each physical operator, and thus, for each
 //! query plan, we can determine worst-case guarantees (almost all are
 //! logarithmic) and predict exact costs. We base these calculations on
 //! the characteristics of the used overlay system and the actual data

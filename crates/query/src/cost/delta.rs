@@ -151,7 +151,7 @@ impl DeltaIndex {
 /// — hash and byte length, in first-seen order — and, per sign, one
 /// group per pair in first-seen order listing the OIDs written under
 /// it. Receivers fold it in group by group with
-/// [`GlobalStats::apply_delta`]; deltas [`StatsDelta::merge`] by
+/// [`GlobalStats::apply_delta`](super::GlobalStats::apply_delta); deltas [`StatsDelta::merge`] by
 /// uniting tables and groups, so a node can buffer everything it
 /// learns between two dissemination ticks into one message.
 #[derive(Clone, Default)]

@@ -2,7 +2,7 @@
 //!
 //! Paper §2: *"The physical operators are used to build complex query
 //! plans. The processing of these plans can be described as an extension
-//! of the concept of Mutant Query Plans [7]"* (Papadimos & Maier). The
+//! of the concept of Mutant Query Plans \[7\]"* (Papadimos & Maier). The
 //! plan is *data*: it travels between peers inside messages, and as
 //! leaves are resolved at the peers responsible for the data, sub-trees
 //! collapse into materialized relations. Every peer holding the plan

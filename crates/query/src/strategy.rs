@@ -59,7 +59,7 @@ pub enum ScanStrategy {
         algo: RangeAlgo,
     },
     /// Similarity scan via the q-gram index: fetch gram buckets, count
-    /// filter, verify with edit distance (paper ref [6]).
+    /// filter, verify with edit distance (paper ref \[6\]).
     QGram {
         /// Attribute name.
         attr: String,

@@ -292,6 +292,12 @@ impl<N: NodeBehavior> SimNet<N> {
         self.slots.iter().enumerate().map(|(i, s)| (NodeId(i as u32), &s.node))
     }
 
+    /// Dismantles the network into its nodes, in id order: how another
+    /// runtime takes over a deployment the simulator built.
+    pub fn into_nodes(self) -> impl Iterator<Item = N> {
+        self.slots.into_iter().map(|s| s.node)
+    }
+
     /// Injects a driver message, delivered to `to` at the current time.
     pub fn inject(&mut self, to: NodeId, msg: N::Msg) {
         self.push_event(self.now, to, EventKind::Deliver { from: NodeId::EXTERNAL, msg });

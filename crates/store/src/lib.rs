@@ -13,11 +13,11 @@
 //!   order-preserving key encodings,
 //! * [`triple`] — the triple model and its [`unistore_util::item::Item`]
 //!   implementation,
-//! * [`tuple`] — universal-relation (de)composition: tuples ↔ triples,
+//! * [`tuple`](mod@tuple) — universal-relation (de)composition: tuples ↔ triples,
 //! * [`index`] — the key derivation for all four indexes (OID, A#v, v,
 //!   q-gram), i.e. the paper's Fig. 2 placement,
 //! * [`qgram`] — q-gram extraction, the count filter and edit distance
-//!   (paper ref [6]),
+//!   (paper ref \[6\]),
 //! * [`mapping`] — schema-mapping triples and query rewriting (the
 //!   paper's "simple kind of schema mappings" metadata),
 //! * [`local`] — a purely local reference store used as test oracle.

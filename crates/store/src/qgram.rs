@@ -1,6 +1,6 @@
 //! q-grams, the count filter, and edit distance.
 //!
-//! Paper §2 / ref [6]: *"in [6] we introduced a q-gram index (q-gram: a
+//! Paper §2 / ref \[6\]: *"in \[6\] we introduced a q-gram index (q-gram: a
 //! substring of fixed length q) in order to be able to process string
 //! similarity efficiently."* A string's q-grams are indexed in the DHT;
 //! a similarity predicate `edist(s, t) ≤ k` first fetches candidate

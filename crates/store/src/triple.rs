@@ -141,7 +141,7 @@ impl Item for Triple {
     /// Logical identity is the full `(oid, attribute, value)` fact:
     /// attributes may be multi-valued (Fig. 3's `has_published`), so two
     /// values of one attribute are distinct entries. Updates are
-    /// modelled as delete-old + insert-new (paper ref [4]); re-inserting
+    /// modelled as delete-old + insert-new (paper ref \[4\]); re-inserting
     /// the identical fact is idempotent via versions.
     fn ident(&self) -> u64 {
         hash_bytes(self.oid.0.as_bytes())

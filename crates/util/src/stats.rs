@@ -4,7 +4,7 @@
 //! * [`percentile`] — exact percentile of a sample,
 //! * [`gini`] — Gini coefficient, the balance metric of experiment E5,
 //! * [`Histogram`] — equi-width histogram over the 64-bit key space, the
-//!   statistic the query optimizer's cost model consumes (paper [5]:
+//!   statistic the query optimizer's cost model consumes (paper \[5\]:
 //!   "we base these calculations on … the actual data distribution").
 
 /// Streaming summary statistics (Welford's online algorithm).

@@ -197,3 +197,39 @@ fn live_chord_nodes_observe_runtime_inserts() {
     let cfg = chord_config().with_stats_refresh(SimTime::from_millis(100));
     run_live(ChordLiveCluster::start_overlay(4, cfg, base_world(79), 34), "chord");
 }
+
+/// Both runtimes start from one bulk load: for the same tuples and seed,
+/// every live node's statistics summary is the simulated cluster's.
+fn live_starts_from_the_simulated_load<O: Overlay<Item = Triple>>(
+    mut sim: UniCluster<O>,
+    mut live: LiveCluster<O>,
+    backend: &str,
+) {
+    sim.load(base_world(81));
+    let model = sim.cost_model().expect("loaded");
+    let mut attrs: Vec<_> = model.stats.attrs.iter().map(|(a, s)| (a.clone(), s.count)).collect();
+    attrs.sort_by(|a, b| a.0.cmp(&b.0));
+    for node in 0..live.len() {
+        let probe = live.stats_probe(NodeId(node as u32), Duration::from_secs(5));
+        assert_eq!(
+            probe,
+            Some((model.stats.total, attrs.clone())),
+            "{backend}: live node {node} loaded other statistics"
+        );
+    }
+    live.shutdown();
+}
+
+#[test]
+fn live_and_simulated_loads_agree_pgrid() {
+    let cfg = UniConfig::default();
+    let live = LiveCluster::start(4, cfg.clone(), base_world(81), 36);
+    live_starts_from_the_simulated_load(UniCluster::build(4, cfg, 36), live, "p-grid");
+}
+
+#[test]
+fn live_and_simulated_loads_agree_chord() {
+    let cfg = chord_config();
+    let live = ChordLiveCluster::start_overlay(4, cfg.clone(), base_world(81), 37);
+    live_starts_from_the_simulated_load(ChordUniCluster::build_overlay(4, cfg, 37), live, "chord");
+}
