@@ -13,7 +13,9 @@
 //! repair of a write issued *during* the failure window converges after
 //! revival; the repair plane's heal-phase bytes (`repair_kib`) stay
 //! under a quarter of what the flat-digest protocol sent in the same
-//! phase and grow sub-linearly with the records a peer stores.
+//! phase and grow sub-linearly with the records a peer stores; the
+//! records it folds into root summaries (`repair_folds`) stay under a
+//! quarter of what it folded while every write dropped them.
 
 use std::path::Path;
 
@@ -44,6 +46,13 @@ const PROBE_SECS: [(&str, u64); 2] = [(PGrid::LABEL, 30), (Chord::LABEL, 20)];
 const FLAT_REPAIR_KIB: [(&str, [f64; 3]); 2] =
     [(PGrid::LABEL, [5_640.0, 5_119.7, 5_585.8]), (Chord::LABEL, [19_606.3, 20_040.7, 22_222.2])];
 
+/// `repair_folds` in the same heal phase while every applied write
+/// dropped the store's memoized root summaries, measured once on the
+/// commit before writes kept them current: nearly every probe sent or
+/// answered refolded its whole span.
+const REFOLD_REPAIR_FOLDS: [(&str, [u64; 3]); 2] =
+    [(PGrid::LABEL, [533_097, 426_228, 561_171]), (Chord::LABEL, [495_087, 326_505, 147_528])];
+
 /// The *live* replica group of `key`: the union, over all up
 /// primaries, of `Overlay::replica_group`. Tracks runtime drift
 /// (P-Grid path migrations, Chord successor re-pointing) that the
@@ -67,11 +76,12 @@ fn live_group<B: Backend>(cluster: &UniCluster<B>, key: Key) -> (Vec<NodeId>, Ve
     (group, primaries)
 }
 
-/// Bytes the replica-repair plane has sent so far, over all peers.
-fn repair_sent<B: Backend>(cluster: &UniCluster<B>) -> u64 {
+/// What the replica-repair plane has done so far, over all peers: bytes
+/// sent and records folded into root summaries.
+fn repair_totals<B: Backend>(cluster: &UniCluster<B>) -> (u64, u64) {
     (0..cluster.net.len() as u32)
-        .map(|i| cluster.net.node(NodeId(i)).overlay.repair_stats().total())
-        .sum()
+        .map(|i| cluster.net.node(NodeId(i)).overlay.repair_stats())
+        .fold((0, 0), |(bytes, folds), s| (bytes + s.total(), folds + s.folded_records))
 }
 
 /// Repair-convergence predicate: every up member of the live
@@ -128,9 +138,9 @@ fn campaign<B: Backend>(n: usize, world: &PubWorld) -> Row {
     let mut canary_acked = false;
     let (mut writes_ok, mut writes_err) = (0u64, 0u64);
     let mut repair_s: Option<f64> = None;
-    // Repair-plane bytes and the clock when the window closed: the heal
-    // phase runs from there to the end of the campaign.
-    let mut at_close: Option<(u64, SimTime)> = None;
+    // Repair-plane bytes and folds and the clock when the window closed:
+    // the heal phase runs from there to the end of the campaign.
+    let mut at_close: Option<((u64, u64), SimTime)> = None;
     for (i, q) in reads.iter().enumerate() {
         cluster.query_submit(origins[i % origins.len()], q).expect("query parses");
         if (i + 1) % 10 == 0 {
@@ -214,7 +224,7 @@ fn campaign<B: Backend>(n: usize, world: &PubWorld) -> Row {
         cluster.settle(SimTime::from_secs(2));
         if let Some(w) = win {
             if at_close.is_none() && cluster.net.now() > w.until {
-                at_close = Some((repair_sent(&cluster), cluster.net.now()));
+                at_close = Some((repair_totals(&cluster), cluster.net.now()));
             }
             if repair_s.is_none() && cluster.net.now() > w.until && converged(&cluster, canary_key)
             {
@@ -276,7 +286,9 @@ fn campaign<B: Backend>(n: usize, world: &PubWorld) -> Row {
         .map(|(a, b)| (a - b) as f64)
         .collect();
     let md = cluster.net.metrics().delta(&metrics_before);
-    let (sent_at_close, closed_at) = at_close.expect("the traffic outlasts the fault window");
+    let ((bytes_at_close, folds_at_close), closed_at) =
+        at_close.expect("the traffic outlasts the fault window");
+    let (bytes, folds) = repair_totals(&cluster);
     Row::new()
         .str("backend", B::LABEL)
         .int("n", n as u64)
@@ -298,7 +310,8 @@ fn campaign<B: Backend>(n: usize, world: &PubWorld) -> Row {
         .float("stale_frac", refs_stale as f64 / (refs_total.max(1)) as f64, 4)
         .float("repair_s", repair_s.unwrap_or(600.0), 1)
         .float("heal_s", cluster.net.now().saturating_sub(closed_at).as_secs_f64(), 1)
-        .float("repair_kib", (repair_sent(&cluster) - sent_at_close) as f64 / 1024.0, 1)
+        .float("repair_kib", (bytes - bytes_at_close) as f64 / 1024.0, 1)
+        .int("repair_folds", folds - folds_at_close)
         .int("downs", md.downs)
         .int("ups", md.ups)
 }
@@ -333,7 +346,7 @@ fn floors(rows: &[Row]) {
             "{backend} n={n}: no churn actually executed"
         );
     }
-    for (backend, flat) in FLAT_REPAIR_KIB {
+    for ((backend, flat), (_, refold)) in FLAT_REPAIR_KIB.into_iter().zip(REFOLD_REPAIR_FOLDS) {
         let mine: Vec<&Row> = rows.iter().filter(|r| r.get_str("backend") == backend).collect();
         for (r, flat) in mine.iter().zip(flat) {
             let (n, kib) = (r.get_int("n"), r.get_float("repair_kib"));
@@ -341,6 +354,14 @@ fn floors(rows: &[Row]) {
                 kib <= flat / 4.0,
                 "{backend} n={n}: {kib} KiB of repair traffic in the heal phase, the flat \
                  digests sent {flat}"
+            );
+        }
+        for (r, refold) in mine.iter().zip(refold) {
+            let (n, folds) = (r.get_int("n"), r.get_int("repair_folds"));
+            assert!(
+                folds <= refold / 4,
+                "{backend} n={n}: {folds} records folded into root summaries in the heal phase, \
+                 {refold} when every write dropped them"
             );
         }
         // Peers at the smallest N store N_max/N_min times the records of

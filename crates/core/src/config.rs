@@ -41,20 +41,24 @@ pub struct PlanMode {
 /// generalized into a *deadline budget*: the origin owns a total budget
 /// of `query_timeout × (query_retries + 1)` and spends it on attempts
 /// whose individual timeouts adapt to observed completion times.
+///
+/// Both multipliers scale the same basis: the 0.99th percentile of the
+/// origin's last 64 full-coverage completion times — its fastest sample
+/// below 52 of them, its second-fastest from 52 on. It is not the p99.
 #[derive(Clone, Copy, Debug)]
 pub struct BackoffPolicy {
-    /// Per-attempt timeout = `rtt_multiplier × p99(observed completions)`
-    /// once enough samples exist (falls back to the configured
-    /// `query_timeout` until then).
+    /// Per-attempt timeout = `rtt_multiplier × basis` once enough
+    /// samples exist (falls back to the configured `query_timeout` until
+    /// then).
     pub rtt_multiplier: f64,
     /// Floor for the adaptive per-attempt timeout, so a burst of fast
     /// completions cannot drive the timeout below sanity.
     pub min_attempt: SimTime,
     /// Enables hedged dispatch: when an attempt outlives
-    /// `hedge_multiplier × p99`, a second copy of the plan is shipped
+    /// `hedge_multiplier × basis`, a second copy of the plan is shipped
     /// and the first completion wins.
     pub hedging: bool,
-    /// Delay factor (on the observed p99) before the hedge fires.
+    /// Delay factor (on the basis) before the hedge fires.
     pub hedge_multiplier: f64,
 }
 

@@ -53,8 +53,9 @@ const RESULT_TIMEOUT: u32 = 100;
 const STATS_TICK: u32 = 101;
 
 /// Timer kind for hedged dispatch: when the current attempt outlives a
-/// p99-derived delay, a second copy of the plan is shipped and the
-/// first completion wins (DESIGN.md §"Failure semantics").
+/// delay derived from the completion-time window, a second copy of the
+/// plan is shipped and the first completion wins (DESIGN.md §"Failure
+/// semantics").
 const HEDGE_TIMER: u32 = 102;
 
 /// Capacity of the per-node completion-time window behind the adaptive
@@ -65,6 +66,22 @@ const RTT_WINDOW: usize = 64;
 /// window's quantiles; below this the configured timeout applies, so a
 /// cold node behaves exactly like the fixed-timeout policy.
 const RTT_MIN_SAMPLES: usize = 8;
+
+/// The percentile of the window (in `[0, 100]`, as
+/// [`RttWindow::quantile`] takes it) that the attempt timeout and the
+/// hedge delay scale. It is the 0.99th percentile, not the 99th: the
+/// nearest rank `round(0.0099 · (n − 1))` is the window's fastest
+/// sample below 52 samples and its second-fastest from 52 to 64. The
+/// true p99 trades fewer hedges for slower churn medians (DESIGN.md
+/// §"Backoff, jitter, hedging").
+const RTT_PERCENTILE: f64 = 0.99;
+
+/// The completion time the attempt timeout and the hedge delay are
+/// multiples of: the window's [`RTT_PERCENTILE`] sample, once it holds
+/// [`RTT_MIN_SAMPLES`].
+fn rtt_basis(rtt: &RttWindow) -> Option<f64> {
+    rtt.quantile(RTT_PERCENTILE).filter(|_| rtt.len() >= RTT_MIN_SAMPLES)
+}
 
 /// Mutant plans above this encoded size stop travelling and pull data
 /// instead (shipping megabytes of partial results is worse than a few
@@ -974,31 +991,29 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
         SimTime::from_micros((t.as_micros() as f64 * f) as u64)
     }
 
-    /// Adaptive per-attempt timeout: a multiple of the observed p99
-    /// completion time once enough samples exist, the configured
-    /// timeout until then (a cold node behaves exactly like the fixed
-    /// policy).
+    /// Adaptive per-attempt timeout: a multiple of the observed
+    /// completion time ([`rtt_basis`]) once enough samples exist, the
+    /// configured timeout until then (a cold node behaves exactly like
+    /// the fixed policy).
     fn attempt_timeout(&self) -> SimTime {
-        match self.rtt.quantile(0.99) {
-            Some(p99) if self.rtt.len() >= RTT_MIN_SAMPLES => {
-                SimTime::from_micros((p99 * self.backoff.rtt_multiplier) as u64)
-                    .max(self.backoff.min_attempt)
-                    .min(self.query_timeout)
-            }
-            _ => self.query_timeout,
+        match rtt_basis(&self.rtt) {
+            Some(basis) => SimTime::from_micros((basis * self.backoff.rtt_multiplier) as u64)
+                .max(self.backoff.min_attempt)
+                .min(self.query_timeout),
+            None => self.query_timeout,
         }
     }
 
     /// Arms the hedge timer for the newest attempt of `user`: once the
-    /// attempt outlives a p99-derived delay it is presumed stuck and a
-    /// second copy races it. No-op while the window is cold or hedging
-    /// is disabled.
+    /// attempt outlives a multiple of [`rtt_basis`] it is presumed stuck
+    /// and a second copy races it. No-op while the window is cold or
+    /// hedging is disabled.
     fn arm_hedge(&mut self, user: u64, fx: &mut UniFx<O::Msg>) {
-        if !self.backoff.hedging || self.rtt.len() < RTT_MIN_SAMPLES {
+        if !self.backoff.hedging {
             return;
         }
-        let Some(p99) = self.rtt.quantile(0.99) else { return };
-        let base = SimTime::from_micros((p99 * self.backoff.hedge_multiplier) as u64)
+        let Some(basis) = rtt_basis(&self.rtt) else { return };
+        let base = SimTime::from_micros((basis * self.backoff.hedge_multiplier) as u64)
             .max(SimTime::from_micros(1));
         // Hedges are re-dispatches too: a window of queries admitted at
         // the same instant would otherwise fire a synchronized hedge wave.
@@ -1025,7 +1040,7 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
         // Only full-coverage completions feed the RTT estimator. A
         // partial produced by an overlay op timeout measures the
         // timeout, not the network: folding it in would inflate the
-        // p99 until attempt budgets collapse to the query deadline and
+        // quantile until attempt budgets collapse to the query deadline and
         // the retry chain stops retrying — exactly when it is needed.
         if coverage.fraction() >= 1.0 {
             if let Some(p) = self.pending_results.get(&user) {
@@ -1370,6 +1385,30 @@ mod tests {
         assert!(anchor_key(&q.patterns[0]).is_none(), "range scans do not anchor");
         let q = parse("SELECT ?attr WHERE {(?a,?attr,2006)}").unwrap();
         assert!(anchor_key(&q.patterns[0]).is_some(), "value literal anchors");
+    }
+
+    /// Pins the sample the attempt timeout and the hedge delay scale:
+    /// none while the window is cold, then the fastest, and from 52
+    /// samples on the second-fastest — in a full 64-window, too.
+    #[test]
+    fn timeout_and_hedge_read_the_second_fastest_of_a_full_window() {
+        let mut rtt = RttWindow::new(RTT_WINDOW);
+        // 64 distinct completion times in a scrambled arrival order
+        // (37 is coprime to 64): 1 000 µs, 1 100 µs, …, 7 300 µs.
+        let times: Vec<f64> =
+            (0..RTT_WINDOW as u64).map(|i| (1_000 + (i * 37) % 64 * 100) as f64).collect();
+        for n in 1..=RTT_WINDOW {
+            rtt.observe(times[n - 1]);
+            let mut seen = times[..n].to_vec();
+            seen.sort_by(f64::total_cmp);
+            let expected = match n {
+                n if n < RTT_MIN_SAMPLES => None,
+                n if n < 52 => Some(seen[0]),
+                _ => Some(seen[1]),
+            };
+            assert_eq!(rtt_basis(&rtt), expected, "{n} samples");
+        }
+        assert_eq!(rtt_basis(&rtt), Some(1_100.0));
     }
 
     thread_local! {

@@ -63,7 +63,7 @@ const _: () = assert!(LEAF_MAX >= FANOUT);
 
 /// Root summaries memoized per store (a Chord node probes up to two
 /// spans and is probed on up to two).
-const MEMO_SPANS: usize = 4;
+pub(crate) const MEMO_SPANS: usize = 4;
 
 /// An inclusive range of record keys, `lo <= hi`.
 pub type Span<K> = (K, K);
@@ -131,8 +131,10 @@ impl Summary {
 }
 
 /// Root summaries a store has already computed, so a tick (or a probe)
-/// on an unchanged store does not rescan it. The store clears it from
-/// every applied mutation, next to its `FieldHashColumns::invalidate`.
+/// does not rescan a span. Writes keep them current
+/// ([`SummaryMemo::update`]): XOR over the same `(key, version)` set is
+/// the same whether folded afresh or maintained. Only a path-split
+/// hand-off, which moves whole ranges out, clears the memo.
 #[derive(Clone, Debug)]
 pub(crate) struct SummaryMemo<K> {
     roots: Vec<(Span<K>, Summary)>,
@@ -163,6 +165,20 @@ impl<K: PartialEq> SummaryMemo<K> {
     }
 }
 
+impl<K: RecordKey> SummaryMemo<K> {
+    /// Folds an applied write into every memoized span holding `key`:
+    /// the record at version `new` replaced the one at `old`, or was
+    /// new to the store (`None`; a tombstone over nothing included).
+    pub(crate) fn update(&mut self, key: K, old: Option<u64>, new: u64) {
+        for (_, summary) in self.roots.iter_mut().filter(|((lo, hi), _)| *lo <= key && key <= *hi) {
+            match old {
+                Some(old) => summary.hash ^= key.mix(old) ^ key.mix(new),
+                None => summary.add(&key, new),
+            }
+        }
+    }
+}
+
 /// Records strictly newer than what `theirs` reports (or absent from
 /// it): what the leaf step ships. `mine` iterates this store's records
 /// as `(record key, version, payload)`; tombstones travel too — deletes
@@ -182,8 +198,9 @@ where
 }
 
 /// Bytes a node's repair plane has sent, by message kind (each as
-/// [`RepairMsg::wire_size`], envelope tags excluded). Deterministic;
-/// the scale campaign's `repair_kib` column reads it.
+/// [`RepairMsg::wire_size`], envelope tags excluded), and the records it
+/// folded into root summaries. Deterministic; the scale campaign's
+/// `repair_kib` and `repair_folds` columns read it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RepairStats {
     /// Root probes, one per tick and shared span.
@@ -192,6 +209,9 @@ pub struct RepairStats {
     pub descent_bytes: u64,
     /// Shipped records and want-lists.
     pub payload_bytes: u64,
+    /// Records folded into a root summary the store had not memoized,
+    /// for a probe sent or answered: the CPU side of a tick.
+    pub folded_records: u64,
 }
 
 impl RepairStats {
@@ -223,9 +243,21 @@ impl ReplicaRepair {
         store: &mut VersionedStore<K, I>,
         span: Span<K>,
     ) -> RepairMsg<K, I> {
-        let msg = RepairMsg::Probe { span, summary: store.summary(span) };
+        let msg = RepairMsg::Probe { span, summary: self.root_summary(store, span) };
         self.count(&msg);
         msg
+    }
+
+    /// The store's summary of a root span, counting the records folded
+    /// when the store had not memoized it.
+    fn root_summary<K: RecordKey, I: Item>(
+        &mut self,
+        store: &mut VersionedStore<K, I>,
+        span: Span<K>,
+    ) -> Summary {
+        let (summary, folded) = store.summary(span);
+        self.stats.folded_records += folded;
+        summary
     }
 
     /// Handles a partner's message and returns the replies to send
@@ -246,7 +278,7 @@ impl ReplicaRepair {
         let admits = |span: &Span<K>| shared.iter().any(|s| s.0 <= span.0 && span.1 <= s.1);
         match msg {
             RepairMsg::Probe { span, summary } => {
-                if admits(&span) && store.summary(span) != summary {
+                if admits(&span) && self.root_summary(store, span) != summary {
                     let part = describe(span, &run_of(store, span));
                     replies.push(RepairMsg::Descend { parts: vec![part] });
                 }

@@ -14,10 +14,12 @@
 //!
 //! Two memos sit beside the records: the join-key hash columns of
 //! filtered scans ([`FieldHashColumns`]) and the replica repair's root
-//! summaries. Every applied mutation clears both in one place; a
-//! rejected write changes nothing and clears nothing.
+//! summaries. Every applied write clears the columns and folds its one
+//! `(key, version)` change into each memoized summary whose span holds
+//! the key, so a probe after a write rescans nothing; only a path-split
+//! hand-off clears both. A rejected write changes nothing.
 
-use std::collections::btree_map::Range;
+use std::collections::btree_map::{Entry, Range};
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
@@ -76,13 +78,6 @@ impl<K: RecordKey, I: Item> VersionedStore<K, I> {
         Self::default()
     }
 
-    /// Every applied mutation ends here: nothing memoized over the old
-    /// contents may outlive them.
-    fn touched(&mut self) {
-        self.hash_columns.invalidate();
-        self.summaries.invalidate();
-    }
-
     /// Applies an insert, update or tombstone (`item == None`) under
     /// the strictly-newer rule: a record applies only when the store
     /// holds nothing under `key` or an older version — live or
@@ -90,18 +85,24 @@ impl<K: RecordKey, I: Item> VersionedStore<K, I> {
     /// whether the store changed (un-deleting included).
     pub fn apply(&mut self, key: K, version: u64, item: Option<I>) -> bool {
         let live = item.is_some() as usize;
-        match self.records.get_mut(&key) {
-            Some((have, _)) if *have >= version => return false,
-            Some(slot) => {
-                self.live = self.live - slot.1.is_some() as usize + live;
-                *slot = (version, item);
+        let replaced = match self.records.entry(key) {
+            Entry::Occupied(mut slot) => {
+                let (have, held) = slot.get_mut();
+                if *have >= version {
+                    return false;
+                }
+                self.live = self.live - held.is_some() as usize + live;
+                *held = item;
+                Some(std::mem::replace(have, version))
             }
-            None => {
+            Entry::Vacant(slot) => {
                 self.live += live;
-                self.records.insert(key, (version, item));
+                slot.insert((version, item));
+                None
             }
-        }
-        self.touched();
+        };
+        self.hash_columns.invalidate();
+        self.summaries.update(key, replaced, version);
         true
     }
 
@@ -185,7 +186,8 @@ impl<K: RecordKey, I: Item> VersionedStore<K, I> {
             .filter_map(|(k, (v, item))| item.map(|i| (k, v, i)))
             .collect();
         self.live -= moved.len();
-        self.touched();
+        self.hash_columns.invalidate();
+        self.summaries.invalidate();
         moved
     }
 
@@ -199,22 +201,22 @@ impl<K: RecordKey, I: Item> VersionedStore<K, I> {
         self.live == 0
     }
 
-    /// The repair summary of `span`, from the memo when the store has
-    /// not changed since it was computed.
-    pub(crate) fn summary(&mut self, span: Span<K>) -> Summary {
+    /// The repair summary of `span` and the records folded to compute
+    /// it: none when the memo holds the span.
+    pub(crate) fn summary(&mut self, span: Span<K>) -> (Summary, u64) {
         if let Some(known) = self.summaries.get(&span) {
-            return known;
+            return (known, 0);
         }
         let summary = Summary::of(self.records(span).map(|(k, v, _)| (k, v)));
         self.summaries.put(span, summary);
-        summary
+        (summary, summary.count)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::repair::{diff_newer, ReplicaRepair};
+    use crate::repair::{diff_newer, RepairMsg, ReplicaRepair, MEMO_SPANS};
     use proptest::prelude::*;
     use unistore_util::fxhash::mix64;
     use unistore_util::item::testing::{field_hashes_during, Tagged};
@@ -499,9 +501,105 @@ mod tests {
         assert!(repair.handle(&mut dead, &[ALL], probe).is_empty(), "in sync: silence");
         let probe = repair.probe(&mut dead, ALL);
         assert!(repair.handle(&mut live, &[ALL], probe).is_empty());
-        // Any applied write drops the memoized summary.
+        // Any applied write moves the memoized summary.
         let before = repair.probe(&mut live, ALL);
         live.apply((5, 5), 4, item(5, 5));
         assert_ne!(repair.probe(&mut live, ALL), before);
+    }
+
+    /// What a fresh fold over the store's records in `span` gives.
+    fn folded<K: RecordKey>(s: &VersionedStore<K, Tagged>, span: Span<K>) -> Summary {
+        Summary::of(s.records(span).map(|(k, v, _)| (k, v)))
+    }
+
+    /// Runs generated `(op, key, ident, version)` rows against a store
+    /// under `key_of(key, ident)`, asking for the summaries of `spans` —
+    /// more than the memo holds — in between. After every row, each span
+    /// the memo still holds maps to the fresh fold of its records, and a
+    /// summary the memo answered folded nothing.
+    fn summaries_match_folds<K: RecordKey>(
+        rows: &[(u8, u64, u64, u64)],
+        key_of: impl Fn(u64, u64) -> K,
+        spans: &[Span<K>],
+    ) {
+        assert!(spans.len() > MEMO_SPANS);
+        let mut s: VersionedStore<K, Tagged> = VersionedStore::new();
+        for &(op, key, id, version) in rows {
+            let span = spans[(id + key) as usize % spans.len()];
+            match op {
+                // Inserts, stale and equal-version rejects, in-place
+                // updates, un-deletes.
+                0..=3 => {
+                    s.apply(key_of(key, id), version, item(id, key ^ version));
+                }
+                4 => {
+                    s.remove(key_of(key, id), version);
+                }
+                5 if version == 0 => {
+                    s.split_off_outside(span);
+                }
+                _ => {
+                    let memoized = s.summaries.get(&span);
+                    let (summary, folds) = s.summary(span);
+                    prop_assert_eq!(summary, folded(&s, span));
+                    prop_assert_eq!(folds, if memoized.is_some() { 0 } else { summary.count });
+                }
+            }
+            for &span in spans {
+                if let Some(memoized) = s.summaries.get(&span) {
+                    prop_assert_eq!(memoized, folded(&s, span), "span {:?}", span);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        /// One property for both key shapes: whatever applies, removes,
+        /// un-deletes, rejects and splits run between summary requests on
+        /// overlapping spans (inverted ones included), a summary the
+        /// writes kept current is the one a fresh fold computes.
+        #[test]
+        fn prop_maintained_summaries_match_fresh_folds(
+            rows in proptest::collection::vec((0u8..12, 0u64..16, 0u64..6, 0u64..4), 1..160),
+        ) {
+            let leaf = [keys(0, 15), keys(0, 7), keys(4, 11), keys(8, 15), keys(5, 5), keys(12, 3)];
+            summaries_match_folds(&rows, |k, id| (k, id), &leaf);
+            let ring = |rk, lo, hi| ((rk, lo, 0), (rk, hi, u64::MAX));
+            let rings =
+                [ring(0, 0, 15), ring(1, 3, 9), ring(1, 5, 5), ring(0, 12, 3), ring(1, 0, 15), ALL3];
+            summaries_match_folds(&rows, |k, id| (k % 2, k, id), &rings);
+        }
+    }
+
+    #[test]
+    fn a_probe_after_writes_folds_nothing() {
+        let mut s: VersionedStore<Pair, Tagged> = VersionedStore::new();
+        for k in 0..64u64 {
+            s.apply((k, k), 0, item(k, k));
+        }
+        let span = keys(0, 31);
+        let mut repair = ReplicaRepair::default();
+        let mut probe = |s: &mut VersionedStore<Pair, Tagged>| {
+            let before = repair.stats().folded_records;
+            let msg = repair.probe(s, span);
+            (msg, repair.stats().folded_records - before)
+        };
+        assert_eq!(probe(&mut s).1, 32, "the first probe folds the span once");
+        // Writes into the span: a new record, an update, a tombstone, an
+        // un-delete, a tombstone over nothing; then a rejected write and
+        // one outside the span.
+        assert!(s.apply((3, 100), 0, item(100, 3)));
+        assert!(s.apply((4, 4), 1, item(4, 40)));
+        assert!(s.remove((5, 5), 1));
+        assert!(s.apply((5, 5), 2, item(5, 50)));
+        assert!(!s.remove((6, 60), 1));
+        assert!(!s.apply((7, 7), 0, item(7, 70)));
+        assert!(s.apply((40, 40), 1, item(40, 0)));
+        let (msg, folds) = probe(&mut s);
+        assert_eq!(folds, 0, "a probe after writes into a memoized span folds nothing");
+        assert_eq!(msg, RepairMsg::Probe { span, summary: folded(&s, span) });
+        // A hand-off clears the memo: the next probe folds what is left.
+        s.split_off_outside(keys(0, 15));
+        assert_eq!(probe(&mut s).1, 18);
     }
 }

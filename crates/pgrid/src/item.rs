@@ -290,7 +290,7 @@ mod tests {
         assert_eq!(repair.probe(&mut s, ALL), first);
         s.insert(2, RawItem(2), 0);
         let RepairMsg::Probe { summary, .. } = repair.probe(&mut s, ALL) else { unreachable!() };
-        assert_eq!(summary.count, 2, "every mutator drops the memo");
+        assert_eq!(summary.count, 2, "every applied write moves the memoized summary");
         s.remove((2, 2), 1);
         let RepairMsg::Probe { summary: after, .. } = repair.probe(&mut s, ALL) else {
             unreachable!()

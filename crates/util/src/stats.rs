@@ -100,8 +100,14 @@ pub fn percentile(samples: &[f64], p: f64) -> f64 {
     }
     let mut v: Vec<f64> = samples.to_vec();
     v.sort_by(|a, b| a.total_cmp(b));
-    let rank = ((p / 100.0) * (v.len() as f64 - 1.0)).round() as usize;
-    v[rank.min(v.len() - 1)]
+    v[nearest_rank(p, v.len())]
+}
+
+/// Index of the nearest-rank `p`-th percentile (`p` in `[0, 100]`) in
+/// an ascending sample of `n > 0` values.
+fn nearest_rank(p: f64, n: usize) -> usize {
+    let rank = ((p / 100.0) * (n as f64 - 1.0)).round() as usize;
+    rank.min(n - 1)
 }
 
 /// Sliding window of recent latency observations with on-demand
@@ -111,10 +117,15 @@ pub fn percentile(samples: &[f64], p: f64) -> f64 {
 ///
 /// A bounded ring buffer: the newest observation evicts the oldest once
 /// the window is full, so the estimate tracks current network conditions
-/// instead of averaging over the whole run.
+/// instead of averaging over the whole run. The window is also kept in
+/// order, so a quantile is one index rather than a copy and a sort.
 #[derive(Clone, Debug)]
 pub struct RttWindow {
+    /// Observations in arrival order; a ring once full.
     samples: Vec<f64>,
+    /// The same observations, ascending by `total_cmp`. Allocated whole
+    /// up front, so observing never grows it.
+    sorted: Vec<f64>,
     next: usize,
     cap: usize,
 }
@@ -126,7 +137,7 @@ impl RttWindow {
     /// Panics if `cap == 0`.
     pub fn new(cap: usize) -> Self {
         assert!(cap > 0, "RTT window needs capacity");
-        RttWindow { samples: Vec::new(), next: 0, cap }
+        RttWindow { samples: Vec::new(), sorted: Vec::with_capacity(cap), next: 0, cap }
     }
 
     /// Records one observation (any non-negative unit; callers pick one
@@ -135,9 +146,13 @@ impl RttWindow {
         if self.samples.len() < self.cap {
             self.samples.push(x);
         } else {
-            self.samples[self.next] = x;
+            let old = std::mem::replace(&mut self.samples[self.next], x);
             self.next = (self.next + 1) % self.cap;
+            // Values equal under `total_cmp` are bit-identical, so the
+            // first one not below `old` is `old`.
+            self.sorted.remove(self.sorted.partition_point(|s| s.total_cmp(&old).is_lt()));
         }
+        self.sorted.insert(self.sorted.partition_point(|s| s.total_cmp(&x).is_le()), x);
     }
 
     /// Number of retained observations.
@@ -150,13 +165,14 @@ impl RttWindow {
         self.samples.is_empty()
     }
 
-    /// Nearest-rank quantile over the window; `p` in `[0, 100]`.
-    /// `None` until at least one observation arrived.
+    /// Nearest-rank quantile over the window, as [`percentile`] computes
+    /// it; `p` in `[0, 100]`. `None` until at least one observation
+    /// arrived.
     pub fn quantile(&self, p: f64) -> Option<f64> {
-        if self.samples.is_empty() {
+        if self.sorted.is_empty() {
             return None;
         }
-        Some(percentile(&self.samples, p))
+        Some(self.sorted[nearest_rank(p, self.sorted.len())])
     }
 }
 
@@ -425,6 +441,30 @@ mod tests {
         assert_eq!(w.len(), 4);
         assert_eq!(w.quantile(0.0), Some(30.0));
         assert_eq!(w.quantile(100.0), Some(60.0));
+    }
+
+    proptest::proptest! {
+        /// The window's kept order answers every quantile exactly as a
+        /// fresh sort of the retained samples does, duplicates and
+        /// evictions included.
+        #[test]
+        fn rtt_window_quantile_is_percentile_of_retained(
+            xs in proptest::collection::vec(0u64..40, 1..200),
+            cap in 1usize..70,
+        ) {
+            let mut w = RttWindow::new(cap);
+            for (i, &x) in xs.iter().enumerate() {
+                w.observe(x as f64);
+                let retained: Vec<f64> =
+                    xs[(i + 1).saturating_sub(cap)..=i].iter().map(|&x| x as f64).collect();
+                for p in [0.0, 0.99, 1.0, 25.0, 50.0, 90.0, 99.0, 100.0] {
+                    proptest::prop_assert_eq!(
+                        w.quantile(p).map(f64::to_bits),
+                        Some(percentile(&retained, p).to_bits())
+                    );
+                }
+            }
+        }
     }
 
     #[test]
