@@ -1,13 +1,12 @@
 //! `BENCH_alloc.json`: the allocation trajectory of the hot paths.
 //!
 //! Measures steady-state allocations per operation (after a warmup pass
-//! that fills the wire-buffer pool and the attribute interner) with the
-//! counting global allocator in [`crate::alloc`], and asserts the
-//! allocation claims in-code:
+//! that fills the attribute interner) with the counting global allocator
+//! in [`crate::alloc`], and asserts the allocation claims in-code:
 //!
-//! * message sizing (`wire_size`) through the pooled scratch buffer
-//!   allocates nothing, and wire decode allocates at most once per
-//!   triple (interned attribute, inline short strings);
+//! * message sizing (`wire_size`, arithmetic on every type) allocates
+//!   nothing, and wire decode allocates at most once per triple
+//!   (interned attribute, inline short strings);
 //! * a filtered leaf scan's allocations are independent of how many
 //!   candidates the semi-join filter drops — dropped candidates are
 //!   never materialized on either backend's store.
@@ -42,8 +41,8 @@ fn row(section: &str, case: &str, ops: usize, s: AllocStats) -> Row {
 }
 
 /// Encode: the unit `insert_batch` ships — 64 write ops with full index
-/// fan-out and shared payloads — sized through the pooled scratch
-/// buffer, and encoded for the wire at exact capacity.
+/// fan-out and shared payloads — sized by arithmetic, and encoded for
+/// the wire at exact capacity.
 fn encode_rows() -> Vec<Row> {
     let mut batch = OpBatch::new();
     let mut i = 0usize;
@@ -68,11 +67,7 @@ fn encode_rows() -> Vec<Row> {
         i += 1;
     }
     const ITERS: usize = 256;
-    // Warmup: fills the thread-local buffer pool.
-    for _ in 0..8 {
-        std::hint::black_box(batch.wire_size());
-    }
-    let (_, pooled) = measure(|| {
+    let (_, sized) = measure(|| {
         for _ in 0..ITERS {
             std::hint::black_box(batch.wire_size());
         }
@@ -83,7 +78,7 @@ fn encode_rows() -> Vec<Row> {
         }
     });
     vec![
-        row("encode", "pooled wire_size (64-op batch)", ITERS, pooled),
+        row("encode", "arithmetic wire_size (64-op batch)", ITERS, sized),
         row("encode", "to_bytes (exact capacity)", ITERS, ship),
     ]
 }
@@ -180,18 +175,17 @@ fn join3_row<B: Backend>(world: &PubWorld) -> Row {
     row("join3", B::LABEL, 1, stats)
 }
 
-/// Absolute ceilings from the committed record. Until PR 17 the first
-/// two were stated against verbatim re-implementations of the
-/// pre-pooling code (a fresh unreserved buffer per `wire_size`: 1
-/// alloc/op; the copy → `String` → `Arc` chain per decoded string: 6
-/// allocs/triple) as "≥ 5× less"; the pooled and in-place figures those
-/// floors admitted are 0 and 1.
+/// Absolute ceilings from the committed record. The first two were once
+/// stated against re-implementations of the older code (a fresh
+/// unreserved buffer per `wire_size`: 1 alloc/op; the copy → `String` →
+/// `Arc` chain per decoded string: 6 allocs/triple) as "≥ 5× less"; the
+/// arithmetic and in-place figures those floors admitted are 0 and 1.
 fn floors(rows: &[Row]) {
     let allocs = |section, case| {
         find(rows, &[("section", section), ("case", case)]).get_float("allocs_per_op")
     };
-    let pooled = allocs("encode", "pooled wire_size (64-op batch)");
-    assert!(pooled == 0.0, "pooled wire_size must not allocate (got {pooled:.2} allocs/op)");
+    let sized = allocs("encode", "arithmetic wire_size (64-op batch)");
+    assert!(sized == 0.0, "wire_size must not allocate (got {sized:.2} allocs/op)");
     let inplace = allocs("decode", "in-place (intern + inline)");
     assert!(
         inplace <= 1.0,

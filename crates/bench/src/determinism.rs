@@ -9,6 +9,12 @@
 //! as a digest mismatch (std `HashMap`'s per-map random seeds differ
 //! even within one process, so a leak cannot hide behind a stable
 //! environment).
+//!
+//! The first run's digests are committed as `BENCH_determinism.json`, so
+//! CI's diff of the regenerated snapshots also catches a change in event
+//! order or payload bytes *across* commits, not only between two runs.
+
+use std::path::Path;
 
 use unistore::UniCluster;
 use unistore_simnet::churn::{install_churn, ChurnConfig};
@@ -17,7 +23,8 @@ use unistore_util::rng::{derive_rng, stream};
 use unistore_workload::{zipf_read_queries, PubParams, PubWorld};
 
 use crate::backend::{Backend, SEED};
-use crate::{both_backends, header, row};
+use crate::both_backends;
+use crate::snapshot::{emit, Row};
 
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 
@@ -67,35 +74,42 @@ fn run<B: Backend>(peers: usize, world: &PubWorld, queries: &[String]) -> (u64, 
     (cluster.net.trace_digest(), cluster.net.metrics(), results)
 }
 
-/// Runs the workload twice on `B` at each size and prints one table row
-/// per size; returns whether every pair of runs was identical.
-fn check<B: Backend>(world: &PubWorld, queries: &[String]) -> bool {
-    let mut ok = true;
+/// Runs the workload twice on `B` at each size: one row per size (the
+/// first run's numbers), plus a description of every pair of runs that
+/// differed.
+fn check<B: Backend>(world: &PubWorld, queries: &[String]) -> (Vec<Row>, Vec<String>) {
+    let (mut rows, mut diverged) = (Vec::new(), Vec::new());
     for peers in [16, 64] {
         let (a, b) = (run::<B>(peers, world, queries), run::<B>(peers, world, queries));
-        let identical = a == b;
-        ok &= identical;
-        row(&[
-            B::LABEL.to_string(),
-            peers.to_string(),
-            format!("{:#018x}", a.0),
-            a.1.sent.to_string(),
-            a.1.bytes.to_string(),
-            format!("{:#018x}", a.2),
-            if identical { "identical".into() } else { "DIVERGED".into() },
-        ]);
-        if !identical {
-            eprintln!(
-                "run 1: trace {:#018x} metrics {:?} results {:#018x}\n\
+        rows.push(
+            Row::new()
+                .str("backend", B::LABEL)
+                .int("peers", peers as u64)
+                .str("trace_digest", format!("{:#018x}", a.0))
+                .int("msgs_sent", a.1.sent)
+                .int("bytes", a.1.bytes)
+                .str("result_digest", format!("{:#018x}", a.2)),
+        );
+        if a != b {
+            diverged.push(format!(
+                "{} at {peers} peers\n\
+                 run 1: trace {:#018x} metrics {:?} results {:#018x}\n\
                  run 2: trace {:#018x} metrics {:?} results {:#018x}",
-                a.0, a.1, a.2, b.0, b.1, b.2
-            );
+                B::LABEL,
+                a.0,
+                a.1,
+                a.2,
+                b.0,
+                b.1,
+                b.2
+            ));
         }
     }
-    ok
+    (rows, diverged)
 }
 
-/// Runs the check; panics on any divergence.
+/// Runs the check and writes `BENCH_determinism.json`; panics, before
+/// the file is written, on any divergence.
 pub fn determinism_check() {
     let world = PubWorld::generate(
         &PubParams { n_authors: 40, n_conferences: 10, ..Default::default() },
@@ -107,12 +121,21 @@ pub fn determinism_check() {
     mixed.push("SELECT ?n,?p WHERE {(?a,'name',?n) (?a,'num_of_pubs',?p) FILTER ?p < 8}".into());
     mixed.push("SELECT ?n,?g WHERE {(?a,'name',?n) (?a,'age',?g) FILTER ?g < 40}".into());
 
-    println!("\n## determinism-check — same-seed double runs must be bit-identical\n");
-    header(&["backend", "peers", "trace digest", "msgs sent", "bytes", "result digest", "verdict"]);
-    let [pgrid_ok, chord_ok] = both_backends!(check(&world, &mixed));
-    assert!(
-        pgrid_ok && chord_ok,
-        "determinism-check FAILED: same-seed runs diverged (see digests above)"
+    let [(mut rows, mut diverged), (chord_rows, chord_diverged)] =
+        both_backends!(check(&world, &mixed));
+    rows.extend(chord_rows);
+    diverged.extend(chord_diverged);
+    emit(
+        Path::new("BENCH_determinism.json"),
+        "determinism-check — same-seed double runs must be bit-identical",
+        &rows,
+        |_| {
+            assert!(
+                diverged.is_empty(),
+                "determinism-check FAILED: same-seed runs diverged\n{}",
+                diverged.join("\n")
+            )
+        },
     );
     println!("\ndeterminism-check OK: both backends bit-identical across same-seed runs");
 }

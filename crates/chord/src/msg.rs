@@ -5,7 +5,7 @@ use bytes::{Bytes, BytesMut};
 use unistore_overlay::repair::RepairMsg;
 use unistore_simnet::NodeId;
 use unistore_util::item::Item;
-use unistore_util::wire::{encoded_len, put_list, BatchOp, BatchVerb, Wire, WireError};
+use unistore_util::wire::{put_list, BatchOp, BatchVerb, Wire, WireError};
 use unistore_util::{ItemFilter, Key};
 
 use crate::store::RecordKey;
@@ -358,22 +358,56 @@ impl<I: Item> Wire for ChordMsg<I> {
         })
     }
 
-    /// Arithmetic for the variants that carry entry lists — scan
-    /// replies, and the replication and anti-entropy traffic that is
-    /// most of a churn campaign's bytes — sized on every simulated
-    /// send; the control variants are small and keep the
-    /// encode-and-measure default.
+    /// The tag byte plus every field's own size, in the order `encode`
+    /// writes them.
     fn wire_size(&self) -> usize {
-        match self {
+        1 + match self {
+            ChordMsg::Lookup { qid, ring_key, origin, hops, filter } => {
+                qid.wire_size()
+                    + ring_key.wire_size()
+                    + origin.wire_size()
+                    + hops.wire_size()
+                    + filter.wire_size()
+            }
             ChordMsg::LookupReply { qid, entries, hops, ok } => {
-                1 + qid.wire_size() + entries.wire_size() + hops.wire_size() + ok.wire_size()
+                qid.wire_size() + entries.wire_size() + hops.wire_size() + ok.wire_size()
+            }
+            ChordMsg::OpBatch { qid, origin, hops, items, ops } => {
+                qid.wire_size()
+                    + origin.wire_size()
+                    + hops.wire_size()
+                    + items.wire_size()
+                    + ops.wire_size()
+            }
+            ChordMsg::BatchAck { qid, applied, hops } => {
+                qid.wire_size() + applied.wire_size() + hops.wire_size()
+            }
+            ChordMsg::BucketRange { qid, lo, hi, origin } => {
+                qid.wire_size() + lo.wire_size() + hi.wire_size() + origin.wire_size()
+            }
+            ChordMsg::BucketGet { qid, ring_key, lo, hi, origin, hops, filter } => {
+                qid.wire_size()
+                    + ring_key.wire_size()
+                    + lo.wire_size()
+                    + hi.wire_size()
+                    + origin.wire_size()
+                    + hops.wire_size()
+                    + filter.wire_size()
+            }
+            ChordMsg::Bcast { qid, lo, hi, limit, hops, filter } => {
+                qid.wire_size()
+                    + lo.wire_size()
+                    + hi.wire_size()
+                    + limit.wire_size()
+                    + hops.wire_size()
+                    + filter.wire_size()
             }
             ChordMsg::BcastReply { qid, entries, nodes, hops } => {
-                1 + qid.wire_size() + entries.wire_size() + nodes.wire_size() + hops.wire_size()
+                qid.wire_size() + entries.wire_size() + nodes.wire_size() + hops.wire_size()
             }
-            ChordMsg::Replicate { entries } => 1 + entries.wire_size(),
-            ChordMsg::Repair(msg) => 1 + msg.wire_size(),
-            other => encoded_len(other),
+            ChordMsg::Replicate { entries } => entries.wire_size(),
+            ChordMsg::Repair(msg) => msg.wire_size(),
+            ChordMsg::Ping | ChordMsg::Pong => 0,
         }
     }
 }

@@ -286,6 +286,9 @@ pub struct UniNode<O: Overlay<Item = Triple>> {
     /// resolve to a purged alias and are dropped.
     attempt_of: FxHashMap<u64, u64>,
     exec_counter: u64,
+    /// The storage layer's effects buffer, reused by every
+    /// [`UniNode::with_overlay`] call (empty between calls).
+    ofx: Effects<O::Msg, OverlayDone<Triple>>,
 }
 
 impl<O: Overlay<Item = Triple>> UniNode<O> {
@@ -324,6 +327,7 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
             attempt_budget: cfg.attempt_budget,
             attempt_of: FxHashMap::default(),
             exec_counter: 0,
+            ofx: Effects::new(),
         }
     }
 
@@ -464,12 +468,16 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
 
     /// Runs a storage-layer action, wrapping its effects into the node's
     /// envelope; emitted storage events are routed to waiting plans.
+    ///
+    /// The buffer goes back into `self.ofx` before the completions are
+    /// handled: a completion may start another storage op, which then
+    /// reuses it.
     fn with_overlay(
         &mut self,
         fx: &mut UniFx<O::Msg>,
         f: impl FnOnce(&mut O, &mut Effects<O::Msg, OverlayDone<Triple>>),
     ) {
-        let mut ofx: Effects<O::Msg, OverlayDone<Triple>> = Effects::new();
+        let mut ofx = std::mem::take(&mut self.ofx);
         f(&mut self.overlay, &mut ofx);
         let (sends, timers, emits) = ofx.drain();
         for (to, m) in sends {
@@ -478,7 +486,9 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
         for (d, t) in timers {
             fx.set_timer(d, t);
         }
-        for done in emits {
+        let done: Vec<OverlayDone<Triple>> = emits.collect();
+        self.ofx = ofx;
+        for done in done {
             self.on_overlay_event(done, fx);
         }
     }

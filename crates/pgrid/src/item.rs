@@ -224,6 +224,9 @@ mod tests {
             fn decode(buf: &mut bytes::Bytes) -> Result<Self, unistore_util::wire::WireError> {
                 Ok(KV(u64::decode(buf)?, u64::decode(buf)?))
             }
+            fn wire_size(&self) -> usize {
+                self.0.wire_size() + self.1.wire_size()
+            }
         }
         impl Item for KV {
             fn ident(&self) -> u64 {

@@ -338,6 +338,9 @@ mod tests {
             fn decode(buf: &mut bytes::Bytes) -> Result<Self, unistore_util::wire::WireError> {
                 Ok(F(u64::decode(buf)?))
             }
+            fn wire_size(&self) -> usize {
+                self.0.wire_size()
+            }
         }
         impl Item for F {
             fn ident(&self) -> u64 {

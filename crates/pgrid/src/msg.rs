@@ -4,7 +4,7 @@ use bytes::{Bytes, BytesMut};
 
 use unistore_overlay::repair::RepairMsg;
 use unistore_simnet::NodeId;
-use unistore_util::wire::{encoded_len, put_list, OpBatch, Wire, WireError};
+use unistore_util::wire::{put_list, OpBatch, Wire, WireError};
 use unistore_util::{BitPath, ItemFilter, Key};
 
 use crate::item::{Item, Version};
@@ -467,17 +467,53 @@ impl<I: Item> Wire for PGridMsg<I> {
         })
     }
 
-    /// Arithmetic for the variants that carry item or entry lists —
-    /// scan replies, replication, anti-entropy and bootstrap hand-off —
-    /// sized on every simulated send; the control variants are small
-    /// and keep the encode-and-measure default.
+    /// The tag byte plus every field's own size, in the order `encode`
+    /// writes them.
     fn wire_size(&self) -> usize {
-        match self {
+        1 + match self {
+            PGridMsg::Lookup { qid, key, origin, hops, filter } => {
+                qid.wire_size()
+                    + key.wire_size()
+                    + origin.wire_size()
+                    + hops.wire_size()
+                    + filter.wire_size()
+            }
             PGridMsg::LookupReply { qid, items, hops, ok } => {
-                1 + qid.wire_size() + items.wire_size() + hops.wire_size() + ok.wire_size()
+                qid.wire_size() + items.wire_size() + hops.wire_size() + ok.wire_size()
+            }
+            PGridMsg::OpBatch { qid, origin, hops, positions, batch } => {
+                let (mut prev, mut gaps) = (0u32, 0);
+                for &pos in positions {
+                    gaps += pos.wrapping_sub(prev).wire_size();
+                    prev = pos;
+                }
+                qid.wire_size() + origin.wire_size() + hops.wire_size() + batch.wire_size() + gaps
+            }
+            PGridMsg::BatchAck { qid, applied, hops } => {
+                qid.wire_size() + applied.wire_size() + hops.wire_size()
+            }
+            PGridMsg::Delete { key, ident, version } => {
+                key.wire_size() + ident.wire_size() + version.wire_size()
+            }
+            PGridMsg::Range { qid, lo, hi, lmin, origin, hops, filter } => {
+                qid.wire_size()
+                    + lo.wire_size()
+                    + hi.wire_size()
+                    + lmin.wire_size()
+                    + origin.wire_size()
+                    + hops.wire_size()
+                    + filter.wire_size()
+            }
+            PGridMsg::RangeSeq { qid, lo, hi, origin, hops, filter } => {
+                qid.wire_size()
+                    + lo.wire_size()
+                    + hi.wire_size()
+                    + origin.wire_size()
+                    + hops.wire_size()
+                    + filter.wire_size()
             }
             PGridMsg::RangeReply { qid, cov_lo, cov_hi, items, hops, aborted } => {
-                1 + qid.wire_size()
+                qid.wire_size()
                     + cov_lo.wire_size()
                     + cov_hi.wire_size()
                     + items.wire_size()
@@ -486,9 +522,16 @@ impl<I: Item> Wire for PGridMsg<I> {
             }
             PGridMsg::Replicate { entries }
             | PGridMsg::ExchangeData { entries }
-            | PGridMsg::ExchangeReplica { entries } => 1 + entries.wire_size(),
-            PGridMsg::Repair(msg) => 1 + msg.wire_size(),
-            other => encoded_len(other),
+            | PGridMsg::ExchangeReplica { entries } => entries.wire_size(),
+            PGridMsg::Repair(msg) => msg.wire_size(),
+            PGridMsg::Ping { nonce } | PGridMsg::Pong { nonce } => nonce.wire_size(),
+            PGridMsg::TableRequest => 0,
+            PGridMsg::TableReply { peers } | PGridMsg::ExchangeRefs { peers } => peers.wire_size(),
+            PGridMsg::Exchange { path, store_len } => path.wire_size() + store_len.wire_size(),
+            PGridMsg::ExchangeSplit { new_sender_path, entries } => {
+                new_sender_path.wire_size() + entries.wire_size()
+            }
+            PGridMsg::ExchangeAdopt { bit } => bit.wire_size(),
         }
     }
 }

@@ -130,6 +130,9 @@ mod tests {
         fn decode(_b: &mut Bytes) -> Result<Self, WireError> {
             Ok(NoMsg)
         }
+        fn wire_size(&self) -> usize {
+            0
+        }
     }
     struct Idle;
     impl NodeBehavior for Idle {

@@ -6,6 +6,8 @@
 //! unit-testable without a network: tests construct an [`Effects`], call
 //! the handler, and assert on its contents.
 
+use std::vec::Drain;
+
 use crate::net::NodeId;
 use crate::time::SimTime;
 
@@ -83,15 +85,14 @@ impl<M, O> Effects<M, O> {
         self.sends.is_empty() && self.timers.is_empty() && self.emits.is_empty()
     }
 
-    /// Drains all effects (used by alternative runtimes such as
-    /// `unistore::live`).
+    /// Drains all effects in place (used by alternative runtimes such as
+    /// `unistore::live`, and by wrappers that re-envelope an inner
+    /// protocol's effects). The buffer keeps its capacity, so a runtime
+    /// that reuses one `Effects` across handler calls stops allocating
+    /// once it has seen its largest burst.
     #[allow(clippy::type_complexity)]
-    pub fn drain(&mut self) -> (Vec<(NodeId, M)>, Vec<(SimTime, Timer)>, Vec<O>) {
-        (
-            std::mem::take(&mut self.sends),
-            std::mem::take(&mut self.timers),
-            std::mem::take(&mut self.emits),
-        )
+    pub fn drain(&mut self) -> (Drain<'_, (NodeId, M)>, Drain<'_, (SimTime, Timer)>, Drain<'_, O>) {
+        (self.sends.drain(..), self.timers.drain(..), self.emits.drain(..))
     }
 }
 
@@ -111,9 +112,10 @@ mod tests {
         assert_eq!(fx.emits(), &[7]);
         assert!(!fx.is_empty());
         let (s, t, e) = fx.drain();
-        assert_eq!(s, vec![(NodeId(1), "hello")]);
-        assert_eq!(t[0].1, Timer::new(1, 99));
-        assert_eq!(e, vec![7]);
+        assert_eq!(s.collect::<Vec<_>>(), vec![(NodeId(1), "hello")]);
+        assert_eq!(t.map(|(_, timer)| timer).collect::<Vec<_>>(), vec![Timer::new(1, 99)]);
+        assert_eq!(e.collect::<Vec<_>>(), vec![7]);
         assert!(fx.is_empty());
+        assert!(fx.sends.capacity() > 0, "draining keeps the buffer's capacity");
     }
 }

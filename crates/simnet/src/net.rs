@@ -91,31 +91,19 @@ enum EventKind<M> {
     Start,
 }
 
-struct Event<M> {
+/// What the event queue orders: when an event fires, the push sequence
+/// number that breaks ties FIFO, and the payload slab slot holding its
+/// `(node, kind)`. 24 bytes whatever the message type, so a heap sift
+/// moves keys, not messages. `seq` is unique, so the derived order is
+/// `(at, seq)` and `slot` never decides it.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct EventKey {
     at: SimTime,
     seq: u64,
-    node: NodeId,
-    kind: EventKind<M>,
+    slot: u32,
 }
 
-// Ordering for the BinaryHeap (through Reverse): by time, then sequence,
-// giving deterministic FIFO tie-breaking.
-impl<M> PartialEq for Event<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for Event<M> {}
-impl<M> PartialOrd for Event<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Event<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
+const _: () = assert!(std::mem::size_of::<EventKey>() == 24);
 
 struct Slot<N> {
     node: N,
@@ -129,7 +117,14 @@ pub struct SimNet<N: NodeBehavior> {
     /// per-node load profile behind skew measurements (Gini over the
     /// delivery counts is the scale campaign's balance metric).
     delivered_by: Vec<u64>,
-    queue: BinaryHeap<Reverse<Event<N::Msg>>>,
+    queue: BinaryHeap<Reverse<EventKey>>,
+    /// Payloads of the queued events, indexed by [`EventKey::slot`];
+    /// `None` marks a slot on the free list.
+    payloads: Vec<Option<(NodeId, EventKind<N::Msg>)>>,
+    free: Vec<u32>,
+    /// The one effects buffer every handler writes into, drained in
+    /// place after each event so its capacity is reused.
+    fx: Effects<N::Msg, N::Out>,
     now: SimTime,
     seq: u64,
     latency: Box<dyn LatencyModel>,
@@ -166,6 +161,9 @@ impl<N: NodeBehavior> SimNet<N> {
             slots: Vec::new(),
             delivered_by: Vec::new(),
             queue: BinaryHeap::new(),
+            payloads: Vec::new(),
+            free: Vec::new(),
+            fx: Effects::new(),
             now: SimTime::ZERO,
             seq: 0,
             latency,
@@ -181,21 +179,7 @@ impl<N: NodeBehavior> SimNet<N> {
 
     /// Creates an empty network with the given latency model and seed.
     pub fn new(latency: impl LatencyModel + 'static, seed: u64) -> Self {
-        SimNet {
-            slots: Vec::new(),
-            delivered_by: Vec::new(),
-            queue: BinaryHeap::new(),
-            now: SimTime::ZERO,
-            seq: 0,
-            latency: Box::new(latency),
-            rng: StdRng::seed_from_u64(seed),
-            loss_rate: 0.0,
-            faults: FaultPlan::default(),
-            metrics: NetMetrics::default(),
-            outputs: Vec::new(),
-            trace_on: false,
-            trace_digest: FNV_OFFSET,
-        }
+        Self::new_boxed(Box::new(latency), seed)
     }
 
     /// Enables (or disables) the message-trace digest, resetting it to
@@ -326,19 +310,33 @@ impl<N: NodeBehavior> SimNet<N> {
     fn push_event(&mut self, at: SimTime, node: NodeId, kind: EventKind<N::Msg>) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Reverse(Event { at, seq, node, kind }));
+        let payload = Some((node, kind));
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.payloads[slot as usize] = payload;
+                slot
+            }
+            None => {
+                self.payloads.push(payload);
+                (self.payloads.len() - 1) as u32
+            }
+        };
+        self.queue.push(Reverse(EventKey { at, seq, slot }));
     }
 
     /// Processes a single event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some(Reverse(ev)) = self.queue.pop() else {
+        let Some(Reverse(key)) = self.queue.pop() else {
             return false;
         };
-        debug_assert!(ev.at >= self.now, "event queue moved backwards");
-        self.now = ev.at;
-        let idx = ev.node.index();
-        let mut fx: Effects<N::Msg, N::Out> = Effects::new();
-        match ev.kind {
+        debug_assert!(key.at >= self.now, "event queue moved backwards");
+        self.now = key.at;
+        let (node, kind) =
+            self.payloads[key.slot as usize].take().expect("queued slot holds its event");
+        self.free.push(key.slot);
+        let idx = node.index();
+        let mut fx = std::mem::take(&mut self.fx);
+        match kind {
             EventKind::Deliver { from, msg } => {
                 let slot = &mut self.slots[idx];
                 if slot.up {
@@ -378,11 +376,14 @@ impl<N: NodeBehavior> SimNet<N> {
                 }
             }
         }
-        self.apply_effects(ev.node, fx);
+        self.apply_effects(node, &mut fx);
+        self.fx = fx;
         true
     }
 
-    fn apply_effects(&mut self, origin: NodeId, mut fx: Effects<N::Msg, N::Out>) {
+    /// Applies and drains a handler's effects, leaving `fx` empty with its
+    /// capacity intact for the next event.
+    fn apply_effects(&mut self, origin: NodeId, fx: &mut Effects<N::Msg, N::Out>) {
         for (to, msg) in fx.sends.drain(..) {
             self.metrics.sent += 1;
             self.metrics.bytes += msg.wire_size() as u64;
@@ -442,7 +443,7 @@ impl<N: NodeBehavior> SimNet<N> {
         loop {
             match self.queue.peek() {
                 None => return true,
-                Some(Reverse(ev)) if ev.at > limit => return false,
+                Some(Reverse(key)) if key.at > limit => return false,
                 _ => {
                     self.step();
                 }
@@ -453,8 +454,8 @@ impl<N: NodeBehavior> SimNet<N> {
     /// Processes all events scheduled up to and including `deadline`,
     /// then advances the clock to `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(Reverse(ev)) = self.queue.peek() {
-            if ev.at > deadline {
+        while let Some(Reverse(key)) = self.queue.peek() {
+            if key.at > deadline {
                 break;
             }
             self.step();
@@ -486,6 +487,9 @@ mod tests {
         }
         fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
             Ok(Hop(u64::decode(buf)?))
+        }
+        fn wire_size(&self) -> usize {
+            self.0.wire_size()
         }
     }
 
@@ -596,6 +600,9 @@ mod tests {
             fn decode(_b: &mut Bytes) -> Result<Self, WireError> {
                 Ok(NoMsg)
             }
+            fn wire_size(&self) -> usize {
+                0
+            }
         }
         impl NodeBehavior for TimerNode {
             type Msg = NoMsg;
@@ -679,6 +686,90 @@ mod tests {
         let mut net = ring(2, 0);
         net.run_until(SimTime::from_secs(5));
         assert_eq!(net.now(), SimTime::from_secs(5));
+    }
+
+    /// Records the hop values delivered to it; sends nothing.
+    struct Recorder {
+        seen: Vec<u64>,
+    }
+
+    impl NodeBehavior for Recorder {
+        type Msg = Hop;
+        type Out = ();
+
+        fn on_message(&mut self, _n: SimTime, _f: NodeId, msg: Hop, _fx: &mut Effects<Hop, ()>) {
+            self.seen.push(msg.0);
+        }
+    }
+
+    #[test]
+    fn same_instant_events_fire_in_push_order_across_reused_slots() {
+        let mut net = SimNet::new(ConstantLatency(SimTime::ZERO), 0);
+        let id = net.add_node(Recorder { seen: vec![] });
+        net.run_until(SimTime::ZERO);
+        // Four events firing in an order unlike their slots' (2, 0, 3, 1)
+        // leave the free list scrambled.
+        for ms in [2, 4, 1, 3] {
+            let at = SimTime::from_millis(ms);
+            net.push_event(at, id, EventKind::Deliver { from: NodeId::EXTERNAL, msg: Hop(ms) });
+        }
+        net.run_until(SimTime::from_millis(4));
+        assert_eq!(net.node(id).seen, vec![1, 2, 3, 4]);
+
+        let at = SimTime::from_millis(10);
+        for i in 10..14 {
+            net.push_event(at, id, EventKind::Deliver { from: NodeId::EXTERNAL, msg: Hop(i) });
+        }
+        let mut keys: Vec<(u64, u32)> =
+            net.queue.iter().map(|Reverse(k)| (k.seq, k.slot)).collect();
+        keys.sort_unstable();
+        let slots: Vec<u32> = keys.iter().map(|&(_, slot)| slot).collect();
+        assert_eq!(slots, vec![1, 3, 0, 2], "reused slots, out of index order");
+        assert_eq!(net.payloads.len(), 4, "no slot allocated while one was free");
+
+        net.run_until(at);
+        assert_eq!(net.node(id).seen[4..], [10, 11, 12, 13], "FIFO at one instant");
+    }
+
+    #[test]
+    fn handlers_never_see_an_earlier_events_effects() {
+        /// Sends, arms a timer and emits once, at its first start; every
+        /// handler checks it starts from an empty buffer.
+        struct Once {
+            peer: NodeId,
+            done: bool,
+        }
+        impl NodeBehavior for Once {
+            type Msg = Hop;
+            type Out = u64;
+            fn on_start(&mut self, _now: SimTime, fx: &mut Effects<Hop, u64>) {
+                assert!(fx.is_empty(), "start saw stale effects");
+                if !std::mem::replace(&mut self.done, true) {
+                    fx.send(self.peer, Hop(1));
+                    fx.set_timer(SimTime::from_millis(5), Timer::new(1, 0));
+                    fx.emit(7);
+                }
+            }
+            fn on_message(&mut self, _n: SimTime, _f: NodeId, _m: Hop, fx: &mut Effects<Hop, u64>) {
+                assert!(fx.is_empty(), "message handler saw stale effects");
+            }
+            fn on_timer(&mut self, _now: SimTime, _t: Timer, fx: &mut Effects<Hop, u64>) {
+                assert!(fx.is_empty(), "timer handler saw stale effects");
+            }
+        }
+        let mut net = SimNet::new(ConstantLatency(SimTime::from_millis(1)), 0);
+        let a = net.add_node(Once { peer: NodeId(1), done: false });
+        let b = net.add_node(Once { peer: NodeId(0), done: false });
+        for i in 0..5 {
+            net.inject(a, Hop(i));
+            net.inject(b, Hop(i));
+        }
+        assert!(net.run_until_quiescent(SimTime::from_secs(1)));
+        let m = net.metrics();
+        assert_eq!(m.sent, 2, "one send per node, never replayed");
+        assert_eq!(m.timers_fired, 2);
+        assert_eq!(m.delivered, 12, "10 injects + 2 sends");
+        assert_eq!(net.outputs().len(), 2);
     }
 
     #[test]

@@ -12,8 +12,6 @@ use std::sync::Arc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-pub mod pool;
-
 /// Decoding failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
@@ -40,16 +38,6 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Size of `value` measured by encoding it into pooled scratch — the
-/// default [`Wire::wire_size`], and what an arithmetic override falls
-/// back to for its cold variants.
-pub fn encoded_len<T: Wire>(value: &T) -> usize {
-    pool::with_buf(|buf| {
-        value.encode(buf);
-        buf.len()
-    })
-}
-
 /// Sanity cap for decoded collection lengths (guards fuzzed input).
 const MAX_LEN: u64 = 1 << 28;
 
@@ -61,18 +49,15 @@ pub trait Wire: Sized {
     /// Decodes a value, consuming bytes from `buf`.
     fn decode(buf: &mut Bytes) -> Result<Self, WireError>;
 
-    /// Number of bytes [`Wire::encode`] would produce.
-    ///
-    /// Default implementation encodes into a **pooled** scratch buffer
-    /// (the simulator sizes every send through here, so the scratch
-    /// bytes are allocation-free in steady state); hot types should
-    /// still override with arithmetic.
-    fn wire_size(&self) -> usize {
-        encoded_len(self)
-    }
+    /// Number of bytes [`Wire::encode`] would produce, computed by
+    /// arithmetic over the value — never by encoding it. The simulator
+    /// sizes every send through here, so there is deliberately no
+    /// default: each implementor states its size, and its round-trip
+    /// test checks `wire_size() == to_bytes().len()`.
+    fn wire_size(&self) -> usize;
 
     /// Convenience: encodes into a fresh buffer, sized exactly (one
-    /// allocation; the sizing pass reuses pooled scratch storage).
+    /// allocation).
     fn to_bytes(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(self.wire_size());
         self.encode(&mut buf);
@@ -426,10 +411,9 @@ impl<A: Wire, B: Wire, C: Wire, D: Wire> Wire for (A, B, C, D) {
 ///
 /// Broadcast payloads are the motivating case: a stats-refresh flush
 /// ships the identical `StatsDelta` to N−1 peers, and the naive path
-/// paid N−1 deep clones plus N−1 full encodings (the simulator sizes
-/// every send with [`Wire::wire_size`], whose default encodes into a
-/// scratch buffer). Wrapping the payload in `Shared` pays the encoding
-/// exactly once at the sender.
+/// paid N−1 deep clones plus N−1 full encodings. Wrapping the payload in
+/// `Shared` pays the encoding exactly once at the sender, and its
+/// [`Wire::wire_size`] is the buffer's length.
 #[derive(Clone, Debug)]
 pub struct Shared<T> {
     value: Arc<T>,

@@ -32,6 +32,13 @@ impl Wire for Term {
             t => return Err(WireError::BadTag(t)),
         })
     }
+
+    fn wire_size(&self) -> usize {
+        1 + match self {
+            Term::Var(v) => v.wire_size(),
+            Term::Lit(l) => l.wire_size(),
+        }
+    }
 }
 
 impl Wire for TriplePattern {
@@ -47,6 +54,10 @@ impl Wire for TriplePattern {
             attr: Term::decode(buf)?,
             value: Term::decode(buf)?,
         })
+    }
+
+    fn wire_size(&self) -> usize {
+        self.subject.wire_size() + self.attr.wire_size() + self.value.wire_size()
     }
 }
 
@@ -73,6 +84,10 @@ impl Wire for CmpOp {
             5 => CmpOp::Ge,
             t => return Err(WireError::BadTag(t)),
         })
+    }
+
+    fn wire_size(&self) -> usize {
+        1
     }
 }
 
@@ -102,6 +117,14 @@ impl Wire for Scalar {
             2 => Scalar::EDist(Box::new(Scalar::decode(buf)?), Box::new(Scalar::decode(buf)?)),
             t => return Err(WireError::BadTag(t)),
         })
+    }
+
+    fn wire_size(&self) -> usize {
+        1 + match self {
+            Scalar::Var(v) => v.wire_size(),
+            Scalar::Lit(l) => l.wire_size(),
+            Scalar::EDist(a, b) => a.wire_size() + b.wire_size(),
+        }
     }
 }
 
@@ -150,6 +173,15 @@ impl Wire for Expr {
             t => return Err(WireError::BadTag(t)),
         })
     }
+
+    fn wire_size(&self) -> usize {
+        1 + match self {
+            Expr::Cmp { op, lhs, rhs } => op.wire_size() + lhs.wire_size() + rhs.wire_size(),
+            Expr::And(a, b) | Expr::Or(a, b) => a.wire_size() + b.wire_size(),
+            Expr::Not(a) => a.wire_size(),
+            Expr::Prefix { scalar, prefix } => scalar.wire_size() + prefix.wire_size(),
+        }
+    }
 }
 
 impl Wire for OrderItem {
@@ -163,6 +195,10 @@ impl Wire for OrderItem {
             var: Wire::decode(buf)?,
             dir: if bool::decode(buf)? { SortDir::Desc } else { SortDir::Asc },
         })
+    }
+
+    fn wire_size(&self) -> usize {
+        self.var.wire_size() + 1
     }
 }
 
@@ -178,50 +214,98 @@ impl Wire for SkyItem {
             dir: if bool::decode(buf)? { SkyDir::Max } else { SkyDir::Min },
         })
     }
+
+    fn wire_size(&self) -> usize {
+        self.var.wire_size() + 1
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::parser::parse;
+
+    /// Encodes, checks the arithmetic size against the bytes, decodes.
+    fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(v: &T) {
+        let b = v.to_bytes();
+        assert_eq!(b.len(), v.wire_size(), "wire_size of {v:?}");
+        assert_eq!(&T::from_bytes(&b).unwrap(), v);
+    }
 
     #[test]
     fn paper_query_parts_roundtrip() {
         let q = parse(
-            "SELECT ?name WHERE {(?a,'name',?name) (?c,'series',?sr)
-             FILTER edist(?sr,'ICDE')<3 AND ?name != 'x' OR NOT ?name = 'y'}
-             ORDER BY SKYLINE OF ?name MIN",
+            "SELECT ?name WHERE {(?a,'name',?name) (?c,'series',?sr) (?c,'year',2007)
+             FILTER edist(?sr,'ICDE')<3 AND ?name != 'x' OR NOT ?name = 'y'
+             FILTER prefix(?name,'Al') AND NOT edist(?name,?sr) >= 2.5}
+             ORDER BY SKYLINE OF ?name MIN, ?sr MAX",
         )
         .unwrap();
-        for p in &q.patterns {
-            let b = p.to_bytes();
-            assert_eq!(b.len(), p.wire_size());
-            assert_eq!(&TriplePattern::from_bytes(&b).unwrap(), p);
-        }
-        for f in &q.filters {
-            let b = f.to_bytes();
-            assert_eq!(&Expr::from_bytes(&b).unwrap(), f);
-        }
-        for s in &q.skyline {
-            let b = s.to_bytes();
-            assert_eq!(&SkyItem::from_bytes(&b).unwrap(), s);
+        q.patterns.iter().for_each(roundtrip);
+        q.filters.iter().for_each(roundtrip);
+        q.skyline.iter().for_each(roundtrip);
+        let q = parse("SELECT ?n WHERE {(?a,'name',?n)} ORDER BY ?n DESC, ?a LIMIT 3").unwrap();
+        q.order_by.iter().for_each(roundtrip);
+    }
+
+    /// Every shape the sizing arithmetic distinguishes, built by hand:
+    /// each `Term`, `Scalar` and `Expr` variant, nested ones included,
+    /// and both directions of the ordering items.
+    #[test]
+    fn every_ast_shape_sizes_by_arithmetic() {
+        let var = |v: &str| Scalar::Var(Arc::from(v));
+        let lits = [Value::str(""), Value::str("ICDE 2007"), Value::Int(-300), Value::Float(0.5)];
+        let mut scalars = vec![var("x"), var(&"long".repeat(40))];
+        scalars.extend(lits.iter().cloned().map(Scalar::Lit));
+        let edist = Scalar::EDist(Box::new(var("sr")), Box::new(Scalar::Lit(Value::str("ICDE"))));
+        scalars.push(Scalar::EDist(Box::new(edist.clone()), Box::new(var("y"))));
+        scalars.push(edist.clone());
+        scalars.iter().for_each(roundtrip);
+
+        let mut terms = vec![Term::Var(Arc::from("a"))];
+        terms.extend(lits.iter().cloned().map(Term::Lit));
+        terms.iter().for_each(roundtrip);
+        roundtrip(&TriplePattern {
+            subject: terms[0].clone(),
+            attr: terms[2].clone(),
+            value: terms[3].clone(),
+        });
+
+        let ops = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+        let mut exprs: Vec<Expr> = ops
+            .iter()
+            .zip(scalars.iter().cycle())
+            .map(|(&op, s)| Expr::Cmp { op, lhs: s.clone(), rhs: edist.clone() })
+            .collect();
+        exprs.push(Expr::Prefix { scalar: var("name"), prefix: Scalar::Lit(Value::str("Al")) });
+        let (a, b) = (Box::new(exprs[0].clone()), Box::new(exprs[6].clone()));
+        exprs.push(Expr::And(a.clone(), b.clone()));
+        exprs.push(Expr::Or(a.clone(), b.clone()));
+        exprs.push(Expr::Not(a.clone()));
+        exprs.push(Expr::Not(Box::new(Expr::Or(
+            Box::new(Expr::And(a, Box::new(Expr::Not(b.clone())))),
+            b,
+        ))));
+        exprs.iter().for_each(roundtrip);
+
+        for dir in [SkyDir::Min, SkyDir::Max] {
+            roundtrip(&SkyItem { var: Arc::from("y"), dir });
         }
     }
 
     #[test]
     fn order_item_roundtrip() {
         for dir in [SortDir::Asc, SortDir::Desc] {
-            let o = OrderItem { var: std::sync::Arc::from("x"), dir };
-            let b = o.to_bytes();
-            assert_eq!(OrderItem::from_bytes(&b).unwrap(), o);
+            roundtrip(&OrderItem { var: Arc::from("x"), dir });
         }
     }
 
     #[test]
     fn cmp_ops_roundtrip() {
         for op in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
-            let b = op.to_bytes();
-            assert_eq!(CmpOp::from_bytes(&b).unwrap(), op);
+            roundtrip(&op);
         }
     }
 }

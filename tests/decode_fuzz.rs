@@ -24,6 +24,7 @@ use unistore::{QueryMsg, UniMsg};
 use unistore_chord::msg::ChordBatchOp;
 use unistore_chord::ChordMsg;
 use unistore_overlay::repair::{Child, Part, RecordKey, RepairMsg, Span, Summary, FANOUT};
+use unistore_pgrid::msg::PeerRef;
 use unistore_pgrid::PGridMsg;
 use unistore_query::cost::StatsDelta;
 use unistore_query::{Coverage, Mqp, MqpNode, Relation};
@@ -104,6 +105,8 @@ fn sample_full_plans() -> Vec<Mqp> {
         "SELECT ?n WHERE {(?a,'name',?n) (?a,'age',?g) FILTER ?g >= 30} ORDER BY ?g DESC LIMIT 2",
         "SELECT ?n WHERE {(?a,'name',?n) (?a,'age',?g)} ORDER BY ?g TOP 3",
         "SELECT ?n WHERE {(?a,'name',?n) (?a,'age',?g)} ORDER BY SKYLINE OF ?g MIN",
+        "SELECT ?n WHERE {(?a,'name',?n) (?a,'age',?g)
+         FILTER prefix(?n,'al') AND NOT ?g < 18 OR edist(?n,'bob') <= 1}",
     ]
     .into_iter()
     .map(|src| {
@@ -145,6 +148,14 @@ fn sample_batch() -> OpBatch<Triple> {
     b
 }
 
+fn sample_peers() -> Vec<PeerRef> {
+    let path = unistore_util::BitPath::parse("0110").expect("static path");
+    vec![
+        PeerRef { id: NodeId(1), path },
+        PeerRef { id: NodeId(300), path: unistore_util::BitPath::ROOT },
+    ]
+}
+
 /// A well-formed split of `span`: [`FANOUT`] children with ascending
 /// upper bounds from `hi`, the last stretched to the span's end.
 fn sample_split<K: RecordKey>(span: Span<K>, hi: impl Fn(u64) -> K) -> Part<K> {
@@ -179,6 +190,18 @@ impl FuzzSeeds for PGridMsg<Triple> {
                 // position past the one-byte varint range.
                 positions: vec![7, 157, 307],
                 batch: sample_batch(),
+            },
+            PGridMsg::OpBatch {
+                qid: 13,
+                origin: NodeId(2),
+                hops: 0,
+                // Gaps of one, two and three varint bytes.
+                positions: vec![5, 205, 20_205, 2_020_205],
+                batch: {
+                    let mut b = sample_batch();
+                    b.push_delete(17, 0xBEEF, 1);
+                    b
+                },
             },
             PGridMsg::BatchAck { qid: 12, applied: vec![7, 157, 307], hops: 4 },
             PGridMsg::Range {
@@ -224,10 +247,16 @@ impl FuzzSeeds for PGridMsg<Triple> {
             PGridMsg::Ping { nonce: 77 },
             PGridMsg::Pong { nonce: 77 },
             PGridMsg::TableRequest,
+            PGridMsg::TableReply { peers: sample_peers() },
             PGridMsg::Exchange { path: unistore_util::BitPath::ROOT, store_len: 12 },
+            PGridMsg::ExchangeSplit {
+                new_sender_path: sample_peers()[0].path,
+                entries: entries.clone(),
+            },
             PGridMsg::ExchangeData { entries: entries.clone() },
             PGridMsg::ExchangeReplica { entries },
             PGridMsg::ExchangeAdopt { bit: true },
+            PGridMsg::ExchangeRefs { peers: sample_peers() },
         ]
     }
 }
