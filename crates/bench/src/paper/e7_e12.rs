@@ -333,7 +333,7 @@ pub(super) fn e11_churn() {
 }
 
 /// E12 (bonus) — dynamic construction: the pairwise bootstrap protocol
-/// converges to a working trie (paper §2, ref [1]).
+/// converges to a working trie (paper §2, ref \[1\]).
 pub(super) fn e12_bootstrap() {
     println!("\n## E12 — bootstrap convergence (pairwise exchanges, no coordination)\n");
     let mut cfg = quiet_pgrid();

@@ -138,9 +138,9 @@ pub struct ChordNode<I: Item> {
     pub(crate) successor: (NodeId, u64),
     /// The successor's successor: routing fallback when the successor
     /// is suspected dead and is not itself the destination owner.
-    successor2: (NodeId, u64),
+    pub(crate) successor2: (NodeId, u64),
     /// Deduped fingers, ascending ring distance from `ring_id`.
-    fingers: Vec<(NodeId, u64)>,
+    pub(crate) fingers: Vec<(NodeId, u64)>,
     pub(crate) store: ChordStore<I>,
     /// Anti-entropy with the predecessor ([`crate::replicate`]).
     pub(crate) repair: ReplicaRepair,
@@ -152,7 +152,7 @@ pub struct ChordNode<I: Item> {
     pub msg_load: u64,
     /// Exact-key reads dispatched via the exact index (`[0]`) vs. the
     /// bucket mirror (`[1]`); drives replica-aware read balancing.
-    reads_via: [u64; 2],
+    pub(crate) reads_via: [u64; 2],
     /// Routing-table peers presumed dead: they missed a ping deadline
     /// and have not been heard from since. `next_hop` routes around
     /// them.
@@ -267,43 +267,6 @@ impl<I: Item> ChordNode<I> {
         fx.set_timer(delay, Timer::new(timer::PING, 0));
     }
 
-    /// Live replica group for `key` from this node's view: if this node
-    /// is the current primary of either index position (exact or
-    /// bucket), itself plus — under successor replication — its current
-    /// successor, who receives the pushed replica. Empty when this node
-    /// is not a primary for the key. Observability for the scale
-    /// campaign's repair-lag measurement; tracks re-pointed successors
-    /// that the build-time plan cannot see.
-    pub fn replica_peers(&self, key: Key) -> Vec<NodeId> {
-        let mut group = Vec::new();
-        for rk in [ring_key_exact(key), ring_key_bucket(key, self.cfg.bucket_depth)] {
-            if self.responsible(rk) {
-                group.push(self.id);
-                if self.cfg.replicate && self.successor.0 != self.id {
-                    group.push(self.successor.0);
-                }
-            }
-        }
-        group.sort_unstable();
-        group.dedup();
-        group
-    }
-
-    /// Every distinct peer the routing state references — predecessor,
-    /// successors, fingers — self excluded, sorted. Observability for
-    /// the scale campaign's routing-staleness measurement.
-    pub fn routing_peers(&self) -> Vec<NodeId> {
-        let mut peers: Vec<NodeId> = Vec::with_capacity(self.fingers.len() + 3);
-        peers.push(self.predecessor.0);
-        peers.push(self.successor.0);
-        peers.push(self.successor2.0);
-        peers.extend(self.fingers.iter().map(|&(node, _)| node));
-        peers.sort_unstable();
-        peers.dedup();
-        peers.retain(|&p| p != self.id);
-        peers
-    }
-
     /// One probe round: ping every distinct routing-table peer and
     /// start the silence deadline. Suspicion is per-round — a peer
     /// still silent when [`timer::PING_DEADLINE`] fires is suspected.
@@ -327,7 +290,7 @@ impl<I: Item> ChordNode<I> {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn handle_lookup(
+    pub(crate) fn handle_lookup(
         &mut self,
         from: NodeId,
         qid: QueryId,
@@ -517,48 +480,6 @@ impl<I: Item> ChordNode<I> {
             self.pending.remove(&qid);
             fx.emit(OverlayDone::Batch { qid, ops, hops, ok: true });
         }
-    }
-
-    /// Issues a locally originated exact-key lookup (the embedding
-    /// UniStore node calls this as if it were the driver); completion
-    /// arrives as an [`OverlayDone::Lookup`] emit. The owner applies
-    /// `filter` (semi-join pushdown) before replying.
-    ///
-    /// Every write pays both the exact index and the bucket index, so
-    /// the two are exact mirrors: an inclusive `[key, key]` fetch
-    /// against the bucket position returns the same items as an exact
-    /// fetch. That makes the bucket index a free read replica — prefer
-    /// whichever mirror is locally owned (zero hops), otherwise
-    /// alternate between them so a hot key's reads land on two owners
-    /// instead of one.
-    pub fn local_lookup(
-        &mut self,
-        qid: QueryId,
-        key: Key,
-        filter: Option<ItemFilter>,
-        fx: &mut Fx<I>,
-    ) {
-        let rk = ring_key_exact(key);
-        let bk = ring_key_bucket(key, self.cfg.bucket_depth);
-        let via_bucket = if self.responsible(rk) {
-            false
-        } else if self.responsible(bk) {
-            true
-        } else {
-            self.reads_via[1] < self.reads_via[0]
-        };
-        self.reads_via[via_bucket as usize] += 1;
-        if via_bucket {
-            self.handle_lookup(NodeId::EXTERNAL, qid, bk, self.id, 0, Some((key, key)), filter, fx);
-        } else {
-            self.handle_lookup(NodeId::EXTERNAL, qid, rk, self.id, 0, None, filter, fx);
-        }
-    }
-
-    /// Read-dispatch split across the two mirror indexes
-    /// `(exact, bucket)`; inspection and load accounting.
-    pub fn reads_via(&self) -> (u64, u64) {
-        (self.reads_via[0], self.reads_via[1])
     }
 
     /// Places an entry directly into the local store under every index

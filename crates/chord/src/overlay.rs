@@ -11,7 +11,7 @@ use unistore_simnet::{Effects, NodeId};
 use unistore_util::Key;
 
 use crate::msg::{ChordBatchOp, ChordMsg};
-use crate::node::{ring_key_exact, ChordConfig, ChordNode, Item};
+use crate::node::{ring_key_bucket, ring_key_exact, ChordConfig, ChordNode, Item};
 use crate::store::ALL;
 use crate::topology::ChordTopology;
 
@@ -67,11 +67,33 @@ impl<I: Item + Send + 'static> Overlay for ChordNode<I> {
     }
 
     fn routing_refs(&self) -> Vec<NodeId> {
-        self.routing_peers()
+        let mut peers: Vec<NodeId> = Vec::with_capacity(self.fingers.len() + 3);
+        peers.push(self.predecessor.0);
+        peers.push(self.successor.0);
+        peers.push(self.successor2.0);
+        peers.extend(self.fingers.iter().map(|&(node, _)| node));
+        peers.sort_unstable();
+        peers.dedup();
+        peers.retain(|&p| p != ChordNode::id(self));
+        peers
     }
 
     fn replica_group(&self, key: Key) -> Vec<NodeId> {
-        self.replica_peers(key)
+        // The current primary of either index position (exact or bucket)
+        // plus, under successor replication, the successor it pushes to.
+        let me = ChordNode::id(self);
+        let mut group = Vec::new();
+        for rk in [ring_key_exact(key), ring_key_bucket(key, self.cfg.bucket_depth)] {
+            if ChordNode::responsible(self, rk) {
+                group.push(me);
+                if self.cfg.replicate && self.successor.0 != me {
+                    group.push(self.successor.0);
+                }
+            }
+        }
+        group.sort_unstable();
+        group.dedup();
+        group
     }
 
     fn repair_stats(&self) -> RepairStats {
@@ -82,6 +104,11 @@ impl<I: Item + Send + 'static> Overlay for ChordNode<I> {
         ChordNode::preload(self, key, item, version)
     }
 
+    /// Every write pays both the exact and the bucket index, so an
+    /// inclusive `[key, key]` fetch at the bucket position returns what
+    /// an exact fetch does: the bucket index is a free read replica.
+    /// Reads prefer whichever mirror is locally owned (zero hops), and
+    /// otherwise alternate so a hot key's reads land on two owners.
     fn local_lookup(
         &mut self,
         qid: u64,
@@ -89,7 +116,17 @@ impl<I: Item + Send + 'static> Overlay for ChordNode<I> {
         filter: Option<ItemFilter>,
         fx: &mut Effects<ChordMsg<I>, OverlayDone<I>>,
     ) {
-        ChordNode::local_lookup(self, qid, key, filter, fx)
+        let (rk, bk) = (ring_key_exact(key), ring_key_bucket(key, self.cfg.bucket_depth));
+        let via_bucket = if ChordNode::responsible(self, rk) {
+            false
+        } else if ChordNode::responsible(self, bk) {
+            true
+        } else {
+            self.reads_via[1] < self.reads_via[0]
+        };
+        self.reads_via[via_bucket as usize] += 1;
+        let (ring_key, range) = if via_bucket { (bk, Some((key, key))) } else { (rk, None) };
+        self.handle_lookup(NodeId::EXTERNAL, qid, ring_key, self.id(), 0, range, filter, fx);
     }
 
     fn local_range(

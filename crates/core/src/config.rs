@@ -124,15 +124,6 @@ pub struct UniConfig<C = PGridConfig> {
     /// Origin-side retry / hedging policy (DESIGN.md §"Failure
     /// semantics").
     pub backoff: BackoffPolicy,
-    /// Cap on attempt aliases (initial dispatches + retries + hedges
-    /// not yet resolved) outstanding at one origin node. At the cap,
-    /// deadline-driven re-dispatches defer (the timer re-arms, the
-    /// stranded attempts stay live) and hedges are skipped — the guard
-    /// that keeps a correlated mass failure from amplifying a whole
-    /// admission window into a retry storm (DESIGN.md §"Scale and
-    /// churn"). The default 64 is twice the default admission window,
-    /// so ordinary retries and hedges never hit it.
-    pub attempt_budget: usize,
 }
 
 impl Default for UniConfig<PGridConfig> {
@@ -165,7 +156,6 @@ impl<C> UniConfig<C> {
             result_cache: 0,
             min_coverage: 0.0,
             backoff: BackoffPolicy::default(),
-            attempt_budget: 64,
         }
     }
 
@@ -180,27 +170,9 @@ impl<C> UniConfig<C> {
         self
     }
 
-    /// Enables or disables hedged query dispatch (on by default).
-    pub fn with_hedging(mut self, enabled: bool) -> Self {
-        self.backoff.hedging = enabled;
-        self
-    }
-
     /// Replaces the origin-side retry / hedging policy wholesale.
     pub fn with_backoff(mut self, policy: BackoffPolicy) -> Self {
         self.backoff = policy;
-        self
-    }
-
-    /// Sets the per-origin attempt budget (the retry-storm guard; see
-    /// [`UniConfig::attempt_budget`]).
-    ///
-    /// # Panics
-    /// Panics if `n == 0` — a zero budget would suppress even the
-    /// first retry of a lone query.
-    pub fn with_attempt_budget(mut self, n: usize) -> Self {
-        assert!(n > 0, "attempt budget must admit at least one attempt");
-        self.attempt_budget = n;
         self
     }
 
@@ -308,23 +280,8 @@ mod tests {
         let c = UniConfig::default();
         assert_eq!(c.min_coverage, 0.0, "best-effort by default");
         assert!(c.backoff.hedging, "hedging on by default");
-        let c = c.with_min_coverage(0.9).with_hedging(false);
+        let c = c.with_min_coverage(0.9);
         assert_eq!(c.min_coverage, 0.9);
-        assert!(!c.backoff.hedging);
-    }
-
-    #[test]
-    fn attempt_budget_knob() {
-        let c = UniConfig::default();
-        assert_eq!(c.attempt_budget, 64, "budget defaults to 2× admission window");
-        let c = c.with_attempt_budget(8);
-        assert_eq!(c.attempt_budget, 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "attempt budget")]
-    fn zero_attempt_budget_rejected() {
-        let _ = UniConfig::default().with_attempt_budget(0);
     }
 
     #[test]

@@ -268,21 +268,15 @@ pub trait Overlay:
     /// `key` (any index). Observability only: the scale campaign
     /// measures replication *repair lag* as the time from a crashed
     /// replica's revival until every planned holder of a key written
-    /// during the outage holds it again. The default (`false`) opts a
-    /// backend out of the measurement.
-    fn holds(&self, _key: Key) -> bool {
-        false
-    }
+    /// during the outage holds it again.
+    fn holds(&self, key: Key) -> bool;
 
     /// Every peer this node's routing state currently references
     /// (routing-table entries, fingers, successors, replica partners —
     /// deduplicated, self excluded). Observability only: the scale
     /// campaign measures routing-table *staleness* as the fraction of
-    /// references pointing at peers that are actually down. The default
-    /// (empty) opts a backend out of the measurement.
-    fn routing_refs(&self) -> Vec<NodeId> {
-        Vec::new()
-    }
+    /// references pointing at peers that are actually down.
+    fn routing_refs(&self) -> Vec<NodeId>;
 
     /// From this node's *live* view: if it is a primary for `key`, the
     /// full set of peers (itself included) that should eventually hold
@@ -291,19 +285,13 @@ pub trait Overlay:
     /// build-time plan, this tracks runtime drift — path migrations,
     /// re-pointed successors — so the scale campaign can pick partition
     /// victims and check repair convergence against where the data
-    /// *actually* lives. Observability only; the default (empty) opts a
-    /// backend out.
-    fn replica_group(&self, _key: Key) -> Vec<NodeId> {
-        Vec::new()
-    }
+    /// *actually* lives. Observability only.
+    fn replica_group(&self, key: Key) -> Vec<NodeId>;
 
     /// Bytes this peer's replica repair has sent so far, by message
     /// kind. Observability only: the scale campaign's `repair_kib`
-    /// column is the sum over all peers across the heal phase. The
-    /// default (all zero) opts a backend out.
-    fn repair_stats(&self) -> repair::RepairStats {
-        repair::RepairStats::default()
-    }
+    /// column is the sum over all peers across the heal phase.
+    fn repair_stats(&self) -> repair::RepairStats;
 
     // ---- local placement and retrieval --------------------------------
 

@@ -406,10 +406,10 @@ fn failure_masking_is_invisible_on_the_healthy_path() {
         57,
     );
     let tuples = world.all_tuples();
-    let pg_cfg = UniConfig::default().with_replication(3).with_min_coverage(1.0).with_hedging(true);
+    let pg_cfg = UniConfig::default().with_replication(3).with_min_coverage(1.0);
     let mut pgrid = UniCluster::build(16, pg_cfg, 57);
     pgrid.load(tuples.clone());
-    let mut ch_cfg = chord_config().with_min_coverage(1.0).with_hedging(true);
+    let mut ch_cfg = chord_config().with_min_coverage(1.0);
     ch_cfg.overlay.replicate = true;
     ch_cfg.overlay.ping_interval = unistore_simnet::SimTime::from_secs(10);
     let mut chord = ChordUniCluster::build_overlay(16, ch_cfg, 57);
