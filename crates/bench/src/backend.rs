@@ -34,6 +34,9 @@ pub trait Backend: Overlay<Item = Triple> {
     /// replica anti-entropy every `anti_entropy`, a 30 s query deadline
     /// over 8 s overlay operations.
     fn resilient(probe: SimTime, anti_entropy: SimTime) -> UniConfig<Self::Config>;
+
+    /// Live records in this peer's store (the hot-peer census).
+    fn records(&self) -> usize;
 }
 
 impl Backend for PGrid {
@@ -50,6 +53,10 @@ impl Backend for PGrid {
         cfg.query_timeout = SimTime::from_secs(30);
         cfg.overlay.query_timeout = SimTime::from_secs(8);
         cfg
+    }
+
+    fn records(&self) -> usize {
+        self.store().len()
     }
 }
 
@@ -68,6 +75,10 @@ impl Backend for Chord {
         cfg.query_timeout = SimTime::from_secs(30);
         cfg.overlay.query_timeout = SimTime::from_secs(8);
         cfg
+    }
+
+    fn records(&self) -> usize {
+        self.store().len()
     }
 }
 

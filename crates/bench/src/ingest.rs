@@ -3,14 +3,16 @@
 //! with 64-triple batches (per-hop `OpBatch` coalescing, shared payloads,
 //! positional acks). Asserts in-code that messages and KiB per 1k triples
 //! stay under absolute ceilings on BOTH backends, with oracle-identical
-//! query results afterward.
+//! query results afterward, and takes the census the write layout sets:
+//! the most records one peer holds, and the q-gram posting ops routed.
 
 use std::path::Path;
 
+use unistore::cluster::build_insert_batch;
 use unistore::UniCluster;
 use unistore_query::StatsDelta;
 use unistore_simnet::{NodeId, SimTime};
-use unistore_store::{Tuple, Value};
+use unistore_store::{IndexKind, Tuple, Value};
 use unistore_util::wire::Wire;
 use unistore_workload::{PubParams, PubWorld};
 
@@ -30,6 +32,16 @@ const BATCH_TUPLES: usize = 16; // × 4 triples = batch size 64
 const CEILINGS: [(&str, (f64, f64)); 2] =
     [(PGrid::LABEL, (6885.0, 531.0)), (Chord::LABEL, (17140.0, 1733.0))];
 
+/// `(backend, (max_records_per_peer, qgram_ops_per_1k))` ceilings.
+/// Stored as a copy of each string triple under every q-gram, this
+/// stream routed 6 018 q-gram ops per 1k triples on both backends; one
+/// posting per distinct `(attr, value)` of a batch routes 4 814 (every
+/// `name` is distinct, so only `tag` shares postings). The busiest peer
+/// holds 4 754 (P-Grid) and 4 803 (Chord) records either way: the
+/// `name` grams of an empty deployment's unbalanced key space.
+const CENSUS_CEILINGS: [(&str, (usize, f64)); 2] =
+    [(PGrid::LABEL, (5_000, 5_000.0)), (Chord::LABEL, (5_000, 5_000.0))];
+
 /// Ceiling on `StatsDelta` bytes per recorded triple: a third of the
 /// 26.3 B the batch's triples average when shipped as a list.
 const DELTA_BYTES_PER_TRIPLE_CEILING: f64 = 8.8;
@@ -46,14 +58,20 @@ fn ingest<B: Backend>(tuples: &[Tuple], delta_bytes_per_triple: f64) -> (Row, Ve
     // Quiet stats dissemination so the measured traffic is exactly the
     // write pipeline.
     let cfg = B::config().with_stats_refresh(SimTime::from_secs(1_000_000_000));
+    let with_qgrams = cfg.with_qgrams;
     let mut cluster = UniCluster::<B>::build_overlay(64, cfg, SEED);
     let before = cluster.net.metrics();
+    let mut qgram_ops = 0;
     for c in tuples.chunks(BATCH_TUPLES) {
+        let (batch, _) = build_insert_batch(c, with_qgrams);
+        qgram_ops +=
+            batch.ops.iter().filter(|op| IndexKind::of_key(op.key) == IndexKind::QGram).count();
         let origin = cluster.random_node();
         let (ok, _) = cluster.insert_batch(origin, c);
         assert!(ok, "ingest batch must be fully acked");
     }
     let d = cluster.net.metrics().delta(&before);
+    let max_records = cluster.net.iter_nodes().map(|(_, n)| n.overlay.records()).max().unwrap_or(0);
     let answers = QUERIES
         .iter()
         .map(|q| {
@@ -69,6 +87,7 @@ fn ingest<B: Backend>(tuples: &[Tuple], delta_bytes_per_triple: f64) -> (Row, Ve
     let kib = d.bytes as f64 / 1024.0;
     let msgs_per_1k = d.sent as f64 * 1000.0 / triples as f64;
     let kib_per_1k = kib * 1000.0 / triples as f64;
+    let qgram_ops_per_1k = qgram_ops as f64 * 1000.0 / triples as f64;
     let (max_msgs, max_kib) = for_backend::<B, _>(&CEILINGS);
     assert!(
         msgs_per_1k <= max_msgs,
@@ -80,6 +99,17 @@ fn ingest<B: Backend>(tuples: &[Tuple], delta_bytes_per_triple: f64) -> (Row, Ve
         "{}: {kib_per_1k:.1} KiB per 1k triples exceeds the {max_kib} ceiling",
         B::LABEL
     );
+    let (max_peer, max_qgram) = for_backend::<B, _>(&CENSUS_CEILINGS);
+    assert!(
+        max_records <= max_peer,
+        "{}: one peer holds {max_records} records, over the {max_peer} ceiling",
+        B::LABEL
+    );
+    assert!(
+        qgram_ops_per_1k <= max_qgram,
+        "{}: {qgram_ops_per_1k:.1} q-gram ops per 1k triples exceeds the {max_qgram} ceiling",
+        B::LABEL
+    );
     let row = Row::new()
         .str("backend", B::LABEL)
         .int("batch_triples", (BATCH_TUPLES * 4) as u64)
@@ -88,7 +118,9 @@ fn ingest<B: Backend>(tuples: &[Tuple], delta_bytes_per_triple: f64) -> (Row, Ve
         .float("kib", kib, 3)
         .float("msgs_per_1k", msgs_per_1k, 3)
         .float("kib_per_1k", kib_per_1k, 3)
-        .float("stats_delta_bytes_per_triple", delta_bytes_per_triple, 3);
+        .float("stats_delta_bytes_per_triple", delta_bytes_per_triple, 3)
+        .int("max_records_per_peer", max_records as u64)
+        .float("qgram_ops_per_1k", qgram_ops_per_1k, 3);
     (row, answers)
 }
 

@@ -58,12 +58,12 @@ pub(super) fn e7_qgram() {
             assert_eq!(rows_seen[0], rows_seen[1], "strategies must agree");
         }
     }
-    println!("\nverdict: the q-gram index pays a fixed per-gram lookup fee but ships only");
-    println!("count-filtered candidates — its *byte* cost beats the naive sweep and the gap");
-    println!("grows with data size. Message-wise the naive sweep profits from the");
-    println!("order-preserving layout clustering the whole attribute into few leaves; the");
-    println!("optimizer weighs both and picks per situation (paper: \"each beneficial in");
-    println!("special situations\").");
+    println!("\nverdict: the q-gram index pays a per-gram lookup fee for one posting per");
+    println!("candidate value, then one A#v lookup per value within distance k — its *byte*");
+    println!("cost beats the naive sweep and the gap grows with data size. Message-wise the");
+    println!("naive sweep profits from the order-preserving layout clustering the whole");
+    println!("attribute into few leaves; the optimizer weighs both and picks per situation");
+    println!("(paper: \"each beneficial in special situations\").");
 }
 
 /// E8 — claim C1: "predict exact costs … almost all logarithmic".

@@ -19,12 +19,12 @@ use unistore_pgrid::PGridPeer;
 use unistore_query::{CostModel, Coverage, Logical, Mqp, MqpNode, Relation, StatsDelta};
 use unistore_simnet::metrics::OpCost;
 use unistore_simnet::{LanLatency, LatencyModel, NodeId, SimNet, SimTime};
-use unistore_store::index::TripleKeys;
+use unistore_store::index::{self as idx, TripleKeys};
 use unistore_store::mapping::{Mapping, MappingSet};
 use unistore_store::{Triple, Tuple, Value};
 use unistore_util::rng::{derive_rng, stream};
 use unistore_util::wire::Shared;
-use unistore_util::{BitPath, FxHashMap, Key};
+use unistore_util::{BitPath, CompactStr, FxHashMap, FxHashSet, Key};
 use unistore_vql::{analyze, parse, VqlError};
 
 use crate::config::{PlanMode, UniConfig};
@@ -178,11 +178,8 @@ impl<O: Overlay<Item = Triple>> UniCluster<O> {
             // Re-plan the topology against the actual key distribution —
             // P-Grid's converged, load-balanced state. (Backends with an
             // order-destroying hash ignore the sample.)
-            let sample: Vec<Key> = self
-                .triples
-                .iter()
-                .flat_map(|t| TripleKeys::derive(t, self.cfg.with_qgrams).primary())
-                .collect();
+            let sample: Vec<Key> =
+                self.triples.iter().flat_map(|t| TripleKeys::derive(t, false).primary()).collect();
             let n = self.net.len();
             self.rebuild_topology(n, Some(&sample));
         }
@@ -195,7 +192,8 @@ impl<O: Overlay<Item = Triple>> UniCluster<O> {
     pub fn add_mapping(&mut self, m: &Mapping) {
         self.triples.push(m.to_triple());
         self.mappings.add(m);
-        self.place_triple_direct(&m.to_triple());
+        let mut postings = Postings::new(self.cfg.with_qgrams);
+        self.place_triple_direct(&m.to_triple(), &mut postings);
         for i in 0..self.net.len() {
             self.net.node_mut(NodeId(i as u32)).mappings.add(m);
         }
@@ -214,17 +212,30 @@ impl<O: Overlay<Item = Triple>> UniCluster<O> {
         // Placement mutates nodes while reading the dataset; move the
         // triples out for the loop instead of cloning them.
         let triples = std::mem::take(&mut self.triples);
+        let mut postings = Postings::new(self.cfg.with_qgrams);
         for t in &triples {
-            self.place_triple_direct(t);
+            self.place_triple_direct(t, &mut postings);
         }
         self.triples = triples;
     }
 
-    fn place_triple_direct(&mut self, t: &Triple) {
-        for key in TripleKeys::derive(t, self.cfg.with_qgrams).all() {
-            for p in self.topology.holders(key) {
-                self.net.node_mut(NodeId(p as u32)).overlay.preload(key, t.clone(), 0);
+    /// Preloads `t` under its primary keys, and its value's posting under
+    /// the q-gram keys unless this load placed it already.
+    fn place_triple_direct(&mut self, t: &Triple, postings: &mut Postings) {
+        for key in TripleKeys::derive(t, false).primary() {
+            self.preload(key, t);
+        }
+        if let Some((posting, keys)) = postings.first(t) {
+            for key in keys {
+                self.preload(key, &posting);
             }
+        }
+    }
+
+    /// Stores `item` under `key` at every holder, at version 0.
+    fn preload(&mut self, key: Key, item: &Triple) {
+        for p in self.topology.holders(key) {
+            self.net.node_mut(NodeId(p as u32)).overlay.preload(key, item.clone(), 0);
         }
     }
 
@@ -563,17 +574,19 @@ impl<O: Overlay<Item = Triple>> UniCluster<O> {
     }
 
     /// Deletes many facts through the routed protocol path as one
-    /// batched write: every fact's index entries become delete ops of a
-    /// single [`OpBatch`], and the statistics absorb the batch as one
-    /// O(delta) fold. `version` must be strictly above the stored
-    /// entries' (loaded data is at version 0): at an equal version the
-    /// delete loses like any equal-version write and is a no-op on both
-    /// backends.
+    /// batched write: every fact's three primary index entries become
+    /// delete ops of a single [`OpBatch`], and the statistics absorb the
+    /// batch as one O(delta) fold. The value's q-gram posting stays: it
+    /// is a hint, and a similarity scan that follows a stale one finds
+    /// no row under the A#v key. `version` must be strictly above the
+    /// stored entries' (loaded data is at version 0): at an equal version
+    /// the delete loses like any equal-version write and is a no-op on
+    /// both backends.
     pub fn delete_batch(&mut self, origin: NodeId, facts: &[Triple], version: u64) -> bool {
         let mut batch: OpBatch<Triple> = OpBatch::new();
         for triple in facts {
             let ident = unistore_util::item::Item::ident(triple);
-            for key in TripleKeys::derive(triple, self.cfg.with_qgrams).all() {
+            for key in TripleKeys::derive(triple, false).primary() {
                 batch.push_delete(key, ident, version);
             }
         }
@@ -591,17 +604,19 @@ impl<O: Overlay<Item = Triple>> UniCluster<O> {
     }
 
     /// Updates the value of `(oid, attr)` through the protocol path:
-    /// one batch deletes the old index entries and inserts the new ones
-    /// with a newer version (paper ref \[4\] loose-consistency updates —
-    /// the versioned stores make the delete/insert ops order-independent
-    /// even when the batch forks). The statistics absorb the write as an
+    /// one batch deletes the old primary index entries and inserts the
+    /// new ones with a newer version (paper ref \[4\] loose-consistency
+    /// updates — the versioned stores make the delete/insert ops
+    /// order-independent even when the batch forks), plus the new value's
+    /// q-gram posting at version 0. The old value's posting stays, as on
+    /// [`Self::delete_batch`]. The statistics absorb the write as an
     /// O(delta) fold — no rescan.
     pub fn update(&mut self, origin: NodeId, old: &Triple, new_value: Value, version: u64) -> bool {
         let new_triple = Triple { oid: old.oid.clone(), attr: old.attr.clone(), value: new_value };
         let ident = unistore_util::item::Item::ident(old);
-        // Remove the old fact under every key it was indexed at; its
-        // identity includes the old value, so the new entry (different
-        // identity) is untouched even at shared keys (e.g. OID index).
+        // Remove the old fact under every primary key; its identity
+        // includes the old value, so the new entry (different identity)
+        // is untouched even at shared keys (e.g. OID index).
         //
         // A same-value update keeps the identity, so the deletes are
         // skipped: a delete and an insert of ONE identity at the SAME
@@ -611,14 +626,15 @@ impl<O: Overlay<Item = Triple>> UniCluster<O> {
         let refresh = ident == unistore_util::item::Item::ident(&new_triple);
         let mut batch = OpBatch::new();
         if !refresh {
-            for key in TripleKeys::derive(old, self.cfg.with_qgrams).all() {
+            for key in TripleKeys::derive(old, false).primary() {
                 batch.push_delete(key, ident, version);
             }
         }
         let item = batch.add_item(new_triple.clone());
-        for key in TripleKeys::derive(&new_triple, self.cfg.with_qgrams).all() {
+        for key in TripleKeys::derive(&new_triple, false).primary() {
             batch.push_insert(key, item, version);
         }
+        Postings::new(self.cfg.with_qgrams).push(&mut batch, &new_triple);
         let ok = self.run_batch(origin, &batch).0;
         let mut delta = StatsDelta::new();
         // Track driver-side view.
@@ -699,23 +715,57 @@ pub(crate) fn plan_query(
     ))
 }
 
-/// Expands tuples into triples and their full index fan-out as one
-/// [`OpBatch`]: every triple's keys are derived once and the payload is
-/// referenced by compact tags instead of one copy per key. Shared by
-/// the simulated cluster driver and the live threaded runtime so the
-/// two ingest paths cannot drift.
-pub(crate) fn build_insert_batch(
-    tuples: &[Tuple],
-    with_qgrams: bool,
-) -> (OpBatch<Triple>, Vec<Triple>) {
+/// The q-gram postings one write or one load has placed so far: a
+/// string `(attr, value)` pair gets its posting once however many
+/// triples of the write carry it. With the q-gram index off it places
+/// none.
+struct Postings(Option<FxHashSet<(Arc<str>, CompactStr)>>);
+
+impl Postings {
+    fn new(with_qgrams: bool) -> Self {
+        Postings(with_qgrams.then(FxHashSet::default))
+    }
+
+    /// `t`'s posting and its q-gram keys, the first time `t`'s pair is
+    /// seen.
+    fn first(&mut self, t: &Triple) -> Option<(Triple, Vec<Key>)> {
+        let (seen, Value::Str(s)) = (self.0.as_mut()?, &t.value) else { return None };
+        if !seen.insert((t.attr.clone(), s.clone())) {
+            return None;
+        }
+        Some((idx::qgram_posting(t)?, idx::qgram_keys(&t.attr, s)))
+    }
+
+    /// Appends `t`'s posting to `batch` at version 0, the first time
+    /// `t`'s pair is seen.
+    fn push(&mut self, batch: &mut OpBatch<Triple>, t: &Triple) {
+        if let Some((posting, keys)) = self.first(t) {
+            let item = batch.add_item(posting);
+            for key in keys {
+                batch.push_insert(key, item, 0);
+            }
+        }
+    }
+}
+
+/// Expands tuples into triples and their index fan-out as one
+/// [`OpBatch`]: each triple under its three primary keys, and one
+/// q-gram posting per distinct string `(attr, value)` of the batch under
+/// that value's q-gram keys. Every payload is carried once and
+/// referenced by compact tags. This is the batch
+/// [`UniCluster::insert_batch`] routes, shared with the live threaded
+/// runtime so the two ingest paths cannot drift.
+pub fn build_insert_batch(tuples: &[Tuple], with_qgrams: bool) -> (OpBatch<Triple>, Vec<Triple>) {
     let mut batch = OpBatch::new();
     let mut triples = Vec::new();
+    let mut postings = Postings::new(with_qgrams);
     for tuple in tuples {
         for t in tuple.to_triples() {
             let item = batch.add_item(t.clone());
-            for key in TripleKeys::derive(&t, with_qgrams).all() {
+            for key in TripleKeys::derive(&t, false).primary() {
                 batch.push_insert(key, item, 0);
             }
+            postings.push(&mut batch, &t);
             triples.push(t);
         }
     }

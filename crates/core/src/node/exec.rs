@@ -59,20 +59,35 @@ pub(super) struct Wait {
     pattern: TriplePattern,
     outstanding: usize,
     triples: Vec<Triple>,
-    /// Count-filter parameters when the scan used the q-gram index.
-    qgram: Option<(String, usize)>,
+    /// The round a q-gram similarity scan is in.
+    qgram: Option<QGramRound>,
     max_hops: u32,
     /// Key to cache the collected rows under when the scan was a
     /// single remote exact-match lookup. Cleared if any completion
     /// fails or an invalidation for the key races the scan.
     cache_key: Option<Key>,
-    /// Storage ops this wait issued over the network (coverage
-    /// denominator; cache-resolved lookups never leave the node and
-    /// are vacuously complete).
+    /// Storage ops this wait issued over the network, over both rounds
+    /// of a q-gram scan (coverage denominator; cache-resolved lookups
+    /// never leave the node and are vacuously complete).
     issued: u32,
     /// Ops that came back failed or partial (`!done.ok()`) — the
     /// coverage shortfall of this scan.
     failed: u32,
+}
+
+/// A q-gram similarity scan is two routed rounds. The q-gram keys hold
+/// postings, one per distinct `(attr, value)`, not rows: round 1 looks
+/// the target's grams up and collects postings; the plan holder keeps
+/// each distinct value that passes the count filter and lies within
+/// edit distance `k`; round 2 looks each survivor up under its A#v key
+/// and keeps the rows of exactly those values. A posting is a hint: one
+/// left behind by a delete or an update finds no row in round 2.
+enum QGramRound {
+    /// Round 1 is out. The semi-join filter waits for round 2: it tests
+    /// rows, and a posting is not one.
+    Postings { target: String, k: usize, filter: Option<ItemFilter> },
+    /// Round 2 is out, for the rows of these values.
+    Rows(Vec<(Arc<str>, Value)>),
 }
 
 impl Wait {
@@ -129,7 +144,13 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
         }
     }
 
-    fn finish_wait(&mut self, wait: Wait, fx: &mut UniFx<O::Msg>) {
+    fn finish_wait(&mut self, mut wait: Wait, fx: &mut UniFx<O::Msg>) {
+        match wait.qgram.take() {
+            Some(QGramRound::Postings { target, k, filter }) => {
+                return self.fetch_similar(wait, &target, k, filter, fx)
+            }
+            round => wait.qgram = round,
+        }
         let Wait {
             mut mqp, pattern, mut triples, qgram, max_hops, cache_key, issued, failed, ..
         } = wait;
@@ -142,12 +163,10 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
         if let Some(key) = cache_key {
             self.cache.put(key, triples.clone());
         }
-        // q-gram count filter: drop candidates that cannot be within
-        // distance k (never drops true matches — tested property).
-        if let Some((target, k)) = &qgram {
-            triples.retain(|t| {
-                t.value.as_str().is_none_or(|s| qgram::passes_count_filter(s, target, *k))
-            });
+        // An A#v key holds every value sharing its truncated prefix:
+        // keep the rows of the similar values only.
+        if let Some(QGramRound::Rows(values)) = &qgram {
+            triples.retain(|t| values.iter().any(|(a, v)| *a == t.attr && v.eq_values(&t.value)));
         }
         let rel = bind_triples(&pattern, &triples, &self.mappings);
         mqp.root.resolve_first_scan(rel);
@@ -156,6 +175,38 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
         // accounting (a shortfall marks the result as partial).
         mqp.coverage.record_scan(issued.saturating_sub(failed), issued);
         self.continue_plan(mqp, fx);
+    }
+
+    /// Ends round 1 of a q-gram scan: filters the distinct values the
+    /// postings name, once each, and issues round 2 — one A#v lookup per
+    /// surviving key, carrying the semi-join filter — through the same
+    /// wait.
+    fn fetch_similar(
+        &mut self,
+        mut wait: Wait,
+        target: &str,
+        k: usize,
+        filter: Option<ItemFilter>,
+        fx: &mut UniFx<O::Msg>,
+    ) {
+        let postings = std::mem::take(&mut wait.triples);
+        let mut values: Vec<(Arc<str>, Value)> = Vec::new();
+        let mut seen: FxHashSet<(&str, &str)> = FxHashSet::default();
+        for p in &postings {
+            let Some(s) = p.value.as_str() else { continue };
+            if seen.insert((&p.attr, s))
+                && qgram::passes_count_filter(s, target, k)
+                && qgram::edit_distance(s, target) <= k
+            {
+                values.push((p.attr.clone(), p.value.clone()));
+            }
+        }
+        let mut keys: Vec<Key> = values.iter().map(|(a, v)| idx::attr_value_key(a, v)).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        wait.mqp.hops += std::mem::take(&mut wait.max_hops);
+        wait.qgram = Some(QGramRound::Rows(values));
+        self.issue(wait, keys.into_iter().map(Op::Lookup).collect(), filter, fx);
     }
 
     /// Runs the next step of a plan at this node: reduce, finish, fetch
@@ -354,12 +405,14 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
             ScanStrategy::QGram { attr, target, k } => {
                 let mut keys: Vec<Key> = Vec::new();
                 for a in self.mappings.expand(attr) {
-                    keys.extend(qgram::qgrams(target).into_iter().map(|g| idx::qgram_key(&a, g)));
+                    keys.extend(idx::qgram_keys(&a, target));
                 }
                 keys.sort_unstable();
                 keys.dedup();
                 ops.extend(keys.into_iter().map(Op::Lookup));
-                wait.qgram = Some((target.clone(), *k));
+                let (target, k) = (target.clone(), *k);
+                wait.qgram = Some(QGramRound::Postings { target, k, filter });
+                return self.issue(wait, ops, None, fx);
             }
             ScanStrategy::ValueLookup { value } => ops.push(Op::Lookup(idx::value_key(value))),
             ScanStrategy::FullScan { .. } => {
@@ -375,7 +428,8 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
     /// Suspends a plan on its storage ops and issues them, `filter`
     /// shipping with each. The wait is registered first: locally
     /// resolving ops may complete synchronously. With no op (every
-    /// lookup came from the cache) the plan continues at once.
+    /// lookup came from the cache, or no value survived a q-gram scan's
+    /// first round) the plan continues at once.
     fn issue(
         &mut self,
         mut wait: Wait,
@@ -392,7 +446,7 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
             self.waiting.insert(*q, qid);
         }
         wait.outstanding = qids.len();
-        wait.issued = qids.len() as u32;
+        wait.issued += qids.len() as u32;
         self.active.insert(qid, wait);
         for (q, op) in qids.into_iter().zip(ops) {
             let f = filter.clone();

@@ -180,23 +180,27 @@ impl CostModel {
                 }
             }
             ScanStrategy::QGram { attr, target, k } => {
+                // Round 1 looks up every gram of the target and ships the
+                // postings under them, one per distinct value holding the
+                // gram; round 2 looks up each value that survives the
+                // filters under its A#v key and ships its rows.
                 let grams = (target.len() + qgram::QGRAM_Q - 1) as f64;
-                let (candidates, verified) = match st.attr(attr) {
-                    None => (st.unknown_attr_card(), st.unknown_attr_card()),
+                let (postings, survivors, verified) = match st.attr(attr) {
+                    None => (st.unknown_attr_card(), 1.0, st.unknown_attr_card()),
                     Some(a) => {
-                        let posting = a.gram_postings / a.gram_distinct.max(1.0);
-                        let candidates = (grams * posting).min(a.count);
+                        let postings = grams * a.gram_postings / a.gram_distinct.max(1.0);
                         // Verified matches: crude selectivity — strings
                         // within distance k of one target are rare.
                         let sel = ((*k as f64 + 1.0) / a.distinct.max(1.0)).min(1.0);
-                        (candidates, (a.count * sel).max(1.0))
+                        let survivors = (a.join_distinct * sel).max(1.0);
+                        (postings, survivors, (a.count * sel).max(1.0))
                     }
                 };
                 ScanEstimate {
                     cost: CostVector {
-                        messages: grams * (log_n + 1.0),
-                        depth: log_n + 1.0,
-                        bytes: candidates * row_bytes,
+                        messages: (grams + survivors) * (log_n + 1.0),
+                        depth: 2.0 * (log_n + 1.0),
+                        bytes: (postings + verified) * row_bytes,
                     },
                     cardinality: verified,
                 }

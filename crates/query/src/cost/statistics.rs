@@ -52,20 +52,51 @@ pub struct AttrStats {
     pub join_distinct: f64,
     /// Histogram over A#v-index keys (range selectivity).
     pub hist: Histogram,
-    /// Total q-gram postings (string values only).
+    /// Total q-gram postings (string values only): one per distinct
+    /// gram of each distinct value, which is what the q-gram index
+    /// stores however many objects carry the value.
     pub gram_postings: f64,
     /// Distinct q-grams.
     pub gram_distinct: f64,
     /// Live key-space values (refcounted; drives `distinct`).
     pub(super) values: FxHashMap<u64, u32>,
-    /// Live semantic values (refcounted; drives `join_distinct`).
+    /// Live semantic values (refcounted; drives `join_distinct`). A
+    /// value's first triple posts its grams and its last unposts them.
     pub(super) join_values: FxHashMap<u64, u32>,
-    /// Live q-grams (refcounted with multiplicity; drives
-    /// `gram_distinct`).
+    /// Live q-grams, each counting the distinct values holding it
+    /// (drives `gram_distinct`).
     pub(super) grams: FxHashMap<u32, u32>,
 }
 
+/// The distinct q-grams of `s`: one posting each.
+fn posted_grams(s: &str) -> Vec<u32> {
+    let mut gs = qgram::qgrams(s);
+    gs.sort_unstable();
+    gs.dedup();
+    gs
+}
+
 impl AttrStats {
+    /// Counts the postings of a value the attribute did not hold.
+    fn add_postings(&mut self, s: &str) {
+        let gs = posted_grams(s);
+        self.gram_postings += gs.len() as f64;
+        for g in gs {
+            bump(&mut self.grams, g, 1);
+        }
+        self.gram_distinct = self.grams.len() as f64;
+    }
+
+    /// Uncounts the postings of a value the attribute no longer holds.
+    fn remove_postings(&mut self, s: &str) {
+        let gs = posted_grams(s);
+        self.gram_postings -= gs.len() as f64;
+        for g in gs {
+            unbump(&mut self.grams, &g, 1);
+        }
+        self.gram_distinct = self.grams.len() as f64;
+    }
+
     /// Empty statistics for one attribute. The histogram spans exactly
     /// this attribute's slice of the key space, so its 256 buckets
     /// resolve value ranges *within* the attribute.
@@ -203,16 +234,13 @@ impl GlobalStats {
         a.count += n as f64;
         bump(&mut a.values, key_bits, n);
         a.distinct = a.values.len() as f64;
-        bump(&mut a.join_values, value.semantic_hash(), n);
+        let semantic = value.semantic_hash();
+        let first = !a.join_values.contains_key(&semantic);
+        bump(&mut a.join_values, semantic, n);
         a.join_distinct = a.join_values.len() as f64;
         a.hist.add_n(attr_value_key(attr, value), n);
-        if let Value::Str(s) = value {
-            let gs = qgram::qgrams(s);
-            a.gram_postings += (gs.len() * n as usize) as f64;
-            for g in gs {
-                bump(&mut a.grams, g, n);
-            }
-            a.gram_distinct = a.grams.len() as f64;
+        if let (true, Value::Str(s)) = (first, value) {
+            a.add_postings(s);
         }
     }
 
@@ -246,16 +274,13 @@ impl GlobalStats {
         a.count -= n as f64;
         unbump(&mut a.values, &key_bits, n);
         a.distinct = a.values.len() as f64;
-        unbump(&mut a.join_values, &value.semantic_hash(), n);
+        let semantic = value.semantic_hash();
+        let held = a.join_values.contains_key(&semantic);
+        unbump(&mut a.join_values, &semantic, n);
         a.join_distinct = a.join_values.len() as f64;
         a.hist.remove_n(attr_value_key(attr, value), n);
-        if let Value::Str(s) = value {
-            let gs = qgram::qgrams(s);
-            a.gram_postings -= (gs.len() * n as usize) as f64;
-            for g in gs {
-                unbump(&mut a.grams, &g, n);
-            }
-            a.gram_distinct = a.grams.len() as f64;
+        if let (true, Value::Str(s)) = (held && !a.join_values.contains_key(&semantic), value) {
+            a.remove_postings(s);
         }
         if a.count <= 0.0 {
             // A fresh build over the survivors would not contain the

@@ -129,6 +129,25 @@ pub fn qgram_key(attr: &str, gram: u32) -> Key {
         | ((gram as u64) << (48 - 8 * QGRAM_Q as u32))
 }
 
+/// The q-gram keys of the string `s` under `attr`, ascending, each once.
+pub fn qgram_keys(attr: &str, s: &str) -> Vec<Key> {
+    let mut ks: Vec<Key> = qgram::qgrams(s).into_iter().map(|g| qgram_key(attr, g)).collect();
+    ks.sort_unstable();
+    ks.dedup();
+    ks
+}
+
+/// The q-gram posting of `t`'s `(attr, value)` pair: the pair under the
+/// empty OID, which is what the q-gram keys store. A posting names a
+/// value, not an object, so every triple carrying the value shares one
+/// (one identity, written at version 0), and a similarity scan turns the
+/// postings that survive its filters into A#v lookups for the rows.
+/// `None` for non-string values, which have no grams.
+pub fn qgram_posting(t: &Triple) -> Option<Triple> {
+    t.value.as_str()?;
+    Some(Triple { oid: Oid::new(""), attr: t.attr.clone(), value: t.value.clone() })
+}
+
 /// All index keys derived from one triple.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TripleKeys {
@@ -144,16 +163,12 @@ pub struct TripleKeys {
 
 impl TripleKeys {
     /// Derives the keys; `with_qgrams` controls whether the similarity
-    /// index is maintained (it triples the insert fan-out for strings).
+    /// index is maintained. Writers store the triple under the three
+    /// primary keys only and its value's [`qgram_posting`] under the
+    /// q-gram keys, once per distinct `(attr, value)` of a write.
     pub fn derive(t: &Triple, with_qgrams: bool) -> TripleKeys {
         let qgrams = match (&t.value, with_qgrams) {
-            (Value::Str(s), true) => {
-                let mut ks: Vec<Key> =
-                    qgram::qgrams(s).into_iter().map(|g| qgram_key(&t.attr, g)).collect();
-                ks.sort_unstable();
-                ks.dedup();
-                ks
-            }
+            (Value::Str(s), true) => qgram_keys(&t.attr, s),
             _ => Vec::new(),
         };
         TripleKeys {
@@ -169,8 +184,8 @@ impl TripleKeys {
         [self.oid, self.attr_value, self.value]
     }
 
-    /// Every key the triple is indexed under: the three primary keys
-    /// plus the q-gram keys — the full placement/write fan-out.
+    /// Every key the triple's placement touches: the three primary keys
+    /// plus the q-gram keys (where its value's posting lives).
     pub fn all(&self) -> Vec<Key> {
         let mut all: Vec<Key> = self.primary().to_vec();
         all.extend(&self.qgrams);
@@ -273,6 +288,21 @@ mod tests {
         let g3 = qgram_key("name", 0x414243);
         assert_ne!(g1, g2);
         assert_ne!(g1, g3);
+    }
+
+    #[test]
+    fn one_posting_per_string_pair() {
+        use unistore_util::item::Item;
+        let a = Triple::new("c1", "series", Value::str("ICDE"));
+        let b = Triple::new("c2", "series", Value::str("ICDE"));
+        let (pa, pb) = (qgram_posting(&a).unwrap(), qgram_posting(&b).unwrap());
+        assert_eq!(pa.ident(), pb.ident(), "objects sharing a value share its posting");
+        assert_eq!(pa.oid.as_str(), "");
+        assert!(pa.value.eq_values(&a.value) && pa.attr == a.attr);
+        let c = Triple::new("c1", "series", Value::str("ICDM"));
+        assert_ne!(qgram_posting(&c).unwrap().ident(), pa.ident());
+        assert!(qgram_posting(&Triple::new("c1", "year", Value::Int(2006))).is_none());
+        assert_eq!(qgram_keys("series", "ICDE"), TripleKeys::derive(&a, true).qgrams);
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! asserts the three relations (P-Grid, Chord, oracle) are identical.
 
 use unistore::backends::{chord_config, ChordUniCluster};
+use unistore::config::ScanPref;
 use unistore::{PlanMode, UniCluster, UniConfig};
+use unistore_overlay::Overlay;
 use unistore_query::{JoinStrategy, Relation};
-use unistore_store::Value;
+use unistore_store::{Triple, Tuple, Value};
 use unistore_workload::{PubParams, PubWorld};
 
 /// Canonical form: project columns in name order, sort rows.
@@ -142,6 +144,117 @@ fn similarity_queries_match_oracle() {
              FILTER edist(?s,'VLDB')<=1}",
         ],
     );
+}
+
+/// Three conferences whose series `'ICDX'` is within edit distance 1 of
+/// `'ICDE'`.
+fn icdx_conferences() -> Vec<Tuple> {
+    (0..3)
+        .map(|i| {
+            Tuple::new(&format!("icdx{i}"))
+                .with("confname", Value::str(&format!("ICDX {}", 2000 + i)))
+                .with("series", Value::str("ICDX"))
+        })
+        .collect()
+}
+
+/// Runs `q` under each plan mode and asserts the oracle's rows at full
+/// coverage, none of them under a posting's empty OID; returns the
+/// canonical rows.
+fn similar_rows<O: Overlay<Item = Triple>>(
+    c: &mut UniCluster<O>,
+    q: &str,
+    modes: &[PlanMode],
+) -> Vec<Vec<String>> {
+    let expected = normalize(&c.oracle().query(q).expect("oracle parses"));
+    for &mode in modes {
+        c.set_plan_mode(mode);
+        let origin = c.random_node();
+        let out = c.query(origin, q).expect("query parses");
+        assert!(out.ok, "{}: timed out ({mode:?}): {q}", O::NAME);
+        assert_eq!(out.coverage.fraction(), 1.0, "{}: partial ({mode:?}): {q}", O::NAME);
+        let rows = normalize(&out.relation);
+        assert_eq!(rows, expected, "{}: diverged from the oracle ({mode:?}): {q}", O::NAME);
+        assert!(!rows.iter().flatten().any(|v| v == "''"), "{}: a posting became a row", O::NAME);
+    }
+    expected
+}
+
+/// Writes the `'ICDX'` conferences through the routed path, checks that
+/// the q-gram scan finds them, lets `change` take the value away, and
+/// checks that the posting it leaves behind finds no row.
+fn stale_postings_never_become_rows<O: Overlay<Item = Triple>>(
+    mut c: UniCluster<O>,
+    change: impl Fn(&mut UniCluster<O>, &[Tuple]),
+) {
+    let q = "SELECT ?c,?s WHERE {(?c,'series',?s) FILTER edist(?s,'ICDE')<2}";
+    let modes = [PlanMode { scan_pref: Some(ScanPref::QGram), ..PlanMode::default() }];
+    let icdx = icdx_conferences();
+    let origin = c.random_node();
+    assert!(c.insert_batch(origin, &icdx).0, "{}: routed insert acked", O::NAME);
+    let held = similar_rows(&mut c, q, &modes);
+    assert_eq!(held.iter().filter(|r| r[1] == "'ICDX'").count(), 3, "{}", O::NAME);
+    change(&mut c, &icdx);
+    let left = similar_rows(&mut c, q, &[modes[0], PlanMode::default()]);
+    assert!(!left.iter().any(|r| r[1] == "'ICDX'"), "{}: the value was taken away", O::NAME);
+}
+
+fn deleted<O: Overlay<Item = Triple>>(c: &mut UniCluster<O>, icdx: &[Tuple]) {
+    let facts: Vec<Triple> = icdx.iter().flat_map(Tuple::to_triples).collect();
+    let origin = c.random_node();
+    assert!(c.delete_batch(origin, &facts, 1), "{}: delete acked", O::NAME);
+}
+
+fn moved<O: Overlay<Item = Triple>>(c: &mut UniCluster<O>, icdx: &[Tuple]) {
+    for t in icdx {
+        let old = Triple::new(t.oid.as_str(), "series", Value::str("ICDX"));
+        let origin = c.random_node();
+        assert!(c.update(origin, &old, Value::str("VLDB"), 1), "{}: update acked", O::NAME);
+    }
+}
+
+#[test]
+fn deleted_values_leave_postings_that_never_become_rows() {
+    let both = world_clusters(16, 58);
+    stale_postings_never_become_rows(both.pgrid, deleted);
+    stale_postings_never_become_rows(both.chord, deleted);
+}
+
+#[test]
+fn updated_values_leave_postings_that_never_become_rows() {
+    let both = world_clusters(16, 59);
+    stale_postings_never_become_rows(both.pgrid, moved);
+    stale_postings_never_become_rows(both.chord, moved);
+}
+
+/// A similarity pattern on the right of a pushed-down semi-join: the
+/// Bloom filter over the left side's `?c` must ship with the A#v
+/// lookups of round 2 — sent with round 1's gram lookups it would test
+/// postings, whose OID is empty, and drop every one.
+fn semi_join_filter_reaches_the_rows<O: Overlay<Item = Triple>>(mut c: UniCluster<O>) {
+    let q = "SELECT ?c,?cn WHERE {(?c,'confname',?cn) (?c,'series',?s)
+             FILTER edist(?s,'ICDE')<2}";
+    let forced = PlanMode {
+        scan_pref: Some(ScanPref::QGram),
+        join_pref: Some(JoinStrategy::SemiJoin),
+        ..PlanMode::default()
+    };
+    c.take_traces();
+    let rows = similar_rows(&mut c, q, &[forced]);
+    assert!(!rows.is_empty(), "{}: the world has ICDE conferences", O::NAME);
+    let traces = c.take_traces();
+    assert!(
+        traces.iter().any(|d| d.choice == "semi-join+qgram"),
+        "{}: the q-gram scan ran under the semi-join filter: {traces:?}",
+        O::NAME
+    );
+}
+
+#[test]
+fn similarity_scans_under_a_semi_join_match_oracle() {
+    let both = world_clusters(16, 60);
+    semi_join_filter_reaches_the_rows(both.pgrid);
+    semi_join_filter_reaches_the_rows(both.chord);
 }
 
 #[test]
