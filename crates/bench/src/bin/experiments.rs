@@ -18,7 +18,9 @@
 //! survival campaign up to N = 1024 (4096 with `full`) and writes
 //! `BENCH_scale.json`. Every record holds counts and simulated time
 //! only, both backends, floors asserted before the file is written;
-//! `determinism-check` is the same-seed double-run gate.
+//! `determinism-check` is the same-seed double-run gate. `scale-sweep`
+//! reruns the scale campaign over 30 churn schedules and prints how
+//! many breach its query floors; it writes no file.
 
 use unistore_bench::{
     allocs, concurrency, determinism, faults, ingest, joins, paper, scale, stats,
@@ -35,11 +37,12 @@ fn bench_snapshot() {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).map(|a| a.to_lowercase()).collect();
     let full = args.iter().any(|a| a == "full");
-    let commands: [(&str, &dyn Fn()); 5] = [
+    let commands: [(&str, &dyn Fn()); 6] = [
         ("bench-snapshot", &bench_snapshot),
         ("alloc-snapshot", &allocs::snapshot),
         ("fault-snapshot", &faults::snapshot),
         ("scale-snapshot", &|| scale::snapshot(full)),
+        ("scale-sweep", &|| scale::sweep(full)),
         ("determinism-check", &determinism::determinism_check),
     ];
     let names: Vec<&str> = commands

@@ -8,11 +8,11 @@
 
 use std::path::Path;
 
-use unistore::cluster::build_insert_batch;
+use unistore::cluster::qgram_ops;
 use unistore::UniCluster;
 use unistore_query::StatsDelta;
 use unistore_simnet::{NodeId, SimTime};
-use unistore_store::{IndexKind, Tuple, Value};
+use unistore_store::{Tuple, Value};
 use unistore_util::wire::Wire;
 use unistore_workload::{PubParams, PubWorld};
 
@@ -61,11 +61,9 @@ fn ingest<B: Backend>(tuples: &[Tuple], delta_bytes_per_triple: f64) -> (Row, Ve
     let with_qgrams = cfg.with_qgrams;
     let mut cluster = UniCluster::<B>::build_overlay(64, cfg, SEED);
     let before = cluster.net.metrics();
-    let mut qgram_ops = 0;
+    let mut grams = 0;
     for c in tuples.chunks(BATCH_TUPLES) {
-        let (batch, _) = build_insert_batch(c, with_qgrams);
-        qgram_ops +=
-            batch.ops.iter().filter(|op| IndexKind::of_key(op.key) == IndexKind::QGram).count();
+        grams += qgram_ops(c, with_qgrams);
         let origin = cluster.random_node();
         let (ok, _) = cluster.insert_batch(origin, c);
         assert!(ok, "ingest batch must be fully acked");
@@ -87,7 +85,7 @@ fn ingest<B: Backend>(tuples: &[Tuple], delta_bytes_per_triple: f64) -> (Row, Ve
     let kib = d.bytes as f64 / 1024.0;
     let msgs_per_1k = d.sent as f64 * 1000.0 / triples as f64;
     let kib_per_1k = kib * 1000.0 / triples as f64;
-    let qgram_ops_per_1k = qgram_ops as f64 * 1000.0 / triples as f64;
+    let qgram_ops_per_1k = grams as f64 * 1000.0 / triples as f64;
     let (max_msgs, max_kib) = for_backend::<B, _>(&CEILINGS);
     assert!(
         msgs_per_1k <= max_msgs,

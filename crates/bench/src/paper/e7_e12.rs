@@ -9,18 +9,18 @@ use unistore_query::{RangeAlgo, ScanStrategy};
 use unistore_simnet::churn::{install_churn, ChurnConfig};
 use unistore_simnet::{ConstantLatency, NodeId, PlanetLabLatency, SimTime};
 use unistore_store::index::oid_key;
-use unistore_store::{Oid, Value};
+use unistore_store::{Oid, Triple, Tuple, Value};
 use unistore_util::item::RawItem;
 use unistore_workload::{PubParams, PubWorld};
 
 use super::{quiet_pgrid, spread_keys};
-use crate::backend::SEED;
-use crate::{f, header, latency_summary, row};
+use crate::backend::{Backend, SEED};
+use crate::{canon, f, header, latency_summary, row};
 
 /// E7 — claim C6: the q-gram index makes string similarity efficient.
 pub(super) fn e7_qgram() {
     println!("\n## E7 — similarity cost vs dataset size (claim: q-gram index scales)\n");
-    header(&["string triples", "k", "strategy", "msgs", "bytes", "rows"]);
+    header(&["string triples", "k", "strategy", "msgs", "bytes", "latency (ms)", "rows"]);
     for n_conf in [200usize, 1000, 4000] {
         let world = PubWorld::generate(
             &PubParams {
@@ -52,6 +52,7 @@ pub(super) fn e7_qgram() {
                     label.to_string(),
                     out.cost.messages.to_string(),
                     out.cost.bytes.to_string(),
+                    f(out.cost.latency.as_millis_f64()),
                     out.relation.len().to_string(),
                 ]);
             }
@@ -62,8 +63,52 @@ pub(super) fn e7_qgram() {
     println!("candidate value, then one A#v lookup per value within distance k — its *byte*");
     println!("cost beats the naive sweep and the gap grows with data size. Message-wise the");
     println!("naive sweep profits from the order-preserving layout clustering the whole");
-    println!("attribute into few leaves; the optimizer weighs both and picks per situation");
-    println!("(paper: \"each beneficial in special situations\").");
+    println!("attribute into few leaves, and the second routed round costs the q-gram plan");
+    println!("latency; the optimizer weighs both and picks per situation (paper: \"each");
+    println!("beneficial in special situations\").");
+    e7_stale_postings();
+}
+
+/// E7, continued: what stale postings cost. 200 objects on 64 P-Grid
+/// peers rename their unique `name` once per round, and each rename
+/// leaves the old value's posting under its gram keys (DESIGN.md
+/// § q-gram postings); a q-gram scan near one object's current name
+/// runs after 0–8 rounds.
+fn e7_stale_postings() {
+    const OBJECTS: usize = 200;
+    println!("\n### E7 — stale postings under update churn ({OBJECTS} renamed objects)\n");
+    header(&["rounds", "live records", "msgs", "bytes", "latency (ms)", "rows"]);
+    let name = |i: usize, round: usize| Value::str(&format!("t{i:03}-v{round}"));
+    let mut cluster = UniCluster::build(64, UniConfig::default(), SEED);
+    cluster.load((0..OBJECTS).map(|i| Tuple::new(&format!("item{i}")).with("name", name(i, 0))));
+    cluster.set_plan_mode(PlanMode { scan_pref: Some(ScanPref::QGram), ..Default::default() });
+    let mut done = 0;
+    for rounds in [0, 1, 2, 4, 8] {
+        for round in done..rounds {
+            for i in 0..OBJECTS {
+                let old = Triple::new(&format!("item{i}"), "name", name(i, round));
+                let origin = NodeId((i % 64) as u32);
+                assert!(cluster.update(origin, &old, name(i, round + 1), round as u64 + 1));
+            }
+        }
+        done = rounds;
+        let q = format!("SELECT ?x WHERE {{(?x,'name',?n) FILTER edist(?n,'t007-v{rounds}')<=1}}");
+        let out = cluster.query(NodeId(0), &q).unwrap();
+        assert!(out.ok);
+        let oracle = cluster.oracle().query(&q).expect("oracle parses");
+        assert_eq!(canon(&out.relation), canon(&oracle), "a stale posting became a row");
+        row(&[
+            rounds.to_string(),
+            cluster.net.iter_nodes().map(|(_, n)| n.overlay.records()).sum::<usize>().to_string(),
+            out.cost.messages.to_string(),
+            out.cost.bytes.to_string(),
+            f(out.cost.latency.as_millis_f64()),
+            out.relation.len().to_string(),
+        ]);
+    }
+    println!("\nverdict: nothing reclaims a stale posting. Each rename adds the old value's");
+    println!("postings to the store for good, and every later scan of a gram they share");
+    println!("ships them in round 1 (ROADMAP item 9).");
 }
 
 /// E8 — claim C1: "predict exact costs … almost all logarithmic".

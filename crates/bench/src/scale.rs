@@ -7,16 +7,19 @@
 //! {64, 256, 1024} (the acceptance scale and the CI setting); `full`
 //! adds 4096.
 //!
-//! In-code floors: on BOTH backends, over all sizes, ≥95% of offered
-//! queries answer with coverage ≥0.9 and total attempts (initial +
-//! retries + hedges) stay ≤3× offered (the retry-storm bound), and at
-//! every size ≥90% and ≤4×; the replication
+//! In-code floors: ≥95% of offered queries answer with coverage ≥0.9 on
+//! BOTH backends at every size; total attempts (initial + retries +
+//! hedges) stay ≤3× offered (the retry-storm bound); the replication
 //! repair of a write issued *during* the failure window converges after
 //! revival; the repair plane's heal-phase bytes (`repair_kib`) stay
 //! under a quarter of what the flat-digest protocol sent in the same
 //! phase and grow sub-linearly with the records a peer stores; the
 //! records it folds into root summaries (`repair_folds`) stay under a
 //! quarter of what it folded while every write dropped them.
+//!
+//! A cell is one churn schedule. [`sweep`] (`experiments scale-sweep`)
+//! reruns every cell over 30 schedules and counts the ones that breach
+//! the query floors: the spread a single cell's reading is drawn from.
 
 use std::path::Path;
 
@@ -33,7 +36,7 @@ use unistore_workload::{zipf_read_queries, zipf_write_batches, PubParams, PubWor
 
 use crate::backend::{for_backend, Backend, Chord, PGrid, SEED};
 use crate::snapshot::{emit, Row};
-use crate::{both_backends, f, latency_summary};
+use crate::{both_backends, f, header, latency_summary, row};
 
 /// Liveness-probe period in seconds (P-Grid's routing maintenance,
 /// Chord's ping), the campaign's settings since it was introduced.
@@ -100,7 +103,9 @@ fn converged<B: Backend>(cluster: &UniCluster<B>, key: Key) -> bool {
 /// client retries, and after the window a global delay spike hits
 /// while the drain finishes. Repair lag is the time from window
 /// close until the live replica group converges on the canary.
-fn campaign<B: Backend>(n: usize, world: &PubWorld) -> Row {
+/// `schedule` picks the churn and mass-failure draw (the churn seed
+/// XORed with it); the snapshot runs schedule 0.
+fn campaign<B: Backend>(n: usize, world: &PubWorld, schedule: u64) -> Row {
     let probe = SimTime::from_secs(for_backend::<B, _>(&PROBE_SECS));
     let cfg = B::resilient(probe, SimTime::from_secs(60)).with_min_coverage(0.9);
     let mut cluster = UniCluster::<B>::build_overlay(n, cfg, SEED);
@@ -112,7 +117,7 @@ fn campaign<B: Backend>(n: usize, world: &PubWorld) -> Row {
         .collect();
     let canary_key = attr_value_key("rtag", &Value::str("canary"));
 
-    let mut rng = derive_rng(SEED, stream::CHURN);
+    let mut rng = derive_rng(SEED ^ schedule, stream::CHURN);
     let churned = install_churn(
         &mut cluster.net,
         &mut rng,
@@ -317,46 +322,29 @@ fn campaign<B: Backend>(n: usize, world: &PubWorld) -> Row {
         .int("ups", md.ups)
 }
 
-/// The query bounds, in percent of the offered queries: at least
-/// `.0` answer with coverage ≥ 0.9, and at most `.1` attempts are sent
-/// (the retry-storm bound). [`POOLED`] holds over all of a backend's
-/// sizes and [`CELL`] in each one. A cell is one trajectory, and a
-/// trajectory is one draw of the churn, loss and latency streams: at
-/// N = 64, over 30 churn schedules, the Chord cell breached 95 % on 6
-/// schedules and 3× on 6 at one commit, and on 7 and 6 at the next,
-/// whose writes send fewer messages (DESIGN.md § Scale and churn).
-const POOLED: (u64, u64) = (95, 300);
-/// See [`POOLED`].
-const CELL: (u64, u64) = (90, 400);
-
-/// Asserts the query bounds `(cov_pct, attempts_pct)` on `what`.
-fn query_bounds(what: &str, offered: u64, cov90: u64, attempts: u64, (cov, att): (u64, u64)) {
-    let floor = (offered * cov).div_ceil(100);
-    assert!(
-        cov90 >= floor,
-        "{what}: {cov90}/{offered} queries answered with coverage >= 0.9, floor {floor}"
-    );
-    assert!(
-        attempts * 100 <= att * offered,
-        "{what}: {attempts} attempts for {offered} offered queries breaches the {att} % \
-         retry-storm bound"
-    );
+/// A cell's query floors for `offered` queries: the fewest that must
+/// answer with coverage ≥ 0.9 (95 %), and the most attempts the origins
+/// may send (3×, the retry-storm bound).
+fn query_floors(offered: u64) -> (u64, u64) {
+    ((offered * 95).div_ceil(100), 3 * offered)
 }
 
 fn floors(rows: &[Row]) {
-    for backend in crate::backend::LABELS {
-        let (offered, cov90, attempts) = rows
-            .iter()
-            .filter(|r| r.get_str("backend") == backend)
-            .map(|r| (r.get_int("offered"), r.get_int("cov90"), r.get_int("attempts")))
-            .fold((0, 0, 0), |(o, c, a), (ro, rc, ra)| (o + ro, c + rc, a + ra));
-        query_bounds(&format!("{backend}, all sizes"), offered, cov90, attempts, POOLED);
-    }
     for r in rows {
         let (backend, n) = (r.get_str("backend"), r.get_int("n"));
         let (offered, cov90, attempts) =
             (r.get_int("offered"), r.get_int("cov90"), r.get_int("attempts"));
-        query_bounds(&format!("{backend} n={n}"), offered, cov90, attempts, CELL);
+        let (floor, max_attempts) = query_floors(offered);
+        assert!(
+            cov90 >= floor,
+            "{backend} n={n}: {cov90}/{offered} queries answered with coverage >= 0.9, \
+             floor {floor}"
+        );
+        assert!(
+            attempts <= max_attempts,
+            "{backend} n={n}: {attempts} attempts for {offered} offered queries breaches the \
+             3x retry-storm bound"
+        );
         assert!(
             r.get_float("repair_s") < 600.0,
             "{backend} n={n}: canary replicas never reconverged after the failure window"
@@ -418,16 +406,25 @@ fn floors(rows: &[Row]) {
     }
 }
 
+/// The deployment sizes of a run; `full` adds N = 4096.
+fn sizes(full: bool) -> &'static [usize] {
+    if full {
+        &[64, 256, 1024, 4096]
+    } else {
+        &[64, 256, 1024]
+    }
+}
+
+fn world() -> PubWorld {
+    PubWorld::generate(&PubParams { n_authors: 60, n_conferences: 15, ..Default::default() }, SEED)
+}
+
 /// Writes `BENCH_scale.json`; `full` extends the sweep to N = 4096.
 pub fn snapshot(full: bool) {
-    let sizes: &[usize] = if full { &[64, 256, 1024, 4096] } else { &[64, 256, 1024] };
-    let world = PubWorld::generate(
-        &PubParams { n_authors: 60, n_conferences: 15, ..Default::default() },
-        SEED,
-    );
+    let world = world();
     let mut rows: Vec<Row> = Vec::new();
-    for &n in sizes {
-        rows.extend(both_backends!(campaign(n, &world)));
+    for &n in sizes(full) {
+        rows.extend(both_backends!(campaign(n, &world, 0)));
     }
     emit(
         Path::new("BENCH_scale.json"),
@@ -435,4 +432,63 @@ pub fn snapshot(full: bool) {
         &rows,
         floors,
     );
+}
+
+/// Churn schedules [`sweep`] runs per cell.
+const SWEEP_SCHEDULES: u64 = 30;
+
+/// One cell over every schedule of the sweep.
+fn schedules<B: Backend>(n: usize, world: &PubWorld) -> Vec<Row> {
+    (0..SWEEP_SCHEDULES).map(|s| campaign::<B>(n, world, s)).collect()
+}
+
+/// Runs each snapshot cell over 30 churn schedules (schedule 0 is the
+/// snapshot's) and prints, per cell, how many schedules breach each
+/// query floor, the pooled counts, and the spread: how much of one
+/// cell's reading is its draw. Writes no file and asserts nothing.
+pub fn sweep(full: bool) {
+    let world = world();
+    println!(
+        "\n## Scale sweep — the per-cell query floors over {SWEEP_SCHEDULES} churn schedules\n"
+    );
+    header(&[
+        "backend",
+        "n",
+        "< 95 % answered",
+        "> 3× attempts",
+        "either",
+        "answered",
+        "attempts",
+        "answered min / median",
+        "attempts median / max",
+    ]);
+    for &n in sizes(full) {
+        for cell in both_backends!(schedules(n, &world)) {
+            let (mut low, mut storm, mut either, mut offered) = (0, 0, 0, 0);
+            for r in &cell {
+                let (floor, max_attempts) = query_floors(r.get_int("offered"));
+                let (l, s) = (r.get_int("cov90") < floor, r.get_int("attempts") > max_attempts);
+                (low, storm, either) = (low + l as u64, storm + s as u64, either + (l || s) as u64);
+                offered += r.get_int("offered");
+            }
+            let sorted = |col: &str| {
+                let mut v: Vec<u64> = cell.iter().map(|r| r.get_int(col)).collect();
+                v.sort_unstable();
+                v
+            };
+            let (answered, attempts) = (sorted("cov90"), sorted("attempts"));
+            let mid = cell.len() / 2;
+            row(&[
+                cell[0].get_str("backend").to_string(),
+                n.to_string(),
+                low.to_string(),
+                storm.to_string(),
+                either.to_string(),
+                format!("{}/{offered}", answered.iter().sum::<u64>()),
+                attempts.iter().sum::<u64>().to_string(),
+                format!("{} / {}", answered[0], answered[mid]),
+                format!("{} / {}", attempts[mid], attempts[cell.len() - 1]),
+            ]);
+        }
+    }
 }

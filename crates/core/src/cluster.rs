@@ -755,7 +755,10 @@ impl Postings {
 /// referenced by compact tags. This is the batch
 /// [`UniCluster::insert_batch`] routes, shared with the live threaded
 /// runtime so the two ingest paths cannot drift.
-pub fn build_insert_batch(tuples: &[Tuple], with_qgrams: bool) -> (OpBatch<Triple>, Vec<Triple>) {
+pub(crate) fn build_insert_batch(
+    tuples: &[Tuple],
+    with_qgrams: bool,
+) -> (OpBatch<Triple>, Vec<Triple>) {
     let mut batch = OpBatch::new();
     let mut triples = Vec::new();
     let mut postings = Postings::new(with_qgrams);
@@ -770,6 +773,18 @@ pub fn build_insert_batch(tuples: &[Tuple], with_qgrams: bool) -> (OpBatch<Tripl
         }
     }
     (batch, triples)
+}
+
+/// The q-gram ops the write batch of `tuples` carries: the gram keys of
+/// each distinct string `(attr, value)` pair, counted without building
+/// the batch (the ingest census).
+pub fn qgram_ops(tuples: &[Tuple], with_qgrams: bool) -> usize {
+    let mut postings = Postings::new(with_qgrams);
+    tuples
+        .iter()
+        .flat_map(Tuple::to_triples)
+        .filter_map(|t| Some(postings.first(&t)?.1.len()))
+        .sum()
 }
 
 #[cfg(test)]
@@ -929,6 +944,21 @@ mod tests {
         c.settle(SimTime::from_secs(60));
         let orphans = c.done_storage.keys().filter(|&&qid| qid >= 1 << 62).count();
         assert_eq!(orphans, 0, "executor completions filed for the driver");
+    }
+
+    /// `qgram_ops` counts the q-gram ops of the batch `build_insert_batch`
+    /// builds: one posting per distinct name, not one per tuple.
+    #[test]
+    fn qgram_ops_count_the_batchs_gram_keys() {
+        use unistore_store::IndexKind;
+        for with_qgrams in [true, false] {
+            let (batch, _) = build_insert_batch(&world(), with_qgrams);
+            let grams =
+                batch.ops.iter().filter(|op| IndexKind::of_key(op.key) == IndexKind::QGram).count();
+            assert_eq!(qgram_ops(&world(), with_qgrams), grams);
+        }
+        let one_name = idx::qgram_keys("name", "name-0").len();
+        assert_eq!(qgram_ops(&world(), true), 7 * one_name, "7 distinct names of equal length");
     }
 
     proptest! {

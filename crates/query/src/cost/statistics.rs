@@ -88,6 +88,8 @@ impl AttrStats {
     }
 
     /// Uncounts the postings of a value the attribute no longer holds.
+    /// The postings stay stored: nothing deletes a gram key, so these
+    /// statistics count live values' postings, not stale ones.
     fn remove_postings(&mut self, s: &str) {
         let gs = posted_grams(s);
         self.gram_postings -= gs.len() as f64;
