@@ -91,9 +91,18 @@ pub const LABELS: [&str; 2] = [PGrid::LABEL, Chord::LABEL];
 /// # Panics
 /// Panics when the table has no entry for `B`.
 pub fn for_backend<B: Backend, T: Copy>(table: &[(&str, T)]) -> T {
-    match table.iter().find(|(label, _)| *label == B::LABEL) {
+    for_label(table, B::LABEL)
+}
+
+/// The entry of a per-backend parameter table for the backend a row's
+/// `backend` label names.
+///
+/// # Panics
+/// Panics when the table has no entry for `backend`.
+pub fn for_label<T: Copy>(table: &[(&str, T)], backend: &str) -> T {
+    match table.iter().find(|(label, _)| *label == backend) {
         Some((_, value)) => *value,
-        None => panic!("no entry for backend {}", B::LABEL),
+        None => panic!("no entry for backend {backend}"),
     }
 }
 

@@ -2,7 +2,7 @@
 //! repository's deterministic snapshot records.
 //!
 //! ```sh
-//! cargo run --release -p unistore-bench --bin experiments          # E1–E12
+//! cargo run --release -p unistore-bench --bin experiments          # E1–E10, E12
 //! cargo run --release -p unistore-bench --bin experiments -- e1 e6 # some
 //! cargo run --release -p unistore-bench --bin experiments -- bench-snapshot
 //! ```
@@ -15,12 +15,11 @@
 //! operation on the hot paths; `alloc-snapshot` writes it alone).
 //! `fault-snapshot` runs the failure-masking availability matrix and
 //! writes `BENCH_faults.json`; `scale-snapshot` runs the scale-and-churn
-//! survival campaign up to N = 1024 (4096 with `full`) and writes
-//! `BENCH_scale.json`. Every record holds counts and simulated time
-//! only, both backends, floors asserted before the file is written;
-//! `determinism-check` is the same-seed double-run gate. `scale-sweep`
-//! reruns the scale campaign over 30 churn schedules and prints how
-//! many breach its query floors; it writes no file.
+//! survival campaign at N = 64, 256 and 1024, each cell over 30 churn
+//! schedules, and writes `BENCH_scale.json` (the paper's claim C2).
+//! Every record holds counts and simulated time only, both backends,
+//! floors asserted before the file is written; `determinism-check` is
+//! the same-seed double-run gate.
 
 use unistore_bench::{
     allocs, concurrency, determinism, faults, ingest, joins, paper, scale, stats,
@@ -36,25 +35,20 @@ fn bench_snapshot() {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).map(|a| a.to_lowercase()).collect();
-    let full = args.iter().any(|a| a == "full");
-    let commands: [(&str, &dyn Fn()); 6] = [
-        ("bench-snapshot", &bench_snapshot),
-        ("alloc-snapshot", &allocs::snapshot),
-        ("fault-snapshot", &faults::snapshot),
-        ("scale-snapshot", &|| scale::snapshot(full)),
-        ("scale-sweep", &|| scale::sweep(full)),
-        ("determinism-check", &determinism::determinism_check),
+    let commands: [(&str, fn()); 5] = [
+        ("bench-snapshot", bench_snapshot),
+        ("alloc-snapshot", allocs::snapshot),
+        ("fault-snapshot", faults::snapshot),
+        ("scale-snapshot", scale::snapshot),
+        ("determinism-check", determinism::determinism_check),
     ];
     let names: Vec<&str> = commands
         .iter()
         .map(|(name, _)| *name)
         .chain(paper::EXPERIMENTS.iter().map(|(id, _)| *id))
         .collect();
-    if let Some(unknown) = args.iter().find(|a| *a != "full" && !names.contains(&a.as_str())) {
-        eprintln!(
-            "unknown sub-command {unknown:?}; valid: {} (`scale-snapshot full` adds N = 4096)",
-            names.join(", ")
-        );
+    if let Some(unknown) = args.iter().find(|a| !names.contains(&a.as_str())) {
+        eprintln!("unknown sub-command {unknown:?}; valid: {}", names.join(", "));
         std::process::exit(2);
     }
     if let Some((_, run)) = commands.iter().find(|(name, _)| args.iter().any(|a| a == name)) {

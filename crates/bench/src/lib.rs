@@ -1,4 +1,4 @@
-//! The experiment harness: the paper's tables (E1–E12, [`paper`]), the
+//! The experiment harness: the paper's tables (E1–E10 and E12, [`paper`]), the
 //! seven deterministic `BENCH_*.json` snapshots CI regenerates and diffs
 //! (one module each, rendered and floor-checked by [`snapshot`]), and
 //! the same-seed [`determinism`] gate. Wall-clock measurement is not

@@ -1,13 +1,12 @@
-//! E7–E12: q-gram similarity, the cost model's bounds, the skyline
-//! query, update propagation, churn at 1024 peers, and bootstrap
-//! convergence.
+//! E7–E10 and E12: q-gram similarity, the cost model's bounds, the
+//! skyline query, update propagation, and bootstrap convergence. Churn
+//! at 1024 peers (claim C2) is `BENCH_scale.json`'s (`crate::scale`).
 
 use unistore::config::ScanPref;
 use unistore::{PlanMode, UniCluster, UniConfig};
 use unistore_pgrid::PGridCluster;
 use unistore_query::{RangeAlgo, ScanStrategy};
-use unistore_simnet::churn::{install_churn, ChurnConfig};
-use unistore_simnet::{ConstantLatency, NodeId, PlanetLabLatency, SimTime};
+use unistore_simnet::{ConstantLatency, NodeId, SimTime};
 use unistore_store::index::oid_key;
 use unistore_store::{Oid, Triple, Tuple, Value};
 use unistore_util::item::RawItem;
@@ -15,7 +14,7 @@ use unistore_workload::{PubParams, PubWorld};
 
 use super::{quiet_pgrid, spread_keys};
 use crate::backend::{Backend, SEED};
-use crate::{canon, f, header, latency_summary, row};
+use crate::{canon, f, header, row};
 
 /// E7 — claim C6: the q-gram index makes string similarity efficient.
 pub(super) fn e7_qgram() {
@@ -311,70 +310,6 @@ pub(super) fn e10_updates() {
     ]);
     println!("\nverdict: reads can be stale immediately after an update (loose guarantees),");
     println!("and pull anti-entropy drives staleness to ~0 — the paper's [4] behaviour.");
-}
-
-/// E11 — claim C2: 1000+ peers, unreliable and highly dynamic.
-pub(super) fn e11_churn() {
-    println!("\n## E11 — 1024 peers under churn (claim: robust in dynamic environments)\n");
-    header(&["scenario", "success %", "p50 latency (ms)", "queries"]);
-    for (label, churny) in [("stable", false), ("churn 40%", true)] {
-        let mut cfg = UniConfig::default()
-            .with_replication(4)
-            .with_maintenance(SimTime::from_secs(30), SimTime::from_secs(60));
-        cfg.overlay.refs_per_level = 4;
-        cfg.overlay.ping_timeout = SimTime::from_secs(2);
-        cfg.overlay.query_timeout = SimTime::from_secs(20);
-        cfg.query_timeout = SimTime::from_secs(60);
-        let world = PubWorld::generate(
-            &PubParams { n_authors: 200, n_conferences: 30, ..Default::default() },
-            SEED,
-        );
-        let mut cluster =
-            UniCluster::build_with_latency(1024, cfg, PlanetLabLatency::new(SEED), SEED);
-        cluster.load(world.all_tuples());
-        if churny {
-            let mut rng = unistore_util::rng::derive_rng(SEED, 5150);
-            install_churn(
-                &mut cluster.net,
-                &mut rng,
-                &ChurnConfig {
-                    mean_session: SimTime::from_secs(180),
-                    mean_downtime: SimTime::from_secs(45),
-                    churn_fraction: 0.4,
-                },
-                SimTime::from_secs(1200),
-            );
-            cluster.settle(SimTime::from_secs(60));
-        }
-        let mut ok = 0u32;
-        let mut total = 0u32;
-        let mut lat = Vec::new();
-        for i in 0..40u32 {
-            cluster.settle(SimTime::from_secs(15));
-            let origin = NodeId((i * 97) % 1024);
-            if !cluster.net.is_up(origin) {
-                continue;
-            }
-            total += 1;
-            let author = format!("auth{}", i % 200);
-            let out = cluster
-                .query(origin, &format!("SELECT ?v WHERE {{('{author}','age',?v)}}"))
-                .unwrap();
-            if out.ok && !out.relation.is_empty() {
-                ok += 1;
-                lat.push(out.cost.latency.as_millis_f64());
-            }
-        }
-        let (p50, _, _) = latency_summary(&lat);
-        row(&[
-            label.to_string(),
-            f(100.0 * ok as f64 / total.max(1) as f64),
-            f(p50),
-            total.to_string(),
-        ]);
-    }
-    println!("\nverdict: at 1024 peers queries stay answerable; churn costs some success");
-    println!("percentage, recovered by replication + routing maintenance.");
 }
 
 /// E12 (bonus) — dynamic construction: the pairwise bootstrap protocol

@@ -17,6 +17,8 @@
 use std::fmt;
 use std::path::Path;
 
+use unistore_util::stats::percentile;
+
 /// One value of a snapshot row.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Cell {
@@ -114,6 +116,34 @@ pub fn find<'a>(rows: &'a [Row], labels: &[(&str, &str)]) -> &'a Row {
     rows.iter()
         .find(|r| labels.iter().all(|(column, value)| r.get_str(column) == *value))
         .unwrap_or_else(|| panic!("no row with {labels:?}"))
+}
+
+/// One row for many draws of the same cell: labels and the `kept`
+/// counts from the first draw, every other count summed over the
+/// draws, every measurement's median (the upper one of an even number)
+/// at its precision.
+///
+/// # Panics
+/// Panics when `draws` is empty or a draw lacks a column of the first.
+pub fn pooled(draws: &[Row], kept: &[&str]) -> Row {
+    let Some(first) = draws.first() else { panic!("no draws to pool") };
+    Row(first
+        .0
+        .iter()
+        .map(|(column, cell)| {
+            let pooled = match cell {
+                Cell::Int(_) if !kept.contains(column) => {
+                    Cell::Int(draws.iter().map(|r| r.get_int(column)).sum())
+                }
+                Cell::Float(_, precision) => {
+                    let all: Vec<f64> = draws.iter().map(|r| r.get_float(column)).collect();
+                    Cell::Float(percentile(&all, 50.0), *precision)
+                }
+                label_or_kept => label_or_kept.clone(),
+            };
+            (*column, pooled)
+        })
+        .collect())
 }
 
 /// Renders rows as the `BENCH_*.json` text: a JSON array, one object
@@ -221,6 +251,22 @@ mod tests {
         let r = find(&rows, &[("backend", "Chord+buckets"), ("strategy", "collect")]);
         assert_eq!((r.get_int("msgs"), r.get_str("query")), (19, "3-way join"));
         assert_eq!(rows[0].get_float("kib"), 63.8809);
+    }
+
+    #[test]
+    fn pooling_keeps_labels_sums_counts_and_takes_medians() {
+        let draw = |cov90, p99| {
+            Row::new()
+                .str("backend", "P-Grid")
+                .int("n", 64)
+                .int("cov90", cov90)
+                .float("p99", p99, 1)
+        };
+        let pooled = pooled(&[draw(3, 9.0), draw(5, 1.0), draw(4, 2.0), draw(1, 7.0)], &["n"]);
+        assert_eq!(
+            pooled,
+            Row::new().str("backend", "P-Grid").int("n", 64).int("cov90", 13).float("p99", 7.0, 1)
+        );
     }
 
     #[test]

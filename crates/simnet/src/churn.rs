@@ -1,10 +1,10 @@
 //! Churn schedules.
 //!
 //! The paper claims robustness "even in unreliable and highly dynamic
-//! environments" (§3). Experiment E11 subjects the overlay to fail-stop
-//! churn: nodes alternate between online sessions and offline periods with
-//! exponentially distributed durations, the standard model for P2P session
-//! behavior.
+//! environments" (§3). The scale campaign (`BENCH_scale.json`) subjects
+//! the overlay to fail-stop churn: nodes alternate between online sessions
+//! and offline periods with exponentially distributed durations, the
+//! standard model for P2P session behavior.
 
 use rand::rngs::StdRng;
 use rand::Rng;
