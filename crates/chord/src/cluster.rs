@@ -390,11 +390,7 @@ mod tests {
 
     #[test]
     fn suspected_peers_are_routed_around_and_forgiven() {
-        let cfg = ChordConfig {
-            ping_interval: SimTime::from_secs(5),
-            ping_timeout: SimTime::from_secs(1),
-            ..ChordConfig::default()
-        };
+        let cfg = ChordConfig { ping_interval: SimTime::from_secs(5), ..ChordConfig::default() };
         let mut c: ChordCluster<RawItem> =
             ChordCluster::build(16, cfg, ConstantLatency(SimTime::from_millis(10)), 9);
         for k in 0..64u64 {
@@ -407,7 +403,8 @@ mod tests {
         c.net.schedule_down(dead, c.net.now());
         let deadline = c.net.now() + SimTime::from_secs(20);
         while c.net.now() < deadline && c.net.step() {}
-        let suspecting = live.iter().filter(|&&n| c.net.node(n).suspected.contains(&dead)).count();
+        let suspecting =
+            live.iter().filter(|&&n| c.net.node(n).liveness.is_suspected(dead)).count();
         assert!(suspecting > 0, "no peer suspected the dead node after a probe round");
 
         // Every key whose exact-index owner still lives must resolve:
@@ -430,7 +427,7 @@ mod tests {
         c.net.schedule_up(dead, c.net.now());
         let deadline = c.net.now() + SimTime::from_secs(20);
         while c.net.now() < deadline && c.net.step() {}
-        let still = live.iter().filter(|&&n| c.net.node(n).suspected.contains(&dead)).count();
+        let still = live.iter().filter(|&&n| c.net.node(n).liveness.is_suspected(dead)).count();
         assert_eq!(still, 0, "{still} peers still suspect the revived node");
     }
 }

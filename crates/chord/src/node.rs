@@ -1,15 +1,15 @@
 //! The Chord node: finger routing, bucket fan-out, broadcast tree.
 
 use rand::rngs::StdRng;
-use rand::Rng;
 
+use unistore_overlay::liveness::{Suspicion, DEADLINE};
 use unistore_overlay::repair::ReplicaRepair;
 use unistore_overlay::{push_hop, BatchTracker, HopGroups, OverlayDone};
 use unistore_simnet::{Effects, NodeBehavior, NodeId, SimTime, Timer};
 use unistore_util::fxhash::mix64;
 use unistore_util::rng::{derive_rng, stream};
 use unistore_util::wire::BatchVerb;
-use unistore_util::{FxHashMap, FxHashSet, ItemFilter, Key};
+use unistore_util::{FxHashMap, ItemFilter, Key};
 
 pub use unistore_util::item::Item;
 
@@ -58,15 +58,13 @@ pub struct ChordConfig {
     /// (jittered ±50% to avoid lockstep). Only armed when `replicate`.
     pub anti_entropy_interval: SimTime,
     /// Period of the routing-liveness probe: each tick pings the
-    /// successor and every finger, and a peer that misses
-    /// [`ChordConfig::ping_timeout`] is suspected — [`ChordNode`]
-    /// routes around suspects until they are heard from again. Zero
-    /// disables probing (the default: the healthy-path baseline
-    /// comparisons count messages, and probe traffic would distort
-    /// them).
+    /// successor and every finger, and a peer silent past
+    /// [`unistore_overlay::liveness::DEADLINE`] is suspected —
+    /// [`ChordNode`] routes around suspects until they are heard from
+    /// again. Zero disables probing (the default: the healthy-path
+    /// baseline comparisons count messages, and probe traffic would
+    /// distort them).
     pub ping_interval: SimTime,
-    /// How long a probed peer may stay silent before it is suspected.
-    pub ping_timeout: SimTime,
 }
 
 impl Default for ChordConfig {
@@ -78,7 +76,6 @@ impl Default for ChordConfig {
             replicate: false,
             anti_entropy_interval: SimTime::from_secs(60),
             ping_interval: SimTime::from_micros(0),
-            ping_timeout: SimTime::from_secs(2),
         }
     }
 }
@@ -153,12 +150,9 @@ pub struct ChordNode<I: Item> {
     /// Exact-key reads dispatched via the exact index (`[0]`) vs. the
     /// bucket mirror (`[1]`); drives replica-aware read balancing.
     pub(crate) reads_via: [u64; 2],
-    /// Routing-table peers presumed dead: they missed a ping deadline
-    /// and have not been heard from since. `next_hop` routes around
-    /// them.
-    pub(crate) suspected: FxHashSet<NodeId>,
-    /// Peers probed this ping round and not yet heard from.
-    awaiting_pong: FxHashSet<NodeId>,
+    /// Failure detector of the ping rounds: `next_hop` routes around the
+    /// peers it suspects until they are heard from again.
+    pub(crate) liveness: Suspicion,
 }
 
 impl<I: Item> ChordNode<I> {
@@ -181,8 +175,7 @@ impl<I: Item> ChordNode<I> {
             rng: derive_rng(seed, stream::NODE_BASE + id.0 as u64),
             msg_load: 0,
             reads_via: [0, 0],
-            suspected: FxHashSet::default(),
-            awaiting_pong: FxHashSet::default(),
+            liveness: Suspicion::default(),
         }
     }
 
@@ -230,7 +223,7 @@ impl<I: Item> ChordNode<I> {
             return self.successor.0;
         }
         for &(node, ring) in self.fingers.iter().rev() {
-            if in_open_open(self.ring_id, k, ring) && !self.suspected.contains(&node) {
+            if in_open_open(self.ring_id, k, ring) && !self.liveness.is_suspected(node) {
                 return node;
             }
         }
@@ -238,7 +231,7 @@ impl<I: Item> ChordNode<I> {
         // (and, since `k` is past it, not the owner) skip one node
         // ahead. `successor2` never overshoots: the owner is the first
         // ring member at or past `k`, which is `successor2` or later.
-        if self.suspected.contains(&self.successor.0) && self.successor2.0 != self.id {
+        if self.liveness.is_suspected(self.successor.0) && self.successor2.0 != self.id {
             return self.successor2.0;
         }
         self.successor.0
@@ -249,43 +242,23 @@ impl<I: Item> ChordNode<I> {
         fx.set_timer(self.cfg.query_timeout, Timer::new(timer::QUERY_TIMEOUT, qid));
     }
 
-    /// Arms the next anti-entropy tick with ±50% jitter to avoid
-    /// lockstep probe storms (the same idiom as P-Grid's
-    /// `arm_periodic`).
-    fn arm_anti_entropy(&mut self, fx: &mut Fx<I>) {
-        let jitter = self.rng.gen_range(0.5..1.5);
-        let base = self.cfg.anti_entropy_interval.as_micros() as f64;
-        let delay = SimTime::from_micros((base * jitter) as u64);
-        fx.set_timer(delay, Timer::new(timer::ANTI_ENTROPY, 0));
-    }
-
-    /// Arms the next routing-liveness probe (same ±50% jitter idiom).
-    fn arm_ping(&mut self, fx: &mut Fx<I>) {
-        let jitter = self.rng.gen_range(0.5..1.5);
-        let base = self.cfg.ping_interval.as_micros() as f64;
-        let delay = SimTime::from_micros((base * jitter) as u64);
-        fx.set_timer(delay, Timer::new(timer::PING, 0));
-    }
-
-    /// One probe round: ping every distinct routing-table peer and
-    /// start the silence deadline. Suspicion is per-round — a peer
-    /// still silent when [`timer::PING_DEADLINE`] fires is suspected.
+    /// One probe round: ping every distinct routing-table peer and arm
+    /// the round's deadline ([`timer::PING_DEADLINE`]).
     fn run_ping_round(&mut self, fx: &mut Fx<I>) {
-        self.awaiting_pong.clear();
+        self.liveness.start_round();
         let mut targets: Vec<NodeId> = Vec::with_capacity(self.fingers.len() + 2);
         targets.push(self.successor.0);
         targets.push(self.successor2.0);
         targets.extend(self.fingers.iter().map(|&(node, _)| node));
         targets.sort_unstable();
         targets.dedup();
-        for node in targets {
-            if node != self.id {
-                self.awaiting_pong.insert(node);
-                fx.send(node, ChordMsg::Ping);
-            }
+        targets.retain(|&node| node != self.id);
+        for &node in &targets {
+            self.liveness.probe(node);
+            fx.send(node, ChordMsg::Ping);
         }
-        if !self.awaiting_pong.is_empty() {
-            fx.set_timer(self.cfg.ping_timeout, Timer::new(timer::PING_DEADLINE, 0));
+        if !targets.is_empty() {
+            fx.set_timer(DEADLINE, Timer::new(timer::PING_DEADLINE, 0));
         }
     }
 
@@ -318,7 +291,7 @@ impl<I: Item> ChordNode<I> {
             // the data, so fail fast — the origin's retry chain can
             // try the other index mirror now instead of waiting out
             // the op timeout.
-            if self.suspected.contains(&next)
+            if self.liveness.is_suspected(next)
                 && in_open_closed(self.ring_id, self.successor.1, ring_key)
             {
                 self.answer_lookup(qid, origin, Vec::new(), hops, false, fx);
@@ -720,26 +693,25 @@ impl<I: Item> NodeBehavior for ChordNode<I> {
     type Out = OverlayDone<I>;
 
     fn on_start(&mut self, _now: SimTime, fx: &mut Fx<I>) {
-        // Also runs on revival, so a node that was down resumes the
-        // repair cadence immediately instead of waiting for a timer
-        // chain that died while it was offline.
-        if self.cfg.replicate {
-            self.arm_anti_entropy(fx);
+        // Also runs on revival: a crash cancelled every pending timer, so
+        // the chains start over here.
+        let cfg = &self.cfg;
+        if cfg.replicate {
+            let tick = Timer::new(timer::ANTI_ENTROPY, 0);
+            fx.set_periodic(&mut self.rng, cfg.anti_entropy_interval, tick);
         }
-        if self.cfg.ping_interval > SimTime::from_micros(0) {
+        if cfg.ping_interval > SimTime::from_micros(0) {
             // A revived node's suspicions are as stale as its absence
             // was long: start trusting and let the probes re-learn.
-            self.suspected.clear();
-            self.awaiting_pong.clear();
-            self.arm_ping(fx);
+            self.liveness.reset();
+            fx.set_periodic(&mut self.rng, cfg.ping_interval, Timer::new(timer::PING, 0));
         }
     }
 
     fn on_message(&mut self, _now: SimTime, from: NodeId, msg: ChordMsg<I>, fx: &mut Fx<I>) {
         self.msg_load += 1;
         // Any traffic from a peer proves it lives.
-        self.suspected.remove(&from);
-        self.awaiting_pong.remove(&from);
+        self.liveness.heard(from);
         match msg {
             ChordMsg::Lookup { qid, ring_key, origin, hops, filter } => {
                 self.handle_lookup(from, qid, ring_key, origin, hops, None, filter, fx)
@@ -777,15 +749,15 @@ impl<I: Item> NodeBehavior for ChordNode<I> {
             timer::QUERY_TIMEOUT => self.handle_timeout(t.payload, fx),
             timer::ANTI_ENTROPY => {
                 self.run_anti_entropy(fx);
-                self.arm_anti_entropy(fx);
+                fx.set_periodic(&mut self.rng, self.cfg.anti_entropy_interval, t);
             }
             timer::PING => {
                 self.run_ping_round(fx);
-                self.arm_ping(fx);
+                fx.set_periodic(&mut self.rng, self.cfg.ping_interval, t);
             }
+            // Suspects keep their finger slots: `next_hop` detours.
             timer::PING_DEADLINE => {
-                let silent: Vec<NodeId> = self.awaiting_pong.drain().collect();
-                self.suspected.extend(silent);
+                self.liveness.expire();
             }
             _ => {}
         }

@@ -15,7 +15,9 @@
 //!   backend emits for locally issued operations, and one driver-side
 //!   wait ([`run_op`]) for raw overlay clusters,
 //! * **bootstrap**: converged-topology planning ([`OverlayTopology`])
-//!   shared by the simulated cluster driver and the live runtime.
+//!   shared by the simulated cluster and the live runtime,
+//! * **liveness**: one failure detector ([`liveness::Suspicion`]) for
+//!   the peers a backend routes through.
 //!
 //! `unistore-pgrid` implements it natively (the trie *is* the index);
 //! `unistore-chord` implements it with a uniform-hash ring plus an
@@ -24,6 +26,7 @@
 //! VQL → MQP → adaptive-optimizer pipeline runs unchanged over either.
 
 pub mod batch;
+pub mod liveness;
 pub mod repair;
 pub mod store;
 

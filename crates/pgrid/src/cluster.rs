@@ -518,4 +518,42 @@ mod tests {
         );
         assert!(g_bal < 0.45, "balanced overlay still skewed: gini={g_bal:.3}");
     }
+
+    /// A crash ends a peer's timer chains even when the peer is back up
+    /// before their next tick: the revival arms one fresh set, so five
+    /// short crashes leave the cluster ticking as if there were none.
+    #[test]
+    fn a_revived_peer_runs_one_set_of_timer_chains() {
+        let run = |crashes: u64| {
+            let mut c: PGridCluster<RawItem> = PGridCluster::build(
+                16,
+                PGridConfig::default().with_replication(2),
+                Topology::Uniform,
+                ConstantLatency(SimTime::from_millis(10)),
+                5,
+            );
+            for i in 0..crashes {
+                let down = SimTime::from_secs(10 + 20 * i);
+                c.net.schedule_down(NodeId(3), down);
+                c.net.schedule_up(NodeId(3), down + SimTime::from_secs(1));
+            }
+            c.settle(SimTime::from_secs(200));
+            let before = c.net.metrics();
+            c.settle(SimTime::from_secs(300));
+            c.net.metrics().delta(&before)
+        };
+        let (calm, crashed) = (run(0), run(5));
+        assert!(
+            crashed.timers_fired <= calm.timers_fired + 10,
+            "timers per 300 s: {} without crashes, {} after five",
+            calm.timers_fired,
+            crashed.timers_fired
+        );
+        assert!(
+            crashed.sent * 10 <= calm.sent * 11,
+            "sends per 300 s: {} without crashes, {} after five",
+            calm.sent,
+            crashed.sent
+        );
+    }
 }

@@ -23,8 +23,6 @@ pub struct PGridConfig {
     /// alternative exists — this is what makes the multiple
     /// references-per-level actually mask crashed peers (paper §2).
     pub op_retries: u32,
-    /// How long an unanswered ping marks a reference dead.
-    pub ping_timeout: SimTime,
     /// Bootstrap protocol: number of locally stored items above which a
     /// peer is willing to split its path during a pairwise exchange.
     pub split_threshold: usize,
@@ -43,7 +41,6 @@ impl Default for PGridConfig {
             anti_entropy_interval: SimTime::from_secs(60),
             query_timeout: SimTime::from_secs(10),
             op_retries: 2,
-            ping_timeout: SimTime::from_secs(2),
             split_threshold: 8,
             exchange_interval: SimTime::from_secs(1),
             max_depth: 40,

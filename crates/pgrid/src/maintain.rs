@@ -4,14 +4,20 @@
 //! gossip (paper §2/§3: robust "even in unreliable and highly dynamic
 //! environments"). Each maintenance round a peer:
 //!
-//! 1. **probes** one random reference (ping; a missing pong within the
-//!    timeout evicts the reference), and
+//! 1. **probes** one random reference and one random replica on its
+//!    [`Suspicion`] detector: a probed peer that sends nothing before the
+//!    round's [`DEADLINE`] (no pong, no other message) is evicted from
+//!    the routing table and the replica group, and
 //! 2. **exchanges tables** with one random reference, merging any
-//!    advertised peer that fits an under-full level.
+//!    advertised peer that fits an under-full level — which is how
+//!    evicted references are replaced (evicted replicas are not).
+//!
+//! [`Suspicion`]: unistore_overlay::liveness::Suspicion
 
 use rand::seq::SliceRandom;
 use rand::Rng;
 
+use unistore_overlay::liveness::DEADLINE;
 use unistore_simnet::{NodeId, Timer};
 
 use crate::item::Item;
@@ -25,12 +31,11 @@ impl<I: Item> PGridPeer<I> {
         if refs.is_empty() {
             return;
         }
+        self.liveness.start_round();
         // Probe a random reference.
-        if let Some(target) = refs.choose(&mut self.rng).copied() {
-            let nonce = self.fresh_nonce();
-            self.pending_pings.insert(nonce, target.id);
-            fx.send(target.id, PGridMsg::Ping { nonce });
-            fx.set_timer(self.cfg.ping_timeout, Timer::new(timer::PING_TIMEOUT, nonce));
+        if let Some(target) = refs.choose(&mut self.rng) {
+            self.liveness.probe(target.id);
+            fx.send(target.id, PGridMsg::Ping);
         }
         // Gossip routing tables with another random reference.
         if let Some(target) = refs.choose(&mut self.rng) {
@@ -40,16 +45,16 @@ impl<I: Item> PGridPeer<I> {
         let replicas = self.routing.replicas();
         if !replicas.is_empty() {
             let pick = replicas[self.rng.gen_range(0..replicas.len())];
-            let nonce = self.fresh_nonce();
-            self.pending_pings.insert(nonce, pick);
-            fx.send(pick, PGridMsg::Ping { nonce });
-            fx.set_timer(self.cfg.ping_timeout, Timer::new(timer::PING_TIMEOUT, nonce));
+            self.liveness.probe(pick);
+            fx.send(pick, PGridMsg::Ping);
         }
+        fx.set_timer(DEADLINE, Timer::new(timer::PING_DEADLINE, 0));
     }
 
-    /// A ping deadline fired: if the pong never arrived, evict the peer.
-    pub(crate) fn handle_ping_timeout(&mut self, nonce: u64) {
-        if let Some(dead) = self.pending_pings.remove(&nonce) {
+    /// The round's deadline fired: evict every probed peer that stayed
+    /// silent.
+    pub(crate) fn evict_silent(&mut self) {
+        for dead in self.liveness.expire() {
             self.routing.remove(dead);
         }
     }
@@ -77,7 +82,7 @@ mod tests {
     use super::*;
     use crate::config::PGridConfig;
     use crate::item::RawItem;
-    use unistore_simnet::Effects;
+    use unistore_simnet::{Effects, NodeBehavior, SimTime};
     use unistore_util::BitPath;
 
     fn peer(id: u32, path: &str) -> PGridPeer<RawItem> {
@@ -88,17 +93,31 @@ mod tests {
         PeerRef { id: NodeId(id), path: BitPath::parse(path).unwrap() }
     }
 
+    /// Fires every timer `fx` armed, as the network does once each is due.
+    fn fire_timers(p: &mut PGridPeer<RawItem>, fx: &Fx<RawItem>) {
+        for &(_, t) in fx.timers() {
+            p.on_timer(SimTime::ZERO, t, &mut Effects::new());
+        }
+    }
+
     #[test]
     fn maintenance_probes_and_gossips() {
         let mut p = peer(0, "0");
         p.routing_mut().add_ref(pref(1, "1"));
+        p.routing_mut().add_replica(NodeId(2));
         let mut fx = Effects::new();
         p.run_maintenance(&mut fx);
-        let pings = fx.sends().iter().filter(|(_, m)| matches!(m, PGridMsg::Ping { .. })).count();
+        let pings: Vec<NodeId> = fx
+            .sends()
+            .iter()
+            .filter(|(_, m)| matches!(m, PGridMsg::Ping))
+            .map(|(to, _)| *to)
+            .collect();
         let tables = fx.sends().iter().filter(|(_, m)| matches!(m, PGridMsg::TableRequest)).count();
-        assert_eq!(pings, 1);
+        assert_eq!(pings, vec![NodeId(1), NodeId(2)], "a reference and a replica probed");
         assert_eq!(tables, 1);
-        assert_eq!(fx.timers().len(), 1, "ping timeout armed");
+        let deadline = (DEADLINE, Timer::new(timer::PING_DEADLINE, 0));
+        assert_eq!(fx.timers(), &[deadline], "one deadline timer per round");
     }
 
     #[test]
@@ -115,12 +134,8 @@ mod tests {
         p.routing_mut().add_ref(pref(1, "1"));
         let mut fx = Effects::new();
         p.run_maintenance(&mut fx);
-        let nonce = match fx.sends().iter().find(|(_, m)| matches!(m, PGridMsg::Ping { .. })) {
-            Some((_, PGridMsg::Ping { nonce })) => *nonce,
-            _ => unreachable!(),
-        };
         // Deadline fires with no pong → evicted.
-        p.handle_ping_timeout(nonce);
+        fire_timers(&mut p, &fx);
         assert_eq!(p.routing().ref_count(), 0);
     }
 
@@ -130,15 +145,25 @@ mod tests {
         p.routing_mut().add_ref(pref(1, "1"));
         let mut fx = Effects::new();
         p.run_maintenance(&mut fx);
-        let nonce = match fx.sends().iter().find(|(_, m)| matches!(m, PGridMsg::Ping { .. })) {
-            Some((_, PGridMsg::Ping { nonce })) => *nonce,
-            _ => unreachable!(),
-        };
         // Pong arrives first …
-        p.pending_pings.remove(&nonce);
+        p.on_message(SimTime::ZERO, NodeId(1), PGridMsg::Pong, &mut Effects::new());
         // … so the deadline is a no-op.
-        p.handle_ping_timeout(nonce);
+        fire_timers(&mut p, &fx);
         assert_eq!(p.routing().ref_count(), 1);
+    }
+
+    /// Any message proves a probed peer alive, not just the pong.
+    #[test]
+    fn a_ref_whose_pong_is_lost_but_that_sent_anything_else_stays() {
+        let mut p = peer(0, "0");
+        p.routing_mut().add_ref(pref(1, "1"));
+        let mut fx = Effects::new();
+        p.run_maintenance(&mut fx);
+        // The pong is lost; the reply to the round's table request is not.
+        let reply = PGridMsg::TableReply { peers: Vec::new() };
+        p.on_message(SimTime::ZERO, NodeId(1), reply, &mut Effects::new());
+        fire_timers(&mut p, &fx);
+        assert_eq!(p.routing().ref_count(), 1, "evicted a peer that answered the gossip");
     }
 
     #[test]

@@ -178,16 +178,11 @@ pub enum PGridMsg<I> {
     /// Anti-entropy: one message of the hash-tree replica repair
     /// (`unistore_overlay::repair`) over `(key, ident)` record keys.
     Repair(RepairMsg<(Key, u64), I>),
-    /// Liveness probe.
-    Ping {
-        /// Echo token.
-        nonce: u64,
-    },
-    /// Liveness answer.
-    Pong {
-        /// Echoed token.
-        nonce: u64,
-    },
+    /// Liveness probe of a maintenance round (`unistore_overlay::liveness`).
+    Ping,
+    /// Answer to [`PGridMsg::Ping`] (any message from the probed peer
+    /// counts; this just guarantees there is one).
+    Pong,
     /// Asks a peer for its routing table (maintenance refresh).
     TableRequest,
     /// Routing-table contents: every referenced peer with its path.
@@ -339,14 +334,8 @@ impl<I: Item> Wire for PGridMsg<I> {
                 tag::REPAIR.encode(buf);
                 msg.encode(buf);
             }
-            PGridMsg::Ping { nonce } => {
-                tag::PING.encode(buf);
-                nonce.encode(buf);
-            }
-            PGridMsg::Pong { nonce } => {
-                tag::PONG.encode(buf);
-                nonce.encode(buf);
-            }
+            PGridMsg::Ping => tag::PING.encode(buf),
+            PGridMsg::Pong => tag::PONG.encode(buf),
             PGridMsg::TableRequest => tag::TABLE_REQUEST.encode(buf),
             PGridMsg::TableReply { peers } => {
                 tag::TABLE_REPLY.encode(buf);
@@ -448,8 +437,8 @@ impl<I: Item> Wire for PGridMsg<I> {
             },
             tag::REPLICATE => PGridMsg::Replicate { entries: Wire::decode(buf)? },
             tag::REPAIR => PGridMsg::Repair(Wire::decode(buf)?),
-            tag::PING => PGridMsg::Ping { nonce: Wire::decode(buf)? },
-            tag::PONG => PGridMsg::Pong { nonce: Wire::decode(buf)? },
+            tag::PING => PGridMsg::Ping,
+            tag::PONG => PGridMsg::Pong,
             tag::TABLE_REQUEST => PGridMsg::TableRequest,
             tag::TABLE_REPLY => PGridMsg::TableReply { peers: Wire::decode(buf)? },
             tag::EXCHANGE => {
@@ -524,8 +513,7 @@ impl<I: Item> Wire for PGridMsg<I> {
             | PGridMsg::ExchangeData { entries }
             | PGridMsg::ExchangeReplica { entries } => entries.wire_size(),
             PGridMsg::Repair(msg) => msg.wire_size(),
-            PGridMsg::Ping { nonce } | PGridMsg::Pong { nonce } => nonce.wire_size(),
-            PGridMsg::TableRequest => 0,
+            PGridMsg::Ping | PGridMsg::Pong | PGridMsg::TableRequest => 0,
             PGridMsg::TableReply { peers } | PGridMsg::ExchangeRefs { peers } => peers.wire_size(),
             PGridMsg::Exchange { path, store_len } => path.wire_size() + store_len.wire_size(),
             PGridMsg::ExchangeSplit { new_sender_path, entries } => {
@@ -617,8 +605,8 @@ mod tests {
                 entries: vec![((42, 7), 1, Some(RawItem(7))), ((43, 8), 2, None)],
                 want: vec![(44, 9)],
             }),
-            PGridMsg::Ping { nonce: 77 },
-            PGridMsg::Pong { nonce: 77 },
+            PGridMsg::Ping,
+            PGridMsg::Pong,
             PGridMsg::TableRequest,
             PGridMsg::TableReply { peers: peers.clone() },
             PGridMsg::Exchange { path, store_len: 12 },

@@ -8,6 +8,7 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 
+use unistore_overlay::liveness::Suspicion;
 use unistore_overlay::repair::ReplicaRepair;
 use unistore_overlay::{BatchTracker, OverlayDone};
 use unistore_simnet::{Effects, NodeBehavior, NodeId, SimTime, Timer};
@@ -34,8 +35,8 @@ pub(crate) mod timer {
     pub const ANTI_ENTROPY: u32 = 3;
     /// Bootstrap: initiate a pairwise exchange; payload unused.
     pub const EXCHANGE: u32 = 4;
-    /// Ping timeout; payload = nonce.
-    pub const PING_TIMEOUT: u32 = 5;
+    /// Deadline of a maintenance round's probes.
+    pub const PING_DEADLINE: u32 = 5;
 }
 
 /// State of a driver-issued operation awaiting completion at the origin.
@@ -91,8 +92,8 @@ pub struct PGridPeer<I: Item> {
     pub(crate) repair: ReplicaRepair,
     pub(crate) rng: StdRng,
     pub(crate) pending: FxHashMap<QueryId, Pending<I>>,
-    pub(crate) pending_pings: FxHashMap<u64, NodeId>,
-    next_nonce: u64,
+    /// Failure detector of the maintenance probes ([`crate::maintain`]).
+    pub(crate) liveness: Suspicion,
     /// All node ids in the overlay — stands in for P-Grid's random walks
     /// when the bootstrap protocol picks exchange partners (documented
     /// simplification, see DESIGN.md).
@@ -120,8 +121,7 @@ impl<I: Item> PGridPeer<I> {
             repair: ReplicaRepair::default(),
             rng,
             pending: FxHashMap::default(),
-            pending_pings: FxHashMap::default(),
-            next_nonce: 1,
+            liveness: Suspicion::default(),
             universe: Vec::new(),
             bootstrapping: false,
             reroute_stash: Vec::new(),
@@ -179,20 +179,6 @@ impl<I: Item> PGridPeer<I> {
             RouteDecision::Forward(id, _) => Some(id),
             RouteDecision::Local | RouteDecision::Stuck(_) => None,
         }
-    }
-
-    pub(crate) fn fresh_nonce(&mut self) -> u64 {
-        let n = self.next_nonce;
-        self.next_nonce += 1;
-        // Nonce space is per-peer; tag with id to keep them globally unique.
-        (self.id.0 as u64) << 40 | n
-    }
-
-    /// Arms a periodic timer with ±50% jitter to avoid lockstep.
-    pub(crate) fn arm_periodic(&mut self, fx: &mut Fx<I>, base: SimTime, kind: u32) {
-        let jitter = self.rng.gen_range(0.5..1.5);
-        let delay = SimTime::from_micros((base.as_micros() as f64 * jitter) as u64);
-        fx.set_timer(delay, Timer::new(kind, 0));
     }
 
     /// Registers a pending driver operation and arms its timeout,
@@ -267,15 +253,22 @@ impl<I: Item> NodeBehavior for PGridPeer<I> {
     type Out = OverlayDone<I>;
 
     fn on_start(&mut self, _now: SimTime, fx: &mut Fx<I>) {
-        self.arm_periodic(fx, self.cfg.maintenance_interval, timer::MAINTAIN);
-        self.arm_periodic(fx, self.cfg.anti_entropy_interval, timer::ANTI_ENTROPY);
+        // Also runs on revival: a crash cancelled every pending timer, and
+        // what the peer suspected is as stale as its absence was long.
+        self.liveness.reset();
+        let cfg = &self.cfg;
+        fx.set_periodic(&mut self.rng, cfg.maintenance_interval, Timer::new(timer::MAINTAIN, 0));
+        let tick = Timer::new(timer::ANTI_ENTROPY, 0);
+        fx.set_periodic(&mut self.rng, cfg.anti_entropy_interval, tick);
         if self.bootstrapping {
-            self.arm_periodic(fx, self.cfg.exchange_interval, timer::EXCHANGE);
+            fx.set_periodic(&mut self.rng, cfg.exchange_interval, Timer::new(timer::EXCHANGE, 0));
         }
     }
 
     fn on_message(&mut self, now: SimTime, from: NodeId, msg: PGridMsg<I>, fx: &mut Fx<I>) {
         self.msg_load += 1;
+        // Any traffic from a peer proves it lives.
+        self.liveness.heard(from);
         match msg {
             PGridMsg::Lookup { qid, key, origin, hops, filter } => {
                 self.handle_lookup(from, qid, key, origin, hops, filter, fx)
@@ -301,10 +294,8 @@ impl<I: Item> NodeBehavior for PGridPeer<I> {
             }
             PGridMsg::Replicate { entries } => self.handle_replicate(entries),
             PGridMsg::Repair(msg) => self.handle_repair(from, msg, fx),
-            PGridMsg::Ping { nonce } => fx.send(from, PGridMsg::Pong { nonce }),
-            PGridMsg::Pong { nonce } => {
-                self.pending_pings.remove(&nonce);
-            }
+            PGridMsg::Ping => fx.send(from, PGridMsg::Pong),
+            PGridMsg::Pong => {}
             PGridMsg::TableRequest => self.handle_table_request(from, fx),
             PGridMsg::TableReply { peers } | PGridMsg::ExchangeRefs { peers } => {
                 self.merge_refs(&peers)
@@ -326,17 +317,17 @@ impl<I: Item> NodeBehavior for PGridPeer<I> {
             timer::QUERY_TIMEOUT => self.handle_query_timeout(t.payload, fx),
             timer::MAINTAIN => {
                 self.run_maintenance(fx);
-                self.arm_periodic(fx, self.cfg.maintenance_interval, timer::MAINTAIN);
+                fx.set_periodic(&mut self.rng, self.cfg.maintenance_interval, t);
             }
             timer::ANTI_ENTROPY => {
                 self.run_anti_entropy(fx);
-                self.arm_periodic(fx, self.cfg.anti_entropy_interval, timer::ANTI_ENTROPY);
+                fx.set_periodic(&mut self.rng, self.cfg.anti_entropy_interval, t);
             }
             timer::EXCHANGE if self.bootstrapping => {
                 self.initiate_exchange(fx);
-                self.arm_periodic(fx, self.cfg.exchange_interval, timer::EXCHANGE);
+                fx.set_periodic(&mut self.rng, self.cfg.exchange_interval, t);
             }
-            timer::PING_TIMEOUT => self.handle_ping_timeout(t.payload),
+            timer::PING_DEADLINE => self.evict_silent(),
             _ => {}
         }
     }

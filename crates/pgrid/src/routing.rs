@@ -65,7 +65,6 @@ impl RoutingTable {
     /// Existing refs are re-filed; those that no longer fit are dropped.
     pub fn set_path(&mut self, path: BitPath) {
         let old_refs = self.all_refs();
-        let old_replicas = std::mem::take(&mut self.replicas);
         self.path = path;
         self.levels = vec![Vec::new(); path.len() as usize];
         for r in old_refs {
@@ -74,7 +73,7 @@ impl RoutingTable {
         // Old replicas may or may not still share the path; without their
         // paths we can't tell, so they are dropped and rediscovered by
         // maintenance. (Bootstrap re-adds the known ones explicitly.)
-        let _ = old_replicas;
+        self.replicas.clear();
     }
 
     /// True if this peer is responsible for `key`.

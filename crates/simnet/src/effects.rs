@@ -8,6 +8,8 @@
 
 use std::vec::Drain;
 
+use rand::Rng;
+
 use crate::net::NodeId;
 use crate::time::SimTime;
 
@@ -58,6 +60,14 @@ impl<M, O> Effects<M, O> {
     /// Arms a timer to fire after `delay`.
     pub fn set_timer(&mut self, delay: SimTime, timer: Timer) {
         self.timers.push((delay, timer));
+    }
+
+    /// Arms the next tick of a periodic task: `timer` fires after
+    /// `period` scaled by one uniform draw from `[0.5, 1.5)` of `rng`, so
+    /// peers started together do not tick in lockstep.
+    pub fn set_periodic(&mut self, rng: &mut impl Rng, period: SimTime, timer: Timer) {
+        let jitter = rng.gen_range(0.5..1.5);
+        self.set_timer(SimTime::from_micros((period.as_micros() as f64 * jitter) as u64), timer);
     }
 
     /// Emits an output to the simulation driver (e.g. a query result).

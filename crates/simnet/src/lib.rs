@@ -13,7 +13,8 @@
 //! * **Honest accounting** — every message crossing the network reports
 //!   its encoded size via `Wire::wire_size`, so byte counts in experiment
 //!   output correspond to real serialized sizes.
-//! * **Failure injection** — uniform message loss, fail-stop crashes,
+//! * **Failure injection** — uniform message loss, fail-stop crashes
+//!   (a crash cancels the node's pending timers),
 //!   churn schedules ([`churn`]), and composable [`fault`] plans
 //!   (partitions, gray-failure delay spikes, duplication, reordering).
 

@@ -67,7 +67,8 @@ pub trait NodeBehavior {
     type Out;
 
     /// Called once when the node joins the network, and again each time it
-    /// comes back up after a crash. Used to arm maintenance timers.
+    /// comes back up after a crash. Used to arm maintenance timers: a crash
+    /// cancels every timer the node had armed.
     fn on_start(&mut self, _now: SimTime, _fx: &mut Effects<Self::Msg, Self::Out>) {}
 
     /// Handles one delivered message.
@@ -84,8 +85,15 @@ pub trait NodeBehavior {
 }
 
 enum EventKind<M> {
-    Deliver { from: NodeId, msg: M },
-    Timer(Timer),
+    Deliver {
+        from: NodeId,
+        msg: M,
+    },
+    /// Fires only in the incarnation of its node that armed it.
+    Timer {
+        timer: Timer,
+        incarnation: u32,
+    },
     Up,
     Down,
     Start,
@@ -108,6 +116,9 @@ const _: () = assert!(std::mem::size_of::<EventKey>() == 24);
 struct Slot<N> {
     node: N,
     up: bool,
+    /// Crashes so far. A crash ends an incarnation and every timer armed
+    /// in it, even when the node is back up before the timer is due.
+    incarnation: u32,
 }
 
 /// The deterministic discrete-event network.
@@ -221,7 +232,7 @@ impl<N: NodeBehavior> SimNet<N> {
     /// Adds a node and schedules its `on_start` at the current time.
     pub fn add_node(&mut self, node: N) -> NodeId {
         let id = NodeId(self.slots.len() as u32);
-        self.slots.push(Slot { node, up: true });
+        self.slots.push(Slot { node, up: true, incarnation: 0 });
         self.delivered_by.push(0);
         self.push_event(self.now, id, EventKind::Start);
         id
@@ -287,7 +298,8 @@ impl<N: NodeBehavior> SimNet<N> {
         self.push_event(self.now, to, EventKind::Deliver { from: NodeId::EXTERNAL, msg });
     }
 
-    /// Schedules a fail-stop crash.
+    /// Schedules a fail-stop crash: the node drops deliveries until it is
+    /// revived, and no timer it armed before the crash fires.
     pub fn schedule_down(&mut self, id: NodeId, at: SimTime) {
         self.push_event(at, id, EventKind::Down);
     }
@@ -347,9 +359,11 @@ impl<N: NodeBehavior> SimNet<N> {
                     self.metrics.dropped += 1;
                 }
             }
-            EventKind::Timer(timer) => {
+            EventKind::Timer { timer, incarnation } => {
                 let slot = &mut self.slots[idx];
-                if slot.up {
+                // Same incarnation: no crash since the timer was armed, so
+                // the node is up.
+                if slot.incarnation == incarnation {
                     self.metrics.timers_fired += 1;
                     slot.node.on_timer(self.now, timer, &mut fx);
                 }
@@ -364,6 +378,7 @@ impl<N: NodeBehavior> SimNet<N> {
                 let slot = &mut self.slots[idx];
                 if slot.up {
                     slot.up = false;
+                    slot.incarnation += 1;
                     self.metrics.downs += 1;
                 }
             }
@@ -429,8 +444,9 @@ impl<N: NodeBehavior> SimNet<N> {
             }
             self.push_event(self.now + delay, to, EventKind::Deliver { from: origin, msg });
         }
+        let incarnation = self.slots[origin.index()].incarnation;
         for (delay, timer) in fx.timers.drain(..) {
-            self.push_event(self.now + delay, origin, EventKind::Timer(timer));
+            self.push_event(self.now + delay, origin, EventKind::Timer { timer, incarnation });
         }
         for out in fx.emits.drain(..) {
             self.outputs.push((self.now, origin, out));
@@ -586,6 +602,33 @@ mod tests {
         net.run_until_quiescent(SimTime::from_secs(10));
         assert!(net.is_up(NodeId(1)));
         assert_eq!(net.node(NodeId(1)).started, before + 1, "on_start re-fired");
+    }
+
+    #[test]
+    fn a_crash_cancels_pending_timers_even_when_revived_before_they_are_due() {
+        /// Ticks every 10 ms from each start: one timer chain per start.
+        struct Ticker;
+        impl NodeBehavior for Ticker {
+            type Msg = Hop;
+            type Out = ();
+            fn on_start(&mut self, _now: SimTime, fx: &mut Effects<Hop, ()>) {
+                fx.set_timer(SimTime::from_millis(10), Timer::new(1, 0));
+            }
+            fn on_message(&mut self, _n: SimTime, _f: NodeId, _m: Hop, _fx: &mut Effects<Hop, ()>) {
+            }
+            fn on_timer(&mut self, _now: SimTime, t: Timer, fx: &mut Effects<Hop, ()>) {
+                fx.set_timer(SimTime::from_millis(10), t);
+            }
+        }
+        let mut net = SimNet::new(ConstantLatency(SimTime::ZERO), 0);
+        let id = net.add_node(Ticker);
+        // Down at 15 ms, up at 16 ms: the tick due at 20 ms was armed
+        // before the crash.
+        net.schedule_down(id, SimTime::from_millis(15));
+        net.schedule_up(id, SimTime::from_millis(16));
+        net.run_until(SimTime::from_millis(100));
+        // 10 ms, then 26, 36, ..., 96 ms from the revival: one chain.
+        assert_eq!(net.metrics().timers_fired, 1 + 8);
     }
 
     #[test]

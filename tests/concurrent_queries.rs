@@ -183,7 +183,6 @@ fn pipeline_under_churn_pgrid() {
         .with_max_in_flight(32)
         .with_query_retries(1);
     cfg.overlay.refs_per_level = 4;
-    cfg.overlay.ping_timeout = SimTime::from_secs(1);
     cfg.query_timeout = SimTime::from_secs(30);
     cfg.overlay.query_timeout = SimTime::from_secs(8);
     // budget = query_timeout × (retries + 2) = 90 s; bound = 2 × budget.

@@ -244,8 +244,8 @@ impl FuzzSeeds for PGridMsg<Triple> {
                 entries: vec![((42, 7), 1, Some(t)), ((43, 8), 2, None)],
                 want: vec![(44, 9)],
             }),
-            PGridMsg::Ping { nonce: 77 },
-            PGridMsg::Pong { nonce: 77 },
+            PGridMsg::Ping,
+            PGridMsg::Pong,
             PGridMsg::TableRequest,
             PGridMsg::TableReply { peers: sample_peers() },
             PGridMsg::Exchange { path: unistore_util::BitPath::ROOT, store_len: 12 },

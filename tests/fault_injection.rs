@@ -93,8 +93,7 @@ fn crashed_minority_does_not_stop_point_queries() {
 
 #[test]
 fn churn_with_maintenance_keeps_success_rate_up() {
-    let mut cfg = robust_cfg().with_maintenance(SimTime::from_secs(5), SimTime::from_secs(10));
-    cfg.overlay.ping_timeout = SimTime::from_secs(1);
+    let cfg = robust_cfg().with_maintenance(SimTime::from_secs(5), SimTime::from_secs(10));
     let mut cluster = cluster_with_world(32, cfg, 13);
     let mut rng = unistore_util::rng::derive_rng(13, unistore_util::rng::stream::CHURN);
     let churn = ChurnConfig {
@@ -317,8 +316,7 @@ mod composed_faults {
 
     #[test]
     fn pipelined_window_survives_partition_spike_and_churn_pgrid() {
-        let mut cfg = robust_cfg().with_maintenance(SimTime::from_secs(10), SimTime::from_secs(20));
-        cfg.overlay.ping_timeout = SimTime::from_secs(1);
+        let cfg = robust_cfg().with_maintenance(SimTime::from_secs(10), SimTime::from_secs(20));
         run_composed(UniCluster::build(32, cfg, 22), 22);
     }
 
