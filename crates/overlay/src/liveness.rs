@@ -1,9 +1,10 @@
 //! One failure detector for both backends.
 //!
 //! A backend opens a probe round ([`Suspicion::start_round`]), records
-//! each peer it pings ([`Suspicion::probe`]), reports every inbound
-//! message ([`Suspicion::heard`]: any traffic proves a peer alive, not
-//! just the pong) and arms one [`DEADLINE`] timer whose firing calls
+//! each peer it probes ([`Suspicion::probe`]: Chord pings, P-Grid asks
+//! for a routing table), reports every inbound message
+//! ([`Suspicion::heard`]: any traffic proves a peer alive, not just the
+//! probe's answer) and arms one [`DEADLINE`] timer whose firing calls
 //! [`Suspicion::expire`]. What a suspect costs follows from the routing
 //! structure: P-Grid's levels hold interchangeable references that table
 //! gossip refills, so it evicts the peers `expire` names; Chord's fingers
@@ -50,7 +51,7 @@ impl Suspicion {
         });
     }
 
-    /// Records that `id` was pinged this round.
+    /// Records that `id` was probed this round.
     pub fn probe(&mut self, id: NodeId) {
         let mark = self.marks.entry(id).or_insert(Mark::Awaited);
         if *mark == Mark::Suspected {

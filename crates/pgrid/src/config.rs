@@ -10,7 +10,9 @@ pub struct PGridConfig {
     pub refs_per_level: usize,
     /// Replica group size per trie leaf.
     pub replication: usize,
-    /// Period of the routing-table maintenance timer (ping + exchange).
+    /// Period of the routing-table maintenance timer (one table exchange
+    /// with a random reference and one with a random replica, each also
+    /// their liveness probe).
     pub maintenance_interval: SimTime,
     /// Period of the anti-entropy timer for replica convergence (one
     /// `unistore_overlay::repair` probe to a random replica per tick).

@@ -178,14 +178,19 @@ pub enum PGridMsg<I> {
     /// Anti-entropy: one message of the hash-tree replica repair
     /// (`unistore_overlay::repair`) over `(key, ident)` record keys.
     Repair(RepairMsg<(Key, u64), I>),
-    /// Liveness probe of a maintenance round (`unistore_overlay::liveness`).
-    Ping,
-    /// Answer to [`PGridMsg::Ping`] (any message from the probed peer
-    /// counts; this just guarantees there is one).
-    Pong,
-    /// Asks a peer for its routing table (maintenance refresh).
-    TableRequest,
-    /// Routing-table contents: every referenced peer with its path.
+    /// Asks a peer for the references the requester can still file: a
+    /// maintenance round's gossip and its liveness probe at once
+    /// (`unistore_overlay::liveness`), always answered.
+    TableRequest {
+        /// Requester's path.
+        path: BitPath,
+        /// Requester's levels that hold `refs_per_level` references
+        /// (bit `l` for level `l`).
+        full: u64,
+    },
+    /// Answer to [`PGridMsg::TableRequest`], possibly empty: the replier
+    /// and its references, each with its path, that the requester files
+    /// into a level that is not full.
     TableReply {
         /// Advertised peers.
         peers: Vec<PeerRef>,
@@ -238,8 +243,6 @@ mod tag {
     pub const RANGE_REPLY: u8 = 7;
     pub const REPLICATE: u8 = 8;
     pub const REPAIR: u8 = 9;
-    pub const PING: u8 = 11;
-    pub const PONG: u8 = 12;
     pub const TABLE_REQUEST: u8 = 13;
     pub const TABLE_REPLY: u8 = 14;
     pub const EXCHANGE: u8 = 15;
@@ -334,9 +337,11 @@ impl<I: Item> Wire for PGridMsg<I> {
                 tag::REPAIR.encode(buf);
                 msg.encode(buf);
             }
-            PGridMsg::Ping => tag::PING.encode(buf),
-            PGridMsg::Pong => tag::PONG.encode(buf),
-            PGridMsg::TableRequest => tag::TABLE_REQUEST.encode(buf),
+            PGridMsg::TableRequest { path, full } => {
+                tag::TABLE_REQUEST.encode(buf);
+                path.encode(buf);
+                full.encode(buf);
+            }
             PGridMsg::TableReply { peers } => {
                 tag::TABLE_REPLY.encode(buf);
                 peers.encode(buf);
@@ -437,9 +442,9 @@ impl<I: Item> Wire for PGridMsg<I> {
             },
             tag::REPLICATE => PGridMsg::Replicate { entries: Wire::decode(buf)? },
             tag::REPAIR => PGridMsg::Repair(Wire::decode(buf)?),
-            tag::PING => PGridMsg::Ping,
-            tag::PONG => PGridMsg::Pong,
-            tag::TABLE_REQUEST => PGridMsg::TableRequest,
+            tag::TABLE_REQUEST => {
+                PGridMsg::TableRequest { path: Wire::decode(buf)?, full: Wire::decode(buf)? }
+            }
             tag::TABLE_REPLY => PGridMsg::TableReply { peers: Wire::decode(buf)? },
             tag::EXCHANGE => {
                 PGridMsg::Exchange { path: Wire::decode(buf)?, store_len: Wire::decode(buf)? }
@@ -513,7 +518,7 @@ impl<I: Item> Wire for PGridMsg<I> {
             | PGridMsg::ExchangeData { entries }
             | PGridMsg::ExchangeReplica { entries } => entries.wire_size(),
             PGridMsg::Repair(msg) => msg.wire_size(),
-            PGridMsg::Ping | PGridMsg::Pong | PGridMsg::TableRequest => 0,
+            PGridMsg::TableRequest { path, full } => path.wire_size() + full.wire_size(),
             PGridMsg::TableReply { peers } | PGridMsg::ExchangeRefs { peers } => peers.wire_size(),
             PGridMsg::Exchange { path, store_len } => path.wire_size() + store_len.wire_size(),
             PGridMsg::ExchangeSplit { new_sender_path, entries } => {
@@ -605,9 +610,8 @@ mod tests {
                 entries: vec![((42, 7), 1, Some(RawItem(7))), ((43, 8), 2, None)],
                 want: vec![(44, 9)],
             }),
-            PGridMsg::Ping,
-            PGridMsg::Pong,
-            PGridMsg::TableRequest,
+            PGridMsg::TableRequest { path, full: 0b1010 },
+            PGridMsg::TableRequest { path: BitPath::ROOT, full: u64::MAX },
             PGridMsg::TableReply { peers: peers.clone() },
             PGridMsg::Exchange { path, store_len: 12 },
             PGridMsg::ExchangeSplit { new_sender_path: path, entries: entries.clone() },

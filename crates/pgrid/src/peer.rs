@@ -36,7 +36,7 @@ pub(crate) mod timer {
     /// Bootstrap: initiate a pairwise exchange; payload unused.
     pub const EXCHANGE: u32 = 4;
     /// Deadline of a maintenance round's probes.
-    pub const PING_DEADLINE: u32 = 5;
+    pub const ROUND_DEADLINE: u32 = 5;
 }
 
 /// State of a driver-issued operation awaiting completion at the origin.
@@ -294,9 +294,9 @@ impl<I: Item> NodeBehavior for PGridPeer<I> {
             }
             PGridMsg::Replicate { entries } => self.handle_replicate(entries),
             PGridMsg::Repair(msg) => self.handle_repair(from, msg, fx),
-            PGridMsg::Ping => fx.send(from, PGridMsg::Pong),
-            PGridMsg::Pong => {}
-            PGridMsg::TableRequest => self.handle_table_request(from, fx),
+            PGridMsg::TableRequest { path, full } => {
+                self.handle_table_request(from, path, full, fx)
+            }
             PGridMsg::TableReply { peers } | PGridMsg::ExchangeRefs { peers } => {
                 self.merge_refs(&peers)
             }
@@ -327,7 +327,7 @@ impl<I: Item> NodeBehavior for PGridPeer<I> {
                 self.initiate_exchange(fx);
                 fx.set_periodic(&mut self.rng, self.cfg.exchange_interval, t);
             }
-            timer::PING_DEADLINE => self.evict_silent(),
+            timer::ROUND_DEADLINE => self.evict_silent(),
             _ => {}
         }
     }

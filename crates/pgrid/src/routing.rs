@@ -207,19 +207,45 @@ impl RoutingTable {
         }
     }
 
+    /// The level a table at `path` files a peer at `peer` into (the rule
+    /// of [`RoutingTable::add_ref`]); `None` for a replica or a peer on a
+    /// prefix of `path`. The table-reply filter
+    /// ([`RoutingTable::files_into_open_level`]) decides with it too.
+    pub(crate) fn filing_level(path: BitPath, peer: BitPath) -> Option<u8> {
+        let l = path.common_prefix_len(&peer);
+        (l < path.len() && peer.len() > l).then_some(l)
+    }
+
+    /// Bit `l` set when level `l` already holds `cap` references, so
+    /// [`RoutingTable::add_ref`] files nothing new there. A table request
+    /// carries it.
+    pub(crate) fn full_levels(&self) -> u64 {
+        self.levels
+            .iter()
+            .enumerate()
+            .filter(|(_, level)| level.len() >= self.cap)
+            .fold(0, |full, (l, _)| full | (1 << l))
+    }
+
+    /// Whether a table at `path` whose [`RoutingTable::full_levels`] are
+    /// `full` would file a peer at `peer` into a level that is not full:
+    /// the references a table reply carries. Bits of `full` at or past
+    /// `path.len()` are never read (a level is below `path.len()` ≤ 64).
+    pub(crate) fn files_into_open_level(path: BitPath, full: u64, peer: BitPath) -> bool {
+        Self::filing_level(path, peer).is_some_and(|l| full & (1 << l) == 0)
+    }
+
     /// Offers a reference; returns `true` if it was stored.
     ///
     /// A peer qualifies for level `l` when its path shares exactly `l`
     /// bits with ours and is longer than `l` (it actually covers the
     /// complementary subtree). A peer with our exact path is a replica.
+    /// A level that already holds the peer refreshes its stored path; a
+    /// full one takes nothing new.
     pub fn add_ref(&mut self, r: PeerRef) -> bool {
-        if r.path == self.path {
-            return false; // replicas are registered via add_replica
-        }
-        let l = self.path.common_prefix_len(&r.path);
-        if l >= self.path.len() || r.path.len() <= l {
+        let Some(l) = Self::filing_level(self.path, r.path) else {
             return false;
-        }
+        };
         let level = &mut self.levels[l as usize];
         if level.iter().any(|existing| existing.id == r.id) {
             // Refresh the stored path (it may have deepened).

@@ -244,9 +244,7 @@ impl FuzzSeeds for PGridMsg<Triple> {
                 entries: vec![((42, 7), 1, Some(t)), ((43, 8), 2, None)],
                 want: vec![(44, 9)],
             }),
-            PGridMsg::Ping,
-            PGridMsg::Pong,
-            PGridMsg::TableRequest,
+            PGridMsg::TableRequest { path: sample_peers()[0].path, full: u64::MAX },
             PGridMsg::TableReply { peers: sample_peers() },
             PGridMsg::Exchange { path: unistore_util::BitPath::ROOT, store_len: 12 },
             PGridMsg::ExchangeSplit {
