@@ -28,7 +28,6 @@ pub const EXPERIMENTS: [(&str, fn()); 11] = [
 fn quiet_pgrid() -> PGridConfig {
     PGridConfig {
         maintenance_interval: SimTime::from_secs(1_000_000_000),
-        anti_entropy_interval: SimTime::from_secs(1_000_000_000),
         ..PGridConfig::default()
     }
 }

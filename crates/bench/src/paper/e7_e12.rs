@@ -308,6 +308,8 @@ pub(super) fn e10_updates() {
         reads.to_string(),
         f(100.0 * stale_after as f64 / reads.max(1) as f64),
     ]);
+    assert!(stale_before > 0, "no lagging replica was read: E10 measured nothing");
+    assert_eq!(stale_after, 0, "the pull left stale replicas after 90 s");
     println!("\nverdict: reads can be stale immediately after an update (loose guarantees),");
     println!("and pull anti-entropy drives staleness to ~0 — the paper's [4] behaviour.");
 }

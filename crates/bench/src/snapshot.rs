@@ -218,7 +218,7 @@ mod tests {
     fn two_rows_render_as_the_committed_joins_record_begins() {
         let committed = include_str!("../../../BENCH_joins.json");
         let rows = [
-            join_row("P-Grid", 14, 10, 63.8809, 6.2150),
+            join_row("P-Grid", 12, 8, 63.8158, 5.4799),
             join_row("Chord+buckets", 19, 15, 77.0214, 8.7609),
         ];
         let rendered = json(&rows);

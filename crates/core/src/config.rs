@@ -132,7 +132,6 @@ impl Default for UniConfig<PGridConfig> {
             // Periodic traffic off by default so experiment cost
             // attribution is exact; churn experiments re-enable it.
             maintenance_interval: SimTime::from_secs(1_000_000_000),
-            anti_entropy_interval: SimTime::from_secs(1_000_000_000),
             ..PGridConfig::default()
         })
     }
@@ -213,10 +212,10 @@ impl<C> UniConfig<C> {
 
 impl UniConfig<PGridConfig> {
     /// Enables periodic maintenance and anti-entropy (churn/update
-    /// experiments).
+    /// experiments). P-Grid does both in one round, every
+    /// `min(maintenance, anti_entropy)`: at least as often as asked.
     pub fn with_maintenance(mut self, maintenance: SimTime, anti_entropy: SimTime) -> Self {
-        self.overlay.maintenance_interval = maintenance;
-        self.overlay.anti_entropy_interval = anti_entropy;
+        self.overlay.maintenance_interval = maintenance.min(anti_entropy);
         self
     }
 
@@ -248,6 +247,8 @@ mod tests {
             .with_query_retries(5);
         assert_eq!(c.overlay.replication, 3);
         assert_eq!(c.overlay.maintenance_interval, SimTime::from_secs(30));
+        let c = c.with_maintenance(SimTime::from_secs(1_000_000_000), SimTime::from_secs(15));
+        assert_eq!(c.overlay.maintenance_interval, SimTime::from_secs(15), "the shorter period");
         assert_eq!(c.query_retries, 5);
     }
 

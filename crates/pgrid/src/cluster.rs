@@ -257,7 +257,6 @@ mod tests {
         // Effectively disable periodic traffic for cost-exact tests.
         PGridConfig {
             maintenance_interval: SimTime::from_secs(1_000_000_000),
-            anti_entropy_interval: SimTime::from_secs(1_000_000_000),
             ..PGridConfig::default()
         }
     }

@@ -10,13 +10,10 @@ pub struct PGridConfig {
     pub refs_per_level: usize,
     /// Replica group size per trie leaf.
     pub replication: usize,
-    /// Period of the routing-table maintenance timer (one table exchange
-    /// with a random reference and one with a random replica, each also
-    /// their liveness probe).
+    /// Period of the maintenance round, the peer's one periodic chain
+    /// outside bootstrap: table exchanges with a random reference and a
+    /// random replica that also probe them and repair the replica.
     pub maintenance_interval: SimTime,
-    /// Period of the anti-entropy timer for replica convergence (one
-    /// `unistore_overlay::repair` probe to a random replica per tick).
-    pub anti_entropy_interval: SimTime,
     /// How long a requester waits before declaring a query failed.
     pub query_timeout: SimTime,
     /// How many times the origin re-issues a timed-out lookup / insert /
@@ -40,7 +37,6 @@ impl Default for PGridConfig {
             refs_per_level: 3,
             replication: 1,
             maintenance_interval: SimTime::from_secs(30),
-            anti_entropy_interval: SimTime::from_secs(60),
             query_timeout: SimTime::from_secs(10),
             op_retries: 2,
             split_threshold: 8,

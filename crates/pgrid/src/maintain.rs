@@ -1,50 +1,52 @@
-//! Routing-table maintenance under churn.
+//! The maintenance round, the peer's one periodic chain under churn:
+//! routing-table gossip, liveness probes and replica anti-entropy.
 //!
 //! P-Grid keeps multiple references per level and refreshes them through
 //! gossip (paper §2/§3: robust "even in unreliable and highly dynamic
-//! environments"). Each maintenance round a peer exchanges tables with
-//! one random reference and one random replica, and that exchange is also
-//! the round's liveness probe on its [`Suspicion`] detector: a probed
-//! peer that sends nothing before the round's [`DEADLINE`] (no table
-//! reply, no other message) is evicted from the routing table and the
-//! replica group. A request names the requester's path and its full
-//! levels, and the reply carries only the references the requester can
-//! still file — which is how evicted references are replaced (evicted
-//! replicas are not).
+//! environments"). Each round a peer sends a table request to a random
+//! reference and a random replica, and the reply carries only the
+//! references the requester can still file: how evicted references are
+//! replaced (evicted replicas are not). The replica's request also carries
+//! the [`Summary`] of the requester's leaf, the pull of [`crate::replicate`],
+//! answered with a repair `Descend` when the leaves differ. Both requests
+//! probe on the round's [`Suspicion`] detector: a peer silent until
+//! [`DEADLINE`] is evicted from the routing table and the replica group.
 //!
 //! [`Suspicion`]: unistore_overlay::liveness::Suspicion
 
 use rand::seq::SliceRandom;
 
 use unistore_overlay::liveness::DEADLINE;
+use unistore_overlay::repair::{RepairMsg, Summary};
 use unistore_simnet::{NodeId, Timer};
 use unistore_util::BitPath;
 
 use crate::item::Item;
 use crate::msg::{PGridMsg, PeerRef};
 use crate::peer::{timer, Fx, PGridPeer};
+use crate::replicate::leaf_span;
 use crate::routing::RoutingTable;
 
 impl<I: Item> PGridPeer<I> {
     /// One maintenance round (fired by the MAINTAIN timer).
     pub(crate) fn run_maintenance(&mut self, fx: &mut Fx<I>) {
-        let refs = self.routing.all_refs();
-        if refs.is_empty() {
+        let reference = self.routing.all_refs().choose(&mut self.rng).map(|r| r.id);
+        let replica = self.routing.replicas().choose(&mut self.rng).copied();
+        if reference.is_none() && replica.is_none() {
             return;
         }
         self.liveness.start_round();
-        let reference = refs.choose(&mut self.rng).map(|r| r.id);
-        let replica = self.routing.replicas().choose(&mut self.rng).copied();
         let (path, full) = (self.routing.path(), self.routing.full_levels());
-        for target in reference.into_iter().chain(replica) {
+        let to_replica =
+            replica.map(|r| (r, Some(self.repair.summary(&mut self.store, leaf_span(path)))));
+        for (target, summary) in reference.map(|r| (r, None)).into_iter().chain(to_replica) {
             self.liveness.probe(target);
-            fx.send(target, PGridMsg::TableRequest { path, full });
+            fx.send(target, PGridMsg::TableRequest { path, full, summary });
         }
         fx.set_timer(DEADLINE, Timer::new(timer::ROUND_DEADLINE, 0));
     }
 
-    /// The round's deadline fired: evict every probed peer that stayed
-    /// silent.
+    /// The round's deadline: evict every probed peer that stayed silent.
     pub(crate) fn evict_silent(&mut self) {
         for dead in self.liveness.expire() {
             self.routing.remove(dead);
@@ -53,18 +55,22 @@ impl<I: Item> PGridPeer<I> {
 
     /// Answers a table request, always, with what the requester at
     /// `path` files into a level outside `full`: our references and
-    /// ourselves, in that order.
+    /// ourselves, in that order; and a `summary` as a repair probe.
     pub(crate) fn handle_table_request(
         &mut self,
         from: NodeId,
         path: BitPath,
         full: u64,
+        summary: Option<Summary>,
         fx: &mut Fx<I>,
     ) {
         let mut peers = self.routing.all_refs();
         peers.push(PeerRef { id: self.id, path: self.routing.path() });
         peers.retain(|r| RoutingTable::files_into_open_level(path, full, r.path));
         fx.send(from, PGridMsg::TableReply { peers });
+        if let Some(summary) = summary {
+            self.handle_repair(from, RepairMsg::Probe { span: leaf_span(path), summary }, fx);
+        }
     }
 
     /// Merges advertised peers into under-full levels.
@@ -83,6 +89,7 @@ mod tests {
     use crate::config::PGridConfig;
     use crate::item::RawItem;
     use unistore_simnet::{Effects, NodeBehavior, SimTime};
+    use unistore_util::wire::Wire;
 
     fn peer(id: u32, path: &str) -> PGridPeer<RawItem> {
         PGridPeer::new(NodeId(id), BitPath::parse(path).unwrap(), PGridConfig::default(), 11)
@@ -106,16 +113,19 @@ mod tests {
         p.routing_mut().add_replica(NodeId(2));
         let mut fx = Effects::new();
         p.run_maintenance(&mut fx);
-        let request = |to| (NodeId(to), BitPath::parse("0").unwrap(), 0);
+        let request = |to, summary| (NodeId(to), BitPath::parse("0").unwrap(), 0, summary);
         let sends: Vec<_> = fx
             .sends()
             .iter()
             .map(|(to, m)| match m {
-                PGridMsg::TableRequest { path, full } => (*to, *path, *full),
+                PGridMsg::TableRequest { path, full, summary } => {
+                    (*to, *path, *full, summary.is_some())
+                }
                 other => panic!("a round sends table requests only, not {other:?}"),
             })
             .collect();
-        assert_eq!(sends, vec![request(1), request(2)], "one to a reference, one to a replica");
+        let (to_reference, to_replica) = (request(1, false), request(2, true));
+        assert_eq!(sends, vec![to_reference, to_replica], "the replica's carries the summary");
         let deadline = (DEADLINE, Timer::new(timer::ROUND_DEADLINE, 0));
         assert_eq!(fx.timers(), &[deadline], "one deadline timer per round");
         // Both were probed: silent through the deadline, both go.
@@ -138,12 +148,52 @@ mod tests {
         }
     }
 
+    /// Only the replica's request carries the leaf's summary, and only
+    /// that summary counts as probe bytes.
+    #[test]
+    fn the_reference_request_carries_no_summary() {
+        let mut p = peer(0, "0");
+        p.routing_mut().add_ref(pref(1, "1"));
+        p.routing_mut().add_replica(NodeId(2));
+        p.preload(3, RawItem(3), 1);
+        let mut fx = Effects::new();
+        p.run_maintenance(&mut fx);
+        let summary = match fx.sends() {
+            [(NodeId(1), PGridMsg::TableRequest { summary: None, .. }), (NodeId(2), PGridMsg::TableRequest { summary: Some(s), .. })] => {
+                *s
+            }
+            other => panic!("unexpected sends {other:?}"),
+        };
+        assert_eq!(summary.count, 1);
+        assert_eq!(p.repair.stats().probe_bytes, summary.wire_size() as u64);
+    }
+
     #[test]
     fn maintenance_noop_without_refs() {
+        // Nor replicas: nobody to exchange with.
         let mut p = peer(0, "0");
         let mut fx = Effects::new();
         p.run_maintenance(&mut fx);
         assert!(fx.is_empty());
+    }
+
+    /// A leaf whose routing table emptied still repairs with, and
+    /// probes, its replicas.
+    #[test]
+    fn a_round_without_references_still_exchanges_with_a_replica() {
+        let mut p = peer(0, "0");
+        p.routing_mut().add_replica(NodeId(2));
+        let mut fx = Effects::new();
+        p.run_maintenance(&mut fx);
+        assert!(
+            matches!(fx.sends(), [(NodeId(2), PGridMsg::TableRequest { summary: Some(_), .. })]),
+            "unexpected sends {:?}",
+            fx.sends()
+        );
+        assert_eq!(fx.timers(), &[(DEADLINE, Timer::new(timer::ROUND_DEADLINE, 0))]);
+        // Probed: silent through the deadline, it goes.
+        fire_timers(&mut p, &fx);
+        assert!(p.routing().replicas().is_empty());
     }
 
     #[test]
@@ -180,7 +230,8 @@ mod tests {
         let mut fx = Effects::new();
         p.run_maintenance(&mut fx);
         // The reply is lost; the peer's own round's request is not.
-        let request = PGridMsg::TableRequest { path: BitPath::parse("1").unwrap(), full: 0 };
+        let path = BitPath::parse("1").unwrap();
+        let request = PGridMsg::TableRequest { path, full: 0, summary: None };
         p.on_message(SimTime::ZERO, NodeId(1), request, &mut Effects::new());
         fire_timers(&mut p, &fx);
         assert_eq!(p.routing().ref_count(), 1, "evicted a peer that sent a table request");
@@ -189,7 +240,7 @@ mod tests {
     /// The reply `p` sends a requester at `path` with `full` levels.
     fn reply_to(p: &mut PGridPeer<RawItem>, path: &str, full: u64) -> Vec<PeerRef> {
         let mut fx = Effects::new();
-        p.handle_table_request(NodeId(9), BitPath::parse(path).unwrap(), full, &mut fx);
+        p.handle_table_request(NodeId(9), BitPath::parse(path).unwrap(), full, None, &mut fx);
         match fx.sends() {
             [(NodeId(9), PGridMsg::TableReply { peers })] => peers.clone(),
             other => panic!("unexpected sends {other:?}"),

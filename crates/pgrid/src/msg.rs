@@ -2,7 +2,7 @@
 
 use bytes::{Bytes, BytesMut};
 
-use unistore_overlay::repair::RepairMsg;
+use unistore_overlay::repair::{RepairMsg, Summary};
 use unistore_simnet::NodeId;
 use unistore_util::wire::{put_list, OpBatch, Wire, WireError};
 use unistore_util::{BitPath, ItemFilter, Key};
@@ -187,6 +187,8 @@ pub enum PGridMsg<I> {
         /// Requester's levels that hold `refs_per_level` references
         /// (bit `l` for level `l`).
         full: u64,
+        /// On the request to a replica, a repair probe of the leaf `path` names.
+        summary: Option<Summary>,
     },
     /// Answer to [`PGridMsg::TableRequest`], possibly empty: the replier
     /// and its references, each with its path, that the requester files
@@ -337,10 +339,11 @@ impl<I: Item> Wire for PGridMsg<I> {
                 tag::REPAIR.encode(buf);
                 msg.encode(buf);
             }
-            PGridMsg::TableRequest { path, full } => {
+            PGridMsg::TableRequest { path, full, summary } => {
                 tag::TABLE_REQUEST.encode(buf);
                 path.encode(buf);
                 full.encode(buf);
+                summary.encode(buf);
             }
             PGridMsg::TableReply { peers } => {
                 tag::TABLE_REPLY.encode(buf);
@@ -442,9 +445,11 @@ impl<I: Item> Wire for PGridMsg<I> {
             },
             tag::REPLICATE => PGridMsg::Replicate { entries: Wire::decode(buf)? },
             tag::REPAIR => PGridMsg::Repair(Wire::decode(buf)?),
-            tag::TABLE_REQUEST => {
-                PGridMsg::TableRequest { path: Wire::decode(buf)?, full: Wire::decode(buf)? }
-            }
+            tag::TABLE_REQUEST => PGridMsg::TableRequest {
+                path: Wire::decode(buf)?,
+                full: Wire::decode(buf)?,
+                summary: Wire::decode(buf)?,
+            },
             tag::TABLE_REPLY => PGridMsg::TableReply { peers: Wire::decode(buf)? },
             tag::EXCHANGE => {
                 PGridMsg::Exchange { path: Wire::decode(buf)?, store_len: Wire::decode(buf)? }
@@ -518,7 +523,9 @@ impl<I: Item> Wire for PGridMsg<I> {
             | PGridMsg::ExchangeData { entries }
             | PGridMsg::ExchangeReplica { entries } => entries.wire_size(),
             PGridMsg::Repair(msg) => msg.wire_size(),
-            PGridMsg::TableRequest { path, full } => path.wire_size() + full.wire_size(),
+            PGridMsg::TableRequest { path, full, summary } => {
+                path.wire_size() + full.wire_size() + summary.wire_size()
+            }
             PGridMsg::TableReply { peers } | PGridMsg::ExchangeRefs { peers } => peers.wire_size(),
             PGridMsg::Exchange { path, store_len } => path.wire_size() + store_len.wire_size(),
             PGridMsg::ExchangeSplit { new_sender_path, entries } => {
@@ -533,7 +540,7 @@ impl<I: Item> Wire for PGridMsg<I> {
 mod tests {
     use super::*;
     use crate::item::RawItem;
-    use unistore_overlay::repair::{Part, Summary};
+    use unistore_overlay::repair::Part;
 
     fn roundtrip(msg: PGridMsg<RawItem>) {
         let bytes = msg.to_bytes();
@@ -610,8 +617,13 @@ mod tests {
                 entries: vec![((42, 7), 1, Some(RawItem(7))), ((43, 8), 2, None)],
                 want: vec![(44, 9)],
             }),
-            PGridMsg::TableRequest { path, full: 0b1010 },
-            PGridMsg::TableRequest { path: BitPath::ROOT, full: u64::MAX },
+            PGridMsg::TableRequest { path, full: 0b1010, summary: None },
+            PGridMsg::TableRequest { path: BitPath::ROOT, full: u64::MAX, summary: None },
+            PGridMsg::TableRequest {
+                path,
+                full: 0,
+                summary: Some(Summary { count: 70_000, hash: u64::MAX }),
+            },
             PGridMsg::TableReply { peers: peers.clone() },
             PGridMsg::Exchange { path, store_len: 12 },
             PGridMsg::ExchangeSplit { new_sender_path: path, entries: entries.clone() },
@@ -623,6 +635,12 @@ mod tests {
         for m in msgs {
             roundtrip(m);
         }
+        // The summary costs its own bytes and nothing else: a varint
+        // count and a fixed 8-byte hash beside the option's one byte.
+        let request = |summary| PGridMsg::<RawItem>::TableRequest { path, full: 0, summary };
+        let summary = Summary { count: 3, hash: 1 };
+        assert_eq!(request(None).wire_size(), 1 + 2 + 1 + 1, "tag, path, full, None");
+        assert_eq!(request(Some(summary)).wire_size(), request(None).wire_size() + 1 + 8);
     }
 
     #[test]

@@ -29,10 +29,8 @@ pub type Fx<I> = Effects<PGridMsg<I>, OverlayDone<I>>;
 pub(crate) mod timer {
     /// Query timeout; payload = query id.
     pub const QUERY_TIMEOUT: u32 = 1;
-    /// Periodic routing maintenance.
+    /// Periodic maintenance round: table exchange, probe and repair.
     pub const MAINTAIN: u32 = 2;
-    /// Periodic anti-entropy probe.
-    pub const ANTI_ENTROPY: u32 = 3;
     /// Bootstrap: initiate a pairwise exchange; payload unused.
     pub const EXCHANGE: u32 = 4;
     /// Deadline of a maintenance round's probes.
@@ -258,8 +256,6 @@ impl<I: Item> NodeBehavior for PGridPeer<I> {
         self.liveness.reset();
         let cfg = &self.cfg;
         fx.set_periodic(&mut self.rng, cfg.maintenance_interval, Timer::new(timer::MAINTAIN, 0));
-        let tick = Timer::new(timer::ANTI_ENTROPY, 0);
-        fx.set_periodic(&mut self.rng, cfg.anti_entropy_interval, tick);
         if self.bootstrapping {
             fx.set_periodic(&mut self.rng, cfg.exchange_interval, Timer::new(timer::EXCHANGE, 0));
         }
@@ -294,8 +290,8 @@ impl<I: Item> NodeBehavior for PGridPeer<I> {
             }
             PGridMsg::Replicate { entries } => self.handle_replicate(entries),
             PGridMsg::Repair(msg) => self.handle_repair(from, msg, fx),
-            PGridMsg::TableRequest { path, full } => {
-                self.handle_table_request(from, path, full, fx)
+            PGridMsg::TableRequest { path, full, summary } => {
+                self.handle_table_request(from, path, full, summary, fx)
             }
             PGridMsg::TableReply { peers } | PGridMsg::ExchangeRefs { peers } => {
                 self.merge_refs(&peers)
@@ -318,10 +314,6 @@ impl<I: Item> NodeBehavior for PGridPeer<I> {
             timer::MAINTAIN => {
                 self.run_maintenance(fx);
                 fx.set_periodic(&mut self.rng, self.cfg.maintenance_interval, t);
-            }
-            timer::ANTI_ENTROPY => {
-                self.run_anti_entropy(fx);
-                fx.set_periodic(&mut self.rng, self.cfg.anti_entropy_interval, t);
             }
             timer::EXCHANGE if self.bootstrapping => {
                 self.initiate_exchange(fx);

@@ -3,20 +3,25 @@
 //! The paper relies on P-Grid's update mechanism "with lose \[sic\]
 //! consistency guarantees" [ref 4, Datta et al., ICDCS 2003]: a hybrid
 //! push/pull scheme. Writes are **pushed** to the replica group of the
-//! responsible leaf; replicas that were offline catch up through periodic
-//! **anti-entropy** with a random replica — the shared hash-tree exchange
-//! of [`unistore_overlay::repair`], for which this module only names the
-//! partner and the span shared with it (the leaf's key range). Readers
+//! responsible leaf; replicas that were offline catch up by **pull**: the
+//! hash-tree exchange of [`unistore_overlay::repair`] over the leaf's key
+//! range, probed by the maintenance round ([`crate::maintain`]). Readers
 //! contact a single replica, so reads may be stale until anti-entropy
 //! converges — experiment E10 measures exactly this.
 
 use unistore_overlay::repair::{RepairMsg, Span};
 use unistore_simnet::NodeId;
-use unistore_util::Key;
+use unistore_util::{BitPath, Key};
 
 use crate::item::{Item, Version};
 use crate::msg::PGridMsg;
 use crate::peer::{Fx, PGridPeer};
+
+/// The record keys of the leaf at `path`: what a peer there shares with
+/// every same-path replica.
+pub(crate) fn leaf_span(path: BitPath) -> Span<(Key, u64)> {
+    ((path.min_key(), 0), (path.max_key(), u64::MAX))
+}
 
 impl<I: Item> PGridPeer<I> {
     /// Pushes a freshly applied entry to every known replica.
@@ -36,25 +41,6 @@ impl<I: Item> PGridPeer<I> {
         }
     }
 
-    /// The record keys of this peer's leaf: what it shares with every
-    /// same-path replica.
-    fn leaf_span(&self) -> Span<(Key, u64)> {
-        let path = self.routing.path();
-        ((path.min_key(), 0), (path.max_key(), u64::MAX))
-    }
-
-    /// Periodic anti-entropy: probe one random replica with the
-    /// summary of our leaf.
-    pub(crate) fn run_anti_entropy(&mut self, fx: &mut Fx<I>) {
-        let replicas = self.routing.replicas();
-        if replicas.is_empty() {
-            return;
-        }
-        let pick = replicas[rand::Rng::gen_range(&mut self.rng, 0..replicas.len())];
-        let span = self.leaf_span();
-        fx.send(pick, PGridMsg::Repair(self.repair.probe(&mut self.store, span)));
-    }
-
     /// One step of a repair exchange, confined to our leaf: a partner
     /// whose path has moved on can neither pull nor push records of
     /// key ranges we no longer share.
@@ -64,7 +50,7 @@ impl<I: Item> PGridPeer<I> {
         msg: RepairMsg<(Key, u64), I>,
         fx: &mut Fx<I>,
     ) {
-        let shared = [self.leaf_span()];
+        let shared = [leaf_span(self.routing.path())];
         for reply in self.repair.handle(&mut self.store, &shared, msg) {
             fx.send(from, PGridMsg::Repair(reply));
         }
@@ -74,10 +60,12 @@ impl<I: Item> PGridPeer<I> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
+
     use crate::config::PGridConfig;
     use crate::item::RawItem;
-    use unistore_simnet::Effects;
-    use unistore_util::BitPath;
+    use crate::msg::PeerRef;
+    use unistore_simnet::{Effects, NodeBehavior, SimTime};
 
     fn peer(id: u32) -> PGridPeer<RawItem> {
         PGridPeer::new(NodeId(id), BitPath::parse("0").unwrap(), PGridConfig::default(), 3)
@@ -91,12 +79,16 @@ mod tests {
         assert_eq!(p.store().get(2), vec![RawItem(2)]);
     }
 
+    /// A round with no replica to ask computes and sends no summary.
     #[test]
     fn anti_entropy_skipped_without_replicas() {
         let mut p = peer(0);
+        p.routing_mut().add_ref(PeerRef { id: NodeId(1), path: BitPath::parse("1").unwrap() });
+        p.preload(3, RawItem(3), 1);
         let mut fx = Effects::new();
-        p.run_anti_entropy(&mut fx);
-        assert!(fx.is_empty());
+        p.run_maintenance(&mut fx);
+        assert!(matches!(fx.sends(), [(NodeId(1), PGridMsg::TableRequest { summary: None, .. })]));
+        assert_eq!(p.repair.stats(), Default::default());
     }
 
     #[test]
@@ -105,32 +97,111 @@ mod tests {
         p.routing_mut().add_replica(NodeId(7));
         p.preload(3, RawItem(3), 1);
         let mut fx = Effects::new();
-        p.run_anti_entropy(&mut fx);
-        assert_eq!(fx.sends().len(), 1);
-        let (to, msg) = &fx.sends()[0];
-        assert_eq!(*to, NodeId(7));
-        match msg {
-            PGridMsg::Repair(RepairMsg::Probe { span, summary }) => {
-                assert_eq!(*span, ((0, 0), (u64::MAX >> 1, u64::MAX)), "the leaf of path 0");
+        p.run_maintenance(&mut fx);
+        match fx.sends() {
+            [(NodeId(7), PGridMsg::TableRequest { path, summary: Some(summary), .. })] => {
+                let leaf = ((0, 0), (u64::MAX >> 1, u64::MAX));
+                assert_eq!(leaf_span(*path), leaf, "the path names the leaf of path 0");
                 assert_eq!(summary.count, 1);
             }
-            other => panic!("unexpected message {other:?}"),
+            other => panic!("unexpected sends {other:?}"),
         }
     }
 
-    /// The probe `from` would send after preloading `entries`.
+    /// The table request `p`'s round sends its one replica.
+    fn replica_request(p: &mut PGridPeer<RawItem>) -> PGridMsg<RawItem> {
+        let mut fx = Effects::new();
+        p.run_maintenance(&mut fx);
+        match fx.sends() {
+            [(_, request @ PGridMsg::TableRequest { summary: Some(_), .. })] => request.clone(),
+            other => panic!("unexpected sends {other:?}"),
+        }
+    }
+
+    /// The probe `from` would send after preloading `entries`, as the
+    /// replica rebuilds it from the round's request.
     fn probe_of(from: u32, entries: &[(Key, u64)]) -> RepairMsg<(Key, u64), RawItem> {
         let mut p = peer(from);
         p.routing_mut().add_replica(NodeId(0));
         for &(k, v) in entries {
             p.preload(k, RawItem(k), v);
         }
-        let mut fx = Effects::new();
-        p.run_anti_entropy(&mut fx);
-        match fx.sends() {
-            [(_, PGridMsg::Repair(probe))] => probe.clone(),
-            other => panic!("unexpected sends {other:?}"),
+        match replica_request(&mut p) {
+            PGridMsg::TableRequest { path, summary: Some(summary), .. } => {
+                RepairMsg::Probe { span: leaf_span(path), summary }
+            }
+            other => panic!("not a probe: {other:?}"),
         }
+    }
+
+    /// Runs `a`'s round with its one replica `b` to quiescence, every
+    /// message delivered; returns what `b` answered the request with.
+    fn exchange(a: &mut PGridPeer<RawItem>, b: &mut PGridPeer<RawItem>) -> Vec<PGridMsg<RawItem>> {
+        let mut queue = VecDeque::from([(b.id, replica_request(a))]);
+        let mut answer = None;
+        while let Some((to, msg)) = queue.pop_front() {
+            let (dst, from) = if to == b.id { (&mut *b, a.id) } else { (&mut *a, b.id) };
+            let mut fx = Effects::new();
+            dst.on_message(SimTime::ZERO, from, msg, &mut fx);
+            let sent: Vec<_> = fx.sends().iter().map(|(_, m)| m.clone()).collect();
+            answer.get_or_insert_with(|| sent.clone());
+            queue.extend(sent.into_iter().map(|m| (from, m)));
+        }
+        answer.unwrap_or_default()
+    }
+
+    /// Every record `p` holds, tombstones included.
+    fn contents(p: &PGridPeer<RawItem>) -> Vec<((Key, u64), u64, Option<RawItem>)> {
+        let all = ((0, 0), (u64::MAX, u64::MAX));
+        p.store().records(all).map(|(k, v, item)| (k, v, item.cloned())).collect()
+    }
+
+    #[test]
+    fn an_in_sync_replica_answers_with_the_table_reply_alone() {
+        let (mut a, mut b) = (peer(9), peer(0));
+        a.routing_mut().add_replica(NodeId(0));
+        for p in [&mut a, &mut b] {
+            p.preload(1, RawItem(1), 1);
+        }
+        let answer = exchange(&mut a, &mut b);
+        assert!(matches!(answer.as_slice(), [PGridMsg::TableReply { .. }]), "{answer:?}");
+    }
+
+    #[test]
+    fn a_diverged_replica_answers_with_a_descent_and_the_exchange_converges() {
+        let (mut a, mut b) = (peer(9), peer(0));
+        a.routing_mut().add_replica(NodeId(0));
+        a.preload(1, RawItem(1), 2);
+        a.preload(2, RawItem(2), 1);
+        b.preload(1, RawItem(1), 1);
+        b.preload(3, RawItem(3), 1);
+        let answer = exchange(&mut a, &mut b);
+        assert!(
+            matches!(
+                answer.as_slice(),
+                [PGridMsg::TableReply { .. }, PGridMsg::Repair(RepairMsg::Descend { .. })]
+            ),
+            "{answer:?}"
+        );
+        let leaf = leaf_span(a.routing().path());
+        let summaries = [&mut a, &mut b].map(|p| p.repair.summary(&mut p.store, leaf));
+        assert_eq!(summaries[0], summaries[1]);
+        assert_eq!(contents(&a), contents(&b));
+        assert_eq!(contents(&a).len(), 3, "key 1 at version 2, keys 2 and 3");
+    }
+
+    #[test]
+    fn a_requester_at_another_path_gets_its_reply_but_no_repair_step() {
+        let cfg = PGridConfig::default();
+        let mut a = PGridPeer::new(NodeId(9), BitPath::parse("1").unwrap(), cfg, 3);
+        a.routing_mut().add_replica(NodeId(0));
+        a.preload(1 << 63 | 5, RawItem(5), 1);
+        let mut b = peer(0);
+        b.preload(1, RawItem(1), 1);
+        let before = (contents(&a), contents(&b));
+        let answer = exchange(&mut a, &mut b);
+        assert!(matches!(answer.as_slice(), [PGridMsg::TableReply { .. }]), "{answer:?}");
+        assert_eq!((contents(&a), contents(&b)), before, "nothing is applied");
     }
 
     #[test]

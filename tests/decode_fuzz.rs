@@ -244,7 +244,12 @@ impl FuzzSeeds for PGridMsg<Triple> {
                 entries: vec![((42, 7), 1, Some(t)), ((43, 8), 2, None)],
                 want: vec![(44, 9)],
             }),
-            PGridMsg::TableRequest { path: sample_peers()[0].path, full: u64::MAX },
+            PGridMsg::TableRequest { path: sample_peers()[0].path, full: u64::MAX, summary: None },
+            PGridMsg::TableRequest {
+                path: sample_peers()[0].path,
+                full: 0b101,
+                summary: Some(Summary { count: 40_000, hash: 0x0123_4567_89AB_CDEF }),
+            },
             PGridMsg::TableReply { peers: sample_peers() },
             PGridMsg::Exchange { path: unistore_util::BitPath::ROOT, store_len: 12 },
             PGridMsg::ExchangeSplit {
