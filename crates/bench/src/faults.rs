@@ -144,7 +144,8 @@ fn degraded_cell<B: Backend>(
 
 fn floors(rows: &[Row]) {
     // Healthy path: the masking layer must be invisible — everything
-    // completes at full coverage.
+    // completes at full coverage, and a loss-free origin never races a
+    // duplicate plan.
     for r in rows.iter().filter(|r| r.get_str("scenario") == "healthy") {
         let (queries, completed, mean_cov) =
             (r.get_int("queries"), r.get_int("completed"), r.get_float("mean_cov"));
@@ -154,6 +155,8 @@ fn floors(rows: &[Row]) {
              (got {completed} at {mean_cov:.4})",
             r.get_str("backend"),
         );
+        let hedges = r.get_int("hedges");
+        assert!(hedges == 0, "{}: the healthy path shipped {hedges} hedges", r.get_str("backend"));
     }
     // Moderate churn + 2% loss, point reads: >= 95% of queries answer
     // with coverage >= 0.9 on BOTH backends (P-Grid via replica

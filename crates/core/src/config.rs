@@ -42,9 +42,12 @@ pub struct PlanMode {
 /// of `query_timeout × (query_retries + 1)` and spends it on attempts
 /// whose individual timeouts adapt to observed completion times.
 ///
-/// Both multipliers scale the same basis: the 0.99th percentile of the
-/// origin's last 64 full-coverage completion times — its fastest sample
-/// below 52 of them, its second-fastest from 52 on. It is not the p99.
+/// Both multipliers scale the same basis: the percentile of the origin's
+/// last 64 full-coverage completion times at which a still-silent
+/// attempt is as likely lost as slow, given the share of its recent
+/// attempts that went unanswered. A loss-free origin reads its slowest
+/// sample and so stops hedging; from half its attempts lost on, it
+/// reads its fastest (DESIGN.md §"Backoff, jitter, hedging").
 #[derive(Clone, Copy, Debug)]
 pub struct BackoffPolicy {
     /// Per-attempt timeout = `rtt_multiplier × basis` once enough

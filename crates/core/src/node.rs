@@ -320,7 +320,7 @@ impl<O: Overlay<Item = Triple>> NodeBehavior for UniNode<O> {
                 self.act(step, fx);
             }
             HEDGE_TIMER => {
-                let step = self.attempts.on_hedge(t.payload, &mut self.qids);
+                let step = self.attempts.on_hedge(now, t.payload, &mut self.qids);
                 self.act(step, fx);
             }
             _ => {}

@@ -17,7 +17,8 @@ use super::*;
 const ATTEMPT_BUDGET: usize = 64;
 
 /// Capacity of the per-node completion-time window behind the adaptive
-/// attempt timeout and the hedge delay.
+/// attempt timeout and the hedge delay; also the horizon (in resolved
+/// attempts) of the loss estimate [`Timing::lost`].
 const RTT_WINDOW: usize = 64;
 
 /// Observed completions required before the retry policy trusts the
@@ -25,23 +26,22 @@ const RTT_WINDOW: usize = 64;
 /// cold node behaves exactly like the fixed-timeout policy.
 const RTT_MIN_SAMPLES: usize = 8;
 
-/// The percentile of the window (in `[0, 100]`, as
-/// [`RttWindow::quantile`] takes it) that the attempt timeout and the
-/// hedge delay scale. It is the 0.99th percentile, not the 99th: the
-/// nearest rank `round(0.0099 · (n − 1))` is the window's fastest
-/// sample below 52 samples and its second-fastest from 52 to 64. The
-/// true p99 trades fewer hedges for slower churn medians (DESIGN.md
-/// §"Backoff, jitter, hedging").
-const RTT_PERCENTILE: f64 = 0.99;
-
 /// The completion time the attempt timeout and the hedge delay are
-/// multiples of: the window's [`RTT_PERCENTILE`] sample, once it holds
-/// [`RTT_MIN_SAMPLES`].
-fn rtt_basis(rtt: &RttWindow) -> Option<f64> {
-    rtt.quantile(RTT_PERCENTILE).filter(|_| rtt.len() >= RTT_MIN_SAMPLES)
+/// multiples of, once the window holds [`RTT_MIN_SAMPLES`]: the delay
+/// `d` at which an attempt still silent is as likely lost as slow.
+/// With a loss rate `f` and the window's completion-time distribution
+/// `F`, a silent attempt is lost with probability
+/// `f / (f + (1 − f)(1 − F(d)))`; that is ½ where
+/// `F(d) = 1 − f / (1 − f)`. So `lost = 0` reads the window's slowest
+/// sample (a healthy origin stops hedging), and `lost ≥ ½` its fastest
+/// (DESIGN.md §"Backoff, jitter, hedging").
+fn rtt_basis(rtt: &RttWindow, lost: f64) -> Option<f64> {
+    let f = lost.min(0.5);
+    rtt.quantile(100.0 * (1.0 - f / (1.0 - f))).filter(|_| rtt.len() >= RTT_MIN_SAMPLES)
 }
 
 /// Origin-side state of one user-facing query across its attempts.
+#[cfg_attr(test, derive(Clone))]
 struct PendingQuery {
     /// The original plan, re-instantiated under a fresh qid per attempt.
     mqp: Mqp,
@@ -56,8 +56,9 @@ struct PendingQuery {
     last_timeout: SimTime,
     /// Best under-floor partial result seen so far, by coverage.
     best: Option<(Relation, u32, Coverage)>,
-    /// Whether the current attempt already shipped its hedge.
-    hedged: bool,
+    /// The current attempt's hedge, once shipped: its qid and when it
+    /// left, so a winning hedge samples its own completion time.
+    hedge: Option<(u64, SimTime)>,
 }
 
 /// A query's timers: its timeout and, unless hedging is off or the
@@ -86,11 +87,15 @@ pub(super) enum Act {
 }
 
 /// The attempt policy's delays and the stream that jitters them.
+#[cfg_attr(test, derive(Clone))]
 struct Timing {
     backoff: BackoffPolicy,
     query_timeout: SimTime,
     /// Completion times of recent full-coverage attempts.
     rtt: RttWindow,
+    /// Share of recently resolved attempts that did not answer: an EWMA
+    /// with weight 1/[`RTT_WINDOW`], in `[0, 1]`.
+    lost: f64,
     /// Private jitter stream (disjoint from the overlay peer's).
     rng: StdRng,
 }
@@ -113,7 +118,7 @@ impl Timing {
     /// configured timeout until then (a cold node behaves exactly like
     /// the fixed policy).
     fn attempt_timeout(&self) -> SimTime {
-        match rtt_basis(&self.rtt) {
+        match rtt_basis(&self.rtt, self.lost) {
             Some(basis) => SimTime::from_micros((basis * self.backoff.rtt_multiplier) as u64)
                 .max(self.backoff.min_attempt)
                 .min(self.query_timeout),
@@ -142,16 +147,31 @@ impl Timing {
         if !self.backoff.hedging {
             return None;
         }
-        let basis = rtt_basis(&self.rtt)?;
+        let basis = rtt_basis(&self.rtt, self.lost)?;
         let base = SimTime::from_micros((basis * self.backoff.hedge_multiplier) as u64)
             .max(SimTime::from_micros(1));
         // Hedges are re-dispatches too: a window of queries admitted at
         // the same instant would otherwise fire a synchronized hedge wave.
         Some(self.jittered(base).max(SimTime::from_micros(1)))
     }
+
+    /// Folds resolved attempts into the loss estimate: `unanswered` of
+    /// them did not answer (retired by a retry, beaten by another
+    /// attempt of their query, below the coverage floor, failed at the
+    /// deadline), then, when `answered`, one did.
+    fn resolved(&mut self, unanswered: usize, answered: bool) {
+        let w = 1.0 / RTT_WINDOW as f64;
+        for _ in 0..unanswered {
+            self.lost += (1.0 - self.lost) * w;
+        }
+        if answered {
+            self.lost -= self.lost * w;
+        }
+    }
 }
 
 /// Every query the origin still awaits, and the attempts that may answer.
+#[cfg_attr(test, derive(Clone))]
 pub(super) struct Attempts {
     /// User-facing qid → retry/deadline state.
     pending: FxHashMap<u64, PendingQuery>,
@@ -183,6 +203,7 @@ impl Attempts {
                 backoff: cfg.backoff,
                 query_timeout: cfg.query_timeout,
                 rtt: RttWindow::new(RTT_WINDOW),
+                lost: 0.0,
                 rng,
             },
         }
@@ -197,7 +218,7 @@ impl Attempts {
             last_dispatch: now,
             last_timeout: timeout,
             best: None,
-            hedged: false,
+            hedge: None,
         };
         self.pending.insert(mqp.qid, pending);
         self.attempt_of.insert(mqp.qid, mqp.qid);
@@ -219,7 +240,9 @@ impl Attempts {
                 p.best.take().unwrap_or_else(|| (Relation::empty(vec![]), 0, Coverage::failed()));
             self.pending.remove(&user);
             let failed = UniEvent::QueryDone { qid: user, relation, hops, ok: false, coverage };
-            return (purge(&mut self.attempt_of, user), Act::Answer(failed));
+            let retired = purge(&mut self.attempt_of, user);
+            self.timing.resolved(retired.len(), false);
+            return (retired, Act::Answer(failed));
         }
         let remaining = p.deadline.saturating_sub(now);
         if self.attempt_of.len() >= ATTEMPT_BUDGET {
@@ -227,8 +250,9 @@ impl Attempts {
             return (Vec::new(), Act::Suppress(Some(Arm { query: user, timeout, hedge: None })));
         }
         let retired = purge(&mut self.attempt_of, user);
+        self.timing.resolved(retired.len(), false);
         let timeout = self.timing.retry_timeout(p.last_timeout);
-        p.hedged = false;
+        p.hedge = None;
         p.last_dispatch = now;
         p.last_timeout = timeout;
         let mut mqp = p.mqp.clone();
@@ -239,11 +263,16 @@ impl Attempts {
         (retired, Act::Retry(mqp, arm))
     }
 
-    /// The hedge timer of query `user` fired: at most one hedge per
-    /// attempt. The hedged attempt stays live; the loser of the race
+    /// The hedge timer of query `user` fired at `now`: at most one hedge
+    /// per attempt. The hedged attempt stays live; the loser of the race
     /// resolves to a purged alias and is dropped.
-    pub(super) fn on_hedge(&mut self, user: u64, qids: &mut ExecQids) -> (Vec<u64>, Act) {
-        let Some(p) = self.pending.get_mut(&user).filter(|p| !p.hedged) else {
+    pub(super) fn on_hedge(
+        &mut self,
+        now: SimTime,
+        user: u64,
+        qids: &mut ExecQids,
+    ) -> (Vec<u64>, Act) {
+        let Some(p) = self.pending.get_mut(&user).filter(|p| p.hedge.is_none()) else {
             return (Vec::new(), Act::Nothing);
         };
         // A hedge is a deliberate duplicate: at the budget, the first
@@ -251,9 +280,9 @@ impl Attempts {
         if self.attempt_of.len() >= ATTEMPT_BUDGET {
             return (Vec::new(), Act::Suppress(None));
         }
-        p.hedged = true;
         let mut mqp = p.mqp.clone();
         mqp.qid = qids.next();
+        p.hedge = Some((mqp.qid, now));
         self.attempt_of.insert(mqp.qid, user);
         (Vec::new(), Act::Hedge(mqp))
     }
@@ -281,17 +310,24 @@ impl Attempts {
         // quantile until attempt budgets collapse to the query deadline and
         // the retry chain stops retrying — exactly when it is needed.
         if coverage.fraction() >= 1.0 {
-            self.timing.rtt.observe(now.saturating_sub(p.last_dispatch).as_micros() as f64);
+            let sent = match p.hedge {
+                Some((hedge, at)) if hedge == attempt => at,
+                _ => p.last_dispatch,
+            };
+            self.timing.rtt.observe(now.saturating_sub(sent).as_micros() as f64);
         }
         if coverage.fraction() >= self.min_coverage {
             self.pending.remove(&user);
             let done = UniEvent::QueryDone { qid: user, relation, hops, ok: true, coverage };
-            return (purge(&mut self.attempt_of, user), Act::Answer(done));
+            let retired = purge(&mut self.attempt_of, user);
+            self.timing.resolved(retired.len() - 1, true);
+            return (retired, Act::Answer(done));
         }
         if p.best.as_ref().is_none_or(|(_, _, c)| coverage.fraction() > c.fraction()) {
             p.best = Some((relation, hops, coverage));
         }
         self.attempt_of.remove(&attempt);
+        self.timing.resolved(1, false);
         (vec![attempt], Act::Nothing)
     }
 }
@@ -338,7 +374,7 @@ mod tests {
         assert!(retired.is_empty(), "the stranded attempts stay live");
         assert!(rearm.timeout > SimTime::ZERO && rearm.hedge.is_none(), "it only re-arms");
         assert_eq!(m.attempt_of.len(), ATTEMPT_BUDGET, "and dispatches nothing");
-        assert!(matches!(m.on_hedge(0, &mut qids).1, Act::Suppress(None)), "a hedge is shed");
+        assert!(matches!(m.on_hedge(T0, 0, &mut qids).1, Act::Suppress(None)), "a hedge is shed");
         assert_eq!(m.attempt_of.len(), ATTEMPT_BUDGET);
 
         // One answer frees a slot: the next timeout re-dispatches.
@@ -352,17 +388,21 @@ mod tests {
     fn one_hedge_per_attempt_and_a_retry_allows_the_next() {
         let (mut m, mut qids) = machine(0.0);
         m.admit(T0, &plan(7));
-        let Act::Hedge(hedge) = m.on_hedge(7, &mut qids).1 else { panic!("the first hedge ships") };
+        let Act::Hedge(hedge) = m.on_hedge(T0, 7, &mut qids).1 else {
+            panic!("the first hedge ships")
+        };
         assert_ne!(hedge.qid, 7, "a hedge runs under a fresh attempt qid");
-        assert!(matches!(m.on_hedge(7, &mut qids).1, Act::Nothing), "one hedge per attempt");
+        assert!(matches!(m.on_hedge(T0, 7, &mut qids).1, Act::Nothing), "one hedge per attempt");
 
         let (mut retired, act) = m.on_timeout(T0, 7, &mut qids);
         retired.sort_unstable();
         assert_eq!(retired, vec![7, hedge.qid], "a retry retires the attempt and its hedge");
         let Act::Retry(retry, _) = act else { panic!("the timeout re-dispatches") };
-        let Act::Hedge(next) = m.on_hedge(7, &mut qids).1 else { panic!("the retry may hedge") };
+        let Act::Hedge(next) = m.on_hedge(T0, 7, &mut qids).1 else {
+            panic!("the retry may hedge")
+        };
         assert!(next.qid != retry.qid && next.qid != hedge.qid);
-        assert!(matches!(m.on_hedge(7, &mut qids).1, Act::Nothing));
+        assert!(matches!(m.on_hedge(T0, 7, &mut qids).1, Act::Nothing));
     }
 
     #[test]
@@ -406,27 +446,285 @@ mod tests {
         assert!(matches!(act, Act::Answer(UniEvent::QueryDone { qid: 5, ok: true, .. })));
     }
 
+    /// 64 distinct completion times in a scrambled arrival order (37 is
+    /// coprime to 64): `base`, `base + step`, …, `base + 63 · step` µs.
+    fn scrambled(base: u64, step: u64) -> impl Iterator<Item = u64> {
+        (0..RTT_WINDOW as u64).map(move |i| base + (i * 37) % 64 * step)
+    }
+
     /// Pins the sample the attempt timeout and the hedge delay scale:
-    /// none while the window is cold, then the fastest, and from 52
-    /// samples on the second-fastest — in a full 64-window, too.
+    /// none while the window is cold, then the quantile the loss
+    /// estimate picks.
     #[test]
-    fn timeout_and_hedge_read_the_second_fastest_of_a_full_window() {
+    fn the_basis_follows_the_loss_estimate() {
         let mut rtt = RttWindow::new(RTT_WINDOW);
-        // 64 distinct completion times in a scrambled arrival order
-        // (37 is coprime to 64): 1 000 µs, 1 100 µs, …, 7 300 µs.
-        let times: Vec<f64> =
-            (0..RTT_WINDOW as u64).map(|i| (1_000 + (i * 37) % 64 * 100) as f64).collect();
-        for n in 1..=RTT_WINDOW {
-            rtt.observe(times[n - 1]);
-            let mut seen = times[..n].to_vec();
-            seen.sort_by(f64::total_cmp);
-            let expected = match n {
-                n if n < RTT_MIN_SAMPLES => None,
-                n if n < 52 => Some(seen[0]),
-                _ => Some(seen[1]),
-            };
-            assert_eq!(rtt_basis(&rtt), expected, "{n} samples");
+        for (n, x) in scrambled(1_000, 100).enumerate() {
+            rtt.observe(x as f64);
+            if n + 1 < RTT_MIN_SAMPLES {
+                assert_eq!(rtt_basis(&rtt, 0.0), None, "a cold window, {} samples", n + 1);
+            }
         }
-        assert_eq!(rtt_basis(&rtt), Some(1_100.0));
+        assert_eq!(rtt_basis(&rtt, 0.0), Some(7_300.0), "no loss: the slowest sample");
+        assert_eq!(rtt_basis(&rtt, 1.0 / 3.0), Some(4_200.0), "a third lost: the median");
+        for lost in [0.5, 0.75, 1.0] {
+            assert_eq!(rtt_basis(&rtt, lost), Some(1_000.0), "{lost} lost: the fastest sample");
+        }
+    }
+
+    #[test]
+    fn a_loss_free_origin_stops_hedging() {
+        let (mut m, _) = machine(0.0);
+        let mut now = T0;
+        for (q, rtt) in scrambled(1_000, 5).enumerate() {
+            let (q, rtt) = (q as u64, SimTime::from_micros(rtt));
+            let arm = m.admit(now, &plan(q));
+            assert!(arm.hedge.is_none_or(|h| h > rtt), "query {q} answers before its hedge");
+            let (_, act) = m.complete(now + rtt, q, Relation::empty(vec![]), 0, Coverage::full());
+            assert!(matches!(act, Act::Answer(UniEvent::QueryDone { ok: true, .. })));
+            assert_eq!(m.timing.lost, 0.0, "an answered attempt is not lost");
+            now += SimTime::from_millis(10);
+        }
+        let max = m.timing.rtt.quantile(100.0).expect("a full window");
+        let hedge = m.admit(now, &plan(64)).hedge.expect("a warm window arms a hedge");
+        assert!(hedge.as_micros() as f64 >= 1.5 * max, "hedge {hedge:?} vs window max {max} µs");
+    }
+
+    #[test]
+    fn a_winning_hedge_samples_from_its_own_dispatch() {
+        let (mut m, mut qids) = machine(0.0);
+        m.admit(T0, &plan(9));
+        let sent = T0 + SimTime::from_millis(40);
+        let Act::Hedge(hedge) = m.on_hedge(sent, 9, &mut qids).1 else { panic!("it hedges") };
+        let done = sent + SimTime::from_millis(3);
+        let (retired, _) =
+            m.complete(done, hedge.qid, Relation::empty(vec![]), 0, Coverage::full());
+        assert_eq!(retired.len(), 2, "the hedge wins and the first attempt is retired");
+        assert_eq!(m.timing.rtt.quantile(100.0), Some(3_000.0), "the hedge's own latency");
+        // One lost (the beaten first attempt), then one answered.
+        assert_eq!(m.timing.lost, 63.0 / 4096.0, "the beaten attempt counts as lost");
+    }
+
+    /// Bounded-exhaustive check of the machine: every sequence of up to
+    /// five events, from an origin with a warm window and two aliases
+    /// short of [`ATTEMPT_BUDGET`], so a sequence can reach the budget.
+    mod sequences {
+        use super::*;
+
+        /// A completion's coverage: 0 and ½ are partials under the
+        /// machine's floor of 1, 1 answers.
+        #[derive(Clone, Copy, Debug)]
+        enum Cov {
+            Zero,
+            Half,
+            Full,
+        }
+
+        /// Which alias a completion comes from.
+        #[derive(Clone, Copy, Debug)]
+        enum Src {
+            /// The i-th newest alias still live.
+            Live(usize),
+            /// The newest alias already purged.
+            Purged,
+        }
+
+        #[derive(Clone, Copy, Debug)]
+        enum Ev {
+            /// Admits a new query.
+            Admit,
+            /// The attempt timeout of the j-th query the sequence admitted.
+            Timeout(usize),
+            /// The hedge timer of the j-th query the sequence admitted.
+            Hedge(usize),
+            Complete(Cov, Src),
+        }
+
+        /// A purged alias's partial at coverage 0 is left out: it could
+        /// not raise the best partial even if it were wrongly kept.
+        const ALPHABET: [Ev; 13] = {
+            use {Cov::*, Ev::*, Src::*};
+            [
+                Admit,
+                Timeout(0),
+                Timeout(1),
+                Hedge(0),
+                Hedge(1),
+                Complete(Zero, Live(0)),
+                Complete(Zero, Live(1)),
+                Complete(Half, Live(0)),
+                Complete(Half, Live(1)),
+                Complete(Half, Purged),
+                Complete(Full, Live(0)),
+                Complete(Full, Live(1)),
+                Complete(Full, Purged),
+            ]
+        };
+
+        /// The clock's advance per event: the fourth event after an
+        /// admission is past its query's deadline (3 × 120 s by default).
+        const STEP: SimTime = SimTime::from_secs(100);
+
+        /// What the model knows of one query, indexed by its qid.
+        #[derive(Clone, Copy, Default)]
+        struct Query {
+            /// Whether the current attempt (admission or retry) hedged.
+            hedged: bool,
+            /// The best partial coverage a live alias delivered.
+            partial: f64,
+            answered: bool,
+        }
+
+        #[derive(Clone)]
+        struct World {
+            m: Attempts,
+            qids: u64,
+            now: SimTime,
+            /// Every alias ever dispatched, oldest first, with its query.
+            aliases: Vec<(u64, u64)>,
+            queries: Vec<Query>,
+            /// The queries the sequence admitted, in order.
+            admitted: Vec<u64>,
+        }
+
+        fn world() -> World {
+            let (m, qids) = machine(1.0);
+            let mut w = World {
+                m,
+                qids: qids.0,
+                now: T0,
+                aliases: Vec::new(),
+                queries: Vec::new(),
+                admitted: Vec::new(),
+            };
+            for q in 0..(RTT_MIN_SAMPLES + ATTEMPT_BUDGET - 2) as u64 {
+                w.m.admit(w.now, &plan(q));
+                w.aliases.push((q, q));
+                w.queries.push(Query::default());
+                // The first few answer, warming the window.
+                if q < RTT_MIN_SAMPLES as u64 {
+                    let done = w.now + SimTime::from_millis(1 + q);
+                    w.m.complete(done, q, Relation::empty(vec![]), 0, Coverage::full());
+                    w.queries[q as usize].answered = true;
+                }
+            }
+            assert_eq!(w.m.attempt_of.len(), ATTEMPT_BUDGET - 2);
+            w
+        }
+
+        /// Applies `ev` and checks the invariants: one answer per query,
+        /// at most one hedge per attempt, aliases within the budget, the
+        /// answer's coverage at least every partial seen, no timer armed
+        /// and no alias left after the answer, and `0 ≤ lost ≤ 1`.
+        fn step(w: &mut World, ev: Ev, h: &[Ev]) {
+            w.now += STEP;
+            let now = w.now;
+            let mut qids = ExecQids(w.qids);
+            let live = |w: &World, a: u64| w.m.attempt_of.contains_key(&a);
+            let (user, (retired, act)) = match ev {
+                // The node's admission window, half the budget, keeps
+                // admissions below it; the machine itself never gates them.
+                Ev::Admit if w.m.attempt_of.len() >= ATTEMPT_BUDGET => return,
+                Ev::Admit => {
+                    let q = w.queries.len() as u64;
+                    let arm = w.m.admit(now, &plan(q));
+                    assert_eq!(arm.query, q);
+                    w.aliases.push((q, q));
+                    w.queries.push(Query::default());
+                    w.admitted.push(q);
+                    (q, (Vec::new(), Act::Nothing))
+                }
+                Ev::Timeout(j) | Ev::Hedge(j) => {
+                    let Some(&q) = w.admitted.get(j) else { return };
+                    let step = match ev {
+                        Ev::Timeout(_) => w.m.on_timeout(now, q, &mut qids),
+                        _ => w.m.on_hedge(now, q, &mut qids),
+                    };
+                    (q, step)
+                }
+                Ev::Complete(cov, src) => {
+                    let mut newest = w.aliases.iter().rev();
+                    let found = match src {
+                        Src::Live(i) => newest.filter(|&&(a, _)| live(w, a)).nth(i),
+                        Src::Purged => newest.find(|&&(a, _)| !live(w, a)),
+                    };
+                    let Some(&(alias, q)) = found else { return };
+                    let coverage = match cov {
+                        Cov::Zero => covered(0, 2),
+                        Cov::Half => covered(1, 2),
+                        Cov::Full => Coverage::full(),
+                    };
+                    let purged = matches!(src, Src::Purged);
+                    let step = w.m.complete(now, alias, Relation::empty(vec![]), 0, coverage);
+                    if purged {
+                        assert!(step.0.is_empty() && matches!(step.1, Act::Nothing), "{h:?}");
+                    } else if coverage.fraction() < 1.0 {
+                        let p = &mut w.queries[q as usize].partial;
+                        *p = p.max(coverage.fraction());
+                    }
+                    (q, step)
+                }
+            };
+            w.qids = qids.0;
+            for a in &retired {
+                assert!(!live(w, *a), "{h:?}: retired alias {a} still live");
+            }
+            let q = &mut w.queries[user as usize];
+            match act {
+                Act::Nothing | Act::Suppress(None) => {}
+                Act::Answer(UniEvent::QueryDone { qid, ok, coverage, .. }) => {
+                    assert_eq!(qid, user, "{h:?}");
+                    assert!(!q.answered, "{h:?}: query {qid} answered twice");
+                    assert!(coverage.fraction() >= q.partial, "{h:?}: answer below a partial");
+                    assert_eq!(ok, coverage.fraction() >= 1.0, "{h:?}");
+                    if !ok {
+                        assert_eq!(coverage.fraction(), q.partial, "{h:?}: not the best partial");
+                    }
+                    q.answered = true;
+                }
+                Act::Answer(other) => panic!("{h:?}: {other:?}"),
+                Act::Suppress(Some(arm)) => {
+                    assert!(arm.query == user && !q.answered, "{h:?}: an armed timer");
+                }
+                Act::Hedge(mqp) => {
+                    assert!(!q.answered && !q.hedged, "{h:?}: a second hedge of one attempt");
+                    q.hedged = true;
+                    w.aliases.push((mqp.qid, user));
+                }
+                Act::Retry(mqp, arm) => {
+                    assert!(arm.query == user && !q.answered, "{h:?}: an armed timer");
+                    q.hedged = false;
+                    w.aliases.push((mqp.qid, user));
+                }
+            }
+            assert!(w.m.attempt_of.len() <= ATTEMPT_BUDGET, "{h:?}: over the budget");
+            for &q in w.m.attempt_of.values() {
+                assert!(!w.queries[q as usize].answered, "{h:?}: an alias of answered {q}");
+            }
+            assert!((0.0..=1.0).contains(&w.m.timing.lost), "{h:?}: lost {}", w.m.timing.lost);
+        }
+
+        /// Depth-first over every continuation of `h` up to `left` more
+        /// events; returns the sequences walked.
+        fn walk(w: &World, h: &mut Vec<Ev>, left: usize) -> u64 {
+            if left == 0 {
+                return 1;
+            }
+            let mut walked = 1;
+            for ev in ALPHABET {
+                h.push(ev);
+                let mut w = w.clone();
+                step(&mut w, ev, h);
+                walked += walk(&w, h, left - 1);
+                h.pop();
+            }
+            walked
+        }
+
+        #[test]
+        fn every_sequence_of_five_events_keeps_the_invariants() {
+            let walked = walk(&world(), &mut Vec::new(), 5);
+            // Sequences of length 0..=5 over 13 events.
+            assert_eq!(walked, (13u64.pow(6) - 1) / 12);
+        }
     }
 }
