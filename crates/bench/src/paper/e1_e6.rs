@@ -22,10 +22,14 @@ use crate::snapshot::markdown;
 use crate::{canon, f, header, joins, latency_summary, row};
 
 /// E1 — claim C1: "logarithmic search complexity in the number of
-/// nodes".
+/// nodes". A CI gate: at every size no lookup takes more than log₂N
+/// hops, and the average stays within 0.4·log₂N + 0.5 — reads jump to
+/// the reference matching the key the longest, so they take well under
+/// one hop per trie level.
 pub(super) fn e1_scalability() {
     println!("\n## E1 — lookup cost vs network size (claim: logarithmic)\n");
     header(&["peers N", "log2(N)", "avg hops", "max hops", "avg msgs"]);
+    let mut over = Vec::new();
     for exp in [4u32, 6, 8, 10, 12] {
         let n = 1usize << exp;
         let mut c: PGridCluster<RawItem> = PGridCluster::build(
@@ -48,14 +52,21 @@ pub(super) fn e1_scalability() {
             hops.push(out.cost.hops as f64);
             msgs.push(out.cost.messages as f64);
         }
+        let avg = hops.iter().sum::<f64>() / hops.len() as f64;
+        let max = hops.iter().cloned().fold(0.0, f64::max);
+        let log2 = exp as f64;
+        if max > log2 || avg > 0.4 * log2 + 0.5 {
+            over.push(format!("N = {n}: avg {avg:.2}, max {max}"));
+        }
         row(&[
             n.to_string(),
             exp.to_string(),
-            f(hops.iter().sum::<f64>() / hops.len() as f64),
-            f(hops.iter().cloned().fold(0.0, f64::max)),
+            f(avg),
+            f(max),
             f(msgs.iter().sum::<f64>() / msgs.len() as f64),
         ]);
     }
+    assert!(over.is_empty(), "hops past max <= log2 N, avg <= 0.4 log2 N + 0.5: {over:?}");
     println!("\nverdict: hops grow with log2(N) and stay bounded by the trie depth.");
 }
 

@@ -215,23 +215,25 @@ impl<I: Item> ChordNode<I> {
 
     /// Next hop for ring position `k`: the successor if `k` lands in
     /// `(self, succ]`, otherwise the closest preceding finger that is
-    /// not suspected dead. When the owner itself is the (suspected)
-    /// successor there is no detour — the message goes there anyway
-    /// and the sender can fail fast instead (see `handle_lookup`).
-    pub(crate) fn next_hop(&self, k: u64) -> NodeId {
+    /// neither suspected dead nor `avoid` (an earlier attempt's first
+    /// hop). When the owner itself is the (suspected) successor there
+    /// is no detour — the message goes there anyway and the sender can
+    /// fail fast instead (see `handle_lookup`).
+    pub(crate) fn next_hop(&self, k: u64, avoid: Option<NodeId>) -> NodeId {
         if in_open_closed(self.ring_id, self.successor.1, k) {
             return self.successor.0;
         }
+        let shunned = |node: NodeId| Some(node) == avoid || self.liveness.is_suspected(node);
         for &(node, ring) in self.fingers.iter().rev() {
-            if in_open_open(self.ring_id, k, ring) && !self.liveness.is_suspected(node) {
+            if in_open_open(self.ring_id, k, ring) && !shunned(node) {
                 return node;
             }
         }
-        // The successor is the hop of last resort; when it is suspected
+        // The successor is the hop of last resort; when it is shunned
         // (and, since `k` is past it, not the owner) skip one node
         // ahead. `successor2` never overshoots: the owner is the first
         // ring member at or past `k`, which is `successor2` or later.
-        if self.liveness.is_suspected(self.successor.0) && self.successor2.0 != self.id {
+        if shunned(self.successor.0) && self.successor2.0 != self.id {
             return self.successor2.0;
         }
         self.successor.0
@@ -286,7 +288,7 @@ impl<I: Item> ChordNode<I> {
             };
             self.answer_lookup(qid, origin, entries, hops, true, fx);
         } else {
-            let next = self.next_hop(ring_key);
+            let next = self.next_hop(ring_key, None);
             // The owner itself is suspected dead: no detour can reach
             // the data, so fail fast — the origin's retry chain can
             // try the other index mirror now instead of waiting out
@@ -421,7 +423,7 @@ impl<I: Item> ChordNode<I> {
                 }
                 applied.push(op.idx);
             } else {
-                push_hop(&mut groups, self.next_hop(ring_key), i);
+                push_hop(&mut groups, self.next_hop(ring_key, None), i);
             }
         }
         for (next, idxs) in groups {
@@ -761,5 +763,41 @@ impl<I: Item> NodeBehavior for ChordNode<I> {
             }
             _ => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use unistore_util::item::RawItem;
+
+    /// Node 0 at ring position 0, its successors at 10 and 20, fingers
+    /// at 10, 20, 40 and 80 (node `i` sits at `10 · i`).
+    fn node() -> ChordNode<RawItem> {
+        let mut n = ChordNode::new(NodeId(0), 0, ChordConfig::default(), 1);
+        let at = |i: u32| (NodeId(i), 10 * i as u64);
+        n.set_topology(RingWiring {
+            predecessor: at(9),
+            predecessor2: at(8),
+            successor: at(1),
+            successor2: at(2),
+            fingers: vec![at(1), at(2), at(4), at(8)],
+        });
+        n
+    }
+
+    #[test]
+    fn next_hop_skips_the_avoided_finger_but_not_the_owning_successor() {
+        let n = node();
+        assert_eq!(n.next_hop(100, None), NodeId(8), "the closest preceding finger");
+        assert_eq!(n.next_hop(100, Some(NodeId(8))), NodeId(4), "the next one around it");
+        assert_eq!(n.next_hop(100, Some(NodeId(4))), NodeId(8), "another finger is not skipped");
+        // k ∈ (self, succ]: the successor owns k, so there is no way around it.
+        assert_eq!(n.next_hop(5, Some(NodeId(1))), NodeId(1));
+        assert_eq!(n.next_hop(10, Some(NodeId(1))), NodeId(1));
+        // Past the successor with no other finger preceding k, an avoided
+        // successor is skipped like a suspected one: `successor2` owns k.
+        assert_eq!(n.next_hop(15, None), NodeId(1));
+        assert_eq!(n.next_hop(15, Some(NodeId(1))), NodeId(2));
     }
 }

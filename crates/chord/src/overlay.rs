@@ -51,12 +51,12 @@ impl<I: Item + Send + 'static> Overlay for ChordNode<I> {
         ChordNode::responsible(self, ring_key_exact(key))
     }
 
-    fn next_hop(&mut self, key: Key) -> Option<NodeId> {
+    fn next_hop(&mut self, key: Key, avoid: Option<NodeId>) -> Option<NodeId> {
         let rk = ring_key_exact(key);
         if ChordNode::responsible(self, rk) {
             None
         } else {
-            Some(ChordNode::next_hop(self, rk))
+            Some(ChordNode::next_hop(self, rk, avoid))
         }
     }
 

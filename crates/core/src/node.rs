@@ -228,7 +228,7 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
                 if from == NodeId::EXTERNAL && NodeId(mqp.origin) == self.id() {
                     set_timers(self.attempts.admit(self.clock, &mqp), fx);
                 }
-                self.continue_plan(mqp, fx);
+                self.continue_plan(mqp, None, fx);
             }
             QueryMsg::Route { key, mqp } => self.route(key, mqp, fx),
             QueryMsg::Result { qid, relation, hops, coverage } => {
@@ -262,14 +262,14 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
                     set_timers(arm, fx);
                 }
             }
-            Act::Hedge(mqp) => {
+            Act::Hedge(mqp, avoid) => {
                 self.hedges += 1;
-                self.continue_plan(mqp, fx);
+                self.continue_plan(mqp, avoid, fx);
             }
-            Act::Retry(mqp, arm) => {
+            Act::Retry(mqp, arm, avoid) => {
                 self.retries += 1;
                 set_timers(arm, fx);
-                self.continue_plan(mqp, fx);
+                self.continue_plan(mqp, avoid, fx);
             }
         }
     }

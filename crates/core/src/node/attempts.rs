@@ -59,6 +59,9 @@ struct PendingQuery {
     /// The current attempt's hedge, once shipped: its qid and when it
     /// left, so a winning hedge samples its own completion time.
     hedge: Option<(u64, SimTime)>,
+    /// The first hop the newest attempt to leave the origin was
+    /// forwarded through: the hop the next retry or hedge goes around.
+    first_hop: Option<NodeId>,
 }
 
 /// A query's timers: its timeout and, unless hedging is off or the
@@ -81,9 +84,12 @@ pub(super) enum Act {
     /// still fails the query when the budget never clears.
     Suppress(Option<Arm>),
     /// Race this copy of the current attempt; the first completion wins.
-    Hedge(Mqp),
-    /// Re-dispatch the plan under a fresh attempt qid.
-    Retry(Mqp, Arm),
+    /// It leaves around the hop, if any, that the newest attempt was
+    /// forwarded through.
+    Hedge(Mqp, Option<NodeId>),
+    /// Re-dispatch the plan under a fresh attempt qid, around the hop,
+    /// if any, that the newest attempt was forwarded through.
+    Retry(Mqp, Arm, Option<NodeId>),
 }
 
 /// The attempt policy's delays and the stream that jitters them.
@@ -219,6 +225,7 @@ impl Attempts {
             last_timeout: timeout,
             best: None,
             hedge: None,
+            first_hop: None,
         };
         self.pending.insert(mqp.qid, pending);
         self.attempt_of.insert(mqp.qid, mqp.qid);
@@ -260,7 +267,7 @@ impl Attempts {
         self.attempt_of.insert(mqp.qid, user);
         let arm =
             Arm { query: user, timeout: timeout.min(remaining), hedge: self.timing.hedge_delay() };
-        (retired, Act::Retry(mqp, arm))
+        (retired, Act::Retry(mqp, arm, p.first_hop))
     }
 
     /// The hedge timer of query `user` fired at `now`: at most one hedge
@@ -284,7 +291,17 @@ impl Attempts {
         mqp.qid = qids.next();
         p.hedge = Some((mqp.qid, now));
         self.attempt_of.insert(mqp.qid, user);
-        (Vec::new(), Act::Hedge(mqp))
+        (Vec::new(), Act::Hedge(mqp, p.first_hop))
+    }
+
+    /// Attempt `attempt` left the origin through `hop`. A retired
+    /// attempt records nothing: its query is answered, or a newer
+    /// attempt runs.
+    pub(super) fn forwarded(&mut self, attempt: u64, hop: NodeId) {
+        let user = self.attempt_of.get(&attempt);
+        if let Some(p) = user.and_then(|user| self.pending.get_mut(user)) {
+            p.first_hop = Some(hop);
+        }
     }
 
     /// An attempt's answer reached the origin at `now`: the acceptance
@@ -388,7 +405,7 @@ mod tests {
     fn one_hedge_per_attempt_and_a_retry_allows_the_next() {
         let (mut m, mut qids) = machine(0.0);
         m.admit(T0, &plan(7));
-        let Act::Hedge(hedge) = m.on_hedge(T0, 7, &mut qids).1 else {
+        let Act::Hedge(hedge, _) = m.on_hedge(T0, 7, &mut qids).1 else {
             panic!("the first hedge ships")
         };
         assert_ne!(hedge.qid, 7, "a hedge runs under a fresh attempt qid");
@@ -397,8 +414,8 @@ mod tests {
         let (mut retired, act) = m.on_timeout(T0, 7, &mut qids);
         retired.sort_unstable();
         assert_eq!(retired, vec![7, hedge.qid], "a retry retires the attempt and its hedge");
-        let Act::Retry(retry, _) = act else { panic!("the timeout re-dispatches") };
-        let Act::Hedge(next) = m.on_hedge(T0, 7, &mut qids).1 else {
+        let Act::Retry(retry, ..) = act else { panic!("the timeout re-dispatches") };
+        let Act::Hedge(next, _) = m.on_hedge(T0, 7, &mut qids).1 else {
             panic!("the retry may hedge")
         };
         assert!(next.qid != retry.qid && next.qid != hedge.qid);
@@ -416,7 +433,7 @@ mod tests {
                 m.complete(T0, attempt, Relation::empty(vec![]), hops, covered(ok, 4));
             assert_eq!(retired, vec![attempt], "a partial retires only its own attempt");
             assert!(matches!(act, Act::Nothing), "below the floor nothing reaches the client");
-            let Act::Retry(retry, _) = m.on_timeout(T0, 3, &mut qids).1 else {
+            let Act::Retry(retry, ..) = m.on_timeout(T0, 3, &mut qids).1 else {
                 panic!("the timeout re-dispatches")
             };
             attempt = retry.qid;
@@ -436,7 +453,7 @@ mod tests {
         m.admit(T0, &plan(5));
         let (retired, act) = m.on_timeout(T0, 5, &mut qids);
         assert_eq!(retired, vec![5]);
-        let Act::Retry(retry, _) = act else { panic!("the timeout re-dispatches") };
+        let Act::Retry(retry, ..) = act else { panic!("the timeout re-dispatches") };
         let (retired, act) = m.complete(T0, 5, Relation::empty(vec![]), 0, Coverage::full());
         assert!(retired.is_empty(), "the purged first attempt is dropped");
         assert!(matches!(act, Act::Nothing));
@@ -494,7 +511,7 @@ mod tests {
         let (mut m, mut qids) = machine(0.0);
         m.admit(T0, &plan(9));
         let sent = T0 + SimTime::from_millis(40);
-        let Act::Hedge(hedge) = m.on_hedge(sent, 9, &mut qids).1 else { panic!("it hedges") };
+        let Act::Hedge(hedge, _) = m.on_hedge(sent, 9, &mut qids).1 else { panic!("it hedges") };
         let done = sent + SimTime::from_millis(3);
         let (retired, _) =
             m.complete(done, hedge.qid, Relation::empty(vec![]), 0, Coverage::full());
@@ -537,11 +554,14 @@ mod tests {
             /// The hedge timer of the j-th query the sequence admitted.
             Hedge(usize),
             Complete(Cov, Src),
+            /// The alias leaves the origin through a hop no alias used
+            /// before.
+            Forward(Src),
         }
 
         /// A purged alias's partial at coverage 0 is left out: it could
         /// not raise the best partial even if it were wrongly kept.
-        const ALPHABET: [Ev; 13] = {
+        const ALPHABET: [Ev; 15] = {
             use {Cov::*, Ev::*, Src::*};
             [
                 Admit,
@@ -549,6 +569,8 @@ mod tests {
                 Timeout(1),
                 Hedge(0),
                 Hedge(1),
+                Forward(Live(0)),
+                Forward(Purged),
                 Complete(Zero, Live(0)),
                 Complete(Zero, Live(1)),
                 Complete(Half, Live(0)),
@@ -572,6 +594,9 @@ mod tests {
             /// The best partial coverage a live alias delivered.
             partial: f64,
             answered: bool,
+            /// The hop the newest of its live aliases to leave the
+            /// origin went through.
+            first_hop: Option<NodeId>,
         }
 
         #[derive(Clone)]
@@ -584,6 +609,8 @@ mod tests {
             queries: Vec<Query>,
             /// The queries the sequence admitted, in order.
             admitted: Vec<u64>,
+            /// Hops handed out by `Forward` events so far.
+            hops: u32,
         }
 
         fn world() -> World {
@@ -595,6 +622,7 @@ mod tests {
                 aliases: Vec::new(),
                 queries: Vec::new(),
                 admitted: Vec::new(),
+                hops: 0,
             };
             for q in 0..(RTT_MIN_SAMPLES + ATTEMPT_BUDGET - 2) as u64 {
                 w.m.admit(w.now, &plan(q));
@@ -614,12 +642,21 @@ mod tests {
         /// Applies `ev` and checks the invariants: one answer per query,
         /// at most one hedge per attempt, aliases within the budget, the
         /// answer's coverage at least every partial seen, no timer armed
-        /// and no alias left after the answer, and `0 ≤ lost ≤ 1`.
+        /// and no alias left after the answer, every retry and hedge
+        /// around its own query's newest first hop, and `0 ≤ lost ≤ 1`.
         fn step(w: &mut World, ev: Ev, h: &[Ev]) {
             w.now += STEP;
             let now = w.now;
             let mut qids = ExecQids(w.qids);
             let live = |w: &World, a: u64| w.m.attempt_of.contains_key(&a);
+            let alias = |w: &World, src: Src| {
+                let mut newest = w.aliases.iter().rev();
+                match src {
+                    Src::Live(i) => newest.filter(|&&(a, _)| live(w, a)).nth(i),
+                    Src::Purged => newest.find(|&&(a, _)| !live(w, a)),
+                }
+                .copied()
+            };
             let (user, (retired, act)) = match ev {
                 // The node's admission window, half the budget, keeps
                 // admissions below it; the machine itself never gates them.
@@ -641,13 +678,21 @@ mod tests {
                     };
                     (q, step)
                 }
+                Ev::Forward(src) => {
+                    let Some((alias, q)) = alias(w, src) else { return };
+                    w.hops += 1;
+                    let hop = NodeId(w.hops);
+                    w.m.forwarded(alias, hop);
+                    if live(w, alias) {
+                        w.queries[q as usize].first_hop = Some(hop);
+                    }
+                    for (&q, p) in &w.m.pending {
+                        assert_eq!(p.first_hop, w.queries[q as usize].first_hop, "{h:?}: {q}");
+                    }
+                    (q, (Vec::new(), Act::Nothing))
+                }
                 Ev::Complete(cov, src) => {
-                    let mut newest = w.aliases.iter().rev();
-                    let found = match src {
-                        Src::Live(i) => newest.filter(|&&(a, _)| live(w, a)).nth(i),
-                        Src::Purged => newest.find(|&&(a, _)| !live(w, a)),
-                    };
-                    let Some(&(alias, q)) = found else { return };
+                    let Some((alias, q)) = alias(w, src) else { return };
                     let coverage = match cov {
                         Cov::Zero => covered(0, 2),
                         Cov::Half => covered(1, 2),
@@ -685,13 +730,15 @@ mod tests {
                 Act::Suppress(Some(arm)) => {
                     assert!(arm.query == user && !q.answered, "{h:?}: an armed timer");
                 }
-                Act::Hedge(mqp) => {
+                Act::Hedge(mqp, avoid) => {
                     assert!(!q.answered && !q.hedged, "{h:?}: a second hedge of one attempt");
+                    assert_eq!(avoid, q.first_hop, "{h:?}: the hedge's hop to go around");
                     q.hedged = true;
                     w.aliases.push((mqp.qid, user));
                 }
-                Act::Retry(mqp, arm) => {
+                Act::Retry(mqp, arm, avoid) => {
                     assert!(arm.query == user && !q.answered, "{h:?}: an armed timer");
+                    assert_eq!(avoid, q.first_hop, "{h:?}: the retry's hop to go around");
                     q.hedged = false;
                     w.aliases.push((mqp.qid, user));
                 }
@@ -723,8 +770,8 @@ mod tests {
         #[test]
         fn every_sequence_of_five_events_keeps_the_invariants() {
             let walked = walk(&world(), &mut Vec::new(), 5);
-            // Sequences of length 0..=5 over 13 events.
-            assert_eq!(walked, (13u64.pow(6) - 1) / 12);
+            // Sequences of length 0..=5 over 15 events.
+            assert_eq!(walked, (15u64.pow(6) - 1) / 14);
         }
     }
 }

@@ -174,7 +174,7 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
         // Fold this scan's per-op acks into the plan's completeness
         // accounting (a shortfall marks the result as partial).
         mqp.coverage.record_scan(issued.saturating_sub(failed), issued);
-        self.continue_plan(mqp, fx);
+        self.continue_plan(mqp, None, fx);
     }
 
     /// Ends round 1 of a q-gram scan: filters the distinct values the
@@ -210,8 +210,16 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
     }
 
     /// Runs the next step of a plan at this node: reduce, finish, fetch
-    /// join, forward, or scan.
-    pub(super) fn continue_plan(&mut self, mut mqp: Mqp, fx: &mut UniFx<O::Msg>) {
+    /// join, forward, or scan. A plan forwarded from here goes around
+    /// `avoid` (a retry's or hedge's previous first hop) when it can,
+    /// and at the origin the hop it leaves through is recorded as its
+    /// attempt's first hop.
+    pub(super) fn continue_plan(
+        &mut self,
+        mut mqp: Mqp,
+        avoid: Option<NodeId>,
+        fx: &mut UniFx<O::Msg>,
+    ) {
         mqp.root.reduce();
         let qid = mqp.qid;
         if mqp.root.scans_remaining() == 0 {
@@ -267,7 +275,10 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
         if semi_filter.is_none() && !self.plan_mode.no_forward && !self.cache_pins_scan(&pattern) {
             if let Some(key) = anchor_key(&pattern) {
                 if !self.overlay.responsible(key) && mqp.wire_size() < FORWARD_BYTE_CAP {
-                    if let Some(next) = self.overlay.next_hop(key) {
+                    if let Some(next) = self.overlay.next_hop(key, avoid) {
+                        if NodeId(mqp.origin) == self.id() {
+                            self.attempts.forwarded(qid, next);
+                        }
                         mqp.hops += 1;
                         fx.send(next, UniMsg::Query(QueryMsg::Route { key, mqp }));
                         return;
@@ -298,9 +309,9 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
     /// or continues it here once this peer is responsible.
     pub(super) fn route(&mut self, key: Key, mut mqp: Mqp, fx: &mut UniFx<O::Msg>) {
         if self.overlay.responsible(key) {
-            return self.continue_plan(mqp, fx);
+            return self.continue_plan(mqp, None, fx);
         }
-        match self.overlay.next_hop(key) {
+        match self.overlay.next_hop(key, None) {
             Some(next) => {
                 mqp.hops += 1;
                 fx.send(next, UniMsg::Query(QueryMsg::Route { key, mqp }));
@@ -310,7 +321,7 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
             // the degradation.
             None => {
                 mqp.coverage.record_skip();
-                self.continue_plan(mqp, fx);
+                self.continue_plan(mqp, None, fx);
             }
         }
     }

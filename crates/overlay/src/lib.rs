@@ -263,9 +263,12 @@ pub trait Overlay:
     fn responsible(&self, key: Key) -> bool;
 
     /// Next hop toward the peer responsible for `key`, or `None` when
-    /// the key is local or routing is stuck. May randomize across
-    /// redundant references to spread load.
-    fn next_hop(&mut self, key: Key) -> Option<NodeId>;
+    /// the key is local or routing is stuck. Takes the longest step
+    /// toward the key the routing state allows, and may spread load
+    /// across equally good references. `avoid` — the first hop of an
+    /// earlier attempt of the same query — is passed over whenever
+    /// another reference can make progress.
+    fn next_hop(&mut self, key: Key, avoid: Option<NodeId>) -> Option<NodeId>;
 
     /// Whether this peer's local store currently holds any entry under
     /// `key` (any index). Observability only: the scale campaign

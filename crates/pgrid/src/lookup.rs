@@ -40,9 +40,10 @@ impl<I: Item> PGridPeer<I> {
             self.issue_lookup(qid, key, None, filter, fx);
             return;
         }
-        // Reads route load-aware: the least-dispatched ref at the
-        // needed level, so hot keys spread across the replica group of
-        // the responsible subtree instead of hammering one peer.
+        // Reads jump to the ref matching the key the longest, the
+        // least-dispatched among equally deep ones, so hot keys spread
+        // across the replica group of the responsible leaf instead of
+        // hammering one peer.
         match self.routing.route_read(key, None) {
             RouteDecision::Local => {
                 let items = self.store.lookup(key, &filter);

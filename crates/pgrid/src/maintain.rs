@@ -88,6 +88,7 @@ mod tests {
     use super::*;
     use crate::config::PGridConfig;
     use crate::item::RawItem;
+    use crate::routing::tests::{shallow_paths, subsets, tables_at};
     use unistore_simnet::{Effects, NodeBehavior, SimTime};
     use unistore_util::wire::Wire;
 
@@ -264,37 +265,6 @@ mod tests {
         assert_eq!(reply_to(&mut p, "", 0), vec![]);
     }
 
-    /// Every path of depth ≤ 3, the root included: 15 of them.
-    fn shallow_paths() -> Vec<BitPath> {
-        let mut paths = vec![BitPath::ROOT];
-        let mut i = 0;
-        while i < paths.len() {
-            if paths[i].len() < 3 {
-                paths.extend([paths[i].child(false), paths[i].child(true)]);
-            }
-            i += 1;
-        }
-        paths
-    }
-
-    /// Every subset of `0..n` with at most `k` members, ascending.
-    fn subsets(n: usize, k: usize) -> Vec<Vec<usize>> {
-        let mut out = vec![Vec::new()];
-        let mut i = 0;
-        while i < out.len() {
-            let last = out[i].last().map_or(0, |&l| l + 1);
-            if out[i].len() < k {
-                for next in last..n {
-                    let mut s = out[i].clone();
-                    s.push(next);
-                    out.push(s);
-                }
-            }
-            i += 1;
-        }
-        out
-    }
-
     /// Dropping what the requester cannot file from a table reply changes
     /// nothing it keeps: over every requester table on a path of depth
     /// ≤ 3 with 1 or 2 references per level, and every reply of up to
@@ -314,25 +284,7 @@ mod tests {
         let replies = subsets(paths.len(), 3);
         for cap in 1..=2 {
             for &path in &paths {
-                // Each level's candidates, then every table choosing up
-                // to `cap` of them per level.
-                let mut tables = vec![RoutingTable::new(path, cap)];
-                for l in 0..path.len() {
-                    let fits: Vec<usize> = (0..paths.len())
-                        .filter(|&i| RoutingTable::filing_level(path, paths[i]) == Some(l))
-                        .collect();
-                    tables = tables
-                        .iter()
-                        .flat_map(|t| {
-                            subsets(fits.len(), cap).into_iter().map(|pick| {
-                                let mut t = t.clone();
-                                pick.iter().for_each(|&j| assert!(t.add_ref(at(fits[j]))));
-                                t
-                            })
-                        })
-                        .collect();
-                }
-                for table in &tables {
+                for table in &tables_at(&paths, path, cap) {
                     let full = table.full_levels();
                     for reply in &replies {
                         let (mut whole, mut filtered) = (table.clone(), table.clone());

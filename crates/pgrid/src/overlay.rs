@@ -95,8 +95,8 @@ impl<I: Item + Send + 'static> Overlay for PGridPeer<I> {
         self.routing().responsible(key)
     }
 
-    fn next_hop(&mut self, key: Key) -> Option<NodeId> {
-        PGridPeer::next_hop(self, key)
+    fn next_hop(&mut self, key: Key, avoid: Option<NodeId>) -> Option<NodeId> {
+        PGridPeer::next_hop(self, key, avoid)
     }
 
     fn holds(&self, key: Key) -> bool {

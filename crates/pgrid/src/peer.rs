@@ -168,12 +168,15 @@ impl<I: Item> PGridPeer<I> {
     }
 
     /// Picks a next hop toward `key`, or `None` when the key is local or
-    /// the needed level has no reference. Load-aware: the least-read
-    /// reference at the needed level, so embedding layers that forward
-    /// whole query plans spread hot-key traffic across the responsible
-    /// replica group, exactly like the lookups themselves.
-    pub fn next_hop(&mut self, key: Key) -> Option<NodeId> {
-        match self.routing.route_read(key, None) {
+    /// the needed level has no reference. The lookups' rule
+    /// ([`RoutingTable::route_read`]): the reference matching the key the
+    /// longest, the least-read among equally deep ones, so embedding
+    /// layers that forward whole query plans skip levels and spread
+    /// hot-key traffic across the responsible replica group, exactly
+    /// like the lookups themselves. `avoid` — an earlier attempt's first
+    /// hop — is passed over while an alternative exists.
+    pub fn next_hop(&mut self, key: Key, avoid: Option<NodeId>) -> Option<NodeId> {
+        match self.routing.route_read(key, avoid) {
             RouteDecision::Forward(id, _) => Some(id),
             RouteDecision::Local | RouteDecision::Stuck(_) => None,
         }

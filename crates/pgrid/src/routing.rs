@@ -5,8 +5,10 @@
 //! `l` bits and differ at bit `l` — i.e. peers responsible for the
 //! *complementary subtree* at that level. Greedy prefix routing then
 //! resolves any key in at most `L` hops. P-Grid keeps several references
-//! per level and routes through a random one, spreading load and
-//! tolerating failures (paper §2).
+//! per level, spreading load and tolerating failures (paper §2). Reads
+//! and batched writes go through the one whose path matches the key the
+//! longest, skipping the levels between; the other routes pick a random
+//! one.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -82,71 +84,38 @@ impl RoutingTable {
         self.path.is_prefix_of_key(key)
     }
 
-    /// Routing decision for `key`.
+    /// Routing decision for `key`: a random reference at the needed
+    /// level. Bootstrap hand-offs, range scans and tombstones that
+    /// cascade past a migrated path route this way.
     pub fn route(&self, key: Key, rng: &mut StdRng) -> RouteDecision {
-        self.route_excluding(key, None, rng)
-    }
-
-    /// Routing decision for `key`, preferring references other than
-    /// `avoid` (the first hop of a failed earlier attempt). Falls back to
-    /// `avoid` when it is the only reference at the needed level.
-    pub fn route_excluding(
-        &self,
-        key: Key,
-        avoid: Option<NodeId>,
-        rng: &mut StdRng,
-    ) -> RouteDecision {
         let l = self.path.common_prefix_len_key(key);
         if l == self.path.len() {
             return RouteDecision::Local;
         }
-        let level = &self.levels[l as usize];
-        let pick = match avoid {
-            // Exclusion only kicks in when an alternative actually exists;
-            // the plain random choice stays allocation-free on the hot path.
-            Some(a) if level.len() > 1 && level.iter().any(|r| r.id == a) => {
-                let n = level.len() - 1;
-                let idx = rng.gen_range(0..n);
-                level.iter().filter(|r| r.id != a).nth(idx)
-            }
-            _ => level.choose(rng),
-        };
-        match pick {
+        match self.levels[l as usize].choose(rng) {
             Some(r) => RouteDecision::Forward(r.id, l),
             None => RouteDecision::Stuck(l),
         }
     }
 
-    /// Routing decision for a *read*, forwarding through the
-    /// least-dispatched reference at the needed level instead of a
-    /// random one. Deep levels of a converged trie reference the
-    /// responsible leaf's replica group, so hot-key lookups fan out
-    /// across the replicas holding the data rather than hammering one
-    /// of them; shallow levels get balanced relay load as a side
-    /// effect. Deterministic — ties break toward the first stored ref
-    /// — and still avoiding `avoid` when an alternative exists.
+    /// Routing decision for a *read*: among the references at the
+    /// needed level, one whose trie path agrees with the key the longest
+    /// (the [`RoutingTable::route_jump`] ranking), and among equally deep
+    /// ones the least-dispatched. A reference deep in the key's subtree
+    /// skips the levels between, so a lookup takes far fewer hops than
+    /// the trie is deep. On the last level every member of the
+    /// responsible leaf ties, so hot-key lookups still fan out across
+    /// the replicas holding the data rather than hammering one of them.
+    /// Deterministic — equal loads break toward the first stored ref —
+    /// and still avoiding `avoid` (the first hop of an earlier attempt)
+    /// when an alternative exists.
     pub fn route_read(&mut self, key: Key, avoid: Option<NodeId>) -> RouteDecision {
-        let l = self.path.common_prefix_len_key(key);
-        if l == self.path.len() {
-            return RouteDecision::Local;
+        let load = |id: &NodeId| self.read_load.get(id).copied().unwrap_or(0);
+        let decision = self.route_deepest(key, avoid, |_, best, r| load(&r) < load(&best));
+        if let RouteDecision::Forward(id, _) = decision {
+            *self.read_load.entry(id).or_insert(0) += 1;
         }
-        let level = &self.levels[l as usize];
-        let shun = match avoid {
-            Some(a) if level.len() > 1 && level.iter().any(|r| r.id == a) => Some(a),
-            _ => None,
-        };
-        let pick = level
-            .iter()
-            .filter(|r| Some(r.id) != shun)
-            .min_by_key(|r| self.read_load.get(&r.id).copied().unwrap_or(0))
-            .map(|r| r.id);
-        match pick {
-            Some(id) => {
-                *self.read_load.entry(id).or_insert(0) += 1;
-                RouteDecision::Forward(id, l)
-            }
-            None => RouteDecision::Stuck(l),
-        }
+        decision
     }
 
     /// Read dispatches recorded against a peer (observability).
@@ -155,9 +124,9 @@ impl RoutingTable {
     }
 
     /// Routing decision for `key` that may jump several levels at once:
-    /// among the references at the needed level, picks one whose
-    /// (deeper) trie path agrees with the key the longest, ties broken
-    /// randomly, still avoiding `avoid` when an alternative exists.
+    /// the deepest-matching reference at the needed level, like
+    /// [`RoutingTable::route_read`], but with ties broken uniformly at
+    /// random and no load recorded.
     ///
     /// Correctness is the same argument as [`RoutingTable::route`] —
     /// every hop strictly extends the matched prefix, so routing
@@ -165,9 +134,26 @@ impl RoutingTable {
     /// expectation. Batch forwarding uses this: each saved hop is one
     /// fewer edge the whole sub-batch (op tags + shared payloads) must
     /// cross, which is exactly the KiB the coalesced write pipeline is
-    /// supposed to save. Single-op routing keeps the plain random pick
-    /// (uniform load spreading matters more than one hop there).
+    /// supposed to save.
     pub fn route_jump(&self, key: Key, avoid: Option<NodeId>, rng: &mut StdRng) -> RouteDecision {
+        // Reservoir sampling: the `ties`-th tie replaces the pick with
+        // probability 1 / (ties + 1).
+        self.route_deepest(key, avoid, |ties, _, _| rng.gen_range(0..=ties) == 0)
+    }
+
+    /// The ranking scan of [`RoutingTable::route_read`] and
+    /// [`RoutingTable::route_jump`]: the reference at the needed level
+    /// whose path matches `key` the longest, skipping `avoid` when an
+    /// alternative exists. On a tie `take(ties, pick, r)` — `ties`
+    /// counting the ties so far at the pick's depth, this one included —
+    /// decides whether `r` replaces the pick. Single pass and
+    /// allocation-free: this runs once per op per hop.
+    fn route_deepest(
+        &self,
+        key: Key,
+        avoid: Option<NodeId>,
+        mut take: impl FnMut(u32, NodeId, NodeId) -> bool,
+    ) -> RouteDecision {
         let l = self.path.common_prefix_len_key(key);
         if l == self.path.len() {
             return RouteDecision::Local;
@@ -177,8 +163,6 @@ impl RoutingTable {
             Some(a) if level.len() > 1 && level.iter().any(|x| x.id == a) => Some(a),
             _ => None,
         };
-        // Single pass, allocation-free (this runs once per op per hop):
-        // track the best match and reservoir-sample uniformly among ties.
         let mut best: Option<(u8, NodeId)> = None;
         let mut ties = 0u32;
         for r in level {
@@ -189,7 +173,7 @@ impl RoutingTable {
             match &mut best {
                 Some((bm, bid)) if m == *bm => {
                     ties += 1;
-                    if rng.gen_range(0..=ties) == 0 {
+                    if take(ties, *bid, r.id) {
                         *bid = r.id;
                     }
                 }
@@ -316,7 +300,7 @@ impl RoutingTable {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::SeedableRng;
 
@@ -326,6 +310,153 @@ mod tests {
 
     fn pr(id: u32, path: &str) -> PeerRef {
         PeerRef { id: NodeId(id), path: BitPath::parse(path).unwrap() }
+    }
+
+    /// Every path of depth ≤ 3, the root included: 15 of them.
+    pub(crate) fn shallow_paths() -> Vec<BitPath> {
+        let mut paths = vec![BitPath::ROOT];
+        let mut i = 0;
+        while i < paths.len() {
+            if paths[i].len() < 3 {
+                paths.extend([paths[i].child(false), paths[i].child(true)]);
+            }
+            i += 1;
+        }
+        paths
+    }
+
+    /// Every subset of `0..n` with at most `k` members, ascending.
+    pub(crate) fn subsets(n: usize, k: usize) -> Vec<Vec<usize>> {
+        let mut out = vec![Vec::new()];
+        let mut i = 0;
+        while i < out.len() {
+            let last = out[i].last().map_or(0, |&l| l + 1);
+            if out[i].len() < k {
+                for next in last..n {
+                    let mut s = out[i].clone();
+                    s.push(next);
+                    out.push(s);
+                }
+            }
+            i += 1;
+        }
+        out
+    }
+
+    /// Every table at `path` choosing up to `cap` of the references on
+    /// `paths` per level, peer `i` sitting at `paths[i]`.
+    pub(crate) fn tables_at(paths: &[BitPath], path: BitPath, cap: usize) -> Vec<RoutingTable> {
+        let at = |i: usize| PeerRef { id: NodeId(i as u32), path: paths[i] };
+        let mut tables = vec![RoutingTable::new(path, cap)];
+        for l in 0..path.len() {
+            let fits: Vec<usize> = (0..paths.len())
+                .filter(|&i| RoutingTable::filing_level(path, paths[i]) == Some(l))
+                .collect();
+            tables = tables
+                .iter()
+                .flat_map(|t| {
+                    subsets(fits.len(), cap).into_iter().map(|pick| {
+                        let mut t = t.clone();
+                        pick.iter().for_each(|&j| assert!(t.add_ref(at(fits[j]))));
+                        t
+                    })
+                })
+                .collect();
+        }
+        tables
+    }
+
+    /// Checks one `route_read` against the rule: the pick matches `key`
+    /// as deep as any reference at the needed level, is not `avoid`
+    /// while the level holds another reference, and among the equally
+    /// deep candidates is the first stored of the least dispatched.
+    fn check_read(t: &mut RoutingTable, key: Key, avoid: Option<NodeId>) {
+        if t.responsible(key) {
+            return assert_eq!(t.route_read(key, avoid), RouteDecision::Local);
+        }
+        let l = t.path().common_prefix_len_key(key);
+        let level = t.level_refs(l).to_vec();
+        let before: Vec<u64> = level.iter().map(|r| t.read_load_of(r.id)).collect();
+        let RouteDecision::Forward(id, at) = t.route_read(key, avoid) else {
+            panic!("{t:?} has no hole to be stuck in")
+        };
+        assert_eq!(at, l);
+        let cands: Vec<usize> =
+            (0..level.len()).filter(|&i| level.len() == 1 || Some(level[i].id) != avoid).collect();
+        let depth = |i: usize| level[i].path.common_prefix_len_key(key);
+        let deepest = cands.iter().map(|&i| depth(i)).max().unwrap();
+        let ties: Vec<usize> = cands.into_iter().filter(|&i| depth(i) == deepest).collect();
+        let least = ties.iter().map(|&i| before[i]).min().unwrap();
+        let want = ties.into_iter().find(|&i| before[i] == least).unwrap();
+        assert_eq!(id, level[want].id, "{t:?} key {key:#x} avoid {avoid:?}");
+    }
+
+    /// The most hops a read for `key` takes from peer `from`, over every
+    /// table in `tables` each peer on the way may hold, memoised per
+    /// peer. Panics on a routing hole, which a table with no empty level
+    /// cannot have.
+    fn worst_walk(
+        tables: &[Vec<RoutingTable>],
+        memo: &mut FxHashMap<usize, u8>,
+        from: usize,
+        key: Key,
+    ) -> u8 {
+        if let Some(&hops) = memo.get(&from) {
+            return hops;
+        }
+        let mut worst = 0;
+        for t in &tables[from] {
+            match t.clone().route_read(key, None) {
+                RouteDecision::Local => {}
+                RouteDecision::Forward(next, _) => {
+                    let hops = 1 + worst_walk(tables, memo, next.0 as usize, key);
+                    worst = worst.max(hops);
+                }
+                RouteDecision::Stuck(l) => panic!("a hole at level {l} of {t:?}"),
+            }
+        }
+        memo.insert(from, worst);
+        worst
+    }
+
+    /// Over every table on a path of depth ≤ 3 with 1 or 2 references
+    /// per level, every 3-bit key prefix and `avoid` unset or any one
+    /// reference: three reads in a row each pick the deepest match at
+    /// the needed level, never `avoid` while another reference is
+    /// there, and the least-dispatched of the equally deep ones. And
+    /// the greedy walk from a peer reaches one responsible for the key
+    /// within as many hops as the key has bits its path does not match,
+    /// whatever table each peer on the way holds: at most the depth.
+    #[test]
+    fn route_read_takes_the_deepest_least_loaded_reference() {
+        let paths = shallow_paths();
+        let tables: Vec<Vec<RoutingTable>> = paths
+            .iter()
+            .map(|&p| {
+                let mut all = tables_at(&paths, p, 2);
+                all.retain(|t| t.empty_levels().is_empty());
+                all
+            })
+            .collect();
+        for prefix in 0..8u64 {
+            let key = prefix << 61;
+            let mut memo = FxHashMap::default();
+            for (from, &path) in paths.iter().enumerate() {
+                for table in &tables[from] {
+                    let l = path.common_prefix_len_key(key);
+                    let refs = if l < path.len() { table.level_refs(l).to_vec() } else { vec![] };
+                    for avoid in std::iter::once(None).chain(refs.iter().map(|r| Some(r.id))) {
+                        let mut t = table.clone();
+                        for _ in 0..3 {
+                            check_read(&mut t, key, avoid);
+                        }
+                    }
+                }
+                let matched = path.common_prefix_len_key(key);
+                let hops = worst_walk(&tables, &mut memo, from, key);
+                assert!(hops <= 3 - matched, "{path:?} key {prefix:03b}: {hops} hops");
+            }
+        }
     }
 
     #[test]
@@ -411,11 +542,12 @@ mod tests {
     #[test]
     fn route_read_rotates_least_loaded() {
         let mut t = RoutingTable::new(BitPath::parse("0").unwrap(), 3);
+        // Two replicas of the leaf "10".
         t.add_ref(pr(1, "10"));
-        t.add_ref(pr(2, "11"));
-        let key = 1u64 << 63; // level 0
-                              // Repeated reads of the same hot key alternate between the two
-                              // refs covering the complementary subtree.
+        t.add_ref(pr(2, "10"));
+        // Repeated reads of the same hot key alternate between the two
+        // equally deep refs: the replica group fans the load out.
+        let key = 0b10u64 << 62;
         let mut hits = [0u64; 3];
         for _ in 0..10 {
             match t.route_read(key, None) {

@@ -91,6 +91,67 @@ fn crashed_minority_does_not_stop_point_queries() {
     assert!(succeeded >= 5, "replication should mask a crashed minority ({succeeded}/8)");
 }
 
+/// The peers a read for `key` visits from `origin`, its first hop
+/// chosen around `avoid`, as the routing tables stand: the path the
+/// next dispatch takes, since the walk routes on copies of the tables.
+fn read_walk(cluster: &UniCluster, origin: NodeId, key: u64, avoid: Option<NodeId>) -> Vec<NodeId> {
+    use unistore_pgrid::routing::RouteDecision;
+    let (mut at, mut avoid, mut walk) = (origin, avoid, Vec::new());
+    while let RouteDecision::Forward(next, _) =
+        cluster.net.node(at).overlay.routing().clone().route_read(key, avoid.take())
+    {
+        walk.push(next);
+        at = next;
+    }
+    walk
+}
+
+#[test]
+fn a_retry_goes_around_the_crashed_first_hop() {
+    use unistore_store::{index::oid_key, Oid};
+    let mut cluster = cluster_with_world(32, robust_cfg(), 12);
+    let key = oid_key(&Oid::new("auth1"));
+    // An origin whose first hop toward the key is the one reference at
+    // that level matching the key deepest (the read rule alone would
+    // send the retry there again), and whose next-best route stays
+    // clear of it.
+    let (origin, level, first) = (0..32)
+        .map(NodeId)
+        .find_map(|id| {
+            let routing = cluster.net.node(id).overlay.routing();
+            let l = routing.path().common_prefix_len_key(key);
+            if routing.responsible(key) {
+                return None;
+            }
+            let depth = |r: &unistore_pgrid::msg::PeerRef| r.path.common_prefix_len_key(key);
+            let refs = routing.level_refs(l);
+            let deepest = refs.iter().map(depth).max()?;
+            let unique = refs.iter().filter(|r| depth(r) == deepest).count() == 1;
+            let first = *read_walk(&cluster, id, key, None).first()?;
+            let around = read_walk(&cluster, id, key, Some(first));
+            (unique && refs.len() > 1 && !around.contains(&first)).then_some((id, l, first))
+        })
+        .expect("some origin has a unique deepest first hop and a way around it");
+    let loads = |cluster: &UniCluster| -> Vec<(NodeId, u64)> {
+        let routing = cluster.net.node(origin).overlay.routing();
+        routing.level_refs(level).iter().map(|r| (r.id, routing.read_load_of(r.id))).collect()
+    };
+    let before = loads(&cluster);
+
+    let qid = cluster.query_submit(origin, "SELECT ?g WHERE {('auth1','age',?g)}").unwrap();
+    // The plan leaves at the submission instant; its first hop crashes
+    // while it is in flight.
+    cluster.settle(SimTime::from_micros(1));
+    cluster.net.schedule_down(first, cluster.net.now());
+    let out = cluster.query_wait(qid);
+    assert!(out.ok && !out.relation.is_empty(), "the retry answers within the deadline");
+
+    let sent: Vec<(NodeId, u64)> =
+        loads(&cluster).iter().zip(&before).map(|(&(id, a), &(_, b))| (id, a - b)).collect();
+    assert!(sent.contains(&(first, 1)), "only the first attempt left through {first:?}: {sent:?}");
+    assert_eq!(sent.iter().map(|&(_, n)| n).sum::<u64>(), 2, "one retry, around it: {sent:?}");
+}
+
 #[test]
 fn churn_with_maintenance_keeps_success_rate_up() {
     let cfg = robust_cfg().with_maintenance(SimTime::from_secs(5), SimTime::from_secs(10));
