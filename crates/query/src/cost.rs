@@ -31,7 +31,7 @@ pub use statistics::{AttrStats, GlobalStats};
 mod tests {
     use std::sync::Arc;
 
-    use unistore_store::{Triple, Value};
+    use unistore_store::{Oid, Triple, Value};
     use unistore_util::wire::{put_varint, Wire, WireError};
     use unistore_util::{intern, FxHashMap};
 
@@ -325,7 +325,7 @@ mod tests {
     }
 
     /// The write events a delta stands for, as sortable text:
-    /// `(side, oid hash, oid length, attr, value representation)`.
+    /// `(side, oid fingerprint, oid length, attr, value representation)`.
     fn events(d: &StatsDelta) -> Vec<String> {
         let mut out = Vec::new();
         for (side, groups) in d.groups.iter().enumerate() {
@@ -409,20 +409,69 @@ mod tests {
         assert_stats_match(&stats, &GlobalStats::build(&ts, net));
     }
 
-    /// Encodes a delta by hand: the table, then per side `(attr, value,
-    /// gaps)` groups.
-    fn raw_delta(oids: &[OidRef], sides: [&[(&str, Value, &[u64])]; 2]) -> bytes::Bytes {
+    /// Two OID strings `o{i}` whose fingerprints collide: the first
+    /// repeat of a birthday search (`o34442` and `o45218`; about 10⁵
+    /// candidates are expected).
+    fn colliding_oids() -> (String, String) {
+        let mut seen = FxHashMap::default();
+        (0u32..)
+            .find_map(|i| {
+                let oid = format!("o{i}");
+                let (fingerprint, _) = oid_ref(&Oid::new(&oid));
+                seen.insert(fingerprint, i).map(|j| (format!("o{j}"), oid))
+            })
+            .expect("a 32-bit fingerprint repeats within 2^32 + 1 OIDs")
+    }
+
+    #[test]
+    fn oids_sharing_a_fingerprint_count_once() {
+        let (a, b) = colliding_oids();
+        let fingerprint = oid_ref(&Oid::new(&a)).0;
+        assert_eq!(oid_ref(&Oid::new(&b)).0, fingerprint);
+        let net = NetParams { n_peers: 8.0, n_leaves: 8.0, replication: 1.0, hop_ms: 1.0 };
+        let of = |oid: &str| {
+            [Triple::new(oid, "name", Value::str(oid)), Triple::new(oid, "age", Value::Int(30))]
+        };
+        let both: Vec<Triple> = of(&a).into_iter().chain(of(&b)).collect();
+        let built = GlobalStats::build(&both, net);
+        let mut folded = GlobalStats::empty(net);
+        let mut d = StatsDelta::new();
+        both.iter().for_each(|t| d.record_insert(t.clone()));
+        folded.apply_delta(&d);
+        assert_stats_match(&built, &folded);
+        for s in [&built, &folded] {
+            assert_eq!(s.oid_distinct, 1.0);
+            assert_eq!(s.oids[&fingerprint], both.len() as u32);
+        }
+        // Deleting one object's triples leaves the other counted.
+        let mut undo = StatsDelta::new();
+        of(&a).into_iter().for_each(|t| undo.record_delete(t));
+        folded.apply_delta(&undo);
+        assert_stats_match(&folded, &GlobalStats::build(&of(&b), net));
+        assert_eq!(folded.oid_distinct, 1.0);
+        assert_eq!(folded.oids[&fingerprint], 2);
+    }
+
+    /// Encodes a delta by hand: the OID table, the attribute table,
+    /// then per side `(attribute index, value, gaps)` groups.
+    fn raw_delta(
+        oids: &[OidRef],
+        attrs: &[&str],
+        sides: [&[(u64, Value, &[u64])]; 2],
+    ) -> bytes::Bytes {
         use bytes::BufMut;
         let mut buf = bytes::BytesMut::new();
         put_varint(&mut buf, oids.len() as u64);
-        for (hash, len) in oids {
-            buf.put_u64(*hash);
+        for (fingerprint, len) in oids {
+            buf.put_u32(*fingerprint);
             len.encode(&mut buf);
         }
+        put_varint(&mut buf, attrs.len() as u64);
+        attrs.iter().for_each(|a| a.to_string().encode(&mut buf));
         for side in sides {
             put_varint(&mut buf, side.len() as u64);
             for (attr, value, gaps) in side {
-                attr.to_string().encode(&mut buf);
+                put_varint(&mut buf, *attr);
                 value.encode(&mut buf);
                 put_varint(&mut buf, gaps.len() as u64);
                 gaps.iter().for_each(|g| put_varint(&mut buf, *g));
@@ -434,22 +483,46 @@ mod tests {
     #[test]
     fn hostile_digests_are_rejected_not_trusted() {
         let table = [(7, 2), (8, 2), (9, 2)];
+        let attrs = ["a", "bb"];
         let v = Value::Int(1);
         // The well-formed shape decodes; a repeated index (gap 0) is a
-        // repeated event.
-        let ok = raw_delta(&table, [&[("a", v.clone(), &[0, 2, 0])], &[]]);
-        assert_eq!(StatsDelta::from_bytes(&ok).unwrap().len(), 3);
+        // repeated event, and both sides may name one attribute.
+        let ok = raw_delta(
+            &table,
+            &attrs,
+            [&[(0, v.clone(), &[0, 2, 0]), (1, v.clone(), &[1])], &[(1, v.clone(), &[2])]],
+        );
+        let d = StatsDelta::from_bytes(&ok).unwrap();
+        assert_eq!(d.len(), 5);
+        assert_eq!(d.pairs().map(|(a, _)| &**a).collect::<Vec<_>>(), ["a", "bb", "bb"]);
+        assert_eq!(d.to_bytes(), ok);
         let bad: Vec<(&str, bytes::Bytes)> = vec![
-            ("index past the table", raw_delta(&table, [&[("a", v.clone(), &[3])], &[]])),
-            ("gaps running past the table", raw_delta(&table, [&[], &[("a", v.clone(), &[1, 2])]])),
+            ("index past the table", raw_delta(&table, &attrs, [&[(0, v.clone(), &[3])], &[]])),
+            (
+                "gaps running past the table",
+                raw_delta(&table, &attrs, [&[], &[(0, v.clone(), &[1, 2])]]),
+            ),
             (
                 "descending indexes (a gap that wraps)",
-                raw_delta(&table, [&[("a", v.clone(), &[2, u64::MAX])], &[]]),
+                raw_delta(&table, &attrs, [&[(0, v.clone(), &[2, u64::MAX])], &[]]),
             ),
-            ("zero-length group", raw_delta(&table, [&[("a", v.clone(), &[])], &[]])),
-            ("index into an empty table", raw_delta(&[], [&[("a", v.clone(), &[0])], &[]])),
+            ("zero-length group", raw_delta(&table, &attrs, [&[(0, v.clone(), &[])], &[]])),
+            ("index into an empty table", raw_delta(&[], &attrs, [&[(0, v.clone(), &[0])], &[]])),
+            (
+                "attribute index past the table",
+                raw_delta(&table, &attrs, [&[], &[(2, v.clone(), &[0])]]),
+            ),
+            (
+                "attribute index into an empty table",
+                raw_delta(&table, &[], [&[(0, v.clone(), &[0])], &[]]),
+            ),
+            (
+                "a huge attribute index",
+                raw_delta(&table, &attrs, [&[(u64::MAX, v.clone(), &[0])], &[]]),
+            ),
             ("group count over the cap", {
                 let mut buf = bytes::BytesMut::new();
+                put_varint(&mut buf, 0);
                 put_varint(&mut buf, 0);
                 put_varint(&mut buf, (1 << 28) + 1);
                 buf.freeze()
@@ -459,11 +532,19 @@ mod tests {
                 put_varint(&mut buf, u64::MAX);
                 buf.freeze()
             }),
+            ("attribute-table count over the cap", {
+                let mut buf = bytes::BytesMut::new();
+                put_varint(&mut buf, 0);
+                put_varint(&mut buf, (1 << 28) + 1);
+                buf.freeze()
+            }),
             ("event count over the cap", {
                 let mut buf = bytes::BytesMut::new();
                 put_varint(&mut buf, 0);
                 put_varint(&mut buf, 1);
                 "a".to_string().encode(&mut buf);
+                put_varint(&mut buf, 1);
+                put_varint(&mut buf, 0);
                 v.encode(&mut buf);
                 put_varint(&mut buf, u64::MAX >> 1);
                 buf.freeze()
@@ -476,9 +557,18 @@ mod tests {
                 StatsDelta::from_bytes(&bytes)
             );
         }
-        // A table that ends early is an EOF, not a short table.
-        let cut = raw_delta(&table, [&[], &[]]).slice(0..12);
-        assert_eq!(StatsDelta::from_bytes(&cut).unwrap_err(), WireError::UnexpectedEof);
+        // A table that ends early is an EOF, not a short table: the OID
+        // table (1 + 3 × 5 bytes) cut inside its third entry, and the
+        // attribute table (count, "a", "bb") cut inside "bb".
+        let tables = raw_delta(&table, &attrs, [&[], &[]]);
+        assert_eq!(tables.len(), 16 + 6 + 2);
+        for cut in [12, 16 + 4] {
+            assert_eq!(
+                StatsDelta::from_bytes(&tables.slice(0..cut)).unwrap_err(),
+                WireError::UnexpectedEof,
+                "cut at {cut}"
+            );
+        }
     }
 
     #[test]

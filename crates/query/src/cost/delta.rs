@@ -9,13 +9,18 @@ use unistore_util::{intern, CompactStr, FxHashMap};
 
 use super::statistics::FoldMemo;
 
-/// One OID-table entry of a [`StatsDelta`]: the OID's placement hash
-/// and its length in bytes — all the statistics ever read of an OID
-/// (the distinct-OID refcount and the triple's wire size).
-pub(super) type OidRef = (u64, u32);
+/// One OID-table entry of a [`StatsDelta`]: the OID's fingerprint and
+/// its length in bytes — all the statistics ever read of an OID (the
+/// distinct-OID refcount and the triple's wire size).
+pub(super) type OidRef = (u32, u32);
 
+/// The OID's fingerprint, its placement hash folded to 32 bits, and its
+/// length. Distinct OIDs are counted by fingerprint, so two OIDs that
+/// share one count once: n OIDs lose about n²/2³³ of their count, under
+/// one at 70 k.
 pub(super) fn oid_ref(oid: &Oid) -> OidRef {
-    (oid.hash(), oid.as_str().len() as u32)
+    let h = oid.hash();
+    ((h ^ (h >> 32)) as u32, oid.as_str().len() as u32)
 }
 
 /// A value's *representation*, as opposed to its meaning: `Int(2)` and
@@ -62,19 +67,26 @@ impl Group {
         self.oids.iter().scan(0, |prev, &i| Some((i - std::mem::replace(prev, i)) as u64))
     }
 
-    fn encode(&self, buf: &mut bytes::BytesMut) {
-        self.attr.encode(buf);
+    /// Encodes the group, naming its attribute by index into `attrs`.
+    fn encode(&self, attrs: &[&Arc<str>], buf: &mut bytes::BytesMut) {
+        put_varint(buf, attr_index(attrs, &self.attr));
         self.value.encode(buf);
         put_varint(buf, self.oids.len() as u64);
         self.gaps().for_each(|gap| put_varint(buf, gap));
     }
 
-    fn wire_size(&self) -> usize {
-        self.attr.wire_size()
+    fn wire_size(&self, attrs: &[&Arc<str>]) -> usize {
+        varint_size(attr_index(attrs, &self.attr))
             + self.value.wire_size()
             + varint_size(self.oids.len() as u64)
             + self.gaps().map(varint_size).sum::<usize>()
     }
+}
+
+/// Where `attr` sits in a delta's attribute table. A delta names few
+/// attributes (a schema's, not a value's worth), so a scan is enough.
+fn attr_index(attrs: &[&Arc<str>], attr: &Arc<str>) -> u64 {
+    attrs.iter().position(|&a| a == attr).unwrap_or(attrs.len()) as u64
 }
 
 /// Adds `x` to a never-descending list.
@@ -147,10 +159,10 @@ impl DeltaIndex {
 /// A write batch names few distinct `(attr, value)` pairs over many
 /// objects (one 16-op ingest trial: 2 048 triples, about 30 pairs,
 /// 1 024 OIDs), and every statistic depends on a triple only through its
-/// pair, its OID's hash and its size. So the delta holds each OID once
-/// — hash and byte length, in first-seen order — and, per sign, one
-/// group per pair in first-seen order listing the OIDs written under
-/// it. Receivers fold it in group by group with
+/// pair, its OID's fingerprint and its size. So the delta holds each
+/// OID once — fingerprint and byte length, in first-seen order — and,
+/// per sign, one group per pair in first-seen order listing the OIDs
+/// written under it. Receivers fold it in group by group with
 /// [`GlobalStats::apply_delta`](super::GlobalStats::apply_delta); deltas [`StatsDelta::merge`] by
 /// uniting tables and groups, so a node can buffer everything it
 /// learns between two dissemination ticks into one message.
@@ -266,6 +278,18 @@ impl StatsDelta {
         g.oids.iter().map(|&i| self.oids[i as usize])
     }
 
+    /// The attribute names the groups use, each once, in first-seen
+    /// order: the table a group's attribute index points into.
+    fn attr_table(&self) -> Vec<&Arc<str>> {
+        let mut attrs: Vec<&Arc<str>> = Vec::new();
+        for g in self.groups.iter().flatten() {
+            if !attrs.contains(&&g.attr) {
+                attrs.push(&g.attr);
+            }
+        }
+        attrs
+    }
+
     /// The `(attr, value)` pairs the delta's writes name: each once per
     /// sign it was written under.
     pub fn pairs(&self) -> impl Iterator<Item = (&Arc<str>, &Value)> {
@@ -322,21 +346,25 @@ impl StatsDelta {
     }
 }
 
-// Layout: the OID table (count; per OID the hash as 8 fixed bytes —
-// high-entropy, a varint would average 9–10 — and the varint length),
-// then the inserted and the deleted groups (count; per group attr,
-// value, OID count and the table indexes as gaps).
+// Layout: the OID table (count; per OID the fingerprint as 4 fixed
+// bytes — high-entropy, a varint would average 5 — and the varint
+// length), the attribute table (count; the names, each once), then the
+// inserted and the deleted groups (count; per group the attribute's
+// table index, value, OID count and the OID table indexes as gaps).
 impl Wire for StatsDelta {
     fn encode(&self, buf: &mut bytes::BytesMut) {
         use bytes::BufMut;
         put_varint(buf, self.oids.len() as u64);
-        for (hash, len) in &self.oids {
-            buf.put_u64(*hash);
+        for (fingerprint, len) in &self.oids {
+            buf.put_u32(*fingerprint);
             len.encode(buf);
         }
+        let attrs = self.attr_table();
+        put_varint(buf, attrs.len() as u64);
+        attrs.iter().for_each(|a| a.encode(buf));
         for side in &self.groups {
             put_varint(buf, side.len() as u64);
-            side.iter().for_each(|g| g.encode(buf));
+            side.iter().for_each(|g| g.encode(&attrs, buf));
         }
     }
 
@@ -345,15 +373,25 @@ impl Wire for StatsDelta {
         let n_oids = get_len(buf)?;
         let mut oids = Vec::with_capacity(n_oids.min(1024));
         for _ in 0..n_oids {
-            if buf.remaining() < 8 {
+            if buf.remaining() < 4 {
                 return Err(WireError::UnexpectedEof);
             }
-            oids.push((buf.get_u64(), u32::decode(buf)?));
+            oids.push((buf.get_u32(), u32::decode(buf)?));
+        }
+        let n_attrs = get_len(buf)?;
+        let mut attrs = Vec::with_capacity(n_attrs.min(1024));
+        for _ in 0..n_attrs {
+            attrs.push(unistore_util::wire::decode_str(buf, intern)?);
         }
         let mut groups = [Vec::new(), Vec::new()];
         for side in &mut groups {
             for _ in 0..get_len(buf)? {
-                let attr = unistore_util::wire::decode_str(buf, intern)?;
+                let at = get_varint(buf)?;
+                let attr = usize::try_from(at)
+                    .ok()
+                    .and_then(|i| attrs.get(i))
+                    .cloned()
+                    .ok_or(WireError::BadLength(at))?;
                 let value = Value::decode(buf)?;
                 // Handlers index the table without bounds checks and
                 // rely on a group being a write: reject empty groups
@@ -380,10 +418,16 @@ impl Wire for StatsDelta {
     }
 
     fn wire_size(&self) -> usize {
-        let table: usize = self.oids.iter().map(|(_, len)| 8 + len.wire_size()).sum();
+        let table: usize = self.oids.iter().map(|(_, len)| 4 + len.wire_size()).sum();
+        let attrs = self.attr_table();
+        let attr_table: usize = attrs.iter().map(|a| a.wire_size()).sum();
         let groups = self.groups.iter().map(|side| {
-            varint_size(side.len() as u64) + side.iter().map(Group::wire_size).sum::<usize>()
+            varint_size(side.len() as u64) + side.iter().map(|g| g.wire_size(&attrs)).sum::<usize>()
         });
-        varint_size(self.oids.len() as u64) + table + groups.sum::<usize>()
+        varint_size(self.oids.len() as u64)
+            + table
+            + varint_size(attrs.len() as u64)
+            + attr_table
+            + groups.sum::<usize>()
     }
 }

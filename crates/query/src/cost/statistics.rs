@@ -145,8 +145,9 @@ pub struct GlobalStats {
     pub net: NetParams,
     /// Running sum of triple wire sizes (drives `avg_triple_bytes`).
     bytes: f64,
-    /// Live OID hashes (refcounted; drives `oid_distinct`).
-    pub(super) oids: FxHashMap<u64, u32>,
+    /// Live OID fingerprints (refcounted; drives `oid_distinct`, which
+    /// counts two OIDs that share a fingerprint once).
+    pub(super) oids: FxHashMap<u32, u32>,
     /// Live value key-bits (refcounted; drives `value_distinct`).
     pub(super) values: FxHashMap<u64, u32>,
 }
@@ -221,9 +222,9 @@ impl GlobalStats {
     ) {
         let n = oids.len() as u32;
         let pair_bytes = attr.wire_size() + value.wire_size();
-        for (hash, len) in oids {
+        for (fingerprint, len) in oids {
             self.bytes += (oid_wire_size(len) + pair_bytes) as f64;
-            bump(&mut self.oids, hash, 1);
+            bump(&mut self.oids, fingerprint, 1);
         }
         self.total += n as f64;
         self.avg_triple_bytes = self.bytes / self.total;
@@ -264,9 +265,9 @@ impl GlobalStats {
         }
         let a = Arc::make_mut(a);
         let pair_bytes = attr.wire_size() + value.wire_size();
-        for (hash, len) in oids.take(n as usize) {
+        for (fingerprint, len) in oids.take(n as usize) {
             self.bytes -= (oid_wire_size(len) + pair_bytes) as f64;
-            unbump(&mut self.oids, &hash, 1);
+            unbump(&mut self.oids, &fingerprint, 1);
         }
         self.total -= n as f64;
         self.avg_triple_bytes = if self.total > 0.0 { self.bytes / self.total } else { 16.0 };

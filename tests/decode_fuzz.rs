@@ -127,7 +127,8 @@ fn sample_coverage() -> Coverage {
 
 /// A digest with every shape the format has: a group over several
 /// OIDs (gaps), a repeated event (gap 0), a group that skips table
-/// entries, a string value, both signs.
+/// entries, a string value, both signs, and two attributes that each
+/// appear on both signs (attribute indexes 0 and 1 on each side).
 fn sample_stats_delta() -> StatsDelta {
     let mut d = StatsDelta::new();
     for oid in ["o1", "o2", "o3", "o2"] {
@@ -136,6 +137,7 @@ fn sample_stats_delta() -> StatsDelta {
     d.record_insert(Triple::new("o3", "name", Value::str("carol")));
     d.record_delete(Triple::new("o1", "rating", Value::Int(4)));
     d.record_delete(Triple::new("object-4", "rating", Value::Int(4)));
+    d.record_delete(Triple::new("o2", "name", Value::str("bob")));
     d
 }
 
