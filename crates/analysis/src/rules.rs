@@ -2,11 +2,12 @@
 //!
 //! * **L1 `no-panic` / `decode-index`** — protocol code (the crates
 //!   whose non-test code runs inside a node: `core`, `chord`, `pgrid`,
-//!   `overlay`, `query`, `vql`, and the `util` wire codec) must not
-//!   contain panic paths: `unwrap()`, `expect("…")`, `panic!`,
-//!   `unreachable!`, `todo!`, `unimplemented!`, or slice indexing
-//!   inside `decode` functions. A panic on a decoded message is a
-//!   remote crash trigger once bytes arrive from a real socket.
+//!   `overlay`, `query`, `vql`, the `util` wire codec and the `store`
+//!   triple-list codec) must not contain panic paths: `unwrap()`,
+//!   `expect("…")`, `panic!`, `unreachable!`, `todo!`,
+//!   `unimplemented!`, or slice indexing inside `decode` functions. A
+//!   panic on a decoded message is a remote crash trigger once bytes
+//!   arrive from a real socket.
 //! * **L2 `wall-clock` / `entropy-rng` / `map-order` /
 //!   `wire-map-order`** — the simulator is the correctness oracle only
 //!   while same-seed runs are bit-identical. Wall clocks outside the
@@ -50,9 +51,13 @@ fn in_l1_scope(path: &str) -> bool {
     SCOPES.iter().any(|s| path.starts_with(s)) || in_wire_codec(path)
 }
 
-/// The wire codec itself (`util/wire*`): decoders over untrusted bytes.
+/// The wire codec itself (`util/wire*`) and the triple-list codec that
+/// every reply and batch payload table goes through: decoders over
+/// untrusted bytes.
 fn in_wire_codec(path: &str) -> bool {
-    path == "crates/util/src/wire.rs" || path.starts_with("crates/util/src/wire/")
+    path == "crates/util/src/wire.rs"
+        || path.starts_with("crates/util/src/wire/")
+        || path == "crates/store/src/list.rs"
 }
 
 /// Modules whose data structures feed the wire, a stats broadcast or a

@@ -6,7 +6,8 @@
 //!
 //! * message sizing (`wire_size`, arithmetic on every type) allocates
 //!   nothing, and wire decode allocates at most once per triple
-//!   (interned attribute, inline short strings);
+//!   (interned attribute, inline short strings) — through the
+//!   triple-list codec of a range reply, plus three per list;
 //! * a filtered leaf scan's allocations are independent of how many
 //!   candidates the semi-join filter drops — dropped candidates are
 //!   never materialized on either backend's store.
@@ -112,6 +113,30 @@ fn decode_row() -> Row {
     row("decode", "in-place (intern + inline)", DECODE_PASSES * n_triples, inplace)
 }
 
+/// Triples in the reply [`reply_decode_row`] decodes.
+const REPLY_TRIPLES: usize = 64;
+
+/// Decode: one single-attribute range reply in key order through
+/// `Triple::decode_list`, which interns the attribute once per list and
+/// rebuilds each front-coded value in one reused buffer.
+fn reply_decode_row() -> Row {
+    let reply: Vec<Triple> = (0..REPLY_TRIPLES)
+        .map(|i| Triple::new(&format!("obj{i}"), "name", Value::str(&format!("author-{i:03}"))))
+        .collect();
+    let mut buf = BytesMut::new();
+    Triple::encode_list(&reply, &mut buf);
+    let bytes = buf.freeze();
+    let decode = || Triple::decode_list(&mut bytes.clone()).expect("decode");
+    assert_eq!(decode(), reply, "the reply round-trips");
+    const PASSES: usize = 256;
+    let (_, stats) = measure(|| {
+        for _ in 0..PASSES {
+            std::hint::black_box(decode());
+        }
+    });
+    row("decode", "64-triple range reply (decode_list)", PASSES, stats)
+}
+
 /// Leaf scan: a filtered scan clones only survivors; piling 16x more
 /// dropped candidates under the same key must not change allocs/op.
 fn leaf_scan_rows() -> Vec<Row> {
@@ -191,6 +216,12 @@ fn floors(rows: &[Row]) {
         inplace <= 1.0,
         "in-place decode must allocate at most once per triple (got {inplace:.2} allocs/op)"
     );
+    // Per triple its OID; per list the list, the name table and the
+    // value buffer. Interning per triple would not show here (a table
+    // hit allocates nothing) — it costs a lock per triple instead.
+    let reply = allocs("decode", "64-triple range reply (decode_list)");
+    let ceiling = (REPLY_TRIPLES + 3) as f64;
+    assert!(reply <= ceiling, "range-reply decode: {reply:.1} allocs per reply, ceiling {ceiling}");
     let (few, many) =
         (allocs("leaf-scan", "pgrid, 100 dropped"), allocs("leaf-scan", "pgrid, 1600 dropped"));
     assert!(
@@ -211,6 +242,7 @@ fn floors(rows: &[Row]) {
 pub fn snapshot() {
     let mut rows = encode_rows();
     rows.push(decode_row());
+    rows.push(reply_decode_row());
     rows.extend(leaf_scan_rows());
     let world = PubWorld::generate(
         &PubParams { n_authors: 40, n_conferences: 10, ..Default::default() },

@@ -26,11 +26,14 @@ const BATCH_TUPLES: usize = 16; // × 4 triples = batch size 64
 /// `(backend, (msgs, KiB))` ceilings per 1k triples. The retired
 /// one-message-per-(key, op) write path measured 34 429 msgs /
 /// 1 062 KiB (P-Grid) and 85 702 msgs / 3 467 KiB (Chord) per 1k
-/// triples on this workload (BENCH_ingest.json as of PR 12); the
-/// batch pipeline's floors were ≥ 5× fewer messages and ≥ 2× fewer
-/// KiB, restated here as a fifth and a half of those figures.
+/// triples on this workload; the message ceilings are a fifth of
+/// those counts. The KiB ceilings sit 5 % over the batch pipeline's
+/// own bytes since a batch's payload table ships each attribute name
+/// once and front-codes string values: 263.0 (P-Grid) and 1 094.2
+/// (Chord), which were 293.0 and 1 282.5 with one whole triple per
+/// payload.
 const CEILINGS: [(&str, (f64, f64)); 2] =
-    [(PGrid::LABEL, (6885.0, 531.0)), (Chord::LABEL, (17140.0, 1733.0))];
+    [(PGrid::LABEL, (6885.0, 276.0)), (Chord::LABEL, (17140.0, 1149.0))];
 
 /// `(backend, (max_records_per_peer, qgram_ops_per_1k))` ceilings.
 /// Stored as a copy of each string triple under every q-gram, this

@@ -218,8 +218,8 @@ mod tests {
     fn two_rows_render_as_the_committed_joins_record_begins() {
         let committed = include_str!("../../../BENCH_joins.json");
         let rows = [
-            join_row("P-Grid", 12, 8, 63.8158, 5.4799),
-            join_row("Chord+buckets", 19, 15, 77.0214, 8.7609),
+            join_row("P-Grid", 12, 8, 24.3049, 5.4799),
+            join_row("Chord+buckets", 19, 15, 24.5901, 8.7609),
         ];
         let rendered = json(&rows);
         let head = |s: &str| s.lines().take(2).map(String::from).collect::<Vec<_>>();

@@ -74,13 +74,12 @@ pub enum ChordMsg<I> {
         /// Semi-join filter the owner applies before replying.
         filter: Option<ItemFilter>,
     },
-    /// Answer to [`ChordMsg::Lookup`] or [`ChordMsg::BucketGet`]:
-    /// `(original key, item)` pairs.
+    /// Answer to [`ChordMsg::Lookup`] or [`ChordMsg::BucketGet`].
     LookupReply {
         /// Correlation id.
         qid: QueryId,
-        /// Entries found.
-        entries: Vec<(Key, I)>,
+        /// Items found.
+        items: Vec<I>,
         /// Hops the request took.
         hops: u32,
         /// `false` on a routing failure.
@@ -165,8 +164,8 @@ pub enum ChordMsg<I> {
     BcastReply {
         /// Correlation id.
         qid: QueryId,
-        /// Aggregated `(original key, item)` entries.
-        entries: Vec<(Key, I)>,
+        /// Aggregated matching items.
+        items: Vec<I>,
         /// Nodes covered by the subtree.
         nodes: u32,
         /// Deepest hop count in the subtree.
@@ -218,10 +217,10 @@ impl<I: Item> Wire for ChordMsg<I> {
                 hops.encode(buf);
                 filter.encode(buf);
             }
-            ChordMsg::LookupReply { qid, entries, hops, ok } => {
+            ChordMsg::LookupReply { qid, items, hops, ok } => {
                 tag::LOOKUP_REPLY.encode(buf);
                 qid.encode(buf);
-                put_list(buf, entries);
+                I::encode_list(items, buf);
                 hops.encode(buf);
                 ok.encode(buf);
             }
@@ -230,7 +229,7 @@ impl<I: Item> Wire for ChordMsg<I> {
                 qid.encode(buf);
                 origin.encode(buf);
                 hops.encode(buf);
-                put_list(buf, items);
+                I::encode_list(items, buf);
                 put_list(buf, ops);
             }
             ChordMsg::BatchAck { qid, applied, hops } => {
@@ -265,10 +264,10 @@ impl<I: Item> Wire for ChordMsg<I> {
                 hops.encode(buf);
                 filter.encode(buf);
             }
-            ChordMsg::BcastReply { qid, entries, nodes, hops } => {
+            ChordMsg::BcastReply { qid, items, nodes, hops } => {
                 tag::BCAST_REPLY.encode(buf);
                 qid.encode(buf);
-                put_list(buf, entries);
+                I::encode_list(items, buf);
                 nodes.encode(buf);
                 hops.encode(buf);
             }
@@ -297,7 +296,7 @@ impl<I: Item> Wire for ChordMsg<I> {
             },
             tag::LOOKUP_REPLY => ChordMsg::LookupReply {
                 qid: Wire::decode(buf)?,
-                entries: Wire::decode(buf)?,
+                items: I::decode_list(buf)?,
                 hops: Wire::decode(buf)?,
                 ok: Wire::decode(buf)?,
             },
@@ -305,7 +304,7 @@ impl<I: Item> Wire for ChordMsg<I> {
                 let qid = Wire::decode(buf)?;
                 let origin = Wire::decode(buf)?;
                 let hops = Wire::decode(buf)?;
-                let items: Vec<I> = Wire::decode(buf)?;
+                let items = I::decode_list(buf)?;
                 let ops: Vec<ChordBatchOp> = Wire::decode(buf)?;
                 for op in &ops {
                     if let BatchVerb::Insert { item } = op.op.verb {
@@ -346,7 +345,7 @@ impl<I: Item> Wire for ChordMsg<I> {
             },
             tag::BCAST_REPLY => ChordMsg::BcastReply {
                 qid: Wire::decode(buf)?,
-                entries: Wire::decode(buf)?,
+                items: I::decode_list(buf)?,
                 nodes: Wire::decode(buf)?,
                 hops: Wire::decode(buf)?,
             },
@@ -369,14 +368,14 @@ impl<I: Item> Wire for ChordMsg<I> {
                     + hops.wire_size()
                     + filter.wire_size()
             }
-            ChordMsg::LookupReply { qid, entries, hops, ok } => {
-                qid.wire_size() + entries.wire_size() + hops.wire_size() + ok.wire_size()
+            ChordMsg::LookupReply { qid, items, hops, ok } => {
+                qid.wire_size() + I::list_wire_size(items) + hops.wire_size() + ok.wire_size()
             }
             ChordMsg::OpBatch { qid, origin, hops, items, ops } => {
                 qid.wire_size()
                     + origin.wire_size()
                     + hops.wire_size()
-                    + items.wire_size()
+                    + I::list_wire_size(items)
                     + ops.wire_size()
             }
             ChordMsg::BatchAck { qid, applied, hops } => {
@@ -402,8 +401,8 @@ impl<I: Item> Wire for ChordMsg<I> {
                     + hops.wire_size()
                     + filter.wire_size()
             }
-            ChordMsg::BcastReply { qid, entries, nodes, hops } => {
-                qid.wire_size() + entries.wire_size() + nodes.wire_size() + hops.wire_size()
+            ChordMsg::BcastReply { qid, items, nodes, hops } => {
+                qid.wire_size() + I::list_wire_size(items) + nodes.wire_size() + hops.wire_size()
             }
             ChordMsg::Replicate { entries } => entries.wire_size(),
             ChordMsg::Repair(msg) => msg.wire_size(),
@@ -427,7 +426,7 @@ mod tests {
 
     #[test]
     fn all_variants_roundtrip() {
-        let entries = vec![(5u64, RawItem(5)), (6, RawItem(6))];
+        let items = vec![RawItem(5), RawItem(6)];
         let msgs: Vec<ChordMsg<RawItem>> = vec![
             ChordMsg::Lookup { qid: 1, ring_key: 99, origin: NodeId(2), hops: 3, filter: None },
             ChordMsg::Lookup {
@@ -440,7 +439,7 @@ mod tests {
                     bloom: unistore_util::BloomFilter::from_hashes([1u64, 2, 3], 0.01),
                 }),
             },
-            ChordMsg::LookupReply { qid: 1, entries: entries.clone(), hops: 4, ok: true },
+            ChordMsg::LookupReply { qid: 1, items: items.clone(), hops: 4, ok: true },
             ChordMsg::OpBatch {
                 qid: 8,
                 origin: NodeId(3),
@@ -471,7 +470,7 @@ mod tests {
                 filter: None,
             },
             ChordMsg::Bcast { qid: 4, lo: 0, hi: u64::MAX, limit: 12345, hops: 1, filter: None },
-            ChordMsg::BcastReply { qid: 4, entries, nodes: 17, hops: 6 },
+            ChordMsg::BcastReply { qid: 4, items, nodes: 17, hops: 6 },
             ChordMsg::Replicate {
                 entries: vec![((9, 90, 900), 1, Some(RawItem(9))), ((8, 80, 800), 2, None)],
             },
@@ -505,7 +504,7 @@ mod tests {
 
     #[test]
     fn edge_values_roundtrip() {
-        roundtrip(ChordMsg::LookupReply { qid: u64::MAX, entries: vec![], hops: 0, ok: false });
+        roundtrip(ChordMsg::LookupReply { qid: u64::MAX, items: vec![], hops: 0, ok: false });
         roundtrip(ChordMsg::OpBatch {
             qid: 0,
             origin: NodeId(u32::MAX - 1),

@@ -104,7 +104,7 @@ enum Pending<I> {
     Buckets {
         expected: u32,
         received: u32,
-        entries: Vec<(Key, I)>,
+        items: Vec<I>,
         hops: u32,
         failed: bool,
     },
@@ -117,7 +117,7 @@ struct BcastState<I> {
     parent: Option<NodeId>,
     expected: u32,
     received: u32,
-    entries: Vec<(Key, I)>,
+    items: Vec<I>,
     nodes: u32,
     hops: u32,
 }
@@ -282,11 +282,11 @@ impl<I: Item> ChordNode<I> {
         if self.responsible(ring_key) {
             // Semi-join pushdown: drop non-matching items at the data,
             // before they are ever cloned out of the store.
-            let entries = match range {
+            let items = match range {
                 None => self.store.lookup(ring_key, &filter),
                 Some((lo, hi)) => self.store.scan_bucket(ring_key, lo, hi, &filter),
             };
-            self.answer_lookup(qid, origin, entries, hops, true, fx);
+            self.answer_lookup(qid, origin, items, hops, true, fx);
         } else {
             let next = self.next_hop(ring_key, None);
             // The owner itself is suspected dead: no detour can reach
@@ -313,22 +313,22 @@ impl<I: Item> ChordNode<I> {
         &mut self,
         qid: QueryId,
         origin: NodeId,
-        entries: Vec<(Key, I)>,
+        items: Vec<I>,
         hops: u32,
         ok: bool,
         fx: &mut Fx<I>,
     ) {
         if origin == self.id {
-            self.handle_lookup_reply(qid, entries, hops, ok, fx);
+            self.handle_lookup_reply(qid, items, hops, ok, fx);
         } else {
-            fx.send(origin, ChordMsg::LookupReply { qid, entries, hops, ok });
+            fx.send(origin, ChordMsg::LookupReply { qid, items, hops, ok });
         }
     }
 
     fn handle_lookup_reply(
         &mut self,
         qid: QueryId,
-        reply_entries: Vec<(Key, I)>,
+        reply_items: Vec<I>,
         reply_hops: u32,
         ok: bool,
         fx: &mut Fx<I>,
@@ -336,21 +336,16 @@ impl<I: Item> ChordNode<I> {
         match self.pending.get_mut(&qid) {
             Some(Pending::Lookup) => {
                 self.pending.remove(&qid);
-                fx.emit(OverlayDone::Lookup {
-                    qid,
-                    items: items_of(reply_entries),
-                    hops: reply_hops,
-                    ok,
-                });
+                fx.emit(OverlayDone::Lookup { qid, items: reply_items, hops: reply_hops, ok });
             }
-            Some(Pending::Buckets { expected, received, entries, hops, failed }) => {
+            Some(Pending::Buckets { expected, received, items, hops, failed }) => {
                 *received += 1;
-                entries.extend(reply_entries);
+                items.extend(reply_items);
                 *hops = (*hops).max(reply_hops);
                 *failed |= !ok;
                 if *received >= *expected {
                     let (items, hops, parts, complete) =
-                        (items_of(std::mem::take(entries)), *hops, *received, !*failed);
+                        (std::mem::take(items), *hops, *received, !*failed);
                     self.pending.remove(&qid);
                     fx.emit(OverlayDone::Range { qid, items, hops, complete, parts });
                 }
@@ -488,7 +483,7 @@ impl<I: Item> ChordNode<I> {
         self.register(
             fx,
             qid,
-            Pending::Buckets { expected, received: 0, entries: Vec::new(), hops: 0, failed: false },
+            Pending::Buckets { expected, received: 0, items: Vec::new(), hops: 0, failed: false },
         );
         for b in b_lo..=b_hi {
             let ring_key = mix64(b ^ BUCKET_SALT);
@@ -548,7 +543,7 @@ impl<I: Item> ChordNode<I> {
         let expected = inside.len() as u32;
         self.bcast.insert(
             qid,
-            BcastState { parent, expected, received: 0, entries: local, nodes: 1, hops },
+            BcastState { parent, expected, received: 0, items: local, nodes: 1, hops },
         );
         for (i, &(node, _)) in inside.iter().enumerate() {
             let child_limit = if i + 1 < inside.len() { inside[i + 1].1 } else { limit };
@@ -576,14 +571,14 @@ impl<I: Item> ChordNode<I> {
     fn handle_bcast_reply(
         &mut self,
         qid: QueryId,
-        entries: Vec<(Key, I)>,
+        items: Vec<I>,
         nodes: u32,
         hops: u32,
         fx: &mut Fx<I>,
     ) {
         let Some(st) = self.bcast.get_mut(&qid) else { return };
         st.received += 1;
-        st.entries.extend(entries);
+        st.items.extend(items);
         st.nodes += nodes;
         st.hops = st.hops.max(hops);
         if st.received >= st.expected {
@@ -596,11 +591,11 @@ impl<I: Item> ChordNode<I> {
         match st.parent {
             Some(parent) => fx.send(
                 parent,
-                ChordMsg::BcastReply { qid, entries: st.entries, nodes: st.nodes, hops: st.hops },
+                ChordMsg::BcastReply { qid, items: st.items, nodes: st.nodes, hops: st.hops },
             ),
             None => fx.emit(OverlayDone::Range {
                 qid,
-                items: items_of(st.entries),
+                items: st.items,
                 hops: st.hops,
                 complete: true,
                 parts: st.nodes,
@@ -633,9 +628,9 @@ impl<I: Item> ChordNode<I> {
                         }),
                     }
                 }
-                Pending::Buckets { entries, hops, received, .. } => fx.emit(OverlayDone::Range {
+                Pending::Buckets { items, hops, received, .. } => fx.emit(OverlayDone::Range {
                     qid,
-                    items: items_of(entries),
+                    items,
                     hops,
                     complete: false,
                     parts: received,
@@ -648,7 +643,7 @@ impl<I: Item> ChordNode<I> {
             if st.parent.is_none() {
                 fx.emit(OverlayDone::Range {
                     qid,
-                    items: items_of(st.entries),
+                    items: st.items,
                     hops: st.hops,
                     complete: false,
                     parts: st.nodes,
@@ -662,12 +657,6 @@ impl<I: Item> ChordNode<I> {
 /// ring position `k` (`k ∈ (pred, me]`; a singleton ring owns all).
 fn owns(pred: u64, me: u64, k: u64) -> bool {
     pred == me || in_open_closed(pred, me, k)
-}
-
-/// The items of `(original key, item)` entries: a completion at the
-/// origin carries what was stored, not where.
-fn items_of<I>(entries: Vec<(Key, I)>) -> Vec<I> {
-    entries.into_iter().map(|(_, item)| item).collect()
 }
 
 /// Sub-batch of the ops at `indices`, with the payload table re-indexed
@@ -718,8 +707,8 @@ impl<I: Item> NodeBehavior for ChordNode<I> {
             ChordMsg::Lookup { qid, ring_key, origin, hops, filter } => {
                 self.handle_lookup(from, qid, ring_key, origin, hops, None, filter, fx)
             }
-            ChordMsg::LookupReply { qid, entries, hops, ok } => {
-                self.handle_lookup_reply(qid, entries, hops, ok, fx)
+            ChordMsg::LookupReply { qid, items, hops, ok } => {
+                self.handle_lookup_reply(qid, items, hops, ok, fx)
             }
             ChordMsg::OpBatch { qid, origin, hops, items, ops } => {
                 self.handle_op_batch(from, qid, origin, hops, items, ops, fx)
@@ -736,8 +725,8 @@ impl<I: Item> NodeBehavior for ChordNode<I> {
             ChordMsg::Bcast { qid, lo, hi, limit, hops, filter } => {
                 self.handle_bcast(from, qid, lo, hi, limit, hops, filter, fx)
             }
-            ChordMsg::BcastReply { qid, entries, nodes, hops } => {
-                self.handle_bcast_reply(qid, entries, nodes, hops, fx)
+            ChordMsg::BcastReply { qid, items, nodes, hops } => {
+                self.handle_bcast_reply(qid, items, nodes, hops, fx)
             }
             ChordMsg::Replicate { entries } => self.handle_replicate(entries),
             ChordMsg::Repair(msg) => self.handle_repair(from, msg, fx),

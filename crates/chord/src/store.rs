@@ -31,10 +31,11 @@ fn at_ring(ring_key: u64, lo: Key, hi: Key) -> Span<RecordKey> {
     ((ring_key, lo, 0), (ring_key, hi, u64::MAX))
 }
 
-/// The reply shape of every Chord read: `(original key, item)`, cloned
-/// only for the records the read yields.
-fn keyed<'a, I: Item + 'a>(records: impl Iterator<Item = (RecordKey, &'a I)>) -> Vec<(Key, I)> {
-    records.map(|((_, key, _), i)| (key, i.clone())).collect()
+/// The reply of every Chord read: the items of the records it yields,
+/// cloned only for those. A reply names no keys: the origin collects
+/// what was stored, not where.
+fn cloned<'a, I: Item + 'a>(records: impl Iterator<Item = (RecordKey, &'a I)>) -> Vec<I> {
+    records.map(|(_, i)| i.clone()).collect()
 }
 
 /// Local store of a Chord node: the shared [`VersionedStore`] keyed by
@@ -74,8 +75,8 @@ impl<I: Item> ChordStore<I> {
 
     /// The leaf side of an exact-index lookup: the live entries under
     /// `ring_key` that survive `filter`, tested before they are cloned.
-    pub fn lookup(&self, ring_key: u64, filter: &Option<ItemFilter>) -> Vec<(Key, I)> {
-        keyed(self.read(at_ring(ring_key, 0, Key::MAX), filter))
+    pub fn lookup(&self, ring_key: u64, filter: &Option<ItemFilter>) -> Vec<I> {
+        cloned(self.read(at_ring(ring_key, 0, Key::MAX), filter))
     }
 
     /// The leaf side of a bucket scan: the live entries under
@@ -87,8 +88,8 @@ impl<I: Item> ChordStore<I> {
         lo: Key,
         hi: Key,
         filter: &Option<ItemFilter>,
-    ) -> Vec<(Key, I)> {
-        keyed(self.0.scan(at_ring(ring_key, lo, hi), filter, |_| true))
+    ) -> Vec<I> {
+        cloned(self.0.scan(at_ring(ring_key, lo, hi), filter, |_| true))
     }
 
     /// The leaf side of a broadcast scan: the live entries with original
@@ -101,8 +102,8 @@ impl<I: Item> ChordStore<I> {
         hi: Key,
         filter: &Option<ItemFilter>,
         serve: impl Fn(u64) -> bool,
-    ) -> Vec<(Key, I)> {
-        keyed(self.0.scan(ALL, filter, |&(ring, key, _)| (lo..=hi).contains(&key) && serve(ring)))
+    ) -> Vec<I> {
+        cloned(self.0.scan(ALL, filter, |&(ring, key, _)| (lo..=hi).contains(&key) && serve(ring)))
     }
 }
 
@@ -112,8 +113,8 @@ mod tests {
     use unistore_util::fxhash::hash_bytes;
     use unistore_util::item::RawItem as TestItem;
 
-    fn keys(entries: Vec<(Key, TestItem)>) -> Vec<Key> {
-        entries.into_iter().map(|(k, _)| k).collect()
+    fn ids(items: Vec<TestItem>) -> Vec<u64> {
+        items.into_iter().map(|i| i.0).collect()
     }
 
     #[test]
@@ -122,7 +123,7 @@ mod tests {
         let rk = hash_bytes(b"k1");
         s.insert(rk, 100, TestItem(1), 0);
         s.insert(rk, 200, TestItem(2), 0);
-        assert_eq!(s.lookup(rk, &None), vec![(100, TestItem(1)), (200, TestItem(2))]);
+        assert_eq!(s.lookup(rk, &None), vec![TestItem(1), TestItem(2)]);
         assert!(s.lookup(rk ^ 1, &None).is_empty());
     }
 
@@ -133,7 +134,7 @@ mod tests {
             s.insert(42, k, TestItem(k), 0);
         }
         s.insert(43, 25, TestItem(25), 0);
-        assert_eq!(keys(s.scan_bucket(42, 15, 35, &None)), vec![20, 30]);
+        assert_eq!(ids(s.scan_bucket(42, 15, 35, &None)), vec![20, 30]);
         assert!(s.scan_bucket(42, 35, 15, &None).is_empty(), "an inverted range is empty");
     }
 
@@ -143,9 +144,9 @@ mod tests {
         for k in [10u64, 20, 30] {
             s.insert(5, k, TestItem(k), 0);
         }
-        assert_eq!(keys(s.scan_bucket(5, 10, 30, &None)), vec![10, 20, 30]);
+        assert_eq!(ids(s.scan_bucket(5, 10, 30, &None)), vec![10, 20, 30]);
         assert!(s.scan_bucket(5, 11, 19, &None).is_empty());
-        assert_eq!(keys(s.scan_by_key_where(10, 30, &None, |_| true)), vec![10, 20, 30]);
+        assert_eq!(ids(s.scan_by_key_where(10, 30, &None, |_| true)), vec![10, 20, 30]);
     }
 
     #[test]
@@ -154,8 +155,8 @@ mod tests {
         s.insert(1, 10, TestItem(1), 0);
         s.insert(999, 20, TestItem(2), 0);
         s.insert(500, 99, TestItem(3), 0);
-        assert_eq!(keys(s.scan_by_key_where(5, 25, &None, |_| true)), vec![10, 20]);
-        assert_eq!(keys(s.scan_by_key_where(5, 25, &None, |ring| ring != 999)), vec![10]);
+        assert_eq!(ids(s.scan_by_key_where(5, 25, &None, |_| true)), vec![1, 2]);
+        assert_eq!(ids(s.scan_by_key_where(5, 25, &None, |ring| ring != 999)), vec![1]);
         assert!(s.scan_by_key_where(25, 5, &None, |_| true).is_empty());
     }
 
@@ -168,7 +169,8 @@ mod tests {
         s.insert(2, 10, TestItem(7), 0); // other ring position untouched
         assert!(s.remove((1, 10, 7), 1));
         assert_eq!(s.len(), 3, "only the addressed entry is shadowed");
-        assert_eq!(s.lookup(1, &None), vec![(10, TestItem(8)), (20, TestItem(7))]);
+        // Record-key order: (1, 10, 8) before (1, 20, 7).
+        assert_eq!(s.lookup(1, &None), vec![TestItem(8), TestItem(7)]);
         assert_eq!(s.lookup(2, &None).len(), 1);
         assert!(!s.remove((1, 10, 99), 1), "absent identity shadows nothing");
     }

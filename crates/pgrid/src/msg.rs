@@ -271,7 +271,7 @@ impl<I: Item> Wire for PGridMsg<I> {
             PGridMsg::LookupReply { qid, items, hops, ok } => {
                 tag::LOOKUP_REPLY.encode(buf);
                 qid.encode(buf);
-                put_list(buf, items);
+                I::encode_list(items, buf);
                 hops.encode(buf);
                 ok.encode(buf);
             }
@@ -327,7 +327,7 @@ impl<I: Item> Wire for PGridMsg<I> {
                 qid.encode(buf);
                 cov_lo.encode(buf);
                 cov_hi.encode(buf);
-                put_list(buf, items);
+                I::encode_list(items, buf);
                 hops.encode(buf);
                 aborted.encode(buf);
             }
@@ -390,7 +390,7 @@ impl<I: Item> Wire for PGridMsg<I> {
             },
             tag::LOOKUP_REPLY => PGridMsg::LookupReply {
                 qid: Wire::decode(buf)?,
-                items: Wire::decode(buf)?,
+                items: I::decode_list(buf)?,
                 hops: Wire::decode(buf)?,
                 ok: Wire::decode(buf)?,
             },
@@ -439,7 +439,7 @@ impl<I: Item> Wire for PGridMsg<I> {
                 qid: Wire::decode(buf)?,
                 cov_lo: Wire::decode(buf)?,
                 cov_hi: Wire::decode(buf)?,
-                items: Wire::decode(buf)?,
+                items: I::decode_list(buf)?,
                 hops: Wire::decode(buf)?,
                 aborted: Wire::decode(buf)?,
             },
@@ -478,7 +478,7 @@ impl<I: Item> Wire for PGridMsg<I> {
                     + filter.wire_size()
             }
             PGridMsg::LookupReply { qid, items, hops, ok } => {
-                qid.wire_size() + items.wire_size() + hops.wire_size() + ok.wire_size()
+                qid.wire_size() + I::list_wire_size(items) + hops.wire_size() + ok.wire_size()
             }
             PGridMsg::OpBatch { qid, origin, hops, positions, batch } => {
                 let (mut prev, mut gaps) = (0u32, 0);
@@ -515,7 +515,7 @@ impl<I: Item> Wire for PGridMsg<I> {
                 qid.wire_size()
                     + cov_lo.wire_size()
                     + cov_hi.wire_size()
-                    + items.wire_size()
+                    + I::list_wire_size(items)
                     + hops.wire_size()
                     + aborted.wire_size()
             }

@@ -12,7 +12,8 @@
 //! * [`value`] — typed values (string / integer / float) with
 //!   order-preserving key encodings,
 //! * [`triple`] — the triple model and its [`unistore_util::item::Item`]
-//!   implementation,
+//!   implementation; a list of triples crosses the wire with each
+//!   attribute name once and its string values front-coded,
 //! * [`tuple`](mod@tuple) — universal-relation (de)composition: tuples ↔ triples,
 //! * [`index`] — the key derivation for all four indexes (OID, A#v, v,
 //!   q-gram), i.e. the paper's Fig. 2 placement,
@@ -23,6 +24,7 @@
 //! * [`local`] — a purely local reference store used as test oracle.
 
 pub mod index;
+mod list;
 pub mod local;
 pub mod mapping;
 pub mod qgram;

@@ -15,6 +15,7 @@ use unistore_util::fxhash::hash_bytes;
 use unistore_util::item::Item;
 use unistore_util::wire::{decode_str, Wire, WireError};
 
+use crate::list;
 use crate::value::Value;
 
 /// Field discriminants for semi-join filtering
@@ -162,6 +163,20 @@ impl Item for Triple {
             field::VALUE => Some(self.value.semantic_hash()),
             _ => None,
         }
+    }
+
+    /// Each attribute name once, string values front-coded against the
+    /// previous triple's (the `list` module).
+    fn encode_list(items: &[Self], buf: &mut BytesMut) {
+        list::encode(items, buf);
+    }
+
+    fn decode_list(buf: &mut Bytes) -> Result<Vec<Self>, WireError> {
+        list::decode(buf)
+    }
+
+    fn list_wire_size(items: &[Self]) -> usize {
+        list::wire_size(items)
     }
 }
 

@@ -115,10 +115,11 @@ impl fmt::Display for Value {
     }
 }
 
-mod tag {
-    pub const STR: u8 = 0;
-    pub const INT: u8 = 1;
-    pub const FLOAT: u8 = 2;
+/// The type tag that opens every encoded value.
+pub(crate) mod tag {
+    pub(crate) const STR: u8 = 0;
+    pub(crate) const INT: u8 = 1;
+    pub(crate) const FLOAT: u8 = 2;
 }
 
 impl Wire for Value {

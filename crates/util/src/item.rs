@@ -5,7 +5,9 @@
 //! and a *logical identity* so that updates supersede earlier versions of
 //! the same logical entry instead of accumulating duplicates.
 
-use crate::wire::Wire;
+use bytes::{Bytes, BytesMut};
+
+use crate::wire::{list_size, put_list, Wire, WireError};
 
 /// A value storable in a DHT overlay.
 pub trait Item: Wire + Clone + std::fmt::Debug {
@@ -22,6 +24,26 @@ pub trait Item: Wire + Clone + std::fmt::Debug {
     /// filter then conservatively keeps it.
     fn field_hash(&self, _field: u8) -> Option<u64> {
         None
+    }
+
+    /// Appends a count-prefixed list of items. Every item table on the
+    /// wire goes through here and its two siblings — lookup and range
+    /// replies on both backends, the payloads of a write batch — so an
+    /// item type whose neighbours in a list share bytes can ship them
+    /// once. The default is `Vec<Self>`'s encoding exactly; an override
+    /// replaces all three hooks together.
+    fn encode_list(items: &[Self], buf: &mut BytesMut) {
+        put_list(buf, items);
+    }
+
+    /// Decodes a list written by [`Item::encode_list`].
+    fn decode_list(buf: &mut Bytes) -> Result<Vec<Self>, WireError> {
+        Vec::decode(buf)
+    }
+
+    /// Number of bytes [`Item::encode_list`] would write, by arithmetic.
+    fn list_wire_size(items: &[Self]) -> usize {
+        list_size(items)
     }
 }
 
@@ -128,5 +150,17 @@ mod tests {
         let b = r.to_bytes();
         assert_eq!(RawItem::from_bytes(&b).unwrap(), r);
         assert_eq!(b.len(), r.wire_size());
+    }
+
+    #[test]
+    fn default_list_hooks_are_vec_bytes() {
+        for items in [vec![], vec![RawItem(1)], vec![RawItem(7), RawItem(300), RawItem(u64::MAX)]] {
+            let mut buf = BytesMut::new();
+            RawItem::encode_list(&items, &mut buf);
+            let bytes = buf.freeze();
+            assert_eq!(bytes, items.to_bytes(), "byte-for-byte the Vec encoding");
+            assert_eq!(RawItem::list_wire_size(&items), bytes.len());
+            assert_eq!(RawItem::decode_list(&mut bytes.clone()).unwrap(), items);
+        }
     }
 }

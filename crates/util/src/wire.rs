@@ -12,6 +12,8 @@ use std::sync::Arc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
+use crate::item::Item;
+
 /// Decoding failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
@@ -118,8 +120,8 @@ pub fn get_len(buf: &mut Bytes) -> Result<usize, WireError> {
 }
 
 /// Encodes a length-prefixed list, pre-reserving the buffer from a
-/// first-item size estimate. The hot reply paths (triple lists, range
-/// replies, batch payloads) carry many homogeneous items; growing the
+/// first-item size estimate. Op lists and item lists on the default
+/// [`Item`] list hooks carry many homogeneous entries; growing the
 /// byte buffer incrementally re-allocates O(log total) times and copies
 /// everything each time, while one up-front `reserve` makes the whole
 /// encode a single allocation.
@@ -131,6 +133,11 @@ pub fn put_list<T: Wire>(buf: &mut BytesMut, items: &[T]) {
     for item in items {
         item.encode(buf);
     }
+}
+
+/// Wire size of a length-prefixed list, as [`put_list`] writes it.
+pub fn list_size<T: Wire>(items: &[T]) -> usize {
+    varint_size(items.len() as u64) + items.iter().map(Wire::wire_size).sum::<usize>()
 }
 
 /// Size of the varint encoding of `v`.
@@ -329,7 +336,7 @@ impl<T: Wire> Wire for Vec<T> {
     }
 
     fn wire_size(&self) -> usize {
-        varint_size(self.len() as u64) + self.iter().map(Wire::wire_size).sum::<usize>()
+        list_size(self)
     }
 }
 
@@ -680,16 +687,16 @@ impl Wire for BatchOp {
     }
 }
 
-impl<I: Wire> Wire for OpBatch<I> {
+impl<I: Item> Wire for OpBatch<I> {
     fn encode(&self, buf: &mut BytesMut) {
         // One up-front reservation: batches are the hot ingest payload.
         buf.reserve(self.wire_size());
-        self.items.encode(buf);
+        I::encode_list(&self.items, buf);
         self.ops.encode(buf);
     }
 
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        let items: Vec<I> = Wire::decode(buf)?;
+        let items = I::decode_list(buf)?;
         let ops: Vec<BatchOp> = Wire::decode(buf)?;
         // Reject dangling payload references up front so handlers can
         // index the item table without per-op bounds checks.
@@ -704,7 +711,7 @@ impl<I: Wire> Wire for OpBatch<I> {
     }
 
     fn wire_size(&self) -> usize {
-        self.items.wire_size() + self.ops.wire_size()
+        I::list_wire_size(&self.items) + self.ops.wire_size()
     }
 }
 
@@ -792,6 +799,13 @@ mod tests {
         // Clones share the buffer — no re-encode, no deep copy.
         let c = s.clone();
         assert_eq!(c.bytes.as_ptr(), s.bytes.as_ptr());
+    }
+
+    /// Strings as batch payloads, on the default list hooks.
+    impl Item for String {
+        fn ident(&self) -> u64 {
+            crate::fxhash::hash_bytes(self.as_bytes())
+        }
     }
 
     fn sample_batch() -> OpBatch<String> {

@@ -150,6 +150,34 @@ fn sample_batch() -> OpBatch<Triple> {
     b
 }
 
+/// An item list with every shape the triple-list codec has: three
+/// attributes (so triples carry table indexes), string values sharing
+/// prefixes, a shared prefix that ends before a multi-byte character
+/// ("Adé" after "Adè"), and a number between two strings.
+fn sample_triples() -> Vec<Triple> {
+    vec![
+        Triple::new("a1", "name", Value::str("Ada Lovelace")),
+        Triple::new("a2", "name", Value::str("Ada Lovelock")),
+        Triple::new("a3", "name", Value::str("Adè")),
+        Triple::new("a3", "name", Value::str("Adé")),
+        Triple::new("a3", "age", Value::Int(36)),
+        Triple::new("a4", "pub:title", Value::str("Adèle's notes")),
+        Triple::new("a4", "pub:title", Value::str("Adèle's notes, vol. 2")),
+    ]
+}
+
+/// A batch over [`sample_triples`]: every item inserted once, one
+/// of them under two keys.
+fn sample_triple_batch() -> OpBatch<Triple> {
+    let mut b = OpBatch::new();
+    for (k, t) in sample_triples().into_iter().enumerate() {
+        let i = b.add_item(t);
+        b.push_insert(100 + k as u64, i, 0);
+    }
+    b.push_insert(200, 1, 3);
+    b
+}
+
 fn sample_peers() -> Vec<PeerRef> {
     let path = unistore_util::BitPath::parse("0110").expect("static path");
     vec![
@@ -183,6 +211,7 @@ impl FuzzSeeds for PGridMsg<Triple> {
                 filter: sample_filter(),
             },
             PGridMsg::LookupReply { qid: 9, items: vec![t.clone()], hops: 3, ok: true },
+            PGridMsg::LookupReply { qid: 10, items: sample_triples(), hops: 2, ok: true },
             PGridMsg::Delete { key: 9, ident: 11, version: 2 },
             PGridMsg::OpBatch {
                 qid: 12,
@@ -204,6 +233,13 @@ impl FuzzSeeds for PGridMsg<Triple> {
                     b.push_delete(17, 0xBEEF, 1);
                     b
                 },
+            },
+            PGridMsg::OpBatch {
+                qid: 14,
+                origin: NodeId(5),
+                hops: 2,
+                positions: (0..sample_triple_batch().len() as u32).collect(),
+                batch: sample_triple_batch(),
             },
             PGridMsg::BatchAck { qid: 12, applied: vec![7, 157, 307], hops: 4 },
             PGridMsg::Range {
@@ -230,6 +266,14 @@ impl FuzzSeeds for PGridMsg<Triple> {
                 items: vec![t.clone()],
                 hops: 5,
                 aborted: false,
+            },
+            PGridMsg::RangeReply {
+                qid: 2,
+                cov_lo: 16,
+                cov_hi: 31,
+                items: sample_triples(),
+                hops: 4,
+                aborted: true,
             },
             PGridMsg::Replicate { entries: entries.clone() },
             PGridMsg::Repair(RepairMsg::Probe {
@@ -269,7 +313,7 @@ impl FuzzSeeds for PGridMsg<Triple> {
 impl FuzzSeeds for ChordMsg<Triple> {
     fn seeds() -> Vec<Self> {
         let t = Triple::new("o2", "age", Value::Int(30));
-        let entries = vec![(5u64, t.clone()), (6, t.clone())];
+        let batch = sample_triple_batch();
         vec![
             ChordMsg::Lookup {
                 qid: 1,
@@ -278,7 +322,8 @@ impl FuzzSeeds for ChordMsg<Triple> {
                 hops: 3,
                 filter: sample_filter(),
             },
-            ChordMsg::LookupReply { qid: 1, entries: entries.clone(), hops: 4, ok: true },
+            ChordMsg::LookupReply { qid: 1, items: vec![t.clone(), t.clone()], hops: 4, ok: true },
+            ChordMsg::LookupReply { qid: 2, items: sample_triples(), hops: 3, ok: true },
             ChordMsg::OpBatch {
                 qid: 8,
                 origin: NodeId(3),
@@ -289,6 +334,18 @@ impl FuzzSeeds for ChordMsg<Triple> {
                     idx: 0,
                     op: BatchOp { key: 700, version: 0, verb: BatchVerb::Insert { item: 0 } },
                 }],
+            },
+            ChordMsg::OpBatch {
+                qid: 9,
+                origin: NodeId(3),
+                hops: 0,
+                items: batch.items,
+                ops: batch
+                    .ops
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, op)| ChordBatchOp { bucket: i % 2 == 1, idx: i as u32, op })
+                    .collect(),
             },
             ChordMsg::BatchAck { qid: 8, applied: vec![0, 1], hops: 3 },
             ChordMsg::BucketRange { qid: 3, lo: 10, hi: 90, origin: NodeId(1) },
@@ -302,7 +359,8 @@ impl FuzzSeeds for ChordMsg<Triple> {
                 filter: None,
             },
             ChordMsg::Bcast { qid: 4, lo: 0, hi: u64::MAX, limit: 12345, hops: 1, filter: None },
-            ChordMsg::BcastReply { qid: 4, entries, nodes: 17, hops: 6 },
+            ChordMsg::BcastReply { qid: 4, items: vec![t.clone()], nodes: 17, hops: 6 },
+            ChordMsg::BcastReply { qid: 5, items: sample_triples(), nodes: 3, hops: 2 },
             ChordMsg::Replicate {
                 entries: vec![((9, 90, 900), 1, Some(t.clone())), ((8, 80, 800), 2, None)],
             },
@@ -366,7 +424,7 @@ impl FuzzSeeds for UniMsg<ChordMsg<Triple>> {
 
 impl FuzzSeeds for OpBatch<Triple> {
     fn seeds() -> Vec<Self> {
-        vec![OpBatch::new(), sample_batch()]
+        vec![OpBatch::new(), sample_batch(), sample_triple_batch()]
     }
 }
 
