@@ -16,8 +16,9 @@
 //!   value                     as `Value::encode`, except a string:
 //!     tag, shared, suffix       `shared` = how many leading bytes it has in
 //!                               common with the previous triple's string
-//!                               value (0 when that value is no string), cut
-//!                               back to a char boundary; `suffix` the rest
+//!                               value (0 when that value is no string), at
+//!                               most [`MAX_SHARED`], cut back to a char
+//!                               boundary; `suffix` the rest
 //! )
 //! ```
 //!
@@ -27,7 +28,7 @@
 //! The decoder rejects an empty name table under a non-empty list, a
 //! table longer than the list, an index off the table, and a `shared`
 //! that is non-zero with no previous string, longer than the previous
-//! string, or off its char boundaries.
+//! string or than [`MAX_SHARED`], or off its char boundaries.
 
 use std::sync::Arc;
 
@@ -95,31 +96,24 @@ impl<'a> Names<'a> {
     }
 }
 
-/// How many leading bytes `s` shares with `prev`, cut back to a char
-/// boundary (one of both strings: the bytes before it are identical).
+/// The most bytes a string value takes from its predecessor (a one-byte
+/// `shared`). Each is copied on decode, so without a cap a long string
+/// followed by many triples with empty suffixes would decode into memory
+/// quadratic in the bytes read; with it a triple of at least four wire
+/// bytes copies at most this many.
+const MAX_SHARED: usize = 127;
+
+/// How many leading bytes `s` shares with `prev`, at most [`MAX_SHARED`],
+/// cut back to a char boundary (one of both strings: the bytes before it
+/// are identical).
 fn shared_prefix(prev: Option<&str>, s: &str) -> usize {
     let Some(prev) = prev else { return 0 };
-    let mut n = common_bytes(prev.as_bytes(), s.as_bytes());
+    let common = prev.as_bytes().iter().zip(s.as_bytes()).take_while(|(x, y)| x == y).count();
+    let mut n = common.min(MAX_SHARED);
     while !s.is_char_boundary(n) {
         n -= 1;
     }
     n
-}
-
-/// Length of the longest common prefix of `a` and `b`, eight bytes at a
-/// time: every send of a list is sized through here.
-fn common_bytes(a: &[u8], b: &[u8]) -> usize {
-    let (a8, b8) = (a.chunks_exact(8), b.chunks_exact(8));
-    let mut n = 0;
-    for (x, y) in a8.zip(b8) {
-        let diff = u64::from_le_bytes(x.try_into().unwrap_or_default())
-            ^ u64::from_le_bytes(y.try_into().unwrap_or_default());
-        if diff != 0 {
-            return n + diff.trailing_zeros() as usize / 8;
-        }
-        n += 8;
-    }
-    n + a[n..].iter().zip(&b[n..]).take_while(|(x, y)| x == y).count()
 }
 
 pub(crate) fn encode(items: &[Triple], buf: &mut BytesMut) {
@@ -213,7 +207,10 @@ pub(crate) fn decode(buf: &mut Bytes) -> Result<Vec<Triple>, WireError> {
         let value = match u8::decode(buf)? {
             tag::STR => {
                 let shared = get_varint(buf)?;
-                if (shared > 0 && !prev_is_str) || shared > prev.len() as u64 {
+                if (shared > 0 && !prev_is_str)
+                    || shared > prev.len() as u64
+                    || shared > MAX_SHARED as u64
+                {
                     return Err(WireError::BadLength(shared));
                 }
                 if !prev.is_char_boundary(shared as usize) {
@@ -345,6 +342,20 @@ mod tests {
     }
 
     #[test]
+    fn shared_prefix_stops_at_the_cap() {
+        let long = "x".repeat(300);
+        assert_eq!(shared_prefix(Some(&long), &long), MAX_SHARED);
+        // A char straddling the cap is left whole to the suffix.
+        let straddling = format!("{}é{long}", "x".repeat(MAX_SHARED - 1));
+        assert_eq!(shared_prefix(Some(&straddling), &straddling), MAX_SHARED - 1);
+        let items: Vec<Triple> = [&long, &long, &straddling, &straddling, &long]
+            .iter()
+            .map(|s| Triple::new("o", "v", Value::str(s)))
+            .collect();
+        roundtrip(&items);
+    }
+
+    #[test]
     fn long_values_and_many_names_roundtrip() {
         // Past the inline string capacity, and for the names past the
         // stack table and then past one-byte indexes.
@@ -419,6 +430,39 @@ mod tests {
     }
 
     #[test]
+    fn rejects_a_prefix_past_the_cap() {
+        // A long string, then many triples that would each copy all of
+        // it with an empty suffix: decoded size quadratic in the input.
+        let long = "x".repeat(1 << 12);
+        let triples = 1000;
+        let mut buf = BytesMut::new();
+        put_varint(&mut buf, triples);
+        put_varint(&mut buf, 1);
+        put_str(&mut buf, "v");
+        Oid::new("").encode(&mut buf);
+        tag::STR.encode(&mut buf);
+        put_varint(&mut buf, 0);
+        put_str(&mut buf, &long);
+        for _ in 1..triples {
+            Oid::new("").encode(&mut buf);
+            tag::STR.encode(&mut buf);
+            put_varint(&mut buf, long.len() as u64);
+            put_str(&mut buf, "");
+        }
+        assert_eq!(reject(buf.to_vec()), WireError::BadLength(1 << 12));
+        // One byte past the cap, still inside the previous string.
+        let value = Value::str(&"x".repeat(200));
+        let items = vec![Triple::new("o1", "v", value.clone()), Triple::new("o2", "v", value)];
+        let mut bytes = encoded(&items).to_vec();
+        // The last value: shared, a one-byte suffix length, 73 suffix bytes.
+        let at = bytes.len() - 75;
+        assert_eq!(bytes[at..at + 2], [MAX_SHARED as u8, 73], "the encoder clamps");
+        // shared = 128, a two-byte varint.
+        bytes.splice(at..at + 1, [0x80, 0x01]);
+        assert_eq!(reject(bytes), WireError::BadLength(MAX_SHARED as u64 + 1));
+    }
+
+    #[test]
     fn rejects_a_prefix_off_a_char_boundary() {
         let items =
             vec![Triple::new("o1", "v", Value::str("é")), Triple::new("o2", "v", Value::str("x"))];
@@ -472,6 +516,7 @@ mod tests {
                 0..40,
             ),
             sorted: bool,
+            padded: bool,
         ) {
             let attrs = ["name", "pub:title", "age", "é-attr"];
             let mut items: Vec<Triple> = raw
@@ -480,6 +525,8 @@ mod tests {
                     let value = match kind {
                         0 => Value::Int(*i),
                         1 => Value::Float(*i as f64 / 4.0),
+                        // Padded, multi-byte chars straddle the cap.
+                        _ if padded => Value::str(&format!("{}{s}", "x".repeat(MAX_SHARED - 2))),
                         _ => Value::str(s),
                     };
                     Triple::new(&format!("o{oid}"), attrs[*attr as usize], value)
