@@ -67,6 +67,17 @@ const PROBE_SECS: [(&str, u64); 2] = [(PGrid::LABEL, 30), (Chord::LABEL, 20)];
 const FLAT_REPAIR_KIB: [(&str, [f64; 3]); 2] =
     [(PGrid::LABEL, [5_640.0, 5_119.7, 5_585.8]), (Chord::LABEL, [19_606.3, 20_040.7, 22_222.2])];
 
+/// Pooled `repair_kib` (the median schedule's) before replica-plane
+/// record lists were front-coded and Chord's pushes coalesced, one
+/// entry per size of [`SIZES`]: every cell must now send less.
+const PER_RECORD_REPAIR_KIB: [(&str, [f64; 3]); 2] =
+    [(PGrid::LABEL, [42.3, 58.5, 116.4]), (Chord::LABEL, [246.7, 255.3, 554.7])];
+
+/// Pooled floor on Chord's acked campaign writes, one entry per size of
+/// [`SIZES`]: hinted handoff acks a write whose owner side is down
+/// (DESIGN.md § Scale and churn has the margins).
+const CHORD_WRITES_OK: [u64; 3] = [341, 267, 175];
+
 /// `repair_folds` in the same heal phase while every applied write
 /// dropped the store's memoized root summaries, measured once on the
 /// commit before writes kept them current: nearly every probe sent or
@@ -378,7 +389,21 @@ fn cell_gate(runs: &[Row]) {
         );
         assert!(r.get_int("downs") > 0 && r.get_int("ups") > 0, "{at}: no churn executed");
     }
+    let kibs: Vec<f64> = runs.iter().map(|r| r.get_float("repair_kib")).collect();
+    let (kib, before) = (percentile(&kibs, 50.0), for_label(&PER_RECORD_REPAIR_KIB, backend)[size]);
+    assert!(
+        kib < before,
+        "{backend} n={n}: {kib} KiB of repair traffic in the median heal phase, {before} when \
+         records travelled one by one"
+    );
     let sum = |column| runs.iter().map(|r| r.get_int(column)).sum::<u64>();
+    if backend == Chord::LABEL {
+        let (ok, floor) = (sum("writes_ok"), CHORD_WRITES_OK[size]);
+        assert!(
+            ok >= floor,
+            "{backend} n={n}: {ok} writes acked over the schedules, floor {floor}"
+        );
+    }
     let (offered, cov90, attempts) = (sum("offered"), sum("cov90"), sum("attempts"));
     let floor = (offered * for_label(&ANSWERED_PCT, backend)).div_ceil(100);
     assert!(
@@ -484,9 +509,14 @@ mod tests {
     /// A P-Grid N = 64 schedule's row as far as the gate reads it:
     /// `repair` is `(repair_s, repair_kib, repair_folds)`.
     fn schedule(cov90: u64, attempts: u64, repair: (f64, f64, u64)) -> Row {
+        on(PGrid::LABEL, cov90, attempts, repair)
+    }
+
+    /// The same row on `backend`.
+    fn on(backend: &str, cov90: u64, attempts: u64, repair: (f64, f64, u64)) -> Row {
         let (repair_s, kib, folds) = repair;
         Row::new()
-            .str("backend", PGrid::LABEL)
+            .str("backend", backend)
             .int("n", 64)
             .int("offered", 120)
             .int("cov90", cov90)
@@ -526,6 +556,22 @@ mod tests {
         assert!(!fails(&cell(schedule(60, 1_200, HEALED), healthy.clone())));
         assert!(fails(&cell(schedule(59, 150, HEALED), healthy.clone())));
         assert!(fails(&cell(schedule(120, 1_201, HEALED), healthy)));
+    }
+
+    #[test]
+    fn a_chord_cell_under_its_acked_write_floor_fails() {
+        // Chord N = 64 is held to 341 acked writes over its schedules.
+        let chord = |writes_ok| on(Chord::LABEL, 120, 150, HEALED).int("writes_ok", writes_ok);
+        assert!(!fails(&cell(chord(341 - 29 * 11), chord(11))));
+        assert!(fails(&cell(chord(340 - 29 * 11), chord(11))));
+    }
+
+    #[test]
+    fn a_cell_whose_median_repair_bytes_did_not_fall_fails() {
+        // P-Grid N = 64 sent 42.3 KiB when records travelled one by one.
+        let sent = |kib| schedule(114, 150, (10.0, kib, 0));
+        assert!(!fails(&cell(sent(42.2), sent(42.2))));
+        assert!(fails(&cell(sent(42.3), sent(42.3))));
     }
 
     #[test]

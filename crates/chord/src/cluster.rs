@@ -132,7 +132,7 @@ impl<I: Item + Send + 'static> ChordCluster<I> {
             ChordBatchOp { bucket: false, idx: 0, op },
             ChordBatchOp { bucket: true, idx: 1, op },
         ];
-        let msg = ChordMsg::OpBatch { qid, origin, hops: 0, items: vec![item], ops };
+        let msg = ChordMsg::OpBatch { qid, origin, hops: 0, attempt: 0, items: vec![item], ops };
         match run_op(&mut self.net, origin, msg, qid) {
             Some((OverlayDone::Batch { ok, .. }, cost)) => (ok, cost),
             _ => (false, OpCost::default()),
@@ -331,6 +331,7 @@ mod tests {
                 qid,
                 origin: primary,
                 hops: 0,
+                attempt: 0,
                 items: written.iter().map(|&key| RawItem(key >> 45)).collect(),
                 ops,
             },
@@ -429,5 +430,110 @@ mod tests {
         while c.net.now() < deadline && c.net.step() {}
         let still = live.iter().filter(|&&n| c.net.node(n).liveness.is_suspected(dead)).count();
         assert_eq!(still, 0, "{still} peers still suspect the revived node");
+    }
+
+    /// A 16-node ring that replicates, repairs and probes every 5 s and
+    /// times writes out after 2 s.
+    fn masking() -> ChordCluster<RawItem> {
+        let cfg = ChordConfig {
+            replicate: true,
+            anti_entropy_interval: SimTime::from_secs(5),
+            ping_interval: SimTime::from_secs(5),
+            query_timeout: SimTime::from_secs(2),
+            ..ChordConfig::default()
+        };
+        ChordCluster::build(16, cfg, ConstantLatency(SimTime::from_millis(10)), 9)
+    }
+
+    /// Steps the network `secs` simulated seconds.
+    fn run_for(c: &mut ChordCluster<RawItem>, secs: u64) {
+        let until = c.net.now() + SimTime::from_secs(secs);
+        while c.net.now() < until && c.net.step() {}
+    }
+
+    /// A key whose exact-index owner sits at ring position `at`, with
+    /// the owner's predecessor, successor and an origin three nodes
+    /// before it: `(key, [predecessor, owner, successor], origin)`.
+    fn key_at(c: &ChordCluster<RawItem>, at: usize) -> (Key, [NodeId; 3], NodeId) {
+        let m = c.topo.ring_order.len();
+        let node = |i: usize| c.topo.ring_order[(at + m + i - 1) % m].1;
+        let owner = node(1);
+        let key = (0..)
+            .map(|k: u64| k << 40)
+            .find(|&key| c.responsible_node(ring_key_exact(key)) == owner)
+            .expect("some key lands on every node");
+        (key, [node(0), owner, node(2)], node(m - 3))
+    }
+
+    /// Writes `key` into the exact index only, as a one-op batch from
+    /// `origin`; whether the batch was acked.
+    fn write_exact(c: &mut ChordCluster<RawItem>, origin: NodeId, key: Key) -> bool {
+        let qid = c.fresh_qid();
+        let op = BatchOp { key, version: 1, verb: BatchVerb::Insert { item: 0 } };
+        let ops = vec![ChordBatchOp { bucket: false, idx: 0, op }];
+        let items = vec![RawItem(key >> 40)];
+        let msg = ChordMsg::OpBatch { qid, origin, hops: 0, attempt: 0, items, ops };
+        matches!(
+            run_op(&mut c.net, origin, msg, qid),
+            Some((OverlayDone::Batch { ok: true, .. }, _))
+        )
+    }
+
+    #[test]
+    fn a_write_to_a_dead_owner_acks_through_its_successor_and_repairs_back() {
+        let mut c = masking();
+        let (key, [_, owner, succ], origin) = key_at(&c, 5);
+        c.net.schedule_down(owner, c.net.now());
+        run_for(&mut c, 20);
+        assert!(write_exact(&mut c, origin, key), "the successor acks for the dead owner");
+        let copy = c.net.node(succ).store().records(ALL).any(|((_, k, _), _, _)| k == key);
+        assert!(copy, "the successor holds the handed-off copy");
+
+        c.net.schedule_up(owner, c.net.now());
+        run_for(&mut c, 20);
+        let out = c.lookup(origin, key);
+        assert!(out.ok);
+        assert_eq!(out.entries, vec![RawItem(key >> 40)], "anti-entropy brought it to the owner");
+    }
+
+    #[test]
+    fn a_write_with_the_whole_owner_side_dead_is_held_and_replayed() {
+        let mut c = masking();
+        let (key, [pred, owner, succ], origin) = key_at(&c, 9);
+        for node in [owner, succ] {
+            c.net.schedule_down(node, c.net.now());
+        }
+        run_for(&mut c, 20);
+        assert!(write_exact(&mut c, origin, key), "the predecessor holds and acks");
+        assert_eq!(c.net.node(pred).hints.len(), 1, "one held op");
+
+        for node in [owner, succ] {
+            c.net.schedule_up(node, c.net.now());
+        }
+        run_for(&mut c, 30);
+        assert!(c.net.node(pred).hints.is_empty(), "the replay was acked");
+        assert_eq!(c.net.node(owner).store().lookup(ring_key_exact(key), &None).len(), 1);
+        assert_eq!(c.lookup(origin, key).entries, vec![RawItem(key >> 40)]);
+    }
+
+    #[test]
+    fn a_first_attempt_to_a_trusted_owner_is_not_handed_off() {
+        let mut c = masking();
+        run_for(&mut c, 20);
+        let holds = |c: &ChordCluster<RawItem>, node, key| {
+            c.net.node(node).store().records(ALL).any(|((_, k, _), _, _)| k == key)
+        };
+        // From a node three before the owner, and from the owner's
+        // successor, which replicates the owner's range.
+        for at in [3, 7] {
+            let (key, [_, owner, succ], far) = key_at(&c, at);
+            let origin = if at == 3 { far } else { succ };
+            assert!(write_exact(&mut c, origin, key));
+            assert!(holds(&c, owner, key), "applied by the owner before the ack");
+            assert!(holds(&c, succ, key), "and pushed to its successor");
+            let holders = (0..16).filter(|&i| holds(&c, NodeId(i), key)).count();
+            assert_eq!(holders, 2, "nowhere else");
+        }
+        assert!((0..16).all(|i| c.net.node(NodeId(i)).hints.is_empty()));
     }
 }

@@ -3,6 +3,7 @@
 use bytes::{Bytes, BytesMut};
 
 use unistore_overlay::repair::RepairMsg;
+use unistore_overlay::RecordList;
 use unistore_simnet::NodeId;
 use unistore_util::item::Item;
 use unistore_util::wire::{put_list, BatchOp, BatchVerb, Wire, WireError};
@@ -97,6 +98,11 @@ pub enum ChordMsg<I> {
         origin: NodeId,
         /// Routing hops of this sub-batch so far.
         hops: u32,
+        /// 0 on the origin's first attempt, then one more per
+        /// retransmission of the un-acked remainder. A retransmitted op
+        /// routes around its first-choice finger at every hop and hands
+        /// off to the owner's successor instead of the owner.
+        attempt: u32,
         /// Distinct payloads, shipped once each.
         items: Vec<I>,
         /// The write ops, referencing `items` by index.
@@ -172,11 +178,11 @@ pub enum ChordMsg<I> {
         hops: u32,
     },
     /// Push replication of applied writes from a primary to its
-    /// successor replica. One level deep: replicas only apply, never
-    /// re-push, so loops are impossible.
+    /// successor replica, one per applied sub-batch. One level deep:
+    /// replicas only apply, never re-push, so loops are impossible.
     Replicate {
         /// `(record key, version, item-or-tombstone)` records.
-        entries: Vec<(RecordKey, u64, Option<I>)>,
+        entries: RecordList<RecordKey, I>,
     },
     /// Anti-entropy between a replica and its predecessor (the primary
     /// of its replica set): one message of the hash-tree replica repair
@@ -224,11 +230,12 @@ impl<I: Item> Wire for ChordMsg<I> {
                 hops.encode(buf);
                 ok.encode(buf);
             }
-            ChordMsg::OpBatch { qid, origin, hops, items, ops } => {
+            ChordMsg::OpBatch { qid, origin, hops, attempt, items, ops } => {
                 tag::OP_BATCH.encode(buf);
                 qid.encode(buf);
                 origin.encode(buf);
                 hops.encode(buf);
+                attempt.encode(buf);
                 I::encode_list(items, buf);
                 put_list(buf, ops);
             }
@@ -273,7 +280,7 @@ impl<I: Item> Wire for ChordMsg<I> {
             }
             ChordMsg::Replicate { entries } => {
                 tag::REPLICATE.encode(buf);
-                put_list(buf, entries);
+                entries.encode(buf);
             }
             ChordMsg::Repair(msg) => {
                 tag::REPAIR.encode(buf);
@@ -304,6 +311,7 @@ impl<I: Item> Wire for ChordMsg<I> {
                 let qid = Wire::decode(buf)?;
                 let origin = Wire::decode(buf)?;
                 let hops = Wire::decode(buf)?;
+                let attempt = Wire::decode(buf)?;
                 let items = I::decode_list(buf)?;
                 let ops: Vec<ChordBatchOp> = Wire::decode(buf)?;
                 for op in &ops {
@@ -313,7 +321,7 @@ impl<I: Item> Wire for ChordMsg<I> {
                         }
                     }
                 }
-                ChordMsg::OpBatch { qid, origin, hops, items, ops }
+                ChordMsg::OpBatch { qid, origin, hops, attempt, items, ops }
             }
             tag::BATCH_ACK => ChordMsg::BatchAck {
                 qid: Wire::decode(buf)?,
@@ -371,10 +379,11 @@ impl<I: Item> Wire for ChordMsg<I> {
             ChordMsg::LookupReply { qid, items, hops, ok } => {
                 qid.wire_size() + I::list_wire_size(items) + hops.wire_size() + ok.wire_size()
             }
-            ChordMsg::OpBatch { qid, origin, hops, items, ops } => {
+            ChordMsg::OpBatch { qid, origin, hops, attempt, items, ops } => {
                 qid.wire_size()
                     + origin.wire_size()
                     + hops.wire_size()
+                    + attempt.wire_size()
                     + I::list_wire_size(items)
                     + ops.wire_size()
             }
@@ -444,6 +453,7 @@ mod tests {
                 qid: 8,
                 origin: NodeId(3),
                 hops: 1,
+                attempt: 2,
                 items: vec![RawItem(7)],
                 ops: vec![
                     ChordBatchOp {
@@ -472,7 +482,10 @@ mod tests {
             ChordMsg::Bcast { qid: 4, lo: 0, hi: u64::MAX, limit: 12345, hops: 1, filter: None },
             ChordMsg::BcastReply { qid: 4, items, nodes: 17, hops: 6 },
             ChordMsg::Replicate {
-                entries: vec![((9, 90, 900), 1, Some(RawItem(9))), ((8, 80, 800), 2, None)],
+                entries: RecordList::from_records([
+                    ((9, 90, 9), 1, Some(RawItem(9))),
+                    ((8, 80, 800), 2, None),
+                ]),
             },
             ChordMsg::Repair(RepairMsg::Probe {
                 span: ((8, 0, 0), (9, u64::MAX, u64::MAX)),
@@ -485,7 +498,7 @@ mod tests {
                 }],
             }),
             ChordMsg::Repair(RepairMsg::Records {
-                entries: vec![((9, 90, 900), 3, None)],
+                entries: RecordList::from_records([((9, 90, 900), 3, None)]),
                 want: vec![(8, 80, 800)],
             }),
             ChordMsg::Ping,
@@ -509,6 +522,7 @@ mod tests {
             qid: 0,
             origin: NodeId(u32::MAX - 1),
             hops: u32::MAX,
+            attempt: u32::MAX,
             items: vec![RawItem(u64::MAX)],
             ops: vec![ChordBatchOp {
                 bucket: true,
@@ -556,11 +570,13 @@ mod tests {
                 )
             ) {
                 // Odd payload ⇒ a live item, even ⇒ a tombstone, so the
-                // fuzz covers both record shapes.
+                // fuzz covers both record shapes; a live record's key
+                // ends in its item's identity.
                 let records: Vec<(RecordKey, u64, Option<RawItem>)> = recs
                     .iter()
-                    .map(|&(ring, key, ident, version, it)| {
-                        ((ring, key, ident), version, (it % 2 == 1).then_some(RawItem(it)))
+                    .map(|&(ring, key, ident, version, it)| match it % 2 {
+                        1 => ((ring, key, it), version, Some(RawItem(it))),
+                        _ => ((ring, key, ident), version, None),
                     })
                     .collect();
                 // A run is ascending in key order, distinct, and short.
@@ -575,12 +591,15 @@ mod tests {
                 let summary = Summary { count: run.len() as u64, hash: span.0 .0 ^ span.1 .2 };
                 let want: Vec<RecordKey> = run.iter().map(|&(key, _)| key).collect();
                 let msgs = [
-                    ChordMsg::Replicate { entries: records.clone() },
+                    ChordMsg::Replicate { entries: RecordList::from_records(records.clone()) },
                     ChordMsg::Repair(RepairMsg::Probe { span, summary }),
                     ChordMsg::Repair(RepairMsg::Descend {
                         parts: vec![Part::Run { span, entries: run }],
                     }),
-                    ChordMsg::Repair(RepairMsg::Records { entries: records, want }),
+                    ChordMsg::Repair(RepairMsg::Records {
+                        entries: RecordList::from_records(records),
+                        want,
+                    }),
                 ];
                 for msg in msgs {
                     let bytes = msg.to_bytes();

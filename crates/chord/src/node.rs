@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 
 use unistore_overlay::liveness::{Suspicion, DEADLINE};
 use unistore_overlay::repair::ReplicaRepair;
-use unistore_overlay::{push_hop, BatchTracker, HopGroups, OverlayDone};
+use unistore_overlay::{push_hop, BatchTracker, HopGroups, OverlayDone, Record};
 use unistore_simnet::{Effects, NodeBehavior, NodeId, SimTime, Timer};
 use unistore_util::fxhash::mix64;
 use unistore_util::rng::{derive_rng, stream};
@@ -15,7 +15,7 @@ pub use unistore_util::item::Item;
 
 use crate::msg::{ChordBatchOp, ChordMsg, QueryId};
 use crate::ring::{in_open_closed, in_open_open};
-use crate::store::ChordStore;
+use crate::store::{ChordStore, RecordKey};
 use crate::topology::RingWiring;
 
 /// Effects buffer specialized to Chord.
@@ -52,7 +52,10 @@ pub struct ChordConfig {
     /// pushes with periodic hash-tree anti-entropy (the same exchange
     /// P-Grid runs, see `unistore_overlay::repair`). Off by
     /// default: the baseline comparison counts messages on the healthy
-    /// path, and replication traffic would distort it.
+    /// path, and replication traffic would distort it. Writes are
+    /// masked (hinted handoff, see [`ChordNode`]) only under
+    /// replication: a handed-off copy lands in the owner's replica,
+    /// whose anti-entropy brings it to an owner that was dead.
     pub replicate: bool,
     /// Period of the anti-entropy probe sent to the predecessor
     /// (jittered ±50% to avoid lockstep). Only armed when `replicate`.
@@ -80,6 +83,15 @@ impl Default for ChordConfig {
     }
 }
 
+/// Most held ops a node keeps for replay ([`ChordNode`]'s hint
+/// table). Past it an op whose owner side is suspected goes to the
+/// owner anyway and is left to the origin's retransmission.
+pub const HINT_MAX: usize = 1024;
+
+/// Query ids from here up name a node's internal replays of its hint
+/// table; the drivers' ids count up from 1.
+const REPLAY_QID: QueryId = 1 << 63;
+
 /// Timer kinds.
 mod timer {
     pub const QUERY_TIMEOUT: u32 = 1;
@@ -99,6 +111,12 @@ enum Pending<I> {
     Batch {
         items: Vec<I>,
         ops: Vec<ChordBatchOp>,
+        tracker: BatchTracker,
+    },
+    /// An internal replay of the first `held` hints: they leave the
+    /// table once acked, and stay for the next tick otherwise.
+    Replay {
+        held: usize,
         tracker: BatchTracker,
     },
     Buckets {
@@ -123,6 +141,17 @@ struct BcastState<I> {
 }
 
 /// A Chord node.
+///
+/// Writes are masked against a dead owner by hinted handoff (under
+/// [`ChordConfig::replicate`]). The node that routes an op to its
+/// successor, the op's owner, sends it to `successor2` instead when the
+/// successor is suspected or the op is a retransmission; `successor2`
+/// replicates the owner's range, applies the op as a replica copy
+/// without pushing it on, acks it, and hands it back to a trusted owner
+/// (a dead one gets it from anti-entropy once it revives). When neither
+/// is trusted, the routing node holds the op in
+/// its hint table (at most [`HINT_MAX`]), acks it, and replays the held
+/// ops on every ping tick until the owner's side acks them.
 pub struct ChordNode<I: Item> {
     id: NodeId,
     ring_id: u64,
@@ -153,6 +182,10 @@ pub struct ChordNode<I: Item> {
     /// Failure detector of the ping rounds: `next_hop` routes around the
     /// peers it suspects until they are heard from again.
     pub(crate) liveness: Suspicion,
+    /// Held ops (hinted handoff), oldest first, with their payloads.
+    pub(crate) hints: Vec<(ChordBatchOp, Option<I>)>,
+    /// Replays started, for their query ids.
+    replays: u64,
 }
 
 impl<I: Item> ChordNode<I> {
@@ -176,6 +209,8 @@ impl<I: Item> ChordNode<I> {
             msg_load: 0,
             reads_via: [0, 0],
             liveness: Suspicion::default(),
+            hints: Vec::new(),
+            replays: 0,
         }
     }
 
@@ -364,6 +399,7 @@ impl<I: Item> ChordNode<I> {
         qid: QueryId,
         origin: NodeId,
         hops: u32,
+        attempt: u32,
         items: Vec<I>,
         ops: Vec<ChordBatchOp>,
         fx: &mut Fx<I>,
@@ -379,25 +415,36 @@ impl<I: Item> ChordNode<I> {
                 },
             );
         }
-        self.route_batch(qid, origin, hops, items, ops, fx);
+        self.route_batch(qid, origin, hops, attempt, items, ops, fx);
     }
 
     /// Routes a (sub-)batch one step: applies the ops this node is
     /// responsible for (both indexes live in one ring, so a sub-batch
-    /// may mix exact- and bucket-index ops), re-groups the remainder by
-    /// next hop, and acks the applied ops' positions to the origin in
-    /// one aggregated [`ChordMsg::BatchAck`].
+    /// may mix exact- and bucket-index ops) and the handed-off copies
+    /// of its predecessor's, holds the ops no trusted node of their
+    /// owner's side can take, re-groups the remainder by next hop, acks
+    /// the applied and held ops' positions to the origin in one
+    /// aggregated [`ChordMsg::BatchAck`], and pushes what it applied as
+    /// owner to the successor in one [`ChordMsg::Replicate`].
+    #[allow(clippy::too_many_arguments)]
     fn route_batch(
         &mut self,
         qid: QueryId,
         origin: NodeId,
         hops: u32,
+        attempt: u32,
         items: Vec<I>,
         ops: Vec<ChordBatchOp>,
         fx: &mut Fx<I>,
     ) {
         let mut applied: Vec<u32> = Vec::new();
+        let (mut pushes, mut handbacks): (Vec<Record<RecordKey, I>>, _) = (Vec::new(), Vec::new());
         let mut groups = HopGroups::new();
+        // An op of the predecessor's range reaches this node from
+        // another only as a handoff: routing takes it to the predecessor
+        // otherwise. This node's own first attempt to a trusted
+        // predecessor routes like any other op.
+        let handoff = hops > 0 || attempt > 0 || self.liveness.is_suspected(self.predecessor.0);
         for (i, op) in ops.iter().enumerate() {
             // The ring position is derived, not shipped: op tags cross
             // every edge of their route, so they carry only the original
@@ -406,26 +453,53 @@ impl<I: Item> ChordNode<I> {
                 true => ring_key_bucket(op.op.key, self.cfg.bucket_depth),
                 false => ring_key_exact(op.op.key),
             };
+            let item = || match op.op.verb {
+                BatchVerb::Insert { item } => items.get(item as usize).cloned(),
+                BatchVerb::Delete { .. } => None,
+            };
             if self.responsible(ring_key) {
-                match op.op.verb {
-                    BatchVerb::Insert { item } => {
-                        let item = items[item as usize].clone();
-                        self.apply_insert(ring_key, op.op.key, item, op.op.version, fx);
+                match (op.op.verb, item()) {
+                    (BatchVerb::Insert { .. }, Some(item)) => {
+                        self.apply_insert(ring_key, op.op.key, item, op.op.version, &mut pushes)
                     }
-                    BatchVerb::Delete { ident } => {
-                        self.apply_delete(ring_key, op.op.key, ident, op.op.version, fx);
+                    (BatchVerb::Delete { ident }, _) => {
+                        self.apply_delete(ring_key, op.op.key, ident, op.op.version, &mut pushes)
                     }
+                    // An insert without its payload: decoding rules it out.
+                    (BatchVerb::Insert { .. }, None) => continue,
                 }
                 applied.push(op.idx);
+            } else if self.cfg.replicate && self.replicates(ring_key) && handoff {
+                self.apply_copy(ring_key, op.op, item(), &mut handbacks);
+                applied.push(op.idx);
             } else {
-                push_hop(&mut groups, self.next_hop(ring_key, None), i);
+                match self.route_op(ring_key, attempt) {
+                    Some(next) => push_hop(&mut groups, next, i),
+                    None if self.hints.len() < HINT_MAX => {
+                        self.hints.push((*op, item()));
+                        applied.push(op.idx);
+                    }
+                    None => push_hop(&mut groups, self.successor.0, i),
+                }
             }
+        }
+        self.push_records(self.successor.0, pushes, fx);
+        let owner = self.predecessor.0;
+        if !self.liveness.is_suspected(owner) {
+            self.push_records(owner, handbacks, fx);
         }
         for (next, idxs) in groups {
             let (sub_items, sub_ops) = subset_batch(&items, &ops, &idxs);
             fx.send(
                 next,
-                ChordMsg::OpBatch { qid, origin, hops: hops + 1, items: sub_items, ops: sub_ops },
+                ChordMsg::OpBatch {
+                    qid,
+                    origin,
+                    hops: hops + 1,
+                    attempt,
+                    items: sub_items,
+                    ops: sub_ops,
+                },
             );
         }
         if !applied.is_empty() {
@@ -437,18 +511,89 @@ impl<I: Item> ChordNode<I> {
         }
     }
 
+    /// Whether ring position `k` lies in the predecessor's range
+    /// `(predecessor2, predecessor]`, which this node replicates.
+    fn replicates(&self, k: u64) -> bool {
+        self.predecessor.0 != self.id && in_open_closed(self.predecessor2.1, self.predecessor.1, k)
+    }
+
+    /// Where a routed op for ring position `k` goes next; `None` holds
+    /// it here.
+    ///
+    /// An op takes `next_hop`'s finger, a retransmission the next one
+    /// around it. When the successor owns `k`, the op goes to it or to
+    /// `successor2`, which replicates the successor's range: a first
+    /// attempt tries the owner first, a retransmission `successor2`,
+    /// and a suspect is skipped; with both suspected the op is held.
+    /// Without replication there is no handoff and no hold.
+    fn route_op(&self, k: u64, attempt: u32) -> Option<NodeId> {
+        let (succ, succ2) = (self.successor.0, self.successor2.0);
+        if !in_open_closed(self.ring_id, self.successor.1, k) {
+            let first = self.next_hop(k, None);
+            let next = match attempt {
+                0 => first,
+                _ => self.next_hop(k, Some(first)),
+            };
+            let stuck = self.cfg.replicate && self.liveness.is_suspected(next);
+            return (!stuck).then_some(next);
+        }
+        if !self.cfg.replicate {
+            return Some(succ);
+        }
+        let order = if attempt == 0 { [succ, succ2] } else { [succ2, succ] };
+        order.into_iter().find(|&node| node != self.id && !self.liveness.is_suspected(node))
+    }
+
+    /// Replays the hint table as an internal batch from this node, one
+    /// replay at a time: the held ops route as first attempts, so each
+    /// goes to its owner when the owner is trusted again.
+    fn replay_hints(&mut self, fx: &mut Fx<I>) {
+        if self.hints.is_empty() || self.pending.keys().any(|&qid| qid >= REPLAY_QID) {
+            return;
+        }
+        let mut items = Vec::new();
+        let ops: Vec<ChordBatchOp> = (0u32..)
+            .zip(&self.hints)
+            .map(|(idx, (op, item))| {
+                let mut op = ChordBatchOp { idx, ..*op };
+                if let Some(item) = item {
+                    op.op.verb = BatchVerb::Insert { item: items.len() as u32 };
+                    items.push(item.clone());
+                }
+                op
+            })
+            .collect();
+        self.replays += 1;
+        let qid = REPLAY_QID + self.replays;
+        let held = ops.len();
+        self.register(fx, qid, Pending::Replay { held, tracker: BatchTracker::new(held) });
+        self.route_batch(qid, self.id, 0, 0, items, ops, fx);
+    }
+
     /// Folds a positional batch ack; completes the batch when every op
     /// is marked. Duplicate and late acks (e.g. from before a
     /// retransmission) re-mark already-marked ops, so they can only
-    /// help; positions outside the batch are ignored.
+    /// help; positions outside the batch are ignored. A completed
+    /// replay retires the hints it carried.
     fn handle_batch_ack(&mut self, qid: QueryId, applied: Vec<u32>, ack_hops: u32, fx: &mut Fx<I>) {
-        let Some(Pending::Batch { tracker, .. }) = self.pending.get_mut(&qid) else {
-            return;
+        let done = match self.pending.get_mut(&qid) {
+            Some(Pending::Batch { tracker, .. } | Pending::Replay { tracker, .. }) => {
+                tracker.ack(&applied, ack_hops)
+            }
+            _ => false,
         };
-        if tracker.ack(&applied, ack_hops) {
-            let (ops, hops) = (tracker.acked(), tracker.hops());
-            self.pending.remove(&qid);
-            fx.emit(OverlayDone::Batch { qid, ops, hops, ok: true });
+        if !done {
+            return;
+        }
+        match self.pending.remove(&qid) {
+            Some(Pending::Batch { tracker, .. }) => {
+                let (ops, hops) = (tracker.acked(), tracker.hops());
+                fx.emit(OverlayDone::Batch { qid, ops, hops, ok: true });
+            }
+            Some(Pending::Replay { held, .. }) => {
+                self.hints.drain(..held.min(self.hints.len()));
+            }
+            _ => {}
         }
     }
 
@@ -617,8 +762,9 @@ impl<I: Item> ChordNode<I> {
                         // no-ops at the versioned stores.
                         Some(remainder) => {
                             let (sub_items, sub_ops) = subset_batch(&items, &ops, &remainder);
+                            let attempt = tracker.attempts();
                             self.register(fx, qid, Pending::Batch { items, ops, tracker });
-                            self.route_batch(qid, self.id, 0, sub_items, sub_ops, fx);
+                            self.route_batch(qid, self.id, 0, attempt, sub_items, sub_ops, fx);
                         }
                         None => fx.emit(OverlayDone::Batch {
                             qid,
@@ -627,6 +773,19 @@ impl<I: Item> ChordNode<I> {
                             ok: false,
                         }),
                     }
+                }
+                // The hints it carried that nobody acked stay for the
+                // next tick, ahead of the ones held since.
+                Pending::Replay { held, tracker } => {
+                    let rest = self.hints.split_off(held.min(self.hints.len()));
+                    let mut unacked = tracker.remainder().into_iter().peekable();
+                    self.hints = std::mem::take(&mut self.hints)
+                        .into_iter()
+                        .enumerate()
+                        .filter(|(i, _)| unacked.next_if_eq(i).is_some())
+                        .map(|(_, hint)| hint)
+                        .chain(rest)
+                        .collect();
                 }
                 Pending::Buckets { items, hops, received, .. } => fx.emit(OverlayDone::Range {
                     qid,
@@ -691,6 +850,9 @@ impl<I: Item> NodeBehavior for ChordNode<I> {
             let tick = Timer::new(timer::ANTI_ENTROPY, 0);
             fx.set_periodic(&mut self.rng, cfg.anti_entropy_interval, tick);
         }
+        // A replay in flight lost its timeout with the crash; its hints
+        // are still in the table, and the next tick replays them.
+        self.pending.retain(|&qid, _| qid < REPLAY_QID);
         if cfg.ping_interval > SimTime::from_micros(0) {
             // A revived node's suspicions are as stale as its absence
             // was long: start trusting and let the probes re-learn.
@@ -710,8 +872,8 @@ impl<I: Item> NodeBehavior for ChordNode<I> {
             ChordMsg::LookupReply { qid, items, hops, ok } => {
                 self.handle_lookup_reply(qid, items, hops, ok, fx)
             }
-            ChordMsg::OpBatch { qid, origin, hops, items, ops } => {
-                self.handle_op_batch(from, qid, origin, hops, items, ops, fx)
+            ChordMsg::OpBatch { qid, origin, hops, attempt, items, ops } => {
+                self.handle_op_batch(from, qid, origin, hops, attempt, items, ops, fx)
             }
             ChordMsg::BatchAck { qid, applied, hops } => {
                 self.handle_batch_ack(qid, applied, hops, fx)
@@ -743,6 +905,7 @@ impl<I: Item> NodeBehavior for ChordNode<I> {
                 fx.set_periodic(&mut self.rng, self.cfg.anti_entropy_interval, t);
             }
             timer::PING => {
+                self.replay_hints(fx);
                 self.run_ping_round(fx);
                 fx.set_periodic(&mut self.rng, self.cfg.ping_interval, t);
             }
@@ -788,5 +951,41 @@ mod tests {
         // successor is skipped like a suspected one: `successor2` owns k.
         assert_eq!(n.next_hop(15, None), NodeId(1));
         assert_eq!(n.next_hop(15, Some(NodeId(1))), NodeId(2));
+    }
+
+    /// `node()` under replication, suspecting `suspects`.
+    fn suspecting(suspects: &[u32]) -> ChordNode<RawItem> {
+        let mut n = node();
+        n.cfg.replicate = true;
+        n.liveness.start_round();
+        for &i in suspects {
+            n.liveness.probe(NodeId(i));
+        }
+        n.liveness.expire();
+        n
+    }
+
+    #[test]
+    fn the_owner_side_takes_a_retransmission_or_a_suspected_owner_s_op() {
+        // k = 5: the successor (node 1) owns it, node 2 replicates it.
+        let n = suspecting(&[]);
+        assert_eq!(n.route_op(5, 0), Some(NodeId(1)), "a first attempt goes to the owner");
+        assert_eq!(n.route_op(5, 1), Some(NodeId(2)), "a retransmission to its successor");
+        assert_eq!(suspecting(&[1]).route_op(5, 0), Some(NodeId(2)));
+        assert_eq!(suspecting(&[2]).route_op(5, 1), Some(NodeId(1)));
+        assert_eq!(suspecting(&[1, 2]).route_op(5, 0), None, "nobody trusted: hold");
+        // Past the successor: `next_hop`'s finger, and for a
+        // retransmission the one around it.
+        assert_eq!(n.route_op(15, 0), Some(NodeId(1)));
+        assert_eq!(n.route_op(15, 1), Some(NodeId(2)));
+        assert_eq!(suspecting(&[1, 2]).route_op(15, 1), None, "no trusted hop: hold");
+        assert_eq!(n.route_op(100, 0), Some(NodeId(8)));
+        assert_eq!(n.route_op(100, 1), Some(NodeId(4)));
+        assert_eq!(n.route_op(100, 2), Some(NodeId(4)));
+        assert_eq!(suspecting(&[8]).route_op(100, 0), Some(NodeId(4)));
+        // Without replication there is neither handoff nor hold.
+        let mut plain = suspecting(&[1, 2]);
+        plain.cfg.replicate = false;
+        assert_eq!(plain.route_op(5, 1), Some(NodeId(1)));
     }
 }

@@ -171,7 +171,8 @@ impl<I: Item + Send + 'static> Overlay for ChordNode<I> {
             .map(|(idx, (bucket, op))| ChordBatchOp { bucket, idx: idx as u32, op })
             .collect();
         let qid = next_qid();
-        vec![(qid, ChordMsg::OpBatch { qid, origin, hops: 0, items: batch.items.clone(), ops })]
+        let items = batch.items.clone();
+        vec![(qid, ChordMsg::OpBatch { qid, origin, hops: 0, attempt: 0, items, ops })]
     }
 }
 

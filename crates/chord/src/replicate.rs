@@ -13,7 +13,9 @@
 //! everything would never match.
 
 use unistore_overlay::repair::{RepairMsg, Span};
+use unistore_overlay::{Record, RecordList};
 use unistore_simnet::NodeId;
+use unistore_util::wire::{BatchOp, BatchVerb};
 use unistore_util::Key;
 
 use crate::msg::ChordMsg;
@@ -37,15 +39,16 @@ fn ring_spans(after: u64, upto: u64) -> impl Iterator<Item = Span<RecordKey>> {
 
 impl<I: Item> ChordNode<I> {
     /// Applies a routed insert this node is responsible for; under
-    /// replication, a newly applied write is pushed to the successor
-    /// (one level deep — replicas only apply, never re-push).
+    /// replication, a newly applied write joins `pushes`, which the
+    /// sub-batch sends to the successor in one message (one level
+    /// deep — replicas only apply, never re-push).
     pub(crate) fn apply_insert(
         &mut self,
         ring_key: u64,
         key: Key,
         item: I,
         version: u64,
-        fx: &mut Fx<I>,
+        pushes: &mut Vec<Record<RecordKey, I>>,
     ) {
         if !self.cfg.replicate {
             self.store.insert(ring_key, key, item, version);
@@ -53,37 +56,67 @@ impl<I: Item> ChordNode<I> {
         }
         let ident = item.ident();
         if self.store.insert(ring_key, key, item.clone(), version) {
-            self.push_record((ring_key, key, ident), version, Some(item), fx);
+            pushes.push(((ring_key, key, ident), version, Some(item)));
         }
     }
 
-    /// Applies a routed delete; under replication the tombstone is
-    /// pushed too, so deletes propagate to the replica.
+    /// Applies a routed delete; under replication a tombstone that
+    /// changed the store joins `pushes`, so deletes propagate to the
+    /// replica and a stale or repeated one costs nothing.
     pub(crate) fn apply_delete(
         &mut self,
         ring_key: u64,
         key: Key,
         ident: u64,
         version: u64,
-        fx: &mut Fx<I>,
+        pushes: &mut Vec<Record<RecordKey, I>>,
     ) {
-        self.store.remove((ring_key, key, ident), version);
-        if self.cfg.replicate {
-            self.push_record((ring_key, key, ident), version, None, fx);
+        let record = (ring_key, key, ident);
+        if self.store.apply(record, version, None) && self.cfg.replicate {
+            pushes.push((record, version, None));
         }
     }
 
-    fn push_record(&mut self, record: RecordKey, version: u64, item: Option<I>, fx: &mut Fx<I>) {
-        let (succ, _) = self.successor;
-        if succ == self.id() {
-            return; // singleton ring: nowhere to replicate
+    /// Applies a handed-off op of the predecessor's range as a replica
+    /// copy, as a push would have, without pushing it on; a copy that
+    /// changed the store joins `handbacks`, which the sub-batch hands
+    /// to the owner in one message when the owner is trusted.
+    pub(crate) fn apply_copy(
+        &mut self,
+        ring_key: u64,
+        op: BatchOp,
+        item: Option<I>,
+        handbacks: &mut Vec<Record<RecordKey, I>>,
+    ) {
+        let ident = match (op.verb, &item) {
+            (BatchVerb::Delete { ident }, _) => ident,
+            (BatchVerb::Insert { .. }, Some(item)) => item.ident(),
+            (BatchVerb::Insert { .. }, None) => return,
+        };
+        let record = (ring_key, op.key, ident);
+        if self.store.apply(record, op.version, item.clone()) {
+            handbacks.push((record, op.version, item));
         }
-        fx.send(succ, ChordMsg::Replicate { entries: vec![(record, version, item)] });
+    }
+
+    /// Sends the records a sub-batch applied to `to` in one message:
+    /// pushes to the successor, handed-off copies back to the
+    /// predecessor that owns them.
+    pub(crate) fn push_records(
+        &mut self,
+        to: NodeId,
+        records: Vec<Record<RecordKey, I>>,
+        fx: &mut Fx<I>,
+    ) {
+        if records.is_empty() || to == self.id() {
+            return; // nothing applied, or a singleton ring: nowhere to send
+        }
+        fx.send(to, ChordMsg::Replicate { entries: RecordList::from_records(records) });
     }
 
     /// Applies pushed or pulled records — live entries and tombstones
     /// alike — under the shared strictly-newer rule.
-    pub(crate) fn handle_replicate(&mut self, entries: Vec<(RecordKey, u64, Option<I>)>) {
+    pub(crate) fn handle_replicate(&mut self, entries: RecordList<RecordKey, I>) {
         for (record, version, item) in entries {
             self.store.apply(record, version, item);
         }
@@ -130,7 +163,7 @@ impl<I: Item> ChordNode<I> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::ChordConfig;
+    use crate::node::{ChordConfig, Fx};
     use crate::topology::RingWiring;
     use unistore_overlay::repair::Part;
     use unistore_simnet::Effects;
@@ -161,46 +194,74 @@ mod tests {
         member(0, cfg)
     }
 
+    /// The sends of `n` after `apply` fills a sub-batch's pushes.
+    fn pushed(
+        n: &mut ChordNode<RawItem>,
+        apply: impl FnOnce(&mut ChordNode<RawItem>, &mut Vec<Record<RecordKey, RawItem>>),
+    ) -> Fx<RawItem> {
+        let mut pushes = Vec::new();
+        apply(n, &mut pushes);
+        let mut fx = Effects::new();
+        n.push_records(n.successor.0, pushes, &mut fx);
+        fx
+    }
+
+    /// The records of the one `Replicate` in `fx`, sent to node 2.
+    fn replicated(fx: &Fx<RawItem>) -> Vec<Record<RecordKey, RawItem>> {
+        match fx.sends() {
+            [(NodeId(2), ChordMsg::Replicate { entries })] => entries.clone().into_iter().collect(),
+            other => panic!("unexpected sends {other:?}"),
+        }
+    }
+
     #[test]
     fn applied_write_is_pushed_to_successor() {
         let mut n = node(replicating());
-        let mut fx = Effects::new();
-        n.apply_insert(80, 5, RawItem(5), 1, &mut fx);
-        assert_eq!(fx.sends().len(), 1);
-        let (to, msg) = &fx.sends()[0];
-        assert_eq!(*to, NodeId(2));
-        match msg {
-            ChordMsg::Replicate { entries } => {
-                assert_eq!(entries.len(), 1);
-                assert_eq!(entries[0].0, (80, 5, RawItem(5).ident()));
-                assert_eq!(entries[0].1, 1);
-            }
-            other => panic!("unexpected message {other:?}"),
-        }
+        let fx = pushed(&mut n, |n, pushes| {
+            n.apply_insert(80, 5, RawItem(5), 1, pushes);
+            n.apply_insert(70, 6, RawItem(6), 1, pushes);
+        });
+        let records = replicated(&fx);
+        assert_eq!(
+            records,
+            vec![((70, 6, 6), 1, Some(RawItem(6))), ((80, 5, 5), 1, Some(RawItem(5)))],
+            "one message, in record-key order"
+        );
         // A rejected (stale) write is not pushed.
-        let mut fx = Effects::new();
-        n.apply_insert(80, 5, RawItem(5), 1, &mut fx);
+        let fx = pushed(&mut n, |n, pushes| n.apply_insert(80, 5, RawItem(5), 1, pushes));
         assert!(fx.is_empty(), "stale write must not replicate");
     }
 
     #[test]
     fn delete_pushes_tombstone() {
         let mut n = node(replicating());
-        let mut fx = Effects::new();
-        n.apply_delete(80, 5, RawItem(5).ident(), 2, &mut fx);
-        assert_eq!(fx.sends().len(), 1);
-        match &fx.sends()[0].1 {
-            ChordMsg::Replicate { entries } => assert!(entries[0].2.is_none()),
-            other => panic!("unexpected message {other:?}"),
-        }
+        let fx = pushed(&mut n, |n, pushes| n.apply_delete(80, 5, RawItem(5).ident(), 2, pushes));
+        assert_eq!(replicated(&fx), vec![((80, 5, 5), 2, None)]);
+    }
+
+    #[test]
+    fn stale_or_repeated_tombstone_is_not_pushed() {
+        let mut n = node(replicating());
+        let ident = RawItem(5).ident();
+        let fx = pushed(&mut n, |n, pushes| n.apply_insert(80, 5, RawItem(5), 3, pushes));
+        assert_eq!(replicated(&fx).len(), 1);
+        // Older than the live record: refused, and not pushed.
+        let fx = pushed(&mut n, |n, pushes| n.apply_delete(80, 5, ident, 2, pushes));
+        assert!(fx.is_empty(), "a stale tombstone must not replicate");
+        let fx = pushed(&mut n, |n, pushes| n.apply_delete(80, 5, ident, 4, pushes));
+        assert_eq!(replicated(&fx), vec![((80, 5, 5), 4, None)]);
+        // The same delete retransmitted changes nothing and costs nothing.
+        let fx = pushed(&mut n, |n, pushes| n.apply_delete(80, 5, ident, 4, pushes));
+        assert!(fx.is_empty(), "a repeated tombstone must not replicate");
     }
 
     #[test]
     fn replication_off_pushes_nothing() {
         let mut n = node(ChordConfig::default());
-        let mut fx = Effects::new();
-        n.apply_insert(80, 5, RawItem(5), 1, &mut fx);
-        n.apply_delete(80, 5, RawItem(5).ident(), 2, &mut fx);
+        let fx = pushed(&mut n, |n, pushes| {
+            n.apply_insert(80, 5, RawItem(5), 1, pushes);
+            n.apply_delete(80, 5, RawItem(5).ident(), 2, pushes);
+        });
         assert!(fx.is_empty());
     }
 
@@ -307,12 +368,13 @@ mod tests {
     fn replicate_applies_under_version_rules() {
         let mut n = node(replicating());
         let ident = RawItem(5).ident();
-        n.handle_replicate(vec![((80, 5, ident), 3, Some(RawItem(5)))]);
+        let list = |version, item| RecordList::from_records([((80, 5, ident), version, item)]);
+        n.handle_replicate(list(3, Some(RawItem(5))));
         assert_eq!(n.store().len(), 1);
         // A stale tombstone loses; a newer one shadows.
-        n.handle_replicate(vec![((80, 5, ident), 2, None)]);
+        n.handle_replicate(list(2, None));
         assert_eq!(n.store().len(), 1, "stale tombstone must not kill the entry");
-        n.handle_replicate(vec![((80, 5, ident), 4, None)]);
+        n.handle_replicate(list(4, None));
         assert!(n.store().is_empty());
     }
 }

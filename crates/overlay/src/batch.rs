@@ -58,8 +58,13 @@ impl BatchTracker {
         self.hops
     }
 
+    /// Retransmissions spent so far.
+    pub fn attempts(&self) -> u32 {
+        self.attempts
+    }
+
     /// Positions of the ops not yet acked, ascending.
-    fn remainder(&self) -> Vec<usize> {
+    pub fn remainder(&self) -> Vec<usize> {
         (0..self.acked.len()).filter(|&i| !self.acked[i]).collect()
     }
 

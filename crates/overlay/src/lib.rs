@@ -27,6 +27,7 @@
 
 pub mod batch;
 pub mod liveness;
+pub mod records;
 pub mod repair;
 pub mod store;
 
@@ -36,6 +37,7 @@ use unistore_util::item::Item;
 use unistore_util::Key;
 
 pub use batch::{push_hop, BatchTracker, HopGroups};
+pub use records::{Record, RecordList};
 pub use repair::RepairStats;
 pub use store::VersionedStore;
 pub use unistore_util::bloom::ItemFilter;

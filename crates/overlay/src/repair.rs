@@ -48,6 +48,7 @@ use unistore_util::item::Item;
 use unistore_util::wire::Wire;
 use unistore_util::FxHashMap;
 
+use crate::records::RecordList;
 use crate::store::VersionedStore;
 
 pub use msg::{Child, Part, RepairMsg};
@@ -69,8 +70,25 @@ pub(crate) const MEMO_SPANS: usize = 4;
 /// An inclusive range of record keys, `lo <= hi`.
 pub type Span<K> = (K, K);
 
-/// The ordered record key of a versioned store.
+/// The ordered record key of a versioned store: a tuple of `u64`
+/// components, most significant first, whose last component is the
+/// identity ([`Item::ident`]) of the record's item. The record-list
+/// codec ([`crate::records`]) front-codes keys component by component
+/// and takes a live record's identity from its item.
 pub trait RecordKey: Copy + Ord + Hash + Debug + Wire {
+    /// Number of components.
+    const ARITY: usize;
+
+    /// The smallest key: every component zero.
+    const MIN: Self;
+
+    /// Component `i`; zero past the arity.
+    fn part(&self, i: usize) -> u64;
+
+    /// This key with component `i` replaced by `v`; unchanged past the
+    /// arity.
+    fn with_part(self, i: usize, v: u64) -> Self;
+
     /// This record's term in a range hash: a mix of every key component
     /// and the version.
     fn mix(&self, version: u64) -> u64;
@@ -80,6 +98,25 @@ pub trait RecordKey: Copy + Ord + Hash + Debug + Wire {
 }
 
 impl RecordKey for (u64, u64) {
+    const ARITY: usize = 2;
+    const MIN: Self = (0, 0);
+
+    fn part(&self, i: usize) -> u64 {
+        match i {
+            0 => self.0,
+            1 => self.1,
+            _ => 0,
+        }
+    }
+
+    fn with_part(self, i: usize, v: u64) -> Self {
+        match i {
+            0 => (v, self.1),
+            1 => (self.0, v),
+            _ => self,
+        }
+    }
+
     fn mix(&self, version: u64) -> u64 {
         mix64(self.0 ^ mix64(self.1 ^ mix64(version)))
     }
@@ -93,6 +130,27 @@ impl RecordKey for (u64, u64) {
 }
 
 impl RecordKey for (u64, u64, u64) {
+    const ARITY: usize = 3;
+    const MIN: Self = (0, 0, 0);
+
+    fn part(&self, i: usize) -> u64 {
+        match i {
+            0 => self.0,
+            1 => self.1,
+            2 => self.2,
+            _ => 0,
+        }
+    }
+
+    fn with_part(self, i: usize, v: u64) -> Self {
+        match i {
+            0 => (v, self.1, self.2),
+            1 => (self.0, v, self.2),
+            2 => (self.0, self.1, v),
+            _ => self,
+        }
+    }
+
     fn mix(&self, version: u64) -> u64 {
         mix64(self.0 ^ (self.1, self.2).mix(version))
     }
@@ -331,6 +389,11 @@ impl ReplicaRepair {
                     replies.push(RepairMsg::Descend { parts: differing });
                 }
                 if !entries.is_empty() || !want.is_empty() {
+                    // Parts may arrive in any order: the lists travel
+                    // sorted, each key once.
+                    want.sort_unstable();
+                    want.dedup();
+                    let entries = RecordList::from_records(entries);
                     replies.push(RepairMsg::Records { entries, want });
                 }
             }
@@ -340,7 +403,7 @@ impl ReplicaRepair {
                         store.apply(key, version, item);
                     }
                 }
-                let entries: Vec<_> = want
+                let entries: RecordList<K, I> = want
                     .into_iter()
                     .filter(|k| admits(&(*k, *k)))
                     .filter_map(|k| store.record(k).map(|(v, item)| (k, v, item.cloned())))
@@ -356,7 +419,7 @@ impl ReplicaRepair {
         replies
     }
 
-    fn count<K: RecordKey, I: Wire>(&mut self, msg: &RepairMsg<K, I>) {
+    fn count<K: RecordKey, I: Item>(&mut self, msg: &RepairMsg<K, I>) {
         let bytes = msg.wire_size() as u64;
         match msg {
             RepairMsg::Probe { .. } => self.stats.probe_bytes += bytes,
@@ -545,7 +608,7 @@ mod tests {
             match ev {
                 Ev::Write(side, key) => {
                     let v = next(&pair.stores[side], key);
-                    assert!(pair.stores[side].apply((key, 0), v, Some(Tagged { id: key, tag: v })));
+                    assert!(pair.stores[side].apply((key, 0), v, Some(Tagged { id: 0, tag: v })));
                     false
                 }
                 Ev::Delete(side, key) => {

@@ -6,12 +6,20 @@
 //! otherwise have to trust: inverted spans, a split whose fan-out is
 //! not [`FANOUT`] or whose sub-ranges do not tile its span in ascending
 //! order, a run longer than [`LEAF_MAX`] or with keys outside its span.
+//!
+//! Record keys travel front-coded ([`crate::records`]): a run's keys
+//! and a split's bounds against the span's lower bound, a want-list
+//! from the zero key, and the shipped records as one [`RecordList`].
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use unistore_util::wire::{get_len, put_list, put_varint, varint_size, Wire, WireError};
+use unistore_util::item::Item;
+use unistore_util::wire::{
+    get_len, get_varint, put_list, put_varint, varint_size, Wire, WireError,
+};
 
 use super::{RecordKey, Span, Summary, FANOUT, LEAF_MAX};
+use crate::records::{get_key, get_keys, key_size, keys_size, put_key, put_keys, RecordList};
 
 /// One sub-range of a [`Part::Split`]: it ends at `hi` (inclusive) and
 /// starts right after the previous child's `hi` (the first one at the
@@ -68,8 +76,9 @@ pub enum RepairMsg<K, I> {
     /// back because the receiver's run showed them newer.
     Records {
         /// `(record key, version, item-or-tombstone)` to apply.
-        entries: Vec<(K, u64, Option<I>)>,
-        /// Record keys to answer with a `Records` of their own.
+        entries: RecordList<K, I>,
+        /// Record keys to answer with a `Records` of their own,
+        /// ascending.
         want: Vec<K>,
     },
 }
@@ -99,21 +108,6 @@ impl Wire for Summary {
 
     fn wire_size(&self) -> usize {
         varint_size(self.count) + 8
-    }
-}
-
-impl<K: Wire> Wire for Child<K> {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.hi.encode(buf);
-        self.summary.encode(buf);
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(Child { hi: K::decode(buf)?, summary: Summary::decode(buf)? })
-    }
-
-    fn wire_size(&self) -> usize {
-        self.hi.wire_size() + self.summary.wire_size()
     }
 }
 
@@ -164,12 +158,24 @@ impl<K: RecordKey> Wire for Part<K> {
             Part::Split { span, children } => {
                 tag::SPLIT.encode(buf);
                 span.encode(buf);
-                put_list(buf, children);
+                put_varint(buf, children.len() as u64);
+                let mut prev = span.0;
+                for child in children {
+                    put_key(buf, &prev, &child.hi, false);
+                    child.summary.encode(buf);
+                    prev = child.hi;
+                }
             }
             Part::Run { span, entries } => {
                 tag::RUN.encode(buf);
                 span.encode(buf);
-                put_list(buf, entries);
+                put_varint(buf, entries.len() as u64);
+                let mut prev = span.0;
+                for (key, version) in entries {
+                    put_key(buf, &prev, key, false);
+                    put_varint(buf, *version);
+                    prev = *key;
+                }
             }
         }
     }
@@ -180,18 +186,21 @@ impl<K: RecordKey> Wire for Part<K> {
         // The only legal lengths are known up front: refuse a hostile
         // prefix before decoding (or reserving for) a single element.
         let len = get_len(buf)?;
+        let mut prev = span.0;
         let part = match t {
             tag::SPLIT if len == FANOUT => {
                 let mut children = Vec::with_capacity(FANOUT);
-                for _ in 0..len {
-                    children.push(Child::decode(buf)?);
+                for i in 0..len {
+                    prev = get_key(buf, &prev, None, i == 0)?;
+                    children.push(Child { hi: prev, summary: Summary::decode(buf)? });
                 }
                 Part::Split { span, children }
             }
             tag::RUN if len <= LEAF_MAX => {
                 let mut entries = Vec::with_capacity(len.min(LEAF_MAX));
-                for _ in 0..len {
-                    entries.push(<(K, u64)>::decode(buf)?);
+                for i in 0..len {
+                    prev = get_key(buf, &prev, None, i == 0)?;
+                    entries.push((prev, get_varint(buf)?));
                 }
                 Part::Run { span, entries }
             }
@@ -203,10 +212,27 @@ impl<K: RecordKey> Wire for Part<K> {
     }
 
     fn wire_size(&self) -> usize {
+        let (span, len) = match self {
+            Part::Split { span, children } => (span, children.len()),
+            Part::Run { span, entries } => (span, entries.len()),
+        };
+        let mut prev = span.0;
+        let mut size = 1 + span.wire_size() + varint_size(len as u64);
         match self {
-            Part::Split { span, children } => 1 + span.wire_size() + children.wire_size(),
-            Part::Run { span, entries } => 1 + span.wire_size() + entries.wire_size(),
+            Part::Split { children, .. } => {
+                for child in children {
+                    size += key_size(&prev, &child.hi, false) + child.summary.wire_size();
+                    prev = child.hi;
+                }
+            }
+            Part::Run { entries, .. } => {
+                for (key, version) in entries {
+                    size += key_size(&prev, key, false) + varint_size(*version);
+                    prev = *key;
+                }
+            }
         }
+        size
     }
 }
 
@@ -218,12 +244,12 @@ impl<K: RecordKey, I> RepairMsg<K, I> {
         match self {
             RepairMsg::Probe { span, .. } => span.0 <= span.1,
             RepairMsg::Descend { parts } => parts.iter().all(|p| p.validate().is_ok()),
-            RepairMsg::Records { .. } => true,
+            RepairMsg::Records { want, .. } => want.windows(2).all(|w| w[0] < w[1]),
         }
     }
 }
 
-impl<K: RecordKey, I: Wire> Wire for RepairMsg<K, I> {
+impl<K: RecordKey, I: Item> Wire for RepairMsg<K, I> {
     fn encode(&self, buf: &mut BytesMut) {
         match self {
             RepairMsg::Probe { span, summary } => {
@@ -237,8 +263,8 @@ impl<K: RecordKey, I: Wire> Wire for RepairMsg<K, I> {
             }
             RepairMsg::Records { entries, want } => {
                 tag::RECORDS.encode(buf);
-                put_list(buf, entries);
-                put_list(buf, want);
+                entries.encode(buf);
+                put_keys(buf, K::MIN, want);
             }
         }
     }
@@ -254,9 +280,10 @@ impl<K: RecordKey, I: Wire> Wire for RepairMsg<K, I> {
             }
             // Each part validates itself as it decodes.
             tag::DESCEND => RepairMsg::Descend { parts: Wire::decode(buf)? },
-            tag::RECORDS => {
-                RepairMsg::Records { entries: Wire::decode(buf)?, want: Wire::decode(buf)? }
-            }
+            tag::RECORDS => RepairMsg::Records {
+                entries: Wire::decode(buf)?,
+                want: get_keys(buf, K::MIN, usize::MAX)?,
+            },
             other => return Err(WireError::BadTag(other)),
         })
     }
@@ -265,7 +292,7 @@ impl<K: RecordKey, I: Wire> Wire for RepairMsg<K, I> {
         1 + match self {
             RepairMsg::Probe { span, summary } => span.wire_size() + summary.wire_size(),
             RepairMsg::Descend { parts } => parts.wire_size(),
-            RepairMsg::Records { entries, want } => entries.wire_size() + want.wire_size(),
+            RepairMsg::Records { entries, want } => entries.wire_size() + keys_size(K::MIN, want),
         }
     }
 }
@@ -309,10 +336,13 @@ mod tests {
                 Part::Run { span: ((5, 5), (5, 5)), entries: Vec::new() },
             ],
         });
-        roundtrip(&Msg::Records { entries: Vec::new(), want: Vec::new() });
+        roundtrip(&Msg::Records { entries: RecordList::new(), want: Vec::new() });
         roundtrip(&Msg::Records {
-            entries: vec![((3, 1), 4, Some(Tagged { id: 1, tag: 9 })), ((3, 2), 5, None)],
-            want: vec![(9, 0), (3, 7)],
+            entries: RecordList::from_records([
+                ((3, 1), 4, Some(Tagged { id: 1, tag: 9 })),
+                ((3, 2), 5, None),
+            ]),
+            want: vec![(3, 7), (9, 0)],
         });
     }
 

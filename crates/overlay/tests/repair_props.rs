@@ -8,7 +8,7 @@ use std::collections::VecDeque;
 
 use proptest::prelude::*;
 use unistore_overlay::repair::{diff_newer, RepairMsg, RepairStats, ReplicaRepair, Span, LEAF_MAX};
-use unistore_overlay::VersionedStore;
+use unistore_overlay::{RecordList, VersionedStore};
 use unistore_util::item::testing::Tagged;
 use unistore_util::wire::Wire;
 
@@ -239,7 +239,10 @@ fn records_outside_the_shared_span_are_neither_read_nor_written() {
     assert_eq!(run(&b.store, ALL), vec![((15, 1), 1), ((25, 2), 1)]);
     assert_eq!(run(&a.store, ALL), vec![((5, 1), 1), ((15, 1), 1)]);
     // A partner that pushes or asks outside the span is ignored.
-    let push = RepairMsg::Records { entries: vec![((30, 3), 9, item(3))], want: vec![(25, 2)] };
+    let push = RepairMsg::Records {
+        entries: RecordList::from_records([((30, 3), 9, item(3))]),
+        want: vec![(25, 2)],
+    };
     assert!(b.repair.handle(&mut b.store, &[span], push).is_empty());
     assert_eq!(b.store.record((30, 3)), None);
     let probe = a.repair.probe(&mut a.store, ALL);

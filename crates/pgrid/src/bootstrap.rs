@@ -29,7 +29,7 @@ use unistore_simnet::NodeId;
 use unistore_util::wire::OpBatch;
 use unistore_util::{BitPath, Key};
 
-use crate::item::{key_span, Item, Version};
+use crate::item::{key_span, Entries, Item};
 use crate::msg::{PGridMsg, PeerRef};
 use crate::peer::{Fx, PGridPeer};
 use crate::routing::RouteDecision;
@@ -46,7 +46,7 @@ impl<I: Item> PGridPeer<I> {
         // table was still sparse.
         if !self.reroute_stash.is_empty() {
             let stashed = std::mem::take(&mut self.reroute_stash);
-            self.handle_exchange_data(stashed, fx);
+            self.handle_exchange_data(Entries::from_records(stashed), fx);
         }
         if self.universe.len() < 2 {
             return;
@@ -96,7 +96,8 @@ impl<I: Item> PGridPeer<I> {
                         entries: self
                             .store
                             .records(key_span(0, Key::MAX))
-                            .filter_map(|((k, _), v, item)| item.map(|i| (k, v, i.clone())))
+                            .filter(|(_, _, item)| item.is_some())
+                            .map(|(k, v, item)| (k, v, item.cloned()))
                             .collect(),
                     },
                 );
@@ -136,7 +137,7 @@ impl<I: Item> PGridPeer<I> {
         &mut self,
         from: NodeId,
         new_sender_path: BitPath,
-        entries: Vec<(Key, Version, I)>,
+        entries: Entries<I>,
         fx: &mut Fx<I>,
     ) {
         let Some(sibling) = new_sender_path.sibling() else {
@@ -159,18 +160,22 @@ impl<I: Item> PGridPeer<I> {
     /// responsible for, re-route the rest as one write batch per next
     /// hop; what cannot be routed yet is stashed and retried every
     /// exchange round.
-    pub(crate) fn handle_exchange_data(&mut self, entries: Vec<(Key, Version, I)>, fx: &mut Fx<I>) {
+    pub(crate) fn handle_exchange_data(&mut self, entries: Entries<I>, fx: &mut Fx<I>) {
         let mut foreign = OpBatch::new();
         let mut groups = HopGroups::new();
-        for (key, version, item) in entries {
+        for (record, version, item) in entries {
+            let key = record.0;
             if self.routing.responsible(key) {
-                self.store.insert(key, item, version);
-            } else if let RouteDecision::Forward(next, _) = self.routing.route(key, &mut self.rng) {
-                push_hop(&mut groups, next, foreign.len());
-                let item = foreign.add_item(item);
-                foreign.push_insert(key, item, version);
-            } else {
-                self.reroute_stash.push((key, version, item));
+                self.store.apply(record, version, item);
+            } else if let Some(item) = item {
+                match self.routing.route(key, &mut self.rng) {
+                    RouteDecision::Forward(next, _) => {
+                        push_hop(&mut groups, next, foreign.len());
+                        let item = foreign.add_item(item);
+                        foreign.push_insert(key, item, version);
+                    }
+                    _ => self.reroute_stash.push((record, version, Some(item))),
+                }
             }
         }
         for (next, group) in groups {
@@ -188,14 +193,10 @@ impl<I: Item> PGridPeer<I> {
     }
 
     /// Both peers hold the same path with little data: converge stores.
-    pub(crate) fn handle_exchange_replica(
-        &mut self,
-        from: NodeId,
-        entries: Vec<(Key, Version, I)>,
-    ) {
+    pub(crate) fn handle_exchange_replica(&mut self, from: NodeId, entries: Entries<I>) {
         self.routing.add_replica(from);
-        for (key, version, item) in entries {
-            self.store.insert(key, item, version);
+        for (record, version, item) in entries {
+            self.store.apply(record, version, item);
         }
     }
 
@@ -276,7 +277,7 @@ mod tests {
         u.handle_exchange_split(
             NodeId(1),
             BitPath::parse("1").unwrap(),
-            vec![(3, 0, RawItem(3))],
+            Entries::from_records([((3, 3), 0, Some(RawItem(3)))]),
             &mut fx,
         );
         assert_eq!(u.path(), BitPath::parse("0").unwrap());
@@ -287,7 +288,7 @@ mod tests {
         match &fx.sends()[0] {
             (to, PGridMsg::ExchangeData { entries }) => {
                 assert_eq!(*to, NodeId(1));
-                assert_eq!(entries[0].0, (1 << 63) + 9);
+                assert_eq!(entries.iter().next().map(|(k, _, _)| k.0), Some((1 << 63) + 9));
             }
             other => panic!("unexpected send {other:?}"),
         }
@@ -361,19 +362,13 @@ mod tests {
         v.routing_mut().add_ref(PeerRef { id: NodeId(2), path: BitPath::parse("01").unwrap() });
         let (hi, mid) = (1u64 << 63, 1u64 << 62);
         let mut fx = Effects::new();
-        v.handle_exchange_data(
-            vec![
-                (5, 0, RawItem(5)),
-                (hi + 1, 0, RawItem(1)),
-                (mid + 2, 3, RawItem(2)),
-                (hi + 3, 0, RawItem(3)),
-            ],
-            &mut fx,
-        );
+        let entries = [(5, 0, 5), (hi + 1, 0, 1), (mid + 2, 3, 2), (hi + 3, 0, 3)]
+            .map(|(key, version, id)| ((key, id), version, Some(RawItem(id))));
+        v.handle_exchange_data(Entries::from_records(entries), &mut fx);
         // Own-side entry applied; the foreign ones leave as one write
         // batch per next hop, nothing dropped and nothing else sent.
         assert_eq!(v.store().get(5), vec![RawItem(5)]);
-        type Entry = (Key, Version, RawItem);
+        type Entry = (Key, u64, RawItem);
         let mut rerouted: Vec<(NodeId, Vec<Entry>)> = Vec::new();
         for (to, msg) in fx.sends() {
             match msg {
@@ -393,8 +388,8 @@ mod tests {
         assert_eq!(
             rerouted,
             vec![
-                (NodeId(0), vec![(hi + 1, 0, RawItem(1)), (hi + 3, 0, RawItem(3))]),
                 (NodeId(2), vec![(mid + 2, 3, RawItem(2))]),
+                (NodeId(0), vec![(hi + 1, 0, RawItem(1)), (hi + 3, 0, RawItem(3))]),
             ]
         );
     }

@@ -9,13 +9,18 @@
 use std::ops::{Deref, DerefMut};
 
 use unistore_overlay::repair::Span;
-use unistore_overlay::VersionedStore;
+use unistore_overlay::{RecordList, VersionedStore};
 use unistore_util::{ItemFilter, Key};
 
 pub use unistore_util::item::{Item, RawItem};
 
 /// Version counter for loosely consistent updates.
 pub type Version = u64;
+
+/// Records handed between peers — pushes to replicas and the bootstrap
+/// exchanges — on the replica plane's record-list codec, keyed by
+/// `(routing key, item identity)`.
+pub type Entries<I> = RecordList<(Key, u64), I>;
 
 /// The record keys of the routing keys `[lo, hi]`: every identity
 /// under each.
@@ -85,9 +90,9 @@ impl<I: Item> LocalStore<I> {
     /// Moves the live entries outside `[lo, hi]` out of the store (path
     /// split hand-off) and returns them; tombstones outside the range
     /// are dropped.
-    pub fn split_off_outside(&mut self, lo: Key, hi: Key) -> Vec<(Key, Version, I)> {
+    pub fn split_off_outside(&mut self, lo: Key, hi: Key) -> Entries<I> {
         let moved = self.0.split_off_outside(key_span(lo, hi));
-        moved.into_iter().map(|((key, _), version, item)| (key, version, item)).collect()
+        moved.into_iter().map(|(key, version, item)| (key, version, Some(item))).collect()
     }
 }
 
@@ -344,7 +349,7 @@ mod tests {
             s.insert(k, RawItem(k), 0);
         }
         let moved = s.split_off_outside(3, 6);
-        let keys: Vec<Key> = moved.iter().map(|&(k, _, _)| k).collect();
+        let keys: Vec<Key> = moved.iter().map(|((k, _), _, _)| k).collect();
         assert_eq!(keys, vec![0, 1, 2, 7, 8, 9], "in key order, with their routing keys");
         assert_eq!(s.len(), 4);
         assert!(s.scan_range(0, 10, &None).iter().all(|r| (3..=6).contains(&r.0)));

@@ -40,7 +40,7 @@ pub mod routing;
 
 pub use cluster::PGridCluster;
 pub use config::PGridConfig;
-pub use item::{Item, LocalStore};
+pub use item::{Entries, Item, LocalStore};
 pub use msg::{PGridMsg, QueryId, RangeMode};
 pub use overlay::PGridTopology;
 pub use peer::PGridPeer;

@@ -143,9 +143,13 @@ impl<I: Item> PGridPeer<I> {
     /// Applies an insert at the responsible leaf and pushes the change
     /// to the replica group when it was new.
     pub(crate) fn insert_at_leaf(&mut self, key: Key, item: I, version: Version, fx: &mut Fx<I>) {
-        let changed = self.store.insert(key, item.clone(), version);
-        if changed {
-            self.push_to_replicas(key, version, item, fx);
+        if self.routing.replicas().is_empty() {
+            self.store.insert(key, item, version);
+            return;
+        }
+        let ident = item.ident();
+        if self.store.insert(key, item.clone(), version) {
+            self.push_to_replicas(((key, ident), version, Some(item)), fx);
         }
     }
 

@@ -7,7 +7,7 @@ use unistore_simnet::NodeId;
 use unistore_util::wire::{put_list, OpBatch, Wire, WireError};
 use unistore_util::{BitPath, ItemFilter, Key};
 
-use crate::item::{Item, Version};
+use crate::item::{Entries, Item, Version};
 
 /// Correlates requests with replies and driver-visible completions.
 pub type QueryId = u64;
@@ -170,10 +170,11 @@ pub enum PGridMsg<I> {
         /// `true` when a branch had to give up (routing hole).
         aborted: bool,
     },
-    /// Push replication / handoff of entries to a replica.
+    /// Push replication of the entries one sub-batch applied at a leaf,
+    /// one message per replica.
     Replicate {
-        /// `(key, version, item)` entries.
-        entries: Vec<(Key, Version, I)>,
+        /// The applied entries.
+        entries: Entries<I>,
     },
     /// Anti-entropy: one message of the hash-tree replica repair
     /// (`unistore_overlay::repair`) over `(key, ident)` record keys.
@@ -210,18 +211,18 @@ pub enum PGridMsg<I> {
         /// Sender's path after the split.
         new_sender_path: BitPath,
         /// Entries belonging to the receiver's new leaf.
-        entries: Vec<(Key, Version, I)>,
+        entries: Entries<I>,
     },
     /// Bootstrap: entries handed over without a structural change.
     ExchangeData {
         /// Entries for the receiver to apply or re-route.
-        entries: Vec<(Key, Version, I)>,
+        entries: Entries<I>,
     },
     /// Bootstrap: peers with the same path and little data become
     /// replicas of each other; carries the sender's entries.
     ExchangeReplica {
         /// Sender's entries for replica convergence.
-        entries: Vec<(Key, Version, I)>,
+        entries: Entries<I>,
     },
     /// Bootstrap: tells a less-specialized peer to extend its path by
     /// `bit` (the complement of the sender's next bit).
@@ -555,7 +556,8 @@ mod tests {
         let path = BitPath::parse("0110").unwrap();
         let peers =
             vec![PeerRef { id: NodeId(1), path }, PeerRef { id: NodeId(2), path: BitPath::ROOT }];
-        let entries = vec![(42u64, 1u64, RawItem(7)), (43, 0, RawItem(8))];
+        let entries =
+            Entries::from_records([((42, 7), 1, Some(RawItem(7))), ((43, 8), 0, Some(RawItem(8)))]);
         let filter = Some(ItemFilter {
             field: 2,
             bloom: unistore_util::BloomFilter::from_hashes([7u64, 8, 9], 0.01),
@@ -614,7 +616,10 @@ mod tests {
                 parts: vec![Part::Run { span: ((8, 0), (9, 7)), entries: vec![((8, 1), 2)] }],
             }),
             PGridMsg::Repair(RepairMsg::Records {
-                entries: vec![((42, 7), 1, Some(RawItem(7))), ((43, 8), 2, None)],
+                entries: Entries::from_records([
+                    ((42, 7), 1, Some(RawItem(7))),
+                    ((43, 8), 2, None),
+                ]),
                 want: vec![(44, 9)],
             }),
             PGridMsg::TableRequest { path, full: 0b1010, summary: None },

@@ -10,7 +10,7 @@ use rand::Rng;
 
 use unistore_overlay::liveness::Suspicion;
 use unistore_overlay::repair::ReplicaRepair;
-use unistore_overlay::{BatchTracker, OverlayDone};
+use unistore_overlay::{BatchTracker, OverlayDone, Record};
 use unistore_simnet::{Effects, NodeBehavior, NodeId, SimTime, Timer};
 use unistore_util::rng::{derive_rng, stream};
 use unistore_util::wire::OpBatch;
@@ -100,7 +100,7 @@ pub struct PGridPeer<I: Item> {
     pub(crate) bootstrapping: bool,
     /// Entries that could not be re-routed yet (sparse routing during
     /// bootstrap); retried every exchange round.
-    pub(crate) reroute_stash: Vec<(Key, u64, I)>,
+    pub(crate) reroute_stash: Vec<Record<(Key, u64), I>>,
     /// Messages handled (all kinds) — the query/processing load metric
     /// used by the balance experiments.
     pub msg_load: u64,

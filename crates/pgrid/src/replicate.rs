@@ -10,10 +10,11 @@
 //! converges — experiment E10 measures exactly this.
 
 use unistore_overlay::repair::{RepairMsg, Span};
+use unistore_overlay::Record;
 use unistore_simnet::NodeId;
 use unistore_util::{BitPath, Key};
 
-use crate::item::{Item, Version};
+use crate::item::{Entries, Item};
 use crate::msg::PGridMsg;
 use crate::peer::{Fx, PGridPeer};
 
@@ -24,9 +25,9 @@ pub(crate) fn leaf_span(path: BitPath) -> Span<(Key, u64)> {
 }
 
 impl<I: Item> PGridPeer<I> {
-    /// Pushes a freshly applied entry to every known replica.
-    pub(crate) fn push_to_replicas(&mut self, key: Key, version: Version, item: I, fx: &mut Fx<I>) {
-        let entries = vec![(key, version, item)];
+    /// Pushes a freshly applied record to every known replica.
+    pub(crate) fn push_to_replicas(&mut self, record: Record<(Key, u64), I>, fx: &mut Fx<I>) {
+        let entries = Entries::from_records([record]);
         for &r in self.routing.replicas() {
             fx.send(r, PGridMsg::Replicate { entries: entries.clone() });
         }
@@ -35,9 +36,9 @@ impl<I: Item> PGridPeer<I> {
     /// Applies pushed or pulled entries. No re-push: the push fan-out is
     /// one level deep (the leaf that accepted the write pushes; replicas
     /// only apply), loops are impossible.
-    pub(crate) fn handle_replicate(&mut self, entries: Vec<(Key, Version, I)>) {
+    pub(crate) fn handle_replicate(&mut self, entries: Entries<I>) {
         for (key, version, item) in entries {
-            self.store.insert(key, item, version);
+            self.store.apply(key, version, item);
         }
     }
 
@@ -74,7 +75,10 @@ mod tests {
     #[test]
     fn replicate_applies_entries() {
         let mut p = peer(0);
-        p.handle_replicate(vec![(1, 0, RawItem(1)), (2, 5, RawItem(2))]);
+        p.handle_replicate(Entries::from_records([
+            ((1, 1), 0, Some(RawItem(1))),
+            ((2, 2), 5, Some(RawItem(2))),
+        ]));
         assert_eq!(p.store().get(1), vec![RawItem(1)]);
         assert_eq!(p.store().get(2), vec![RawItem(2)]);
     }
@@ -230,13 +234,12 @@ mod tests {
         let mut fx = Effects::new();
         p.handle_repair(
             NodeId(9),
-            RepairMsg::Records { entries: Vec::new(), want: want.clone() },
+            RepairMsg::Records { entries: Entries::new(), want: want.clone() },
             &mut fx,
         );
         match fx.sends() {
             [(_, PGridMsg::Repair(RepairMsg::Records { entries, want }))] => {
-                assert_eq!(entries.len(), 1);
-                assert_eq!(entries[0].0 .0, 2);
+                assert_eq!(entries.iter().map(|(k, _, _)| k.0).collect::<Vec<_>>(), vec![2]);
                 assert!(want.is_empty());
             }
             other => panic!("unexpected sends {other:?}"),
@@ -264,7 +267,10 @@ mod tests {
         p.handle_repair(NodeId(9), probe, &mut fx);
         assert!(fx.is_empty(), "a span wider than the leaf is not shared");
         let push = RepairMsg::Records {
-            entries: vec![((foreign, 7), 1, Some(RawItem(7))), ((2, 2), 1, Some(RawItem(2)))],
+            entries: Entries::from_records([
+                ((foreign, 7), 1, Some(RawItem(7))),
+                ((2, 2), 1, Some(RawItem(2))),
+            ]),
             want: vec![(foreign, 7)],
         };
         p.handle_repair(NodeId(9), push, &mut fx);

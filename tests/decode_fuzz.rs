@@ -24,12 +24,14 @@ use unistore::{QueryMsg, UniMsg};
 use unistore_chord::msg::ChordBatchOp;
 use unistore_chord::ChordMsg;
 use unistore_overlay::repair::{Child, Part, RecordKey, RepairMsg, Span, Summary, FANOUT};
+use unistore_overlay::RecordList;
 use unistore_pgrid::msg::PeerRef;
 use unistore_pgrid::PGridMsg;
 use unistore_query::cost::StatsDelta;
 use unistore_query::{Coverage, Mqp, MqpNode, Relation};
 use unistore_simnet::NodeId;
 use unistore_store::{Triple, Value};
+use unistore_util::item::Item;
 use unistore_util::wire::{BatchOp, BatchVerb, OpBatch, Shared, Wire, WireError};
 use unistore_util::{BloomFilter, ItemFilter};
 
@@ -198,10 +200,24 @@ fn sample_split<K: RecordKey>(span: Span<K>, hi: impl Fn(u64) -> K) -> Part<K> {
     Part::Split { span, children }
 }
 
+/// A record list over [`sample_triples`] (multi-attribute, front-coded
+/// strings) and two tombstones, keyed by `key(i, ident)`: the shape of a
+/// coalesced push or a repair's leaf step.
+fn sample_records<K: RecordKey, F: Fn(u64, u64) -> K>(key: F) -> RecordList<K, Triple> {
+    let live = (0u64..).zip(sample_triples()).map(|(i, t)| (key(i, t.ident()), i, Some(t)));
+    let dead = [(key(2, 0xFEED), 9, None), (key(40, 7), 300, None)];
+    RecordList::from_records(live.chain(dead))
+}
+
 impl FuzzSeeds for PGridMsg<Triple> {
     fn seeds() -> Vec<Self> {
         let t = Triple::new("o1", "name", Value::str("alice"));
-        let entries = vec![(42u64, 1u64, t.clone()), (43, 0, t.clone())];
+        let entries = RecordList::from_records([
+            ((42, t.ident()), 1, Some(t.clone())),
+            ((43, t.ident()), 0, Some(t.clone())),
+        ]);
+        // Consecutive leaf keys: one bootstrap hand-off of a whole leaf.
+        let leaf = sample_records(|i, ident| (1 << 40 | i, ident));
         vec![
             PGridMsg::Lookup {
                 qid: 9,
@@ -276,6 +292,7 @@ impl FuzzSeeds for PGridMsg<Triple> {
                 aborted: true,
             },
             PGridMsg::Replicate { entries: entries.clone() },
+            PGridMsg::Replicate { entries: leaf.clone() },
             PGridMsg::Repair(RepairMsg::Probe {
                 span: ((8, 0), (15, u64::MAX)),
                 summary: Summary { count: 3, hash: 0xDEAD_BEEF_0BAD_F00D },
@@ -287,8 +304,15 @@ impl FuzzSeeds for PGridMsg<Triple> {
                 ],
             }),
             PGridMsg::Repair(RepairMsg::Records {
-                entries: vec![((42, 7), 1, Some(t)), ((43, 8), 2, None)],
+                entries: RecordList::from_records([
+                    ((42, t.ident()), 1, Some(t)),
+                    ((43, 8), 2, None),
+                ]),
                 want: vec![(44, 9)],
+            }),
+            PGridMsg::Repair(RepairMsg::Records {
+                entries: leaf.clone(),
+                want: vec![(44, 9), (44, 10), (45, 0), (u64::MAX, u64::MAX)],
             }),
             PGridMsg::TableRequest { path: sample_peers()[0].path, full: u64::MAX, summary: None },
             PGridMsg::TableRequest {
@@ -302,8 +326,14 @@ impl FuzzSeeds for PGridMsg<Triple> {
                 new_sender_path: sample_peers()[0].path,
                 entries: entries.clone(),
             },
+            PGridMsg::ExchangeSplit {
+                new_sender_path: sample_peers()[1].path,
+                entries: leaf.clone(),
+            },
             PGridMsg::ExchangeData { entries: entries.clone() },
+            PGridMsg::ExchangeData { entries: leaf.clone() },
             PGridMsg::ExchangeReplica { entries },
+            PGridMsg::ExchangeReplica { entries: leaf },
             PGridMsg::ExchangeAdopt { bit: true },
             PGridMsg::ExchangeRefs { peers: sample_peers() },
         ]
@@ -328,6 +358,7 @@ impl FuzzSeeds for ChordMsg<Triple> {
                 qid: 8,
                 origin: NodeId(3),
                 hops: 1,
+                attempt: 0,
                 items: vec![t.clone()],
                 ops: vec![ChordBatchOp {
                     bucket: false,
@@ -339,6 +370,7 @@ impl FuzzSeeds for ChordMsg<Triple> {
                 qid: 9,
                 origin: NodeId(3),
                 hops: 0,
+                attempt: 2,
                 items: batch.items,
                 ops: batch
                     .ops
@@ -362,8 +394,13 @@ impl FuzzSeeds for ChordMsg<Triple> {
             ChordMsg::BcastReply { qid: 4, items: vec![t.clone()], nodes: 17, hops: 6 },
             ChordMsg::BcastReply { qid: 5, items: sample_triples(), nodes: 3, hops: 2 },
             ChordMsg::Replicate {
-                entries: vec![((9, 90, 900), 1, Some(t.clone())), ((8, 80, 800), 2, None)],
+                entries: RecordList::from_records([
+                    ((9, 90, t.ident()), 1, Some(t.clone())),
+                    ((8, 80, 800), 2, None),
+                ]),
             },
+            // A bucket's records share their ring position.
+            ChordMsg::Replicate { entries: sample_records(|i, ident| (77, 1 << 50 | i, ident)) },
             ChordMsg::Repair(RepairMsg::Probe {
                 span: ((8, 0, 0), (9, u64::MAX, u64::MAX)),
                 summary: Summary { count: 2, hash: u64::MAX },
@@ -372,11 +409,28 @@ impl FuzzSeeds for ChordMsg<Triple> {
                 parts: vec![
                     sample_split(((8, 0, 0), (9, u64::MAX, u64::MAX)), |i| (8, 80 + i, 800)),
                     Part::Run { span: ((9, 0, 0), (9, 90, 900)), entries: vec![((9, 90, 900), 1)] },
+                    Part::Run {
+                        span: ((10, 0, 0), (12, u64::MAX, u64::MAX)),
+                        entries: vec![
+                            ((10, 0, 0), 0),
+                            ((10, 5, 1), 300),
+                            ((10, 5, u64::MAX), 1),
+                            ((11, 0, 3), 2),
+                            ((12, u64::MAX, u64::MAX), 7),
+                        ],
+                    },
                 ],
             }),
             ChordMsg::Repair(RepairMsg::Records {
-                entries: vec![((9, 90, 900), 3, None), ((8, 80, 800), 1, Some(t.clone()))],
+                entries: RecordList::from_records([
+                    ((9, 90, 900), 3, None),
+                    ((8, 80, t.ident()), 1, Some(t.clone())),
+                ]),
                 want: vec![(8, 81, 800)],
+            }),
+            ChordMsg::Repair(RepairMsg::Records {
+                entries: sample_records(|i, ident| (i << 57, i, ident)),
+                want: vec![(8, 81, 800), (8, 81, 801), (9, 0, 0)],
             }),
             ChordMsg::Ping,
             ChordMsg::Pong,

@@ -570,7 +570,11 @@ fn anti_entropy_propagates_updates_to_lagging_replicas() {
     cluster.net.inject(
         lagging,
         unistore::UniMsg::Overlay(unistore_pgrid::PGridMsg::Replicate {
-            entries: vec![(key, 0, old.clone())],
+            entries: unistore_pgrid::Entries::from_records([(
+                (key, unistore_util::item::Item::ident(&old)),
+                0,
+                Some(old.clone()),
+            )]),
         }),
     );
     cluster.settle(SimTime::from_millis(1));
