@@ -71,6 +71,8 @@ fn in_wire_emitting(path: &str) -> bool {
                 | "crates/query/src/relation.rs"
                 | "crates/query/src/mqp.rs"
                 | "crates/query/src/cost/delta.rs"
+                | "crates/query/src/cost/notice.rs"
+                | "crates/query/src/cost/oids.rs"
                 | "crates/core/src/stats.rs"
                 | "crates/simnet/src/metrics.rs"
         )
@@ -451,6 +453,22 @@ mod tests {
         let src = "fn f() { x.unwrap(); }";
         assert_eq!(findings("crates/pgrid/src/a.rs", src).len(), 1);
         assert_eq!(findings("crates/workload/src/a.rs", src).len(), 0, "out of L1 scope");
+    }
+
+    /// The statistics flush's codecs — the notice, the OID piece, and
+    /// the messages that carry them — are protocol code and wire
+    /// emitters: a panic or a hash-map order there reaches every peer.
+    #[test]
+    fn statistics_codecs_are_in_scope() {
+        for path in [
+            "crates/query/src/cost/delta.rs",
+            "crates/query/src/cost/notice.rs",
+            "crates/query/src/cost/oids.rs",
+            "crates/core/src/msg.rs",
+        ] {
+            assert!(in_l1_scope(path) && in_wire_emitting(path), "{path}");
+            assert_eq!(findings(path, "fn f() { x.unwrap(); }").len(), 1, "{path}");
+        }
     }
 
     #[test]

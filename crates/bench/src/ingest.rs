@@ -10,7 +10,8 @@ use std::path::Path;
 
 use unistore::cluster::qgram_ops;
 use unistore::UniCluster;
-use unistore_query::StatsDelta;
+use unistore_query::cost::NetParams;
+use unistore_query::{GlobalStats, StatsDelta, StatsNotice};
 use unistore_simnet::{NodeId, SimTime};
 use unistore_store::{Tuple, Value};
 use unistore_util::wire::Wire;
@@ -45,13 +46,16 @@ const CEILINGS: [(&str, (f64, f64)); 2] =
 const CENSUS_CEILINGS: [(&str, (usize, f64)); 2] =
     [(PGrid::LABEL, (5_000, 5_000.0)), (Chord::LABEL, (5_000, 5_000.0))];
 
-/// `(batch tuples, ceiling)` on `StatsDelta` bytes per recorded triple
-/// of one Zipf batch: `ingest`'s 64 tuples, where the OID table is most
-/// of the digest, and the churn campaign's 8, where the attribute table
-/// keeps every group from repeating `published_in`. Measured 4.914 and
-/// 8.125; with 8-byte OID hashes and an attribute name per group they
-/// were 7.828 and 11.438.
-const DELTA_BYTES_PER_TRIPLE_CEILINGS: [(usize, f64); 2] = [(64, 5.4), (8, 8.9)];
+/// `(batch tuples, delta ceiling, notice ceiling)` on the statistics
+/// bytes per recorded triple of one Zipf batch: `ingest`'s 64 tuples,
+/// where the OID table is most of the digest, and the churn campaign's
+/// 8, where the attribute table keeps every group from repeating
+/// `published_in`. The `StatsDelta` a write origin buffers measured
+/// 4.914 and 8.125 (with 8-byte OID hashes and an attribute name per
+/// group they were 7.828 and 11.438); the `StatsNotice` its flush sends
+/// every peer — no OID table, a count and an OID byte sum per group —
+/// measured 1.523 and 4.875. Ceilings sit about 10 % over.
+const STATS_BYTES_PER_TRIPLE_CEILINGS: [(usize, f64, f64); 2] = [(64, 5.4, 1.7), (8, 8.9, 5.4)];
 
 const QUERIES: [&str; 2] = [
     "SELECT ?x WHERE {(?x,'tag','even')}",
@@ -61,10 +65,7 @@ const QUERIES: [&str; 2] = [
 /// Drives one routed ingest of the tuple stream in `BATCH_TUPLES` calls
 /// and returns the measured row plus the canonicalized answers to the
 /// verification queries (asserted equal to the oracle's).
-fn ingest<B: Backend>(
-    tuples: &[Tuple],
-    delta_bytes_per_triple: [f64; 2],
-) -> (Row, Vec<Vec<String>>) {
+fn ingest<B: Backend>(tuples: &[Tuple], stats_bytes: [(f64, f64); 2]) -> (Row, Vec<Vec<String>>) {
     // Quiet stats dissemination so the measured traffic is exactly the
     // write pipeline.
     let cfg = B::config().with_stats_refresh(SimTime::from_secs(1_000_000_000));
@@ -126,17 +127,23 @@ fn ingest<B: Backend>(
         .float("kib", kib, 3)
         .float("msgs_per_1k", msgs_per_1k, 3)
         .float("kib_per_1k", kib_per_1k, 3)
-        .float("stats_delta_bytes_per_triple", delta_bytes_per_triple[0], 3)
-        .float("stats_delta_bytes_per_triple_8", delta_bytes_per_triple[1], 3)
+        .float("stats_delta_bytes_per_triple", stats_bytes[0].0, 3)
+        .float("stats_delta_bytes_per_triple_8", stats_bytes[1].0, 3)
+        .float("stats_notice_bytes_per_triple", stats_bytes[0].1, 3)
+        .float("stats_notice_bytes_per_triple_8", stats_bytes[1].1, 3)
         .int("max_records_per_peer", max_records as u64)
         .float("qgram_ops_per_1k", qgram_ops_per_1k, 3);
     (row, answers)
 }
 
-/// What such a write costs the statistics plane: the digest bytes per
-/// triple of one Zipf batch of `batch_tuples` tuples, which the next
-/// stats flush hands to every peer whichever backend routed the writes.
-fn stats_delta_bytes_per_triple((batch_tuples, ceiling): (usize, f64)) -> f64 {
+/// What such a write costs the statistics plane: the bytes per triple
+/// of one Zipf batch of `batch_tuples` tuples as the digest its origin
+/// buffers, and as the notice the next stats flush hands to every peer
+/// whichever backend routed the writes (its OID change set to the
+/// batch's distinct fingerprints, all new).
+fn stats_bytes_per_triple(
+    (batch_tuples, delta_ceiling, notice_ceiling): (usize, f64, f64),
+) -> (f64, f64) {
     let world = PubWorld::generate(
         &PubParams { n_authors: 60, n_conferences: 15, ..Default::default() },
         SEED,
@@ -149,19 +156,32 @@ fn stats_delta_bytes_per_triple((batch_tuples, ceiling): (usize, f64)) -> f64 {
         flat_bytes += t.wire_size();
         delta.record_insert(t);
     }
+    let net = NetParams { n_peers: 64.0, n_leaves: 64.0, replication: 1.0, hop_ms: 1.0 };
+    let (mut notice, pieces) = StatsNotice::split(&delta, &GlobalStats::empty(net));
+    notice.add_oid_delta(pieces.iter().map(|p| p.entries.len() as i64).sum());
     let per_triple = delta.wire_size() as f64 / delta.len() as f64;
+    let notice_per_triple = notice.wire_size() as f64 / delta.len() as f64;
     println!(
         "\nstats digest of one {batch_tuples}-tuple Zipf batch: {} B for {} triples \
-         ({per_triple:.2} B/triple; the triples themselves encode to {flat_bytes} B)",
+         ({per_triple:.2} B/triple; the triples themselves encode to {flat_bytes} B); \
+         its notice {} B ({notice_per_triple:.2} B/triple) and {} OID pieces of {} B",
         delta.wire_size(),
         delta.len(),
+        notice.wire_size(),
+        pieces.len(),
+        pieces.iter().map(|p| p.wire_size()).sum::<usize>(),
     );
     assert!(
-        per_triple <= ceiling,
+        per_triple <= delta_ceiling,
         "stats digest of a {batch_tuples}-tuple batch costs {per_triple:.2} B per triple, over \
-         the {ceiling} ceiling"
+         the {delta_ceiling} ceiling"
     );
-    per_triple
+    assert!(
+        notice_per_triple <= notice_ceiling,
+        "stats notice of a {batch_tuples}-tuple batch costs {notice_per_triple:.2} B per triple, \
+         over the {notice_ceiling} ceiling"
+    );
+    (per_triple, notice_per_triple)
 }
 
 /// Writes `BENCH_ingest.json`.
@@ -175,8 +195,8 @@ pub fn snapshot() {
                 .with("rank", Value::Int((i % 7) as i64))
         })
         .collect();
-    let deltas = DELTA_BYTES_PER_TRIPLE_CEILINGS.map(stats_delta_bytes_per_triple);
-    let [(pgrid, pgrid_answers), (chord, chord_answers)] = both_backends!(ingest(&tuples, deltas));
+    let stats = STATS_BYTES_PER_TRIPLE_CEILINGS.map(stats_bytes_per_triple);
+    let [(pgrid, pgrid_answers), (chord, chord_answers)] = both_backends!(ingest(&tuples, stats));
     emit(
         Path::new("BENCH_ingest.json"),
         "Ingest — batched write pipeline (batch size 64)",

@@ -1,8 +1,9 @@
 //! `BENCH_stats.json`: the statistics-maintenance trajectory — the plan
 //! quality a runtime-insert workload observes (the estimate the planner
 //! prices a freshly inserted attribute at, against the stale floor and
-//! the true cardinality) and how many distinct snapshots the 16 peers
-//! hold once the write's stats tick has settled (ceiling 1), plus an
+//! the true cardinality), what the write's stats flush sends (messages,
+//! bytes, and OID pieces to the shard homes), and how many distinct
+//! snapshots the 16 peers hold once it has settled (ceiling 1), plus an
 //! in-code check that incremental delta maintenance beats the
 //! rebuild-from-scratch path decisively.
 
@@ -17,7 +18,7 @@ use std::time::Instant;
 
 use unistore::UniCluster;
 use unistore_query::cost::NetParams;
-use unistore_query::{GlobalStats, ScanStrategy};
+use unistore_query::{GlobalStats, ScanStrategy, StatsDelta, StatsNotice};
 use unistore_simnet::{NodeId, SimTime};
 use unistore_store::{Triple, Tuple, Value};
 use unistore_workload::{PubParams, PubWorld};
@@ -88,8 +89,16 @@ pub fn snapshot() {
         .map(|d| d.choice)
         .unwrap_or_default();
     // One settled stats tick later every peer has folded the origin's
-    // flush: peers that folded the same deltas hold one snapshot.
+    // flush: peers that folded the same notice hold one snapshot, and
+    // every OID of the batch is counted at its shard's home.
+    let mut delta = StatsDelta::new();
+    fresh_tuples.iter().flat_map(Tuple::to_triples).for_each(|t| delta.record_insert(t));
+    let pieces = StatsNotice::split(&delta, &stale.stats).1.len();
+    let before = cluster.net.metrics();
     cluster.settle(PGrid::config().stats_refresh + SimTime::from_secs(1));
+    let flush = cluster.net.metrics().delta(&before);
+    let counted: usize =
+        cluster.net.iter_nodes().flat_map(|(_, n)| n.oid_shards()).map(|s| s.len()).sum();
     let mut snapshots: Vec<*const _> = (0..cluster.net.len())
         .map(|i| Arc::as_ptr(cluster.net.node(NodeId(i as u32)).cost_model().expect("loaded")))
         .collect();
@@ -103,12 +112,27 @@ pub fn snapshot() {
         .float("est_rows_fresh", fresh.scan(&scan, None).cardinality, 3)
         .float("est_rows_stale_floor", stale.scan(&scan, None).cardinality, 3)
         .int("actual_rows", actual as u64)
+        .int("stats_flush_msgs", flush.sent)
+        .int("stats_flush_bytes", flush.bytes)
+        .int("stats_flush_oid_pieces", pieces as u64)
         .int("snapshots_after_tick", snapshots as u64);
     emit(Path::new("BENCH_stats.json"), "Stats — runtime-insert plan quality", &[row], |_| {
         println!(
             "\nincremental stats maintenance: {speedup:.0}x cheaper per insert than a rebuild"
         );
         assert!(snapshots <= 1, "{snapshots} statistics snapshots across one settled cluster");
+        assert_eq!(
+            counted,
+            fresh.stats.oids().map_or(0, |m| m.len()),
+            "the shard homes count every live OID once"
+        );
+        // The tree's 15 sends plus, per piece, at most a route, a hand
+        // to the home and an ack.
+        assert!(
+            flush.sent <= 15 + 3 * pieces as u64,
+            "the flush sent {} messages for {pieces} OID pieces",
+            flush.sent
+        );
         assert!(
             speedup > 10.0,
             "incremental stats must beat per-write rebuilds decisively (got {speedup:.1}x)"

@@ -16,7 +16,10 @@ use rand::Rng;
 
 use unistore_overlay::{OpBatch, Overlay, OverlayDone, OverlayTopology};
 use unistore_pgrid::PGridPeer;
-use unistore_query::{CostModel, Coverage, Logical, Mqp, MqpNode, Relation, StatsDelta};
+use unistore_query::cost::oids::OID_SHARDS;
+use unistore_query::{
+    CostModel, Coverage, Logical, Mqp, MqpNode, Relation, StatsDelta, StatsNotice,
+};
 use unistore_simnet::metrics::OpCost;
 use unistore_simnet::{LanLatency, LatencyModel, NodeId, SimNet, SimTime};
 use unistore_store::index::{self as idx, TripleKeys};
@@ -30,7 +33,7 @@ use unistore_vql::{analyze, parse, VqlError};
 use crate::config::{PlanMode, UniConfig};
 use crate::msg::{QueryMsg, UniEvent, UniMsg};
 use crate::node::{Decision, UniNode};
-use crate::stats::build_cost_model;
+use crate::stats::{build_cost_model, oid_shard_home, oid_shard_key};
 
 /// The answer to a query plus its measured network cost.
 #[derive(Clone, Debug)]
@@ -243,6 +246,9 @@ impl<O: Overlay<Item = Triple>> UniCluster<O> {
     /// re-distribution to all nodes. Reserved for bulk loads and
     /// topology re-plans; routed writes go through
     /// [`Self::apply_write_delta`] instead (amortized O(delta)).
+    ///
+    /// The nodes' snapshot leaves the OID refcount map out: each of its
+    /// shards goes to the shard's home.
     fn rebuild_stats(&mut self) {
         self.stats_epoch += 1;
         let model = build_cost_model(
@@ -252,10 +258,26 @@ impl<O: Overlay<Item = Triple>> UniCluster<O> {
             self.topology.replication(),
             self.net.expected_link_delay(),
         );
-        self.cost = Some(model.clone());
+        let mut lean = model.stats.clone();
+        let oids = lean.take_oids().unwrap_or_default();
+        self.cost = Some(model);
+        let lean = Arc::new(CostModel::new(lean));
         for i in 0..self.net.len() {
-            self.net.node_mut(NodeId(i as u32)).reset_stats(model.clone(), self.stats_epoch);
+            self.net.node_mut(NodeId(i as u32)).reset_stats(lean.clone(), self.stats_epoch);
         }
+        for shard in 0..OID_SHARDS {
+            if let Some(home) = self.oid_home(shard) {
+                self.net.node_mut(home).install_oid_shard(shard, oids.shard(shard));
+            }
+        }
+    }
+
+    /// The home of OID shard `shard` as the key's replica group sees it
+    /// (`None` when no peer takes the key).
+    pub(crate) fn oid_home(&self, shard: u8) -> Option<NodeId> {
+        let key = oid_shard_key(shard);
+        let (_, member) = self.net.iter_nodes().find(|(_, n)| n.overlay.responsible(key))?;
+        oid_shard_home(&member.overlay, key)
     }
 
     /// Folds a write batch into the statistics — O(delta), no rescan.
@@ -263,33 +285,32 @@ impl<O: Overlay<Item = Triple>> UniCluster<O> {
     /// The driver's master model absorbs the delta immediately (it is
     /// the oracle's and `cost_model()`'s view). With an `origin`, the
     /// delta is also injected there as an in-band
-    /// [`QueryMsg::StatsDelta`]: the origin node folds it in on receipt
-    /// and re-broadcasts it to the other peers on its next
+    /// [`QueryMsg::StatsDelta`]: the origin node plans on it at once and
+    /// flushes it to the OID shards and the other peers on its next
     /// stats-refresh tick, so remote planners converge without any
     /// driver-side fan-out.
     fn apply_write_delta(&mut self, origin: Option<NodeId>, delta: StatsDelta) {
         if delta.is_empty() {
             return;
         }
-        if let Some(model) = self.cost.as_mut() {
+        let Some(model) = self.cost.as_mut() else { return };
+        if let Some(origin) = origin {
             Arc::make_mut(model).apply_delta(&delta);
+            let (epoch, delta) = (self.stats_epoch, Shared::new(delta));
+            return self.net.inject(origin, UniMsg::Query(QueryMsg::StatsDelta { epoch, delta }));
         }
-        match origin {
-            Some(origin) => self.net.inject(
-                origin,
-                UniMsg::Query(QueryMsg::StatsDelta {
-                    epoch: self.stats_epoch,
-                    span: 0,
-                    delta: Shared::new(delta),
-                }),
-            ),
-            // No routed path (driver-side metadata write): fold the
-            // delta into every node directly, mirroring the preload.
-            None => {
-                for i in 0..self.net.len() {
-                    self.net.node_mut(NodeId(i as u32)).apply_stats_delta(&delta);
-                }
+        // No routed path (driver-side metadata write): fold the pieces
+        // into the shard homes and the notice into every node directly,
+        // mirroring the preload.
+        let (mut notice, pieces) = StatsNotice::split(&delta, &model.stats);
+        Arc::make_mut(model).apply_delta(&delta);
+        for piece in pieces {
+            if let Some(home) = self.oid_home(piece.shard) {
+                notice.add_oid_delta(self.net.node_mut(home).fold_oid_piece(&piece));
             }
+        }
+        for i in 0..self.net.len() {
+            self.net.node_mut(NodeId(i as u32)).apply_stats_notice(&notice);
         }
     }
 
@@ -795,7 +816,9 @@ mod tests {
     //! its holder received.
 
     use proptest::prelude::*;
+    use unistore_query::cost::OidCounts;
     use unistore_query::GlobalStats;
+    use unistore_simnet::{FaultPlan, Window};
 
     use super::*;
     use crate::backends::{chord_config, ChordUniCluster};
@@ -829,9 +852,43 @@ mod tests {
         c.net.node(NodeId(node as u32)).cost_model().expect("loaded").clone()
     }
 
+    /// A build over `triples` split as a loaded cluster holds it: the
+    /// snapshot every node gets, and the OID map its shards divide.
+    fn built(triples: &[Triple], net: unistore_query::cost::NetParams) -> (GlobalStats, OidCounts) {
+        let mut stats = GlobalStats::build(triples, net);
+        let oids = stats.take_oids().expect("a build keeps the OID map");
+        (stats, oids)
+    }
+
+    /// The slices every node holds as a shard home, united: a shard
+    /// held at two nodes counts twice.
+    fn shard_union<O: Overlay<Item = Triple>>(c: &UniCluster<O>) -> OidCounts {
+        let mut union = OidCounts::default();
+        for (_, node) in c.net.iter_nodes() {
+            node.oid_shards().iter().for_each(|slice| union.absorb(slice));
+        }
+        union
+    }
+
+    fn pgrid(replication: usize, seed: u64) -> UniCluster {
+        let cfg = UniConfig::default().with_replication(replication).with_stats_refresh(TICK);
+        UniCluster::build(16, cfg, seed)
+    }
+
+    /// Chord's replicated setting is its only one: a group of the owner
+    /// and its successor.
+    fn chord(replicate: bool, seed: u64) -> ChordUniCluster {
+        let mut cfg = chord_config().with_stats_refresh(TICK);
+        cfg.overlay.replicate = replicate;
+        ChordUniCluster::build_overlay(16, cfg, seed)
+    }
+
     /// Loss-free: inserts, an update and a delete from two origins over
-    /// three ticks leave all 16 peers on one snapshot, equal to a rebuild
-    /// over the driver's triples.
+    /// three ticks leave all 16 peers on one snapshot, equal in every
+    /// estimator input — totals, byte sum, distinct OIDs and values,
+    /// every attribute's fields, refcounts and histogram buckets — to a
+    /// rebuild over the driver's triples, and the shard homes together
+    /// hold the rebuild's OID map.
     fn one_snapshot_after_the_tick<O: Overlay<Item = Triple>>(mut c: UniCluster<O>) {
         c.load(world());
         for (tick, origin) in [(0, 3u32), (1, 9), (2, 3)] {
@@ -849,30 +906,37 @@ mod tests {
         for node in 1..c.net.len() {
             assert!(Arc::ptr_eq(&shared, &snapshot(&c, node)), "node {node} holds its own copy");
         }
-        assert!(shared.stats == GlobalStats::build(c.triples(), shared.stats.net));
+        let (want, oids) = built(c.triples(), shared.stats.net);
+        assert!(shared.stats == want, "the shared snapshot is not the build");
+        assert!(shard_union(&c) == oids, "the shard homes' maps are not the build's");
     }
 
     #[test]
     fn loss_free_cluster_shares_one_exact_snapshot_pgrid() {
-        one_snapshot_after_the_tick(UniCluster::build(
-            16,
-            UniConfig::default().with_stats_refresh(TICK),
-            5,
-        ));
+        one_snapshot_after_the_tick(pgrid(1, 5));
+    }
+
+    #[test]
+    fn loss_free_cluster_shares_one_exact_snapshot_pgrid_r3() {
+        one_snapshot_after_the_tick(pgrid(3, 5));
     }
 
     #[test]
     fn loss_free_cluster_shares_one_exact_snapshot_chord() {
-        one_snapshot_after_the_tick(ChordUniCluster::build_overlay(
-            16,
-            chord_config().with_stats_refresh(TICK),
-            6,
-        ));
+        one_snapshot_after_the_tick(chord(false, 6));
     }
 
-    /// Under 2 % loss during dissemination, a peer that missed a delta
-    /// keeps a private snapshot, and it is exactly the load-time snapshot
-    /// with the deltas it did receive folded in, in tick order.
+    #[test]
+    fn loss_free_cluster_shares_one_exact_snapshot_chord_replicated() {
+        one_snapshot_after_the_tick(chord(true, 6));
+    }
+
+    /// Under 2 % loss during dissemination, a peer that missed a notice
+    /// keeps a private snapshot, and it is exactly the load-time
+    /// snapshot with the notices it did receive folded in, in tick
+    /// order: each tick's pairs, and the distinct-OID change its origin
+    /// sent — what the shard homes acknowledged in time, so a lost piece
+    /// or ack costs every peer the same share of it.
     fn lossy_ticks_keep_every_snapshot_exact<O: Overlay<Item = Triple>>(mut c: UniCluster<O>) {
         c.load(world());
         let load = snapshot(&c, 0);
@@ -880,46 +944,101 @@ mod tests {
         for tick in 0..8u32 {
             let tag = format!("t{tick}");
             let tuples = batch(&tag);
-            let (ok, _) = c.insert_batch(NodeId(tick * 5 % 16), &tuples);
+            let origin = NodeId(tick * 5 % 16);
+            let (ok, _) = c.insert_batch(origin, &tuples);
             assert!(ok, "routed insert acked");
             let mut d = StatsDelta::new();
             tuples.iter().flat_map(Tuple::to_triples).for_each(|t| d.record_insert(t));
-            deltas.push((tag, d));
+            deltas.push((tag, origin, d));
             c.net.set_loss_rate(0.02);
             c.settle(SETTLE);
             c.net.set_loss_rate(0.0);
+        }
+        // Every origin writes once, so its one notice carried all the
+        // change it sent.
+        let mut sent = Vec::new();
+        for (tag, origin, _) in &deltas {
+            let node = c.net.node(*origin);
+            assert_eq!(node.notices_sent, 1, "{tag}: origin {origin:?} sent one notice");
+            sent.push(node.oid_delta_sent as f64);
         }
         let mut missed = 0;
         for node in 0..c.net.len() {
             let held = snapshot(&c, node);
             let mut want = load.stats.clone();
-            for (tag, d) in &deltas {
+            for ((tag, _, d), oid_delta) in deltas.iter().zip(&sent) {
                 match held.stats.attrs.contains_key(tag.as_str()) {
-                    true => want.apply_delta(d),
+                    true => {
+                        want.apply_delta(d);
+                        want.oid_distinct += oid_delta;
+                    }
                     false => missed += 1,
                 }
             }
-            assert!(held.stats == want, "node {node} is not the fold of the deltas it received");
+            assert!(held.stats == want, "node {node} is not the fold of the notices it received");
         }
-        assert!(missed > 0, "the loss must cost some peer a delta");
+        assert!(missed > 0, "the loss must cost some peer a notice");
     }
 
     #[test]
     fn lossy_dissemination_keeps_private_snapshots_exact_pgrid() {
-        lossy_ticks_keep_every_snapshot_exact(UniCluster::build(
-            16,
-            UniConfig::default().with_stats_refresh(TICK),
-            7,
-        ));
+        lossy_ticks_keep_every_snapshot_exact(pgrid(1, 7));
     }
 
     #[test]
     fn lossy_dissemination_keeps_private_snapshots_exact_chord() {
-        lossy_ticks_keep_every_snapshot_exact(ChordUniCluster::build_overlay(
-            16,
-            chord_config().with_stats_refresh(TICK),
-            8,
-        ));
+        lossy_ticks_keep_every_snapshot_exact(chord(false, 8));
+    }
+
+    /// A shard home's ack that arrives after the ack wait: the notice
+    /// goes at the deadline without it, every peer folds the writes'
+    /// pairs, and the late change rides the origin's next notice — after
+    /// which every peer is exact again, `oid_distinct` included.
+    fn a_late_ack_rides_the_next_notice<O: Overlay<Item = Triple>>(mut c: UniCluster<O>) {
+        c.load(world());
+        let origin = NodeId(3);
+        let tuples = batch("late");
+        let mut delta = StatsDelta::new();
+        tuples.iter().flat_map(Tuple::to_triples).for_each(|t| delta.record_insert(t));
+        let mut all = c.triples().to_vec();
+        all.extend(tuples.iter().flat_map(Tuple::to_triples));
+        let mut homes: Vec<NodeId> = (0..OID_SHARDS).filter_map(|s| c.oid_home(s)).collect();
+        homes.sort_unstable();
+        homes.dedup();
+        assert!(homes.iter().any(|&h| h != origin), "some shard lives away from the origin");
+        let mut plan = FaultPlan::new();
+        for &home in homes.iter().filter(|&&h| h != origin) {
+            plan = plan.delay_spike(Some(home), Some(origin), TICK, Window::always());
+        }
+        c.net.set_fault_plan(plan);
+        let (epoch, delta) = (c.stats_epoch, Shared::new(delta));
+        c.net.inject(origin, UniMsg::Query(QueryMsg::StatsDelta { epoch, delta }));
+        // The tick at 2 s sends the pieces; the acks land at about 4 s,
+        // the ack wait sends the notice at 3 s.
+        c.settle(SimTime::from_millis(3_100));
+        let (want, oids) = built(&all, snapshot(&c, 0).stats.net);
+        assert!(shard_union(&c) == oids, "the homes folded the pieces");
+        for node in 0..c.net.len() {
+            let held = snapshot(&c, node);
+            assert!(held.stats.attrs.contains_key("late"), "node {node} missed the notice");
+            assert!(held.stats.oid_distinct < want.oid_distinct, "node {node} had the late ack");
+        }
+        // The tick at 4 s finds the acks still in flight; the one at 6 s
+        // sends what they carried.
+        c.settle(SimTime::from_secs(4));
+        for node in 0..c.net.len() {
+            assert!(snapshot(&c, node).stats == want, "node {node} is not exact");
+        }
+    }
+
+    #[test]
+    fn a_late_ack_rides_the_next_notice_pgrid() {
+        a_late_ack_rides_the_next_notice(pgrid(1, 12));
+    }
+
+    #[test]
+    fn a_late_ack_rides_the_next_notice_chord() {
+        a_late_ack_rides_the_next_notice(chord(true, 13));
     }
 
     /// Retries purge an attempt while its storage ops are still out (the
@@ -961,33 +1080,62 @@ mod tests {
         assert_eq!(qgram_ops(&world(), true), 7 * one_name, "7 distinct names of equal length");
     }
 
+    /// One tick of writes at one origin, one write per delta as the
+    /// driver hands them over — including deletes of pairs the snapshot
+    /// does not count yet, followed by their inserts. The receivers fold
+    /// the compacted flush (inserts before deletes); so must the origin,
+    /// whatever it planned on in between. Both equal the load-time
+    /// build with that flush folded in, and the shard homes together
+    /// hold that fold's OID map.
+    fn origin_ends_the_tick<O: Overlay<Item = Triple>>(
+        mut c: UniCluster<O>,
+        ops: Vec<(bool, usize, i64)>,
+    ) {
+        let load: Vec<Tuple> =
+            (0..4).map(|i| Tuple::new(&format!("o{i}")).with("score", Value::Int(i))).collect();
+        c.load(load.clone());
+        let origin = NodeId(5);
+        let mut flushed = StatsDelta::new();
+        for (delete, oid, value) in ops {
+            let t = Triple::new(&format!("o{oid}"), "score", Value::Int(value));
+            let mut d = StatsDelta::new();
+            match delete {
+                true => d.record_delete(t),
+                false => d.record_insert(t),
+            }
+            flushed.merge(d.clone());
+            let (epoch, delta) = (c.stats_epoch, Shared::new(d));
+            c.net.inject(origin, UniMsg::Query(QueryMsg::StatsDelta { epoch, delta }));
+        }
+        c.settle(SETTLE);
+        flushed.compact();
+        let held = snapshot(&c, origin.index());
+        let triples: Vec<Triple> = load.iter().flat_map(Tuple::to_triples).collect();
+        let mut want = GlobalStats::build(&triples, held.stats.net);
+        want.apply_delta(&flushed);
+        let oids = want.take_oids().expect("a build keeps the OID map");
+        assert!(held.stats == want, "the origin is not the fold of its flush");
+        for node in 0..c.net.len() {
+            assert!(snapshot(&c, node).stats == held.stats, "node {node} differs");
+        }
+        assert!(shard_union(&c) == oids, "the shard homes' maps are not the fold's");
+    }
+
     proptest! {
-        /// One tick of writes at one origin, one write per delta as the
-        /// driver hands them over — including deletes of pairs the
-        /// snapshot does not count yet, followed by their inserts. The
-        /// receivers fold the compacted flush (inserts before deletes);
-        /// so must the origin, whatever it planned on in between.
         #[test]
         fn origin_ends_the_tick_holding_what_receivers_hold(
             ops in proptest::collection::vec((any::<bool>(), 0usize..4, 0i64..6), 1..24),
+            backend in 0usize..4,
         ) {
-            let mut c = UniCluster::build(8, UniConfig::default().with_stats_refresh(TICK), 9);
-            c.load((0..4).map(|i| Tuple::new(&format!("o{i}")).with("score", Value::Int(i))));
-            let origin = NodeId(5);
-            for (delete, oid, value) in ops {
-                let t = Triple::new(&format!("o{oid}"), "score", Value::Int(value));
-                let mut d = StatsDelta::new();
-                match delete {
-                    true => d.record_delete(t),
-                    false => d.record_insert(t),
+            let cfg = UniConfig::default().with_stats_refresh(TICK);
+            match backend {
+                0 => origin_ends_the_tick(UniCluster::build(8, cfg, 9), ops),
+                1 => origin_ends_the_tick(UniCluster::build(8, cfg.with_replication(3), 9), ops),
+                _ => {
+                    let mut cfg = chord_config().with_stats_refresh(TICK);
+                    cfg.overlay.replicate = backend == 3;
+                    origin_ends_the_tick(ChordUniCluster::build_overlay(8, cfg, 9), ops)
                 }
-                let (epoch, delta) = (c.stats_epoch, Shared::new(d));
-                c.net.inject(origin, UniMsg::Query(QueryMsg::StatsDelta { epoch, span: 0, delta }));
-            }
-            c.settle(SETTLE);
-            let held = snapshot(&c, origin.index());
-            for node in 0..c.net.len() {
-                prop_assert!(snapshot(&c, node).stats == held.stats, "node {} differs", node);
             }
         }
     }

@@ -102,8 +102,10 @@ pub struct UniConfig<C = PGridConfig> {
     /// Statistics-dissemination cadence: every node flushes the stat
     /// deltas it buffered to its peers on this maintenance tick, so
     /// long-running nodes converge to fresh statistics without restart.
-    /// The staleness a remote plan can observe is bounded by one tick
-    /// plus one hop (DESIGN.md §"Statistics distribution").
+    /// The staleness a remote plan can observe is bounded by one and a
+    /// half ticks (the flush waits up to half a tick for its OID acks)
+    /// plus the broadcast tree's hops (DESIGN.md §"Statistics
+    /// distribution").
     pub stats_refresh: SimTime,
     /// Bound on queries admitted into the network at once by the
     /// pipelined drivers; submissions beyond the window queue at the
@@ -113,9 +115,10 @@ pub struct UniConfig<C = PGridConfig> {
     /// Capacity (in distinct (attr, value) keys) of each node's local
     /// result cache for exact-match lookups. `0` — the default —
     /// disables the cache; benches and read-heavy deployments opt in.
-    /// Entries are invalidated by the epoch-stamped `StatsDelta`
-    /// stream, so a cached row is stale for at most one stats tick
-    /// plus one hop.
+    /// Entries are invalidated by the epoch-stamped statistics stream
+    /// (a write's delta at its origin, the flush's notice everywhere
+    /// else), so a cached row is stale for at most as long as the
+    /// statistics are.
     pub result_cache: usize,
     /// Minimum acceptable coverage fraction for a query completion to
     /// count as `ok`. `0.0` — the default — is best-effort: whatever

@@ -338,7 +338,6 @@ impl<O: Overlay<Item = Triple>> LiveCluster<O> {
                 NodeId::EXTERNAL,
                 UniMsg::Query(QueryMsg::StatsDelta {
                     epoch: self.stats_epoch,
-                    span: 0,
                     delta: Shared::new(delta),
                 }),
             ))

@@ -9,10 +9,12 @@ use std::sync::Arc;
 use bytes::{Bytes, BytesMut};
 
 use unistore_overlay::OverlayDone;
-use unistore_query::cost::StatsDelta;
+use unistore_query::cost::oids::OID_SHARDS;
+use unistore_query::cost::{OidPiece, StatsDelta, StatsNotice};
 use unistore_query::{Coverage, Mqp, Relation};
+use unistore_simnet::NodeId;
 use unistore_store::Triple;
-use unistore_util::wire::{Shared, Wire, WireError};
+use unistore_util::wire::{Shared, Wire, WireError, MAX_LEN};
 use unistore_util::Key;
 
 /// Everything a UniStore node can receive. Generic over the storage
@@ -52,11 +54,12 @@ pub enum QueryMsg {
         /// Completeness accounting accumulated by the travelling plan.
         coverage: Coverage,
     },
-    /// A batch of statistics write events: the in-band dissemination of
-    /// the paper's gossiped statistics metadata. Injected by write
-    /// origins, then spread by the stats-refresh tick through an
-    /// exactly-once binomial broadcast tree (DESIGN.md §"Scale and
-    /// churn"); receivers fold it into their cost-model snapshot.
+    /// A batch of statistics write events handed to the node that
+    /// originated the writes (by the driver, from
+    /// [`NodeId::EXTERNAL`](unistore_simnet::NodeId::EXTERNAL)): the
+    /// node plans on it at once and buffers it for its next stats tick,
+    /// which splits it into [`QueryMsg::OidPiece`]s and a
+    /// [`QueryMsg::StatsNotice`] (DESIGN.md § Statistics distribution).
     StatsDelta {
         /// Snapshot generation the delta applies on top of. A full
         /// rebuild bumps the epoch; deltas still buffered or in flight
@@ -64,17 +67,59 @@ pub enum QueryMsg {
         /// already contains and are dropped on receipt instead of being
         /// double-counted.
         epoch: u64,
+        /// The write batch.
+        delta: Shared<StatsDelta>,
+    },
+    /// A write origin's statistics flush: the in-band dissemination of
+    /// the paper's gossiped statistics metadata, spread through an
+    /// exactly-once binomial broadcast tree (DESIGN.md §"Scale and
+    /// churn"); receivers fold it into their cost-model snapshot.
+    StatsNotice {
+        /// Snapshot generation the notice applies on top of (see
+        /// [`QueryMsg::StatsDelta`]).
+        epoch: u64,
         /// Broadcast-tree span: how many consecutive peers (the
         /// receiver plus the `span − 1` following it, ring-ordered by
         /// node id) the receiver covers. A receiver with `span > 1`
         /// relays to peers at power-of-two offsets before applying the
-        /// delta; `span ≤ 1` is a pure leaf. Driver injections carry 0.
+        /// notice; `span ≤ 1` is a pure leaf.
         span: u32,
-        /// The write batch. [`Shared`] because every relay of the
-        /// broadcast tree forwards the identical delta: the payload is
-        /// encoded once and each send clones the buffer, not the
-        /// encoding work.
-        delta: Shared<StatsDelta>,
+        /// The notice. [`Shared`] because every relay of the broadcast
+        /// tree forwards the identical notice: the payload is encoded
+        /// once and each send clones the buffer, not the encoding work.
+        notice: Shared<StatsNotice>,
+    },
+    /// One shard's piece of a statistics flush, routed toward the
+    /// shard's key like a lookup; the replica group member it reaches
+    /// hands it to the group's shard home, which folds it into its slice
+    /// of the distinct-OID map and answers the origin with a
+    /// [`QueryMsg::OidAck`].
+    OidPiece {
+        /// Snapshot generation of the flush; a home of another epoch
+        /// drops the piece.
+        epoch: u64,
+        /// The flushing node, which the ack goes to.
+        origin: NodeId,
+        /// The origin's flush number, echoed by the ack.
+        flush: u64,
+        /// Set by the group member that hands the piece to the home:
+        /// the receiver folds it without routing further.
+        at_home: bool,
+        /// The shard and its fingerprints' changes.
+        piece: OidPiece,
+    },
+    /// A shard home's answer to a [`QueryMsg::OidPiece`]: how its
+    /// distinct-OID count moved, which the origin's notice carries to
+    /// every peer.
+    OidAck {
+        /// Snapshot generation of the flush.
+        epoch: u64,
+        /// The origin's flush number the piece carried.
+        flush: u64,
+        /// The shard that folded the piece.
+        shard: u8,
+        /// Change of the shard's distinct fingerprints.
+        delta: i64,
     },
     /// Asks the receiving node for a summary of its current statistics
     /// snapshot (observability for the live runtime, where node state
@@ -92,6 +137,9 @@ mod tag {
     pub const RESULT: u8 = 4;
     pub const STATS_DELTA: u8 = 5;
     pub const STATS_PROBE: u8 = 6;
+    pub const STATS_NOTICE: u8 = 7;
+    pub const OID_PIECE: u8 = 8;
+    pub const OID_ACK: u8 = 9;
 }
 
 impl<M: Wire> Wire for UniMsg<M> {
@@ -117,10 +165,30 @@ impl<M: Wire> Wire for UniMsg<M> {
                 hops.encode(buf);
                 coverage.encode(buf);
             }
-            UniMsg::Query(QueryMsg::StatsDelta { epoch, span, delta }) => {
+            UniMsg::Query(QueryMsg::StatsDelta { epoch, delta }) => {
                 tag::STATS_DELTA.encode(buf);
                 epoch.encode(buf);
+                delta.encode(buf);
+            }
+            UniMsg::Query(QueryMsg::StatsNotice { epoch, span, notice }) => {
+                tag::STATS_NOTICE.encode(buf);
+                epoch.encode(buf);
                 span.encode(buf);
+                notice.encode(buf);
+            }
+            UniMsg::Query(QueryMsg::OidPiece { epoch, origin, flush, at_home, piece }) => {
+                tag::OID_PIECE.encode(buf);
+                epoch.encode(buf);
+                origin.encode(buf);
+                flush.encode(buf);
+                at_home.encode(buf);
+                piece.encode(buf);
+            }
+            UniMsg::Query(QueryMsg::OidAck { epoch, flush, shard, delta }) => {
+                tag::OID_ACK.encode(buf);
+                epoch.encode(buf);
+                flush.encode(buf);
+                shard.encode(buf);
                 delta.encode(buf);
             }
             UniMsg::Query(QueryMsg::StatsProbe { qid }) => {
@@ -145,16 +213,40 @@ impl<M: Wire> Wire for UniMsg<M> {
             }),
             tag::STATS_DELTA => UniMsg::Query(QueryMsg::StatsDelta {
                 epoch: Wire::decode(buf)?,
-                span: Wire::decode(buf)?,
                 delta: Wire::decode(buf)?,
             }),
+            tag::STATS_NOTICE => UniMsg::Query(QueryMsg::StatsNotice {
+                epoch: Wire::decode(buf)?,
+                span: Wire::decode(buf)?,
+                notice: Wire::decode(buf)?,
+            }),
+            tag::OID_PIECE => UniMsg::Query(QueryMsg::OidPiece {
+                epoch: Wire::decode(buf)?,
+                origin: Wire::decode(buf)?,
+                flush: Wire::decode(buf)?,
+                at_home: Wire::decode(buf)?,
+                piece: Wire::decode(buf)?,
+            }),
+            tag::OID_ACK => {
+                let (epoch, flush) = (Wire::decode(buf)?, Wire::decode(buf)?);
+                let shard = u8::decode(buf)?;
+                if shard >= OID_SHARDS {
+                    return Err(WireError::BadTag(shard));
+                }
+                // A home's change is at most its piece's entry count.
+                let delta = i64::decode(buf)?;
+                if delta.unsigned_abs() > MAX_LEN {
+                    return Err(WireError::BadLength(delta.unsigned_abs()));
+                }
+                UniMsg::Query(QueryMsg::OidAck { epoch, flush, shard, delta })
+            }
             tag::STATS_PROBE => UniMsg::Query(QueryMsg::StatsProbe { qid: Wire::decode(buf)? }),
             t => return Err(WireError::BadTag(t)),
         })
     }
 
     /// The tag plus every field's own size, so a field that knows its
-    /// size — above all the stats flush's [`Shared`] payload, sent to
+    /// size — above all the stats notice's [`Shared`] payload, sent to
     /// every peer — is never encoded just to be measured.
     fn wire_size(&self) -> usize {
         1 + match self {
@@ -164,8 +256,21 @@ impl<M: Wire> Wire for UniMsg<M> {
             UniMsg::Query(QueryMsg::Result { qid, relation, hops, coverage }) => {
                 qid.wire_size() + relation.wire_size() + hops.wire_size() + coverage.wire_size()
             }
-            UniMsg::Query(QueryMsg::StatsDelta { epoch, span, delta }) => {
-                epoch.wire_size() + span.wire_size() + delta.wire_size()
+            UniMsg::Query(QueryMsg::StatsDelta { epoch, delta }) => {
+                epoch.wire_size() + delta.wire_size()
+            }
+            UniMsg::Query(QueryMsg::StatsNotice { epoch, span, notice }) => {
+                epoch.wire_size() + span.wire_size() + notice.wire_size()
+            }
+            UniMsg::Query(QueryMsg::OidPiece { epoch, origin, flush, at_home, piece }) => {
+                epoch.wire_size()
+                    + origin.wire_size()
+                    + flush.wire_size()
+                    + at_home.wire_size()
+                    + piece.wire_size()
+            }
+            UniMsg::Query(QueryMsg::OidAck { epoch, flush, shard, delta }) => {
+                epoch.wire_size() + flush.wire_size() + shard.wire_size() + delta.wire_size()
             }
             UniMsg::Query(QueryMsg::StatsProbe { qid }) => qid.wire_size(),
         }
@@ -212,8 +317,9 @@ mod tests {
     use std::sync::Arc;
     use unistore_chord::ChordMsg;
     use unistore_pgrid::PGridMsg;
+    use unistore_query::cost::NetParams;
+    use unistore_query::GlobalStats;
     use unistore_query::MqpNode;
-    use unistore_simnet::NodeId;
     use unistore_store::Value;
     use unistore_vql::parse;
 
@@ -228,6 +334,14 @@ mod tests {
             Some(2),
         );
         let rel = Relation { schema: vec![Arc::from("n")], rows: vec![vec![Value::str("alice")]] };
+        let mut delta = StatsDelta::new();
+        delta.record_insert(Triple::new("o9", "rating", Value::Int(5)));
+        delta.record_delete(Triple::new("o9", "rating", Value::Int(4)));
+        delta.record_insert(Triple::new("o7", "rating", Value::Int(4)));
+        let net = NetParams { n_peers: 8.0, n_leaves: 8.0, replication: 1.0, hop_ms: 1.0 };
+        let base = GlobalStats::build(&[Triple::new("o9", "rating", Value::Int(4))], net);
+        let (mut notice, pieces) = StatsNotice::split(&delta, &base);
+        notice.add_oid_delta(1);
         vec![
             UniMsg::Overlay(overlay),
             UniMsg::Query(QueryMsg::Execute { mqp: mqp.clone() }),
@@ -242,16 +356,16 @@ mod tests {
                     c
                 },
             }),
-            UniMsg::Query(QueryMsg::StatsDelta {
+            UniMsg::Query(QueryMsg::StatsDelta { epoch: 3, delta: Shared::new(delta.clone()) }),
+            UniMsg::Query(QueryMsg::StatsNotice { epoch: 3, span: 5, notice: Shared::new(notice) }),
+            UniMsg::Query(QueryMsg::OidPiece {
                 epoch: 3,
-                span: 5,
-                delta: Shared::new({
-                    let mut d = StatsDelta::new();
-                    d.record_insert(Triple::new("o9", "rating", Value::Int(5)));
-                    d.record_delete(Triple::new("o9", "rating", Value::Int(4)));
-                    d
-                }),
+                origin: NodeId(4),
+                flush: 17,
+                at_home: true,
+                piece: pieces[0].clone(),
             }),
+            UniMsg::Query(QueryMsg::OidAck { epoch: 3, flush: 17, shard: 3, delta: -2 }),
             UniMsg::Query(QueryMsg::StatsProbe { qid: 11 }),
         ]
     }
@@ -294,5 +408,21 @@ mod tests {
     fn bad_tag() {
         let b = Bytes::from_static(&[77]);
         assert!(matches!(UniMsg::<PGridMsg<Triple>>::from_bytes(&b), Err(WireError::BadTag(77))));
+        // An ack naming a shard past the map's is rejected, not filed.
+        let ack = Bytes::from_static(&[tag::OID_ACK, 1, 1, OID_SHARDS, 0]);
+        let decoded = UniMsg::<PGridMsg<Triple>>::from_bytes(&ack);
+        assert!(matches!(decoded, Err(WireError::BadTag(OID_SHARDS))));
+        // So is a change no piece could make.
+        for delta in [i64::MAX, i64::MIN, MAX_LEN as i64 + 1] {
+            let mut ack = BytesMut::new();
+            ack.extend_from_slice(&[tag::OID_ACK, 1, 1, 0]);
+            delta.encode(&mut ack);
+            let decoded = UniMsg::<PGridMsg<Triple>>::from_bytes(&ack.freeze());
+            assert!(matches!(decoded, Err(WireError::BadLength(_))), "{delta}: {decoded:?}");
+        }
+        let mut ack = BytesMut::new();
+        ack.extend_from_slice(&[tag::OID_ACK, 1, 1, 0]);
+        (-(MAX_LEN as i64)).encode(&mut ack);
+        assert!(UniMsg::<PGridMsg<Triple>>::from_bytes(&ack.freeze()).is_ok());
     }
 }

@@ -22,7 +22,8 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use unistore_overlay::{Overlay, OverlayDone, RangeMode};
-use unistore_query::cost::StatsDelta;
+use unistore_query::cost::oids::OID_SHARDS;
+use unistore_query::cost::{OidCounts, OidPiece, StatsDelta, StatsNotice};
 use unistore_query::local::dedup_rows;
 use unistore_query::mqp::bind_triples;
 use unistore_query::relation::value_hash;
@@ -56,9 +57,10 @@ pub type UniFx<M> = Effects<UniMsg<M>, UniEvent>;
 const RESULT_TIMEOUT: u32 = 100;
 
 /// Timer kind for the periodic statistics-dissemination tick: buffered
-/// [`StatsDelta`]s are flushed down a binomial broadcast tree spanning
-/// every peer, bounding the staleness a remote plan can observe by one
-/// tick plus O(log n) hops.
+/// [`StatsDelta`]s are flushed as OID pieces to the shard homes and a
+/// notice down a binomial broadcast tree spanning every peer, bounding
+/// the staleness a remote plan can observe by one and a half ticks plus
+/// O(log n) hops.
 const STATS_TICK: u32 = 101;
 
 /// Timer kind for hedged dispatch: when the current attempt outlives a
@@ -66,6 +68,10 @@ const STATS_TICK: u32 = 101;
 /// plan is shipped and the first completion wins (DESIGN.md §"Failure
 /// semantics").
 const HEDGE_TIMER: u32 = 102;
+
+/// Timer kind for a flush's ack wait: when it runs out, the flush's
+/// notice goes without the OID acks still missing.
+const STATS_ACK_WAIT: u32 = 103;
 
 /// Executor namespace bit of a qid: the executor's own overlay ops and
 /// retry attempts, disjoint from driver-assigned qids.
@@ -99,9 +105,10 @@ pub struct UniNode<O: Overlay<Item = Triple>> {
     /// The embedded storage-layer peer.
     pub overlay: O,
     /// Statistics snapshot (the paper's gossiped statistics; see
-    /// DESIGN.md § Statistics distribution): exactly what the deltas this
-    /// node folded make of the load-time snapshot, so peers that folded
-    /// the same deltas in the same order can share one.
+    /// DESIGN.md § Statistics distribution): exactly what the notices
+    /// this node folded make of the load-time snapshot, so peers that
+    /// folded the same notices in the same order can share one. It
+    /// holds no OID map: `oid_distinct` moves with the notices.
     stats: Option<Arc<CostModel>>,
     /// A write origin's planning view between two stats ticks: `stats`
     /// plus the origin's own unflushed writes. Kept only while `stats`
@@ -126,6 +133,16 @@ pub struct UniNode<O: Overlay<Item = Triple>> {
     /// Snapshot generation of `cost`. Deltas from another epoch are
     /// stale (a full rebuild already contains their writes) and dropped.
     stats_epoch: u64,
+    /// The flush whose notice waits on OID acks, or the last one sent.
+    flush: Option<stats::Flush>,
+    /// Number of this node's latest flush.
+    flush_seq: u64,
+    /// Acked changes of the distinct-OID count that came after their
+    /// notice went: they ride the next one.
+    late_oids: i64,
+    /// The slices of the distinct-OID map this node is home of, by
+    /// shard.
+    oid_shards: [OidCounts; OID_SHARDS as usize],
     /// Plans suspended on storage ops, by query (attempt) qid.
     active: FxHashMap<u64, Wait>,
     /// storage-layer qid → query qid.
@@ -151,6 +168,12 @@ pub struct UniNode<O: Overlay<Item = Triple>> {
     /// Re-dispatches and hedges withheld by the attempt budget
     /// (observability for the retry-storm guard).
     pub suppressed: u64,
+    /// Statistics notices this node sent as a write origin, and the
+    /// distinct-OID change they carried in all (observability for
+    /// tests).
+    pub notices_sent: u64,
+    /// See `notices_sent`.
+    pub oid_delta_sent: i64,
     qids: ExecQids,
     /// The storage layer's effects buffer, reused by every
     /// [`UniNode::with_overlay`] call (empty between calls).
@@ -175,6 +198,10 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
             stats_refresh: cfg.stats_refresh,
             stats_outbox: StatsDelta::new(),
             stats_epoch: 0,
+            flush: None,
+            flush_seq: 0,
+            late_oids: 0,
+            oid_shards: Default::default(),
             cache: ResultCache::new(cfg.result_cache),
             cache_hits: 0,
             active: FxHashMap::default(),
@@ -185,6 +212,8 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
             hedges: 0,
             retries: 0,
             suppressed: 0,
+            notices_sent: 0,
+            oid_delta_sent: 0,
             qids: ExecQids(EXEC_QID | ((id.0 as u64) << 32)),
             ofx: Effects::new(),
         }
@@ -235,8 +264,15 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
                 let step = self.attempts.complete(self.clock, qid, relation, hops, coverage);
                 self.act(step, fx);
             }
-            QueryMsg::StatsDelta { epoch, span, delta } => {
-                self.on_stats_delta(from, epoch, span, &delta, fx);
+            QueryMsg::StatsDelta { epoch, delta } => self.on_stats_delta(epoch, &delta),
+            QueryMsg::StatsNotice { epoch, span, notice } => {
+                self.on_stats_notice(epoch, span, &notice, fx);
+            }
+            QueryMsg::OidPiece { epoch, origin, flush, at_home, piece } => {
+                self.on_oid_piece(epoch, origin, flush, at_home, piece, fx);
+            }
+            QueryMsg::OidAck { epoch, flush, shard, delta } => {
+                self.on_oid_ack(epoch, flush, shard, delta, fx);
             }
             QueryMsg::StatsProbe { qid } => fx.emit(self.stats_probe(qid)),
         }
@@ -315,6 +351,7 @@ impl<O: Overlay<Item = Triple>> NodeBehavior for UniNode<O> {
                 self.flush_stats_outbox(fx);
                 fx.set_timer(self.stats_refresh, Timer::new(STATS_TICK, 0));
             }
+            STATS_ACK_WAIT => self.on_ack_wait(t.payload, fx),
             RESULT_TIMEOUT => {
                 let step = self.attempts.on_timeout(now, t.payload, &mut self.qids);
                 self.act(step, fx);

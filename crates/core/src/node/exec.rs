@@ -11,10 +11,11 @@ use super::*;
 const FORWARD_BYTE_CAP: usize = 64 * 1024;
 
 /// Bounded FIFO cache of exact-match lookup results, keyed by the
-/// (attr, value) index key. Every received [`StatsDelta`] drops the
-/// entries its writes name — regardless of epoch — so a cached row
-/// outlives the write that changed it by at most one stats tick plus
-/// one dissemination hop (DESIGN.md §"Concurrent query pipeline").
+/// (attr, value) index key. Every received [`StatsDelta`] or
+/// [`StatsNotice`] drops the entries its writes name — regardless of
+/// epoch — so a cached row outlives the write that changed it by at
+/// most as long as the statistics are stale (DESIGN.md §"Concurrent
+/// query pipeline").
 pub(super) struct ResultCache {
     cap: usize,
     map: FxHashMap<Key, Vec<Triple>>,
@@ -475,11 +476,14 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
     /// (their reply may predate the write). Runs on *every* delta
     /// receipt, before the epoch gate — an invalidation is correct in
     /// any epoch.
-    pub(super) fn invalidate_cached(&mut self, delta: &StatsDelta) {
+    pub(super) fn invalidate_cached<'a>(
+        &mut self,
+        pairs: impl Iterator<Item = (&'a Arc<str>, &'a Value)>,
+    ) {
         if self.cache.cap == 0 {
             return;
         }
-        for (attr, value) in delta.pairs() {
+        for (attr, value) in pairs {
             let keys: Vec<Key> =
                 self.mappings.expand(attr).iter().map(|a| idx::attr_value_key(a, value)).collect();
             for &key in &keys {

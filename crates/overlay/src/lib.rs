@@ -293,7 +293,10 @@ pub trait Overlay:
     /// build-time plan, this tracks runtime drift — path migrations,
     /// re-pointed successors — so the scale campaign can pick partition
     /// victims and check repair convergence against where the data
-    /// *actually* lives. Observability only.
+    /// *actually* lives. The query layer also routes by it: the lowest
+    /// id of a statistics shard key's group is that shard's home, so
+    /// implementations return the group sorted and deduplicated. It
+    /// does not look at liveness; a down member stays listed.
     fn replica_group(&self, key: Key) -> Vec<NodeId>;
 
     /// Bytes this peer's replica repair has sent so far, by message

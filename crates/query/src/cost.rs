@@ -15,16 +15,22 @@
 //! operator — experiment E8 compares these predictions against measured
 //! values.
 //!
-//! Three files: `estimator` prices operators over a snapshot,
+//! Five files: `estimator` prices operators over a snapshot,
 //! `statistics` holds the snapshot and its folds, `delta` is the write
-//! digest that travels between peers.
+//! digest a write origin buffers, `notice` what its flush sends every
+//! peer, and `oids` the distinct-OID map the flush's pieces update at
+//! the map's shard homes.
 
 mod delta;
 mod estimator;
+mod notice;
+pub mod oids;
 mod statistics;
 
 pub use delta::StatsDelta;
 pub use estimator::{CostModel, CostVector, NetParams, ScanEstimate, UNKNOWN_ATTR_SELECTIVITY};
+pub use notice::StatsNotice;
+pub use oids::{OidCounts, OidPiece};
 pub use statistics::{AttrStats, GlobalStats};
 
 #[cfg(test)]
@@ -32,11 +38,13 @@ mod tests {
     use std::sync::Arc;
 
     use unistore_store::{Oid, Triple, Value};
-    use unistore_util::wire::{put_varint, Wire, WireError};
+    use unistore_util::wire::{put_varint, Wire, WireError, MAX_LEN};
     use unistore_util::{intern, FxHashMap};
 
     use super::delta::*;
     use super::estimator::*;
+    use super::notice::*;
+    use super::oids::*;
     use super::statistics::*;
     use crate::strategy::{JoinStrategy, RangeAlgo, ScanStrategy};
     use unistore_vql::parse;
@@ -441,7 +449,7 @@ mod tests {
         assert_stats_match(&built, &folded);
         for s in [&built, &folded] {
             assert_eq!(s.oid_distinct, 1.0);
-            assert_eq!(s.oids[&fingerprint], both.len() as u32);
+            assert_eq!(s.oids.as_ref().map(|m| m.get(fingerprint)), Some(both.len() as u32));
         }
         // Deleting one object's triples leaves the other counted.
         let mut undo = StatsDelta::new();
@@ -449,7 +457,7 @@ mod tests {
         folded.apply_delta(&undo);
         assert_stats_match(&folded, &GlobalStats::build(&of(&b), net));
         assert_eq!(folded.oid_distinct, 1.0);
-        assert_eq!(folded.oids[&fingerprint], 2);
+        assert_eq!(folded.oids.as_ref().map(|m| m.get(fingerprint)), Some(2));
     }
 
     /// Encodes a delta by hand: the OID table, the attribute table,
@@ -569,6 +577,166 @@ mod tests {
                 "cut at {cut}"
             );
         }
+    }
+
+    /// Encodes a notice by hand: the attribute table, then per side
+    /// `(attribute index, value, count, OID bytes)` groups, then the
+    /// distinct-OID change.
+    fn raw_notice(
+        attrs: &[&str],
+        sides: [&[(u64, Value, u64, u64)]; 2],
+        oids: i64,
+    ) -> bytes::Bytes {
+        let mut buf = bytes::BytesMut::new();
+        put_varint(&mut buf, attrs.len() as u64);
+        attrs.iter().for_each(|a| a.to_string().encode(&mut buf));
+        for side in sides {
+            put_varint(&mut buf, side.len() as u64);
+            for (attr, value, count, bytes) in side {
+                put_varint(&mut buf, *attr);
+                value.encode(&mut buf);
+                put_varint(&mut buf, *count);
+                put_varint(&mut buf, *bytes);
+            }
+        }
+        oids.encode(&mut buf);
+        buf.freeze()
+    }
+
+    /// Encodes a piece by hand: the shard, then `(fingerprint, change)`
+    /// entries.
+    fn raw_piece(shard: u8, entries: &[(u32, i64)]) -> bytes::Bytes {
+        use bytes::BufMut;
+        let mut buf = bytes::BytesMut::new();
+        buf.put_u8(shard);
+        put_varint(&mut buf, entries.len() as u64);
+        for (fingerprint, n) in entries {
+            buf.put_u32(*fingerprint);
+            n.encode(&mut buf);
+        }
+        buf.freeze()
+    }
+
+    #[test]
+    fn hostile_notices_and_pieces_are_rejected_not_trusted() {
+        let v = Value::Int(1);
+        let ok = raw_notice(
+            &["a", "bb"],
+            [&[(0, v.clone(), 3, 12), (1, v.clone(), 1, 4)], &[(1, v.clone(), 1, 4)]],
+            -2,
+        );
+        let n = StatsNotice::from_bytes(&ok).unwrap();
+        assert_eq!((n.len(), n.oid_delta()), (5, -2));
+        assert_eq!(n.pairs().map(|(a, _)| &**a).collect::<Vec<_>>(), ["a", "bb", "bb"]);
+        assert_eq!(n.to_bytes(), ok);
+        let bad_notices: Vec<(&str, bytes::Bytes)> = vec![
+            (
+                "attribute index off the table",
+                raw_notice(&["a"], [&[(1, v.clone(), 1, 2)], &[]], 0),
+            ),
+            (
+                "a huge attribute index",
+                raw_notice(&["a"], [&[], &[(u64::MAX, v.clone(), 1, 2)]], 0),
+            ),
+            (
+                "attribute index into an empty table",
+                raw_notice(&[], [&[(0, v.clone(), 1, 2)], &[]], 0),
+            ),
+            ("zero-count group", raw_notice(&["a"], [&[], &[(0, v.clone(), 0, 0)]], 0)),
+            ("count past 32 bits", raw_notice(&["a"], [&[(0, v.clone(), 1 << 32, 2)], &[]], 0)),
+            ("a name no group uses", raw_notice(&["a", "b"], [&[(0, v.clone(), 1, 2)], &[]], 0)),
+            ("a name table under no group", raw_notice(&["a"], [&[], &[]], 0)),
+            (
+                "OID bytes past any OIDs",
+                raw_notice(&["a"], [&[(0, v.clone(), 1, u64::MAX)], &[]], 0),
+            ),
+            (
+                "OID bytes past the longest OID",
+                raw_notice(&["a"], [&[(0, v.clone(), 1, MAX_LEN + 6)], &[]], 0),
+            ),
+            ("fewer OID bytes than OIDs", raw_notice(&["a"], [&[], &[(0, v.clone(), 2, 1)]], 0)),
+            ("attribute-table count over the cap", {
+                let mut buf = bytes::BytesMut::new();
+                put_varint(&mut buf, (1 << 28) + 1);
+                buf.freeze()
+            }),
+            ("group count over the cap", {
+                let mut buf = bytes::BytesMut::new();
+                put_varint(&mut buf, 0);
+                put_varint(&mut buf, (1 << 28) + 1);
+                buf.freeze()
+            }),
+        ];
+        for (what, bytes) in bad_notices {
+            assert!(
+                matches!(StatsNotice::from_bytes(&bytes), Err(WireError::BadLength(_))),
+                "{what}: {:?}",
+                StatsNotice::from_bytes(&bytes)
+            );
+        }
+        for cut in 0..ok.len() {
+            assert!(StatsNotice::from_bytes(&ok.slice(0..cut)).is_err(), "notice cut at {cut}");
+        }
+        // The largest sums the decoder lets through fold without
+        // overflow however often they repeat: refcounts stop at
+        // `u32::MAX` and the acknowledged change at `i64::MAX`.
+        let most = u32::MAX as u64 * oid_wire_size(MAX_LEN as u32) as u64;
+        let huge = |side: usize| {
+            let group = [(0, v.clone(), u32::MAX as u64, most)];
+            let mut sides: [&[(u64, Value, u64, u64)]; 2] = [&[], &[]];
+            sides[side] = &group;
+            StatsNotice::from_bytes(&raw_notice(&["a"], sides, i64::MAX)).unwrap()
+        };
+        let net = NetParams { n_peers: 8.0, n_leaves: 8.0, replication: 1.0, hop_ms: 1.0 };
+        let mut stats = GlobalStats::build(&sample_triples(), net);
+        let (mut ins, del) = (huge(INSERTED), huge(DELETED));
+        ins.add_oid_delta(1);
+        assert_eq!(ins.oid_delta(), i64::MAX);
+        for _ in 0..3 {
+            stats.apply_notice(&ins);
+        }
+        assert_eq!(stats.attr("a").unwrap().values[&v.key_bits()], u32::MAX);
+        assert_eq!(stats.values[&v.key_bits()], u32::MAX);
+        for _ in 0..3 {
+            stats.apply_notice(&del);
+        }
+        assert!(stats.avg_triple_bytes.is_finite() && stats.oid_distinct.is_finite());
+
+        let shard = 2u8;
+        let f = |low: u32| (shard as u32) << 30 | low;
+        let ok = raw_piece(shard, &[(f(1), 3), (f(9), -1)]);
+        let p = OidPiece::from_bytes(&ok).unwrap();
+        assert_eq!(p, OidPiece { shard, entries: vec![(f(1), 3), (f(9), -1)] });
+        assert_eq!(p.to_bytes(), ok);
+        assert_eq!(OidPiece::from_bytes(&raw_piece(4, &[])), Err(WireError::BadTag(4)));
+        let bad_pieces: Vec<(&str, bytes::Bytes)> = vec![
+            ("a fingerprint outside the prefix", raw_piece(shard, &[(f(1), 1), (1 << 30, 1)])),
+            ("a repeated fingerprint", raw_piece(shard, &[(f(1), 1), (f(1), 1)])),
+            ("descending fingerprints", raw_piece(shard, &[(f(9), 1), (f(1), 1)])),
+            ("a zero change", raw_piece(shard, &[(f(1), 0)])),
+            ("a change past 32 bits", raw_piece(shard, &[(f(1), 1 << 31)])),
+            ("entry count over the cap", {
+                let mut buf = bytes::BytesMut::new();
+                buf.extend_from_slice(&[shard]);
+                put_varint(&mut buf, (1 << 28) + 1);
+                buf.freeze()
+            }),
+        ];
+        for (what, bytes) in bad_pieces {
+            assert!(
+                matches!(OidPiece::from_bytes(&bytes), Err(WireError::BadLength(_))),
+                "{what}: {:?}",
+                OidPiece::from_bytes(&bytes)
+            );
+        }
+        for cut in 0..ok.len() {
+            assert!(OidPiece::from_bytes(&ok.slice(0..cut)).is_err(), "piece cut at {cut}");
+        }
+        // A home folding the largest change over and over saturates.
+        let huge = OidPiece::from_bytes(&raw_piece(shard, &[(f(1), i32::MAX as i64)])).unwrap();
+        let mut home = OidCounts::default();
+        assert_eq!((0..3).map(|_| home.apply(&huge.entries)).sum::<i64>(), 1);
+        assert_eq!(home.get(f(1)), u32::MAX);
     }
 
     #[test]
@@ -758,6 +926,58 @@ mod tests {
                 let mut s = start.clone();
                 s.apply_delta(&d);
                 assert_stats_match(&s, &folded_one_by_one(&start, &[], &del));
+            }
+
+            /// A flush's split says what its delta says: the notice
+            /// folded into a snapshot without the OID map, moved by what
+            /// the pieces change at the shards, equals the delta folded
+            /// into the snapshot with the map — deletes of pairs the
+            /// snapshot does not count included — and the shards, united,
+            /// hold the folded map. Both codecs round-trip at their
+            /// arithmetic size.
+            #[test]
+            fn notice_and_pieces_say_what_the_delta_says(
+                base in proptest::collection::vec(spec(), 0..12),
+                ops in proptest::collection::vec((any::<bool>(), spec()), 1..60),
+                compact in any::<bool>(),
+            ) {
+                let base: Vec<Triple> = base.into_iter().map(triple).collect();
+                let start = GlobalStats::build(&base, NET);
+                let mut d = StatsDelta::new();
+                for (delete, s) in ops {
+                    match delete {
+                        true => d.record_delete(triple(s)),
+                        false => d.record_insert(triple(s)),
+                    }
+                }
+                if compact {
+                    d.compact();
+                }
+                let mut want = start.clone();
+                want.apply_delta(&d);
+                let want_oids = want.take_oids().expect("a built snapshot keeps the map");
+
+                let (mut notice, pieces) = StatsNotice::split(&d, &start);
+                let mut lean = start.clone();
+                let map = lean.take_oids().expect("a built snapshot keeps the map");
+                let mut shards: Vec<OidCounts> = (0..OID_SHARDS).map(|s| map.shard(s)).collect();
+                for p in &pieces {
+                    prop_assert!(!p.entries.is_empty());
+                    prop_assert!(p.entries.iter().all(|&(f, n)| oid_shard(f) == p.shard && n != 0));
+                    let bytes = p.to_bytes();
+                    prop_assert_eq!(bytes.len(), p.wire_size());
+                    prop_assert_eq!(&OidPiece::from_bytes(&bytes).unwrap(), p);
+                    notice.add_oid_delta(shards[p.shard as usize].apply(&p.entries));
+                }
+                let bytes = notice.to_bytes();
+                prop_assert_eq!(bytes.len(), notice.wire_size());
+                let back = StatsNotice::from_bytes(&bytes).unwrap();
+                prop_assert_eq!(back.to_bytes(), bytes);
+                lean.apply_notice(&back);
+                assert_stats_match(&lean, &want);
+                let mut united = OidCounts::default();
+                shards.iter().for_each(|s| united.absorb(s));
+                prop_assert_eq!(united, want_oids);
             }
 
             /// `compact` cancels what the retired pairing over two triple

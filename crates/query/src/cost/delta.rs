@@ -83,10 +83,28 @@ impl Group {
     }
 }
 
-/// Where `attr` sits in a delta's attribute table. A delta names few
-/// attributes (a schema's, not a value's worth), so a scan is enough.
-fn attr_index(attrs: &[&Arc<str>], attr: &Arc<str>) -> u64 {
+/// Where `attr` sits in a delta's or a notice's attribute table. Both
+/// name few attributes (a schema's, not a value's worth), so a scan is
+/// enough.
+pub(super) fn attr_index(attrs: &[&Arc<str>], attr: &Arc<str>) -> u64 {
     attrs.iter().position(|&a| a == attr).unwrap_or(attrs.len()) as u64
+}
+
+/// The attribute names of `groups`, each once, in first-seen order: the
+/// table a group's attribute index points into.
+pub(super) fn attr_table<'a>(groups: impl Iterator<Item = &'a Arc<str>>) -> Vec<&'a Arc<str>> {
+    let mut attrs: Vec<&Arc<str>> = Vec::new();
+    for attr in groups {
+        if !attrs.contains(&attr) {
+            attrs.push(attr);
+        }
+    }
+    attrs
+}
+
+/// Wire size of an OID of `len` bytes (a length-prefixed string).
+pub(super) fn oid_wire_size(len: u32) -> usize {
+    varint_size(len as u64) + len as usize
 }
 
 /// Adds `x` to a never-descending list.
@@ -279,15 +297,9 @@ impl StatsDelta {
     }
 
     /// The attribute names the groups use, each once, in first-seen
-    /// order: the table a group's attribute index points into.
+    /// order.
     fn attr_table(&self) -> Vec<&Arc<str>> {
-        let mut attrs: Vec<&Arc<str>> = Vec::new();
-        for g in self.groups.iter().flatten() {
-            if !attrs.contains(&&g.attr) {
-                attrs.push(&g.attr);
-            }
-        }
-        attrs
+        attr_table(self.groups.iter().flatten().map(|g| &g.attr))
     }
 
     /// The `(attr, value)` pairs the delta's writes name: each once per

@@ -5,7 +5,7 @@ use unistore_store::index::attr_value_range;
 use unistore_store::qgram;
 
 use super::statistics::GlobalStats;
-use super::StatsDelta;
+use super::{StatsDelta, StatsNotice};
 use crate::strategy::{JoinStrategy, RangeAlgo, ScanStrategy};
 
 /// Overlay parameters the model derives its guarantees from.
@@ -98,6 +98,11 @@ impl CostModel {
     /// Folds a statistics delta into the model — O(delta), no rescan.
     pub fn apply_delta(&mut self, delta: &StatsDelta) {
         self.stats.apply_delta(delta);
+    }
+
+    /// Folds a statistics flush notice into the model — O(groups).
+    pub fn apply_notice(&mut self, notice: &StatsNotice) {
+        self.stats.apply_notice(notice);
     }
 
     /// Prices one scan strategy. `limit_hint` enables early-termination

@@ -1,5 +1,6 @@
 //! The statistics snapshot: [`GlobalStats`] and its per-attribute
-//! [`AttrStats`], bulk-built once and folded forward by write deltas.
+//! [`AttrStats`], bulk-built once and folded forward by write deltas
+//! and flush notices.
 
 use std::sync::{Arc, Mutex, PoisonError, Weak};
 
@@ -7,21 +8,25 @@ use unistore_store::index::attr_value_key;
 use unistore_store::qgram;
 use unistore_store::{Triple, Value};
 use unistore_util::stats::Histogram;
-use unistore_util::wire::{varint_size, Wire};
+use unistore_util::wire::Wire;
 use unistore_util::FxHashMap;
 
-use super::delta::{oid_ref, OidRef, StatsDelta, DELETED, INSERTED};
+use super::delta::{oid_ref, oid_wire_size, OidRef, StatsDelta, DELETED, INSERTED};
 use super::estimator::{CostModel, NetParams, UNKNOWN_ATTR_SELECTIVITY};
+use super::notice::StatsNotice;
+use super::oids::OidCounts;
 
-/// Bumps a refcount by `n`.
-fn bump<K: std::hash::Hash + Eq>(map: &mut FxHashMap<K, u32>, k: K, n: u32) {
-    *map.entry(k).or_insert(0) += n;
+/// Bumps a refcount by `n`, stopping at `u32::MAX`: counts that come
+/// off the wire are bounded per message, not across messages.
+pub(super) fn bump<K: std::hash::Hash + Eq>(map: &mut FxHashMap<K, u32>, k: K, n: u32) {
+    let rc = map.entry(k).or_insert(0);
+    *rc = rc.saturating_add(n);
 }
 
 /// Drops a refcount by `n`, removing the entry when it reaches zero.
 /// Unknown keys are ignored and known ones stop at zero (saturating
 /// semantics).
-fn unbump<K: std::hash::Hash + Eq>(map: &mut FxHashMap<K, u32>, k: &K, n: u32) {
+pub(super) fn unbump<K: std::hash::Hash + Eq>(map: &mut FxHashMap<K, u32>, k: &K, n: u32) {
     if let Some(rc) = map.get_mut(k) {
         *rc = rc.saturating_sub(n);
         if *rc == 0 {
@@ -118,11 +123,6 @@ impl AttrStats {
     }
 }
 
-/// Wire size of an OID of `len` bytes (a length-prefixed string).
-fn oid_wire_size(len: u32) -> usize {
-    varint_size(len as u64) + len as usize
-}
-
 /// Global statistics: what the paper's peers gossip. Bulk-built once
 /// per load, then maintained incrementally: every routed write folds in
 /// as an O(delta) [`GlobalStats::apply_delta`] instead of a rescan of
@@ -145,9 +145,12 @@ pub struct GlobalStats {
     pub net: NetParams,
     /// Running sum of triple wire sizes (drives `avg_triple_bytes`).
     bytes: f64,
-    /// Live OID fingerprints (refcounted; drives `oid_distinct`, which
-    /// counts two OIDs that share a fingerprint once).
-    pub(super) oids: FxHashMap<u32, u32>,
+    /// Live OID fingerprints, which drive `oid_distinct` (two OIDs that
+    /// share a fingerprint count once). A snapshot built from triples
+    /// has them; the snapshots peers hold do not — the map lives in
+    /// shards at their homes ([`super::oids`]) — and take
+    /// `oid_distinct` from flush notices instead.
+    pub(super) oids: Option<OidCounts>,
     /// Live value key-bits (refcounted; drives `value_distinct`).
     pub(super) values: FxHashMap<u64, u32>,
 }
@@ -163,7 +166,7 @@ impl GlobalStats {
             attrs: FxHashMap::default(),
             net,
             bytes: 0.0,
-            oids: FxHashMap::default(),
+            oids: Some(OidCounts::default()),
             values: FxHashMap::default(),
         }
     }
@@ -200,7 +203,8 @@ impl GlobalStats {
 
     /// Folds a write batch into the snapshot, all inserts before all
     /// deletes — O(delta), and O(groups) in everything but the OID
-    /// refcounts and the byte sum.
+    /// refcounts and the byte sum. A snapshot without the OID map keeps
+    /// its `oid_distinct`.
     pub fn apply_delta(&mut self, delta: &StatsDelta) {
         for g in &delta.groups[INSERTED] {
             self.fold_inserts(&g.attr, &g.value, delta.oids_of(g));
@@ -210,10 +214,42 @@ impl GlobalStats {
         }
     }
 
+    /// Folds a flush notice into the snapshot, all inserts before all
+    /// deletes — O(groups) — and moves `oid_distinct` by the change the
+    /// OID shards acknowledged. A delete group the snapshot counts
+    /// fewer triples of than the group names (its holder missed a
+    /// notice) is taken as far as it counts them, with that share of
+    /// the group's OID bytes.
+    pub fn apply_notice(&mut self, notice: &StatsNotice) {
+        for g in &notice.groups[INSERTED] {
+            self.add_pair(&g.attr, &g.value, g.count, g.oid_bytes);
+        }
+        for g in &notice.groups[DELETED] {
+            let n = self.deletable(&g.attr, &g.value, g.count);
+            if n > 0 {
+                let share = g.oid_bytes as u128 * n as u128 / g.count as u128;
+                let oid_bytes = u64::try_from(share).unwrap_or(u64::MAX);
+                self.remove_pair(&g.attr, &g.value, n, oid_bytes);
+            }
+        }
+        self.oid_distinct = (self.oid_distinct + notice.oid_delta as f64).max(0.0);
+    }
+
+    /// The OID refcount map, when the snapshot keeps one.
+    pub fn oids(&self) -> Option<&OidCounts> {
+        self.oids.as_ref()
+    }
+
+    /// Takes the OID refcount map out of the snapshot: from then on
+    /// `oid_distinct` only moves with [`GlobalStats::apply_notice`].
+    pub fn take_oids(&mut self) -> Option<OidCounts> {
+        self.oids.take()
+    }
+
     /// Folds in the triples `(oid, attr, value)` for every given OID:
-    /// everything that depends on the pair alone is derived once and
-    /// counted by the group's size; only the OID refcount and the byte
-    /// sum are touched per triple. A single insert is a group of one.
+    /// the OID refcounts and the byte sum per triple, everything that
+    /// depends on the pair alone once, counted by the group's size. A
+    /// single insert is a group of one.
     fn fold_inserts(
         &mut self,
         attr: &Arc<str>,
@@ -221,14 +257,59 @@ impl GlobalStats {
         oids: impl ExactSizeIterator<Item = OidRef>,
     ) {
         let n = oids.len() as u32;
-        let pair_bytes = attr.wire_size() + value.wire_size();
+        let mut oid_bytes = 0;
         for (fingerprint, len) in oids {
-            self.bytes += (oid_wire_size(len) + pair_bytes) as f64;
-            bump(&mut self.oids, fingerprint, 1);
+            oid_bytes += oid_wire_size(len) as u64;
+            if let Some(map) = &mut self.oids {
+                map.bump(fingerprint, 1);
+            }
         }
+        if let Some(map) = &self.oids {
+            self.oid_distinct = map.len() as f64;
+        }
+        self.add_pair(attr, value, n, oid_bytes);
+    }
+
+    /// The inverse of [`GlobalStats::fold_inserts`], for as many of the
+    /// OIDs — taken from the front — as the snapshot still counts
+    /// triples of the pair; the rest are ignored, as a delete the
+    /// snapshot never saw the insert of is.
+    fn fold_deletes(
+        &mut self,
+        attr: &Arc<str>,
+        value: &Value,
+        oids: impl ExactSizeIterator<Item = OidRef>,
+    ) {
+        let n = self.deletable(attr, value, oids.len() as u32);
+        if n == 0 {
+            return;
+        }
+        let mut oid_bytes = 0;
+        for (fingerprint, len) in oids.take(n as usize) {
+            oid_bytes += oid_wire_size(len) as u64;
+            if let Some(map) = &mut self.oids {
+                map.unbump(fingerprint, 1);
+            }
+        }
+        if let Some(map) = &self.oids {
+            self.oid_distinct = map.len() as f64;
+        }
+        self.remove_pair(attr, value, n, oid_bytes);
+    }
+
+    /// How many of `n` deletes under `(attr, value)` the snapshot can
+    /// take: as many as it counts triples of the pair's key bits.
+    fn deletable(&self, attr: &str, value: &Value, n: u32) -> u32 {
+        let held = self.attr(attr).and_then(|a| a.values.get(&value.key_bits()).copied());
+        n.min(held.unwrap_or(0))
+    }
+
+    /// Counts `n` triples of `(attr, value)` whose OIDs take `oid_bytes`
+    /// on the wire: everything but the OID refcounts.
+    fn add_pair(&mut self, attr: &Arc<str>, value: &Value, n: u32, oid_bytes: u64) {
+        self.bytes += pair_sum(attr, value, n, oid_bytes);
         self.total += n as f64;
         self.avg_triple_bytes = self.bytes / self.total;
-        self.oid_distinct = self.oids.len() as f64;
         let key_bits = value.key_bits();
         bump(&mut self.values, key_bits, n);
         self.value_distinct = self.values.len() as f64;
@@ -247,31 +328,15 @@ impl GlobalStats {
         }
     }
 
-    /// The inverse of [`GlobalStats::fold_inserts`], for as many of the
-    /// OIDs — taken from the front — as the snapshot still counts
-    /// triples of the pair; the rest are ignored, as a delete the
-    /// snapshot never saw the insert of is.
-    fn fold_deletes(
-        &mut self,
-        attr: &Arc<str>,
-        value: &Value,
-        oids: impl ExactSizeIterator<Item = OidRef>,
-    ) {
+    /// The inverse of [`GlobalStats::add_pair`] for `n` triples the
+    /// snapshot counts ([`GlobalStats::deletable`]).
+    fn remove_pair(&mut self, attr: &Arc<str>, value: &Value, n: u32, oid_bytes: u64) {
         let Some(a) = self.attrs.get_mut(attr) else { return };
-        let key_bits = value.key_bits();
-        let n = (oids.len() as u32).min(a.values.get(&key_bits).copied().unwrap_or(0));
-        if n == 0 {
-            return;
-        }
         let a = Arc::make_mut(a);
-        let pair_bytes = attr.wire_size() + value.wire_size();
-        for (fingerprint, len) in oids.take(n as usize) {
-            self.bytes -= (oid_wire_size(len) + pair_bytes) as f64;
-            unbump(&mut self.oids, &fingerprint, 1);
-        }
+        let key_bits = value.key_bits();
+        self.bytes -= pair_sum(attr, value, n, oid_bytes);
         self.total -= n as f64;
         self.avg_triple_bytes = if self.total > 0.0 { self.bytes / self.total } else { 16.0 };
-        self.oid_distinct = self.oids.len() as f64;
         unbump(&mut self.values, &key_bits, n);
         self.value_distinct = self.values.len() as f64;
         a.count -= n as f64;
@@ -308,15 +373,23 @@ impl GlobalStats {
     }
 }
 
-/// What a [`StatsDelta`] remembers of the last fold that had to copy a
-/// shared snapshot: the snapshot it started from and the one it made.
-/// Every other holder of that same snapshot that folds the same delta
-/// object takes the result instead of making its own copy, so peers
-/// that fold the same deltas in the same order hold one snapshot. The
-/// `Weak` keeps the base's allocation, and with it its address, from
-/// being reused while the memo can still match it; the strong result
-/// keeps anyone from folding into it in place. Never on the wire: a
-/// clone or a decoded delta starts empty.
+/// The wire bytes of `n` triples of `(attr, value)` whose OIDs take
+/// `oid_bytes`, saturating rather than wrapping on a hostile notice's
+/// sums.
+fn pair_sum(attr: &Arc<str>, value: &Value, n: u32, oid_bytes: u64) -> f64 {
+    let pair_bytes = (attr.wire_size() + value.wire_size()) as u64;
+    oid_bytes.saturating_add(n as u64 * pair_bytes) as f64
+}
+
+/// What a [`StatsDelta`] or a [`StatsNotice`] remembers of the last
+/// fold that had to copy a shared snapshot: the snapshot it started
+/// from and the one it made. Every other holder of that same snapshot
+/// that folds the same object takes the result instead of making its
+/// own copy, so peers that fold the same notices in the same order hold
+/// one snapshot. The `Weak` keeps the base's allocation, and with it
+/// its address, from being reused while the memo can still match it;
+/// the strong result keeps anyone from folding into it in place. Never
+/// on the wire: a clone or a decoded object starts empty.
 #[derive(Default)]
 pub(super) struct FoldMemo(Mutex<Option<(Weak<CostModel>, Arc<CostModel>)>>);
 
@@ -327,29 +400,42 @@ impl Clone for FoldMemo {
 }
 
 impl CostModel {
-    /// Folds a delta into a snapshot that other holders may share — the
-    /// statistics gossip's one fold. A snapshot this delta already took
-    /// from the same base is reused by pointer; a snapshot nobody else
-    /// holds is folded in place; a shared one is copied, folded, and
-    /// memoized on the delta for the base's other holders.
+    /// Folds a delta into a snapshot that other holders may share. A
+    /// snapshot this delta already took from the same base is reused by
+    /// pointer; a snapshot nobody else holds is folded in place; a
+    /// shared one is copied, folded, and memoized on the delta for the
+    /// base's other holders.
     pub fn apply_shared(model: &mut Arc<CostModel>, delta: &StatsDelta) {
-        // The memo is only ever written in one assignment, so a guard
-        // poisoned by a panicking fold still holds a consistent memo.
-        let mut memo = delta.memo.0.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some((base, result)) = memo.as_ref() {
-            if std::ptr::eq(base.as_ptr(), Arc::as_ptr(model)) {
-                *model = result.clone();
-                return;
-            }
-        }
-        if Arc::strong_count(model) == 1 {
-            Arc::make_mut(model).apply_delta(delta);
+        fold_shared(model, &delta.memo, |m| m.apply_delta(delta));
+    }
+
+    /// [`CostModel::apply_shared`] for a flush notice — the statistics
+    /// gossip's one fold: every peer folds the one notice object its
+    /// flush sent, so they end up sharing one result.
+    pub fn apply_shared_notice(model: &mut Arc<CostModel>, notice: &StatsNotice) {
+        fold_shared(model, &notice.memo, |m| m.apply_notice(notice));
+    }
+}
+
+/// Folds into `model` through `memo`, the memo of the one object that
+/// `fold` folds in.
+fn fold_shared(model: &mut Arc<CostModel>, memo: &FoldMemo, fold: impl Fn(&mut CostModel)) {
+    // The memo is only ever written in one assignment, so a guard
+    // poisoned by a panicking fold still holds a consistent memo.
+    let mut memo = memo.0.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some((base, result)) = memo.as_ref() {
+        if std::ptr::eq(base.as_ptr(), Arc::as_ptr(model)) {
+            *model = result.clone();
             return;
         }
-        let mut copy = CostModel::clone(model);
-        copy.apply_delta(delta);
-        let base = Arc::downgrade(model);
-        *model = Arc::new(copy);
-        *memo = Some((base, model.clone()));
     }
+    if Arc::strong_count(model) == 1 {
+        fold(Arc::make_mut(model));
+        return;
+    }
+    let mut copy = CostModel::clone(model);
+    fold(&mut copy);
+    let base = Arc::downgrade(model);
+    *model = Arc::new(copy);
+    *memo = Some((base, model.clone()));
 }

@@ -38,7 +38,7 @@ pub mod relation;
 pub mod skyline;
 pub mod strategy;
 
-pub use cost::{CostModel, CostVector, GlobalStats, StatsDelta};
+pub use cost::{CostModel, CostVector, GlobalStats, StatsDelta, StatsNotice};
 pub use local::LocalEngine;
 pub use logical::Logical;
 pub use mqp::{Coverage, Mqp, MqpNode};

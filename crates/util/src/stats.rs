@@ -258,7 +258,7 @@ impl Histogram {
         self.buckets[b] += n as u64;
         self.count += n as u64;
         if let Some(rc) = self.distinct.get_mut(&key) {
-            *rc += n;
+            *rc = rc.saturating_add(n);
         } else if self.distinct.len() < self.distinct_cap {
             self.distinct.insert(key, n);
         }

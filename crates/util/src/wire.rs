@@ -40,8 +40,9 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Sanity cap for decoded collection lengths (guards fuzzed input).
-const MAX_LEN: u64 = 1 << 28;
+/// Sanity cap for decoded collection and string lengths (guards fuzzed
+/// input).
+pub const MAX_LEN: u64 = 1 << 28;
 
 /// Types that can cross the simulated network.
 pub trait Wire: Sized {

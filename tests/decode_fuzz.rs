@@ -27,7 +27,7 @@ use unistore_overlay::repair::{Child, Part, RecordKey, RepairMsg, Span, Summary,
 use unistore_overlay::RecordList;
 use unistore_pgrid::msg::PeerRef;
 use unistore_pgrid::PGridMsg;
-use unistore_query::cost::StatsDelta;
+use unistore_query::cost::{GlobalStats, NetParams, OidPiece, StatsDelta, StatsNotice};
 use unistore_query::{Coverage, Mqp, MqpNode, Relation};
 use unistore_simnet::NodeId;
 use unistore_store::{Triple, Value};
@@ -141,6 +141,41 @@ fn sample_stats_delta() -> StatsDelta {
     d.record_delete(Triple::new("object-4", "rating", Value::Int(4)));
     d.record_delete(Triple::new("o2", "name", Value::str("bob")));
     d
+}
+
+/// The notice and the OID pieces a flush of [`sample_stats_delta`]
+/// makes over a snapshot that counts one of its deleted triples: both
+/// signs, a group the snapshot caps, and pieces in several shards.
+fn sample_flush() -> (StatsNotice, Vec<OidPiece>) {
+    let net = NetParams { n_peers: 4.0, n_leaves: 4.0, replication: 1.0, hop_ms: 1.0 };
+    let base = GlobalStats::build(&[Triple::new("o1", "rating", Value::Int(4))], net);
+    let (mut notice, pieces) = StatsNotice::split(&sample_stats_delta(), &base);
+    notice.add_oid_delta(-3);
+    (notice, pieces)
+}
+
+/// The largest notice sums the decoder lets through, on both sides of
+/// one pair: `u32::MAX` triples of the longest decodable OIDs, and the
+/// largest distinct-OID change.
+fn huge_notice() -> StatsNotice {
+    use unistore_util::wire::{put_varint, varint_size, MAX_LEN};
+    let mut buf = bytes::BytesMut::new();
+    put_varint(&mut buf, 1);
+    "rating".to_string().encode(&mut buf);
+    for _ in 0..2 {
+        put_varint(&mut buf, 1);
+        put_varint(&mut buf, 0);
+        Value::Int(4).encode(&mut buf);
+        u32::MAX.encode(&mut buf);
+        (u32::MAX as u64 * (varint_size(MAX_LEN) as u64 + MAX_LEN)).encode(&mut buf);
+    }
+    i64::MAX.encode(&mut buf);
+    StatsNotice::from_bytes(&buf.freeze()).unwrap()
+}
+
+/// A piece with the largest changes either way.
+fn huge_piece() -> OidPiece {
+    OidPiece { shard: 3, entries: vec![(3 << 30 | 1, i32::MAX), (3 << 30 | 2, i32::MIN)] }
 }
 
 fn sample_batch() -> OpBatch<Triple> {
@@ -453,9 +488,21 @@ impl FuzzSeeds for UniMsg<PGridMsg<Triple>> {
             }),
             UniMsg::Query(QueryMsg::StatsDelta {
                 epoch: 3,
-                span: 6,
                 delta: Shared::new(sample_stats_delta()),
             }),
+            UniMsg::Query(QueryMsg::StatsNotice {
+                epoch: 3,
+                span: 6,
+                notice: Shared::new(sample_flush().0),
+            }),
+            UniMsg::Query(QueryMsg::OidPiece {
+                epoch: 3,
+                origin: NodeId(9),
+                flush: 300,
+                at_home: false,
+                piece: sample_flush().1[0].clone(),
+            }),
+            UniMsg::Query(QueryMsg::OidAck { epoch: 3, flush: 300, shard: 2, delta: -70 }),
             UniMsg::Query(QueryMsg::StatsProbe { qid: 11 }),
         ];
         out.extend(PGridMsg::seeds().into_iter().map(UniMsg::Overlay));
@@ -485,6 +532,20 @@ impl FuzzSeeds for OpBatch<Triple> {
 impl FuzzSeeds for StatsDelta {
     fn seeds() -> Vec<Self> {
         vec![StatsDelta::new(), sample_stats_delta()]
+    }
+}
+
+impl FuzzSeeds for StatsNotice {
+    fn seeds() -> Vec<Self> {
+        vec![StatsNotice::default(), sample_flush().0, huge_notice()]
+    }
+}
+
+impl FuzzSeeds for OidPiece {
+    fn seeds() -> Vec<Self> {
+        let mut out = vec![OidPiece::default(), huge_piece()];
+        out.extend(sample_flush().1);
+        out
     }
 }
 
@@ -532,6 +593,8 @@ fn wire_size_is_the_encoded_length_on_every_seed() {
     sweep::<ChordMsg<Triple>>();
     sweep::<OpBatch<Triple>>();
     sweep::<StatsDelta>();
+    sweep::<StatsNotice>();
+    sweep::<OidPiece>();
     sweep::<BloomFilter>();
     sweep::<Coverage>();
     sweep::<Relation>();
@@ -553,6 +616,8 @@ fn truncated_encodings_rejected() {
     sweep::<ChordMsg<Triple>>();
     sweep::<OpBatch<Triple>>();
     sweep::<StatsDelta>();
+    sweep::<StatsNotice>();
+    sweep::<OidPiece>();
     sweep::<BloomFilter>();
     sweep::<Coverage>();
     sweep::<Relation>();
@@ -563,7 +628,6 @@ fn truncated_encodings_rejected() {
 /// decoder lets through must fold, merge and compact without a panic.
 mod stats_delta_use {
     use super::*;
-    use unistore_query::cost::{GlobalStats, NetParams};
 
     fn use_if_decodes(bytes: &[u8]) {
         let Ok(d) = StatsDelta::from_bytes(&Bytes::copy_from_slice(bytes)) else { return };
@@ -592,6 +656,65 @@ mod stats_delta_use {
         fn random_digests_fold(data in proptest::collection::vec(0u8..4, 0..24)) {
             // Tiny bytes so that counts, tags and gaps are often valid.
             use_if_decodes(&data);
+        }
+    }
+}
+
+/// Receivers fold whatever notice the decoder lets through, and homes
+/// whatever piece: neither may panic.
+mod stats_notice_use {
+    use super::*;
+    use unistore_query::cost::OidCounts;
+
+    fn use_if_decodes(notice: &[u8], piece: &[u8]) {
+        let net = NetParams { n_peers: 4.0, n_leaves: 4.0, replication: 1.0, hop_ms: 1.0 };
+        let mut stats = GlobalStats::empty(net);
+        stats.apply_delta(&sample_stats_delta());
+        if let Ok(n) = StatsNotice::from_bytes(&Bytes::copy_from_slice(notice)) {
+            stats.apply_notice(&n);
+            stats.apply_notice(&sample_flush().0);
+        }
+        if let Ok(p) = OidPiece::from_bytes(&Bytes::copy_from_slice(piece)) {
+            let mut shard = OidCounts::default();
+            let added = shard.apply(&p.entries);
+            assert_eq!(added, shard.len() as i64);
+        }
+    }
+
+    /// The largest sums fold again and again: counts stop at their
+    /// type's end instead of wrapping or panicking.
+    #[test]
+    fn the_largest_sums_fold_repeatedly() {
+        let (notice, piece) = (huge_notice(), huge_piece());
+        for _ in 0..3 {
+            use_if_decodes(&notice.to_bytes(), &piece.to_bytes());
+        }
+        let net = NetParams { n_peers: 4.0, n_leaves: 4.0, replication: 1.0, hop_ms: 1.0 };
+        let mut stats = GlobalStats::empty(net);
+        let mut home = OidCounts::default();
+        for _ in 0..3 {
+            stats.apply_notice(&notice);
+            home.apply(&piece.entries);
+        }
+        assert!(stats.avg_triple_bytes.is_finite() && stats.oid_distinct.is_finite());
+        assert_eq!(home.get(3 << 30 | 1), u32::MAX);
+    }
+
+    proptest! {
+        #[test]
+        fn bitflipped_notices_and_pieces_fold(pos: u64, mask in 1u8..=255u8) {
+            let (notice, pieces) = sample_flush();
+            let mut n = notice.to_bytes().to_vec();
+            let mut p = pieces[0].to_bytes().to_vec();
+            let (at_n, at_p) = (pos as usize % n.len(), pos as usize % p.len());
+            n[at_n] ^= mask;
+            p[at_p] ^= mask;
+            use_if_decodes(&n, &p);
+        }
+
+        #[test]
+        fn random_notices_and_pieces_fold(data in proptest::collection::vec(0u8..4, 0..24)) {
+            use_if_decodes(&data, &data);
         }
     }
 }
@@ -639,6 +762,8 @@ fuzz_wire! {
     chord_msg => ChordMsg<Triple>,
     op_batch => OpBatch<Triple>,
     stats_delta => StatsDelta,
+    stats_notice => StatsNotice,
+    oid_piece => OidPiece,
     bloom_filter => BloomFilter,
     coverage => Coverage,
     relation => Relation,
