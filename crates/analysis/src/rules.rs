@@ -72,7 +72,7 @@ fn in_wire_emitting(path: &str) -> bool {
                 | "crates/query/src/mqp.rs"
                 | "crates/query/src/cost/delta.rs"
                 | "crates/query/src/cost/notice.rs"
-                | "crates/query/src/cost/oids.rs"
+                | "crates/query/src/cost/shards.rs"
                 | "crates/core/src/stats.rs"
                 | "crates/simnet/src/metrics.rs"
         )
@@ -463,7 +463,7 @@ mod tests {
         for path in [
             "crates/query/src/cost/delta.rs",
             "crates/query/src/cost/notice.rs",
-            "crates/query/src/cost/oids.rs",
+            "crates/query/src/cost/shards.rs",
             "crates/core/src/msg.rs",
         ] {
             assert!(in_l1_scope(path) && in_wire_emitting(path), "{path}");

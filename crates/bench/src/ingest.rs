@@ -10,10 +10,10 @@ use std::path::Path;
 
 use unistore::cluster::qgram_ops;
 use unistore::UniCluster;
-use unistore_query::cost::NetParams;
+use unistore_query::cost::{NetParams, StatsFlush};
 use unistore_query::{GlobalStats, StatsDelta, StatsNotice};
 use unistore_simnet::{NodeId, SimTime};
-use unistore_store::{Tuple, Value};
+use unistore_store::{Triple, Tuple, Value};
 use unistore_util::wire::Wire;
 use unistore_workload::{PubParams, PubWorld};
 
@@ -46,16 +46,19 @@ const CEILINGS: [(&str, (f64, f64)); 2] =
 const CENSUS_CEILINGS: [(&str, (usize, f64)); 2] =
     [(PGrid::LABEL, (5_000, 5_000.0)), (Chord::LABEL, (5_000, 5_000.0))];
 
-/// `(batch tuples, delta ceiling, notice ceiling)` on the statistics
-/// bytes per recorded triple of one Zipf batch: `ingest`'s 64 tuples,
-/// where the OID table is most of the digest, and the churn campaign's
-/// 8, where the attribute table keeps every group from repeating
-/// `published_in`. The `StatsDelta` a write origin buffers measured
-/// 4.914 and 8.125 (with 8-byte OID hashes and an attribute name per
-/// group they were 7.828 and 11.438); the `StatsNotice` its flush sends
-/// every peer — no OID table, a count and an OID byte sum per group —
-/// measured 1.523 and 4.875. Ceilings sit about 10 % over.
-const STATS_BYTES_PER_TRIPLE_CEILINGS: [(usize, f64, f64); 2] = [(64, 5.4, 1.7), (8, 8.9, 5.4)];
+/// `(batch tuples, delta ceiling, piece ceiling, summary ceiling)` on
+/// the statistics bytes per recorded triple of one Zipf batch:
+/// `ingest`'s 64 tuples, where the OID table is most of the digest,
+/// and the churn campaign's 8, where the attribute table keeps every
+/// group from repeating `published_in`. The `StatsDelta` a write origin
+/// buffers measured 4.914 and 8.125 (with 8-byte OID hashes and an
+/// attribute name per group they were 7.828 and 11.438). Its flush
+/// sends the shard homes pieces of 4.953 and 10.875 B per triple in all
+/// (pair groups, and each fingerprint's and value's change), and at
+/// ε = 0 the homes publish summaries of 0.633 and 5.062 B per triple,
+/// which go to every peer. Ceilings sit about 10 % over.
+const STATS_BYTES_PER_TRIPLE_CEILINGS: [(usize, f64, f64, f64); 2] =
+    [(64, 5.4, 5.4, 0.7), (8, 8.9, 12.0, 5.6)];
 
 const QUERIES: [&str; 2] = [
     "SELECT ?x WHERE {(?x,'tag','even')}",
@@ -65,7 +68,7 @@ const QUERIES: [&str; 2] = [
 /// Drives one routed ingest of the tuple stream in `BATCH_TUPLES` calls
 /// and returns the measured row plus the canonicalized answers to the
 /// verification queries (asserted equal to the oracle's).
-fn ingest<B: Backend>(tuples: &[Tuple], stats_bytes: [(f64, f64); 2]) -> (Row, Vec<Vec<String>>) {
+fn ingest<B: Backend>(tuples: &[Tuple], stats_bytes: [[f64; 3]; 2]) -> (Row, Vec<Vec<String>>) {
     // Quiet stats dissemination so the measured traffic is exactly the
     // write pipeline.
     let cfg = B::config().with_stats_refresh(SimTime::from_secs(1_000_000_000));
@@ -127,10 +130,12 @@ fn ingest<B: Backend>(tuples: &[Tuple], stats_bytes: [(f64, f64); 2]) -> (Row, V
         .float("kib", kib, 3)
         .float("msgs_per_1k", msgs_per_1k, 3)
         .float("kib_per_1k", kib_per_1k, 3)
-        .float("stats_delta_bytes_per_triple", stats_bytes[0].0, 3)
-        .float("stats_delta_bytes_per_triple_8", stats_bytes[1].0, 3)
-        .float("stats_notice_bytes_per_triple", stats_bytes[0].1, 3)
-        .float("stats_notice_bytes_per_triple_8", stats_bytes[1].1, 3)
+        .float("stats_delta_bytes_per_triple", stats_bytes[0][0], 3)
+        .float("stats_delta_bytes_per_triple_8", stats_bytes[1][0], 3)
+        .float("stats_piece_bytes_per_triple", stats_bytes[0][1], 3)
+        .float("stats_piece_bytes_per_triple_8", stats_bytes[1][1], 3)
+        .float("stats_summary_bytes_per_triple", stats_bytes[0][2], 3)
+        .float("stats_summary_bytes_per_triple_8", stats_bytes[1][2], 3)
         .int("max_records_per_peer", max_records as u64)
         .float("qgram_ops_per_1k", qgram_ops_per_1k, 3);
     (row, answers)
@@ -138,12 +143,13 @@ fn ingest<B: Backend>(tuples: &[Tuple], stats_bytes: [(f64, f64); 2]) -> (Row, V
 
 /// What such a write costs the statistics plane: the bytes per triple
 /// of one Zipf batch of `batch_tuples` tuples as the digest its origin
-/// buffers, and as the notice the next stats flush hands to every peer
-/// whichever backend routed the writes (its OID change set to the
-/// batch's distinct fingerprints, all new).
+/// buffers, as the pieces the next stats flush sends the shard homes,
+/// and as the summaries the homes publish at ε = 0 over the world the
+/// batch writes into — what every peer then receives — whichever
+/// backend routed the writes.
 fn stats_bytes_per_triple(
-    (batch_tuples, delta_ceiling, notice_ceiling): (usize, f64, f64),
-) -> (f64, f64) {
+    (batch_tuples, delta_ceiling, piece_ceiling, summary_ceiling): (usize, f64, f64, f64),
+) -> [f64; 3] {
     let world = PubWorld::generate(
         &PubParams { n_authors: 60, n_conferences: 15, ..Default::default() },
         SEED,
@@ -157,31 +163,42 @@ fn stats_bytes_per_triple(
         delta.record_insert(t);
     }
     let net = NetParams { n_peers: 64.0, n_leaves: 64.0, replication: 1.0, hop_ms: 1.0 };
-    let (mut notice, pieces) = StatsNotice::split(&delta, &GlobalStats::empty(net));
-    notice.add_oid_delta(pieces.iter().map(|p| p.entries.len() as i64).sum());
-    let per_triple = delta.wire_size() as f64 / delta.len() as f64;
-    let notice_per_triple = notice.wire_size() as f64 / delta.len() as f64;
+    let triples: Vec<Triple> = world.all_tuples().iter().flat_map(Tuple::to_triples).collect();
+    let built = GlobalStats::build(&triples, net);
+    let pieces = StatsFlush::new(delta.clone()).first_pieces();
+    let mut summaries = StatsNotice::default();
+    for piece in &pieces {
+        let mut home = built.home(piece.shard).expect("a build has homes");
+        summaries.merge(home.fold(piece, 0.0).1);
+    }
+    let n = delta.len() as f64;
+    let per_triple = delta.wire_size() as f64 / n;
+    let piece_bytes: usize = pieces.iter().map(|p| p.wire_size()).sum();
+    let (piece_per_triple, summary_per_triple) =
+        (piece_bytes as f64 / n, summaries.wire_size() as f64 / n);
     println!(
         "\nstats digest of one {batch_tuples}-tuple Zipf batch: {} B for {} triples \
          ({per_triple:.2} B/triple; the triples themselves encode to {flat_bytes} B); \
-         its notice {} B ({notice_per_triple:.2} B/triple) and {} OID pieces of {} B",
+         {} pieces of {piece_bytes} B ({piece_per_triple:.2} B/triple); {} summaries of {} B \
+         ({summary_per_triple:.2} B/triple)",
         delta.wire_size(),
         delta.len(),
-        notice.wire_size(),
         pieces.len(),
-        pieces.iter().map(|p| p.wire_size()).sum::<usize>(),
+        summaries.len(),
+        summaries.wire_size(),
     );
-    assert!(
-        per_triple <= delta_ceiling,
-        "stats digest of a {batch_tuples}-tuple batch costs {per_triple:.2} B per triple, over \
-         the {delta_ceiling} ceiling"
-    );
-    assert!(
-        notice_per_triple <= notice_ceiling,
-        "stats notice of a {batch_tuples}-tuple batch costs {notice_per_triple:.2} B per triple, \
-         over the {notice_ceiling} ceiling"
-    );
-    (per_triple, notice_per_triple)
+    for (what, got, ceiling) in [
+        ("digest", per_triple, delta_ceiling),
+        ("pieces", piece_per_triple, piece_ceiling),
+        ("summaries", summary_per_triple, summary_ceiling),
+    ] {
+        assert!(
+            got <= ceiling,
+            "stats {what} of a {batch_tuples}-tuple batch cost {got:.2} B per triple, over the \
+             {ceiling} ceiling"
+        );
+    }
+    [per_triple, piece_per_triple, summary_per_triple]
 }
 
 /// Writes `BENCH_ingest.json`.

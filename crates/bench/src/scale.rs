@@ -11,10 +11,12 @@
 //! campaign's messages re-rolls every schedule, so a floor over one
 //! schedule would assert a draw.
 //!
-//! Reported, not gated: `oid_drift`, the live peers' median
-//! `oid_distinct` at the end of the run relative to the driver's exact
-//! count (negative: the peers undercount). Lost pieces and acks, and
-//! shard homes that churn moved or took down, make it drift.
+//! Reported, not gated: `oid_drift` and `count_drift`, the live peers'
+//! median `oid_distinct` and median row count of the written attribute
+//! (`published_in`) at the end of the run relative to the driver's
+//! exact figures (negative: the peers undercount). Lost pieces, acks
+//! and notices, shard homes that churn moved or took down, and the
+//! drift ε lets a summary take unpublished make them drift.
 //!
 //! In-code floors, over each cell's 30 schedules (`cell_gate`):
 //! pooled, ≥ 95 % (P-Grid) or ≥ 90 % (Chord) of offered queries answer
@@ -324,16 +326,22 @@ fn campaign<B: Backend>(n: usize, world: &PubWorld, schedule: u64) -> Row {
         .zip(&delivered_before)
         .map(|(a, b)| (a - b) as f64)
         .collect();
-    // The distinct-OID count the live peers plan with, against the
-    // driver's exact one. It drifts: churn moves shard homes, so pieces
-    // land on a home whose slice is empty or at a down one, and the
-    // loss drops pieces and acks.
-    let truth = cluster.cost_model().expect("loaded").stats.oid_distinct;
-    let planned: Vec<f64> = (0..n as u32)
-        .map(NodeId)
-        .filter(|&id| cluster.net.is_up(id))
-        .filter_map(|id| cluster.net.node(id).cost_model().map(|m| m.stats.oid_distinct))
-        .collect();
+    // The distinct-OID count and the written attribute's row count the
+    // live peers plan with, against the driver's exact ones. They
+    // drift: churn moves shard homes, so pieces land at a peer that is
+    // not the home or at a down one, the loss drops pieces, acks and
+    // notices, and ε lets a summary drift unpublished.
+    let master = cluster.cost_model().expect("loaded");
+    let written =
+        |m: &unistore_query::CostModel| m.stats.attrs.get("published_in").map_or(0.0, |a| a.count);
+    let live_models = || {
+        (0..n as u32)
+            .map(NodeId)
+            .filter(|&id| cluster.net.is_up(id))
+            .filter_map(|id| cluster.net.node(id).cost_model())
+    };
+    let planned: Vec<f64> = live_models().map(|m| m.stats.oid_distinct).collect();
+    let planned_count: Vec<f64> = live_models().map(|m| written(m)).collect();
     let md = cluster.net.metrics().delta(&metrics_before);
     let ((bytes_at_close, folds_at_close), closed_at) =
         at_close.expect("the traffic outlasts the fault window");
@@ -357,7 +365,8 @@ fn campaign<B: Backend>(n: usize, world: &PubWorld, schedule: u64) -> Row {
         .int("writes_err", writes_err)
         .float("gini_load", gini(&loads), 4)
         .float("stale_frac", refs_stale as f64 / (refs_total.max(1)) as f64, 4)
-        .float("oid_drift", percentile(&planned, 50.0) / truth - 1.0, 4)
+        .float("oid_drift", percentile(&planned, 50.0) / master.stats.oid_distinct - 1.0, 4)
+        .float("count_drift", percentile(&planned_count, 50.0) / written(&master) - 1.0, 4)
         .float("repair_s", repair_s.unwrap_or(600.0), 1)
         .float("heal_s", cluster.net.now().saturating_sub(closed_at).as_secs_f64(), 1)
         .float("repair_kib", (bytes - bytes_at_close) as f64 / 1024.0, 1)

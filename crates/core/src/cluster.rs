@@ -16,7 +16,8 @@ use rand::Rng;
 
 use unistore_overlay::{OpBatch, Overlay, OverlayDone, OverlayTopology};
 use unistore_pgrid::PGridPeer;
-use unistore_query::cost::oids::OID_SHARDS;
+use unistore_query::cost::shards::STATS_SHARDS;
+use unistore_query::cost::StatsFlush;
 use unistore_query::{
     CostModel, Coverage, Logical, Mqp, MqpNode, Relation, StatsDelta, StatsNotice,
 };
@@ -33,7 +34,7 @@ use unistore_vql::{analyze, parse, VqlError};
 use crate::config::{PlanMode, UniConfig};
 use crate::msg::{QueryMsg, UniEvent, UniMsg};
 use crate::node::{Decision, UniNode};
-use crate::stats::{build_cost_model, oid_shard_home, oid_shard_key};
+use crate::stats::{build_cost_model, stats_shard_home, stats_shard_key};
 
 /// The answer to a query plus its measured network cost.
 #[derive(Clone, Debug)]
@@ -247,8 +248,8 @@ impl<O: Overlay<Item = Triple>> UniCluster<O> {
     /// topology re-plans; routed writes go through
     /// [`Self::apply_write_delta`] instead (amortized O(delta)).
     ///
-    /// The nodes' snapshot leaves the OID refcount map out: each of its
-    /// shards goes to the shard's home.
+    /// The nodes get the build's summary; each shard of its exact
+    /// statistics goes to the shard's home.
     fn rebuild_stats(&mut self) {
         self.stats_epoch += 1;
         let model = build_cost_model(
@@ -258,26 +259,24 @@ impl<O: Overlay<Item = Triple>> UniCluster<O> {
             self.topology.replication(),
             self.net.expected_link_delay(),
         );
-        let mut lean = model.stats.clone();
-        let oids = lean.take_oids().unwrap_or_default();
-        self.cost = Some(model);
-        let lean = Arc::new(CostModel::new(lean));
+        let lean = Arc::new(CostModel::new(model.stats.summary()));
         for i in 0..self.net.len() {
             self.net.node_mut(NodeId(i as u32)).reset_stats(lean.clone(), self.stats_epoch);
         }
-        for shard in 0..OID_SHARDS {
-            if let Some(home) = self.oid_home(shard) {
-                self.net.node_mut(home).install_oid_shard(shard, oids.shard(shard));
+        for shard in 0..STATS_SHARDS {
+            if let (Some(home), Some(state)) = (self.stats_home(shard), model.stats.home(shard)) {
+                self.net.node_mut(home).install_stats_home(state);
             }
         }
+        self.cost = Some(model);
     }
 
-    /// The home of OID shard `shard` as the key's replica group sees it
-    /// (`None` when no peer takes the key).
-    pub(crate) fn oid_home(&self, shard: u8) -> Option<NodeId> {
-        let key = oid_shard_key(shard);
+    /// The home of statistics shard `shard` as the key's replica group
+    /// sees it (`None` when no peer takes the key).
+    pub(crate) fn stats_home(&self, shard: u8) -> Option<NodeId> {
+        let key = stats_shard_key(shard);
         let (_, member) = self.net.iter_nodes().find(|(_, n)| n.overlay.responsible(key))?;
-        oid_shard_home(&member.overlay, key)
+        stats_shard_home(&member.overlay, key)
     }
 
     /// Folds a write batch into the statistics — O(delta), no rescan.
@@ -286,31 +285,49 @@ impl<O: Overlay<Item = Triple>> UniCluster<O> {
     /// the oracle's and `cost_model()`'s view). With an `origin`, the
     /// delta is also injected there as an in-band
     /// [`QueryMsg::StatsDelta`]: the origin node plans on it at once and
-    /// flushes it to the OID shards and the other peers on its next
-    /// stats-refresh tick, so remote planners converge without any
-    /// driver-side fan-out.
+    /// flushes it to the shard homes on its next stats-refresh tick,
+    /// whose published summaries reach the other peers, so remote
+    /// planners converge without any driver-side fan-out.
     fn apply_write_delta(&mut self, origin: Option<NodeId>, delta: StatsDelta) {
         if delta.is_empty() {
             return;
         }
         let Some(model) = self.cost.as_mut() else { return };
+        Arc::make_mut(model).apply_delta(&delta);
         if let Some(origin) = origin {
-            Arc::make_mut(model).apply_delta(&delta);
             let (epoch, delta) = (self.stats_epoch, Shared::new(delta));
             return self.net.inject(origin, UniMsg::Query(QueryMsg::StatsDelta { epoch, delta }));
         }
         // No routed path (driver-side metadata write): fold the pieces
-        // into the shard homes and the notice into every node directly,
-        // mirroring the preload.
-        let (mut notice, pieces) = StatsNotice::split(&delta, &model.stats);
-        Arc::make_mut(model).apply_delta(&delta);
-        for piece in pieces {
-            if let Some(home) = self.oid_home(piece.shard) {
-                notice.add_oid_delta(self.net.node_mut(home).fold_oid_piece(&piece));
-            }
+        // into the shard homes and install what they publish at every
+        // node directly, mirroring the preload.
+        let mut flush = StatsFlush::new(delta);
+        let mut notice = StatsNotice::default();
+        let first = flush.first_pieces();
+        self.fold_at_homes(&first, &mut flush, &mut notice);
+        if flush.has_deletes() {
+            let second = flush.object_pieces();
+            self.fold_at_homes(&second, &mut flush, &mut notice);
         }
         for i in 0..self.net.len() {
-            self.net.node_mut(NodeId(i as u32)).apply_stats_notice(&notice);
+            self.net.node_mut(NodeId(i as u32)).install_stats_notice(&notice);
+        }
+    }
+
+    /// Folds a flush round's pieces at their homes, settling the
+    /// flush's deletes and gathering what the homes publish.
+    fn fold_at_homes(
+        &mut self,
+        pieces: &[unistore_query::cost::StatsPiece],
+        flush: &mut StatsFlush,
+        notice: &mut StatsNotice,
+    ) {
+        for piece in pieces {
+            let Some(home) = self.stats_home(piece.shard) else { continue };
+            if let Some((taken, published)) = self.net.node_mut(home).fold_stats_piece(piece) {
+                flush.settle(piece.shard, &taken);
+                notice.merge(published);
+            }
         }
     }
 
@@ -810,13 +827,14 @@ pub fn qgram_ops(tuples: &[Tuple], with_qgrams: bool) -> usize {
 
 #[cfg(test)]
 mod tests {
-    //! The statistics plane across a whole cluster: after a settled tick
-    //! the peers that folded the same deltas hold one snapshot, and every
-    //! snapshot — shared or private — is exactly the fold of the deltas
-    //! its holder received.
+    //! The statistics plane across a whole cluster: the shard homes hold
+    //! the exact statistics, and every peer holds, per attribute and per
+    //! shard, the newest summary it received — at ε = 0 after a settled
+    //! tick exactly what a rebuild gives, shared by every peer.
 
     use proptest::prelude::*;
-    use unistore_query::cost::OidCounts;
+    use unistore_query::cost::shards::attr_shard;
+    use unistore_query::cost::{NetParams, StatsHome};
     use unistore_query::GlobalStats;
     use unistore_simnet::{FaultPlan, Window};
 
@@ -837,11 +855,16 @@ mod tests {
     }
 
     /// A write batch that also introduces the attribute `tag`, so a
-    /// snapshot shows whether its holder folded the batch's delta.
+    /// snapshot shows whether its holder installed the batch's flush.
     fn batch(tag: &str) -> Vec<Tuple> {
-        (0..6i64)
+        tagged(tag, tag, 6)
+    }
+
+    /// `n` tuples `{prefix}-{i}` with a rating and the attribute `tag`.
+    fn tagged(prefix: &str, tag: &str, n: i64) -> Vec<Tuple> {
+        (0..n)
             .map(|i| {
-                Tuple::new(&format!("{tag}-{i}"))
+                Tuple::new(&format!("{prefix}-{i}"))
                     .with("rating", Value::Int(i % 3))
                     .with(tag, Value::Int(i))
             })
@@ -852,43 +875,60 @@ mod tests {
         c.net.node(NodeId(node as u32)).cost_model().expect("loaded").clone()
     }
 
-    /// A build over `triples` split as a loaded cluster holds it: the
-    /// snapshot every node gets, and the OID map its shards divide.
-    fn built(triples: &[Triple], net: unistore_query::cost::NetParams) -> (GlobalStats, OidCounts) {
-        let mut stats = GlobalStats::build(triples, net);
-        let oids = stats.take_oids().expect("a build keeps the OID map");
-        (stats, oids)
+    /// The shard homes' slices united: exact statistics, comparable
+    /// field for field with a build.
+    fn homes_united<O: Overlay<Item = Triple>>(c: &UniCluster<O>, net: NetParams) -> GlobalStats {
+        let homes = c.net.iter_nodes().flat_map(|(_, n)| n.stats_homes().iter().flatten());
+        GlobalStats::from_homes(homes, net)
     }
 
-    /// The slices every node holds as a shard home, united: a shard
-    /// held at two nodes counts twice.
-    fn shard_union<O: Overlay<Item = Triple>>(c: &UniCluster<O>) -> OidCounts {
-        let mut union = OidCounts::default();
-        for (_, node) in c.net.iter_nodes() {
-            node.oid_shards().iter().for_each(|slice| union.absorb(slice));
+    /// Every peer plans on summaries: no refcount map outside the
+    /// homes.
+    fn no_peer_holds_a_map<O: Overlay<Item = Triple>>(c: &UniCluster<O>) {
+        for node in 0..c.net.len() {
+            let s = &snapshot(c, node).stats;
+            assert!(!s.is_exact(), "node {node} holds the OID or value map");
+            assert!(s.attrs.values().all(|a| !a.is_exact()), "node {node} holds a refcount map");
         }
-        union
+    }
+
+    /// One shard per home: every shard has a home, and no home is
+    /// installed twice.
+    fn one_home_per_shard<O: Overlay<Item = Triple>>(c: &UniCluster<O>) {
+        for shard in 0..STATS_SHARDS {
+            let holders = c
+                .net
+                .iter_nodes()
+                .filter(|(_, n)| n.stats_homes()[shard as usize].is_some())
+                .map(|(id, _)| id)
+                .collect::<Vec<_>>();
+            assert_eq!(holders, vec![c.stats_home(shard).expect("a home")], "shard {shard}");
+        }
     }
 
     fn pgrid(replication: usize, seed: u64) -> UniCluster {
-        let cfg = UniConfig::default().with_replication(replication).with_stats_refresh(TICK);
+        let cfg = UniConfig::default()
+            .with_replication(replication)
+            .with_stats_refresh(TICK)
+            .with_stats_epsilon(0.0);
         UniCluster::build(16, cfg, seed)
     }
 
     /// Chord's replicated setting is its only one: a group of the owner
     /// and its successor.
     fn chord(replicate: bool, seed: u64) -> ChordUniCluster {
-        let mut cfg = chord_config().with_stats_refresh(TICK);
+        let mut cfg = chord_config().with_stats_refresh(TICK).with_stats_epsilon(0.0);
         cfg.overlay.replicate = replicate;
         ChordUniCluster::build_overlay(16, cfg, seed)
     }
 
-    /// Loss-free: inserts, an update and a delete from two origins over
-    /// three ticks leave all 16 peers on one snapshot, equal in every
-    /// estimator input — totals, byte sum, distinct OIDs and values,
-    /// every attribute's fields, refcounts and histogram buckets — to a
-    /// rebuild over the driver's triples, and the shard homes together
-    /// hold the rebuild's OID map.
+    /// Loss-free at ε = 0: inserts, an update and a delete from two
+    /// origins over three ticks leave every one of the 16 peers with
+    /// every estimator input — totals, byte sum, distinct OIDs and
+    /// values, every attribute's fields and histogram buckets — equal
+    /// to a rebuild over the driver's triples, on summaries all peers
+    /// share; the shard homes together hold the rebuild's maps and
+    /// attribute statistics exactly, and no other peer holds a map.
     fn one_snapshot_after_the_tick<O: Overlay<Item = Triple>>(mut c: UniCluster<O>) {
         c.load(world());
         for (tick, origin) in [(0, 3u32), (1, 9), (2, 3)] {
@@ -903,12 +943,17 @@ mod tests {
             c.settle(SETTLE);
         }
         let shared = snapshot(&c, 0);
-        for node in 1..c.net.len() {
-            assert!(Arc::ptr_eq(&shared, &snapshot(&c, node)), "node {node} holds its own copy");
+        let want = GlobalStats::build(c.triples(), shared.stats.net);
+        for node in 0..c.net.len() {
+            let held = snapshot(&c, node);
+            assert!(held.stats.same_estimates(&want), "node {node} is not the build");
+            for (attr, a) in &held.stats.attrs {
+                assert!(Arc::ptr_eq(a, &shared.stats.attrs[attr]), "node {node} copied {attr}");
+            }
         }
-        let (want, oids) = built(c.triples(), shared.stats.net);
-        assert!(shared.stats == want, "the shared snapshot is not the build");
-        assert!(shard_union(&c) == oids, "the shard homes' maps are not the build's");
+        assert!(homes_united(&c, shared.stats.net) == want, "the homes are not the build");
+        no_peer_holds_a_map(&c);
+        one_home_per_shard(&c);
     }
 
     #[test]
@@ -932,52 +977,108 @@ mod tests {
     }
 
     /// Under 2 % loss during dissemination, a peer that missed a notice
-    /// keeps a private snapshot, and it is exactly the load-time
-    /// snapshot with the notices it did receive folded in, in tick
-    /// order: each tick's pairs, and the distinct-OID change its origin
-    /// sent — what the shard homes acknowledged in time, so a lost piece
-    /// or ack costs every peer the same share of it.
+    /// keeps older summaries. Whatever it holds is a publication: per
+    /// attribute and per shard, the load's (publication 0, the very
+    /// summary every peer was handed) or the one a notice carried under
+    /// that publication number (the very `Arc` that notice carried); it
+    /// holds at least every publication of each notice it received; and
+    /// its totals and distinct counts are the sums of what it holds.
     fn lossy_ticks_keep_every_snapshot_exact<O: Overlay<Item = Triple>>(mut c: UniCluster<O>) {
         c.load(world());
         let load = snapshot(&c, 0);
-        let mut deltas = Vec::new();
+        let mut origins = Vec::new();
         for tick in 0..8u32 {
-            let tag = format!("t{tick}");
-            let tuples = batch(&tag);
             let origin = NodeId(tick * 5 % 16);
-            let (ok, _) = c.insert_batch(origin, &tuples);
+            let (ok, _) = c.insert_batch(origin, &batch(&format!("t{tick}")));
             assert!(ok, "routed insert acked");
-            let mut d = StatsDelta::new();
-            tuples.iter().flat_map(Tuple::to_triples).for_each(|t| d.record_insert(t));
-            deltas.push((tag, origin, d));
+            origins.push(origin);
             c.net.set_loss_rate(0.02);
             c.settle(SETTLE);
             c.net.set_loss_rate(0.0);
         }
-        // Every origin writes once, so its one notice carried all the
-        // change it sent.
-        let mut sent = Vec::new();
-        for (tag, origin, _) in &deltas {
+        // Every origin writes once, so it sent at most one notice.
+        let (mut notices, mut ticks) = (Vec::new(), Vec::new());
+        for (tick, origin) in origins.iter().enumerate() {
             let node = c.net.node(*origin);
-            assert_eq!(node.notices_sent, 1, "{tag}: origin {origin:?} sent one notice");
-            sent.push(node.oid_delta_sent as f64);
+            assert!(node.notices_sent <= 1, "origin {origin:?} sent {}", node.notices_sent);
+            if let Some(n) = node.last_notice.clone() {
+                ticks.push((format!("t{tick}"), n.clone()));
+                notices.push(n);
+            }
         }
+        assert!(!notices.is_empty(), "the homes published");
+        let attr_published = |attr: &str, seq: u64| {
+            notices.iter().flat_map(|n| n.get().attrs()).find(|s| &*s.attr == attr && s.seq == seq)
+        };
         let mut missed = 0;
         for node in 0..c.net.len() {
-            let held = snapshot(&c, node);
-            let mut want = load.stats.clone();
-            for ((tag, _, d), oid_delta) in deltas.iter().zip(&sent) {
-                match held.stats.attrs.contains_key(tag.as_str()) {
-                    true => {
-                        want.apply_delta(d);
-                        want.oid_distinct += oid_delta;
+            let held = snapshot(&c, node).stats.clone();
+            let mut names: Vec<&Arc<str>> = held.attrs.keys().collect();
+            names.extend(notices.iter().flat_map(|n| n.get().attrs()).map(|s| &s.attr));
+            names.sort();
+            names.dedup();
+            for attr in names {
+                let mine = held.attrs.get(attr);
+                match held.version(attr) {
+                    0 => assert!(
+                        match (mine, load.stats.attrs.get(attr)) {
+                            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                            (a, b) => a.is_none() && b.is_none(),
+                        },
+                        "node {node}: {attr} is not the load's"
+                    ),
+                    seq => {
+                        let s = attr_published(attr, seq).expect("a published version");
+                        let gone = s.stats.count == 0.0;
+                        assert!(
+                            mine.map_or(gone, |a| Arc::ptr_eq(a, &s.stats)),
+                            "node {node}: {attr} is not publication {seq}"
+                        );
                     }
-                    false => missed += 1,
+                }
+                let newest = notices
+                    .iter()
+                    .flat_map(|n| n.get().attrs())
+                    .filter(|s| s.attr == *attr)
+                    .map(|s| s.seq)
+                    .max()
+                    .unwrap_or(0);
+                missed += (held.version(attr) < newest) as usize;
+            }
+            for (shard, counts) in held.shard_counts().iter().enumerate() {
+                let published = load.stats.shard_counts()[shard] == *counts
+                    || notices
+                        .iter()
+                        .flat_map(|n| n.get().shards())
+                        .any(|&(s, c)| s as usize == shard && c == *counts);
+                assert!(published, "node {node}: shard {shard} holds no publication");
+            }
+            let total: f64 = held.attrs.values().map(|a| a.count).sum();
+            let oids: f64 = held.shard_counts().iter().map(|s| s.oids as f64).sum();
+            let values: f64 = held.shard_counts().iter().map(|s| s.values as f64).sum();
+            assert_eq!(
+                (held.total, held.oid_distinct, held.value_distinct),
+                (total, oids, values),
+                "node {node}: the totals are not the sums"
+            );
+            // Only its tick's notice carries a tick's new attribute, so
+            // a peer holding that publication received the notice, and
+            // holds at least every publication the notice carried.
+            for (tag, n) in &ticks {
+                let Some(s) = n.get().attrs().iter().find(|s| *s.attr == **tag) else { continue };
+                if held.version(tag) < s.seq {
+                    continue;
+                }
+                for s in n.get().attrs() {
+                    assert!(held.version(&s.attr) >= s.seq, "node {node}: older {}", s.attr);
+                }
+                for (shard, counts) in n.get().shards() {
+                    let mine = held.shard_counts()[*shard as usize].seq;
+                    assert!(mine >= counts.seq, "node {node}: older shard {shard}");
                 }
             }
-            assert!(held.stats == want, "node {node} is not the fold of the notices it received");
         }
-        assert!(missed > 0, "the loss must cost some peer a notice");
+        assert!(missed > 0, "the loss must cost some peer a publication");
     }
 
     #[test]
@@ -990,10 +1091,10 @@ mod tests {
         lossy_ticks_keep_every_snapshot_exact(chord(false, 8));
     }
 
-    /// A shard home's ack that arrives after the ack wait: the notice
-    /// goes at the deadline without it, every peer folds the writes'
-    /// pairs, and the late change rides the origin's next notice — after
-    /// which every peer is exact again, `oid_distinct` included.
+    /// Shard homes' acks that arrive after the ack wait: the flush goes
+    /// at the deadline without their summaries, so no peer learns the
+    /// writes, and the late summaries ride the origin's next notice —
+    /// after which every peer is exact again.
     fn a_late_ack_rides_the_next_notice<O: Overlay<Item = Triple>>(mut c: UniCluster<O>) {
         c.load(world());
         let origin = NodeId(3);
@@ -1002,10 +1103,10 @@ mod tests {
         tuples.iter().flat_map(Tuple::to_triples).for_each(|t| delta.record_insert(t));
         let mut all = c.triples().to_vec();
         all.extend(tuples.iter().flat_map(Tuple::to_triples));
-        let mut homes: Vec<NodeId> = (0..OID_SHARDS).filter_map(|s| c.oid_home(s)).collect();
+        let mut homes: Vec<NodeId> = (0..STATS_SHARDS).filter_map(|s| c.stats_home(s)).collect();
         homes.sort_unstable();
         homes.dedup();
-        assert!(homes.iter().any(|&h| h != origin), "some shard lives away from the origin");
+        assert_ne!(c.stats_home(attr_shard("late")), Some(origin), "the tag's home is remote");
         let mut plan = FaultPlan::new();
         for &home in homes.iter().filter(|&&h| h != origin) {
             plan = plan.delay_spike(Some(home), Some(origin), TICK, Window::always());
@@ -1014,20 +1115,19 @@ mod tests {
         let (epoch, delta) = (c.stats_epoch, Shared::new(delta));
         c.net.inject(origin, UniMsg::Query(QueryMsg::StatsDelta { epoch, delta }));
         // The tick at 2 s sends the pieces; the acks land at about 4 s,
-        // the ack wait sends the notice at 3 s.
+        // the ack wait ends the flush at 3 s.
         c.settle(SimTime::from_millis(3_100));
-        let (want, oids) = built(&all, snapshot(&c, 0).stats.net);
-        assert!(shard_union(&c) == oids, "the homes folded the pieces");
+        let net = snapshot(&c, 0).stats.net;
+        let want = GlobalStats::build(&all, net);
+        assert!(homes_united(&c, net) == want, "the homes folded the pieces");
         for node in 0..c.net.len() {
-            let held = snapshot(&c, node);
-            assert!(held.stats.attrs.contains_key("late"), "node {node} missed the notice");
-            assert!(held.stats.oid_distinct < want.oid_distinct, "node {node} had the late ack");
+            assert!(!snapshot(&c, node).stats.attrs.contains_key("late"), "node {node} learnt");
         }
         // The tick at 4 s finds the acks still in flight; the one at 6 s
         // sends what they carried.
         c.settle(SimTime::from_secs(4));
         for node in 0..c.net.len() {
-            assert!(snapshot(&c, node).stats == want, "node {node} is not exact");
+            assert!(snapshot(&c, node).stats.same_estimates(&want), "node {node} is not exact");
         }
     }
 
@@ -1039,6 +1139,98 @@ mod tests {
     #[test]
     fn a_late_ack_rides_the_next_notice_chord() {
         a_late_ack_rides_the_next_notice(chord(true, 13));
+    }
+
+    /// A peer cut off while one flush's notice spreads misses what it
+    /// published; the next flush republishes every summary the first
+    /// did (it writes the same attributes and touches the same shards),
+    /// and the peer is exact again.
+    #[test]
+    fn a_missed_publication_heals_at_the_next() {
+        let mut c = pgrid(1, 21);
+        c.load(world());
+        let origin = NodeId(3);
+        // The origin's first tree child is a leaf of its notice's tree.
+        let cut = NodeId(4);
+        assert!((0..STATS_SHARDS).all(|s| c.stats_home(s) != Some(cut)), "the cut peer is no home");
+        assert!(c.insert_batch(origin, &tagged("m", "healed", 6)).0);
+        // Cut through the next tick and its ack wait.
+        let first = Window::new(c.net.now(), c.net.now() + TICK + TICK);
+        c.net.set_fault_plan(FaultPlan::new().partition("cut", [cut], first));
+        c.settle(SETTLE);
+        let net = snapshot(&c, 0).stats.net;
+        let want = GlobalStats::build(c.triples(), net);
+        assert!(!snapshot(&c, cut.index()).stats.same_estimates(&want), "the cut peer missed it");
+        assert!(snapshot(&c, 0).stats.same_estimates(&want), "the others did not");
+        let missed = c.net.node(origin).last_notice.clone().expect("a publication");
+        c.net.set_fault_plan(FaultPlan::new());
+        assert!(c.insert_batch(origin, &tagged("n", "healed", 16)).0);
+        c.settle(SETTLE);
+        let next = c.net.node(origin).last_notice.clone().expect("a publication");
+        for s in missed.get().attrs() {
+            assert!(next.get().attrs().iter().any(|t| t.attr == s.attr), "{} republished", s.attr);
+        }
+        for (shard, _) in missed.get().shards() {
+            assert!(next.get().shards().iter().any(|(s, _)| s == shard), "shard {shard}");
+        }
+        let want = GlobalStats::build(c.triples(), net);
+        for node in 0..c.net.len() {
+            assert!(snapshot(&c, node).stats.same_estimates(&want), "node {node} is not exact");
+        }
+    }
+
+    /// At ε > 0 with no loss, after every settled tick each peer's
+    /// estimator inputs stay within ε of the build's: every published
+    /// number of every attribute within ε × max(published, 1) of the
+    /// truth, its histogram within ε × max(count, 1) buckets, every
+    /// shard's counts within ε of what its home holds — and so the
+    /// totals within ε of the truth, summed over what they add up.
+    #[test]
+    fn epsilon_bounds_every_estimator_input() {
+        const EPSILON: f64 = 0.1;
+        let cfg = UniConfig::default().with_stats_refresh(TICK).with_stats_epsilon(EPSILON);
+        let mut c = UniCluster::build(16, cfg, 23);
+        c.load(world());
+        let mut skipped = 0;
+        for tick in 0..12u32 {
+            let origin = NodeId(tick * 3 % 16);
+            assert!(c.insert_batch(origin, &tagged(&format!("e{tick}"), "grows", 3)).0);
+            c.settle(SETTLE);
+            let net = snapshot(&c, 0).stats.net;
+            let want = GlobalStats::build(c.triples(), net);
+            let homes: Vec<&StatsHome> =
+                c.net.iter_nodes().flat_map(|(_, n)| n.stats_homes().iter().flatten()).collect();
+            let within =
+                |got: f64, truth: f64, of: f64| (got - truth).abs() <= EPSILON * of.max(1.0);
+            for node in 0..c.net.len() {
+                let held = snapshot(&c, node).stats.clone();
+                skipped += !held.same_estimates(&want) as usize;
+                let mut slack = 0.0;
+                for (attr, truth) in &want.attrs {
+                    let a = held.attrs.get(attr).expect("every attribute published");
+                    slack += a.count.max(1.0);
+                    for (got, exact) in [
+                        (a.count, truth.count),
+                        (a.bytes, truth.bytes),
+                        (a.distinct, truth.distinct),
+                        (a.join_distinct, truth.join_distinct),
+                        (a.gram_postings, truth.gram_postings),
+                        (a.gram_distinct, truth.gram_distinct),
+                    ] {
+                        assert!(within(got, exact, got), "node {node}, {attr}: {got} vs {exact}");
+                    }
+                    let l1 = a.hist.l1_distance(&truth.hist) as f64;
+                    assert!(l1 <= EPSILON * truth.count.max(1.0), "node {node}, {attr}: L1 {l1}");
+                }
+                assert!(within(held.total, want.total, slack), "node {node}: total");
+                for (shard, counts) in held.shard_counts().iter().enumerate() {
+                    let home = homes.iter().find(|h| h.shard() as usize == shard).expect("home");
+                    let oids = home.oids().len() as f64;
+                    assert!(within(counts.oids as f64, oids, counts.oids as f64), "node {node}");
+                }
+            }
+        }
+        assert!(skipped > 0, "ε = {EPSILON} must leave some change unpublished");
     }
 
     /// Retries purge an attempt while its storage ops are still out (the
@@ -1081,12 +1273,13 @@ mod tests {
     }
 
     /// One tick of writes at one origin, one write per delta as the
-    /// driver hands them over — including deletes of pairs the snapshot
-    /// does not count yet, followed by their inserts. The receivers fold
-    /// the compacted flush (inserts before deletes); so must the origin,
-    /// whatever it planned on in between. Both equal the load-time
-    /// build with that flush folded in, and the shard homes together
-    /// hold that fold's OID map.
+    /// driver hands them over — including deletes of pairs the build
+    /// does not count yet, followed by their inserts. The homes fold the
+    /// compacted flush (inserts before deletes, the deletes settled by
+    /// the attribute homes); whatever the origin planned on in between,
+    /// it ends the tick installing what every receiver installs. At
+    /// ε = 0 every peer's estimates equal the load-time build with that
+    /// flush folded in, and the homes together hold that fold exactly.
     fn origin_ends_the_tick<O: Overlay<Item = Triple>>(
         mut c: UniCluster<O>,
         ops: Vec<(bool, usize, i64)>,
@@ -1113,12 +1306,12 @@ mod tests {
         let triples: Vec<Triple> = load.iter().flat_map(Tuple::to_triples).collect();
         let mut want = GlobalStats::build(&triples, held.stats.net);
         want.apply_delta(&flushed);
-        let oids = want.take_oids().expect("a build keeps the OID map");
-        assert!(held.stats == want, "the origin is not the fold of its flush");
+        assert!(held.stats.same_estimates(&want), "the origin is not the fold of its flush");
         for node in 0..c.net.len() {
             assert!(snapshot(&c, node).stats == held.stats, "node {node} differs");
         }
-        assert!(shard_union(&c) == oids, "the shard homes' maps are not the fold's");
+        assert!(homes_united(&c, held.stats.net) == want, "the homes are not the fold");
+        no_peer_holds_a_map(&c);
     }
 
     proptest! {
@@ -1127,12 +1320,12 @@ mod tests {
             ops in proptest::collection::vec((any::<bool>(), 0usize..4, 0i64..6), 1..24),
             backend in 0usize..4,
         ) {
-            let cfg = UniConfig::default().with_stats_refresh(TICK);
+            let cfg = UniConfig::default().with_stats_refresh(TICK).with_stats_epsilon(0.0);
             match backend {
                 0 => origin_ends_the_tick(UniCluster::build(8, cfg, 9), ops),
                 1 => origin_ends_the_tick(UniCluster::build(8, cfg.with_replication(3), 9), ops),
                 _ => {
-                    let mut cfg = chord_config().with_stats_refresh(TICK);
+                    let mut cfg = chord_config().with_stats_refresh(TICK).with_stats_epsilon(0.0);
                     cfg.overlay.replicate = backend == 3;
                     origin_ends_the_tick(ChordUniCluster::build_overlay(8, cfg, 9), ops)
                 }

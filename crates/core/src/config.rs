@@ -102,11 +102,18 @@ pub struct UniConfig<C = PGridConfig> {
     /// Statistics-dissemination cadence: every node flushes the stat
     /// deltas it buffered to its peers on this maintenance tick, so
     /// long-running nodes converge to fresh statistics without restart.
-    /// The staleness a remote plan can observe is bounded by one and a
-    /// half ticks (the flush waits up to half a tick for its OID acks)
-    /// plus the broadcast tree's hops (DESIGN.md §"Statistics
+    /// Beyond the drift that [`UniConfig::stats_epsilon`] allows, the
+    /// staleness a remote plan can observe is bounded by one and a half
+    /// ticks (a flush waits up to half a tick for its shard homes'
+    /// acks) plus the broadcast tree's hops (DESIGN.md §"Statistics
     /// distribution").
     pub stats_refresh: SimTime,
+    /// Relative drift a shard home lets a summary take before it
+    /// publishes it again: an attribute's or a shard's numbers may move
+    /// by up to ε × max(last published, 1) — its histogram's buckets by
+    /// ε × max(count, 1) in all — unseen by the peers. `0.0` publishes
+    /// every change (exact statistics at every peer after each flush).
+    pub stats_epsilon: f64,
     /// Bound on queries admitted into the network at once by the
     /// pipelined drivers; submissions beyond the window queue at the
     /// driver until a completion frees a slot (DESIGN.md §"Concurrent
@@ -115,10 +122,10 @@ pub struct UniConfig<C = PGridConfig> {
     /// Capacity (in distinct (attr, value) keys) of each node's local
     /// result cache for exact-match lookups. `0` — the default —
     /// disables the cache; benches and read-heavy deployments opt in.
-    /// Entries are invalidated by the epoch-stamped statistics stream
-    /// (a write's delta at its origin, the flush's notice everywhere
-    /// else), so a cached row is stale for at most as long as the
-    /// statistics are.
+    /// A write's delta drops the rows it names at its origin at once;
+    /// elsewhere an entry expires one stats tick after it was filled,
+    /// so a cached row outlives the write that changed it by at most a
+    /// tick.
     pub result_cache: usize,
     /// Minimum acceptable coverage fraction for a query completion to
     /// count as `ok`. `0.0` — the default — is best-effort: whatever
@@ -157,6 +164,7 @@ impl<C> UniConfig<C> {
             query_retries: 2,
             plan_mode: PlanMode::default(),
             stats_refresh: SimTime::from_secs(10),
+            stats_epsilon: 0.05,
             max_in_flight: 32,
             result_cache: 0,
             min_coverage: 0.0,
@@ -214,6 +222,18 @@ impl<C> UniConfig<C> {
         self.stats_refresh = interval;
         self
     }
+
+    /// Sets the drift a published statistics summary may take before
+    /// its shard home publishes it again (see
+    /// [`UniConfig::stats_epsilon`]).
+    ///
+    /// # Panics
+    /// Panics unless `epsilon` is finite and non-negative.
+    pub fn with_stats_epsilon(mut self, epsilon: f64) -> Self {
+        assert!(epsilon.is_finite() && epsilon >= 0.0, "stats epsilon must be finite and >= 0");
+        self.stats_epsilon = epsilon;
+        self
+    }
 }
 
 impl UniConfig<PGridConfig> {
@@ -264,6 +284,19 @@ mod tests {
         assert_eq!(c.stats_refresh, SimTime::from_secs(10), "dissemination on by default");
         let c = c.with_stats_refresh(SimTime::from_millis(50));
         assert_eq!(c.stats_refresh, SimTime::from_millis(50));
+    }
+
+    #[test]
+    fn stats_epsilon_knob() {
+        let c = UniConfig::default();
+        assert_eq!(c.stats_epsilon, 0.05, "summaries drift up to 5 % unpublished by default");
+        assert_eq!(c.with_stats_epsilon(0.0).stats_epsilon, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "stats epsilon")]
+    fn negative_stats_epsilon_rejected() {
+        let _ = UniConfig::default().with_stats_epsilon(-0.1);
     }
 
     #[test]

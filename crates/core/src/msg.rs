@@ -9,12 +9,12 @@ use std::sync::Arc;
 use bytes::{Bytes, BytesMut};
 
 use unistore_overlay::OverlayDone;
-use unistore_query::cost::oids::OID_SHARDS;
-use unistore_query::cost::{OidPiece, StatsDelta, StatsNotice};
+use unistore_query::cost::shards::STATS_SHARDS;
+use unistore_query::cost::{StatsDelta, StatsNotice, StatsPiece};
 use unistore_query::{Coverage, Mqp, Relation};
 use unistore_simnet::NodeId;
 use unistore_store::Triple;
-use unistore_util::wire::{Shared, Wire, WireError, MAX_LEN};
+use unistore_util::wire::{get_len, get_varint, put_varint, varint_size, Shared, Wire, WireError};
 use unistore_util::Key;
 
 /// Everything a UniStore node can receive. Generic over the storage
@@ -58,8 +58,8 @@ pub enum QueryMsg {
     /// originated the writes (by the driver, from
     /// [`NodeId::EXTERNAL`](unistore_simnet::NodeId::EXTERNAL)): the
     /// node plans on it at once and buffers it for its next stats tick,
-    /// which splits it into [`QueryMsg::OidPiece`]s and a
-    /// [`QueryMsg::StatsNotice`] (DESIGN.md § Statistics distribution).
+    /// which splits it into [`QueryMsg::StatsPiece`]s for the shard
+    /// homes (DESIGN.md § Statistics distribution).
     StatsDelta {
         /// Snapshot generation the delta applies on top of. A full
         /// rebuild bumps the epoch; deltas still buffered or in flight
@@ -70,10 +70,10 @@ pub enum QueryMsg {
         /// The write batch.
         delta: Shared<StatsDelta>,
     },
-    /// A write origin's statistics flush: the in-band dissemination of
-    /// the paper's gossiped statistics metadata, spread through an
+    /// What a write origin's statistics flush published: the summaries
+    /// its shard homes found drifted past ε, spread through an
     /// exactly-once binomial broadcast tree (DESIGN.md §"Scale and
-    /// churn"); receivers fold it into their cost-model snapshot.
+    /// churn"); receivers install them in their cost-model snapshot.
     StatsNotice {
         /// Snapshot generation the notice applies on top of (see
         /// [`QueryMsg::StatsDelta`]).
@@ -91,10 +91,10 @@ pub enum QueryMsg {
     },
     /// One shard's piece of a statistics flush, routed toward the
     /// shard's key like a lookup; the replica group member it reaches
-    /// hands it to the group's shard home, which folds it into its slice
-    /// of the distinct-OID map and answers the origin with a
-    /// [`QueryMsg::OidAck`].
-    OidPiece {
+    /// hands it to the group's shard home, which folds it into its
+    /// exact statistics and answers the origin with a
+    /// [`QueryMsg::StatsAck`].
+    StatsPiece {
         /// Snapshot generation of the flush; a home of another epoch
         /// drops the piece.
         epoch: u64,
@@ -105,21 +105,24 @@ pub enum QueryMsg {
         /// Set by the group member that hands the piece to the home:
         /// the receiver folds it without routing further.
         at_home: bool,
-        /// The shard and its fingerprints' changes.
-        piece: OidPiece,
+        /// The shard and its parts of the flush.
+        piece: StatsPiece,
     },
-    /// A shard home's answer to a [`QueryMsg::OidPiece`]: how its
-    /// distinct-OID count moved, which the origin's notice carries to
+    /// A shard home's answer to a [`QueryMsg::StatsPiece`]: how many
+    /// triples of each of the piece's delete groups it took, and the
+    /// summaries it publishes, which the origin's notice carries to
     /// every peer.
-    OidAck {
+    StatsAck {
         /// Snapshot generation of the flush.
         epoch: u64,
         /// The origin's flush number the piece carried.
         flush: u64,
         /// The shard that folded the piece.
         shard: u8,
-        /// Change of the shard's distinct fingerprints.
-        delta: i64,
+        /// Per delete group of the piece, the triples the home took.
+        taken: Vec<u32>,
+        /// The summaries that drifted past ε.
+        published: StatsNotice,
     },
     /// Asks the receiving node for a summary of its current statistics
     /// snapshot (observability for the live runtime, where node state
@@ -138,8 +141,8 @@ mod tag {
     pub const STATS_DELTA: u8 = 5;
     pub const STATS_PROBE: u8 = 6;
     pub const STATS_NOTICE: u8 = 7;
-    pub const OID_PIECE: u8 = 8;
-    pub const OID_ACK: u8 = 9;
+    pub const STATS_PIECE: u8 = 8;
+    pub const STATS_ACK: u8 = 9;
 }
 
 impl<M: Wire> Wire for UniMsg<M> {
@@ -176,20 +179,22 @@ impl<M: Wire> Wire for UniMsg<M> {
                 span.encode(buf);
                 notice.encode(buf);
             }
-            UniMsg::Query(QueryMsg::OidPiece { epoch, origin, flush, at_home, piece }) => {
-                tag::OID_PIECE.encode(buf);
+            UniMsg::Query(QueryMsg::StatsPiece { epoch, origin, flush, at_home, piece }) => {
+                tag::STATS_PIECE.encode(buf);
                 epoch.encode(buf);
                 origin.encode(buf);
                 flush.encode(buf);
                 at_home.encode(buf);
                 piece.encode(buf);
             }
-            UniMsg::Query(QueryMsg::OidAck { epoch, flush, shard, delta }) => {
-                tag::OID_ACK.encode(buf);
+            UniMsg::Query(QueryMsg::StatsAck { epoch, flush, shard, taken, published }) => {
+                tag::STATS_ACK.encode(buf);
                 epoch.encode(buf);
                 flush.encode(buf);
                 shard.encode(buf);
-                delta.encode(buf);
+                put_varint(buf, taken.len() as u64);
+                taken.iter().for_each(|&n| put_varint(buf, n as u64));
+                published.encode(buf);
             }
             UniMsg::Query(QueryMsg::StatsProbe { qid }) => {
                 tag::STATS_PROBE.encode(buf);
@@ -220,25 +225,27 @@ impl<M: Wire> Wire for UniMsg<M> {
                 span: Wire::decode(buf)?,
                 notice: Wire::decode(buf)?,
             }),
-            tag::OID_PIECE => UniMsg::Query(QueryMsg::OidPiece {
+            tag::STATS_PIECE => UniMsg::Query(QueryMsg::StatsPiece {
                 epoch: Wire::decode(buf)?,
                 origin: Wire::decode(buf)?,
                 flush: Wire::decode(buf)?,
                 at_home: Wire::decode(buf)?,
                 piece: Wire::decode(buf)?,
             }),
-            tag::OID_ACK => {
+            tag::STATS_ACK => {
                 let (epoch, flush) = (Wire::decode(buf)?, Wire::decode(buf)?);
                 let shard = u8::decode(buf)?;
-                if shard >= OID_SHARDS {
+                if shard >= STATS_SHARDS {
                     return Err(WireError::BadTag(shard));
                 }
-                // A home's change is at most its piece's entry count.
-                let delta = i64::decode(buf)?;
-                if delta.unsigned_abs() > MAX_LEN {
-                    return Err(WireError::BadLength(delta.unsigned_abs()));
+                let n = get_len(buf)?;
+                let mut taken = Vec::with_capacity(n.min(1024));
+                for _ in 0..n {
+                    let t = get_varint(buf)?;
+                    taken.push(u32::try_from(t).map_err(|_| WireError::BadLength(t))?);
                 }
-                UniMsg::Query(QueryMsg::OidAck { epoch, flush, shard, delta })
+                let published = StatsNotice::decode(buf)?;
+                UniMsg::Query(QueryMsg::StatsAck { epoch, flush, shard, taken, published })
             }
             tag::STATS_PROBE => UniMsg::Query(QueryMsg::StatsProbe { qid: Wire::decode(buf)? }),
             t => return Err(WireError::BadTag(t)),
@@ -262,15 +269,20 @@ impl<M: Wire> Wire for UniMsg<M> {
             UniMsg::Query(QueryMsg::StatsNotice { epoch, span, notice }) => {
                 epoch.wire_size() + span.wire_size() + notice.wire_size()
             }
-            UniMsg::Query(QueryMsg::OidPiece { epoch, origin, flush, at_home, piece }) => {
+            UniMsg::Query(QueryMsg::StatsPiece { epoch, origin, flush, at_home, piece }) => {
                 epoch.wire_size()
                     + origin.wire_size()
                     + flush.wire_size()
                     + at_home.wire_size()
                     + piece.wire_size()
             }
-            UniMsg::Query(QueryMsg::OidAck { epoch, flush, shard, delta }) => {
-                epoch.wire_size() + flush.wire_size() + shard.wire_size() + delta.wire_size()
+            UniMsg::Query(QueryMsg::StatsAck { epoch, flush, shard, taken, published }) => {
+                epoch.wire_size()
+                    + flush.wire_size()
+                    + shard.wire_size()
+                    + varint_size(taken.len() as u64)
+                    + taken.iter().map(|&n| varint_size(n as u64)).sum::<usize>()
+                    + published.wire_size()
             }
             UniMsg::Query(QueryMsg::StatsProbe { qid }) => qid.wire_size(),
         }
@@ -317,7 +329,7 @@ mod tests {
     use std::sync::Arc;
     use unistore_chord::ChordMsg;
     use unistore_pgrid::PGridMsg;
-    use unistore_query::cost::NetParams;
+    use unistore_query::cost::{NetParams, StatsFlush};
     use unistore_query::GlobalStats;
     use unistore_query::MqpNode;
     use unistore_store::Value;
@@ -340,8 +352,10 @@ mod tests {
         delta.record_insert(Triple::new("o7", "rating", Value::Int(4)));
         let net = NetParams { n_peers: 8.0, n_leaves: 8.0, replication: 1.0, hop_ms: 1.0 };
         let base = GlobalStats::build(&[Triple::new("o9", "rating", Value::Int(4))], net);
-        let (mut notice, pieces) = StatsNotice::split(&delta, &base);
-        notice.add_oid_delta(1);
+        let pieces = StatsFlush::new(delta.clone()).first_pieces();
+        let mut home = base.home(pieces[0].shard).expect("a build has homes");
+        let (taken, published) = home.fold(&pieces[0], 0.0);
+        assert!(!taken.is_empty() && !published.is_empty(), "the piece settles and publishes");
         vec![
             UniMsg::Overlay(overlay),
             UniMsg::Query(QueryMsg::Execute { mqp: mqp.clone() }),
@@ -357,15 +371,19 @@ mod tests {
                 },
             }),
             UniMsg::Query(QueryMsg::StatsDelta { epoch: 3, delta: Shared::new(delta.clone()) }),
-            UniMsg::Query(QueryMsg::StatsNotice { epoch: 3, span: 5, notice: Shared::new(notice) }),
-            UniMsg::Query(QueryMsg::OidPiece {
+            UniMsg::Query(QueryMsg::StatsNotice {
+                epoch: 3,
+                span: 5,
+                notice: Shared::new(published.clone()),
+            }),
+            UniMsg::Query(QueryMsg::StatsPiece {
                 epoch: 3,
                 origin: NodeId(4),
                 flush: 17,
                 at_home: true,
                 piece: pieces[0].clone(),
             }),
-            UniMsg::Query(QueryMsg::OidAck { epoch: 3, flush: 17, shard: 3, delta: -2 }),
+            UniMsg::Query(QueryMsg::StatsAck { epoch: 3, flush: 17, shard: 3, taken, published }),
             UniMsg::Query(QueryMsg::StatsProbe { qid: 11 }),
         ]
     }
@@ -408,21 +426,18 @@ mod tests {
     fn bad_tag() {
         let b = Bytes::from_static(&[77]);
         assert!(matches!(UniMsg::<PGridMsg<Triple>>::from_bytes(&b), Err(WireError::BadTag(77))));
-        // An ack naming a shard past the map's is rejected, not filed.
-        let ack = Bytes::from_static(&[tag::OID_ACK, 1, 1, OID_SHARDS, 0]);
+        // An ack naming a shard past the last is rejected, not filed.
+        let ack = Bytes::from_static(&[tag::STATS_ACK, 1, 1, STATS_SHARDS, 0, 0, 0]);
         let decoded = UniMsg::<PGridMsg<Triple>>::from_bytes(&ack);
-        assert!(matches!(decoded, Err(WireError::BadTag(OID_SHARDS))));
-        // So is a change no piece could make.
-        for delta in [i64::MAX, i64::MIN, MAX_LEN as i64 + 1] {
-            let mut ack = BytesMut::new();
-            ack.extend_from_slice(&[tag::OID_ACK, 1, 1, 0]);
-            delta.encode(&mut ack);
-            let decoded = UniMsg::<PGridMsg<Triple>>::from_bytes(&ack.freeze());
-            assert!(matches!(decoded, Err(WireError::BadLength(_))), "{delta}: {decoded:?}");
-        }
+        assert!(matches!(decoded, Err(WireError::BadTag(STATS_SHARDS))));
+        // So is a taken count no delete group holds.
         let mut ack = BytesMut::new();
-        ack.extend_from_slice(&[tag::OID_ACK, 1, 1, 0]);
-        (-(MAX_LEN as i64)).encode(&mut ack);
-        assert!(UniMsg::<PGridMsg<Triple>>::from_bytes(&ack.freeze()).is_ok());
+        ack.extend_from_slice(&[tag::STATS_ACK, 1, 1, 0, 1]);
+        put_varint(&mut ack, u32::MAX as u64 + 1);
+        ack.extend_from_slice(&[0, 0]);
+        let decoded = UniMsg::<PGridMsg<Triple>>::from_bytes(&ack.freeze());
+        assert!(matches!(decoded, Err(WireError::BadLength(_))), "{decoded:?}");
+        let ack = Bytes::from_static(&[tag::STATS_ACK, 1, 1, STATS_SHARDS - 1, 1, 7, 0, 0]);
+        assert!(UniMsg::<PGridMsg<Triple>>::from_bytes(&ack).is_ok());
     }
 }

@@ -22,8 +22,8 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use unistore_overlay::{Overlay, OverlayDone, RangeMode};
-use unistore_query::cost::oids::OID_SHARDS;
-use unistore_query::cost::{OidCounts, OidPiece, StatsDelta, StatsNotice};
+use unistore_query::cost::shards::STATS_SHARDS;
+use unistore_query::cost::{StatsDelta, StatsFlush, StatsHome, StatsNotice, StatsPiece};
 use unistore_query::local::dedup_rows;
 use unistore_query::mqp::bind_triples;
 use unistore_query::relation::value_hash;
@@ -57,10 +57,10 @@ pub type UniFx<M> = Effects<UniMsg<M>, UniEvent>;
 const RESULT_TIMEOUT: u32 = 100;
 
 /// Timer kind for the periodic statistics-dissemination tick: buffered
-/// [`StatsDelta`]s are flushed as OID pieces to the shard homes and a
-/// notice down a binomial broadcast tree spanning every peer, bounding
-/// the staleness a remote plan can observe by one and a half ticks plus
-/// O(log n) hops.
+/// [`StatsDelta`]s are flushed as pieces to the shard homes, and what
+/// the homes publish goes down a binomial broadcast tree spanning every
+/// peer, bounding the staleness a remote plan can observe (beyond the
+/// drift ε allows) by one and a half ticks plus O(log n) hops.
 const STATS_TICK: u32 = 101;
 
 /// Timer kind for hedged dispatch: when the current attempt outlives a
@@ -69,8 +69,8 @@ const STATS_TICK: u32 = 101;
 /// semantics").
 const HEDGE_TIMER: u32 = 102;
 
-/// Timer kind for a flush's ack wait: when it runs out, the flush's
-/// notice goes without the OID acks still missing.
+/// Timer kind for a flush round's ack wait: when it runs out, the flush
+/// goes on without the shard homes' acks still missing.
 const STATS_ACK_WAIT: u32 = 103;
 
 /// Executor namespace bit of a qid: the executor's own overlay ops and
@@ -105,14 +105,13 @@ pub struct UniNode<O: Overlay<Item = Triple>> {
     /// The embedded storage-layer peer.
     pub overlay: O,
     /// Statistics snapshot (the paper's gossiped statistics; see
-    /// DESIGN.md § Statistics distribution): exactly what the notices
-    /// this node folded make of the load-time snapshot, so peers that
-    /// folded the same notices in the same order can share one. It
-    /// holds no OID map: `oid_distinct` moves with the notices.
+    /// DESIGN.md § Statistics distribution): the newest summary of
+    /// every attribute and shard this node was handed at load or
+    /// installed from a notice. It holds no refcount map.
     stats: Option<Arc<CostModel>>,
     /// A write origin's planning view between two stats ticks: `stats`
-    /// plus the origin's own unflushed writes. Kept only while `stats`
-    /// is shared; an unshared snapshot takes the writes in place.
+    /// plus the counts, bytes and histogram keys of the origin's own
+    /// unflushed writes.
     view: Option<Arc<CostModel>>,
     /// Known schema mappings.
     pub mappings: MappingSet,
@@ -127,22 +126,25 @@ pub struct UniNode<O: Overlay<Item = Triple>> {
     /// Statistics-dissemination cadence
     /// ([`crate::UniConfig::stats_refresh`]).
     stats_refresh: SimTime,
+    /// The drift a home lets a summary take unpublished
+    /// ([`crate::UniConfig::stats_epsilon`]).
+    stats_epsilon: f64,
     /// Stat deltas learned from write origins, buffered until the next
     /// dissemination tick.
     stats_outbox: StatsDelta,
     /// Snapshot generation of `cost`. Deltas from another epoch are
     /// stale (a full rebuild already contains their writes) and dropped.
     stats_epoch: u64,
-    /// The flush whose notice waits on OID acks, or the last one sent.
+    /// The flush whose notice waits on the shard homes' acks, or the
+    /// last one sent.
     flush: Option<stats::Flush>,
-    /// Number of this node's latest flush.
+    /// Number of this node's latest flush round.
     flush_seq: u64,
-    /// Acked changes of the distinct-OID count that came after their
-    /// notice went: they ride the next one.
-    late_oids: i64,
-    /// The slices of the distinct-OID map this node is home of, by
-    /// shard.
-    oid_shards: [OidCounts; OID_SHARDS as usize],
+    /// Summaries published in acks that came after their notice went:
+    /// they ride the next one.
+    late: StatsNotice,
+    /// The statistics shards this node is home of, by shard.
+    homes: [Option<StatsHome>; STATS_SHARDS as usize],
     /// Plans suspended on storage ops, by query (attempt) qid.
     active: FxHashMap<u64, Wait>,
     /// storage-layer qid → query qid.
@@ -168,12 +170,11 @@ pub struct UniNode<O: Overlay<Item = Triple>> {
     /// Re-dispatches and hedges withheld by the attempt budget
     /// (observability for the retry-storm guard).
     pub suppressed: u64,
-    /// Statistics notices this node sent as a write origin, and the
-    /// distinct-OID change they carried in all (observability for
-    /// tests).
+    /// Statistics notices this node sent as a write origin
+    /// (observability for tests and benches).
     pub notices_sent: u64,
-    /// See `notices_sent`.
-    pub oid_delta_sent: i64,
+    /// The last of them.
+    pub last_notice: Option<Shared<StatsNotice>>,
     qids: ExecQids,
     /// The storage layer's effects buffer, reused by every
     /// [`UniNode::with_overlay`] call (empty between calls).
@@ -196,13 +197,14 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
             trace: Vec::new(),
             n_peers,
             stats_refresh: cfg.stats_refresh,
+            stats_epsilon: cfg.stats_epsilon,
             stats_outbox: StatsDelta::new(),
             stats_epoch: 0,
             flush: None,
             flush_seq: 0,
-            late_oids: 0,
-            oid_shards: Default::default(),
-            cache: ResultCache::new(cfg.result_cache),
+            late: StatsNotice::default(),
+            homes: Default::default(),
+            cache: ResultCache::new(cfg.result_cache, cfg.stats_refresh),
             cache_hits: 0,
             active: FxHashMap::default(),
             waiting: FxHashMap::default(),
@@ -213,7 +215,7 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
             retries: 0,
             suppressed: 0,
             notices_sent: 0,
-            oid_delta_sent: 0,
+            last_notice: None,
             qids: ExecQids(EXEC_QID | ((id.0 as u64) << 32)),
             ofx: Effects::new(),
         }
@@ -268,11 +270,11 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
             QueryMsg::StatsNotice { epoch, span, notice } => {
                 self.on_stats_notice(epoch, span, &notice, fx);
             }
-            QueryMsg::OidPiece { epoch, origin, flush, at_home, piece } => {
-                self.on_oid_piece(epoch, origin, flush, at_home, piece, fx);
+            QueryMsg::StatsPiece { epoch, origin, flush, at_home, piece } => {
+                self.on_stats_piece(epoch, origin, flush, at_home, piece, fx);
             }
-            QueryMsg::OidAck { epoch, flush, shard, delta } => {
-                self.on_oid_ack(epoch, flush, shard, delta, fx);
+            QueryMsg::StatsAck { epoch, flush, shard, taken, published } => {
+                self.on_stats_ack(epoch, flush, shard, &taken, published, fx);
             }
             QueryMsg::StatsProbe { qid } => fx.emit(self.stats_probe(qid)),
         }

@@ -11,23 +11,37 @@ use super::*;
 const FORWARD_BYTE_CAP: usize = 64 * 1024;
 
 /// Bounded FIFO cache of exact-match lookup results, keyed by the
-/// (attr, value) index key. Every received [`StatsDelta`] or
-/// [`StatsNotice`] drops the entries its writes name — regardless of
-/// epoch — so a cached row outlives the write that changed it by at
-/// most as long as the statistics are stale (DESIGN.md §"Concurrent
-/// query pipeline").
+/// (attr, value) index key. An entry expires one stats tick after it
+/// was filled, and a [`StatsDelta`] the node originated drops the
+/// entries its writes name at once — regardless of epoch — so a cached
+/// row outlives a write that changed it by at most a tick (DESIGN.md
+/// §"Concurrent query pipeline").
 pub(super) struct ResultCache {
     cap: usize,
-    map: FxHashMap<Key, Vec<Triple>>,
+    /// How long an entry stays fresh.
+    ttl: SimTime,
+    /// Rows and the time they were filled.
+    map: FxHashMap<Key, (SimTime, Vec<Triple>)>,
     order: VecDeque<Key>,
 }
 
 impl ResultCache {
-    pub(super) fn new(cap: usize) -> Self {
-        ResultCache { cap, map: FxHashMap::default(), order: VecDeque::new() }
+    pub(super) fn new(cap: usize, ttl: SimTime) -> Self {
+        ResultCache { cap, ttl, map: FxHashMap::default(), order: VecDeque::new() }
     }
 
-    fn put(&mut self, key: Key, rows: Vec<Triple>) {
+    /// The rows cached under `key`, unless they expired by `now`
+    /// (an expired entry is dropped).
+    fn fresh(&mut self, key: Key, now: SimTime) -> Option<&[Triple]> {
+        let filled = self.map.get(&key)?.0;
+        if filled + self.ttl <= now {
+            self.invalidate(key);
+            return None;
+        }
+        self.map.get(&key).map(|(_, rows)| rows.as_slice())
+    }
+
+    fn put(&mut self, key: Key, now: SimTime, rows: Vec<Triple>) {
         if self.cap == 0 || self.map.contains_key(&key) {
             return;
         }
@@ -37,7 +51,7 @@ impl ResultCache {
             }
         }
         self.order.push_back(key);
-        self.map.insert(key, rows);
+        self.map.insert(key, (now, rows));
     }
 
     fn invalidate(&mut self, key: Key) {
@@ -162,7 +176,7 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
         // A single remote exact-match lookup that completed cleanly
         // primes the local result cache for subsequent point queries.
         if let Some(key) = cache_key {
-            self.cache.put(key, triples.clone());
+            self.cache.put(key, self.clock, triples.clone());
         }
         // An A#v key holds every value sharing its truncated prefix:
         // keep the rows of the similar values only.
@@ -380,7 +394,8 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
                 // subsets.
                 for a in self.mappings.expand(attr) {
                     let key = idx::attr_value_key(&a, value);
-                    match self.cache.map.get(&key).filter(|_| filter.is_none()) {
+                    let cached = filter.is_none().then(|| self.cache.fresh(key, self.clock));
+                    match cached.flatten() {
                         Some(rows) => {
                             wait.triples.extend(rows.iter().cloned());
                             self.cache_hits += 1;
@@ -473,9 +488,9 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
 
     /// Drops cached rows for every (attr, value) pair a write delta
     /// names, and un-pins in-flight scans about to cache such a pair
-    /// (their reply may predate the write). Runs on *every* delta
-    /// receipt, before the epoch gate — an invalidation is correct in
-    /// any epoch.
+    /// (their reply may predate the write). Runs on *every* delta the
+    /// node originates, before the epoch gate — an invalidation is
+    /// correct in any epoch.
     pub(super) fn invalidate_cached<'a>(
         &mut self,
         pairs: impl Iterator<Item = (&'a Arc<str>, &'a Value)>,

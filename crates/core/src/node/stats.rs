@@ -1,21 +1,25 @@
 //! The statistics plane of a node (DESIGN.md § Statistics
 //! distribution): its snapshot, a write origin's planning view, the
 //! outbox of deltas waiting for the next tick, the flush whose notice
-//! waits on its OID pieces' acks, the OID shards the node is home of,
-//! and the binomial span tree the notice fans out along.
+//! waits on its shard homes' acks, the shards the node is home of, and
+//! the binomial span tree the notice fans out along.
 
 use super::*;
-use crate::stats::{oid_shard_home, oid_shard_key};
+use crate::stats::{stats_shard_home, stats_shard_key};
 
-/// A flush whose OID pieces are out: its notice waits for the shard
-/// homes' acks until the last one is in or the ack wait runs out.
+/// A flush on its way through the shard homes: the round whose pieces
+/// are out, the summaries their acks published so far, and — for a
+/// flush with deletes, until the attribute homes have settled them —
+/// the delta whose OID and value changes are still to go.
 pub(super) struct Flush {
-    /// The flush's number, carried by its pieces and echoed by the acks.
+    /// The round's number, carried by its pieces and echoed by the acks.
     seq: u64,
     /// Shards whose ack is still out, one bit each.
     waiting: u8,
-    /// The notice, until it is sent.
+    /// The published summaries, until the notice is sent.
     notice: Option<StatsNotice>,
+    /// A flush in its first round of two (see [`StatsFlush`]).
+    settling: Option<StatsFlush>,
 }
 
 impl<O: Overlay<Item = Triple>> UniNode<O> {
@@ -26,35 +30,33 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
         self.view.as_ref().or(self.stats.as_ref())
     }
 
-    /// The slices of the distinct-OID map this node holds as a shard
-    /// home, by shard (empty where it is not the home).
-    pub fn oid_shards(&self) -> &[OidCounts] {
-        &self.oid_shards
+    /// The statistics shards this node is home of, by shard (`None`
+    /// where it is not the home).
+    pub fn stats_homes(&self) -> &[Option<StatsHome>] {
+        &self.homes
     }
 
-    /// Folds a statistics flush notice into this node's snapshot (and
-    /// planning view) — O(groups), and no copy at all when a peer
-    /// holding the same snapshot folded the same notice object first. A
-    /// node that has no model yet (pre-load) skips the fold: it will
-    /// receive a full snapshot at load time.
-    pub(crate) fn apply_stats_notice(&mut self, notice: &StatsNotice) {
-        for model in [&mut self.stats, &mut self.view].into_iter().flatten() {
-            CostModel::apply_shared_notice(model, notice);
+    /// Installs what a flush notice publishes in this node's snapshot.
+    /// A node that has no model yet (pre-load) skips it: it will
+    /// receive a full snapshot at load time. The planning view is
+    /// re-derived from the snapshot at the node's own next flush.
+    pub(crate) fn install_stats_notice(&mut self, notice: &StatsNotice) {
+        if let Some(stats) = &mut self.stats {
+            Arc::make_mut(stats).install(notice);
         }
     }
 
     /// Folds a write this node originated into its planning view only:
-    /// the snapshot takes it with the flush's notice, as every receiver
-    /// does. The view keeps the snapshot's `oid_distinct`, which moves
-    /// with the notice.
+    /// the homes take it with the flush, and the snapshot with what
+    /// they publish.
     fn apply_own_write(&mut self, delta: &StatsDelta) {
         let Some(stats) = &self.stats else { return };
-        CostModel::apply_shared(self.view.get_or_insert_with(|| stats.clone()), delta);
+        Arc::make_mut(self.view.get_or_insert_with(|| stats.clone())).apply_delta(delta);
     }
 
     /// Installs a freshly rebuilt snapshot: adopts its epoch and
-    /// discards buffered deltas, the flush in progress and the OID
-    /// shards (the rebuild already counted their writes, and the driver
+    /// discards buffered deltas, the flush in progress and the shards
+    /// (the rebuild already counted their writes, and the driver
     /// installs the rebuilt shards at their homes). Deltas, notices,
     /// pieces and acks from earlier epochs still in flight are dropped
     /// on receipt by the epoch gate.
@@ -64,16 +66,16 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
         self.stats_epoch = epoch;
         self.stats_outbox = StatsDelta::new();
         self.flush = None;
-        self.late_oids = 0;
-        self.oid_shards = Default::default();
+        self.late = StatsNotice::default();
+        self.homes = Default::default();
         // A full rebuild may have replaced any row wholesale.
         self.cache.clear();
     }
 
-    /// Makes this node the home of `shard`, holding `counts`.
-    pub(crate) fn install_oid_shard(&mut self, shard: u8, counts: OidCounts) {
-        if let Some(slot) = self.oid_shards.get_mut(shard as usize) {
-            *slot = counts;
+    /// Makes this node the home of `home`'s shard.
+    pub(crate) fn install_stats_home(&mut self, home: StatsHome) {
+        if let Some(slot) = self.homes.get_mut(home.shard() as usize) {
+            *slot = Some(home);
         }
     }
 
@@ -81,9 +83,9 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
     /// the writes, plans on them at once and buffers them for its next
     /// stats tick.
     pub(super) fn on_stats_delta(&mut self, epoch: u64, delta: &Shared<StatsDelta>) {
-        // Cache invalidation runs before the epoch gate: a write notice
-        // names (attr, value) pairs whose cached rows may be stale in
-        // any epoch.
+        // Cache invalidation runs before the epoch gate: a write names
+        // (attr, value) pairs whose cached rows may be stale in any
+        // epoch.
         self.invalidate_cached(delta.get().pairs());
         // Stale generation: a full rebuild already folded these writes
         // into the snapshot this node received.
@@ -102,16 +104,15 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
         notice: &Shared<StatsNotice>,
         fx: &mut UniFx<O::Msg>,
     ) {
-        self.invalidate_cached(notice.get().pairs());
-        // Relay duty comes before the epoch gate too: the tree forwards
-        // the *message's* epoch regardless of this node's own, so a
-        // node mid-rebuild still carries its subtree (the leaves gate
-        // for themselves).
+        // Relay duty comes before the epoch gate: the tree forwards the
+        // *message's* epoch regardless of this node's own, so a node
+        // mid-rebuild still carries its subtree (the leaves gate for
+        // themselves).
         if span > 1 {
             self.fanout_notice(epoch, span, notice, fx);
         }
         if epoch == self.stats_epoch {
-            self.apply_stats_notice(notice.get());
+            self.install_stats_notice(notice.get());
         }
     }
 
@@ -133,89 +134,120 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
         UniEvent::Stats { qid, total, attrs }
     }
 
-    /// The stats tick: splits the buffered deltas — matched
-    /// insert/delete pairs cancelled first — into a notice for every
-    /// peer and one [`OidPiece`] per OID shard they touch, and routes
-    /// the pieces to their homes. The notice goes down the broadcast
-    /// tree once every home has acked, or when the ack wait (half a
-    /// tick) runs out; acks later than that ride the next notice.
+    /// The stats tick: compacts the buffered deltas — matched
+    /// insert/delete pairs cancelled first — and sends each shard home
+    /// its piece (a flush with deletes in two rounds, see
+    /// [`StatsFlush`]). Once every home has acked, or the ack wait runs
+    /// out, what the acks published goes down the broadcast tree; acks
+    /// later than that ride the next notice.
     pub(super) fn flush_stats_outbox(&mut self, fx: &mut UniFx<O::Msg>) {
-        // A flush still waiting here lost its ack-wait timer to a crash.
+        // A flush still waiting here lost its ack-wait timer to a
+        // crash, or its second round outlived the tick.
         self.send_notice(fx);
         let mut delta = std::mem::take(&mut self.stats_outbox);
         delta.compact();
-        let Some(stats) = &self.stats else { return };
-        if delta.is_empty() && self.late_oids == 0 {
+        if self.stats.is_none() {
+            return;
+        }
+        if delta.is_empty() && self.late.is_empty() {
             self.view = None;
             return;
         }
-        let (mut notice, pieces) = StatsNotice::split(&delta, &stats.stats);
-        notice.add_oid_delta(std::mem::take(&mut self.late_oids));
+        let flush = StatsFlush::new(delta);
+        let pieces = flush.first_pieces();
+        let notice = std::mem::take(&mut self.late);
+        self.start_round(notice, flush.has_deletes().then_some(flush), pieces, fx);
+    }
+
+    /// Sends a round's pieces to their homes and waits for the acks:
+    /// a quarter tick for each of a two-round flush's rounds, half a
+    /// tick for a one-round flush.
+    fn start_round(
+        &mut self,
+        notice: StatsNotice,
+        settling: Option<StatsFlush>,
+        pieces: Vec<StatsPiece>,
+        fx: &mut UniFx<O::Msg>,
+    ) {
         self.flush_seq += 1;
         let seq = self.flush_seq;
         let waiting = pieces.iter().fold(0, |w, p| w | 1 << p.shard);
-        self.flush = Some(Flush { seq, waiting, notice: Some(notice) });
+        let two_rounds = settling.is_some();
+        self.flush = Some(Flush { seq, waiting, notice: Some(notice), settling });
         if pieces.is_empty() {
-            return self.send_notice(fx);
+            return self.end_round(fx);
         }
-        let wait = SimTime::from_micros(self.stats_refresh.as_micros() / 2);
-        fx.set_timer(wait, Timer::new(STATS_ACK_WAIT, seq));
+        let wait = self.stats_refresh.as_micros() / if two_rounds { 4 } else { 2 };
+        fx.set_timer(SimTime::from_micros(wait), Timer::new(STATS_ACK_WAIT, seq));
         let (epoch, me) = (self.stats_epoch, self.id());
         for piece in pieces {
-            self.on_oid_piece(epoch, me, seq, false, piece, fx);
+            self.on_stats_piece(epoch, me, seq, false, piece, fx);
         }
     }
 
-    /// The ack wait of flush `seq` ran out: its notice goes with the
-    /// acks it has.
+    /// A round is over — every ack is in, or its wait ran out. A flush
+    /// that was settling its deletes sends its OID and value pieces; any
+    /// other sends its notice.
+    fn end_round(&mut self, fx: &mut UniFx<O::Msg>) {
+        let Some(f) = self.flush.as_mut() else { return };
+        match f.settling.take() {
+            Some(flush) => {
+                let notice = f.notice.take().unwrap_or_default();
+                self.start_round(notice, None, flush.object_pieces(), fx);
+            }
+            None => self.send_notice(fx),
+        }
+    }
+
+    /// The ack wait of round `seq` ran out.
     pub(super) fn on_ack_wait(&mut self, seq: u64, fx: &mut UniFx<O::Msg>) {
         if self.flush.as_ref().is_some_and(|f| f.seq == seq) {
-            self.send_notice(fx);
+            self.end_round(fx);
         }
     }
 
-    /// Sends the waiting notice down the broadcast tree. The node folds
-    /// it into its own snapshot first, so it ends the flush holding
-    /// what its receivers will, and memoizes the fold on the one notice
-    /// object they all receive; its planning view is re-derived from
-    /// the writes buffered since the tick.
+    /// Sends the waiting notice down the broadcast tree, when the homes
+    /// published anything. The node installs it first, so it ends the
+    /// flush holding what its receivers will; its planning view is
+    /// re-derived from the writes buffered since the tick.
     fn send_notice(&mut self, fx: &mut UniFx<O::Msg>) {
-        let Some(notice) = self.flush.as_mut().and_then(|f| f.notice.take()) else { return };
+        let Some(f) = self.flush.as_mut() else { return };
+        // A second round that never started is given up.
+        f.settling = None;
+        let Some(notice) = f.notice.take() else { return };
         self.view = None;
         if !notice.is_empty() {
             self.notices_sent += 1;
-            self.oid_delta_sent = self.oid_delta_sent.saturating_add(notice.oid_delta());
             let notice = Shared::new(notice);
-            if let Some(stats) = &mut self.stats {
-                CostModel::apply_shared_notice(stats, notice.get());
-            }
+            self.install_stats_notice(notice.get());
             self.fanout_notice(self.stats_epoch, self.n_peers as u32, &notice, fx);
+            self.last_notice = Some(notice);
         }
         if let (Some(stats), false) = (&self.stats, self.stats_outbox.is_empty()) {
             let mut view = stats.clone();
-            CostModel::apply_shared(&mut view, &self.stats_outbox);
+            Arc::make_mut(&mut view).apply_delta(&self.stats_outbox);
             self.view = Some(view);
         }
     }
 
-    /// Receives an OID piece: routes it toward its shard's key until a
-    /// member of the key's replica group has it, which hands it to the
-    /// group's lowest id, the shard's home. The home folds it into its
-    /// slice of the map and acks the origin with the change of the
-    /// slice's distinct count.
-    pub(super) fn on_oid_piece(
+    /// Receives a statistics piece: routes it toward its shard's key
+    /// until a member of the key's replica group has it, which hands it
+    /// to the group's lowest id, the shard's home. The home folds it
+    /// and acks the origin with what it took and what it publishes. A
+    /// node that is not installed as the shard's home drops the piece.
+    pub(super) fn on_stats_piece(
         &mut self,
         epoch: u64,
         origin: NodeId,
         flush: u64,
         at_home: bool,
-        piece: OidPiece,
+        piece: StatsPiece,
         fx: &mut UniFx<O::Msg>,
     ) {
         if !at_home {
-            let key = oid_shard_key(piece.shard);
+            let key = stats_shard_key(piece.shard);
             let next = match self.overlay.responsible(key) {
-                true => oid_shard_home(&self.overlay, key)
+                true => stats_shard_home(&self.overlay, key)
                     .filter(|&h| h != self.id())
                     .map(|h| (h, true)),
                 // A routing hole loses the piece; the ack wait covers it.
@@ -225,55 +257,66 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
                 },
             };
             if let Some((to, at_home)) = next {
-                let msg = QueryMsg::OidPiece { epoch, origin, flush, at_home, piece };
+                let msg = QueryMsg::StatsPiece { epoch, origin, flush, at_home, piece };
                 return fx.send(to, UniMsg::Query(msg));
             }
         }
         if epoch != self.stats_epoch {
             return;
         }
-        let (shard, delta) = (piece.shard, self.fold_oid_piece(&piece));
+        let shard = piece.shard;
+        let Some((taken, published)) = self.fold_stats_piece(&piece) else { return };
         match origin == self.id() {
-            true => self.on_oid_ack(epoch, flush, shard, delta, fx),
-            false => {
-                fx.send(origin, UniMsg::Query(QueryMsg::OidAck { epoch, flush, shard, delta }))
-            }
+            true => self.on_stats_ack(epoch, flush, shard, &taken, published, fx),
+            false => fx.send(
+                origin,
+                UniMsg::Query(QueryMsg::StatsAck { epoch, flush, shard, taken, published }),
+            ),
         }
     }
 
-    /// Folds a piece into this node's slice of its shard, returning the
-    /// change of the slice's distinct count.
-    pub(crate) fn fold_oid_piece(&mut self, piece: &OidPiece) -> i64 {
-        match self.oid_shards.get_mut(piece.shard as usize) {
-            Some(slice) => slice.apply(&piece.entries),
-            None => 0,
-        }
+    /// Folds a piece into the shard this node is home of: what the home
+    /// took of each delete group and what it publishes. `None` where
+    /// the node is not the shard's home.
+    pub(crate) fn fold_stats_piece(
+        &mut self,
+        piece: &StatsPiece,
+    ) -> Option<(Vec<u32>, StatsNotice)> {
+        let home = self.homes.get_mut(piece.shard as usize)?.as_mut()?;
+        Some(home.fold(piece, self.stats_epsilon))
     }
 
-    /// Receives a shard home's ack: its change joins the waiting notice
-    /// and, with the last one in, the notice goes. An ack for a notice
-    /// already sent joins the next one.
-    pub(super) fn on_oid_ack(
+    /// Receives a shard home's ack: its settlement goes to a flush that
+    /// is settling its deletes, its summaries join the waiting notice,
+    /// and with the round's last ack in the flush goes on. Summaries of
+    /// an ack for a notice already sent join the next one.
+    pub(super) fn on_stats_ack(
         &mut self,
         epoch: u64,
         flush: u64,
         shard: u8,
-        delta: i64,
+        taken: &[u32],
+        published: StatsNotice,
         fx: &mut UniFx<O::Msg>,
     ) {
-        let Some(f) = self.flush.as_mut().filter(|_| epoch == self.stats_epoch) else { return };
+        if epoch != self.stats_epoch {
+            return;
+        }
+        let Some(f) = self.flush.as_mut() else { return self.late.merge(published) };
         let bit = 1u8.checked_shl(shard as u32).unwrap_or(0);
-        if flush == f.seq && f.waiting & bit != 0 {
-            f.waiting &= !bit;
-            match f.notice.as_mut() {
-                Some(notice) => notice.add_oid_delta(delta),
-                None => self.late_oids = self.late_oids.saturating_add(delta),
-            }
-            if f.waiting == 0 {
-                self.send_notice(fx);
-            }
-        } else if flush < f.seq {
-            self.late_oids = self.late_oids.saturating_add(delta);
+        if flush != f.seq || f.waiting & bit == 0 {
+            return self.late.merge(published);
+        }
+        f.waiting &= !bit;
+        if let Some(settling) = f.settling.as_mut() {
+            settling.settle(shard, taken);
+        }
+        match f.notice.as_mut() {
+            Some(notice) => notice.merge(published),
+            None => self.late.merge(published),
+        }
+        if f.waiting == 0 {
+            self.end_round(fx);
         }
     }
 

@@ -7,17 +7,20 @@
 //!
 //! * **bulk**: after a driver-side load, [`build_cost_model`] scans the
 //!   dataset once and hands every node the same snapshot;
-//! * **incremental**: routed writes fold into the snapshots as
-//!   [`unistore_query::StatsDelta`]s — O(delta) per write at the
-//!   driver, disseminated in-band to the nodes on the stats-refresh
-//!   tick ([`crate::UniConfig::stats_refresh`]) as one
-//!   [`unistore_query::StatsNotice`] per flush, so long-running nodes
-//!   converge to fresh statistics without restart or rescan.
+//! * **incremental**: routed writes fold into the driver's master model
+//!   as [`unistore_query::StatsDelta`]s — O(delta) per write — and are
+//!   flushed in-band on the write origin's stats-refresh tick
+//!   ([`crate::UniConfig::stats_refresh`]) as one
+//!   [`unistore_query::cost::StatsPiece`] per shard home, so
+//!   long-running nodes converge to fresh statistics without restart or
+//!   rescan.
 //!
-//! The one statistic with per-object state, the distinct-OID count,
-//! is kept out of the nodes' snapshots: its refcount map is split into
-//! [`OID_SHARDS`](unistore_query::cost::oids::OID_SHARDS) shards by fingerprint prefix, each held by one home
-//! peer and updated by the flushes' [`unistore_query::cost::OidPiece`]s.
+//! The exact statistics — every refcount map — live at the
+//! [`STATS_SHARDS`](unistore_query::cost::shards::STATS_SHARDS) shard
+//! homes, never in a peer's snapshot. A home publishes a summary again
+//! when it has drifted past [`crate::UniConfig::stats_epsilon`], and
+//! the flush's [`unistore_query::StatsNotice`] carries the published
+//! summaries to every peer.
 
 use std::sync::Arc;
 
@@ -29,16 +32,16 @@ use unistore_store::index::oid_key;
 use unistore_store::{Oid, Triple};
 use unistore_util::Key;
 
-/// The fixed key of OID shard `shard`: where the OID index places a
-/// reserved object name, hashed like any other.
-pub fn oid_shard_key(shard: u8) -> Key {
+/// The fixed key of statistics shard `shard`: where the OID index
+/// places a reserved object name, hashed like any other.
+pub fn stats_shard_key(shard: u8) -> Key {
     oid_key(&Oid::new(&format!("\u{0}stats/oids/{shard}")))
 }
 
-/// The home of the OID shard placed at `key`, as a member of the key's
-/// replica group sees it: the group's lowest node id. `None` from a
-/// peer outside the group.
-pub fn oid_shard_home<O: Overlay>(member: &O, key: Key) -> Option<NodeId> {
+/// The home of the statistics shard placed at `key`, as a member of
+/// the key's replica group sees it: the group's lowest node id. `None`
+/// from a peer outside the group.
+pub fn stats_shard_home<O: Overlay>(member: &O, key: Key) -> Option<NodeId> {
     member.replica_group(key).first().copied()
 }
 
@@ -62,12 +65,12 @@ pub fn build_cost_model(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unistore_query::cost::oids::OID_SHARDS;
+    use unistore_query::cost::shards::STATS_SHARDS;
     use unistore_store::Value;
 
     #[test]
     fn oid_shards_have_distinct_keys_in_the_oid_index() {
-        let keys: Vec<Key> = (0..OID_SHARDS).map(oid_shard_key).collect();
+        let keys: Vec<Key> = (0..STATS_SHARDS).map(stats_shard_key).collect();
         for (i, k) in keys.iter().enumerate() {
             assert_eq!(unistore_store::IndexKind::of_key(*k), unistore_store::IndexKind::Oid);
             assert!(!keys[..i].contains(k), "shard {i} shares a key");

@@ -17,20 +17,20 @@
 //!
 //! Five files: `estimator` prices operators over a snapshot,
 //! `statistics` holds the snapshot and its folds, `delta` is the write
-//! digest a write origin buffers, `notice` what its flush sends every
-//! peer, and `oids` the distinct-OID map the flush's pieces update at
-//! the map's shard homes.
+//! digest a write origin buffers, `shards` the exact statistics' shard
+//! homes and the pieces a flush sends them, and `notice` the summaries
+//! the homes publish and every peer installs.
 
 mod delta;
 mod estimator;
 mod notice;
-pub mod oids;
+pub mod shards;
 mod statistics;
 
 pub use delta::StatsDelta;
 pub use estimator::{CostModel, CostVector, NetParams, ScanEstimate, UNKNOWN_ATTR_SELECTIVITY};
-pub use notice::StatsNotice;
-pub use oids::{OidCounts, OidPiece};
+pub use notice::{AttrSummary, ShardSummary, StatsNotice};
+pub use shards::{OidCounts, StatsFlush, StatsHome, StatsPiece};
 pub use statistics::{AttrStats, GlobalStats};
 
 #[cfg(test)]
@@ -44,7 +44,7 @@ mod tests {
     use super::delta::*;
     use super::estimator::*;
     use super::notice::*;
-    use super::oids::*;
+    use super::shards::*;
     use super::statistics::*;
     use crate::strategy::{JoinStrategy, RangeAlgo, ScanStrategy};
     use unistore_vql::parse;
@@ -264,8 +264,7 @@ mod tests {
         assert_eq!(a.oid_distinct, b.oid_distinct, "oid_distinct");
         assert_eq!(a.value_distinct, b.value_distinct, "value_distinct");
         assert_eq!(a.avg_triple_bytes, b.avg_triple_bytes, "avg_triple_bytes");
-        assert_eq!(a.oids, b.oids, "oid refcounts");
-        assert_eq!(a.values, b.values, "value refcounts");
+        assert_eq!(a.objects, b.objects, "oid and value refcounts");
         let mut keys: Vec<_> = a.attrs.keys().collect();
         let mut bkeys: Vec<_> = b.attrs.keys().collect();
         keys.sort();
@@ -278,9 +277,8 @@ mod tests {
             assert_eq!(sa.join_distinct, sb.join_distinct, "{k}: join_distinct");
             assert_eq!(sa.gram_postings, sb.gram_postings, "{k}: gram_postings");
             assert_eq!(sa.gram_distinct, sb.gram_distinct, "{k}: gram_distinct");
-            assert_eq!(sa.values, sb.values, "{k}: value refcounts");
-            assert_eq!(sa.join_values, sb.join_values, "{k}: join refcounts");
-            assert_eq!(sa.grams, sb.grams, "{k}: gram refcounts");
+            assert_eq!(sa.bytes, sb.bytes, "{k}: bytes");
+            assert_eq!(sa.refs, sb.refs, "{k}: value, join and gram refcounts");
             assert_eq!(sa.hist.count(), sb.hist.count(), "{k}: hist count");
             assert_eq!(sa.hist.bucket_counts(), sb.hist.bucket_counts(), "{k}: hist buckets");
             assert_eq!(
@@ -449,7 +447,7 @@ mod tests {
         assert_stats_match(&built, &folded);
         for s in [&built, &folded] {
             assert_eq!(s.oid_distinct, 1.0);
-            assert_eq!(s.oids.as_ref().map(|m| m.get(fingerprint)), Some(both.len() as u32));
+            assert_eq!(s.oids().map(|m| m.get(fingerprint)), Some(both.len() as u32));
         }
         // Deleting one object's triples leaves the other counted.
         let mut undo = StatsDelta::new();
@@ -457,7 +455,7 @@ mod tests {
         folded.apply_delta(&undo);
         assert_stats_match(&folded, &GlobalStats::build(&of(&b), net));
         assert_eq!(folded.oid_distinct, 1.0);
-        assert_eq!(folded.oids.as_ref().map(|m| m.get(fingerprint)), Some(2));
+        assert_eq!(folded.oids().map(|m| m.get(fingerprint)), Some(2));
     }
 
     /// Encodes a delta by hand: the OID table, the attribute table,
@@ -579,164 +577,315 @@ mod tests {
         }
     }
 
-    /// Encodes a notice by hand: the attribute table, then per side
-    /// `(attribute index, value, count, OID bytes)` groups, then the
-    /// distinct-OID change.
-    fn raw_notice(
-        attrs: &[&str],
-        sides: [&[(u64, Value, u64, u64)]; 2],
-        oids: i64,
-    ) -> bytes::Bytes {
+    /// The `skip`-th attribute name `a{i}` homed at `shard`.
+    fn attr_of_shard(shard: u8, skip: usize) -> String {
+        (0..).map(|i| format!("a{i}")).filter(|a| attr_shard(a) == shard).nth(skip).unwrap()
+    }
+
+    /// A hand-encoded summary: name, the eight integer fields and the
+    /// buckets as `(index gap, count)`.
+    type RawSummary<'a> = (&'a str, [u64; 8], &'a [(u64, u64)]);
+
+    /// Encodes a notice by hand: per attribute summary its name, its
+    /// publication number, the eight integer fields (count, bytes,
+    /// distinct, join_distinct, postings, grams, histogram count and
+    /// distinct keys) and the buckets as `(index gap, count)`; then per
+    /// shard its number, publication number, OID and value counts.
+    fn raw_notice(attrs: &[RawSummary], shards: &[(u8, [u64; 3])]) -> bytes::Bytes {
+        use bytes::BufMut;
         let mut buf = bytes::BytesMut::new();
         put_varint(&mut buf, attrs.len() as u64);
-        attrs.iter().for_each(|a| a.to_string().encode(&mut buf));
-        for side in sides {
-            put_varint(&mut buf, side.len() as u64);
-            for (attr, value, count, bytes) in side {
-                put_varint(&mut buf, *attr);
-                value.encode(&mut buf);
-                put_varint(&mut buf, *count);
-                put_varint(&mut buf, *bytes);
+        for (name, fields, buckets) in attrs {
+            name.to_string().encode(&mut buf);
+            put_varint(&mut buf, 1);
+            fields.iter().for_each(|&x| put_varint(&mut buf, x));
+            put_varint(&mut buf, buckets.len() as u64);
+            for &(gap, n) in *buckets {
+                put_varint(&mut buf, gap);
+                put_varint(&mut buf, n);
             }
         }
-        oids.encode(&mut buf);
+        put_varint(&mut buf, shards.len() as u64);
+        for (shard, counts) in shards {
+            buf.put_u8(*shard);
+            counts.iter().for_each(|&x| put_varint(&mut buf, x));
+        }
         buf.freeze()
     }
 
-    /// Encodes a piece by hand: the shard, then `(fingerprint, change)`
-    /// entries.
-    fn raw_piece(shard: u8, entries: &[(u32, i64)]) -> bytes::Bytes {
+    /// The parts of a hand-encoded piece: attribute table, inserted
+    /// groups `(index, value, count, OID bytes)`, deleted groups
+    /// `(index, value, OID lengths)`, OID and value changes.
+    #[derive(Clone, Default)]
+    struct RawPiece {
+        attrs: Vec<String>,
+        inserts: Vec<(u64, Value, u64, u64)>,
+        deletes: Vec<(u64, Value, Vec<u64>)>,
+        oids: Vec<(u32, i64)>,
+        values: Vec<(u64, i64)>,
+    }
+
+    fn raw_piece(shard: u8, p: &RawPiece) -> bytes::Bytes {
         use bytes::BufMut;
         let mut buf = bytes::BytesMut::new();
         buf.put_u8(shard);
-        put_varint(&mut buf, entries.len() as u64);
-        for (fingerprint, n) in entries {
+        put_varint(&mut buf, p.attrs.len() as u64);
+        p.attrs.iter().for_each(|a| a.encode(&mut buf));
+        put_varint(&mut buf, p.inserts.len() as u64);
+        for (at, value, count, bytes) in &p.inserts {
+            put_varint(&mut buf, *at);
+            value.encode(&mut buf);
+            put_varint(&mut buf, *count);
+            put_varint(&mut buf, *bytes);
+        }
+        put_varint(&mut buf, p.deletes.len() as u64);
+        for (at, value, lens) in &p.deletes {
+            put_varint(&mut buf, *at);
+            value.encode(&mut buf);
+            put_varint(&mut buf, lens.len() as u64);
+            lens.iter().for_each(|&len| put_varint(&mut buf, len));
+        }
+        put_varint(&mut buf, p.oids.len() as u64);
+        for (fingerprint, n) in &p.oids {
             buf.put_u32(*fingerprint);
+            n.encode(&mut buf);
+        }
+        put_varint(&mut buf, p.values.len() as u64);
+        for (bits, n) in &p.values {
+            buf.put_u64(*bits);
             n.encode(&mut buf);
         }
         buf.freeze()
     }
 
+    /// A value whose key bits fall in `shard`.
+    fn value_of_shard(shard: u8, skip: usize) -> Value {
+        (0..).map(Value::Int).filter(|v| value_shard(v.key_bits()) == shard).nth(skip).unwrap()
+    }
+
     #[test]
     fn hostile_notices_and_pieces_are_rejected_not_trusted() {
-        let v = Value::Int(1);
-        let ok = raw_notice(
-            &["a", "bb"],
-            [&[(0, v.clone(), 3, 12), (1, v.clone(), 1, 4)], &[(1, v.clone(), 1, 4)]],
-            -2,
-        );
+        // A notice: one summary (three triples, buckets 5 and 6) and one
+        // shard's counts.
+        let fields = [3, 30, 2, 2, 0, 0, 3, 2];
+        let ok = raw_notice(&[("a", fields, &[(5, 2), (0, 1)])], &[(1, [4, 10, 7])]);
         let n = StatsNotice::from_bytes(&ok).unwrap();
-        assert_eq!((n.len(), n.oid_delta()), (5, -2));
-        assert_eq!(n.pairs().map(|(a, _)| &**a).collect::<Vec<_>>(), ["a", "bb", "bb"]);
+        assert_eq!(n.len(), 2);
+        assert_eq!(n.attrs()[0].stats.hist.bucket_counts()[5..7], [2, 1]);
+        assert_eq!(n.shards(), [(1, ShardSummary { seq: 4, oids: 10, values: 7 })]);
         assert_eq!(n.to_bytes(), ok);
+        let with = |i: usize, x: u64| {
+            let mut f = fields;
+            f[i] = x;
+            f
+        };
+        let b2: &[(u64, u64)] = &[(5, 2), (0, 1)];
         let bad_notices: Vec<(&str, bytes::Bytes)> = vec![
+            ("attributes out of order", raw_notice(&[("b", fields, b2), ("a", fields, b2)], &[])),
+            ("a repeated attribute", raw_notice(&[("a", fields, b2), ("a", fields, b2)], &[])),
+            ("more distinct values than triples", raw_notice(&[("a", with(2, 4), b2)], &[])),
+            ("more distinct grams than postings", raw_notice(&[("a", with(5, 1), b2)], &[])),
+            ("more distinct keys than keys", raw_notice(&[("a", with(7, 4), b2)], &[])),
+            ("buckets short of the count", raw_notice(&[("a", fields, &[(5, 2)])], &[])),
+            ("buckets past the count", raw_notice(&[("a", fields, &[(5, 2), (0, 2)])], &[])),
+            ("a bucket past the histogram", raw_notice(&[("a", fields, &[(5, 2), (250, 1)])], &[])),
             (
-                "attribute index off the table",
-                raw_notice(&["a"], [&[(1, v.clone(), 1, 2)], &[]], 0),
+                "an index gap that wraps",
+                raw_notice(&[("a", fields, &[(5, 2), (u64::MAX, 1)])], &[]),
             ),
-            (
-                "a huge attribute index",
-                raw_notice(&["a"], [&[], &[(u64::MAX, v.clone(), 1, 2)]], 0),
-            ),
-            (
-                "attribute index into an empty table",
-                raw_notice(&[], [&[(0, v.clone(), 1, 2)], &[]], 0),
-            ),
-            ("zero-count group", raw_notice(&["a"], [&[], &[(0, v.clone(), 0, 0)]], 0)),
-            ("count past 32 bits", raw_notice(&["a"], [&[(0, v.clone(), 1 << 32, 2)], &[]], 0)),
-            ("a name no group uses", raw_notice(&["a", "b"], [&[(0, v.clone(), 1, 2)], &[]], 0)),
-            ("a name table under no group", raw_notice(&["a"], [&[], &[]], 0)),
-            (
-                "OID bytes past any OIDs",
-                raw_notice(&["a"], [&[(0, v.clone(), 1, u64::MAX)], &[]], 0),
-            ),
-            (
-                "OID bytes past the longest OID",
-                raw_notice(&["a"], [&[(0, v.clone(), 1, MAX_LEN + 6)], &[]], 0),
-            ),
-            ("fewer OID bytes than OIDs", raw_notice(&["a"], [&[], &[(0, v.clone(), 2, 1)]], 0)),
-            ("attribute-table count over the cap", {
-                let mut buf = bytes::BytesMut::new();
-                put_varint(&mut buf, (1 << 28) + 1);
-                buf.freeze()
+            ("an empty bucket", raw_notice(&[("a", fields, &[(5, 3), (0, 0)])], &[])),
+            ("a count past 2^53", raw_notice(&[("a", with(0, (1 << 53) + 1), b2)], &[])),
+            ("a shard count past 2^53", raw_notice(&[], &[(1, [4, 1 << 54, 7])])),
+            ("more buckets than the histogram has", {
+                let many: Vec<(u64, u64)> = (0..257).map(|_| (0, 1)).collect();
+                raw_notice(&[("a", [257, 257, 1, 1, 0, 0, 257, 1], &many)], &[])
             }),
-            ("group count over the cap", {
+            ("attribute count over the cap", {
                 let mut buf = bytes::BytesMut::new();
-                put_varint(&mut buf, 0);
                 put_varint(&mut buf, (1 << 28) + 1);
                 buf.freeze()
             }),
         ];
         for (what, bytes) in bad_notices {
-            assert!(
-                matches!(StatsNotice::from_bytes(&bytes), Err(WireError::BadLength(_))),
-                "{what}: {:?}",
-                StatsNotice::from_bytes(&bytes)
-            );
+            let got = StatsNotice::from_bytes(&bytes);
+            assert!(matches!(got, Err(WireError::BadLength(_))), "{what}: {got:?}");
+        }
+        for (what, shards) in [
+            ("a shard past the last", vec![(STATS_SHARDS, [1, 1, 1])]),
+            ("shards out of order", vec![(2, [1, 1, 1]), (1, [1, 1, 1])]),
+            ("a repeated shard", vec![(2, [1, 1, 1]), (2, [1, 1, 1])]),
+        ] {
+            let got = StatsNotice::from_bytes(&raw_notice(&[], &shards));
+            assert!(matches!(got, Err(WireError::BadTag(_))), "{what}: {got:?}");
         }
         for cut in 0..ok.len() {
             assert!(StatsNotice::from_bytes(&ok.slice(0..cut)).is_err(), "notice cut at {cut}");
         }
-        // The largest sums the decoder lets through fold without
-        // overflow however often they repeat: refcounts stop at
-        // `u32::MAX` and the acknowledged change at `i64::MAX`.
-        let most = u32::MAX as u64 * oid_wire_size(MAX_LEN as u32) as u64;
-        let huge = |side: usize| {
-            let group = [(0, v.clone(), u32::MAX as u64, most)];
-            let mut sides: [&[(u64, Value, u64, u64)]; 2] = [&[], &[]];
-            sides[side] = &group;
-            StatsNotice::from_bytes(&raw_notice(&["a"], sides, i64::MAX)).unwrap()
-        };
-        let net = NetParams { n_peers: 8.0, n_leaves: 8.0, replication: 1.0, hop_ms: 1.0 };
-        let mut stats = GlobalStats::build(&sample_triples(), net);
-        let (mut ins, del) = (huge(INSERTED), huge(DELETED));
-        ins.add_oid_delta(1);
-        assert_eq!(ins.oid_delta(), i64::MAX);
-        for _ in 0..3 {
-            stats.apply_notice(&ins);
-        }
-        assert_eq!(stats.attr("a").unwrap().values[&v.key_bits()], u32::MAX);
-        assert_eq!(stats.values[&v.key_bits()], u32::MAX);
-        for _ in 0..3 {
-            stats.apply_notice(&del);
-        }
-        assert!(stats.avg_triple_bytes.is_finite() && stats.oid_distinct.is_finite());
 
+        // A piece of shard 2: an inserted and a deleted group of an
+        // attribute homed there, two fingerprints and a value.
         let shard = 2u8;
         let f = |low: u32| (shard as u32) << 30 | low;
-        let ok = raw_piece(shard, &[(f(1), 3), (f(9), -1)]);
-        let p = OidPiece::from_bytes(&ok).unwrap();
-        assert_eq!(p, OidPiece { shard, entries: vec![(f(1), 3), (f(9), -1)] });
+        let (attr, v) = (attr_of_shard(shard, 0), value_of_shard(shard, 0));
+        let good = RawPiece {
+            attrs: vec![attr.clone()],
+            inserts: vec![(0, v.clone(), 3, 12)],
+            deletes: vec![(0, v.clone(), vec![1, 2])],
+            oids: vec![(f(1), 3), (f(9), -1)],
+            values: vec![(v.key_bits(), 2)],
+        };
+        let ok = raw_piece(shard, &good);
+        let p = StatsPiece::from_bytes(&ok).unwrap();
+        assert_eq!(
+            (p.shard, p.delete_groups(), p.oids.clone()),
+            (shard, 1, vec![(f(1), 3), (f(9), -1)])
+        );
         assert_eq!(p.to_bytes(), ok);
-        assert_eq!(OidPiece::from_bytes(&raw_piece(4, &[])), Err(WireError::BadTag(4)));
+        assert_eq!(
+            StatsPiece::from_bytes(&raw_piece(4, &RawPiece::default())),
+            Err(WireError::BadTag(4))
+        );
+        let foreign = RawPiece { attrs: vec![attr_of_shard(1, 0)], ..good.clone() };
+        assert_eq!(StatsPiece::from_bytes(&raw_piece(shard, &foreign)), Err(WireError::BadTag(1)));
+        let edit = |change: &dyn Fn(&mut RawPiece)| {
+            let mut p = good.clone();
+            change(&mut p);
+            raw_piece(shard, &p)
+        };
+        let other_value = value_of_shard(3, 0).key_bits();
         let bad_pieces: Vec<(&str, bytes::Bytes)> = vec![
-            ("a fingerprint outside the prefix", raw_piece(shard, &[(f(1), 1), (1 << 30, 1)])),
-            ("a repeated fingerprint", raw_piece(shard, &[(f(1), 1), (f(1), 1)])),
-            ("descending fingerprints", raw_piece(shard, &[(f(9), 1), (f(1), 1)])),
-            ("a zero change", raw_piece(shard, &[(f(1), 0)])),
-            ("a change past 32 bits", raw_piece(shard, &[(f(1), 1 << 31)])),
-            ("entry count over the cap", {
+            ("attribute index off the table", edit(&|p| p.inserts[0].0 = 1)),
+            ("a huge attribute index", edit(&|p| p.deletes[0].0 = u64::MAX)),
+            ("attribute index into an empty table", edit(&|p| p.attrs.clear())),
+            ("zero-count insert", edit(&|p| p.inserts[0].2 = 0)),
+            ("insert count past 32 bits", edit(&|p| p.inserts[0].2 = 1 << 32)),
+            ("OID bytes past the longest OID", edit(&|p| p.inserts[0].3 = 3 * (MAX_LEN + 6))),
+            ("fewer OID bytes than OIDs", edit(&|p| p.inserts[0].3 = 2)),
+            ("a delete naming no OID", edit(&|p| p.deletes[0].2.clear())),
+            ("an OID longer than any string", edit(&|p| p.deletes[0].2[1] = MAX_LEN + 1)),
+            ("a name no group uses", edit(&|p| p.attrs.push(attr_of_shard(shard, 1)))),
+            ("a fingerprint outside the prefix", edit(&|p| p.oids[1].0 = 1 << 30)),
+            ("a repeated fingerprint", edit(&|p| p.oids[1].0 = f(1))),
+            ("descending fingerprints", edit(&|p| p.oids.reverse())),
+            ("a zero change", edit(&|p| p.oids[0].1 = 0)),
+            ("a change past 32 bits", edit(&|p| p.oids[0].1 = 1 << 31)),
+            ("key bits of another shard", edit(&|p| p.values[0].0 = other_value)),
+            (
+                "descending key bits",
+                edit(&|p| {
+                    let (x, y) = (v.key_bits(), value_of_shard(shard, 1).key_bits());
+                    p.values = vec![(x.max(y), 1), (x.min(y), 1)];
+                }),
+            ),
+            ("group count over the cap", {
                 let mut buf = bytes::BytesMut::new();
-                buf.extend_from_slice(&[shard]);
+                buf.extend_from_slice(&[shard, 0]);
                 put_varint(&mut buf, (1 << 28) + 1);
                 buf.freeze()
             }),
         ];
         for (what, bytes) in bad_pieces {
-            assert!(
-                matches!(OidPiece::from_bytes(&bytes), Err(WireError::BadLength(_))),
-                "{what}: {:?}",
-                OidPiece::from_bytes(&bytes)
-            );
+            let got = StatsPiece::from_bytes(&bytes);
+            assert!(matches!(got, Err(WireError::BadLength(_))), "{what}: {got:?}");
         }
         for cut in 0..ok.len() {
-            assert!(OidPiece::from_bytes(&ok.slice(0..cut)).is_err(), "piece cut at {cut}");
+            assert!(StatsPiece::from_bytes(&ok.slice(0..cut)).is_err(), "piece cut at {cut}");
         }
-        // A home folding the largest change over and over saturates.
-        let huge = OidPiece::from_bytes(&raw_piece(shard, &[(f(1), i32::MAX as i64)])).unwrap();
-        let mut home = OidCounts::default();
-        assert_eq!((0..3).map(|_| home.apply(&huge.entries)).sum::<i64>(), 1);
-        assert_eq!(home.get(f(1)), u32::MAX);
+
+        // The largest sums the decoder lets through fold at a home
+        // however often they repeat: refcounts stop at `u32::MAX`, and
+        // what the home publishes still decodes.
+        let most = u32::MAX as u64 * oid_wire_size(MAX_LEN as u32) as u64;
+        let huge = RawPiece {
+            inserts: vec![(0, v.clone(), u32::MAX as u64, most)],
+            deletes: vec![],
+            oids: vec![(f(1), i32::MAX as i64)],
+            values: vec![(v.key_bits(), i32::MAX as i64)],
+            ..good.clone()
+        };
+        let huge = StatsPiece::from_bytes(&raw_piece(shard, &huge)).unwrap();
+        let net = NetParams { n_peers: 8.0, n_leaves: 8.0, replication: 1.0, hop_ms: 1.0 };
+        let mut home = GlobalStats::empty(net).home(shard).unwrap();
+        for _ in 0..3 {
+            let (_, published) = home.fold(&huge, 0.0);
+            let back = StatsNotice::from_bytes(&published.to_bytes()).unwrap();
+            let mut peer = GlobalStats::empty(net).summary();
+            peer.install(&back);
+            assert!(peer.avg_triple_bytes.is_finite() && peer.total > 0.0);
+        }
+        assert_eq!(home.oids().get(f(1)), u32::MAX);
+    }
+
+    /// A flush inserting one `age` triple of a fresh object, as the
+    /// piece for `age`'s home.
+    fn age_piece(i: usize) -> StatsPiece {
+        let mut d = StatsDelta::new();
+        d.record_insert(Triple::new(&format!("q{i}"), "age", Value::Int(30)));
+        let shard = attr_shard("age");
+        StatsFlush::new(d).first_pieces().into_iter().find(|p| p.shard == shard).unwrap()
+    }
+
+    #[test]
+    fn a_home_publishes_a_summary_only_past_epsilon() {
+        let net = NetParams { n_peers: 8.0, n_leaves: 8.0, replication: 1.0, hop_ms: 1.0 };
+        let base = GlobalStats::build(&sample_triples(), net);
+        let published_age = |n: &StatsNotice| n.attrs().iter().find(|s| &*s.attr == "age").cloned();
+        // ε = 0.05 over 200 triples: the 11th insert moves the count by
+        // more than 10 and is published, with everything before it.
+        let mut home = base.home(attr_shard("age")).unwrap();
+        for i in 1..=10 {
+            assert_eq!(published_age(&home.fold(&age_piece(i), 0.05).1), None, "insert {i}");
+        }
+        let s = published_age(&home.fold(&age_piece(11), 0.05).1).expect("published");
+        assert_eq!((s.seq, s.stats.count, s.stats.hist.count()), (1, 211.0, 211));
+        assert!(!s.stats.is_exact());
+        // The drift is measured from the new publication.
+        for i in 12..=21 {
+            assert_eq!(published_age(&home.fold(&age_piece(i), 0.05).1), None, "insert {i}");
+        }
+        let next = published_age(&home.fold(&age_piece(22), 0.05).1).expect("published again");
+        assert!(next.seq > s.seq && next.stats.count == 222.0);
+        // ε = 0 publishes every change, and a fold that changes nothing
+        // publishes nothing.
+        let mut exact = base.home(attr_shard("age")).unwrap();
+        for i in 1..=3 {
+            let s = published_age(&exact.fold(&age_piece(i), 0.0).1).expect("published");
+            assert_eq!((s.seq, s.stats.count), (i as u64, 200.0 + i as f64));
+        }
+        assert!(exact
+            .fold(&StatsPiece { shard: attr_shard("age"), ..Default::default() }, 0.0)
+            .1
+            .is_empty());
+    }
+
+    #[test]
+    fn installing_keeps_the_newest_publication() {
+        let net = NetParams { n_peers: 8.0, n_leaves: 8.0, replication: 1.0, hop_ms: 1.0 };
+        let base = GlobalStats::build(&sample_triples(), net);
+        let mut home = base.home(attr_shard("age")).unwrap();
+        let older = home.fold(&age_piece(1), 0.0).1;
+        let newer = home.fold(&age_piece(2), 0.0).1;
+        let mut peer = base.summary();
+        peer.install(&newer);
+        peer.install(&older);
+        let held = &peer.attrs[&Arc::<str>::from("age")];
+        assert!(Arc::ptr_eq(held, &newer.attrs()[0].stats), "the newer summary is kept");
+        assert_eq!((peer.version("age"), peer.total), (2, 602.0));
+        // An attribute published empty leaves the snapshot, and an older
+        // publication does not bring it back.
+        let mut gone = StatsNotice::default();
+        let empty = Arc::new(AttrStats::empty("age", false));
+        gone.merge(StatsNotice {
+            attrs: vec![AttrSummary { attr: "age".into(), seq: 3, stats: empty }],
+            shards: vec![(0, ShardSummary { seq: 3, oids: 7, values: 1 })],
+        });
+        peer.install(&gone);
+        peer.install(&newer);
+        assert!(!peer.attrs.contains_key("age"));
+        assert_eq!((peer.version("age"), peer.total), (3, 400.0));
+        assert_eq!(peer.shard_counts()[0], ShardSummary { seq: 3, oids: 7, values: 1 });
+        let others: f64 = peer.shard_counts()[1..].iter().map(|c| c.oids as f64).sum();
+        assert_eq!(peer.oid_distinct, 7.0 + others);
     }
 
     #[test]
@@ -850,6 +999,27 @@ mod tests {
             (delta, ins, del)
         }
 
+        /// Folds one round's pieces at their homes, each through its
+        /// wire image.
+        fn fold_round(
+            pieces: &[StatsPiece],
+            homes: &mut [StatsHome],
+            flush: &mut StatsFlush,
+            published: &mut StatsNotice,
+        ) {
+            for p in pieces {
+                assert!(!p.is_empty());
+                let bytes = p.to_bytes();
+                assert_eq!(bytes.len(), p.wire_size());
+                let back = StatsPiece::from_bytes(&bytes).unwrap();
+                assert_eq!(&back, p);
+                let (taken, out) = homes[p.shard as usize].fold(&back, 0.0);
+                assert_eq!(taken.len(), p.delete_groups());
+                flush.settle(p.shard, &taken);
+                published.merge(out);
+            }
+        }
+
         fn folded_one_by_one(base: &GlobalStats, ins: &[Triple], del: &[Triple]) -> GlobalStats {
             let mut s = base.clone();
             ins.iter().for_each(|t| s.apply_insert(t));
@@ -928,12 +1098,14 @@ mod tests {
                 assert_stats_match(&s, &folded_one_by_one(&start, &[], &del));
             }
 
-            /// A flush's split says what its delta says: the notice
-            /// folded into a snapshot without the OID map, moved by what
-            /// the pieces change at the shards, equals the delta folded
-            /// into the snapshot with the map — deletes of pairs the
-            /// snapshot does not count included — and the shards, united,
-            /// hold the folded map. Both codecs round-trip at their
+            /// A flush's pieces say what its delta says: folded at
+            /// homes holding the build's shards — the attribute homes
+            /// settling the deletes, the OID and value changes in a
+            /// second round when there are any — the homes, united,
+            /// equal the delta folded into the build, deletes of pairs
+            /// the build does not count included; and what they publish
+            /// at ε = 0, installed in the build's summary, gives every
+            /// estimate of that fold. Both codecs round-trip at their
             /// arithmetic size.
             #[test]
             fn notice_and_pieces_say_what_the_delta_says(
@@ -955,29 +1127,30 @@ mod tests {
                 }
                 let mut want = start.clone();
                 want.apply_delta(&d);
-                let want_oids = want.take_oids().expect("a built snapshot keeps the map");
 
-                let (mut notice, pieces) = StatsNotice::split(&d, &start);
-                let mut lean = start.clone();
-                let map = lean.take_oids().expect("a built snapshot keeps the map");
-                let mut shards: Vec<OidCounts> = (0..OID_SHARDS).map(|s| map.shard(s)).collect();
-                for p in &pieces {
-                    prop_assert!(!p.entries.is_empty());
-                    prop_assert!(p.entries.iter().all(|&(f, n)| oid_shard(f) == p.shard && n != 0));
-                    let bytes = p.to_bytes();
-                    prop_assert_eq!(bytes.len(), p.wire_size());
-                    prop_assert_eq!(&OidPiece::from_bytes(&bytes).unwrap(), p);
-                    notice.add_oid_delta(shards[p.shard as usize].apply(&p.entries));
+                let mut homes: Vec<StatsHome> =
+                    (0..STATS_SHARDS).map(|s| start.home(s).unwrap()).collect();
+                let mut flush = StatsFlush::new(d);
+                let mut published = StatsNotice::default();
+                let first = flush.first_pieces();
+                fold_round(&first, &mut homes, &mut flush, &mut published);
+                if flush.has_deletes() {
+                    prop_assert!(first.iter().all(|p| p.oids.is_empty() && p.values.is_empty()));
+                    let second = flush.object_pieces();
+                    fold_round(&second, &mut homes, &mut flush, &mut published);
                 }
-                let bytes = notice.to_bytes();
-                prop_assert_eq!(bytes.len(), notice.wire_size());
+                let united = GlobalStats::from_homes(&homes, NET);
+                assert_stats_match(&united, &want);
+                prop_assert!(united == want);
+
+                let bytes = published.to_bytes();
+                prop_assert_eq!(bytes.len(), published.wire_size());
                 let back = StatsNotice::from_bytes(&bytes).unwrap();
                 prop_assert_eq!(back.to_bytes(), bytes);
-                lean.apply_notice(&back);
-                assert_stats_match(&lean, &want);
-                let mut united = OidCounts::default();
-                shards.iter().for_each(|s| united.absorb(s));
-                prop_assert_eq!(united, want_oids);
+                let mut peer = start.summary();
+                peer.install(&back);
+                prop_assert!(peer.same_estimates(&want), "{:?}\n{:?}", peer, want);
+                prop_assert!(!peer.is_exact() && peer.attrs.values().all(|a| !a.is_exact()));
             }
 
             /// `compact` cancels what the retired pairing over two triple
@@ -1078,135 +1251,6 @@ mod tests {
                 let fresh = GlobalStats::build(&survivors, net);
                 assert_stats_match(&live, &fresh);
             }
-        }
-    }
-
-    mod fold_memo {
-        //! `CostModel::apply_shared`: holders of one snapshot that fold
-        //! one delta object end up sharing one result, and nothing else
-        //! ever takes that result.
-
-        use super::*;
-
-        fn base() -> Arc<CostModel> {
-            Arc::new(model())
-        }
-
-        fn delta() -> StatsDelta {
-            let mut d = StatsDelta::new();
-            d.record_insert(Triple::new("x1", "rating", Value::Int(5)));
-            d.record_insert(Triple::new("x2", "rating", Value::Int(3)));
-            d.record_delete(Triple::new("p3", "age", Value::Int(23)));
-            d
-        }
-
-        /// What a private fold of `d` into `base` produces.
-        fn folded(base: &CostModel, d: &StatsDelta) -> GlobalStats {
-            let mut stats = base.stats.clone();
-            stats.apply_delta(d);
-            stats
-        }
-
-        #[test]
-        fn same_base_and_delta_share_the_result() {
-            let (b, d) = (base(), delta());
-            let (mut x, mut y) = (b.clone(), b.clone());
-            CostModel::apply_shared(&mut x, &d);
-            CostModel::apply_shared(&mut y, &d);
-            assert!(Arc::ptr_eq(&x, &y), "the second holder took the first's copy");
-            assert!(!Arc::ptr_eq(&x, &b), "the shared base itself is never folded into");
-            assert_stats_match(&x.stats, &folded(&b, &d));
-            assert_stats_match(&b.stats, &model().stats);
-            // Attributes the delta left alone are not copied at all.
-            let name: Arc<str> = Arc::from("name");
-            assert!(Arc::ptr_eq(&x.stats.attrs[&name], &b.stats.attrs[&name]));
-        }
-
-        #[test]
-        fn a_different_base_never_hits() {
-            let d = delta();
-            let (b1, b2) = (base(), base());
-            let (mut x, mut y) = (b1.clone(), b2.clone());
-            CostModel::apply_shared(&mut x, &d);
-            CostModel::apply_shared(&mut y, &d);
-            assert!(!Arc::ptr_eq(&x, &y), "equal content is not the same snapshot");
-            assert_stats_match(&x.stats, &y.stats);
-            // The memo now serves the second base's holders.
-            let mut z = b2.clone();
-            CostModel::apply_shared(&mut z, &d);
-            assert!(Arc::ptr_eq(&y, &z));
-        }
-
-        #[test]
-        fn a_freed_base_never_hits() {
-            let d = delta();
-            let b = base();
-            let freed = Arc::as_ptr(&b);
-            let mut x = b.clone();
-            CostModel::apply_shared(&mut x, &d);
-            drop(b);
-            // While the memo names the freed base its allocation stays
-            // reserved, so no snapshot can turn up at that address ...
-            let fresh: Vec<Arc<CostModel>> = (0..64).map(|_| base()).collect();
-            assert!(fresh.iter().all(|f| !std::ptr::eq(Arc::as_ptr(f), freed)));
-            // ... and every one of them, shared or not, folds for itself.
-            for f in &fresh {
-                let (mut shared, _other) = (f.clone(), f.clone());
-                CostModel::apply_shared(&mut shared, &d);
-                assert!(!Arc::ptr_eq(&shared, &x));
-                assert_stats_match(&shared.stats, &x.stats);
-            }
-        }
-
-        #[test]
-        fn clones_and_decoded_deltas_carry_no_memo() {
-            let (b, d) = (base(), delta());
-            let mut x = b.clone();
-            CostModel::apply_shared(&mut x, &d);
-            let decoded = StatsDelta::from_bytes(&d.to_bytes()).unwrap();
-            for other in [d.clone(), decoded] {
-                let mut y = b.clone();
-                CostModel::apply_shared(&mut y, &other);
-                assert!(!Arc::ptr_eq(&x, &y));
-                assert_stats_match(&y.stats, &x.stats);
-            }
-        }
-
-        #[test]
-        fn a_memoized_result_is_never_folded_in_place() {
-            let (b, d) = (base(), delta());
-            let mut later = StatsDelta::new();
-            later.record_insert(Triple::new("x3", "rating", Value::Int(1)));
-            let (mut x, mut y) = (b.clone(), b.clone());
-            CostModel::apply_shared(&mut x, &d);
-            // x is the only node holding the result, but the memo holds
-            // it too: the next fold must copy, not write through.
-            let memoized = Arc::as_ptr(&x);
-            CostModel::apply_shared(&mut x, &later);
-            assert!(!std::ptr::eq(Arc::as_ptr(&x), memoized));
-            CostModel::apply_shared(&mut y, &d);
-            assert!(std::ptr::eq(Arc::as_ptr(&y), memoized));
-            assert_stats_match(&y.stats, &folded(&b, &d));
-            // An unshared snapshot with no memo to match folds in place.
-            drop(later);
-            let alone = Arc::as_ptr(&x);
-            let mut again = StatsDelta::new();
-            again.record_insert(Triple::new("x4", "rating", Value::Int(2)));
-            CostModel::apply_shared(&mut x, &again);
-            assert!(std::ptr::eq(Arc::as_ptr(&x), alone));
-        }
-
-        #[test]
-        fn recording_into_a_folded_delta_forgets_the_memo() {
-            let b = base();
-            let mut d = delta();
-            let mut x = b.clone();
-            CostModel::apply_shared(&mut x, &d);
-            d.record_insert(Triple::new("x5", "rating", Value::Int(4)));
-            let mut y = b.clone();
-            CostModel::apply_shared(&mut y, &d);
-            assert!(!Arc::ptr_eq(&x, &y));
-            assert_stats_match(&y.stats, &folded(&b, &d));
         }
     }
 }

@@ -100,9 +100,9 @@ impl CostModel {
         self.stats.apply_delta(delta);
     }
 
-    /// Folds a statistics flush notice into the model — O(groups).
-    pub fn apply_notice(&mut self, notice: &StatsNotice) {
-        self.stats.apply_notice(notice);
+    /// Installs what a statistics flush notice publishes.
+    pub fn install(&mut self, notice: &StatsNotice) {
+        self.stats.install(notice);
     }
 
     /// Prices one scan strategy. `limit_hint` enables early-termination

@@ -1,233 +1,264 @@
-//! The notice codec: [`StatsNotice`], what a statistics flush sends
-//! every peer once the OID shards have taken their pieces.
+//! The notice codec: [`StatsNotice`], the summaries a statistics flush
+//! publishes — every attribute summary and shard count that a shard
+//! home found drifted past ε — as every peer receives them.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use unistore_store::Value;
+use bytes::{Buf, BufMut};
+
 use unistore_util::intern;
-use unistore_util::wire::{get_len, get_varint, put_varint, varint_size, Wire, WireError, MAX_LEN};
+use unistore_util::stats::Histogram;
+use unistore_util::wire::{
+    decode_str, get_len, get_varint, put_varint, varint_size, Wire, WireError,
+};
 
-use super::delta::{attr_index, attr_table, oid_wire_size, StatsDelta, DELETED, INSERTED};
-use super::oids::OidPiece;
-use super::statistics::{FoldMemo, GlobalStats};
+use super::shards::STATS_SHARDS;
+use super::statistics::{AttrStats, HIST_BUCKETS};
 
-/// The triples of one sign that a flush adds to or removes from one
-/// `(attr, value)` pair: how many, and the wire bytes of their OIDs —
-/// everything a snapshot reads of them but the distinct-OID count.
+/// Largest count a summary field may state: every integer up to it is
+/// an exact `f64`, so the sums a peer derives stay exact.
+const MAX_COUNT: u64 = 1 << 53;
+
+/// One attribute's statistics as its home published them: absolute
+/// numbers, tagged with the home's publication number.
 #[derive(Clone, Debug, PartialEq)]
-pub(super) struct NoticeGroup {
-    pub(super) attr: Arc<str>,
-    pub(super) value: Value,
-    /// Triples, never zero.
-    pub(super) count: u32,
-    /// Sum of the triples' OID wire sizes.
-    pub(super) oid_bytes: u64,
+pub struct AttrSummary {
+    /// The attribute.
+    pub attr: Arc<str>,
+    /// The home's publication number (0: the load's).
+    pub seq: u64,
+    /// The summary ([`AttrStats::summary`]): no refcount maps. Peers
+    /// hold this very `Arc`.
+    pub stats: Arc<AttrStats>,
 }
 
-/// A statistics flush as every peer receives it: per sign, one group
-/// per written `(attr, value)` pair with its triple count and OID byte
-/// sum, plus the change of the distinct-OID count that the shard homes
-/// acknowledged. It names no OID: the fingerprints went to the shards
-/// as [`OidPiece`]s. Receivers fold it with
-/// [`GlobalStats::apply_notice`].
-#[derive(Clone, Default)]
+/// One shard's distinct counts as its home published them.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct ShardSummary {
+    /// The home's publication number (0: the load's).
+    pub seq: u64,
+    /// Live OID fingerprints in the shard.
+    pub oids: u64,
+    /// Live value key bits in the shard.
+    pub values: u64,
+}
+
+/// A statistics flush as every peer receives it: the summaries the
+/// shard homes published in their acks, each attribute and each shard
+/// at most once (the newest), sorted by attribute name and by shard.
+/// Receivers install it with
+/// [`GlobalStats::install`](super::GlobalStats::install). It names no
+/// OID and no written pair.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct StatsNotice {
-    /// Groups of inserted (`[INSERTED]`) and deleted (`[DELETED]`)
-    /// triples, each side in the flushed delta's order.
-    pub(super) groups: [Vec<NoticeGroup>; 2],
-    /// Change of the distinct-OID count.
-    pub(super) oid_delta: i64,
-    /// The last copying fold of this very object (see
-    /// [`crate::CostModel::apply_shared_notice`]).
-    pub(super) memo: FoldMemo,
-}
-
-impl std::fmt::Debug for StatsNotice {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StatsNotice")
-            .field("inserted", &self.groups[INSERTED])
-            .field("deleted", &self.groups[DELETED])
-            .field("oid_delta", &self.oid_delta)
-            .finish()
-    }
+    /// Attribute summaries, strictly ascending by name.
+    pub(super) attrs: Vec<AttrSummary>,
+    /// `(shard, counts)`, strictly ascending by shard.
+    pub(super) shards: Vec<(u8, ShardSummary)>,
 }
 
 impl StatsNotice {
-    /// Splits a flushed delta into the notice every peer folds and the
-    /// pieces the OID shards fold, one per shard the delta touches. The
-    /// notice's OID change starts at zero; the flush adds what the
-    /// shard homes acknowledge.
-    ///
-    /// `base` is the snapshot the notice will be folded into. A delete
-    /// beyond the triples `base` still counts under its pair (after the
-    /// delta's inserts) is one a fold would ignore; it is left out of
-    /// both the notice and the pieces, so the shards count exactly what
-    /// a fold of the delta into `base` with the OID map would.
-    pub fn split(delta: &StatsDelta, base: &GlobalStats) -> (StatsNotice, Vec<OidPiece>) {
-        let mut changes: BTreeMap<u32, i32> = BTreeMap::new();
-        // Live triples per (attr, key bits) as the fold runs: the
-        // snapshot's, plus the inserts, minus the deletes taken so far.
-        let mut live: BTreeMap<(&Arc<str>, u64), u32> = BTreeMap::new();
-        let held = |attr: &'_ Arc<str>, value: &Value| {
-            let bits = value.key_bits();
-            (bits, base.attr(attr).and_then(|a| a.values.get(&bits)).copied().unwrap_or(0))
-        };
-        let mut notice = StatsNotice::default();
-        for g in &delta.groups[INSERTED] {
-            let mut oid_bytes = 0;
-            for (fingerprint, len) in delta.oids_of(g) {
-                oid_bytes += oid_wire_size(len) as u64;
-                *changes.entry(fingerprint).or_default() += 1;
-            }
-            let (bits, now) = held(&g.attr, &g.value);
-            *live.entry((&g.attr, bits)).or_insert(now) += g.oids.len() as u32;
-            notice.groups[INSERTED].push(NoticeGroup {
-                attr: g.attr.clone(),
-                value: g.value.clone(),
-                count: g.oids.len() as u32,
-                oid_bytes,
-            });
-        }
-        for g in &delta.groups[DELETED] {
-            let (bits, now) = held(&g.attr, &g.value);
-            let left = live.entry((&g.attr, bits)).or_insert(now);
-            let count = (g.oids.len() as u32).min(*left);
-            if count == 0 {
-                continue;
-            }
-            *left -= count;
-            let mut oid_bytes = 0;
-            for (fingerprint, len) in delta.oids_of(g).take(count as usize) {
-                oid_bytes += oid_wire_size(len) as u64;
-                *changes.entry(fingerprint).or_default() -= 1;
-            }
-            notice.groups[DELETED].push(NoticeGroup {
-                attr: g.attr.clone(),
-                value: g.value.clone(),
-                count,
-                oid_bytes,
-            });
-        }
-        let entries: Vec<(u32, i32)> = changes.into_iter().filter(|&(_, n)| n != 0).collect();
-        (notice, OidPiece::split(&entries))
-    }
-
-    /// Whether the notice changes nothing.
+    /// Whether the notice publishes nothing.
     pub fn is_empty(&self) -> bool {
-        self.groups.iter().all(Vec::is_empty) && self.oid_delta == 0
+        self.attrs.is_empty() && self.shards.is_empty()
     }
 
-    /// Triples the notice adds or removes.
+    /// Summaries the notice publishes.
     pub fn len(&self) -> usize {
-        self.groups.iter().flatten().map(|g| g.count as usize).sum()
+        self.attrs.len() + self.shards.len()
     }
 
-    /// The change of the distinct-OID count.
-    pub fn oid_delta(&self) -> i64 {
-        self.oid_delta
+    /// The attribute summaries, ascending by name.
+    pub fn attrs(&self) -> &[AttrSummary] {
+        &self.attrs
     }
 
-    /// Adds an acknowledged change of the distinct-OID count. The
-    /// notice must not have been folded anywhere yet.
-    pub fn add_oid_delta(&mut self, d: i64) {
-        self.oid_delta = self.oid_delta.saturating_add(d);
-        self.memo = FoldMemo::default();
+    /// The shard counts, ascending by shard.
+    pub fn shards(&self) -> &[(u8, ShardSummary)] {
+        &self.shards
     }
 
-    /// The `(attr, value)` pairs the notice names: each once per sign.
-    pub fn pairs(&self) -> impl Iterator<Item = (&Arc<str>, &Value)> {
-        self.groups.iter().flatten().map(|g| (&g.attr, &g.value))
-    }
-
-    /// The attribute names the groups use, each once, in first-seen
-    /// order.
-    fn attr_table(&self) -> Vec<&Arc<str>> {
-        attr_table(self.groups.iter().flatten().map(|g| &g.attr))
+    /// Adds another notice's summaries, keeping the newer of two for
+    /// one attribute or shard.
+    pub fn merge(&mut self, other: StatsNotice) {
+        if other.is_empty() {
+            return;
+        }
+        self.attrs.extend(other.attrs);
+        self.attrs.sort_by(|a, b| a.attr.cmp(&b.attr).then(b.seq.cmp(&a.seq)));
+        self.attrs.dedup_by(|later, first| later.attr == first.attr);
+        self.shards.extend(other.shards);
+        self.shards.sort_by(|a, b| a.0.cmp(&b.0).then(b.1.seq.cmp(&a.1.seq)));
+        self.shards.dedup_by(|later, first| later.0 == first.0);
     }
 }
 
-// Layout: the attribute table (count; the names, each once), the
-// inserted and the deleted groups (count; per group the attribute's
-// table index, the value, the triple count and the OID byte sum), then
-// the distinct-OID change as a zigzag varint.
+/// The integer fields of a summary, in wire order: count, bytes,
+/// distinct, join_distinct, gram_postings, gram_distinct, then the
+/// histogram's count and distinct estimate. The fields hold counts, so
+/// the casts are exact up to [`MAX_COUNT`], where they stop.
+fn summary_fields(s: &AttrStats) -> [u64; 8] {
+    let capped = |x: f64| x.min(MAX_COUNT as f64) as u64;
+    [
+        capped(s.count),
+        capped(s.bytes),
+        capped(s.distinct),
+        capped(s.join_distinct),
+        capped(s.gram_postings),
+        capped(s.gram_distinct),
+        s.hist.count().min(MAX_COUNT),
+        s.hist.distinct_estimate().min(MAX_COUNT),
+    ]
+}
+
+/// The nonzero buckets as `(gap from the previous index, count)`, the
+/// first gap from zero.
+fn bucket_gaps(h: &Histogram) -> impl Iterator<Item = (u64, u64)> + '_ {
+    h.nonzero().scan(0usize, |next, (i, n)| {
+        let gap = i - *next;
+        *next = i + 1;
+        Some((gap as u64, n))
+    })
+}
+
+fn encode_summary(s: &AttrStats, buf: &mut bytes::BytesMut) {
+    summary_fields(s).iter().for_each(|&x| put_varint(buf, x));
+    put_varint(buf, s.hist.nonzero().count() as u64);
+    for (gap, n) in bucket_gaps(&s.hist) {
+        put_varint(buf, gap);
+        put_varint(buf, n);
+    }
+}
+
+fn summary_size(s: &AttrStats) -> usize {
+    summary_fields(s).iter().map(|&x| varint_size(x)).sum::<usize>()
+        + varint_size(s.hist.nonzero().count() as u64)
+        + bucket_gaps(&s.hist).map(|(gap, n)| varint_size(gap) + varint_size(n)).sum::<usize>()
+}
+
+/// A count field: at most [`MAX_COUNT`].
+fn get_count(buf: &mut bytes::Bytes) -> Result<u64, WireError> {
+    let x = get_varint(buf)?;
+    match x <= MAX_COUNT {
+        true => Ok(x),
+        false => Err(WireError::BadLength(x)),
+    }
+}
+
+/// Decodes `attr`'s summary, rejecting one whose fields contradict each
+/// other: more distinct values than triples, more distinct grams than
+/// postings, a
+/// histogram with more distinct keys than keys, bucket indexes off the
+/// histogram or not ascending, an empty bucket, or buckets that do not
+/// sum to the histogram's count. (`join_distinct` has no such bound: a
+/// delete of a value sharing another's key bits takes a triple of the
+/// other without unposting its semantic value.)
+fn decode_summary(attr: &str, buf: &mut bytes::Bytes) -> Result<AttrStats, WireError> {
+    // In wire order (tuple fields evaluate left to right).
+    let (count, bytes) = (get_count(buf)?, get_count(buf)?);
+    let (distinct, join_distinct) = (get_count(buf)?, get_count(buf)?);
+    let (postings, grams) = (get_count(buf)?, get_count(buf)?);
+    let (hist_count, hist_distinct) = (get_count(buf)?, get_count(buf)?);
+    let contradicts = distinct > count || grams > postings || hist_distinct > hist_count;
+    if contradicts {
+        return Err(WireError::BadLength(count));
+    }
+    let n = get_len(buf)?;
+    if n > HIST_BUCKETS {
+        return Err(WireError::BadLength(n as u64));
+    }
+    let mut buckets = Vec::with_capacity(n.min(HIST_BUCKETS));
+    let (mut next, mut sum) = (0u64, 0u64);
+    for _ in 0..n {
+        let at = next.checked_add(get_varint(buf)?).filter(|&i| i < HIST_BUCKETS as u64);
+        let at = at.ok_or(WireError::BadLength(next))?;
+        let c = get_count(buf)?;
+        sum = sum.checked_add(c).ok_or(WireError::BadLength(c))?;
+        if c == 0 {
+            return Err(WireError::BadLength(0));
+        }
+        buckets.push((at as usize, c));
+        next = at + 1;
+    }
+    if sum != hist_count {
+        return Err(WireError::BadLength(sum));
+    }
+    let (lo, hi) = unistore_store::index::attr_range(attr);
+    Ok(AttrStats {
+        count: count as f64,
+        distinct: distinct as f64,
+        join_distinct: join_distinct as f64,
+        hist: Histogram::from_summary(lo, hi, HIST_BUCKETS, buckets, hist_distinct),
+        gram_postings: postings as f64,
+        gram_distinct: grams as f64,
+        bytes: bytes as f64,
+        refs: None,
+    })
+}
+
+// Layout: the attribute summaries (count; per summary the name, the
+// publication number, the eight integer fields of `summary_fields` and
+// the nonzero histogram buckets: count, then per bucket the index gap
+// and the count), then the shard counts (count; per shard its number as
+// one byte, the publication number, the OID and the value count).
 impl Wire for StatsNotice {
     fn encode(&self, buf: &mut bytes::BytesMut) {
-        let attrs = self.attr_table();
-        put_varint(buf, attrs.len() as u64);
-        attrs.iter().for_each(|a| a.encode(buf));
-        for side in &self.groups {
-            put_varint(buf, side.len() as u64);
-            for g in side {
-                put_varint(buf, attr_index(&attrs, &g.attr));
-                g.value.encode(buf);
-                g.count.encode(buf);
-                g.oid_bytes.encode(buf);
-            }
+        put_varint(buf, self.attrs.len() as u64);
+        for s in &self.attrs {
+            s.attr.encode(buf);
+            put_varint(buf, s.seq);
+            encode_summary(&s.stats, buf);
         }
-        self.oid_delta.encode(buf);
+        put_varint(buf, self.shards.len() as u64);
+        for (shard, c) in &self.shards {
+            buf.put_u8(*shard);
+            [c.seq, c.oids, c.values].iter().for_each(|&x| put_varint(buf, x));
+        }
     }
 
     fn decode(buf: &mut bytes::Bytes) -> Result<Self, WireError> {
-        let n_attrs = get_len(buf)?;
-        let mut attrs = Vec::with_capacity(n_attrs.min(1024));
-        for _ in 0..n_attrs {
-            attrs.push(unistore_util::wire::decode_str(buf, intern)?);
-        }
-        let mut groups = [Vec::new(), Vec::new()];
-        for side in &mut groups {
-            let n = get_len(buf)?;
-            side.reserve(n.min(1024));
-            for _ in 0..n {
-                let at = get_varint(buf)?;
-                let attr = usize::try_from(at)
-                    .ok()
-                    .and_then(|i| attrs.get(i))
-                    .cloned()
-                    .ok_or(WireError::BadLength(at))?;
-                let value = Value::decode(buf)?;
-                // A group is a write: receivers divide a partly taken
-                // delete's byte sum by its count.
-                let count = u32::decode(buf)?;
-                if count == 0 {
-                    return Err(WireError::BadLength(0));
-                }
-                // Every OID takes at least one byte and at most what the
-                // longest decodable string does; receivers sum these
-                // bytes, so an implausible sum is refused here.
-                let oid_bytes = u64::decode(buf)?;
-                let most = count as u64 * oid_wire_size(MAX_LEN as u32) as u64;
-                if !(count as u64..=most).contains(&oid_bytes) {
-                    return Err(WireError::BadLength(oid_bytes));
-                }
-                side.push(NoticeGroup { attr, value, count, oid_bytes });
+        let n = get_len(buf)?;
+        let mut attrs: Vec<AttrSummary> = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            let attr: Arc<str> = decode_str(buf, intern)?;
+            // Sorted and unique: the encoder sorts, and a repeat would
+            // let one notice publish two values for one attribute.
+            if attrs.last().is_some_and(|prev| prev.attr >= attr) {
+                return Err(WireError::BadLength(attrs.len() as u64));
             }
+            let seq = get_varint(buf)?;
+            let stats = Arc::new(decode_summary(&attr, buf)?);
+            attrs.push(AttrSummary { attr, seq, stats });
         }
-        // The encoder names only the attributes its groups use.
-        if attrs.len() > groups.iter().map(Vec::len).sum::<usize>() {
-            return Err(WireError::BadLength(attrs.len() as u64));
+        let n = get_len(buf)?;
+        let mut shards: Vec<(u8, ShardSummary)> = Vec::with_capacity(n.min(STATS_SHARDS as usize));
+        for _ in 0..n {
+            if !buf.has_remaining() {
+                return Err(WireError::UnexpectedEof);
+            }
+            let shard = buf.get_u8();
+            if shard >= STATS_SHARDS || shards.last().is_some_and(|&(prev, _)| prev >= shard) {
+                return Err(WireError::BadTag(shard));
+            }
+            let seq = get_varint(buf)?;
+            let (oids, values) = (get_count(buf)?, get_count(buf)?);
+            shards.push((shard, ShardSummary { seq, oids, values }));
         }
-        let oid_delta = i64::decode(buf)?;
-        Ok(StatsNotice { groups, oid_delta, memo: FoldMemo::default() })
+        Ok(StatsNotice { attrs, shards })
     }
 
     fn wire_size(&self) -> usize {
-        let attrs = self.attr_table();
-        let groups = self.groups.iter().map(|side| {
-            varint_size(side.len() as u64)
-                + side
-                    .iter()
-                    .map(|g| {
-                        varint_size(attr_index(&attrs, &g.attr))
-                            + g.value.wire_size()
-                            + g.count.wire_size()
-                            + g.oid_bytes.wire_size()
-                    })
-                    .sum::<usize>()
-        });
-        varint_size(attrs.len() as u64)
-            + attrs.iter().map(|a| a.wire_size()).sum::<usize>()
-            + groups.sum::<usize>()
-            + self.oid_delta.wire_size()
+        let attrs = self
+            .attrs
+            .iter()
+            .map(|s| s.attr.wire_size() + varint_size(s.seq) + summary_size(&s.stats));
+        let shards = self
+            .shards
+            .iter()
+            .map(|(_, c)| 1 + varint_size(c.seq) + varint_size(c.oids) + varint_size(c.values));
+        varint_size(self.attrs.len() as u64)
+            + attrs.sum::<usize>()
+            + varint_size(self.shards.len() as u64)
+            + shards.sum::<usize>()
     }
 }

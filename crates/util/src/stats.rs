@@ -211,6 +211,9 @@ pub struct Histogram {
     distinct: crate::FxHashMap<u64, u32>,
     /// Cap on the distinct map; beyond it we stop tracking exactly.
     distinct_cap: usize,
+    /// The distinct estimate of a histogram rebuilt from its summary,
+    /// which keeps no key map (its cap is zero).
+    published: Option<u64>,
 }
 
 impl Histogram {
@@ -228,7 +231,65 @@ impl Histogram {
             count: 0,
             distinct: Default::default(),
             distinct_cap: 4096,
+            published: None,
         }
+    }
+
+    /// The histogram a summary describes: the domain and bucket count,
+    /// the nonzero buckets as `(index, count)`, and the distinct
+    /// estimate. It keeps no key map: later keys move buckets and the
+    /// count, removals stop at what a bucket holds, and the distinct
+    /// estimate stays as published. Indexes past the bucket count are
+    /// ignored (a decoder rejects them first).
+    pub fn from_summary(
+        lo: u64,
+        hi: u64,
+        buckets: usize,
+        nonzero: impl IntoIterator<Item = (usize, u64)>,
+        distinct: u64,
+    ) -> Self {
+        let mut h = Histogram::new(lo, hi, buckets);
+        for (i, n) in nonzero {
+            if let Some(b) = h.buckets.get_mut(i) {
+                *b += n;
+                h.count += n;
+            }
+        }
+        h.distinct_cap = 0;
+        h.published = Some(distinct);
+        h
+    }
+
+    /// This histogram as its summary describes it (see
+    /// [`Histogram::from_summary`]).
+    pub fn summary(&self) -> Self {
+        Histogram {
+            lo: self.lo,
+            hi: self.hi,
+            buckets: self.buckets.clone(),
+            count: self.count,
+            distinct: Default::default(),
+            distinct_cap: 0,
+            published: Some(self.distinct_estimate()),
+        }
+    }
+
+    /// The nonzero buckets as `(index, count)`, ascending.
+    pub fn nonzero(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.buckets.iter().enumerate().filter(|(_, &n)| n > 0).map(|(i, &n)| (i, n))
+    }
+
+    /// Sum of the absolute bucket differences to `other` (buckets one
+    /// of them lacks count as zero).
+    pub fn l1_distance(&self, other: &Histogram) -> u64 {
+        let n = self.buckets.len().max(other.buckets.len());
+        (0..n)
+            .map(|i| {
+                let a = self.buckets.get(i).copied().unwrap_or(0);
+                let b = other.buckets.get(i).copied().unwrap_or(0);
+                a.abs_diff(b)
+            })
+            .sum()
     }
 
     /// Covers the full 64-bit key space.
@@ -305,7 +366,7 @@ impl Histogram {
 
     /// Estimated number of distinct keys (exact up to the cap).
     pub fn distinct_estimate(&self) -> u64 {
-        self.distinct.len() as u64
+        self.published.unwrap_or(self.distinct.len() as u64)
     }
 
     /// Estimated number of keys in `[lo, hi]` assuming intra-bucket
@@ -538,6 +599,28 @@ mod tests {
         h.remove(999);
         h.remove(500);
         assert_eq!(h.bucket_counts(), &snapshot[..]);
+    }
+
+    #[test]
+    fn a_summary_keeps_buckets_count_and_distinct() {
+        let mut h = Histogram::new(0, 999, 10);
+        for k in [5, 5, 7, 500, 990] {
+            h.add(k);
+        }
+        let s = h.summary();
+        assert_eq!((s.count(), s.distinct_estimate()), (5, 4));
+        assert_eq!(s.bucket_counts(), h.bucket_counts());
+        assert_eq!(s.nonzero().collect::<Vec<_>>(), vec![(0, 3), (5, 1), (9, 1)]);
+        let back = Histogram::from_summary(0, 999, 10, s.nonzero(), 4);
+        assert_eq!(back, s);
+        assert_eq!(back.l1_distance(&h), 0);
+        // Later keys move buckets and the count, never the published
+        // distinct estimate; removals stop at what a bucket holds.
+        let mut view = back.clone();
+        view.add_n(600, 3);
+        view.remove_n(990, 5);
+        assert_eq!((view.count(), view.distinct_estimate()), (7, 4));
+        assert_eq!(view.l1_distance(&back), 4);
     }
 
     #[test]

@@ -27,7 +27,10 @@ use unistore_overlay::repair::{Child, Part, RecordKey, RepairMsg, Span, Summary,
 use unistore_overlay::RecordList;
 use unistore_pgrid::msg::PeerRef;
 use unistore_pgrid::PGridMsg;
-use unistore_query::cost::{GlobalStats, NetParams, OidPiece, StatsDelta, StatsNotice};
+use unistore_query::cost::shards::{attr_shard, value_shard, STATS_SHARDS};
+use unistore_query::cost::{
+    GlobalStats, NetParams, StatsDelta, StatsFlush, StatsNotice, StatsPiece,
+};
 use unistore_query::{Coverage, Mqp, MqpNode, Relation};
 use unistore_simnet::NodeId;
 use unistore_store::{Triple, Value};
@@ -143,39 +146,95 @@ fn sample_stats_delta() -> StatsDelta {
     d
 }
 
-/// The notice and the OID pieces a flush of [`sample_stats_delta`]
-/// makes over a snapshot that counts one of its deleted triples: both
-/// signs, a group the snapshot caps, and pieces in several shards.
-fn sample_flush() -> (StatsNotice, Vec<OidPiece>) {
-    let net = NetParams { n_peers: 4.0, n_leaves: 4.0, replication: 1.0, hop_ms: 1.0 };
-    let base = GlobalStats::build(&[Triple::new("o1", "rating", Value::Int(4))], net);
-    let (mut notice, pieces) = StatsNotice::split(&sample_stats_delta(), &base);
-    notice.add_oid_delta(-3);
+const STATS_NET: NetParams =
+    NetParams { n_peers: 4.0, n_leaves: 4.0, replication: 1.0, hop_ms: 1.0 };
+
+/// The statistics a flush of [`sample_stats_delta`] lands on: one of
+/// its deleted triples, and a string attribute.
+fn sample_stats_base() -> GlobalStats {
+    let base = [
+        Triple::new("o1", "rating", Value::Int(4)),
+        Triple::new("o7", "name", Value::str("dave")),
+        Triple::new("o8", "rating", Value::Int(2)),
+    ];
+    GlobalStats::build(&base, STATS_NET)
+}
+
+/// The pieces a flush of [`sample_stats_delta`] sends the homes of
+/// [`sample_stats_base`] — pair groups of both signs in the first
+/// round, OID and value changes in several shards in the second — and
+/// the notice of what the homes publish at ε = 0.
+fn sample_flush() -> (StatsNotice, Vec<StatsPiece>) {
+    let base = sample_stats_base();
+    let mut homes: Vec<_> = (0..STATS_SHARDS).map(|s| base.home(s).unwrap()).collect();
+    let mut flush = StatsFlush::new(sample_stats_delta());
+    let (mut notice, mut pieces) = (StatsNotice::default(), flush.first_pieces());
+    for p in &pieces {
+        let (taken, published) = homes[p.shard as usize].fold(p, 0.0);
+        flush.settle(p.shard, &taken);
+        notice.merge(published);
+    }
+    let second = flush.object_pieces();
+    for p in &second {
+        notice.merge(homes[p.shard as usize].fold(p, 0.0).1);
+    }
+    pieces.extend(second);
     (notice, pieces)
 }
 
-/// The largest notice sums the decoder lets through, on both sides of
-/// one pair: `u32::MAX` triples of the longest decodable OIDs, and the
-/// largest distinct-OID change.
+/// The largest summaries the decoder lets through: every field of an
+/// attribute's at 2^53 (its one bucket too), and every shard's counts
+/// at 2^53 under the last publication number.
 fn huge_notice() -> StatsNotice {
-    use unistore_util::wire::{put_varint, varint_size, MAX_LEN};
+    use bytes::BufMut;
+    use unistore_util::wire::put_varint;
+    let most = 1u64 << 53;
     let mut buf = bytes::BytesMut::new();
     put_varint(&mut buf, 1);
     "rating".to_string().encode(&mut buf);
-    for _ in 0..2 {
-        put_varint(&mut buf, 1);
-        put_varint(&mut buf, 0);
-        Value::Int(4).encode(&mut buf);
-        u32::MAX.encode(&mut buf);
-        (u32::MAX as u64 * (varint_size(MAX_LEN) as u64 + MAX_LEN)).encode(&mut buf);
+    put_varint(&mut buf, u64::MAX);
+    [most, most, most, most, most, most, most, most].iter().for_each(|&x| put_varint(&mut buf, x));
+    [1, 255, most].iter().for_each(|&x| put_varint(&mut buf, x));
+    put_varint(&mut buf, STATS_SHARDS as u64);
+    for shard in 0..STATS_SHARDS {
+        buf.put_u8(shard);
+        [u64::MAX, most, most].iter().for_each(|&x| put_varint(&mut buf, x));
     }
-    i64::MAX.encode(&mut buf);
     StatsNotice::from_bytes(&buf.freeze()).unwrap()
 }
 
-/// A piece with the largest changes either way.
-fn huge_piece() -> OidPiece {
-    OidPiece { shard: 3, entries: vec![(3 << 30 | 1, i32::MAX), (3 << 30 | 2, i32::MIN)] }
+/// A piece of shard 3 with the largest sums either way: `u32::MAX`
+/// inserted triples of the longest decodable OIDs, a delete of one
+/// such OID, and the largest changes of a fingerprint and a value.
+fn huge_piece() -> StatsPiece {
+    use bytes::BufMut;
+    use unistore_util::wire::{put_varint, varint_size, MAX_LEN};
+    let shard = 3u8;
+    let attr = (0..).map(|i| format!("a{i}")).find(|a| attr_shard(a) == shard).unwrap();
+    let value = (0..).map(Value::Int).find(|v| value_shard(v.key_bits()) == shard).unwrap();
+    let mut buf = bytes::BytesMut::new();
+    buf.put_u8(shard);
+    put_varint(&mut buf, 1);
+    attr.encode(&mut buf);
+    put_varint(&mut buf, 1);
+    put_varint(&mut buf, 0);
+    value.encode(&mut buf);
+    put_varint(&mut buf, u32::MAX as u64);
+    put_varint(&mut buf, u32::MAX as u64 * (varint_size(MAX_LEN) as u64 + MAX_LEN));
+    put_varint(&mut buf, 1);
+    put_varint(&mut buf, 0);
+    value.encode(&mut buf);
+    put_varint(&mut buf, 1);
+    put_varint(&mut buf, MAX_LEN);
+    put_varint(&mut buf, 2);
+    for (fingerprint, n) in [(3 << 30 | 1, i32::MAX), (3 << 30 | 2, i32::MIN)] {
+        buf.put_u32(fingerprint);
+        (n as i64).encode(&mut buf);
+    }
+    put_varint(&mut buf, 1);
+    buf.put_u64(value.key_bits());
+    (i32::MAX as i64).encode(&mut buf);
+    StatsPiece::from_bytes(&buf.freeze()).unwrap()
 }
 
 fn sample_batch() -> OpBatch<Triple> {
@@ -495,14 +554,20 @@ impl FuzzSeeds for UniMsg<PGridMsg<Triple>> {
                 span: 6,
                 notice: Shared::new(sample_flush().0),
             }),
-            UniMsg::Query(QueryMsg::OidPiece {
+            UniMsg::Query(QueryMsg::StatsPiece {
                 epoch: 3,
                 origin: NodeId(9),
                 flush: 300,
                 at_home: false,
                 piece: sample_flush().1[0].clone(),
             }),
-            UniMsg::Query(QueryMsg::OidAck { epoch: 3, flush: 300, shard: 2, delta: -70 }),
+            UniMsg::Query(QueryMsg::StatsAck {
+                epoch: 3,
+                flush: 300,
+                shard: 2,
+                taken: vec![0, 1, u32::MAX],
+                published: sample_flush().0,
+            }),
             UniMsg::Query(QueryMsg::StatsProbe { qid: 11 }),
         ];
         out.extend(PGridMsg::seeds().into_iter().map(UniMsg::Overlay));
@@ -541,9 +606,9 @@ impl FuzzSeeds for StatsNotice {
     }
 }
 
-impl FuzzSeeds for OidPiece {
+impl FuzzSeeds for StatsPiece {
     fn seeds() -> Vec<Self> {
-        let mut out = vec![OidPiece::default(), huge_piece()];
+        let mut out = vec![StatsPiece::default(), huge_piece()];
         out.extend(sample_flush().1);
         out
     }
@@ -594,7 +659,7 @@ fn wire_size_is_the_encoded_length_on_every_seed() {
     sweep::<OpBatch<Triple>>();
     sweep::<StatsDelta>();
     sweep::<StatsNotice>();
-    sweep::<OidPiece>();
+    sweep::<StatsPiece>();
     sweep::<BloomFilter>();
     sweep::<Coverage>();
     sweep::<Relation>();
@@ -617,7 +682,7 @@ fn truncated_encodings_rejected() {
     sweep::<OpBatch<Triple>>();
     sweep::<StatsDelta>();
     sweep::<StatsNotice>();
-    sweep::<OidPiece>();
+    sweep::<StatsPiece>();
     sweep::<BloomFilter>();
     sweep::<Coverage>();
     sweep::<Relation>();
@@ -660,24 +725,25 @@ mod stats_delta_use {
     }
 }
 
-/// Receivers fold whatever notice the decoder lets through, and homes
-/// whatever piece: neither may panic.
+/// Peers install whatever notice the decoder lets through, and homes
+/// fold whatever piece: neither may panic, and what a home publishes
+/// decodes.
 mod stats_notice_use {
     use super::*;
-    use unistore_query::cost::OidCounts;
 
     fn use_if_decodes(notice: &[u8], piece: &[u8]) {
-        let net = NetParams { n_peers: 4.0, n_leaves: 4.0, replication: 1.0, hop_ms: 1.0 };
-        let mut stats = GlobalStats::empty(net);
-        stats.apply_delta(&sample_stats_delta());
         if let Ok(n) = StatsNotice::from_bytes(&Bytes::copy_from_slice(notice)) {
-            stats.apply_notice(&n);
-            stats.apply_notice(&sample_flush().0);
+            let mut peer = sample_stats_base().summary();
+            peer.install(&n);
+            peer.install(&sample_flush().0);
+            assert!(peer.avg_triple_bytes.is_finite() && peer.oid_distinct.is_finite());
         }
-        if let Ok(p) = OidPiece::from_bytes(&Bytes::copy_from_slice(piece)) {
-            let mut shard = OidCounts::default();
-            let added = shard.apply(&p.entries);
-            assert_eq!(added, shard.len() as i64);
+        if let Ok(p) = StatsPiece::from_bytes(&Bytes::copy_from_slice(piece)) {
+            let mut home = sample_stats_base().home(p.shard).expect("a build has homes");
+            let (taken, published) = home.fold(&p, 0.0);
+            assert_eq!(taken.len(), p.delete_groups());
+            let back = StatsNotice::from_bytes(&published.to_bytes()).expect("publishes a notice");
+            sample_stats_base().summary().install(&back);
         }
     }
 
@@ -689,15 +755,15 @@ mod stats_notice_use {
         for _ in 0..3 {
             use_if_decodes(&notice.to_bytes(), &piece.to_bytes());
         }
-        let net = NetParams { n_peers: 4.0, n_leaves: 4.0, replication: 1.0, hop_ms: 1.0 };
-        let mut stats = GlobalStats::empty(net);
-        let mut home = OidCounts::default();
+        let mut peer = GlobalStats::empty(STATS_NET).summary();
+        let mut home = GlobalStats::empty(STATS_NET).home(piece.shard).expect("a home");
         for _ in 0..3 {
-            stats.apply_notice(&notice);
-            home.apply(&piece.entries);
+            peer.install(&notice);
+            let published = home.fold(&piece, 0.0).1;
+            peer.install(&StatsNotice::from_bytes(&published.to_bytes()).unwrap());
         }
-        assert!(stats.avg_triple_bytes.is_finite() && stats.oid_distinct.is_finite());
-        assert_eq!(home.get(3 << 30 | 1), u32::MAX);
+        assert!(peer.avg_triple_bytes.is_finite() && peer.oid_distinct.is_finite());
+        assert_eq!(home.oids().get(3 << 30 | 1), u32::MAX);
     }
 
     proptest! {
@@ -763,7 +829,7 @@ fuzz_wire! {
     op_batch => OpBatch<Triple>,
     stats_delta => StatsDelta,
     stats_notice => StatsNotice,
-    oid_piece => OidPiece,
+    stats_piece => StatsPiece,
     bloom_filter => BloomFilter,
     coverage => Coverage,
     relation => Relation,
