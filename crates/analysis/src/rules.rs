@@ -540,4 +540,18 @@ mod tests {
         let got = enum_variants(&crate::scan::mask(src), "PGridMsg");
         assert_eq!(got, vec!["Lookup", "Reply", "Ping"]);
     }
+
+    /// The L3 rule tracks Chord's liveness plane: its variants are read
+    /// off the live source, so each needs a handler arm in the chord
+    /// crate and a test that constructs it.
+    #[test]
+    fn chord_liveness_variants_are_tracked() {
+        let spec = ENUM_SPECS.iter().find(|s| s.name == "ChordMsg").expect("ChordMsg is tracked");
+        let path = crate::workspace_root().join(spec.file);
+        let src = std::fs::read_to_string(&path).expect("the ChordMsg source");
+        let got = enum_variants(&crate::scan::mask(&src), spec.name);
+        for variant in ["Ping", "Pong", "Down", "Watchers"] {
+            assert!(got.iter().any(|v| v == variant), "{variant} in {got:?}");
+        }
+    }
 }

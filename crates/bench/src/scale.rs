@@ -29,7 +29,9 @@
 //! sent in the same phase, and the records it folds into root summaries
 //! (`repair_folds`) stay under a quarter of what it folded while every
 //! write dropped them. Pooled over the schedules, heal-phase bytes per
-//! heal-second grow sub-linearly with the records a peer stores.
+//! heal-second grow sub-linearly with the records a peer stores, and
+//! Chord's median schedule sends fewer messages (`msgs`, the whole
+//! campaign's) than when every node pinged every finger every round.
 
 use std::path::Path;
 
@@ -79,6 +81,13 @@ const FLAT_REPAIR_KIB: [(&str, [f64; 3]); 2] =
 /// entry per size of [`SIZES`]: every cell must now send less.
 const PER_RECORD_REPAIR_KIB: [(&str, [f64; 3]); 2] =
     [(PGrid::LABEL, [42.3, 58.5, 116.4]), (Chord::LABEL, [246.7, 255.3, 554.7])];
+
+/// Pooled `msgs` on Chord (the median schedule's) when every node
+/// pinged `successor`, `successor2` and every finger every round,
+/// measured once on the commit before ring neighbours took over failure
+/// detection: one entry per size of [`SIZES`]. The liveness plane must
+/// not regrow past it.
+const CHORD_EVERY_FINGER_MSGS: [f64; 3] = [23_004.0, 113_474.0, 580_607.0];
 
 /// Pooled floor on Chord's acked campaign writes, one entry per size of
 /// [`SIZES`]: hinted handoff acks a write whose owner side is down
@@ -371,6 +380,7 @@ fn campaign<B: Backend>(n: usize, world: &PubWorld, schedule: u64) -> Row {
         .float("heal_s", cluster.net.now().saturating_sub(closed_at).as_secs_f64(), 1)
         .float("repair_kib", (bytes - bytes_at_close) as f64 / 1024.0, 1)
         .int("repair_folds", folds - folds_at_close)
+        .float("msgs", md.sent as f64, 1)
         .int("downs", md.downs)
         .int("ups", md.ups)
 }
@@ -427,6 +437,13 @@ fn cell_gate(runs: &[Row]) {
         assert!(
             ok >= floor,
             "{backend} n={n}: {ok} writes acked over the schedules, floor {floor}"
+        );
+        let msgs: Vec<f64> = runs.iter().map(|r| r.get_float("msgs")).collect();
+        let (msgs, before) = (percentile(&msgs, 50.0), CHORD_EVERY_FINGER_MSGS[size]);
+        assert!(
+            msgs < before,
+            "{backend} n={n}: the median schedule sent {msgs} messages, {before} when every \
+             node pinged every finger every round"
         );
     }
     let (offered, cov90, attempts) = (sum("offered"), sum("cov90"), sum("attempts"));
@@ -555,6 +572,12 @@ mod tests {
             .int("ups", 6)
     }
 
+    /// A healthy Chord N = 64 schedule with `writes_ok` acked writes
+    /// and `msgs` messages sent.
+    fn chord(writes_ok: u64, msgs: f64) -> Row {
+        on(Chord::LABEL, 120, 150, HEALED).int("writes_ok", writes_ok).float("msgs", msgs, 1)
+    }
+
     const HEALED: (f64, f64, u64) = (10.0, 40.0, 0);
 
     fn cell(first: Row, rest: Row) -> Vec<Row> {
@@ -586,9 +609,17 @@ mod tests {
     #[test]
     fn a_chord_cell_under_its_acked_write_floor_fails() {
         // Chord N = 64 is held to 341 acked writes over its schedules.
-        let chord = |writes_ok| on(Chord::LABEL, 120, 150, HEALED).int("writes_ok", writes_ok);
-        assert!(!fails(&cell(chord(341 - 29 * 11), chord(11))));
-        assert!(fails(&cell(chord(340 - 29 * 11), chord(11))));
+        let acked = |writes_ok| chord(writes_ok, 20_000.0);
+        assert!(!fails(&cell(acked(341 - 29 * 11), acked(11))));
+        assert!(fails(&cell(acked(340 - 29 * 11), acked(11))));
+    }
+
+    #[test]
+    fn a_chord_cell_whose_median_messages_did_not_fall_fails() {
+        // Chord N = 64 sent 23 004 messages when it pinged every finger.
+        let sent = |msgs| chord(12, msgs);
+        assert!(!fails(&cell(sent(23_003.9), sent(23_003.9))));
+        assert!(fails(&cell(sent(23_004.0), sent(23_004.0))));
     }
 
     #[test]

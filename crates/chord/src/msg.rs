@@ -6,13 +6,19 @@ use unistore_overlay::repair::RepairMsg;
 use unistore_overlay::RecordList;
 use unistore_simnet::NodeId;
 use unistore_util::item::Item;
-use unistore_util::wire::{put_list, BatchOp, BatchVerb, Wire, WireError};
+use unistore_util::wire::{get_len, list_size, put_list, BatchOp, BatchVerb, Wire, WireError};
 use unistore_util::{ItemFilter, Key};
 
 use crate::store::RecordKey;
 
 /// Correlation id.
 pub type QueryId = u64;
+
+/// Most watchers a node keeps and a [`ChordMsg::Watchers`] may name.
+/// A node is the finger of O(log N) others in expectation; past the cap
+/// a new watcher is not recorded and learns of a crash from its own
+/// round-robin probe instead.
+pub const WATCHERS_MAX: usize = 512;
 
 /// One op of a [`ChordMsg::OpBatch`]: the shared compact op format
 /// ([`BatchOp`]: original key, version, verb) plus which of the two
@@ -193,8 +199,28 @@ pub enum ChordMsg<I> {
     /// routes around it until it is heard from again.
     Ping,
     /// Answer to [`ChordMsg::Ping`] (any traffic clears suspicion;
-    /// this just guarantees there is some).
+    /// this just guarantees there is some). Also sent unsolicited to
+    /// every watcher by a node that revives or that was reported down
+    /// while alive, and by a predecessor to ack a
+    /// [`ChordMsg::Watchers`].
     Pong,
+    /// `node` is down: its ring predecessor found it silent through a
+    /// round's deadline and a confirmation ping, and tells the node's
+    /// watchers, which suspect it until they hear from it, and `node`
+    /// itself, which refutes if it lives.
+    Down {
+        /// The silent node.
+        node: NodeId,
+    },
+    /// The sender's watchers, the peers whose pings say they route
+    /// through it, shipped to its predecessor and `predecessor2` until
+    /// each acks with a [`ChordMsg::Pong`]: they detect its crash and
+    /// tell these peers. Strictly ascending, at most [`WATCHERS_MAX`],
+    /// never the sender.
+    Watchers {
+        /// The watcher set.
+        watchers: Vec<NodeId>,
+    },
 }
 
 mod tag {
@@ -210,6 +236,8 @@ mod tag {
     pub const REPAIR: u8 = 13;
     pub const PING: u8 = 15;
     pub const PONG: u8 = 16;
+    pub const DOWN: u8 = 17;
+    pub const WATCHERS: u8 = 18;
 }
 
 impl<I: Item> Wire for ChordMsg<I> {
@@ -288,6 +316,14 @@ impl<I: Item> Wire for ChordMsg<I> {
             }
             ChordMsg::Ping => tag::PING.encode(buf),
             ChordMsg::Pong => tag::PONG.encode(buf),
+            ChordMsg::Down { node } => {
+                tag::DOWN.encode(buf);
+                node.encode(buf);
+            }
+            ChordMsg::Watchers { watchers } => {
+                tag::WATCHERS.encode(buf);
+                put_list(buf, watchers);
+            }
         }
     }
 
@@ -361,6 +397,8 @@ impl<I: Item> Wire for ChordMsg<I> {
             tag::REPAIR => ChordMsg::Repair(Wire::decode(buf)?),
             tag::PING => ChordMsg::Ping,
             tag::PONG => ChordMsg::Pong,
+            tag::DOWN => ChordMsg::Down { node: Wire::decode(buf)? },
+            tag::WATCHERS => ChordMsg::Watchers { watchers: decode_watchers(buf)? },
             other => return Err(WireError::BadTag(other)),
         })
     }
@@ -416,8 +454,28 @@ impl<I: Item> Wire for ChordMsg<I> {
             ChordMsg::Replicate { entries } => entries.wire_size(),
             ChordMsg::Repair(msg) => msg.wire_size(),
             ChordMsg::Ping | ChordMsg::Pong => 0,
+            ChordMsg::Down { node } => node.wire_size(),
+            ChordMsg::Watchers { watchers } => list_size(watchers),
         }
     }
+}
+
+/// A watcher set off the wire: at most [`WATCHERS_MAX`] ids, strictly
+/// ascending.
+fn decode_watchers(buf: &mut Bytes) -> Result<Vec<NodeId>, WireError> {
+    let len = get_len(buf)?;
+    if len > WATCHERS_MAX {
+        return Err(WireError::BadLength(len as u64));
+    }
+    let mut watchers: Vec<NodeId> = Vec::with_capacity(len.min(WATCHERS_MAX));
+    for _ in 0..len {
+        let id = NodeId::decode(buf)?;
+        if watchers.last().is_some_and(|&last| last >= id) {
+            return Err(WireError::BadLength(id.0 as u64));
+        }
+        watchers.push(id);
+    }
+    Ok(watchers)
 }
 
 #[cfg(test)]
@@ -503,9 +561,32 @@ mod tests {
             }),
             ChordMsg::Ping,
             ChordMsg::Pong,
+            ChordMsg::Down { node: NodeId(300) },
+            ChordMsg::Watchers { watchers: vec![] },
+            ChordMsg::Watchers { watchers: vec![NodeId(0), NodeId(7), NodeId(u32::MAX - 1)] },
         ];
         for m in msgs {
             roundtrip(m);
+        }
+    }
+
+    #[test]
+    fn hostile_watcher_sets_are_rejected() {
+        let frame = |ids: &[u32]| {
+            let watchers = ids.iter().copied().map(NodeId).collect();
+            ChordMsg::<RawItem>::Watchers { watchers }.to_bytes()
+        };
+        let decodes = |b: &Bytes| ChordMsg::<RawItem>::from_bytes(b).is_ok();
+        assert!(decodes(&frame(&[1, 2, 9])));
+        assert!(!decodes(&frame(&[1, 1])), "a repeated id");
+        assert!(!decodes(&frame(&[2, 1])), "out of order");
+        let at_cap: Vec<u32> = (0..WATCHERS_MAX as u32).collect();
+        assert!(decodes(&frame(&at_cap)));
+        let over: Vec<u32> = (0..=WATCHERS_MAX as u32).collect();
+        assert!(!decodes(&frame(&over)), "over the count cap");
+        let full = frame(&[1, 300, 70_000]);
+        for cut in 0..full.len() {
+            assert!(!decodes(&Bytes::copy_from_slice(&full[..cut])), "a {cut}-byte prefix");
         }
     }
 

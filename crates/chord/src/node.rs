@@ -13,7 +13,7 @@ use unistore_util::{FxHashMap, ItemFilter, Key};
 
 pub use unistore_util::item::Item;
 
-use crate::msg::{ChordBatchOp, ChordMsg, QueryId};
+use crate::msg::{ChordBatchOp, ChordMsg, QueryId, WATCHERS_MAX};
 use crate::ring::{in_open_closed, in_open_open};
 use crate::store::{ChordStore, RecordKey};
 use crate::topology::RingWiring;
@@ -60,13 +60,16 @@ pub struct ChordConfig {
     /// Period of the anti-entropy probe sent to the predecessor
     /// (jittered ±50% to avoid lockstep). Only armed when `replicate`.
     pub anti_entropy_interval: SimTime,
-    /// Period of the routing-liveness probe: each tick pings the
-    /// successor and every finger, and a peer silent past
-    /// [`unistore_overlay::liveness::DEADLINE`] is suspected —
-    /// [`ChordNode`] routes around suspects until they are heard from
-    /// again. Zero disables probing (the default: the healthy-path
-    /// baseline comparisons count messages, and probe traffic would
-    /// distort them).
+    /// Period of the routing-liveness probe: each tick pings
+    /// `successor`, `successor2` and one finger round-robin (a node's
+    /// first round, and its first after a revival, ping every finger),
+    /// and a peer silent past [`unistore_overlay::liveness::DEADLINE`]
+    /// is suspected. A silent successor is confirmed with one more ping
+    /// and then reported to the nodes that route through it (see
+    /// [`ChordNode`]); [`ChordNode`] routes around suspects until they
+    /// are heard from again. Zero disables probing (the default: the
+    /// healthy-path baseline comparisons count messages, and probe
+    /// traffic would distort them).
     pub ping_interval: SimTime,
 }
 
@@ -98,6 +101,8 @@ mod timer {
     pub const ANTI_ENTROPY: u32 = 2;
     pub const PING: u32 = 3;
     pub const PING_DEADLINE: u32 = 4;
+    /// A silent successor's confirmation deadline; the payload is its id.
+    pub const CONFIRM: u32 = 5;
 }
 
 #[derive(Debug)]
@@ -152,6 +157,20 @@ struct BcastState<I> {
 /// is trusted, the routing node holds the op in
 /// its hint table (at most [`HINT_MAX`]), acks it, and replays the held
 /// ops on every ping tick until the owner's side acks them.
+///
+/// Crashes are found by ring neighbours (with
+/// [`ChordConfig::ping_interval`] set). Every round a node pings its two
+/// successors and one finger. A node's *watchers* are the peers that
+/// ping it, i.e. route through it; it ships their ids to its two
+/// predecessors ([`ChordMsg::Watchers`]) whenever the set has grown,
+/// and again each round until they ack it. A
+/// predecessor whose successor turns silent through a round's deadline
+/// pings it once more and, if it is still silent one [`DEADLINE`]
+/// later, sends [`ChordMsg::Down`] to each of its watchers and to the
+/// node itself: detect, confirm, notify. A live node reported down
+/// refutes with a [`ChordMsg::Pong`] to each of its watchers, and a
+/// revived one announces itself the same way and probes every finger at
+/// once.
 pub struct ChordNode<I: Item> {
     id: NodeId,
     ring_id: u64,
@@ -186,6 +205,17 @@ pub struct ChordNode<I: Item> {
     pub(crate) hints: Vec<(ChordBatchOp, Option<I>)>,
     /// Replays started, for their query ids.
     replays: u64,
+    /// The peers that route through this node, learned from their pings:
+    /// ascending, at most [`WATCHERS_MAX`], kept across a crash.
+    pub(crate) watchers: Vec<NodeId>,
+    /// Per predecessor (`predecessor`, `predecessor2`): how many
+    /// watchers its last shipment carried, and how many it acknowledged.
+    watchers_shipped: [(usize, usize); 2],
+    /// The watchers `successor` (`[0]`) and `successor2` (`[1]`)
+    /// shipped here: who hears from this node when it finds one down.
+    pub(crate) ring_watchers: [Vec<NodeId>; 2],
+    /// Rounds run since the node was created: picks each round's finger.
+    rounds: usize,
 }
 
 impl<I: Item> ChordNode<I> {
@@ -211,6 +241,10 @@ impl<I: Item> ChordNode<I> {
             liveness: Suspicion::default(),
             hints: Vec::new(),
             replays: 0,
+            watchers: Vec::new(),
+            watchers_shipped: [(0, 0); 2],
+            ring_watchers: [Vec::new(), Vec::new()],
+            rounds: 0,
         }
     }
 
@@ -234,6 +268,18 @@ impl<I: Item> ChordNode<I> {
         &self.store
     }
 
+    /// Whether this node suspects `peer` is down: routing detours
+    /// around it until it is heard from.
+    pub fn suspects(&self, peer: NodeId) -> bool {
+        self.liveness.is_suspected(peer)
+    }
+
+    /// The peers that route through this node, as their pings taught
+    /// it, ascending.
+    pub fn watchers(&self) -> &[NodeId] {
+        &self.watchers
+    }
+
     /// Wires the topology (cluster builder only).
     pub fn set_topology(&mut self, w: RingWiring) {
         self.predecessor = w.predecessor;
@@ -241,6 +287,16 @@ impl<I: Item> ChordNode<I> {
         self.successor = w.successor;
         self.successor2 = w.successor2;
         self.fingers = w.fingers;
+    }
+
+    /// `successor` and `successor2`: the peers this node detects.
+    fn successors(&self) -> [NodeId; 2] {
+        [self.successor.0, self.successor2.0]
+    }
+
+    /// `predecessor` and `predecessor2`: the peers that detect this node.
+    fn predecessors(&self) -> [NodeId; 2] {
+        [self.predecessor.0, self.predecessor2.0]
     }
 
     /// True if this node owns ring position `k` (`k ∈ (pred, self]`).
@@ -279,14 +335,22 @@ impl<I: Item> ChordNode<I> {
         fx.set_timer(self.cfg.query_timeout, Timer::new(timer::QUERY_TIMEOUT, qid));
     }
 
-    /// One probe round: ping every distinct routing-table peer and arm
-    /// the round's deadline ([`timer::PING_DEADLINE`]).
-    fn run_ping_round(&mut self, fx: &mut Fx<I>) {
+    /// One probe round: ping `successor`, `successor2` and the next
+    /// other finger round-robin (every finger when `full`), and arm the
+    /// round's deadline ([`timer::PING_DEADLINE`]).
+    fn run_ping_round(&mut self, full: bool, fx: &mut Fx<I>) {
         self.liveness.start_round();
-        let mut targets: Vec<NodeId> = Vec::with_capacity(self.fingers.len() + 2);
-        targets.push(self.successor.0);
-        targets.push(self.successor2.0);
-        targets.extend(self.fingers.iter().map(|&(node, _)| node));
+        let ring = self.successors();
+        let others = self.fingers.iter().map(|&(node, _)| node).filter(|node| !ring.contains(node));
+        let mut targets: Vec<NodeId> = ring.to_vec();
+        match full {
+            true => targets.extend(others),
+            false => {
+                let turn = self.rounds % others.clone().count().max(1);
+                targets.extend(others.skip(turn).take(1));
+            }
+        }
+        self.rounds += 1;
         targets.sort_unstable();
         targets.dedup();
         targets.retain(|&node| node != self.id);
@@ -296,6 +360,94 @@ impl<I: Item> ChordNode<I> {
         }
         if !targets.is_empty() {
             fx.set_timer(DEADLINE, Timer::new(timer::PING_DEADLINE, 0));
+        }
+    }
+
+    /// The round's deadline passed. A successor that just turned
+    /// suspect is pinged once more and confirmed one [`DEADLINE`] later
+    /// ([`timer::CONFIRM`]); so is `successor2` when both are suspected
+    /// and one of them just turned. A suspect named again because it was
+    /// re-probed is not news.
+    fn expire_round(&mut self, fx: &mut Fx<I>) {
+        let ring = self.successors();
+        let was = ring.map(|node| self.liveness.is_suspected(node));
+        let named = self.liveness.expire();
+        let fresh = |i: usize| !was[i] && named.binary_search(&ring[i]).is_ok();
+        let both = ring.iter().all(|&node| self.liveness.is_suspected(node));
+        let confirm = [fresh(0), both && (fresh(0) || fresh(1)) && ring[1] != ring[0]];
+        for (node, _) in ring.into_iter().zip(confirm).filter(|&(node, go)| go && node != self.id) {
+            fx.send(node, ChordMsg::Ping);
+            fx.set_timer(DEADLINE, Timer::new(timer::CONFIRM, node.0 as u64));
+        }
+    }
+
+    /// A confirmation deadline passed: if `node` is still silent, tell
+    /// its watchers and `node` itself that it is down.
+    fn confirm_down(&mut self, node: NodeId, fx: &mut Fx<I>) {
+        if !self.liveness.is_suspected(node) {
+            return;
+        }
+        let Some(slot) = self.successors().iter().position(|&s| s == node) else { return };
+        for &watcher in &self.ring_watchers[slot] {
+            if watcher != self.id {
+                fx.send(watcher, ChordMsg::Down { node });
+            }
+        }
+        fx.send(node, ChordMsg::Down { node });
+    }
+
+    /// A ping from `from`: it routes through this node, so it hears of
+    /// this node's revival and of a refuted report.
+    fn watch(&mut self, from: NodeId) {
+        if let Err(at) = self.watchers.binary_search(&from) {
+            if self.watchers.len() < WATCHERS_MAX {
+                self.watchers.insert(at, from);
+            }
+        }
+    }
+
+    /// Sends the watcher set to each predecessor that has not
+    /// acknowledged all of it: once the set has grown, and again every
+    /// round until a [`ChordMsg::Pong`] from that predecessor acks it (a
+    /// lost shipment, or one to a predecessor that was down, would
+    /// leave this node's crash untold for good).
+    fn ship_watchers(&mut self, fx: &mut Fx<I>) {
+        let preds = self.predecessors();
+        for (i, &to) in preds.iter().enumerate() {
+            let acked = self.watchers_shipped[i].1;
+            if self.watchers.len() > acked && to != self.id && !preds[..i].contains(&to) {
+                self.watchers_shipped[i].0 = self.watchers.len();
+                fx.send(to, ChordMsg::Watchers { watchers: self.watchers.clone() });
+            }
+        }
+    }
+
+    /// A pong from a predecessor acks the watchers last shipped to it.
+    fn watchers_acked(&mut self, from: NodeId) {
+        let preds = self.predecessors();
+        for (shipped, _) in self.watchers_shipped.iter_mut().zip(preds).filter(|&(_, p)| p == from)
+        {
+            shipped.1 = shipped.0;
+        }
+    }
+
+    /// Files and acks a watcher set `from` shipped, if `from` is a
+    /// successor; a set naming its sender is malformed and dropped.
+    fn handle_watchers(&mut self, from: NodeId, watchers: Vec<NodeId>, fx: &mut Fx<I>) {
+        let ring = self.successors();
+        if watchers.binary_search(&from).is_ok() || !ring.contains(&from) {
+            return;
+        }
+        for (slot, _) in ring.iter().enumerate().filter(|&(_, &succ)| succ == from) {
+            self.ring_watchers[slot] = watchers.clone();
+        }
+        fx.send(from, ChordMsg::Pong);
+    }
+
+    /// Tells every watcher that this node lives.
+    fn announce(&self, fx: &mut Fx<I>) {
+        for &watcher in &self.watchers {
+            fx.send(watcher, ChordMsg::Pong);
         }
     }
 
@@ -854,10 +1006,15 @@ impl<I: Item> NodeBehavior for ChordNode<I> {
         // are still in the table, and the next tick replays them.
         self.pending.retain(|&qid, _| qid < REPLAY_QID);
         if cfg.ping_interval > SimTime::from_micros(0) {
+            let interval = cfg.ping_interval;
             // A revived node's suspicions are as stale as its absence
-            // was long: start trusting and let the probes re-learn.
+            // was long: start trusting, tell the peers that route
+            // through it that it is back (a first start knows none), and
+            // re-learn at once with a round over every finger.
             self.liveness.reset();
-            fx.set_periodic(&mut self.rng, cfg.ping_interval, Timer::new(timer::PING, 0));
+            self.announce(fx);
+            self.run_ping_round(true, fx);
+            fx.set_periodic(&mut self.rng, interval, Timer::new(timer::PING, 0));
         }
     }
 
@@ -892,8 +1049,16 @@ impl<I: Item> NodeBehavior for ChordNode<I> {
             }
             ChordMsg::Replicate { entries } => self.handle_replicate(entries),
             ChordMsg::Repair(msg) => self.handle_repair(from, msg, fx),
-            ChordMsg::Ping => fx.send(from, ChordMsg::Pong),
-            ChordMsg::Pong => {}
+            ChordMsg::Ping => {
+                self.watch(from);
+                fx.send(from, ChordMsg::Pong);
+            }
+            ChordMsg::Pong => self.watchers_acked(from),
+            // Reported down while alive: refute to everyone who may
+            // have heard it.
+            ChordMsg::Down { node } if node == self.id => self.announce(fx),
+            ChordMsg::Down { node } => self.liveness.suspect(node),
+            ChordMsg::Watchers { watchers } => self.handle_watchers(from, watchers, fx),
         }
     }
 
@@ -906,13 +1071,18 @@ impl<I: Item> NodeBehavior for ChordNode<I> {
             }
             timer::PING => {
                 self.replay_hints(fx);
-                self.run_ping_round(fx);
+                self.run_ping_round(false, fx);
                 fx.set_periodic(&mut self.rng, self.cfg.ping_interval, t);
             }
             // Suspects keep their finger slots: `next_hop` detours.
+            // By a round's deadline the pings of this node's first round
+            // have long arrived, so its first shipment follows two
+            // seconds after it starts.
             timer::PING_DEADLINE => {
-                self.liveness.expire();
+                self.expire_round(fx);
+                self.ship_watchers(fx);
             }
+            timer::CONFIRM => self.confirm_down(NodeId(t.payload as u32), fx),
             _ => {}
         }
     }
@@ -987,5 +1157,150 @@ mod tests {
         let mut plain = suspecting(&[1, 2]);
         plain.cfg.replicate = false;
         assert_eq!(plain.route_op(5, 1), Some(NodeId(1)));
+    }
+
+    /// `node()` probing every 5 s.
+    fn prober() -> ChordNode<RawItem> {
+        let mut n = node();
+        n.cfg.ping_interval = SimTime::from_secs(5);
+        n
+    }
+
+    /// What `n` sends on `ev` (a message from a peer, or a timer), as
+    /// `to>message`.
+    fn on(n: &mut ChordNode<RawItem>, ev: Result<(u32, ChordMsg<RawItem>), Timer>) -> Vec<String> {
+        let mut fx = Fx::new();
+        match ev {
+            Ok((from, msg)) => n.on_message(SimTime::ZERO, NodeId(from), msg, &mut fx),
+            Err(t) => n.on_timer(SimTime::ZERO, t, &mut fx),
+        }
+        fx.sends().iter().map(|(to, msg)| format!("{}>{msg:?}", to.0)).collect()
+    }
+
+    fn tick(kind: u32, payload: u64) -> Result<(u32, ChordMsg<RawItem>), Timer> {
+        Err(Timer::new(kind, payload))
+    }
+
+    /// `to>message` for each of `to`.
+    fn each(to: &[u32], msg: &str) -> Vec<String> {
+        to.iter().map(|i| format!("{i}>{msg}")).collect()
+    }
+
+    #[test]
+    fn a_ping_registers_a_watcher_and_the_set_ships_until_each_predecessor_acks() {
+        let mut n = prober();
+        for from in [5, 3, 5] {
+            assert_eq!(on(&mut n, Ok((from, ChordMsg::Ping))), each(&[from], "Pong"));
+        }
+        assert_eq!(n.watchers, [NodeId(3), NodeId(5)]);
+        let shipped = "Watchers { watchers: [NodeId(3), NodeId(5)] }";
+        let deadline = |n: &mut ChordNode<RawItem>| on(n, tick(timer::PING_DEADLINE, 0));
+        assert_eq!(deadline(&mut n), each(&[9, 8], shipped), "to both predecessors");
+        on(&mut n, Ok((9, ChordMsg::Pong)));
+        assert_eq!(deadline(&mut n), each(&[8], shipped), "again to the one that did not ack");
+        on(&mut n, Ok((8, ChordMsg::Pong)));
+        assert!(deadline(&mut n).is_empty(), "an acked set is not re-sent");
+        on(&mut n, Ok((7, ChordMsg::Ping)));
+        assert_eq!(deadline(&mut n).len(), 2, "a grown one is");
+    }
+
+    #[test]
+    fn a_round_pings_both_successors_and_one_other_finger_in_turn() {
+        let mut n = prober();
+        let rounds: Vec<Vec<String>> = (0..3).map(|_| on(&mut n, tick(timer::PING, 0))).collect();
+        assert_eq!(rounds[0], each(&[1, 2, 4], "Ping"));
+        assert_eq!(rounds[1], each(&[1, 2, 8], "Ping"));
+        assert_eq!(rounds[2], each(&[1, 2, 4], "Ping"));
+    }
+
+    /// `prober()` that knows its successor's watchers, itself among
+    /// them, after a round in which every peer but `silent` answered.
+    fn after_a_round_with(silent: &[u32]) -> ChordNode<RawItem> {
+        let mut n = prober();
+        n.ring_watchers = [vec![NodeId(0), NodeId(5), NodeId(7)], vec![NodeId(1), NodeId(6)]];
+        on(&mut n, tick(timer::PING, 0));
+        for from in [1, 2, 4].into_iter().filter(|i| !silent.contains(i)) {
+            on(&mut n, Ok((from, ChordMsg::Pong)));
+        }
+        n
+    }
+
+    #[test]
+    fn a_silent_successor_is_confirmed_then_reported_once() {
+        let mut n = after_a_round_with(&[1]);
+        assert_eq!(on(&mut n, tick(timer::PING_DEADLINE, 0)), each(&[1], "Ping"), "one re-ping");
+        let down = "Down { node: NodeId(1) }";
+        assert_eq!(on(&mut n, tick(timer::CONFIRM, 1)), each(&[5, 7, 1], down));
+        assert!(n.liveness.is_suspected(NodeId(1)));
+        // Still silent in later rounds: suspected, and not news.
+        for _ in 0..3 {
+            on(&mut n, tick(timer::PING, 0));
+            for from in [2, 4, 8] {
+                on(&mut n, Ok((from, ChordMsg::Pong)));
+            }
+            assert_eq!(on(&mut n, tick(timer::PING_DEADLINE, 0)), Vec::<String>::new());
+            assert!(n.liveness.is_suspected(NodeId(1)));
+        }
+    }
+
+    #[test]
+    fn an_answer_inside_the_confirmation_window_sends_no_report() {
+        let mut n = after_a_round_with(&[1]);
+        on(&mut n, tick(timer::PING_DEADLINE, 0));
+        on(&mut n, Ok((1, ChordMsg::Pong)));
+        assert_eq!(on(&mut n, tick(timer::CONFIRM, 1)), Vec::<String>::new());
+        assert!(!n.liveness.is_suspected(NodeId(1)));
+    }
+
+    #[test]
+    fn successor2_is_reported_only_with_the_successor_suspected_too() {
+        let mut n = after_a_round_with(&[2]);
+        assert_eq!(on(&mut n, tick(timer::PING_DEADLINE, 0)), Vec::<String>::new());
+        let mut n = after_a_round_with(&[1, 2]);
+        assert_eq!(on(&mut n, tick(timer::PING_DEADLINE, 0)), each(&[1, 2], "Ping"));
+        assert_eq!(
+            on(&mut n, tick(timer::CONFIRM, 2)),
+            each(&[1, 6, 2], "Down { node: NodeId(2) }")
+        );
+    }
+
+    #[test]
+    fn a_report_suspects_and_a_live_accused_node_refutes_to_its_watchers() {
+        let mut n = prober();
+        assert!(on(&mut n, Ok((9, ChordMsg::Down { node: NodeId(8) }))).is_empty());
+        assert!(n.liveness.is_suspected(NodeId(8)));
+        assert_eq!(n.next_hop(100, None), NodeId(4), "routed around");
+        on(&mut n, Ok((8, ChordMsg::Pong)));
+        assert!(!n.liveness.is_suspected(NodeId(8)), "any message forgives");
+
+        n.watchers = vec![NodeId(3), NodeId(9)];
+        assert_eq!(on(&mut n, Ok((9, ChordMsg::Down { node: NodeId(0) }))), each(&[3, 9], "Pong"));
+    }
+
+    #[test]
+    fn a_hostile_or_stray_watcher_set_is_not_filed() {
+        let mut n = prober();
+        let set =
+            |ids: &[u32]| ChordMsg::Watchers { watchers: ids.iter().map(|&i| NodeId(i)).collect() };
+        assert!(on(&mut n, Ok((1, set(&[0, 1, 5])))).is_empty());
+        assert!(on(&mut n, Ok((4, set(&[0, 5])))).is_empty());
+        assert_eq!(n.ring_watchers, [vec![], vec![]], "naming its sender, or not from a successor");
+        assert_eq!(on(&mut n, Ok((2, set(&[0, 6])))), each(&[2], "Pong"), "filed and acked");
+        assert_eq!(n.ring_watchers, [vec![], vec![NodeId(0), NodeId(6)]]);
+    }
+
+    #[test]
+    fn a_revival_tells_every_watcher_and_runs_a_full_round() {
+        let mut n = prober();
+        n.watchers = vec![NodeId(3), NodeId(5)];
+        n.liveness.suspect(NodeId(4));
+        let mut fx = Fx::new();
+        n.on_start(SimTime::ZERO, &mut fx);
+        let sent: Vec<String> =
+            fx.sends().iter().map(|(to, msg)| format!("{}>{msg:?}", to.0)).collect();
+        assert_eq!(sent, [each(&[3, 5], "Pong"), each(&[1, 2, 4, 8], "Ping")].concat());
+        let kinds: Vec<u32> = fx.timers().iter().map(|(_, t)| t.kind).collect();
+        assert_eq!(kinds, [timer::PING_DEADLINE, timer::PING]);
+        assert!(!n.liveness.is_suspected(NodeId(4)), "a revived node starts trusting");
     }
 }

@@ -10,6 +10,12 @@
 //! gossip refills, so it evicts the peers `expire` names; Chord's fingers
 //! are fixed ring positions, so it keeps them and routes around every
 //! peer [`Suspicion::is_suspected`] names until one is heard from again.
+//!
+//! A suspicion can also come second-hand ([`Suspicion::suspect`]). A
+//! Chord node probes its two successors every round but its fingers only
+//! one at a time, so the ring predecessor that finds a node silent tells
+//! the nodes that route through it, and they suspect it on that report
+//! until they hear from it.
 
 use unistore_simnet::{NodeId, SimTime};
 use unistore_util::FxHashMap;
@@ -22,11 +28,12 @@ pub const DEADLINE: SimTime = SimTime::from_secs(2);
 enum Mark {
     /// Probed this round, silent so far.
     Awaited,
-    /// Silent through an `expire`, not heard from since.
+    /// Silent through an `expire` or reported down, not heard from
+    /// since.
     Suspected,
-    /// A suspect probed again this round: still suspected, and named
-    /// again by `expire` if it stays silent (a backend that evicts may
-    /// have re-learned it meanwhile).
+    /// A suspect probed this round: still suspected, and named again
+    /// by `expire` if it stays silent (a backend that evicts may have
+    /// re-learned it meanwhile).
     Reprobed,
 }
 
@@ -55,6 +62,16 @@ impl Suspicion {
     pub fn probe(&mut self, id: NodeId) {
         let mark = self.marks.entry(id).or_insert(Mark::Awaited);
         if *mark == Mark::Suspected {
+            *mark = Mark::Reprobed;
+        }
+    }
+
+    /// Another peer reported `id` down: it is suspected until heard
+    /// from. A probe awaited this round stays named by the next
+    /// `expire`, as a re-probed suspect's is.
+    pub fn suspect(&mut self, id: NodeId) {
+        let mark = self.marks.entry(id).or_insert(Mark::Suspected);
+        if *mark == Mark::Awaited {
             *mark = Mark::Reprobed;
         }
     }
@@ -106,9 +123,10 @@ mod tests {
         Heard(NodeId),
         Expire,
         Reset,
+        Suspect(NodeId),
     }
 
-    const ALPHABET: [Ev; 8] = [
+    const ALPHABET: [Ev; 9] = [
         Ev::StartRound,
         Ev::Probe(PEERS[0]),
         Ev::Probe(PEERS[1]),
@@ -117,6 +135,7 @@ mod tests {
         Ev::Heard(PEERS[2]),
         Ev::Expire,
         Ev::Reset,
+        Ev::Suspect(PEERS[0]),
     ];
 
     /// Whether the events `h` forget a probe of `x`: a message from `x`,
@@ -126,26 +145,26 @@ mod tests {
             Ev::Heard(y) => y == x,
             Ev::Reset => true,
             Ev::StartRound | Ev::Expire => round_too,
-            Ev::Probe(_) => false,
+            Ev::Probe(_) | Ev::Suspect(_) => false,
         })
     }
 
     /// The model, read off the history: `x` is suspected iff some probe
-    /// of `x` was followed by an `expire` in the same round, with no
-    /// message from `x` and no reset since the probe.
+    /// of `x` was followed by an `expire` in the same round, or `x` was
+    /// reported down, with no message from `x` and no reset since.
     fn model_suspected(h: &[Ev], x: NodeId) -> bool {
         (0..h.len()).any(|i| {
-            h[i] == Ev::Probe(x)
-                && !forgets(&h[i + 1..], x, false)
+            let expired = h[i] == Ev::Probe(x)
                 && h[i + 1..]
                     .iter()
                     .take_while(|&&ev| ev != Ev::StartRound)
-                    .any(|&ev| ev == Ev::Expire)
+                    .any(|&ev| ev == Ev::Expire);
+            (expired || h[i] == Ev::Suspect(x)) && !forgets(&h[i + 1..], x, false)
         })
     }
 
     /// Probed since the last round boundary and not heard from: named by
-    /// the next `expire`.
+    /// the next `expire`, whether or not a report came in meanwhile.
     fn model_silent(h: &[Ev], x: NodeId) -> bool {
         (0..h.len()).any(|i| h[i] == Ev::Probe(x) && !forgets(&h[i + 1..], x, true))
     }
@@ -169,6 +188,7 @@ mod tests {
                 s.reset();
                 assert!(s.marks.is_empty(), "{h:?}: reset empties both sets");
             }
+            Ev::Suspect(x) => s.suspect(x),
         }
         for x in PEERS {
             let suspected = model_suspected(h, x);
@@ -208,8 +228,8 @@ mod tests {
     #[test]
     fn every_sequence_of_seven_events_keeps_the_invariants() {
         let walked = walk(&Suspicion::default(), &mut Vec::new(), 7);
-        // Sequences of length 0..=7 over 8 events.
-        assert_eq!(walked, (8u64.pow(8) - 1) / 7);
+        // Sequences of length 0..=7 over 9 events.
+        assert_eq!(walked, (9u64.pow(8) - 1) / 8);
     }
 
     #[test]
@@ -227,5 +247,17 @@ mod tests {
         let mut s = replay(&[Ev::Probe(a), Ev::Expire, Ev::StartRound, Ev::Probe(a)]);
         assert!(s.is_suspected(a), "probing a suspect does not clear it");
         assert_eq!(s.expire(), vec![a]);
+    }
+
+    #[test]
+    fn a_report_suspects_until_heard_and_keeps_an_awaited_probe_named() {
+        let a = PEERS[0];
+        let mut s = replay(&[Ev::Suspect(a), Ev::StartRound]);
+        assert!(s.is_suspected(a), "a report outlives the round");
+        assert!(s.expire().is_empty(), "a peer nobody probed is not named");
+        let mut s = replay(&[Ev::StartRound, Ev::Probe(a), Ev::Suspect(a)]);
+        assert_eq!(s.expire(), vec![a], "the awaited probe is still named");
+        s.heard(a);
+        assert!(!s.is_suspected(a));
     }
 }

@@ -146,20 +146,18 @@ fn get_count(buf: &mut bytes::Bytes) -> Result<u64, WireError> {
 }
 
 /// Decodes `attr`'s summary, rejecting one whose fields contradict each
-/// other: more distinct values than triples, more distinct grams than
-/// postings, a
-/// histogram with more distinct keys than keys, bucket indexes off the
-/// histogram or not ascending, an empty bucket, or buckets that do not
-/// sum to the histogram's count. (`join_distinct` has no such bound: a
-/// delete of a value sharing another's key bits takes a triple of the
-/// other without unposting its semantic value.)
+/// other: more distinct values (by key or semantic) than triples, more
+/// distinct grams than postings, a histogram with more distinct keys
+/// than keys, bucket indexes off the histogram or not ascending, an
+/// empty bucket, or buckets that do not sum to the histogram's count.
 fn decode_summary(attr: &str, buf: &mut bytes::Bytes) -> Result<AttrStats, WireError> {
     // In wire order (tuple fields evaluate left to right).
     let (count, bytes) = (get_count(buf)?, get_count(buf)?);
     let (distinct, join_distinct) = (get_count(buf)?, get_count(buf)?);
     let (postings, grams) = (get_count(buf)?, get_count(buf)?);
     let (hist_count, hist_distinct) = (get_count(buf)?, get_count(buf)?);
-    let contradicts = distinct > count || grams > postings || hist_distinct > hist_count;
+    let contradicts =
+        distinct > count || join_distinct > count || grams > postings || hist_distinct > hist_count;
     if contradicts {
         return Err(WireError::BadLength(count));
     }

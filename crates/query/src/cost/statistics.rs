@@ -139,11 +139,18 @@ impl AttrStats {
     }
 
     /// How many of `n` deletes under `value` the statistics can take:
-    /// exact ones as many as they count triples of the value's key
-    /// bits, a summary as many as it counts triples at all.
+    /// exact ones as many as they count triples of the value itself —
+    /// of its key bits and of its semantic value, as the store's
+    /// identity is semantic — a summary as many as it counts triples at
+    /// all. A delete naming a value that only shares its key bits with
+    /// a live one takes nothing, as it deletes nothing in the store.
     pub(super) fn deletable(&self, value: &Value, n: u32) -> u32 {
         let held = match &self.refs {
-            Some(refs) => refs.values.get(&value.key_bits()).copied().unwrap_or(0),
+            Some(refs) => {
+                let count = |map: &FxHashMap<u64, u32>, k| map.get(&k).copied().unwrap_or(0);
+                count(&refs.values, value.key_bits())
+                    .min(count(&refs.join_values, value.semantic_hash()))
+            }
             None => u32::try_from(self.count as u64).unwrap_or(u32::MAX),
         };
         n.min(held)

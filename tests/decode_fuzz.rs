@@ -21,7 +21,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 
 use unistore::{QueryMsg, UniMsg};
-use unistore_chord::msg::ChordBatchOp;
+use unistore_chord::msg::{ChordBatchOp, WATCHERS_MAX};
 use unistore_chord::ChordMsg;
 use unistore_overlay::repair::{Child, Part, RecordKey, RepairMsg, Span, Summary, FANOUT};
 use unistore_overlay::RecordList;
@@ -528,6 +528,12 @@ impl FuzzSeeds for ChordMsg<Triple> {
             }),
             ChordMsg::Ping,
             ChordMsg::Pong,
+            ChordMsg::Down { node: NodeId(70_000) },
+            // The largest watcher set the decoder accepts, with ids of
+            // every varint width.
+            ChordMsg::Watchers {
+                watchers: (0..WATCHERS_MAX as u32).map(|i| NodeId(i * i * 8_191)).collect(),
+            },
         ]
     }
 }

@@ -584,3 +584,88 @@ fn anti_entropy_propagates_updates_to_lagging_replicas() {
         "a stale Replicate must not resurrect the superseded age, got {after:?}"
     );
 }
+
+mod chord_failure_detection {
+    use unistore_chord::{ChordCluster, ChordConfig, ChordTopology};
+    use unistore_simnet::fault::{FaultPlan, Window};
+    use unistore_simnet::ConstantLatency;
+    use unistore_util::item::RawItem;
+
+    use super::*;
+
+    const N: usize = 64;
+    const SEED: u64 = 44;
+    const PING: SimTime = SimTime::from_secs(5);
+    /// The longest jittered ping period: rounds are `PING` × [0.5, 1.5).
+    const PERIOD_MAX: SimTime = SimTime::from_micros(PING.as_micros() * 3 / 2);
+    const LATENCY: SimTime = SimTime::from_millis(10);
+    const DEADLINE: SimTime = unistore_overlay::liveness::DEADLINE;
+
+    fn run_until(c: &mut ChordCluster<RawItem>, until: SimTime) {
+        while c.net.now() < until && c.net.step() {}
+    }
+
+    /// The watchers of `x` (the peers that learned to route through it)
+    /// that suspect it.
+    fn suspecting(c: &ChordCluster<RawItem>, x: NodeId) -> Vec<NodeId> {
+        let watchers = c.net.node(x).watchers().to_vec();
+        watchers.into_iter().filter(|&w| c.net.node(w).suspects(x)).collect()
+    }
+
+    /// A 64-peer ring probing every 5 s: a crash is found by the
+    /// crashed node's predecessor and reported to every peer that routes
+    /// through it within a ping period and two deadlines (the round's
+    /// and the confirmation's); a revival is heard within one latency;
+    /// and a watcher cut off from the report still finds the crash with
+    /// its own round-robin finger probe within one cycle of its fingers.
+    #[test]
+    fn a_crash_reaches_every_watcher_and_a_revival_is_forgiven_at_once() {
+        let cfg = ChordConfig { ping_interval: PING, ..ChordConfig::default() };
+        let topo = ChordTopology::plan(N, cfg.bucket_depth, SEED);
+        let mut c: ChordCluster<RawItem> =
+            ChordCluster::build(N, cfg, ConstantLatency(LATENCY), SEED);
+        // Every node learns its watchers in its first (full) round and
+        // ships them at that round's deadline.
+        run_until(&mut c, SimTime::from_secs(30));
+        let x = topo.ring_order[17].1;
+        let watchers = c.net.node(x).watchers().to_vec();
+        let w = topo.wiring(x);
+        assert!(watchers.contains(&w.predecessor.0) && watchers.contains(&w.predecessor2.0));
+        assert!(watchers.len() > 2, "some finger routes through x: {watchers:?}");
+        assert!(suspecting(&c, x).is_empty());
+
+        let crash = c.net.now();
+        c.net.schedule_down(x, crash);
+        run_until(&mut c, crash + PERIOD_MAX + DEADLINE + DEADLINE + LATENCY);
+        assert_eq!(suspecting(&c, x), watchers, "every watcher suspects the crashed node");
+
+        let revival = c.net.now();
+        c.net.schedule_up(x, revival);
+        run_until(&mut c, revival + LATENCY + SimTime::from_micros(1));
+        assert!(suspecting(&c, x).is_empty(), "{:?} still suspect x", suspecting(&c, x));
+
+        // Cut off a watcher that is neither of x's predecessors (they
+        // probe x every round) while x crashes again and is reported.
+        let settled = c.net.now() + SimTime::from_secs(20);
+        run_until(&mut c, settled);
+        let cut = *watchers
+            .iter()
+            .find(|&&v| v != w.predecessor.0 && v != w.predecessor2.0)
+            .expect("a finger-only watcher");
+        let crash = c.net.now();
+        let healed = crash + PERIOD_MAX + DEADLINE + DEADLINE + LATENCY;
+        c.net.set_fault_plan(FaultPlan::new().partition("cut", [cut], Window::new(crash, healed)));
+        c.net.schedule_down(x, crash);
+        run_until(&mut c, healed);
+        let others: Vec<NodeId> = suspecting(&c, x).into_iter().filter(|&v| v != cut).collect();
+        assert_eq!(others.len(), watchers.len() - 1, "the rest heard the report");
+        // One round-robin cycle over the cut watcher's other fingers, the
+        // round in progress, and that round's deadline.
+        let wiring = topo.wiring(cut);
+        let ring = [wiring.successor.0, wiring.successor2.0];
+        let cycle = wiring.fingers.iter().filter(|(f, _)| !ring.contains(f)).count() as u64;
+        let backstop = SimTime::from_micros(PERIOD_MAX.as_micros() * (cycle + 1)) + DEADLINE;
+        run_until(&mut c, healed + backstop);
+        assert!(c.net.node(cut).suspects(x), "the cut-off watcher found the crash itself");
+    }
+}
