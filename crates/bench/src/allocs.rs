@@ -59,11 +59,11 @@ fn encode_rows() -> Vec<Row> {
         );
         let keys = TripleKeys::derive(&t, true).all();
         let item = batch.add_item(t);
-        for key in keys {
+        for (slot, key) in (0..).zip(keys) {
             if batch.len() >= 64 {
                 break;
             }
-            batch.push_insert(key, item, 0);
+            batch.push_derived(key, item, slot, 0);
         }
         i += 1;
     }

@@ -7,10 +7,12 @@
 //! [`Backend`] names.
 
 use unistore::{chord_config, ChordOverlay, UniConfig};
+use unistore_chord::ChordMsg;
 use unistore_overlay::Overlay;
-use unistore_pgrid::PGridPeer;
-use unistore_simnet::SimTime;
+use unistore_pgrid::{PGridMsg, PGridPeer};
+use unistore_simnet::{NodeId, SimTime};
 use unistore_store::Triple;
+use unistore_util::wire::{BatchOp, OpBatch, Wire};
 
 /// Seed of every experiment and snapshot (ICDE 2007).
 pub const SEED: u64 = 20070415;
@@ -38,6 +40,10 @@ pub trait Backend: Overlay<Item = Triple> {
 
     /// Live records in this peer's store (the hot-peer census).
     fn records(&self) -> usize;
+
+    /// The op lists of the messages this backend injects for `batch`:
+    /// their encoded bytes, and the ops they carry.
+    fn injected_ops(batch: &OpBatch<Triple>) -> (usize, Vec<BatchOp>);
 }
 
 impl Backend for PGrid {
@@ -58,6 +64,17 @@ impl Backend for PGrid {
 
     fn records(&self) -> usize {
         self.store().len()
+    }
+
+    fn injected_ops(batch: &OpBatch<Triple>) -> (usize, Vec<BatchOp>) {
+        let (mut bytes, mut ops) = (0, Vec::new());
+        for (_, msg) in Self::batch_msgs(&Default::default(), &mut || 0, batch, NodeId(0)) {
+            if let PGridMsg::OpBatch { batch, .. } = msg {
+                bytes += batch.ops.wire_size();
+                ops.extend(batch.ops);
+            }
+        }
+        (bytes, ops)
     }
 }
 
@@ -80,6 +97,17 @@ impl Backend for Chord {
 
     fn records(&self) -> usize {
         self.store().len()
+    }
+
+    fn injected_ops(batch: &OpBatch<Triple>) -> (usize, Vec<BatchOp>) {
+        let (mut bytes, mut ops) = (0, Vec::new());
+        for (_, msg) in Self::batch_msgs(&Default::default(), &mut || 0, batch, NodeId(0)) {
+            if let ChordMsg::OpBatch { ops: chord_ops, .. } = msg {
+                bytes += chord_ops.wire_size();
+                ops.extend(chord_ops.iter().map(|op| op.op));
+            }
+        }
+        (bytes, ops)
     }
 }
 

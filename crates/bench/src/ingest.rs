@@ -4,17 +4,19 @@
 //! positional acks). Asserts in-code that messages and KiB per 1k triples
 //! stay under absolute ceilings on BOTH backends, with oracle-identical
 //! query results afterward, and takes the census the write layout sets:
-//! the most records one peer holds, and the q-gram posting ops routed.
+//! the most records one peer holds, the q-gram posting ops routed, and
+//! the op tags of the built batches — their bytes per triple, and the
+//! inserts that ship an explicit key instead of their slot (none may).
 
 use std::path::Path;
 
-use unistore::cluster::qgram_ops;
+use unistore::cluster::{build_insert_batch, qgram_ops};
 use unistore::UniCluster;
 use unistore_query::cost::{NetParams, StatsFlush};
 use unistore_query::{GlobalStats, StatsDelta, StatsNotice};
 use unistore_simnet::{NodeId, SimTime};
 use unistore_store::{Triple, Tuple, Value};
-use unistore_util::wire::Wire;
+use unistore_util::wire::{BatchVerb, Wire};
 use unistore_workload::{PubParams, PubWorld};
 
 use crate::backend::{for_backend, Backend, Chord, PGrid, SEED};
@@ -29,12 +31,22 @@ const BATCH_TUPLES: usize = 16; // × 4 triples = batch size 64
 /// 1 062 KiB (P-Grid) and 85 702 msgs / 3 467 KiB (Chord) per 1k
 /// triples on this workload; the message ceilings are a fifth of
 /// those counts. The KiB ceilings sit 5 % over the batch pipeline's
-/// own bytes since a batch's payload table ships each attribute name
-/// once and front-codes string values: 263.0 (P-Grid) and 1 094.2
-/// (Chord), which were 293.0 and 1 282.5 with one whole triple per
-/// payload.
+/// own bytes since its inserts name their keys by slot and a repeated
+/// OID ships as one byte: 139.8 (P-Grid) and 602.4 (Chord). They were
+/// 293.0 and 1 282.5 with one whole triple per payload, 263.0 and
+/// 1 094.2 once the payload table shipped each attribute name once and
+/// front-coded string values, and 248.4 and 1 064.2 with OID repeats
+/// but every key shipped.
 const CEILINGS: [(&str, (f64, f64)); 2] =
-    [(PGrid::LABEL, (6885.0, 276.0)), (Chord::LABEL, (17140.0, 1149.0))];
+    [(PGrid::LABEL, (6885.0, 147.0)), (Chord::LABEL, (17140.0, 633.0))];
+
+/// `(backend, op tag bytes per triple)` ceilings on the op lists of
+/// the built batches, as each backend's injected message carries them.
+/// With every insert shipping a fixed 8-byte key they measured 78.18
+/// (P-Grid) and 185.58 (Chord: two ops per key, each with its position);
+/// naming each key by its slot in the payload they measure 17.30 and
+/// 63.83, and the ceilings sit 5 % over.
+const OP_TAG_CEILINGS: [(&str, f64); 2] = [(PGrid::LABEL, 18.2), (Chord::LABEL, 67.0)];
 
 /// `(backend, (max_records_per_peer, qgram_ops_per_1k))` ceilings.
 /// Stored as a copy of each string triple under every q-gram, this
@@ -76,8 +88,13 @@ fn ingest<B: Backend>(tuples: &[Tuple], stats_bytes: [[f64; 3]; 2]) -> (Row, Vec
     let mut cluster = UniCluster::<B>::build_overlay(64, cfg, SEED);
     let before = cluster.net.metrics();
     let mut grams = 0;
+    let (mut tag_bytes, mut explicit_inserts) = (0, 0);
     for c in tuples.chunks(BATCH_TUPLES) {
         grams += qgram_ops(c, with_qgrams);
+        let (bytes, ops) = B::injected_ops(&build_insert_batch(c, with_qgrams).0);
+        tag_bytes += bytes;
+        explicit_inserts +=
+            ops.iter().filter(|op| matches!(op.verb, BatchVerb::Insert { slot: None, .. })).count();
         let origin = cluster.random_node();
         let (ok, _) = cluster.insert_batch(origin, c);
         assert!(ok, "ingest batch must be fully acked");
@@ -111,6 +128,19 @@ fn ingest<B: Backend>(tuples: &[Tuple], stats_bytes: [[f64; 3]; 2]) -> (Row, Vec
         "{}: {kib_per_1k:.1} KiB per 1k triples exceeds the {max_kib} ceiling",
         B::LABEL
     );
+    let tag_bytes_per_triple = tag_bytes as f64 / triples as f64;
+    let max_tag_bytes = for_backend::<B, _>(&OP_TAG_CEILINGS);
+    assert!(
+        tag_bytes_per_triple <= max_tag_bytes,
+        "{}: op tags cost {tag_bytes_per_triple:.2} B per triple, over the {max_tag_bytes} ceiling",
+        B::LABEL
+    );
+    assert_eq!(
+        explicit_inserts,
+        0,
+        "{}: every insert of a built batch names its key by slot",
+        B::LABEL
+    );
     let (max_peer, max_qgram) = for_backend::<B, _>(&CENSUS_CEILINGS);
     assert!(
         max_records <= max_peer,
@@ -130,6 +160,8 @@ fn ingest<B: Backend>(tuples: &[Tuple], stats_bytes: [[f64; 3]; 2]) -> (Row, Vec
         .float("kib", kib, 3)
         .float("msgs_per_1k", msgs_per_1k, 3)
         .float("kib_per_1k", kib_per_1k, 3)
+        .float("op_tag_bytes_per_triple", tag_bytes_per_triple, 3)
+        .int("explicit_key_inserts", explicit_inserts as u64)
         .float("stats_delta_bytes_per_triple", stats_bytes[0][0], 3)
         .float("stats_delta_bytes_per_triple_8", stats_bytes[1][0], 3)
         .float("stats_piece_bytes_per_triple", stats_bytes[0][1], 3)

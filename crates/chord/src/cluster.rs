@@ -127,7 +127,7 @@ impl<I: Item + Send + 'static> ChordCluster<I> {
     /// pays twice, which is part of the honest comparison.
     pub fn insert(&mut self, origin: NodeId, key: Key, item: I) -> (bool, OpCost) {
         let qid = self.fresh_qid();
-        let op = BatchOp { key, version: 0, verb: BatchVerb::Insert { item: 0 } };
+        let op = BatchOp { key, version: 0, verb: BatchVerb::Insert { item: 0, slot: None } };
         let ops = vec![
             ChordBatchOp { bucket: false, idx: 0, op },
             ChordBatchOp { bucket: true, idx: 1, op },
@@ -321,7 +321,7 @@ mod tests {
             .map(|(idx, &key)| ChordBatchOp {
                 bucket: false,
                 idx,
-                op: BatchOp { key, version: 0, verb: BatchVerb::Insert { item: idx } },
+                op: BatchOp { key, version: 0, verb: BatchVerb::Insert { item: idx, slot: None } },
             })
             .collect();
         let qid = c.fresh_qid();
@@ -469,7 +469,7 @@ mod tests {
     /// `origin`; whether the batch was acked.
     fn write_exact(c: &mut ChordCluster<RawItem>, origin: NodeId, key: Key) -> bool {
         let qid = c.fresh_qid();
-        let op = BatchOp { key, version: 1, verb: BatchVerb::Insert { item: 0 } };
+        let op = BatchOp { key, version: 1, verb: BatchVerb::Insert { item: 0, slot: None } };
         let ops = vec![ChordBatchOp { bucket: false, idx: 0, op }];
         let items = vec![RawItem(key >> 40)];
         let msg = ChordMsg::OpBatch { qid, origin, hops: 0, attempt: 0, items, ops };

@@ -6,7 +6,7 @@ use unistore_overlay::repair::RepairMsg;
 use unistore_overlay::RecordList;
 use unistore_simnet::NodeId;
 use unistore_util::item::Item;
-use unistore_util::wire::{get_len, list_size, put_list, BatchOp, BatchVerb, Wire, WireError};
+use unistore_util::wire::{get_len, list_size, put_list, resolve_ops, BatchOp, Wire, WireError};
 use unistore_util::{ItemFilter, Key};
 
 use crate::store::RecordKey;
@@ -28,8 +28,10 @@ pub const WATCHERS_MAX: usize = 512;
 ///
 /// The ring position is **not** on the wire: every node derives it from
 /// `(key, bucket)` with the shared hash (`ring_key_exact` /
-/// `ring_key_bucket`), saving ~10 bytes per op per edge — op tags are
-/// the dominant freight of a large batch. The bucket bit rides
+/// `ring_key_bucket`), saving ~10 bytes per op per edge, and an op
+/// derived from its payload ships the key's slot instead of the key
+/// (`BatchVerb::Insert`), which every node turns back into the key on
+/// decode. The bucket bit rides
 /// [`BatchOp`]'s flag byte (`BatchOp::encode_flagged`), so both
 /// backends share one op codec.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -45,8 +47,8 @@ pub struct ChordBatchOp {
     pub op: BatchOp,
 }
 
-/// Flag bit marking bucket-index ops (above [`BatchOp`]'s own bits).
-const BUCKET_FLAG: u8 = 4;
+/// Flag bit marking bucket-index ops: the one [`BatchOp`] leaves free.
+const BUCKET_FLAG: u8 = BatchOp::FREE_FLAG;
 
 impl Wire for ChordBatchOp {
     fn encode(&self, buf: &mut BytesMut) {
@@ -349,14 +351,8 @@ impl<I: Item> Wire for ChordMsg<I> {
                 let hops = Wire::decode(buf)?;
                 let attempt = Wire::decode(buf)?;
                 let items = I::decode_list(buf)?;
-                let ops: Vec<ChordBatchOp> = Wire::decode(buf)?;
-                for op in &ops {
-                    if let BatchVerb::Insert { item } = op.op.verb {
-                        if item as usize >= items.len() {
-                            return Err(WireError::BadLength(item as u64));
-                        }
-                    }
-                }
+                let mut ops: Vec<ChordBatchOp> = Wire::decode(buf)?;
+                resolve_ops(&items, ops.iter_mut().map(|op| &mut op.op))?;
                 ChordMsg::OpBatch { qid, origin, hops, attempt, items, ops }
             }
             tag::BATCH_ACK => ChordMsg::BatchAck {
@@ -483,6 +479,7 @@ mod tests {
     use super::*;
     use unistore_overlay::repair::{Part, Summary};
     use unistore_util::item::RawItem;
+    use unistore_util::wire::BatchVerb;
 
     fn roundtrip(msg: ChordMsg<RawItem>) {
         let bytes = msg.to_bytes();
@@ -517,7 +514,11 @@ mod tests {
                     ChordBatchOp {
                         bucket: false,
                         idx: 0,
-                        op: BatchOp { key: 700, version: 0, verb: BatchVerb::Insert { item: 0 } },
+                        op: BatchOp {
+                            key: 700,
+                            version: 0,
+                            verb: BatchVerb::Insert { item: 0, slot: None },
+                        },
                     },
                     ChordBatchOp {
                         bucket: true,
@@ -611,11 +612,43 @@ mod tests {
                 op: BatchOp {
                     key: u64::MAX,
                     version: u64::MAX,
-                    verb: BatchVerb::Insert { item: 0 },
+                    verb: BatchVerb::Insert { item: 0, slot: None },
                 },
             }],
         });
         roundtrip(ChordMsg::Bcast { qid: 1, lo: u64::MAX, hi: 0, limit: 0, hops: 0, filter: None });
+    }
+
+    #[test]
+    fn a_bucket_op_keeps_its_flag_above_the_slot_bits() {
+        use unistore_util::item::testing::Tagged;
+        let items = vec![Tagged { id: 1, tag: 100 }, Tagged { id: 2, tag: 7 }];
+        let verbs = [
+            (102, BatchVerb::Insert { item: 0, slot: Some(2) }),
+            (7 + 19, BatchVerb::Insert { item: 1, slot: Some(19) }),
+            (55, BatchVerb::Insert { item: 1, slot: None }),
+            (56, BatchVerb::Delete { ident: 9 }),
+        ];
+        let ops: Vec<ChordBatchOp> = (0u32..)
+            .zip(verbs.iter().flat_map(|&v| [(false, v), (true, v)]))
+            .map(|(idx, (bucket, (key, verb)))| ChordBatchOp {
+                bucket,
+                idx,
+                op: BatchOp { key, version: u64::from(idx % 3), verb },
+            })
+            .collect();
+        // The flag byte of a derived bucket op: its slot on top, then
+        // the bucket bit, then the derived bit.
+        assert_eq!(BUCKET_FLAG, 8);
+        assert_eq!(ops[1].to_bytes()[0], 2 << 4 | BUCKET_FLAG | 4 | 2, "slot 2, versioned");
+        let msg = ChordMsg::OpBatch { qid: 5, origin: NodeId(1), hops: 1, attempt: 0, items, ops };
+        let bytes = msg.to_bytes();
+        assert_eq!(bytes.len(), msg.wire_size());
+        let back = ChordMsg::<Tagged>::from_bytes(&bytes).expect("decode");
+        assert_eq!(format!("{back:?}"), format!("{msg:?}"));
+        let ChordMsg::OpBatch { ops, .. } = back else { unreachable!() };
+        let buckets: Vec<bool> = ops.iter().map(|op| op.bucket).collect();
+        assert_eq!(buckets, [false, true].repeat(4));
     }
 
     #[test]

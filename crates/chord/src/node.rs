@@ -605,10 +605,7 @@ impl<I: Item> ChordNode<I> {
                 true => ring_key_bucket(op.op.key, self.cfg.bucket_depth),
                 false => ring_key_exact(op.op.key),
             };
-            let item = || match op.op.verb {
-                BatchVerb::Insert { item } => items.get(item as usize).cloned(),
-                BatchVerb::Delete { .. } => None,
-            };
+            let item = || items.get(op.op.item()? as usize).cloned();
             if self.responsible(ring_key) {
                 match (op.op.verb, item()) {
                     (BatchVerb::Insert { .. }, Some(item)) => {
@@ -709,7 +706,7 @@ impl<I: Item> ChordNode<I> {
             .map(|(idx, (op, item))| {
                 let mut op = ChordBatchOp { idx, ..*op };
                 if let Some(item) = item {
-                    op.op.verb = BatchVerb::Insert { item: items.len() as u32 };
+                    op.op.rebind(items.len() as u32);
                     items.push(item.clone());
                 }
                 op
@@ -982,11 +979,8 @@ fn subset_batch<I: Clone>(
         items,
         ops,
         indices,
-        |op| match op.op.verb {
-            BatchVerb::Insert { item } => Some(item),
-            BatchVerb::Delete { .. } => None,
-        },
-        |op, item| op.op.verb = BatchVerb::Insert { item },
+        |op| op.op.item(),
+        |op, item| op.op.rebind(item),
     )
 }
 

@@ -621,14 +621,7 @@ impl<O: Overlay<Item = Triple>> UniCluster<O> {
     /// the delete loses like any equal-version write and is a no-op on
     /// both backends.
     pub fn delete_batch(&mut self, origin: NodeId, facts: &[Triple], version: u64) -> bool {
-        let mut batch: OpBatch<Triple> = OpBatch::new();
-        for triple in facts {
-            let ident = unistore_util::item::Item::ident(triple);
-            for key in TripleKeys::derive(triple, false).primary() {
-                batch.push_delete(key, ident, version);
-            }
-        }
-        let ok = self.run_batch(origin, &batch).0;
+        let ok = self.run_batch(origin, &build_delete_batch(facts, version)).0;
         let mut delta = StatsDelta::new();
         for triple in facts {
             if let Some(pos) = self.triples.iter().position(|t| {
@@ -651,28 +644,7 @@ impl<O: Overlay<Item = Triple>> UniCluster<O> {
     /// O(delta) fold — no rescan.
     pub fn update(&mut self, origin: NodeId, old: &Triple, new_value: Value, version: u64) -> bool {
         let new_triple = Triple { oid: old.oid.clone(), attr: old.attr.clone(), value: new_value };
-        let ident = unistore_util::item::Item::ident(old);
-        // Remove the old fact under every primary key; its identity
-        // includes the old value, so the new entry (different identity)
-        // is untouched even at shared keys (e.g. OID index).
-        //
-        // A same-value update keeps the identity, so the deletes are
-        // skipped: a delete and an insert of ONE identity at the SAME
-        // version would be order-dependent once the batch forks (the
-        // tombstone wins iff it lands second), whereas the refresh
-        // insert alone is deterministic on every route.
-        let refresh = ident == unistore_util::item::Item::ident(&new_triple);
-        let mut batch = OpBatch::new();
-        if !refresh {
-            for key in TripleKeys::derive(old, false).primary() {
-                batch.push_delete(key, ident, version);
-            }
-        }
-        let item = batch.add_item(new_triple.clone());
-        for key in TripleKeys::derive(&new_triple, false).primary() {
-            batch.push_insert(key, item, version);
-        }
-        Postings::new(self.cfg.with_qgrams).push(&mut batch, &new_triple);
+        let batch = build_update_batch(old, &new_triple, version, self.cfg.with_qgrams);
         let ok = self.run_batch(origin, &batch).0;
         let mut delta = StatsDelta::new();
         // Track driver-side view.
@@ -775,12 +747,12 @@ impl Postings {
     }
 
     /// Appends `t`'s posting to `batch` at version 0, the first time
-    /// `t`'s pair is seen.
+    /// `t`'s pair is seen, each op naming its key by the posting's slot.
     fn push(&mut self, batch: &mut OpBatch<Triple>, t: &Triple) {
         if let Some((posting, keys)) = self.first(t) {
             let item = batch.add_item(posting);
-            for key in keys {
-                batch.push_insert(key, item, 0);
+            for (slot, key) in (idx::FIRST_GRAM_SLOT..).zip(keys) {
+                batch.push_derived(key, item, slot, 0);
             }
         }
     }
@@ -790,27 +762,72 @@ impl Postings {
 /// [`OpBatch`]: each triple under its three primary keys, and one
 /// q-gram posting per distinct string `(attr, value)` of the batch under
 /// that value's q-gram keys. Every payload is carried once and
-/// referenced by compact tags. This is the batch
+/// referenced by compact tags, and every op names its key by its slot
+/// in the payload ([`Item::slot_keys`](unistore_util::item::Item::slot_keys)). This is the batch
 /// [`UniCluster::insert_batch`] routes, shared with the live threaded
 /// runtime so the two ingest paths cannot drift.
-pub(crate) fn build_insert_batch(
-    tuples: &[Tuple],
-    with_qgrams: bool,
-) -> (OpBatch<Triple>, Vec<Triple>) {
+pub fn build_insert_batch(tuples: &[Tuple], with_qgrams: bool) -> (OpBatch<Triple>, Vec<Triple>) {
     let mut batch = OpBatch::new();
     let mut triples = Vec::new();
     let mut postings = Postings::new(with_qgrams);
     for tuple in tuples {
         for t in tuple.to_triples() {
             let item = batch.add_item(t.clone());
-            for key in TripleKeys::derive(&t, false).primary() {
-                batch.push_insert(key, item, 0);
+            for (slot, key) in (0..).zip(TripleKeys::derive(&t, false).primary()) {
+                batch.push_derived(key, item, slot, 0);
             }
             postings.push(&mut batch, &t);
             triples.push(t);
         }
     }
     (batch, triples)
+}
+
+/// The batch [`UniCluster::update`] routes to replace `old` with
+/// `new_triple` (same OID and attribute) at `version`.
+pub(crate) fn build_update_batch(
+    old: &Triple,
+    new_triple: &Triple,
+    version: u64,
+    with_qgrams: bool,
+) -> OpBatch<Triple> {
+    let ident = unistore_util::item::Item::ident(old);
+    // Remove the old fact under every primary key; its identity
+    // includes the old value, so the new entry (different identity)
+    // is untouched even at shared keys (e.g. OID index).
+    //
+    // A same-value update keeps the identity, so the deletes are
+    // skipped: a delete and an insert of ONE identity at the SAME
+    // version would be order-dependent once the batch forks (the
+    // tombstone wins iff it lands second), whereas the refresh
+    // insert alone is deterministic on every route.
+    let refresh = ident == unistore_util::item::Item::ident(new_triple);
+    let mut batch = OpBatch::new();
+    if !refresh {
+        for key in TripleKeys::derive(old, false).primary() {
+            batch.push_delete(key, ident, version);
+        }
+    }
+    let item = batch.add_item(new_triple.clone());
+    for (slot, key) in (0..).zip(TripleKeys::derive(new_triple, false).primary()) {
+        batch.push_derived(key, item, slot, version);
+    }
+    Postings::new(with_qgrams).push(&mut batch, new_triple);
+    batch
+}
+
+/// The batch [`UniCluster::delete_batch`] routes: each fact's delete
+/// under its three primary keys. A delete names an identity, not a
+/// payload, so it ships its key.
+pub(crate) fn build_delete_batch(facts: &[Triple], version: u64) -> OpBatch<Triple> {
+    let mut batch = OpBatch::new();
+    for triple in facts {
+        let ident = unistore_util::item::Item::ident(triple);
+        for key in TripleKeys::derive(triple, false).primary() {
+            batch.push_delete(key, ident, version);
+        }
+    }
+    batch
 }
 
 /// The q-gram ops the write batch of `tuples` carries: the gram keys of
@@ -1330,6 +1347,94 @@ mod tests {
                     origin_ends_the_tick(ChordUniCluster::build_overlay(8, cfg, 9), ops)
                 }
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod write_batch_codec {
+    //! The write batches the cluster builds, through the codec of each
+    //! backend's first message: every insert names its key by its slot
+    //! in the payload, and what decodes is what was built.
+
+    use proptest::prelude::*;
+    use unistore_chord::{ChordConfig, ChordNode};
+    use unistore_overlay::Overlay;
+    use unistore_pgrid::msg::PGridMsg;
+    use unistore_util::item::Item;
+    use unistore_util::wire::{BatchVerb, Wire};
+
+    use super::*;
+
+    /// Encodes, checks the length against the arithmetic size, decodes
+    /// and compares by `Debug` (an `Int` must not come back a `Float`).
+    fn roundtrip<M: Wire + std::fmt::Debug>(msg: &M) {
+        let bytes = msg.to_bytes();
+        assert_eq!(bytes.len(), msg.wire_size(), "size of {msg:?}");
+        let back = M::from_bytes(&bytes).expect("a built batch decodes");
+        assert_eq!(format!("{back:?}"), format!("{msg:?}"));
+    }
+
+    /// Every insert of `batch` is derived and its slot names its key;
+    /// the batch and both backends' messages of it round-trip.
+    fn check(batch: &OpBatch<Triple>) {
+        for op in &batch.ops {
+            if let BatchVerb::Insert { item, slot } = op.verb {
+                let slot = slot.expect("every insert names its key by slot");
+                assert_eq!(batch.items[item as usize].slot_key(slot), Some(op.key));
+            }
+        }
+        roundtrip(batch);
+        let origin = NodeId(3);
+        // P-Grid's as it leaves the origin peer, with one position per op.
+        let positions = (0..batch.len() as u32).collect();
+        let msg = PGridMsg::OpBatch { qid: 1, origin, hops: 1, positions, batch: batch.clone() };
+        roundtrip(&UniMsg::<_>::Overlay(msg));
+        let cfg = ChordConfig::default();
+        for (_, msg) in ChordNode::<Triple>::batch_msgs(&cfg, &mut || 2, batch, origin) {
+            roundtrip(&UniMsg::<_>::Overlay(msg));
+        }
+    }
+
+    fn value(kind: u8, s: &str, i: i64) -> Value {
+        match kind {
+            0 => Value::Int(i),
+            1 => Value::Float(i as f64 / 8.0),
+            2 => Value::str(s),
+            // A title: past the 12 grams whose slots fit the flag byte.
+            _ => Value::str(&format!("Towards {s} in a DHT-based universal storage")),
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn built_batches_decode_to_every_key(
+            raw in proptest::collection::vec(
+                (0u8..6, proptest::collection::vec((0u8..5, 0u8..4, "[a-zé ]{0,20}", any::<i64>()), 1..5)),
+                1..12,
+            ),
+            with_qgrams: bool,
+            version in 0u64..3,
+        ) {
+            let attrs = ["name", "pub:title", "year", "score", "tag"];
+            let tuples: Vec<Tuple> = raw
+                .iter()
+                .map(|(oid, fields)| {
+                    fields.iter().fold(Tuple::new(&format!("o{oid}")), |t, (a, kind, s, i)| {
+                        t.with(attrs[*a as usize], value(*kind, s, *i))
+                    })
+                })
+                .collect();
+            let (batch, triples) = build_insert_batch(&tuples, with_qgrams);
+            prop_assert!(batch.ops.iter().all(|op| matches!(op.verb, BatchVerb::Insert { .. })));
+            check(&batch);
+            for (k, old) in triples.iter().enumerate() {
+                let (_, kind, s, i) = &raw[k % raw.len()].1[0];
+                check(&build_update_batch(old, &Triple { value: value(*kind, s, *i), ..old.clone() }, version + 1, with_qgrams));
+                // A refresh: the same value again, no deletes.
+                check(&build_update_batch(old, old, version + 1, with_qgrams));
+            }
+            check(&build_delete_batch(&triples, version));
         }
     }
 }

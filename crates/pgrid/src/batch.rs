@@ -105,7 +105,7 @@ impl<I: Item> PGridPeer<I> {
             match self.routing.route_jump(op.key, shun, &mut self.rng) {
                 RouteDecision::Local => {
                     match op.verb {
-                        BatchVerb::Insert { item } => {
+                        BatchVerb::Insert { item, .. } => {
                             let item = batch.items[item as usize].clone();
                             self.insert_at_leaf(op.key, item, op.version, fx);
                         }

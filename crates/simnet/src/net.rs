@@ -152,7 +152,15 @@ pub struct SimNet<N: NodeBehavior> {
     /// alloc-free hot path must not pay for.
     trace_on: bool,
     trace_digest: u64,
+    /// Opt-in codec check: when set, every send is encoded and handed
+    /// to it with its bytes, before loss and faults filter it (off by
+    /// default, for the reason the trace is).
+    send_check: Option<SendCheck<N::Msg>>,
 }
+
+/// A check [`SimNet::set_send_check`] runs on every send: the message
+/// and its encoding.
+pub type SendCheck<M> = fn(&M, &bytes::Bytes);
 
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 const FNV_PRIME: u64 = 0x100000001b3;
@@ -185,6 +193,7 @@ impl<N: NodeBehavior> SimNet<N> {
             outputs: Vec::new(),
             trace_on: false,
             trace_digest: FNV_OFFSET,
+            send_check: None,
         }
     }
 
@@ -204,6 +213,14 @@ impl<N: NodeBehavior> SimNet<N> {
     /// when tracing was never enabled).
     pub fn trace_digest(&self) -> u64 {
         self.trace_digest
+    }
+
+    /// Installs (or, with `None`, removes) a check every send is handed
+    /// to with its encoding. The simulator sizes messages by
+    /// `wire_size` and never decodes them, so a test that wants every
+    /// message of a run to survive the codec hooks in here.
+    pub fn set_send_check(&mut self, check: Option<SendCheck<N::Msg>>) {
+        self.send_check = check;
     }
 
     /// Fraction of messages silently lost in transit (`0.0..=1.0`).
@@ -402,15 +419,22 @@ impl<N: NodeBehavior> SimNet<N> {
         for (to, msg) in fx.sends.drain(..) {
             self.metrics.sent += 1;
             self.metrics.bytes += msg.wire_size() as u64;
-            if self.trace_on {
-                // Fold the send before loss/fault filtering: the digest
-                // witnesses what the protocol *did*, and the seeded RNG
-                // makes the filtering itself reproducible anyway.
-                let mut h = fnv_fold(self.trace_digest, &self.now.as_micros().to_le_bytes());
-                h = fnv_fold(h, &origin.0.to_le_bytes());
-                h = fnv_fold(h, &to.0.to_le_bytes());
-                h = fnv_fold(h, &msg.to_bytes());
-                self.trace_digest = h;
+            if self.trace_on || self.send_check.is_some() {
+                let bytes = msg.to_bytes();
+                if let Some(check) = self.send_check {
+                    check(&msg, &bytes);
+                }
+                if self.trace_on {
+                    // Fold the send before loss/fault filtering: the
+                    // digest witnesses what the protocol *did*, and the
+                    // seeded RNG makes the filtering itself reproducible
+                    // anyway.
+                    let mut h = fnv_fold(self.trace_digest, &self.now.as_micros().to_le_bytes());
+                    h = fnv_fold(h, &origin.0.to_le_bytes());
+                    h = fnv_fold(h, &to.0.to_le_bytes());
+                    h = fnv_fold(h, &bytes);
+                    self.trace_digest = h;
+                }
             }
             if to == NodeId::EXTERNAL || to.index() >= self.slots.len() {
                 debug_assert!(to != NodeId::EXTERNAL, "protocol sent to EXTERNAL; use emit()");
@@ -585,6 +609,34 @@ mod tests {
         net.run_until_quiescent(SimTime::from_secs(10));
         assert_eq!(net.metrics().dropped, 1);
         assert_eq!(net.outputs().len(), 0);
+    }
+
+    #[test]
+    fn the_send_check_sees_every_send_with_its_bytes_lost_or_not() {
+        thread_local! {
+            static SEEN: std::cell::RefCell<Vec<(u64, Bytes)>> = const {
+                std::cell::RefCell::new(Vec::new())
+            };
+        }
+        fn seen(msg: &Hop, bytes: &Bytes) {
+            SEEN.with(|s| s.borrow_mut().push((msg.0, bytes.clone())));
+        }
+        let mut net = ring(3, 5);
+        net.set_loss_rate(0.5);
+        net.set_send_check(Some(seen));
+        for i in 0..3 {
+            net.inject(NodeId(i), Hop(300));
+        }
+        net.run_until_quiescent(SimTime::from_secs(100));
+        let sent = SEEN.with(|s| std::mem::take(&mut *s.borrow_mut()));
+        assert_eq!(sent.len() as u64, net.metrics().sent);
+        assert!(net.metrics().dropped > 0);
+        assert!(sent.iter().all(|(hop, bytes)| Hop(*hop).to_bytes() == *bytes));
+        // Removed, it sees nothing more.
+        net.set_send_check(None);
+        net.inject(NodeId(0), Hop(5));
+        net.run_until_quiescent(SimTime::from_secs(200));
+        assert!(SEEN.with(|s| s.borrow().is_empty()));
     }
 
     #[test]

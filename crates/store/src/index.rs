@@ -148,6 +148,13 @@ pub fn qgram_posting(t: &Triple) -> Option<Triple> {
     Some(Triple { oid: Oid::new(""), attr: t.attr.clone(), value: t.value.clone() })
 }
 
+/// The slot of a triple's first q-gram key
+/// ([`unistore_util::item::Item::slot_keys`]): slots 0–2 are its primary
+/// keys in [`TripleKeys::primary`] order, and slot `FIRST_GRAM_SLOT + j`
+/// is the `j`-th of its string value's [`qgram_keys`] — the order of
+/// [`TripleKeys::all`] with q-grams on.
+pub const FIRST_GRAM_SLOT: u32 = 3;
+
 /// All index keys derived from one triple.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TripleKeys {
@@ -303,6 +310,24 @@ mod tests {
         assert_ne!(qgram_posting(&c).unwrap().ident(), pa.ident());
         assert!(qgram_posting(&Triple::new("c1", "year", Value::Int(2006))).is_none());
         assert_eq!(qgram_keys("series", "ICDE"), TripleKeys::derive(&a, true).qgrams);
+    }
+
+    #[test]
+    fn slots_number_the_primary_keys_then_the_grams() {
+        use unistore_util::item::Item;
+        for t in [
+            Triple::new("a12", "title", Value::str("Similarity...")),
+            Triple::new("", "series", Value::str("ICDE")),
+            Triple::new("a12", "year", Value::Int(2006)),
+            Triple::new("a12", "score", Value::Float(0.5)),
+        ] {
+            let keys = TripleKeys::derive(&t, true);
+            let slots: Vec<Key> = (0..).map_while(|s| t.slot_key(s)).collect();
+            assert_eq!(slots, keys.all(), "{t}");
+            assert_eq!(slots[FIRST_GRAM_SLOT as usize..], keys.qgrams[..]);
+            assert_eq!(t.slot_key(slots.len() as u32), None);
+            assert_eq!(t.slot_key(u32::MAX), None);
+        }
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! n, n × name                 the distinct attribute names, first-seen order
 //! count × (
 //!   index                     varint into the names; absent when n = 1
-//!   oid                       as `Oid::encode`
+//!   oid                       0 when it is the previous triple's OID,
+//!                             otherwise its length + 1, then its bytes
 //!   value                     as `Value::encode`, except a string:
 //!     tag, shared, suffix       `shared` = how many leading bytes it has in
 //!                               common with the previous triple's string
@@ -23,21 +24,26 @@
 //! ```
 //!
 //! OIDs are not front-coded: in range replies their shared prefixes
-//! cost about as much as the length bytes would.
+//! cost about as much as the length bytes would. But a write batch
+//! carries a tuple's triples side by side, and an OID lookup answers
+//! with one object's, so an OID equal to its predecessor's is one byte.
+//! An OID under 127 bytes, the empty OID of a q-gram posting among
+//! them, costs what `Oid::encode` would.
 //!
 //! The decoder rejects an empty name table under a non-empty list, a
-//! table longer than the list, an index off the table, and a `shared`
+//! table longer than the list, an index off the table, a repeated OID
+//! with no previous triple, and a `shared`
 //! that is non-zero with no previous string, longer than the previous
 //! string or than [`MAX_SHARED`], or off its char boundaries.
 
 use std::sync::Arc;
 
-use bytes::{Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 use unistore_util::compact::intern;
 use unistore_util::wire::{
-    decode_str, get_len, get_varint, put_str, put_varint, str_wire_size, varint_size, Wire,
-    WireError,
+    decode_str, decode_str_body, get_len, get_varint, put_str, put_varint, str_wire_size,
+    varint_size, Wire, WireError,
 };
 use unistore_util::CompactStr;
 
@@ -96,6 +102,32 @@ impl<'a> Names<'a> {
     }
 }
 
+/// Appends `oid` as the list writes it: a repeat of `prev` as the one
+/// byte 0, any other OID as its length + 1 and its bytes.
+fn put_oid(buf: &mut BytesMut, oid: &Oid, prev: Option<&Oid>) {
+    if prev == Some(oid) {
+        put_varint(buf, 0);
+    } else {
+        put_varint(buf, oid.0.len() as u64 + 1);
+        buf.put_slice(oid.0.as_bytes());
+    }
+}
+
+fn oid_size(oid: &Oid, prev: Option<&Oid>) -> usize {
+    match prev == Some(oid) {
+        true => 1,
+        false => varint_size(oid.0.len() as u64 + 1) + oid.0.len(),
+    }
+}
+
+/// Decodes an OID [`put_oid`] wrote; a repeat shares `prev`'s string.
+fn get_oid(buf: &mut Bytes, prev: Option<&Oid>) -> Result<Oid, WireError> {
+    match get_len(buf)? {
+        0 => prev.cloned().ok_or(WireError::BadLength(0)),
+        n => decode_str_body(buf, n - 1, |s| Oid(Arc::from(s))),
+    }
+}
+
 /// The most bytes a string value takes from its predecessor (a one-byte
 /// `shared`). Each is copied on decode, so without a cap a long string
 /// followed by many triples with empty suffixes would decode into memory
@@ -127,11 +159,13 @@ pub(crate) fn encode(items: &[Triple], buf: &mut BytesMut) {
         put_str(buf, name);
     }
     let mut prev = None;
+    let mut prev_oid = None;
     for t in items {
         if names.indexed() {
             put_varint(buf, names.index(&t.attr) as u64);
         }
-        t.oid.encode(buf);
+        put_oid(buf, &t.oid, prev_oid);
+        prev_oid = Some(&t.oid);
         match t.value.as_str() {
             Some(s) => {
                 let shared = shared_prefix(prev, s);
@@ -161,8 +195,10 @@ pub(crate) fn wire_size(items: &[Triple]) -> usize {
         };
     }
     let mut prev = None;
+    let mut prev_oid = None;
     for t in items {
-        size += t.oid.wire_size();
+        size += oid_size(&t.oid, prev_oid);
+        prev_oid = Some(&t.oid);
         size += match t.value.as_str() {
             Some(s) => {
                 let shared = shared_prefix(prev, s);
@@ -203,7 +239,7 @@ pub(crate) fn decode(buf: &mut Bytes) -> Result<Vec<Triple>, WireError> {
                 name.ok_or(WireError::BadLength(i))?.clone()
             }
         };
-        let oid = Oid::decode(buf)?;
+        let oid = get_oid(buf, out.last().map(|t: &Triple| &t.oid))?;
         let value = match u8::decode(buf)? {
             tag::STR => {
                 let shared = get_varint(buf)?;
@@ -382,11 +418,11 @@ mod tests {
         let expect = [
             &[2u8, 1, 4][..],
             b"name",
-            &[2],
+            &[3],
             b"o1",
             &[tag::STR, 0, 3],
             b"abc",
-            &[2],
+            &[3],
             b"o2",
             &[tag::STR, 2, 1],
             b"d",
@@ -439,12 +475,13 @@ mod tests {
         put_varint(&mut buf, triples);
         put_varint(&mut buf, 1);
         put_str(&mut buf, "v");
-        Oid::new("").encode(&mut buf);
+        let oid = Oid::new("");
+        put_oid(&mut buf, &oid, None);
         tag::STR.encode(&mut buf);
         put_varint(&mut buf, 0);
         put_str(&mut buf, &long);
         for _ in 1..triples {
-            Oid::new("").encode(&mut buf);
+            put_oid(&mut buf, &oid, Some(&oid));
             tag::STR.encode(&mut buf);
             put_varint(&mut buf, long.len() as u64);
             put_str(&mut buf, "");
@@ -485,6 +522,40 @@ mod tests {
         let at = bytes.len() - 3;
         bytes[at] = 1;
         assert_eq!(reject(bytes), WireError::BadLength(1), "a number is no previous string");
+    }
+
+    #[test]
+    fn a_repeated_oid_is_one_byte_and_shares_its_string() {
+        let items = vec![
+            Triple::new("object-number-7", "name", Value::str("x")),
+            Triple::new("object-number-7", "score", Value::Int(7)),
+            Triple::new("object-number-7", "tag", Value::str("odd")),
+            Triple::new("", "tag", Value::str("odd")),
+            Triple::new("", "name", Value::str("x")),
+        ];
+        let bytes = roundtrip(&items);
+        // The same list with other OIDs of the same length in place of
+        // the two repeats: each of those costs its length byte and 15.
+        let mut fresh = items.clone();
+        fresh[1].oid = Oid::new("object-number-8");
+        fresh[2].oid = Oid::new("object-number-9");
+        roundtrip(&fresh);
+        assert_eq!(Triple::list_wire_size(&fresh), bytes.len() + 2 * 15);
+        let back = decoded(&bytes).unwrap();
+        assert!(Arc::ptr_eq(&back[0].oid.0, &back[2].oid.0), "a repeat shares the Arc");
+        assert!(Arc::ptr_eq(&back[3].oid.0, &back[4].oid.0));
+        // The empty OID of a posting stays one byte, repeated or not.
+        let posting = [Triple::new("", "tag", Value::str("odd"))];
+        assert_eq!(Triple::list_wire_size(&posting), posting[0].wire_size() + 3);
+    }
+
+    #[test]
+    fn rejects_a_repeated_oid_with_no_previous_triple() {
+        let mut bytes = valid();
+        // The first OID's length byte.
+        assert_eq!(bytes[7], 3);
+        bytes.splice(7..10, [0]);
+        assert_eq!(reject(bytes), WireError::BadLength(0));
     }
 
     #[test]

@@ -165,6 +165,14 @@ impl Item for Triple {
         }
     }
 
+    /// Slots 0–2 are the primary keys, then the string value's q-gram
+    /// keys ([`crate::index::FIRST_GRAM_SLOT`]).
+    fn slot_keys(&self, keys: &mut Vec<unistore_util::Key>) {
+        let derived = crate::index::TripleKeys::derive(self, true);
+        keys.extend(derived.primary());
+        keys.extend(derived.qgrams);
+    }
+
     /// Each attribute name once, string values front-coded against the
     /// previous triple's (the `list` module).
     fn encode_list(items: &[Self], buf: &mut BytesMut) {

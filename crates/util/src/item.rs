@@ -7,6 +7,7 @@
 
 use bytes::{Bytes, BytesMut};
 
+use crate::keys::Key;
 use crate::wire::{list_size, put_list, Wire, WireError};
 
 /// A value storable in a DHT overlay.
@@ -24,6 +25,24 @@ pub trait Item: Wire + Clone + std::fmt::Debug {
     /// filter then conservatively keeps it.
     fn field_hash(&self, _field: u8) -> Option<u64> {
         None
+    }
+
+    /// Appends this item's index keys to `keys` in slot order: an
+    /// insert that names the item by slot `s` is stored under the
+    /// `s`-th. A write batch ships the slot of each key it derived from
+    /// its payload instead of the 8-byte key
+    /// ([`crate::wire::BatchVerb::Insert`]), and the receiver derives
+    /// the keys of each payload it decoded once. Slots are the item
+    /// type's to number; the default has none, so an op naming such an
+    /// item by slot is rejected on decode.
+    fn slot_keys(&self, _keys: &mut Vec<Key>) {}
+
+    /// The index key at `slot` of [`Item::slot_keys`]; `None` past the
+    /// last.
+    fn slot_key(&self, slot: u32) -> Option<Key> {
+        let mut keys = Vec::new();
+        self.slot_keys(&mut keys);
+        keys.get(usize::try_from(slot).ok()?).copied()
     }
 
     /// Appends a count-prefixed list of items. Every item table on the
@@ -122,6 +141,11 @@ pub mod testing {
     impl Item for Tagged {
         fn ident(&self) -> u64 {
             self.id
+        }
+
+        /// Twenty slots, the tag plus the slot.
+        fn slot_keys(&self, keys: &mut Vec<u64>) {
+            keys.extend((0..20).map(|slot| self.tag.wrapping_add(slot)));
         }
 
         fn field_hash(&self, field: u8) -> Option<u64> {

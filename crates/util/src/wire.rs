@@ -269,6 +269,17 @@ impl Wire for f64 {
 /// in a single copy, with no intermediate `Vec<u8>`.
 pub fn decode_str<R>(buf: &mut Bytes, f: impl FnOnce(&str) -> R) -> Result<R, WireError> {
     let len = get_len(buf)?;
+    decode_str_body(buf, len, f)
+}
+
+/// Decodes the `len` UTF-8 bytes of a string whose length the caller
+/// has already read (a codec that folds a marker into the length
+/// prefix), in place as [`decode_str`] does.
+pub fn decode_str_body<R>(
+    buf: &mut Bytes,
+    len: usize,
+    f: impl FnOnce(&str) -> R,
+) -> Result<R, WireError> {
     if buf.remaining() < len {
         return Err(WireError::UnexpectedEof);
     }
@@ -467,6 +478,11 @@ pub enum BatchVerb {
     Insert {
         /// Index into [`OpBatch::items`].
         item: u32,
+        /// Which of the payload's index keys the op's key is
+        /// ([`Item::slot_keys`]), when the op was built from one. Such an
+        /// op ships the slot instead of its 8-byte key and the receiver
+        /// derives the key from the payload; `None` ships the key.
+        slot: Option<u32>,
     },
     /// Remove the entry with logical identity `ident` (tombstoning,
     /// index maintenance for updates).
@@ -487,6 +503,29 @@ pub struct BatchOp {
     pub verb: BatchVerb,
 }
 
+impl BatchOp {
+    /// The flag bit [`BatchOp::encode_flagged`] leaves to its caller
+    /// (Chord's bucket-index bit).
+    pub const FREE_FLAG: u8 = op_flags::FREE;
+
+    /// The payload index an insert references (`None` for deletes).
+    pub fn item(&self) -> Option<u32> {
+        match self.verb {
+            BatchVerb::Insert { item, .. } => Some(item),
+            BatchVerb::Delete { .. } => None,
+        }
+    }
+
+    /// Points an insert at payload `item`, keeping its slot: the
+    /// re-indexing step of a sub-batch or a replay. Deletes are left
+    /// as they are.
+    pub fn rebind(&mut self, item: u32) {
+        if let BatchVerb::Insert { item: at, .. } = &mut self.verb {
+            *at = item;
+        }
+    }
+}
+
 /// A batch of write ops with **shared payloads**: each distinct item is
 /// carried once in `items`, and the ops reference it by index.
 ///
@@ -494,7 +533,7 @@ pub struct BatchOp {
 /// index set (`TripleKeys::all()` is up to a 7-way copy: OID, A#v, v,
 /// plus q-gram keys); shipping each copy in its own message pays per-key
 /// routing, per-key wire overhead and 7 full payload encodings. An
-/// `OpBatch` ships the payload once per *message* with compact key tags
+/// `OpBatch` ships the payload once per *message* with compact tags
 /// (`ops`) instead, and [`OpBatch::subset`] lets a routing step re-group
 /// the batch per next hop so it only forks where responsibility actually
 /// diverges.
@@ -520,10 +559,10 @@ impl<I> OpBatch<I> {
         (self.items.len() - 1) as u32
     }
 
-    /// Appends an insert of item `item` under `key`.
+    /// Appends an insert of item `item` under `key`, shipping the key.
     pub fn push_insert(&mut self, key: u64, item: u32, version: u64) {
         debug_assert!((item as usize) < self.items.len(), "item index out of range");
-        self.ops.push(BatchOp { key, version, verb: BatchVerb::Insert { item } });
+        self.ops.push(BatchOp { key, version, verb: BatchVerb::Insert { item, slot: None } });
     }
 
     /// Appends a delete of identity `ident` under `key`.
@@ -543,10 +582,21 @@ impl<I> OpBatch<I> {
 
     /// The payload an insert op references (`None` for deletes).
     pub fn item_of(&self, op: &BatchOp) -> Option<&I> {
-        match op.verb {
-            BatchVerb::Insert { item } => self.items.get(item as usize),
-            BatchVerb::Delete { .. } => None,
-        }
+        self.items.get(op.item()? as usize)
+    }
+}
+
+impl<I: Item> OpBatch<I> {
+    /// Appends an insert of item `item` under its index key at `slot`
+    /// ([`Item::slot_key`]), which is `key`: the op ships the slot and
+    /// the receiver derives the key.
+    pub fn push_derived(&mut self, key: u64, item: u32, slot: u32, version: u64) {
+        debug_assert_eq!(
+            self.items.get(item as usize).and_then(|i| i.slot_key(slot)),
+            Some(key),
+            "slot {slot} of item {item} must name the op's key"
+        );
+        self.ops.push(BatchOp { key, version, verb: BatchVerb::Insert { item, slot: Some(slot) } });
     }
 }
 
@@ -555,16 +605,8 @@ impl<I: Clone> OpBatch<I> {
     /// payloads the sub-batch references are carried — the per-hop
     /// re-grouping step of the batched write pipeline.
     pub fn subset(&self, indices: &[usize]) -> OpBatch<I> {
-        let (items, ops) = subset_shared(
-            &self.items,
-            &self.ops,
-            indices,
-            |op| match op.verb {
-                BatchVerb::Insert { item } => Some(item),
-                BatchVerb::Delete { .. } => None,
-            },
-            |op, item| op.verb = BatchVerb::Insert { item },
-        );
+        let (items, ops) =
+            subset_shared(&self.items, &self.ops, indices, BatchOp::item, BatchOp::rebind);
         OpBatch { items, ops }
     }
 }
@@ -605,41 +647,105 @@ pub fn subset_shared<I: Clone, Op: Copy>(
     (sub_items, sub_ops)
 }
 
+/// Checks every op's payload reference against `items` and derives the
+/// key of each op that shipped a slot — the step a decoder runs once it
+/// holds both tables, so handlers index the item table without per-op
+/// bounds checks. A dangling reference or a slot its payload does not
+/// have rejects the input.
+///
+/// Each payload's keys are derived once, however many ops name it: a
+/// string's q-gram keys come out of one sort, so deriving them per op
+/// would cost a posting its gram count squared (a 4 KiB title, one
+/// 20 KB message, decoded in ≈ 0.5 s that way).
+pub fn resolve_ops<'a, I: Item>(
+    items: &[I],
+    ops: impl IntoIterator<Item = &'a mut BatchOp>,
+) -> Result<(), WireError> {
+    let mut derived: Vec<Option<Vec<u64>>> = Vec::new();
+    for op in ops {
+        let BatchVerb::Insert { item, slot } = op.verb else { continue };
+        let dangling = || WireError::BadLength(item as u64);
+        let payload = items.get(item as usize).ok_or_else(dangling)?;
+        let Some(slot) = slot else { continue };
+        if derived.is_empty() {
+            derived.resize(items.len(), None);
+        }
+        let keys = derived.get_mut(item as usize).ok_or_else(dangling)?.get_or_insert_with(|| {
+            let mut keys = Vec::new();
+            payload.slot_keys(&mut keys);
+            keys
+        });
+        op.key = *keys.get(slot as usize).ok_or(WireError::BadLength(slot as u64))?;
+    }
+    Ok(())
+}
+
 /// Flag bits of the compact [`BatchOp`] encoding.
 mod op_flags {
     /// The op is a delete (insert otherwise).
     pub const DELETE: u8 = 1;
     /// A nonzero version follows (initial inserts omit it).
     pub const VERSIONED: u8 = 2;
-    /// All bits an encoder may set.
-    pub const ALL: u8 = DELETE | VERSIONED;
+    /// An insert that ships its payload's slot instead of its key.
+    pub const DERIVED: u8 = 4;
+    /// Left to the caller of `encode_flagged`.
+    pub const FREE: u8 = 8;
+    /// A derived op's slot sits in the top four bits, up to
+    /// [`SLOT_ESCAPE`]; at it, the rest follows as a varint.
+    pub const SLOT_SHIFT: u32 = 4;
+    /// The inline slot value that says the slot continues.
+    pub const SLOT_ESCAPE: u32 = 15;
+    /// All bits this type owns.
+    pub const OWN: u8 = DELETE | VERSIONED | DERIVED | 0xF0;
 }
 
-// Op tags are the dominant freight of a large batch — every op crosses
-// every edge of its route — so the encoding is deliberately tight: one
-// flag byte, a fixed 8-byte key (index keys are high-entropy, a varint
-// would average 9–10 bytes), the small varint payload reference, and
-// the version only when nonzero (initial inserts, the bulk-ingest
-// common case, are version 0).
+// The compact op encoding. Every op crosses every edge of its route, so
+// a 64-tuple ingest batch (≈ 1 240 ops) pays for its tags on each hop:
+// with a fixed 8-byte key in every op they were 36 % of the frozen
+// `ingest` workload's wire, against 49 % for the payloads. An insert
+// built from one of its payload's index keys therefore ships the key's
+// slot, not the key — one flag byte holding slots 0–14 (a triple's
+// three primary keys and its first 12 q-grams), then the payload
+// reference:
+//
+//   derived insert   flags(DERIVED | slot << 4), item, [slot − 15], [version]
+//   other insert     flags, key (8 bytes, fixed), item, [version]
+//   delete           flags(DELETE), key (8 bytes, fixed), ident, [version]
+//
+// Index keys are high-entropy, so a shipped key is fixed-width (a
+// varint would average 9–10 bytes); the version appears only when
+// nonzero (initial inserts, the bulk-ingest common case, are version 0).
+// A derived op decodes with key 0 until [`resolve_ops`] derives it.
 impl BatchOp {
-    /// Encodes the compact op format with backend-specific `extra`
-    /// flag bits folded into the flag byte. Bits 0–1 belong to this
-    /// type; `extra` must stay above them (Chord folds its bucket-index
-    /// bit in this way so both backends share one codec).
+    /// Encodes the compact op format with the caller's `extra` flag
+    /// bits folded into the flag byte: only [`BatchOp::FREE_FLAG`] is
+    /// free (Chord folds its bucket-index bit in there so both backends
+    /// share one codec).
     pub fn encode_flagged(&self, extra: u8, buf: &mut BytesMut) {
-        debug_assert!(extra & op_flags::ALL == 0, "extra flags collide with BatchOp's");
+        debug_assert!(extra & !op_flags::FREE == 0, "extra flags collide with BatchOp's");
         let mut flags = extra;
-        if matches!(self.verb, BatchVerb::Delete { .. }) {
-            flags |= op_flags::DELETE;
-        }
         if self.version != 0 {
             flags |= op_flags::VERSIONED;
         }
-        buf.put_u8(flags);
-        buf.put_u64(self.key);
         match self.verb {
-            BatchVerb::Insert { item } => item.encode(buf),
-            BatchVerb::Delete { ident } => ident.encode(buf),
+            BatchVerb::Insert { item, slot: Some(slot) } => {
+                let inline = slot.min(op_flags::SLOT_ESCAPE) as u8;
+                buf.put_u8(flags | op_flags::DERIVED | inline << op_flags::SLOT_SHIFT);
+                item.encode(buf);
+                if let Some(rest) = slot.checked_sub(op_flags::SLOT_ESCAPE) {
+                    rest.encode(buf);
+                }
+            }
+            BatchVerb::Insert { item, slot: None } => {
+                buf.put_u8(flags);
+                buf.put_u64(self.key);
+                item.encode(buf);
+            }
+            BatchVerb::Delete { ident } => {
+                buf.put_u8(flags | op_flags::DELETE);
+                buf.put_u64(self.key);
+                ident.encode(buf);
+            }
         }
         if self.version != 0 {
             self.version.encode(buf);
@@ -648,19 +754,38 @@ impl BatchOp {
 
     /// Decodes the compact op format, returning the op plus whichever
     /// of the caller's `extra_mask` flag bits were set. Flag bits
-    /// neither known to this type nor in `extra_mask` reject the input.
+    /// neither known to this type nor in `extra_mask`, a derived delete
+    /// and a slot on an op that is not derived reject the input.
     pub fn decode_flagged(buf: &mut Bytes, extra_mask: u8) -> Result<(Self, u8), WireError> {
         let flags = u8::decode(buf)?;
-        if flags & !(op_flags::ALL | extra_mask) != 0 {
+        let extra_mask = extra_mask & op_flags::FREE;
+        let derived = flags & op_flags::DERIVED != 0;
+        let inline = (flags >> op_flags::SLOT_SHIFT) as u32;
+        if flags & !(op_flags::OWN | extra_mask) != 0
+            || (derived && flags & op_flags::DELETE != 0)
+            || (!derived && inline != 0)
+        {
             return Err(WireError::BadTag(flags));
         }
-        if buf.remaining() < 8 {
-            return Err(WireError::UnexpectedEof);
-        }
-        let key = buf.get_u64();
-        let verb = match flags & op_flags::DELETE != 0 {
-            false => BatchVerb::Insert { item: Wire::decode(buf)? },
-            true => BatchVerb::Delete { ident: Wire::decode(buf)? },
+        let key = match derived {
+            true => 0,
+            false if buf.remaining() < 8 => return Err(WireError::UnexpectedEof),
+            false => buf.get_u64(),
+        };
+        let verb = match (derived, flags & op_flags::DELETE != 0) {
+            (true, _) => {
+                let item = Wire::decode(buf)?;
+                let slot = if inline == op_flags::SLOT_ESCAPE {
+                    let rest = u32::decode(buf)?;
+                    let slot = rest.checked_add(op_flags::SLOT_ESCAPE);
+                    slot.ok_or(WireError::BadLength(u64::from(rest) + 15))?
+                } else {
+                    inline
+                };
+                BatchVerb::Insert { item, slot: Some(slot) }
+            }
+            (false, false) => BatchVerb::Insert { item: Wire::decode(buf)?, slot: None },
+            (false, true) => BatchVerb::Delete { ident: Wire::decode(buf)? },
         };
         let version = match flags & op_flags::VERSIONED != 0 {
             true => u64::decode(buf)?,
@@ -680,11 +805,15 @@ impl Wire for BatchOp {
     }
 
     fn wire_size(&self) -> usize {
-        let payload = match self.verb {
-            BatchVerb::Insert { item } => item.wire_size(),
-            BatchVerb::Delete { ident } => ident.wire_size(),
+        let tag = match self.verb {
+            BatchVerb::Insert { item, slot: Some(slot) } => {
+                let rest = slot.checked_sub(op_flags::SLOT_ESCAPE);
+                1 + item.wire_size() + rest.map_or(0, |r| r.wire_size())
+            }
+            BatchVerb::Insert { item, slot: None } => 1 + 8 + item.wire_size(),
+            BatchVerb::Delete { ident } => 1 + 8 + ident.wire_size(),
         };
-        1 + 8 + payload + if self.version != 0 { self.version.wire_size() } else { 0 }
+        tag + if self.version != 0 { self.version.wire_size() } else { 0 }
     }
 }
 
@@ -698,16 +827,8 @@ impl<I: Item> Wire for OpBatch<I> {
 
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
         let items = I::decode_list(buf)?;
-        let ops: Vec<BatchOp> = Wire::decode(buf)?;
-        // Reject dangling payload references up front so handlers can
-        // index the item table without per-op bounds checks.
-        for op in &ops {
-            if let BatchVerb::Insert { item } = op.verb {
-                if item as usize >= items.len() {
-                    return Err(WireError::BadLength(item as u64));
-                }
-            }
-        }
+        let mut ops: Vec<BatchOp> = Wire::decode(buf)?;
+        resolve_ops(&items, &mut ops)?;
         Ok(OpBatch { items, ops })
     }
 
@@ -802,10 +923,22 @@ mod tests {
         assert_eq!(c.bytes.as_ptr(), s.bytes.as_ptr());
     }
 
-    /// Strings as batch payloads, on the default list hooks.
+    thread_local! {
+        /// `String::slot_keys` calls on this thread.
+        static DERIVATIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// Strings as batch payloads, on the default list hooks. A string
+    /// has one index key per byte plus three, each its hash plus the
+    /// slot, so long strings reach slots past the inline ones.
     impl Item for String {
         fn ident(&self) -> u64 {
             crate::fxhash::hash_bytes(self.as_bytes())
+        }
+
+        fn slot_keys(&self, keys: &mut Vec<u64>) {
+            DERIVATIONS.with(|n| n.set(n.get() + 1));
+            keys.extend((0..self.len() as u64 + 3).map(|slot| self.ident().wrapping_add(slot)));
         }
     }
 
@@ -817,6 +950,11 @@ mod tests {
         b.push_insert(20, a, 0);
         b.push_insert(30, z, 2);
         b.push_delete(40, 0xDEAD, 3);
+        let long = b.add_item("x".repeat(400));
+        for (slot, version) in [(0, 0), (1, 7), (14, 0), (15, 0), (16, 1), (142, 0), (402, 9)] {
+            let key = b.items[long as usize].slot_key(slot).unwrap();
+            b.push_derived(key, long, slot, version);
+        }
         b
     }
 
@@ -832,6 +970,53 @@ mod tests {
     }
 
     #[test]
+    fn a_decoder_derives_each_payload_s_keys_once() {
+        let mut b: OpBatch<String> = OpBatch::new();
+        let (x, y) = (b.add_item("x".repeat(300)), b.add_item("y".repeat(300)));
+        b.add_item("never named by slot".to_string());
+        b.push_insert(1, 2, 0);
+        // Interleaved, unlike the batches the cluster builds.
+        for slot in 0..300 {
+            for item in [x, y] {
+                let key = b.items[item as usize].slot_key(slot).unwrap();
+                b.push_derived(key, item, slot, 0);
+            }
+        }
+        let bytes = b.to_bytes();
+        DERIVATIONS.with(|n| n.set(0));
+        assert_eq!(OpBatch::<String>::from_bytes(&bytes).unwrap(), b);
+        assert_eq!(DERIVATIONS.with(|n| n.get()), 2, "once per payload named by slot");
+    }
+
+    #[test]
+    fn a_derived_op_ships_its_slot_not_its_key() {
+        let derived = |slot, version| BatchOp {
+            key: u64::MAX,
+            version,
+            verb: BatchVerb::Insert { item: 3, slot: Some(slot) },
+        };
+        // Flag byte (slot inline) and item; the escape adds the rest.
+        for (op, size) in [
+            (derived(0, 0), 2),
+            (derived(14, 0), 2),
+            (derived(15, 0), 3),
+            (derived(15 + 127, 0), 3),
+            (derived(15 + 128, 0), 4),
+            (derived(2, 300), 4),
+        ] {
+            let bytes = op.to_bytes();
+            assert_eq!(bytes.len(), size, "{op:?}");
+            assert_eq!(op.wire_size(), size);
+            let back = BatchOp::from_bytes(&bytes).unwrap();
+            assert_eq!(back, BatchOp { key: 0, ..op }, "the key waits for its payload");
+        }
+        let explicit =
+            BatchOp { key: 1, version: 0, verb: BatchVerb::Insert { item: 3, slot: None } };
+        assert_eq!(explicit.wire_size(), 10, "flag, fixed key, item");
+        assert_eq!(std::mem::size_of::<BatchOp>(), 32, "the slot costs no memory");
+    }
+
+    #[test]
     fn op_batch_shares_payload_bytes() {
         // Two ops referencing one item must not double the payload.
         let mut one = OpBatch::new();
@@ -840,32 +1025,110 @@ mod tests {
         let mut two = one.clone();
         two.push_insert(2, i, 0);
         let op_size =
-            BatchOp { key: 2, version: 0, verb: BatchVerb::Insert { item: i } }.wire_size();
+            BatchOp { key: 2, version: 0, verb: BatchVerb::Insert { item: i, slot: None } }
+                .wire_size();
         assert_eq!(two.wire_size(), one.wire_size() + op_size, "second op adds only a key tag");
     }
 
     #[test]
     fn op_batch_subset_reindexes_items() {
         let b = sample_batch();
+        let insert = |item, slot| BatchVerb::Insert { item, slot };
         // Ops 2 and 3 reference only "zeta" (and a delete).
         let sub = b.subset(&[2, 3]);
         assert_eq!(sub.items, vec!["zeta".to_string()], "unreferenced payloads dropped");
         assert_eq!(sub.ops.len(), 2);
-        assert_eq!(sub.ops[0].verb, BatchVerb::Insert { item: 0 }, "index remapped");
+        assert_eq!(sub.ops[0].verb, insert(0, None), "index remapped");
         assert_eq!(sub.ops[1].verb, BatchVerb::Delete { ident: 0xDEAD });
         // A subset referencing one item twice carries it once.
         let sub = b.subset(&[0, 1]);
         assert_eq!(sub.items.len(), 1);
-        assert_eq!(sub.ops[0].verb, BatchVerb::Insert { item: 0 });
-        assert_eq!(sub.ops[1].verb, BatchVerb::Insert { item: 0 });
+        assert_eq!(sub.ops[0].verb, insert(0, None));
+        assert_eq!(sub.ops[1].verb, insert(0, None));
+        // A derived op keeps its slot, and its key resolves again.
+        let sub = b.subset(&[7, 3]);
+        assert_eq!(sub.ops[0].verb, insert(0, Some(15)));
+        assert_eq!(OpBatch::<String>::from_bytes(&sub.to_bytes()).unwrap(), sub);
+    }
+
+    /// A batch with one payload and one op, encoded.
+    fn one_op(op: BatchOp) -> Vec<u8> {
+        let mut b: OpBatch<String> = OpBatch::new();
+        b.add_item("abc".to_string());
+        b.ops.push(op);
+        b.to_bytes().to_vec()
+    }
+
+    fn reject(bytes: Vec<u8>) -> WireError {
+        OpBatch::<String>::from_bytes(&Bytes::from(bytes)).expect_err("hostile batch decoded")
     }
 
     #[test]
     fn op_batch_rejects_dangling_item_reference() {
-        let mut b: OpBatch<String> = OpBatch::new();
-        b.ops.push(BatchOp { key: 1, version: 0, verb: BatchVerb::Insert { item: 5 } });
-        let bytes = b.to_bytes();
-        assert!(matches!(OpBatch::<String>::from_bytes(&bytes), Err(WireError::BadLength(5))));
+        for slot in [None, Some(0)] {
+            let op = BatchOp { key: 1, version: 0, verb: BatchVerb::Insert { item: 5, slot } };
+            assert_eq!(reject(one_op(op)), WireError::BadLength(5));
+        }
+    }
+
+    #[test]
+    fn op_batch_rejects_a_slot_its_payload_lacks() {
+        // "abc" has slots 0..6: the last inline one and an escaped one.
+        for slot in [6, 14, 15, 1000] {
+            let op = BatchOp {
+                key: 0,
+                version: 0,
+                verb: BatchVerb::Insert { item: 0, slot: Some(slot) },
+            };
+            assert_eq!(reject(one_op(op)), WireError::BadLength(slot as u64));
+        }
+    }
+
+    #[test]
+    fn op_batch_rejects_hostile_flags() {
+        let derived =
+            BatchOp { key: 0, version: 0, verb: BatchVerb::Insert { item: 0, slot: Some(2) } };
+        let bytes = one_op(derived);
+        // items: count, "abc"; ops: count, flags at byte 6, item.
+        let at = bytes.len() - 2;
+        assert_eq!(bytes[at], op_flags::DERIVED | 2 << op_flags::SLOT_SHIFT);
+        let with = |flags: u8| {
+            let mut b = bytes.clone();
+            b[at] = flags;
+            b
+        };
+        // The derived flag on a delete.
+        let flags = op_flags::DERIVED | op_flags::DELETE;
+        assert_eq!(reject(with(flags)), WireError::BadTag(flags));
+        // A slot on an op that ships its key.
+        let explicit =
+            BatchOp { key: 0, version: 0, verb: BatchVerb::Insert { item: 0, slot: None } };
+        let mut b = one_op(explicit);
+        let at = b.len() - 10;
+        assert_eq!(b[at], 0);
+        b[at] = 1 << op_flags::SLOT_SHIFT;
+        assert_eq!(reject(b), WireError::BadTag(1 << op_flags::SLOT_SHIFT));
+        // The caller's free bit, which a plain batch does not take.
+        let flags = op_flags::DERIVED | op_flags::FREE;
+        assert_eq!(reject(with(flags)), WireError::BadTag(flags));
+        // An escaped slot whose varint overflows: past u32, and past
+        // u32 once the 15 inline slots are added.
+        for rest in [u64::from(u32::MAX) + 1, u64::from(u32::MAX)] {
+            let mut b =
+                with(op_flags::DERIVED | (op_flags::SLOT_ESCAPE as u8) << op_flags::SLOT_SHIFT);
+            let mut tail = BytesMut::new();
+            put_varint(&mut tail, rest);
+            b.extend_from_slice(&tail);
+            assert!(matches!(reject(b), WireError::BadLength(_)), "rest {rest}");
+        }
+    }
+
+    #[test]
+    fn every_truncation_of_a_derived_batch_is_rejected() {
+        let full = sample_batch().to_bytes();
+        for cut in 0..full.len() {
+            assert!(OpBatch::<String>::from_bytes(&full.slice(..cut)).is_err(), "cut at {cut}");
+        }
     }
 
     #[test]

@@ -274,6 +274,24 @@ fn sample_triple_batch() -> OpBatch<Triple> {
     b
 }
 
+/// A batch whose inserts name their keys by slot, as the cluster's
+/// write batches do: every key of each of [`sample_triples`] — the
+/// three primary keys, then a string value's q-grams, past the slots
+/// the flag byte holds — plus an explicit insert and a delete.
+fn sample_derived_batch() -> OpBatch<Triple> {
+    let mut b = OpBatch::new();
+    for (version, t) in (0u64..).zip(sample_triples()) {
+        let i = b.add_item(t);
+        let keys = (0..).map_while(|slot| Some((slot, b.items[i as usize].slot_key(slot)?)));
+        for (slot, key) in keys.collect::<Vec<_>>() {
+            b.push_derived(key, i, slot, version % 3);
+        }
+    }
+    b.push_insert(200, 1, 3);
+    b.push_delete(13, 0xFEED, 2);
+    b
+}
+
 fn sample_peers() -> Vec<PeerRef> {
     let path = unistore_util::BitPath::parse("0110").expect("static path");
     vec![
@@ -350,6 +368,13 @@ impl FuzzSeeds for PGridMsg<Triple> {
                 hops: 2,
                 positions: (0..sample_triple_batch().len() as u32).collect(),
                 batch: sample_triple_batch(),
+            },
+            PGridMsg::OpBatch {
+                qid: 15,
+                origin: NodeId(5),
+                hops: 1,
+                positions: (0..sample_derived_batch().len() as u32).collect(),
+                batch: sample_derived_batch(),
             },
             PGridMsg::BatchAck { qid: 12, applied: vec![7, 157, 307], hops: 4 },
             PGridMsg::Range {
@@ -438,6 +463,7 @@ impl FuzzSeeds for ChordMsg<Triple> {
     fn seeds() -> Vec<Self> {
         let t = Triple::new("o2", "age", Value::Int(30));
         let batch = sample_triple_batch();
+        let derived = sample_derived_batch();
         vec![
             ChordMsg::Lookup {
                 qid: 1,
@@ -457,7 +483,11 @@ impl FuzzSeeds for ChordMsg<Triple> {
                 ops: vec![ChordBatchOp {
                     bucket: false,
                     idx: 0,
-                    op: BatchOp { key: 700, version: 0, verb: BatchVerb::Insert { item: 0 } },
+                    op: BatchOp {
+                        key: 700,
+                        version: 0,
+                        verb: BatchVerb::Insert { item: 0, slot: None },
+                    },
                 }],
             },
             ChordMsg::OpBatch {
@@ -471,6 +501,20 @@ impl FuzzSeeds for ChordMsg<Triple> {
                     .into_iter()
                     .enumerate()
                     .map(|(i, op)| ChordBatchOp { bucket: i % 2 == 1, idx: i as u32, op })
+                    .collect(),
+            },
+            ChordMsg::OpBatch {
+                qid: 10,
+                origin: NodeId(3),
+                hops: 2,
+                attempt: 1,
+                items: derived.items,
+                ops: derived
+                    .ops
+                    .into_iter()
+                    .flat_map(|op| [false, true].map(|bucket| (bucket, op)))
+                    .enumerate()
+                    .map(|(i, (bucket, op))| ChordBatchOp { bucket, idx: i as u32, op })
                     .collect(),
             },
             ChordMsg::BatchAck { qid: 8, applied: vec![0, 1], hops: 3 },
@@ -596,7 +640,7 @@ impl FuzzSeeds for UniMsg<ChordMsg<Triple>> {
 
 impl FuzzSeeds for OpBatch<Triple> {
     fn seeds() -> Vec<Self> {
-        vec![OpBatch::new(), sample_batch(), sample_triple_batch()]
+        vec![OpBatch::new(), sample_batch(), sample_triple_batch(), sample_derived_batch()]
     }
 }
 
