@@ -28,6 +28,9 @@ pub struct Report {
     pub files: usize,
     /// Allowlist entries in force.
     pub allow_entries: usize,
+    /// Lines of non-test code per crate directory (`crates/<name>`),
+    /// ascending by directory ([`Source::code_lines`]).
+    pub code_lines: Vec<(String, usize)>,
 }
 
 impl Report {
@@ -78,12 +81,25 @@ pub fn run(root: &Path) -> Report {
         }
     }
 
+    let mut code_lines: Vec<(String, usize)> = Vec::new();
+    for src in &sources {
+        let Some(krate) = src.path.strip_prefix("crates/").and_then(|p| p.split('/').next()) else {
+            continue;
+        };
+        let krate = format!("crates/{krate}");
+        match code_lines.last_mut() {
+            Some((last, n)) if *last == krate => *n += src.code_lines(),
+            _ => code_lines.push((krate, src.code_lines())),
+        }
+    }
+
     Report {
         findings: unsuppressed,
         suppressed,
         errors,
         files: sources.len(),
         allow_entries: entries.len(),
+        code_lines,
     }
 }
 
@@ -218,6 +234,9 @@ pub fn render(report: &Report, verbose: bool, out: &mut dyn std::io::Write) -> s
     if verbose {
         for (f, why) in &report.suppressed {
             writeln!(out, "allowed {}:{}: [{}] — {}", f.file, f.line, f.rule, why)?;
+        }
+        for (krate, n) in &report.code_lines {
+            writeln!(out, "code lines {krate}: {n}")?;
         }
     }
     writeln!(

@@ -68,6 +68,13 @@ impl Source {
         String::from_utf8_lossy(&out).into_owned()
     }
 
+    /// Lines of code outside tests: lines of the masked non-test text
+    /// with anything but whitespace left on them, so comments and blank
+    /// lines never count.
+    pub fn code_lines(&self) -> usize {
+        self.masked_non_test().lines().filter(|l| !l.trim().is_empty()).count()
+    }
+
     /// Masked text of the test portions only (non-test bytes blanked).
     pub fn masked_test_only(&self) -> String {
         let mut out: Vec<u8> = vec![b' '; self.masked.len()];
@@ -444,6 +451,23 @@ mod tests {
         assert_eq!(bodies.len(), 2);
         assert!(src[bodies[0].0..bodies[0].1].contains("body1"));
         assert!(src[bodies[1].0..bodies[1].1].contains("body2"));
+    }
+
+    #[test]
+    fn code_lines_skip_comments_blanks_and_tests() {
+        let src =
+            "//! Doc.\n\n/// A fn.\nfn live() {\n    let s = \"// not a comment\"; /* note */\n}\n\
+                   /* a\n   block */\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\n";
+        let s = Source::new("crates/x/src/a.rs".into(), src.into());
+        assert_eq!(s.code_lines(), 3, "fn live, its let, its brace");
+        let bare: String = src
+            .lines()
+            .filter(|l| !l.trim_start().starts_with("//"))
+            .collect::<Vec<_>>()
+            .join("\n");
+        let bare = Source::new("crates/x/src/a.rs".into(), bare);
+        assert_eq!(bare.code_lines(), 3, "deleting comments does not lower the count");
+        assert_eq!(Source::new("tests/t.rs".into(), src.into()).code_lines(), 0);
     }
 
     #[test]

@@ -87,6 +87,10 @@ pub enum ChordMsg<I> {
     LookupReply {
         /// Correlation id.
         qid: QueryId,
+        /// The bucket a multi-bucket scan asked for, echoed from its
+        /// [`ChordMsg::BucketGet`] (`None` for every other read, whose
+        /// reply ships the bytes it always did).
+        part: Option<u32>,
         /// Items found.
         items: Vec<I>,
         /// Hops the request took.
@@ -145,6 +149,9 @@ pub enum ChordMsg<I> {
     BucketGet {
         /// Correlation id.
         qid: QueryId,
+        /// Which bucket of a multi-bucket scan this is, for the reply to
+        /// name (`None` for a single-bucket read).
+        part: Option<u32>,
         /// Ring position of the bucket.
         ring_key: u64,
         /// Inclusive bounds on original keys.
@@ -240,6 +247,10 @@ mod tag {
     pub const PONG: u8 = 16;
     pub const DOWN: u8 = 17;
     pub const WATCHERS: u8 = 18;
+    /// [`super::ChordMsg::LookupReply`] naming its part.
+    pub const PART_REPLY: u8 = 19;
+    /// [`super::ChordMsg::BucketGet`] naming its part.
+    pub const PART_GET: u8 = 20;
 }
 
 impl<I: Item> Wire for ChordMsg<I> {
@@ -253,9 +264,8 @@ impl<I: Item> Wire for ChordMsg<I> {
                 hops.encode(buf);
                 filter.encode(buf);
             }
-            ChordMsg::LookupReply { qid, items, hops, ok } => {
-                tag::LOOKUP_REPLY.encode(buf);
-                qid.encode(buf);
+            ChordMsg::LookupReply { qid, part, items, hops, ok } => {
+                put_head(tag::LOOKUP_REPLY, tag::PART_REPLY, *qid, *part, buf);
                 I::encode_list(items, buf);
                 hops.encode(buf);
                 ok.encode(buf);
@@ -282,9 +292,8 @@ impl<I: Item> Wire for ChordMsg<I> {
                 hi.encode(buf);
                 origin.encode(buf);
             }
-            ChordMsg::BucketGet { qid, ring_key, lo, hi, origin, hops, filter } => {
-                tag::BUCKET_GET.encode(buf);
-                qid.encode(buf);
+            ChordMsg::BucketGet { qid, part, ring_key, lo, hi, origin, hops, filter } => {
+                put_head(tag::BUCKET_GET, tag::PART_GET, *qid, *part, buf);
                 ring_key.encode(buf);
                 lo.encode(buf);
                 hi.encode(buf);
@@ -339,8 +348,9 @@ impl<I: Item> Wire for ChordMsg<I> {
                 hops: Wire::decode(buf)?,
                 filter: Wire::decode(buf)?,
             },
-            tag::LOOKUP_REPLY => ChordMsg::LookupReply {
+            tag::LOOKUP_REPLY | tag::PART_REPLY => ChordMsg::LookupReply {
                 qid: Wire::decode(buf)?,
+                part: (t == tag::PART_REPLY).then(|| u32::decode(buf)).transpose()?,
                 items: I::decode_list(buf)?,
                 hops: Wire::decode(buf)?,
                 ok: Wire::decode(buf)?,
@@ -366,8 +376,9 @@ impl<I: Item> Wire for ChordMsg<I> {
                 hi: Wire::decode(buf)?,
                 origin: Wire::decode(buf)?,
             },
-            tag::BUCKET_GET => ChordMsg::BucketGet {
+            tag::BUCKET_GET | tag::PART_GET => ChordMsg::BucketGet {
                 qid: Wire::decode(buf)?,
+                part: (t == tag::PART_GET).then(|| u32::decode(buf)).transpose()?,
                 ring_key: Wire::decode(buf)?,
                 lo: Wire::decode(buf)?,
                 hi: Wire::decode(buf)?,
@@ -410,8 +421,8 @@ impl<I: Item> Wire for ChordMsg<I> {
                     + hops.wire_size()
                     + filter.wire_size()
             }
-            ChordMsg::LookupReply { qid, items, hops, ok } => {
-                qid.wire_size() + I::list_wire_size(items) + hops.wire_size() + ok.wire_size()
+            ChordMsg::LookupReply { qid, part, items, hops, ok } => {
+                head_len(*qid, *part) + I::list_wire_size(items) + hops.wire_size() + ok.wire_size()
             }
             ChordMsg::OpBatch { qid, origin, hops, attempt, items, ops } => {
                 qid.wire_size()
@@ -427,8 +438,8 @@ impl<I: Item> Wire for ChordMsg<I> {
             ChordMsg::BucketRange { qid, lo, hi, origin } => {
                 qid.wire_size() + lo.wire_size() + hi.wire_size() + origin.wire_size()
             }
-            ChordMsg::BucketGet { qid, ring_key, lo, hi, origin, hops, filter } => {
-                qid.wire_size()
+            ChordMsg::BucketGet { qid, part, ring_key, lo, hi, origin, hops, filter } => {
+                head_len(*qid, *part)
                     + ring_key.wire_size()
                     + lo.wire_size()
                     + hi.wire_size()
@@ -454,6 +465,21 @@ impl<I: Item> Wire for ChordMsg<I> {
             ChordMsg::Watchers { watchers } => list_size(watchers),
         }
     }
+}
+
+/// Writes a read's tag and query id: `plain`, or `named` followed by the
+/// part number when there is one, so only a multi-bucket scan's fetches
+/// and replies pay for naming their bucket.
+fn put_head(plain: u8, named: u8, qid: QueryId, part: Option<u32>, buf: &mut BytesMut) {
+    part.map_or(plain, |_| named).encode(buf);
+    qid.encode(buf);
+    if let Some(part) = part {
+        part.encode(buf);
+    }
+}
+
+fn head_len(qid: QueryId, part: Option<u32>) -> usize {
+    qid.wire_size() + part.map_or(0, |p| p.wire_size())
 }
 
 /// A watcher set off the wire: at most [`WATCHERS_MAX`] ids, strictly
@@ -503,7 +529,14 @@ mod tests {
                     bloom: unistore_util::BloomFilter::from_hashes([1u64, 2, 3], 0.01),
                 }),
             },
-            ChordMsg::LookupReply { qid: 1, items: items.clone(), hops: 4, ok: true },
+            ChordMsg::LookupReply { qid: 1, part: None, items: items.clone(), hops: 4, ok: true },
+            ChordMsg::LookupReply {
+                qid: 1,
+                part: Some(300),
+                items: items.clone(),
+                hops: 4,
+                ok: false,
+            },
             ChordMsg::OpBatch {
                 qid: 8,
                 origin: NodeId(3),
@@ -531,6 +564,17 @@ mod tests {
             ChordMsg::BucketRange { qid: 3, lo: 10, hi: 90, origin: NodeId(1) },
             ChordMsg::BucketGet {
                 qid: 3,
+                part: None,
+                ring_key: 55,
+                lo: 10,
+                hi: 90,
+                origin: NodeId(1),
+                hops: 2,
+                filter: None,
+            },
+            ChordMsg::BucketGet {
+                qid: 3,
+                part: Some(7),
                 ring_key: 55,
                 lo: 10,
                 hi: 90,
@@ -598,8 +642,48 @@ mod tests {
     }
 
     #[test]
+    fn only_a_multi_bucket_scan_s_reads_name_their_part() {
+        let get = |part| ChordMsg::<RawItem>::BucketGet {
+            qid: 3,
+            part,
+            ring_key: 55,
+            lo: 10,
+            hi: 90,
+            origin: NodeId(1),
+            hops: 2,
+            filter: None,
+        };
+        let reply = |part| ChordMsg::LookupReply {
+            qid: 3,
+            part,
+            items: vec![RawItem(1)],
+            hops: 2,
+            ok: true,
+        };
+        let k = 300u32.wire_size();
+        for (plain, named, tags) in [
+            (get(None), get(Some(300)), (tag::BUCKET_GET, tag::PART_GET)),
+            (reply(None), reply(Some(300)), (tag::LOOKUP_REPLY, tag::PART_REPLY)),
+        ] {
+            let (plain, named) = (plain.to_bytes(), named.to_bytes());
+            assert_eq!((plain[0], named[0]), tags);
+            assert_eq!(
+                &named[2 + k..],
+                &plain[2..],
+                "the part follows the query id, nothing else moves"
+            );
+        }
+    }
+
+    #[test]
     fn edge_values_roundtrip() {
-        roundtrip(ChordMsg::LookupReply { qid: u64::MAX, items: vec![], hops: 0, ok: false });
+        roundtrip(ChordMsg::LookupReply {
+            qid: u64::MAX,
+            part: Some(u32::MAX),
+            items: vec![],
+            hops: 0,
+            ok: false,
+        });
         roundtrip(ChordMsg::OpBatch {
             qid: 0,
             origin: NodeId(u32::MAX - 1),

@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 
 use unistore_overlay::liveness::{Suspicion, DEADLINE};
 use unistore_overlay::repair::ReplicaRepair;
-use unistore_overlay::{push_hop, BatchTracker, HopGroups, OverlayDone, Record};
+use unistore_overlay::{push_hop, HopGroups, OverlayDone, PartTracker, Record};
 use unistore_simnet::{Effects, NodeBehavior, NodeId, SimTime, Timer};
 use unistore_util::fxhash::mix64;
 use unistore_util::rng::{derive_rng, stream};
@@ -43,10 +43,10 @@ pub struct ChordConfig {
     pub bucket_depth: u8,
     /// Deadline for driver-issued operations.
     pub query_timeout: SimTime,
-    /// How many times the origin retransmits a timed-out batch before
-    /// reporting failure (only the un-acked remainder is re-sent, see
-    /// `unistore_overlay::BatchTracker`). Same name and default as
-    /// P-Grid's knob.
+    /// How many times the origin re-issues a timed-out lookup, bucket
+    /// scan or batch before reporting failure (only the unanswered parts
+    /// are re-sent, see `unistore_overlay::PartTracker`). Same name and
+    /// default as P-Grid's knob.
     pub op_retries: u32,
     /// Push applied writes to the successor replica and repair missed
     /// pushes with periodic hash-tree anti-entropy (the same exchange
@@ -105,32 +105,31 @@ mod timer {
     pub const CONFIRM: u32 = 5;
 }
 
+/// A driver-issued operation, or a hint replay, awaiting completion at
+/// the origin: which of its parts are answered, and what it asked for,
+/// kept so a timed-out attempt can re-issue its unanswered parts.
 #[derive(Debug)]
-enum Pending<I> {
-    Lookup,
-    /// Batched writes awaiting positional acks for every op. The full
-    /// op set is kept so a timed-out batch can retransmit exactly the
-    /// un-acked remainder (re-application is idempotent under the
-    /// versioned store); the tracker marks ops by their position in the
-    /// original list.
-    Batch {
-        items: Vec<I>,
-        ops: Vec<ChordBatchOp>,
-        tracker: BatchTracker,
-    },
+struct Pending<I> {
+    tracker: PartTracker,
+    op: Op<I>,
+}
+
+/// What a pending operation asked for.
+#[derive(Debug)]
+pub(crate) enum Op<I> {
+    /// An exact lookup, or a single-bucket read (`range`): one part.
+    Lookup { ring_key: u64, range: Option<(Key, Key)>, filter: Option<ItemFilter> },
+    /// A bucket scan of `[lo, hi]`: part `i` is the `i`-th bucket the
+    /// interval meets.
+    Buckets { lo: Key, hi: Key, filter: Option<ItemFilter>, items: Vec<I>, failed: bool },
+    /// Batched writes, one part per op position. The full op set is
+    /// kept so a timed-out batch can retransmit exactly the un-acked
+    /// remainder (re-application is idempotent under the versioned
+    /// store).
+    Batch { items: Vec<I>, ops: Vec<ChordBatchOp> },
     /// An internal replay of the first `held` hints: they leave the
     /// table once acked, and stay for the next tick otherwise.
-    Replay {
-        held: usize,
-        tracker: BatchTracker,
-    },
-    Buckets {
-        expected: u32,
-        received: u32,
-        items: Vec<I>,
-        hops: u32,
-        failed: bool,
-    },
+    Replay { held: usize },
 }
 
 /// Convergecast state of one broadcast branch.
@@ -193,8 +192,6 @@ pub struct ChordNode<I: Item> {
     pending: FxHashMap<QueryId, Pending<I>>,
     bcast: FxHashMap<QueryId, BcastState<I>>,
     rng: StdRng,
-    /// Messages handled, for load accounting.
-    pub msg_load: u64,
     /// Exact-key reads dispatched via the exact index (`[0]`) vs. the
     /// bucket mirror (`[1]`); drives replica-aware read balancing.
     pub(crate) reads_via: [u64; 2],
@@ -236,7 +233,6 @@ impl<I: Item> ChordNode<I> {
             pending: FxHashMap::default(),
             bcast: FxHashMap::default(),
             rng: derive_rng(seed, stream::NODE_BASE + id.0 as u64),
-            msg_load: 0,
             reads_via: [0, 0],
             liveness: Suspicion::default(),
             hints: Vec::new(),
@@ -330,8 +326,22 @@ impl<I: Item> ChordNode<I> {
         self.successor.0
     }
 
-    fn register(&mut self, fx: &mut Fx<I>, qid: QueryId, p: Pending<I>) {
-        self.pending.insert(qid, p);
+    /// Registers a pending operation of `parts` parts and arms its
+    /// timeout.
+    fn register(&mut self, fx: &mut Fx<I>, qid: QueryId, parts: usize, op: Op<I>) {
+        self.pending.insert(qid, Pending { tracker: PartTracker::new(parts), op });
+        self.arm(qid, fx);
+    }
+
+    /// Registers an operation of `parts` parts at its origin and sends
+    /// them all.
+    pub(crate) fn start(&mut self, fx: &mut Fx<I>, qid: QueryId, parts: usize, op: Op<I>) {
+        self.register(fx, qid, parts, op);
+        let all: Vec<(usize, Option<NodeId>)> = (0..parts).map(|i| (i, None)).collect();
+        self.issue(qid, &all, fx);
+    }
+
+    fn arm(&self, qid: QueryId, fx: &mut Fx<I>) {
         fx.set_timer(self.cfg.query_timeout, Timer::new(timer::QUERY_TIMEOUT, qid));
     }
 
@@ -451,21 +461,23 @@ impl<I: Item> ChordNode<I> {
         }
     }
 
+    /// Routes a read one step toward ring position `ring_key` — an exact
+    /// lookup, or a bucket read of `range` — passing over `avoid`; the
+    /// owner answers the origin, naming `part`. The origin notes the hop
+    /// the read leaves through, for a retry to go around.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn handle_lookup(
+    fn route_read(
         &mut self,
-        from: NodeId,
         qid: QueryId,
+        part: Option<u32>,
         ring_key: u64,
         origin: NodeId,
         hops: u32,
         range: Option<(Key, Key)>,
         filter: Option<ItemFilter>,
+        avoid: Option<NodeId>,
         fx: &mut Fx<I>,
     ) {
-        if from == NodeId::EXTERNAL && origin == self.id {
-            self.register(fx, qid, Pending::Lookup);
-        }
         if self.responsible(ring_key) {
             // Semi-join pushdown: drop non-matching items at the data,
             // before they are ever cloned out of the store.
@@ -473,32 +485,35 @@ impl<I: Item> ChordNode<I> {
                 None => self.store.lookup(ring_key, &filter),
                 Some((lo, hi)) => self.store.scan_bucket(ring_key, lo, hi, &filter),
             };
-            self.answer_lookup(qid, origin, items, hops, true, fx);
-        } else {
-            let next = self.next_hop(ring_key, None);
-            // The owner itself is suspected dead: no detour can reach
-            // the data, so fail fast — the origin's retry chain can
-            // try the other index mirror now instead of waiting out
-            // the op timeout.
-            if self.liveness.is_suspected(next)
-                && in_open_closed(self.ring_id, self.successor.1, ring_key)
-            {
-                self.answer_lookup(qid, origin, Vec::new(), hops, false, fx);
-                return;
-            }
-            let msg = match range {
-                None => ChordMsg::Lookup { qid, ring_key, origin, hops: hops + 1, filter },
-                Some((lo, hi)) => {
-                    ChordMsg::BucketGet { qid, ring_key, lo, hi, origin, hops: hops + 1, filter }
-                }
-            };
-            fx.send(next, msg);
+            return self.answer_read(qid, part, origin, items, hops, true, fx);
         }
+        let next = self.next_hop(ring_key, avoid);
+        // The owner itself is suspected dead: no detour can reach the
+        // data, so fail fast — the origin's retry chain can try the
+        // other index mirror now instead of waiting out the op timeout.
+        if self.liveness.is_suspected(next)
+            && in_open_closed(self.ring_id, self.successor.1, ring_key)
+        {
+            return self.answer_read(qid, part, origin, Vec::new(), hops, false, fx);
+        }
+        if let Some(p) = self.pending.get_mut(&qid).filter(|_| origin == self.id) {
+            p.tracker.left_through(part.unwrap_or(0) as usize, Some(next));
+        }
+        let hops = hops + 1;
+        let msg = match range {
+            None => ChordMsg::Lookup { qid, ring_key, origin, hops, filter },
+            Some((lo, hi)) => {
+                ChordMsg::BucketGet { qid, part, ring_key, lo, hi, origin, hops, filter }
+            }
+        };
+        fx.send(next, msg);
     }
 
-    fn answer_lookup(
+    #[allow(clippy::too_many_arguments)]
+    fn answer_read(
         &mut self,
         qid: QueryId,
+        part: Option<u32>,
         origin: NodeId,
         items: Vec<I>,
         hops: u32,
@@ -506,35 +521,38 @@ impl<I: Item> ChordNode<I> {
         fx: &mut Fx<I>,
     ) {
         if origin == self.id {
-            self.handle_lookup_reply(qid, items, hops, ok, fx);
+            self.handle_lookup_reply(qid, part, items, hops, ok, fx);
         } else {
-            fx.send(origin, ChordMsg::LookupReply { qid, items, hops, ok });
+            fx.send(origin, ChordMsg::LookupReply { qid, part, items, hops, ok });
         }
     }
 
+    /// Folds a read's answer at the origin. A lookup completes with it,
+    /// an explicit failure included: a suspected owner is terminal, and
+    /// the origin's retry chain tries the other index mirror. A bucket
+    /// scan marks the bucket the reply names, once.
     fn handle_lookup_reply(
         &mut self,
         qid: QueryId,
-        reply_items: Vec<I>,
+        part: Option<u32>,
+        mut reply_items: Vec<I>,
         reply_hops: u32,
         ok: bool,
         fx: &mut Fx<I>,
     ) {
+        let part = part.unwrap_or(0);
         match self.pending.get_mut(&qid) {
-            Some(Pending::Lookup) => {
+            Some(Pending { op: Op::Lookup { .. }, .. }) => {
                 self.pending.remove(&qid);
                 fx.emit(OverlayDone::Lookup { qid, items: reply_items, hops: reply_hops, ok });
             }
-            Some(Pending::Buckets { expected, received, items, hops, failed }) => {
-                *received += 1;
-                items.extend(reply_items);
-                *hops = (*hops).max(reply_hops);
+            Some(Pending { tracker, op: Op::Buckets { items, failed, .. } })
+                if !tracker.is_answered(part as usize) =>
+            {
+                items.append(&mut reply_items);
                 *failed |= !ok;
-                if *received >= *expected {
-                    let (items, hops, parts, complete) =
-                        (std::mem::take(items), *hops, *received, !*failed);
-                    self.pending.remove(&qid);
-                    fx.emit(OverlayDone::Range { qid, items, hops, complete, parts });
+                if tracker.ack(&[part], reply_hops) {
+                    self.finish(qid, true, fx);
                 }
             }
             _ => {}
@@ -557,15 +575,7 @@ impl<I: Item> ChordNode<I> {
         fx: &mut Fx<I>,
     ) {
         if from == NodeId::EXTERNAL && origin == self.id {
-            self.register(
-                fx,
-                qid,
-                Pending::Batch {
-                    items: items.clone(),
-                    ops: ops.clone(),
-                    tracker: BatchTracker::new(ops.len()),
-                },
-            );
+            self.register(fx, qid, ops.len(), Op::Batch { items: items.clone(), ops: ops.clone() });
         }
         self.route_batch(qid, origin, hops, attempt, items, ops, fx);
     }
@@ -715,34 +725,22 @@ impl<I: Item> ChordNode<I> {
         self.replays += 1;
         let qid = REPLAY_QID + self.replays;
         let held = ops.len();
-        self.register(fx, qid, Pending::Replay { held, tracker: BatchTracker::new(held) });
+        self.register(fx, qid, held, Op::Replay { held });
         self.route_batch(qid, self.id, 0, 0, items, ops, fx);
     }
 
     /// Folds a positional batch ack; completes the batch when every op
     /// is marked. Duplicate and late acks (e.g. from before a
     /// retransmission) re-mark already-marked ops, so they can only
-    /// help; positions outside the batch are ignored. A completed
-    /// replay retires the hints it carried.
+    /// help; positions outside the batch are ignored.
     fn handle_batch_ack(&mut self, qid: QueryId, applied: Vec<u32>, ack_hops: u32, fx: &mut Fx<I>) {
-        let done = match self.pending.get_mut(&qid) {
-            Some(Pending::Batch { tracker, .. } | Pending::Replay { tracker, .. }) => {
-                tracker.ack(&applied, ack_hops)
-            }
-            _ => false,
-        };
-        if !done {
+        let Some(Pending { tracker, op: Op::Batch { .. } | Op::Replay { .. } }) =
+            self.pending.get_mut(&qid)
+        else {
             return;
-        }
-        match self.pending.remove(&qid) {
-            Some(Pending::Batch { tracker, .. }) => {
-                let (ops, hops) = (tracker.acked(), tracker.hops());
-                fx.emit(OverlayDone::Batch { qid, ops, hops, ok: true });
-            }
-            Some(Pending::Replay { held, .. }) => {
-                self.hints.drain(..held.min(self.hints.len()));
-            }
-            _ => {}
+        };
+        if tracker.ack(&applied, ack_hops) {
+            self.finish(qid, true, fx);
         }
     }
 
@@ -761,7 +759,8 @@ impl<I: Item> ChordNode<I> {
 
     /// Origin-side bucket fan-out — a range scan over original keys
     /// `[lo, hi]` through the auxiliary bucket index: one
-    /// [`ChordMsg::BucketGet`] per bucket intersecting the range.
+    /// [`ChordMsg::BucketGet`] per bucket intersecting the range, each a
+    /// part of the scan.
     pub(crate) fn handle_bucket_range(
         &mut self,
         qid: QueryId,
@@ -770,30 +769,75 @@ impl<I: Item> ChordNode<I> {
         filter: Option<ItemFilter>,
         fx: &mut Fx<I>,
     ) {
-        let depth = self.cfg.bucket_depth as u32;
-        let b_lo = lo >> (64 - depth);
-        let b_hi = hi >> (64 - depth);
-        let expected = (b_hi - b_lo + 1) as u32;
-        self.register(
-            fx,
-            qid,
-            Pending::Buckets { expected, received: 0, items: Vec::new(), hops: 0, failed: false },
-        );
-        for b in b_lo..=b_hi {
-            let ring_key = mix64(b ^ BUCKET_SALT);
-            // Route each bucket fetch like a range-restricted lookup,
-            // starting at ourselves.
-            self.handle_lookup(
-                self.id,
-                qid,
-                ring_key,
-                self.id,
-                0,
-                Some((lo, hi)),
-                filter.clone(),
-                fx,
-            );
+        let (b_lo, b_hi) = self.buckets(lo, hi);
+        let scan = Op::Buckets { lo, hi, filter, items: Vec::new(), failed: false };
+        self.start(fx, qid, (b_hi - b_lo + 1) as usize, scan);
+    }
+
+    /// The first and last bucket `[lo, hi]` intersects.
+    fn buckets(&self, lo: Key, hi: Key) -> (u64, u64) {
+        let shift = 64 - self.cfg.bucket_depth as u32;
+        (lo >> shift, hi >> shift)
+    }
+
+    /// Sends `parts` of the pending operation `qid`. A read goes around
+    /// the first hop its part's latest attempt left through; a bucket
+    /// read names its bucket when the scan has more than one. A batch's
+    /// ops carry the attempt number, which routes each around its
+    /// first-choice finger at every hop and hands it off to its owner's
+    /// successor ([`Self::route_op`]). A replay is never re-sent.
+    fn issue(&mut self, qid: QueryId, parts: &[(usize, Option<NodeId>)], fx: &mut Fx<I>) {
+        let Some(Pending { tracker, op }) = self.pending.get(&qid) else { return };
+        match op {
+            Op::Lookup { ring_key, range, filter } => {
+                let (ring_key, range, filter) = (*ring_key, *range, filter.clone());
+                let avoid = parts.first().and_then(|&(_, hop)| hop);
+                self.route_read(qid, None, ring_key, self.id, 0, range, filter, avoid, fx);
+            }
+            Op::Buckets { lo, hi, filter, .. } => {
+                let (range, filter) = (Some((*lo, *hi)), filter.clone());
+                let (b_lo, b_hi) = self.buckets(*lo, *hi);
+                for &(i, avoid) in parts {
+                    let ring_key = mix64((b_lo + i as u64) ^ BUCKET_SALT);
+                    let part = (b_hi > b_lo).then_some(i as u32);
+                    let (me, filter) = (self.id, filter.clone());
+                    self.route_read(qid, part, ring_key, me, 0, range, filter, avoid, fx);
+                }
+            }
+            Op::Batch { items, ops } => {
+                let idxs: Vec<usize> = parts.iter().map(|&(i, _)| i).collect();
+                let (sub_items, sub_ops) = subset_batch(items, ops, &idxs);
+                let attempt = tracker.attempts();
+                self.route_batch(qid, self.id, 0, attempt, sub_items, sub_ops, fx);
+            }
+            Op::Replay { .. } => {}
         }
+    }
+
+    /// Retires the pending operation `qid` and reports what was
+    /// answered: `done` when every part was. A lookup reports a
+    /// failure here (one that is answered reports its reply instead, in
+    /// [`Self::handle_lookup_reply`]); a replay retires the hints that
+    /// were acked, and the rest stay for the next tick, ahead of the
+    /// ones held since.
+    fn finish(&mut self, qid: QueryId, done: bool, fx: &mut Fx<I>) {
+        let Some(Pending { tracker, op }) = self.pending.remove(&qid) else { return };
+        let (answered, hops) = (tracker.answered(), tracker.hops());
+        fx.emit(match op {
+            Op::Lookup { .. } => OverlayDone::Lookup { qid, items: Vec::new(), hops: 0, ok: false },
+            Op::Buckets { items, failed, .. } => {
+                OverlayDone::Range { qid, items, hops, complete: done && !failed, parts: answered }
+            }
+            Op::Batch { .. } => OverlayDone::Batch { qid, ops: answered, hops, ok: done },
+            Op::Replay { held } => {
+                let mut i = 0;
+                self.hints.retain(|_| {
+                    i += 1;
+                    i > held || !tracker.is_answered(i - 1)
+                });
+                return;
+            }
+        });
     }
 
     /// Broadcast branch (the index-free range scan plain Chord must
@@ -858,7 +902,7 @@ impl<I: Item> ChordNode<I> {
         }
         if parent.is_none() {
             // Origin: arm the completion timeout.
-            fx.set_timer(self.cfg.query_timeout, Timer::new(timer::QUERY_TIMEOUT, qid));
+            self.arm(qid, fx);
         }
     }
 
@@ -897,52 +941,21 @@ impl<I: Item> ChordNode<I> {
         }
     }
 
+    /// The one timeout rule: re-issue only the unanswered parts until
+    /// the retries are spent, then report what was answered. A replay
+    /// is never re-sent: the next tick replays what it did not land.
     fn handle_timeout(&mut self, qid: QueryId, fx: &mut Fx<I>) {
-        if let Some(p) = self.pending.remove(&qid) {
-            match p {
-                Pending::Lookup => {
-                    fx.emit(OverlayDone::Lookup { qid, items: Vec::new(), hops: 0, ok: false })
+        if let Some(p) = self.pending.get_mut(&qid) {
+            let retries = match p.op {
+                Op::Replay { .. } => 0,
+                _ => self.cfg.op_retries,
+            };
+            match p.tracker.retry(retries) {
+                Some(parts) => {
+                    self.arm(qid, fx);
+                    self.issue(qid, &parts, fx);
                 }
-                Pending::Batch { items, ops, mut tracker } => {
-                    match tracker.retry(self.cfg.op_retries) {
-                        // Retransmit only the outstanding ops: acked work
-                        // stays marked, a late ack from the previous
-                        // attempt still counts, and re-applied ops are
-                        // no-ops at the versioned stores.
-                        Some(remainder) => {
-                            let (sub_items, sub_ops) = subset_batch(&items, &ops, &remainder);
-                            let attempt = tracker.attempts();
-                            self.register(fx, qid, Pending::Batch { items, ops, tracker });
-                            self.route_batch(qid, self.id, 0, attempt, sub_items, sub_ops, fx);
-                        }
-                        None => fx.emit(OverlayDone::Batch {
-                            qid,
-                            ops: tracker.acked(),
-                            hops: tracker.hops(),
-                            ok: false,
-                        }),
-                    }
-                }
-                // The hints it carried that nobody acked stay for the
-                // next tick, ahead of the ones held since.
-                Pending::Replay { held, tracker } => {
-                    let rest = self.hints.split_off(held.min(self.hints.len()));
-                    let mut unacked = tracker.remainder().into_iter().peekable();
-                    self.hints = std::mem::take(&mut self.hints)
-                        .into_iter()
-                        .enumerate()
-                        .filter(|(i, _)| unacked.next_if_eq(i).is_some())
-                        .map(|(_, hint)| hint)
-                        .chain(rest)
-                        .collect();
-                }
-                Pending::Buckets { items, hops, received, .. } => fx.emit(OverlayDone::Range {
-                    qid,
-                    items,
-                    hops,
-                    complete: false,
-                    parts: received,
-                }),
+                None => self.finish(qid, false, fx),
             }
             return;
         }
@@ -1013,15 +1026,18 @@ impl<I: Item> NodeBehavior for ChordNode<I> {
     }
 
     fn on_message(&mut self, _now: SimTime, from: NodeId, msg: ChordMsg<I>, fx: &mut Fx<I>) {
-        self.msg_load += 1;
         // Any traffic from a peer proves it lives.
         self.liveness.heard(from);
         match msg {
             ChordMsg::Lookup { qid, ring_key, origin, hops, filter } => {
-                self.handle_lookup(from, qid, ring_key, origin, hops, None, filter, fx)
+                if from == NodeId::EXTERNAL && origin == self.id {
+                    self.start(fx, qid, 1, Op::Lookup { ring_key, range: None, filter });
+                } else {
+                    self.route_read(qid, None, ring_key, origin, hops, None, filter, None, fx);
+                }
             }
-            ChordMsg::LookupReply { qid, items, hops, ok } => {
-                self.handle_lookup_reply(qid, items, hops, ok, fx)
+            ChordMsg::LookupReply { qid, part, items, hops, ok } => {
+                self.handle_lookup_reply(qid, part, items, hops, ok, fx)
             }
             ChordMsg::OpBatch { qid, origin, hops, attempt, items, ops } => {
                 self.handle_op_batch(from, qid, origin, hops, attempt, items, ops, fx)
@@ -1032,8 +1048,9 @@ impl<I: Item> NodeBehavior for ChordNode<I> {
             ChordMsg::BucketRange { qid, lo, hi, .. } => {
                 self.handle_bucket_range(qid, lo, hi, None, fx)
             }
-            ChordMsg::BucketGet { qid, ring_key, lo, hi, origin, hops, filter } => {
-                self.handle_lookup(from, qid, ring_key, origin, hops, Some((lo, hi)), filter, fx)
+            ChordMsg::BucketGet { qid, part, ring_key, lo, hi, origin, hops, filter } => {
+                let range = Some((lo, hi));
+                self.route_read(qid, part, ring_key, origin, hops, range, filter, None, fx);
             }
             ChordMsg::Bcast { qid, lo, hi, limit, hops, filter } => {
                 self.handle_bcast(from, qid, lo, hi, limit, hops, filter, fx)
@@ -1115,6 +1132,96 @@ mod tests {
         // successor is skipped like a suspected one: `successor2` owns k.
         assert_eq!(n.next_hop(15, None), NodeId(1));
         assert_eq!(n.next_hop(15, Some(NodeId(1))), NodeId(2));
+    }
+
+    /// Node 0 at ring position 0 owning `(15 · 2^60, 0]`, node `i` at
+    /// `i · 2^60`: successors 1 and 2, fingers 1, 2, 4 and 8.
+    fn spread() -> ChordNode<RawItem> {
+        let mut n = ChordNode::new(NodeId(0), 0, ChordConfig::default(), 1);
+        let at = |i: u32| (NodeId(i), (i as u64) << 60);
+        n.set_topology(RingWiring {
+            predecessor: at(15),
+            predecessor2: at(14),
+            successor: at(1),
+            successor2: at(2),
+            fingers: vec![at(1), at(2), at(4), at(8)],
+        });
+        n
+    }
+
+    fn fire(n: &mut ChordNode<RawItem>, qid: QueryId) -> Fx<RawItem> {
+        let mut fx = Fx::new();
+        n.on_timer(SimTime::ZERO, Timer::new(timer::QUERY_TIMEOUT, qid), &mut fx);
+        fx
+    }
+
+    #[test]
+    fn a_timed_out_bucket_scan_resends_only_its_unanswered_buckets() {
+        let mut n = spread();
+        let shift = 64 - n.cfg.bucket_depth as u32;
+        let gets = |fx: &Fx<RawItem>| -> Vec<(u32, NodeId, u64)> {
+            let get = |(to, m): &(NodeId, ChordMsg<RawItem>)| match m {
+                ChordMsg::BucketGet { part: Some(p), ring_key, .. } => Some((*p, *to, *ring_key)),
+                _ => None,
+            };
+            fx.sends().iter().filter_map(get).collect()
+        };
+        let mut fx = Fx::new();
+        n.handle_bucket_range(7, 0, (6 << shift) - 1, None, &mut fx);
+        let first = gets(&fx);
+        assert_eq!(first.len(), 6, "six buckets, none owned here: {first:?}");
+        let mut fx = Fx::new();
+        n.handle_lookup_reply(7, Some(first[0].0), vec![RawItem(1)], 2, true, &mut fx);
+        let second = gets(&fire(&mut n, 7));
+        assert_eq!(second.iter().map(|s| s.0).collect::<Vec<_>>(), [1, 2, 3, 4, 5]);
+        for ((_, to, ring_key), (_, was, _)) in second.iter().zip(&first[1..]) {
+            // Only the successor's own keys have no way around it.
+            assert!(to != was || *ring_key <= 1 << 60, "around the first hop: {second:?}");
+        }
+        for (part, ..) in &second {
+            n.handle_lookup_reply(7, Some(*part), vec![RawItem(2)], 3, true, &mut fx);
+        }
+        n.handle_lookup_reply(7, Some(1), vec![RawItem(2)], 9, true, &mut fx);
+        match fx.emits() {
+            [OverlayDone::Range { items, hops: 3, complete: true, parts: 6, .. }] => {
+                assert_eq!(items.len(), 6, "a late answer of an answered bucket is dropped");
+            }
+            other => panic!("unexpected events {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_timed_out_lookup_retries_around_its_first_hop_then_fails() {
+        let mut n = spread();
+        let lookups = |fx: &Fx<RawItem>| -> Vec<NodeId> {
+            let lookup = |(to, m): &(NodeId, ChordMsg<RawItem>)| match m {
+                ChordMsg::Lookup { qid: 4, .. } => Some(*to),
+                _ => None,
+            };
+            fx.sends().iter().filter_map(lookup).collect()
+        };
+        let lookup = |ring_key| ChordMsg::Lookup {
+            qid: 4,
+            ring_key,
+            origin: NodeId(0),
+            hops: 0,
+            filter: None,
+        };
+        let mut fx = Fx::new();
+        n.on_message(SimTime::ZERO, NodeId::EXTERNAL, lookup(12 << 60), &mut fx);
+        assert_eq!(lookups(&fx), [NodeId(8)], "the closest preceding finger");
+        assert_eq!(lookups(&fire(&mut n, 4)), [NodeId(4)], "around it");
+        assert_eq!(lookups(&fire(&mut n, 4)), [NodeId(8)], "around the second first hop");
+        match fire(&mut n, 4).emits() {
+            [OverlayDone::Lookup { qid: 4, ok: false, .. }] => {}
+            other => panic!("op_retries is spent: {other:?}"),
+        }
+        // A suspected owner fails fast, and that is terminal.
+        n.liveness.suspect(NodeId(1));
+        let mut fx = Fx::new();
+        n.on_message(SimTime::ZERO, NodeId::EXTERNAL, lookup(1 << 59), &mut fx);
+        assert!(matches!(fx.emits(), [OverlayDone::Lookup { qid: 4, ok: false, .. }]));
+        assert!(fire(&mut n, 4).is_empty(), "nothing left to retry");
     }
 
     /// `node()` under replication, suspecting `suspects`.

@@ -11,7 +11,7 @@ use unistore_simnet::{Effects, NodeId};
 use unistore_util::Key;
 
 use crate::msg::{ChordBatchOp, ChordMsg};
-use crate::node::{ring_key_bucket, ring_key_exact, ChordConfig, ChordNode, Item};
+use crate::node::{ring_key_bucket, ring_key_exact, ChordConfig, ChordNode, Item, Op};
 use crate::store::ALL;
 use crate::topology::ChordTopology;
 
@@ -126,7 +126,7 @@ impl<I: Item + Send + 'static> Overlay for ChordNode<I> {
         };
         self.reads_via[via_bucket as usize] += 1;
         let (ring_key, range) = if via_bucket { (bk, Some((key, key))) } else { (rk, None) };
-        self.handle_lookup(NodeId::EXTERNAL, qid, ring_key, self.id(), 0, range, filter, fx);
+        self.start(fx, qid, 1, Op::Lookup { ring_key, range, filter });
     }
 
     fn local_range(

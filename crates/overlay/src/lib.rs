@@ -36,7 +36,7 @@ use unistore_simnet::{Effects, NodeBehavior, NodeId, SimNet, SimTime};
 use unistore_util::item::Item;
 use unistore_util::Key;
 
-pub use batch::{push_hop, BatchTracker, HopGroups};
+pub use batch::{push_hop, HopGroups, PartTracker};
 pub use records::{Record, RecordList};
 pub use repair::RepairStats;
 pub use store::VersionedStore;
@@ -91,18 +91,19 @@ pub enum OverlayDone<I> {
     },
     /// A routed [`OpBatch`] completed: every op was acknowledged (`ok`)
     /// or its retries ran out. Per-op acks are aggregated by the
-    /// backend's [`BatchTracker`], so driver-side bookkeeping stays
-    /// O(batch), not O(op). Both fields below are the tracker's, on
-    /// success and on failure alike, on every backend.
+    /// backend's [`PartTracker`], one part per op position, so
+    /// driver-side bookkeeping stays O(batch), not O(op). Both fields
+    /// below are the tracker's, on success and on failure alike, on
+    /// every backend.
     Batch {
         /// Correlation id of the whole batch.
         qid: u64,
-        /// Ops acknowledged ([`BatchTracker::acked`]): all of them when
+        /// Ops acknowledged ([`PartTracker::answered`]): all of them when
         /// `ok`, the part that landed before the retries ran out
         /// otherwise.
         ops: u32,
         /// Deepest hop count over the acks received
-        /// ([`BatchTracker::hops`]).
+        /// ([`PartTracker::hops`]).
         hops: u32,
         /// `false` when not every op was acknowledged in time.
         ok: bool,

@@ -9,18 +9,20 @@
 //! forks where responsibility actually diverges. Each peer that applies
 //! ops sends the origin one aggregated [`PGridMsg::BatchAck`] naming
 //! their origin-side positions; the origin marks them in the shared
-//! [`BatchTracker`] — the same protocol Chord runs — completes when
-//! every op is marked and emits a single [`OverlayDone::Batch`], so
+//! [`PartTracker`](unistore_overlay::PartTracker), one part per op —
+//! the same protocol Chord runs — completes when every op is marked and
+//! emits a single
+//! [`OverlayDone::Batch`](unistore_overlay::OverlayDone::Batch), so
 //! driver-side bookkeeping stays O(batch). A timed-out attempt
 //! retransmits only the un-acked remainder.
 
-use unistore_overlay::{push_hop, BatchTracker, HopGroups, OverlayDone};
+use unistore_overlay::{push_hop, HopGroups};
 use unistore_simnet::NodeId;
 use unistore_util::wire::{BatchVerb, OpBatch};
 
 use crate::item::Item;
 use crate::msg::{PGridMsg, QueryId};
-use crate::peer::{Fx, PGridPeer, Pending};
+use crate::peer::{Fx, Op, PGridPeer, Pending};
 use crate::routing::RouteDecision;
 
 impl<I: Item> PGridPeer<I> {
@@ -40,48 +42,43 @@ impl<I: Item> PGridPeer<I> {
         batch: OpBatch<I>,
         fx: &mut Fx<I>,
     ) {
-        let all: Vec<usize> = (0..batch.len()).collect();
+        let all: Vec<(usize, Option<NodeId>)> = (0..batch.len()).map(|i| (i, None)).collect();
         if from == NodeId::EXTERNAL && origin == self.id {
-            self.register_pending(
-                fx,
-                qid,
-                Pending::Batch {
-                    batch: batch.clone(),
-                    last_hops: vec![None; batch.len()],
-                    tracker: BatchTracker::new(batch.len()),
-                },
-            );
-            self.issue_batch(qid, &batch, &all, &[], fx);
+            self.register(fx, qid, batch.len(), Op::Batch(batch.clone()));
+            self.issue_batch(qid, &batch, &all, fx);
         } else if positions.len() == batch.len() {
-            self.route_batch(qid, origin, hops, &batch, &all, &positions, &[], fx);
+            self.route_batch(qid, origin, hops, &batch, &all, &positions, fx);
         }
     }
 
     /// Starts (or retries) an origin-side attempt over the ops at
-    /// `idxs` — everything the first time, the un-acked remainder after
-    /// a timeout — routing each op around `avoid[op]`, its first hop in
-    /// the previous attempt. At the origin an op's position is its index.
+    /// `parts` — everything the first time, the un-acked remainder after
+    /// a timeout — routing each op around the first hop `parts` names
+    /// for it, and records the hops they take now. At the origin an op's
+    /// position is its index.
     pub(crate) fn issue_batch(
         &mut self,
         qid: QueryId,
         batch: &OpBatch<I>,
-        idxs: &[usize],
-        avoid: &[Option<NodeId>],
+        parts: &[(usize, Option<NodeId>)],
         fx: &mut Fx<I>,
     ) {
         let positions: Vec<u32> = (0..batch.len() as u32).collect();
-        let first_hops = self.route_batch(qid, self.id, 0, batch, idxs, &positions, avoid, fx);
-        if let Some(Pending::Batch { last_hops, .. }) = self.pending.get_mut(&qid) {
-            *last_hops = first_hops;
+        let first_hops = self.route_batch(qid, self.id, 0, batch, parts, &positions, fx);
+        if let Some(p) = self.pending.get_mut(&qid) {
+            for &(i, _) in parts {
+                p.tracker.left_through(i, first_hops.get(i).copied().flatten());
+            }
         }
     }
 
-    /// Routes the ops at `idxs` one step: applies the ones this peer is
-    /// responsible for through the same leaf paths as single-op writes,
-    /// ships one re-grouped sub-batch per distinct next hop, and acks
-    /// the applied positions to the origin. Stuck ops are left to the
-    /// origin's timeout and retransmit. Returns each op's next hop
-    /// (`None` = local, stuck or not routed) for the origin's retry.
+    /// Routes the ops at `parts` one step, each around the hop it names:
+    /// applies the ones this peer is responsible for through the same
+    /// leaf paths as single-op writes, ships one re-grouped sub-batch per
+    /// distinct next hop, and acks the applied positions to the origin.
+    /// Stuck ops are left to the origin's timeout and retransmit. Returns
+    /// each op's next hop (`None` = local, stuck or not routed) for the
+    /// origin's retry.
     #[allow(clippy::too_many_arguments)]
     fn route_batch(
         &mut self,
@@ -89,17 +86,15 @@ impl<I: Item> PGridPeer<I> {
         origin: NodeId,
         hops: u32,
         batch: &OpBatch<I>,
-        idxs: &[usize],
+        parts: &[(usize, Option<NodeId>)],
         positions: &[u32],
-        avoid: &[Option<NodeId>],
         fx: &mut Fx<I>,
     ) -> Vec<Option<NodeId>> {
         let mut applied: Vec<u32> = Vec::new();
         let mut groups = HopGroups::new();
         let mut next_hops = vec![None; batch.len()];
-        for &i in idxs {
+        for &(i, shun) in parts {
             let op = batch.ops[i];
-            let shun = avoid.get(i).copied().flatten();
             // Longest-prefix jumps: fewer hops per op means fewer edges
             // the sub-batch's tags and payloads cross.
             match self.routing.route_jump(op.key, shun, &mut self.rng) {
@@ -154,13 +149,11 @@ impl<I: Item> PGridPeer<I> {
         ack_hops: u32,
         fx: &mut Fx<I>,
     ) {
-        let Some(Pending::Batch { tracker, .. }) = self.pending.get_mut(&qid) else {
+        let Some(Pending { tracker, op: Op::Batch(_) }) = self.pending.get_mut(&qid) else {
             return;
         };
         if tracker.ack(applied, ack_hops) {
-            let (ops, hops) = (tracker.acked(), tracker.hops());
-            self.pending.remove(&qid);
-            fx.emit(OverlayDone::Batch { qid, ops, hops, ok: true });
+            self.finish(qid, true, fx);
         }
     }
 }
@@ -176,6 +169,7 @@ mod tests {
     use crate::item::RawItem;
     use crate::msg::PeerRef;
     use crate::peer::timer::QUERY_TIMEOUT;
+    use unistore_overlay::OverlayDone;
     use unistore_simnet::{Effects, NodeBehavior, SimTime, Timer};
     use unistore_util::BitPath;
 

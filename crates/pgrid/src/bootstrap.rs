@@ -168,7 +168,7 @@ impl<I: Item> PGridPeer<I> {
             if self.routing.responsible(key) {
                 self.store.apply(record, version, item);
             } else if let Some(item) = item {
-                match self.routing.route(key, &mut self.rng) {
+                match self.routing.route(key, None, &mut self.rng) {
                     RouteDecision::Forward(next, _) => {
                         push_hop(&mut groups, next, foreign.len());
                         let item = foreign.add_item(item);

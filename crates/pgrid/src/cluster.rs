@@ -240,11 +240,6 @@ impl<I: Item + Send + 'static> PGridCluster<I> {
     pub fn storage_loads(&self) -> Vec<f64> {
         self.net.iter_nodes().map(|(_, p)| p.store().len() as f64).collect()
     }
-
-    /// Per-peer handled-message counts (processing-load metric).
-    pub fn message_loads(&self) -> Vec<f64> {
-        self.net.iter_nodes().map(|(_, p)| p.msg_load as f64).collect()
-    }
 }
 
 #[cfg(test)]

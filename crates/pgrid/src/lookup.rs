@@ -13,7 +13,7 @@ use unistore_util::{ItemFilter, Key};
 
 use crate::item::{Item, Version};
 use crate::msg::{PGridMsg, QueryId};
-use crate::peer::{Fx, PGridPeer, Pending};
+use crate::peer::{Fx, Op, PGridPeer, Pending};
 use crate::routing::RouteDecision;
 
 impl<I: Item> PGridPeer<I> {
@@ -32,63 +32,49 @@ impl<I: Item> PGridPeer<I> {
         fx: &mut Fx<I>,
     ) {
         if from == NodeId::EXTERNAL && origin == self.id {
-            self.register_pending(
-                fx,
-                qid,
-                Pending::Lookup { key, attempts: 0, last_hop: None, filter: filter.clone() },
-            );
-            self.issue_lookup(qid, key, None, filter, fx);
-            return;
+            self.register(fx, qid, 1, Op::Lookup { key, filter: filter.clone() });
         }
-        // Reads jump to the ref matching the key the longest, the
-        // least-dispatched among equally deep ones, so hot keys spread
-        // across the replica group of the responsible leaf instead of
-        // hammering one peer.
-        match self.routing.route_read(key, None) {
-            RouteDecision::Local => {
-                let items = self.store.lookup(key, &filter);
-                self.answer_lookup(qid, origin, items, hops, true, fx);
-            }
-            RouteDecision::Forward(next, _) => {
-                fx.send(next, PGridMsg::Lookup { qid, key, origin, hops: hops + 1, filter });
-            }
-            RouteDecision::Stuck(_) => {
-                self.answer_lookup(qid, origin, Vec::new(), hops, false, fx);
-            }
-        }
+        self.route_lookup(qid, key, origin, hops, filter, None, fx);
     }
 
-    /// Starts (or retries) an origin-side lookup attempt, routing around
-    /// `avoid` — the first hop of the previous, failed attempt.
-    pub(crate) fn issue_lookup(
+    /// Routes a lookup one step, passing over `avoid` — at the origin,
+    /// the first hop of the previous, failed attempt — while another
+    /// reference exists. Reads jump to the ref matching the key the
+    /// longest, the least-dispatched among equally deep ones, so hot
+    /// keys spread across the replica group of the responsible leaf
+    /// instead of hammering one peer.
+    ///
+    /// A routing hole answers a failure. At the origin the reply
+    /// handler consumes a retry per explicit failure, so remaining
+    /// attempts run synchronously and a true dead end still fails fast
+    /// instead of burning timeout rounds. (Writes differ on purpose: a
+    /// stuck batch op waits for its timeout because maintenance may
+    /// repair the level, and a spurious failure report for a write is
+    /// worse than a late one.)
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn route_lookup(
         &mut self,
         qid: QueryId,
         key: Key,
-        avoid: Option<NodeId>,
+        origin: NodeId,
+        hops: u32,
         filter: Option<ItemFilter>,
+        avoid: Option<NodeId>,
         fx: &mut Fx<I>,
     ) {
         match self.routing.route_read(key, avoid) {
             RouteDecision::Local => {
                 let items = self.store.lookup(key, &filter);
-                self.handle_lookup_reply(qid, items, 0, true, fx);
+                self.answer_lookup(qid, origin, items, hops, true, fx);
             }
             RouteDecision::Forward(next, _) => {
-                if let Some(Pending::Lookup { last_hop, .. }) = self.pending.get_mut(&qid) {
-                    *last_hop = Some(next);
+                if let Some(p) = self.pending.get_mut(&qid).filter(|_| origin == self.id) {
+                    p.tracker.left_through(0, Some(next));
                 }
-                fx.send(next, PGridMsg::Lookup { qid, key, origin: self.id, hops: 1, filter });
+                fx.send(next, PGridMsg::Lookup { qid, key, origin, hops: hops + 1, filter });
             }
             RouteDecision::Stuck(_) => {
-                // Report the routing hole; the reply handler consumes a
-                // retry per explicit failure, so remaining attempts run
-                // synchronously and a true dead end still fails fast
-                // instead of burning timeout rounds. (Writes differ on
-                // purpose: a stuck batch op waits for its timeout
-                // because maintenance may repair the level, and
-                // a spurious failure report for a write is worse than a
-                // late one.)
-                self.handle_lookup_reply(qid, Vec::new(), 0, false, fx);
+                self.answer_lookup(qid, origin, Vec::new(), hops, false, fx);
             }
         }
     }
@@ -123,21 +109,16 @@ impl<I: Item> PGridPeer<I> {
         ok: bool,
         fx: &mut Fx<I>,
     ) {
+        let Some(Pending { tracker, op: Op::Lookup { .. } }) = self.pending.get_mut(&qid) else {
+            return;
+        };
         if !ok {
-            if let Some(Pending::Lookup { key, attempts, last_hop, filter }) =
-                self.pending.get_mut(&qid)
-            {
-                if *attempts < self.cfg.op_retries {
-                    *attempts += 1;
-                    let (key, avoid, filter) = (*key, *last_hop, filter.clone());
-                    self.issue_lookup(qid, key, avoid, filter, fx);
-                    return;
-                }
+            if let Some(parts) = tracker.retry(self.cfg.op_retries) {
+                return self.issue(qid, &parts, fx);
             }
         }
-        if self.pending.remove(&qid).is_some() {
-            fx.emit(OverlayDone::Lookup { qid, items, hops, ok });
-        }
+        self.pending.remove(&qid);
+        fx.emit(OverlayDone::Lookup { qid, items, hops, ok });
     }
 
     /// Applies an insert at the responsible leaf and pushes the change
@@ -157,7 +138,7 @@ impl<I: Item> PGridPeer<I> {
     /// here when this peer still covers the key, forwarded when its path
     /// migrated away.
     pub(crate) fn handle_delete(&mut self, key: Key, ident: u64, version: Version, fx: &mut Fx<I>) {
-        match self.routing.route(key, &mut self.rng) {
+        match self.routing.route(key, None, &mut self.rng) {
             RouteDecision::Local => self.delete_at_leaf(key, ident, version, fx),
             RouteDecision::Forward(next, _) => {
                 fx.send(next, PGridMsg::Delete { key, ident, version });

@@ -114,7 +114,7 @@ pub enum PGridMsg<I> {
     /// Aggregated ack naming the ops of batch `qid` applied at the
     /// sending leaf by their origin-side positions. Positional acks are
     /// idempotent, which is what lets a timed-out batch retransmit only
-    /// its un-acked remainder (`unistore_overlay::BatchTracker`).
+    /// its un-acked remainder (`unistore_overlay::PartTracker`).
     BatchAck {
         /// Correlation id of the batch.
         qid: QueryId,

@@ -10,7 +10,7 @@ use rand::Rng;
 
 use unistore_overlay::liveness::Suspicion;
 use unistore_overlay::repair::ReplicaRepair;
-use unistore_overlay::{BatchTracker, OverlayDone, Record};
+use unistore_overlay::{OverlayDone, PartTracker, Record};
 use unistore_simnet::{Effects, NodeBehavior, NodeId, SimTime, Timer};
 use unistore_util::rng::{derive_rng, stream};
 use unistore_util::wire::OpBatch;
@@ -19,7 +19,7 @@ use unistore_util::{BitPath, FxHashMap, ItemFilter, Key};
 use crate::config::PGridConfig;
 use crate::item::{Item, LocalStore};
 use crate::msg::{PGridMsg, QueryId};
-use crate::range::IntervalSet;
+use crate::range::RangeScan;
 use crate::routing::{RouteDecision, RoutingTable};
 
 /// Effects buffer specialized to the P-Grid protocol.
@@ -37,47 +37,28 @@ pub(crate) mod timer {
     pub const ROUND_DEADLINE: u32 = 5;
 }
 
-/// State of a driver-issued operation awaiting completion at the origin.
-///
-/// A lookup keeps its request parameters so a timed-out attempt can be
-/// re-issued (`PGridConfig::op_retries`) through a different reference;
-/// `last_hop` remembers the first hop of the latest attempt so the
-/// retry can avoid it.
+/// A driver-issued operation awaiting completion at the origin: which
+/// of its parts are answered, and what it asked for, kept so a
+/// timed-out attempt can re-issue its unanswered parts
+/// (`PGridConfig::op_retries`), each routed around the first hop it
+/// took in the failed attempt.
 #[derive(Debug)]
-pub(crate) enum Pending<I> {
-    /// Exact-key lookup (with the semi-join filter to re-ship on retry).
-    Lookup { key: Key, attempts: u32, last_hop: Option<NodeId>, filter: Option<ItemFilter> },
-    /// Batched writes accumulating positional acks until every op is
-    /// marked. The full op set is kept so a timed-out attempt can
-    /// retransmit its un-acked remainder (re-application is idempotent
-    /// under the versioned store), routing each op around the first hop
-    /// of the previous attempt.
-    Batch {
-        /// The ops and shared payloads, for retransmits.
-        batch: OpBatch<I>,
-        /// Per-op first hop of the latest attempt (`None` = resolved
-        /// locally, routing was stuck, or not part of that attempt).
-        last_hops: Vec<Option<NodeId>>,
-        /// Which ops are acked, how deep, and how many attempts so far.
-        tracker: BatchTracker,
-    },
-    /// Range query accumulating leaf replies until the covered intervals
-    /// add up to `[lo, hi]`.
-    Range {
-        /// Query bounds.
-        lo: Key,
-        hi: Key,
-        /// Intervals covered by received replies.
-        covered: IntervalSet,
-        /// Accumulated items.
-        items: Vec<I>,
-        /// Max hops over branches.
-        hops: u32,
-        /// Leaf replies received.
-        leaves: u32,
-        /// Whether any branch reported a routing hole.
-        aborted: bool,
-    },
+pub(crate) struct Pending<I> {
+    pub(crate) tracker: PartTracker,
+    pub(crate) op: Op<I>,
+}
+
+/// What a pending operation asked for.
+#[derive(Debug)]
+pub(crate) enum Op<I> {
+    /// Exact-key lookup, one part (with the semi-join filter to
+    /// re-ship on retry).
+    Lookup { key: Key, filter: Option<ItemFilter> },
+    /// Batched writes, one part per op position; re-applying a re-sent
+    /// op is idempotent under the versioned store.
+    Batch(OpBatch<I>),
+    /// Range query accumulating leaf replies ([`crate::range`]).
+    Range(RangeScan<I>),
 }
 
 /// A P-Grid peer.
@@ -101,9 +82,6 @@ pub struct PGridPeer<I: Item> {
     /// Entries that could not be re-routed yet (sparse routing during
     /// bootstrap); retried every exchange round.
     pub(crate) reroute_stash: Vec<Record<(Key, u64), I>>,
-    /// Messages handled (all kinds) — the query/processing load metric
-    /// used by the balance experiments.
-    pub msg_load: u64,
 }
 
 impl<I: Item> PGridPeer<I> {
@@ -123,7 +101,6 @@ impl<I: Item> PGridPeer<I> {
             universe: Vec::new(),
             bootstrapping: false,
             reroute_stash: Vec::new(),
-            msg_load: 0,
         }
     }
 
@@ -182,70 +159,78 @@ impl<I: Item> PGridPeer<I> {
         }
     }
 
-    /// Registers a pending driver operation and arms its timeout,
-    /// jittered ±25% so a batch of ops stranded by one correlated
-    /// failure re-issues spread out instead of as a synchronized
-    /// retry storm.
-    pub(crate) fn register_pending(&mut self, fx: &mut Fx<I>, qid: QueryId, p: Pending<I>) {
-        self.pending.insert(qid, p);
+    /// Registers a driver operation of `parts` parts at its origin and
+    /// arms its timeout.
+    pub(crate) fn register(&mut self, fx: &mut Fx<I>, qid: QueryId, parts: usize, op: Op<I>) {
+        self.pending.insert(qid, Pending { tracker: PartTracker::new(parts), op });
+        self.arm_timeout(qid, fx);
+    }
+
+    /// Arms an operation's timeout, jittered ±25% so a batch of ops
+    /// stranded by one correlated failure re-issues spread out instead
+    /// of as a synchronized retry storm.
+    fn arm_timeout(&mut self, qid: QueryId, fx: &mut Fx<I>) {
         let jitter = self.rng.gen_range(0.75..1.25);
         let delay =
             SimTime::from_micros((self.cfg.query_timeout.as_micros() as f64 * jitter) as u64);
         fx.set_timer(delay, Timer::new(timer::QUERY_TIMEOUT, qid));
     }
 
+    /// The one timeout rule: re-issue only the unanswered parts, each
+    /// around its first hop of the failed attempt (answered parts stay
+    /// marked, and a late answer from that attempt still counts), until
+    /// the retries are spent; then report what was answered.
     fn handle_query_timeout(&mut self, qid: QueryId, fx: &mut Fx<I>) {
-        let Some(pending) = self.pending.remove(&qid) else {
+        let Some(p) = self.pending.get_mut(&qid) else {
             return; // completed in time
         };
-        match pending {
-            Pending::Lookup { key, attempts, last_hop, filter } => {
-                if attempts < self.cfg.op_retries {
-                    self.register_pending(
-                        fx,
-                        qid,
-                        Pending::Lookup {
-                            key,
-                            attempts: attempts + 1,
-                            last_hop,
-                            filter: filter.clone(),
-                        },
-                    );
-                    self.issue_lookup(qid, key, last_hop, filter, fx);
-                } else {
-                    fx.emit(OverlayDone::Lookup { qid, items: Vec::new(), hops: 0, ok: false })
-                }
+        match p.tracker.retry(self.cfg.op_retries) {
+            Some(parts) => {
+                self.arm_timeout(qid, fx);
+                self.issue(qid, &parts, fx);
             }
-            Pending::Batch { batch, last_hops, mut tracker } => {
-                match tracker.retry(self.cfg.op_retries) {
-                    // Retransmit only the outstanding ops, each routed
-                    // around its first hop of the failed attempt: acked
-                    // work stays marked and a late ack from that attempt
-                    // still counts.
-                    Some(remainder) => {
-                        self.register_pending(
-                            fx,
-                            qid,
-                            Pending::Batch {
-                                batch: batch.clone(),
-                                last_hops: last_hops.clone(),
-                                tracker,
-                            },
-                        );
-                        self.issue_batch(qid, &batch, &remainder, &last_hops, fx);
-                    }
-                    None => fx.emit(OverlayDone::Batch {
-                        qid,
-                        ops: tracker.acked(),
-                        hops: tracker.hops(),
-                        ok: false,
-                    }),
-                }
-            }
-            Pending::Range { items, hops, leaves, .. } => {
-                fx.emit(OverlayDone::Range { qid, items, hops, complete: false, parts: leaves })
-            }
+            None => self.finish(qid, false, fx),
         }
+    }
+
+    /// Sends `parts` of the pending operation `qid`, each around the
+    /// first hop it names.
+    pub(crate) fn issue(
+        &mut self,
+        qid: QueryId,
+        parts: &[(usize, Option<NodeId>)],
+        fx: &mut Fx<I>,
+    ) {
+        match self.pending.get(&qid).map(|p| &p.op) {
+            Some(Op::Lookup { key, filter }) => {
+                let (key, filter) = (*key, filter.clone());
+                let avoid = parts.first().and_then(|p| p.1);
+                self.route_lookup(qid, key, self.id, 0, filter, avoid, fx);
+            }
+            Some(Op::Batch(batch)) => {
+                let batch = batch.clone();
+                self.issue_batch(qid, &batch, parts, fx);
+            }
+            Some(Op::Range(_)) => self.issue_range(qid, parts, fx),
+            None => {}
+        }
+    }
+
+    /// Retires the pending operation `qid` and reports it: `done` when
+    /// every part was answered, otherwise with what was answered before
+    /// the retries ran out. (A lookup that succeeds answers with its
+    /// reply instead, in [`Self::handle_lookup_reply`].)
+    pub(crate) fn finish(&mut self, qid: QueryId, done: bool, fx: &mut Fx<I>) {
+        let Some(Pending { tracker, op }) = self.pending.remove(&qid) else { return };
+        let (answered, hops) = (tracker.answered(), tracker.hops());
+        fx.emit(match op {
+            Op::Lookup { .. } => OverlayDone::Lookup { qid, items: Vec::new(), hops: 0, ok: false },
+            Op::Batch(_) => OverlayDone::Batch { qid, ops: answered, hops, ok: done },
+            Op::Range(scan) => {
+                let (items, complete) = (scan.items, done && !scan.aborted);
+                OverlayDone::Range { qid, items, hops, complete, parts: scan.leaves }
+            }
+        });
     }
 }
 
@@ -265,7 +250,6 @@ impl<I: Item> NodeBehavior for PGridPeer<I> {
     }
 
     fn on_message(&mut self, now: SimTime, from: NodeId, msg: PGridMsg<I>, fx: &mut Fx<I>) {
-        self.msg_load += 1;
         // Any traffic from a peer proves it lives.
         self.liveness.heard(from);
         match msg {

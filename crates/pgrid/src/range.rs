@@ -16,21 +16,62 @@
 //!   key order, each handing over to the owner of the next key. Fewer
 //!   messages for selective ranges, higher latency for wide ones —
 //!   exactly the trade-off the paper's cost-based optimizer arbitrates.
+//!
+//! A timed-out query re-sends only what no reply covered yet (`RangeScan`).
 
-use unistore_overlay::OverlayDone;
 use unistore_simnet::NodeId;
-use unistore_util::{ItemFilter, Key};
+use unistore_util::{BitPath, ItemFilter, Key};
 
 use crate::item::Item;
 use crate::msg::{PGridMsg, QueryId};
-use crate::peer::{Fx, PGridPeer, Pending};
+use crate::peer::{Fx, Op, PGridPeer, Pending};
 use crate::routing::RouteDecision;
 
 pub use unistore_util::interval::IntervalSet;
 
+/// Origin-side state of a range query. Its parts are what the origin
+/// sent through one first hop each: for a shower, one sub-interval per
+/// routing level whose complementary subtree meets `[lo, hi]`, then the
+/// origin's own leaf; for a sequential walk, the whole interval. A part
+/// is answered once leaf replies cover it.
+#[derive(Debug)]
+pub(crate) struct RangeScan<I> {
+    parts: Vec<Span>,
+    filter: Option<ItemFilter>,
+    /// Intervals covered by received replies.
+    covered: IntervalSet,
+    pub(crate) items: Vec<I>,
+    /// Leaf replies received.
+    pub(crate) leaves: u32,
+    /// Whether any branch reported a routing hole.
+    pub(crate) aborted: bool,
+}
+
+/// A sub-interval sent through one first hop: a shower branch into the
+/// complementary subtree of routing level `level`, or (`None`) a walk
+/// from `lo`, which ends at once in the sender's own leaf.
+#[derive(Clone, Copy, Debug)]
+struct Span {
+    lo: Key,
+    hi: Key,
+    level: Option<u8>,
+}
+
+/// How a shower at a peer on `path` splits `[lo, hi]`: the
+/// complementary subtree of every level from `lmin` on (levels below it
+/// were handled upstream), then the peer's own leaf, each clipped to the
+/// interval and skipped where disjoint from it.
+fn spans(path: BitPath, lo: Key, hi: Key, lmin: u8) -> impl Iterator<Item = Span> {
+    let subtree = move |l: u8| (path.prefix(l).child(!path.bit(l)), Some(l));
+    let subtrees = (lmin.min(path.len())..path.len()).map(subtree).chain([(path, None)]);
+    subtrees
+        .map(move |(t, level)| Span { lo: t.min_key().max(lo), hi: t.max_key().min(hi), level })
+        .filter(|s| s.lo <= s.hi)
+}
+
 impl<I: Item> PGridPeer<I> {
-    /// Handles a parallel (shower) range query branch. Every reached
-    /// leaf applies `filter` (semi-join pushdown) before replying.
+    /// Handles a parallel (shower) range query branch; `from ==
+    /// EXTERNAL` marks driver injection at the origin.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn handle_range(
         &mut self,
@@ -45,61 +86,16 @@ impl<I: Item> PGridPeer<I> {
         fx: &mut Fx<I>,
     ) {
         if from == NodeId::EXTERNAL && origin == self.id {
-            self.register_pending(
-                fx,
-                qid,
-                Pending::Range {
-                    lo,
-                    hi,
-                    covered: IntervalSet::new(),
-                    items: Vec::new(),
-                    hops: 0,
-                    leaves: 0,
-                    aborted: false,
-                },
-            );
+            let parts: Vec<Span> = spans(self.routing.path(), lo, hi, 0).collect();
+            return self.start_range(qid, parts, filter, fx);
         }
-        let path = self.routing.path();
-        // Fan out to every complementary subtree that intersects the
-        // interval. Levels below `lmin` were already handled upstream.
-        for l in lmin.min(path.len())..path.len() {
-            let sub = path.prefix(l).child(!path.bit(l));
-            let sub_lo = sub.min_key().max(lo);
-            let sub_hi = sub.max_key().min(hi);
-            if sub_lo > sub_hi {
-                continue;
-            }
-            match self.routing.pick(l, &mut self.rng) {
-                Some(r) => fx.send(
-                    r.id,
-                    PGridMsg::Range {
-                        qid,
-                        lo: sub_lo,
-                        hi: sub_hi,
-                        lmin: l + 1,
-                        origin,
-                        hops: hops + 1,
-                        filter: filter.clone(),
-                    },
-                ),
-                // Routing hole: report the gap so the origin terminates
-                // promptly instead of waiting for its timeout.
-                None => {
-                    self.send_range_reply(qid, origin, sub_lo, sub_hi, Vec::new(), hops, true, fx)
-                }
-            }
-        }
-        // Local leaf contribution.
-        let leaf_lo = path.min_key().max(lo);
-        let leaf_hi = path.max_key().min(hi);
-        if leaf_lo <= leaf_hi {
-            let items = self.store.scan_range(leaf_lo, leaf_hi, &filter);
-            self.send_range_reply(qid, origin, leaf_lo, leaf_hi, items, hops, false, fx);
+        for span in spans(self.routing.path(), lo, hi, lmin) {
+            self.send_span(qid, span, origin, hops, &filter, None, fx);
         }
     }
 
-    /// Handles a sequential range query hop. Every visited leaf applies
-    /// `filter` before contributing.
+    /// Handles a sequential range query hop; `from == EXTERNAL` marks
+    /// driver injection at the origin.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn handle_range_seq(
         &mut self,
@@ -113,61 +109,117 @@ impl<I: Item> PGridPeer<I> {
         fx: &mut Fx<I>,
     ) {
         if from == NodeId::EXTERNAL && origin == self.id {
-            self.register_pending(
-                fx,
-                qid,
-                Pending::Range {
-                    lo,
-                    hi,
-                    covered: IntervalSet::new(),
-                    items: Vec::new(),
-                    hops: 0,
-                    leaves: 0,
-                    aborted: false,
-                },
-            );
+            return self.start_range(qid, vec![Span { lo, hi, level: None }], filter, fx);
         }
-        match self.routing.route(lo, &mut self.rng) {
+        self.walk(qid, lo, hi, origin, hops, &filter, None, fx);
+    }
+
+    /// Registers a range query of `parts` at its origin and sends them.
+    fn start_range(
+        &mut self,
+        qid: QueryId,
+        parts: Vec<Span>,
+        filter: Option<ItemFilter>,
+        fx: &mut Fx<I>,
+    ) {
+        let all: Vec<(usize, Option<NodeId>)> = (0..parts.len()).map(|i| (i, None)).collect();
+        let (covered, items) = (IntervalSet::new(), Vec::new());
+        let scan = RangeScan { parts, filter, covered, items, leaves: 0, aborted: false };
+        self.register(fx, qid, all.len(), Op::Range(scan));
+        self.issue_range(qid, &all, fx);
+    }
+
+    /// Sends each uncovered sub-interval of each of `parts` again,
+    /// around the first hop the part names: through another reference
+    /// of its level, or as a walk from the sub-interval's first key.
+    pub(crate) fn issue_range(
+        &mut self,
+        qid: QueryId,
+        parts: &[(usize, Option<NodeId>)],
+        fx: &mut Fx<I>,
+    ) {
+        let Some(Pending { op: Op::Range(scan), .. }) = self.pending.get(&qid) else { return };
+        let filter = scan.filter.clone();
+        let mut sends = Vec::new();
+        for &(i, avoid) in parts {
+            let Some(&part) = scan.parts.get(i) else { continue };
+            let gaps = scan.covered.gaps(part.lo, part.hi);
+            sends.extend(gaps.map(|(lo, hi)| (i, Span { lo, hi, ..part }, avoid)));
+        }
+        for (i, span, avoid) in sends {
+            let hop = self.send_span(qid, span, self.id, 0, &filter, avoid, fx);
+            if let Some(p) = self.pending.get_mut(&qid) {
+                p.tracker.left_through(i, hop);
+            }
+        }
+    }
+
+    /// Sends one span, passing over `avoid` while another reference
+    /// exists: a shower branch to a reference of its level, with the
+    /// levels below it handled, or a walk. Returns the hop it left
+    /// through.
+    #[allow(clippy::too_many_arguments)]
+    fn send_span(
+        &mut self,
+        qid: QueryId,
+        span: Span,
+        origin: NodeId,
+        hops: u32,
+        filter: &Option<ItemFilter>,
+        avoid: Option<NodeId>,
+        fx: &mut Fx<I>,
+    ) -> Option<NodeId> {
+        let (lo, hi) = (span.lo, span.hi);
+        let Some(l) = span.level else {
+            return self.walk(qid, lo, hi, origin, hops, filter, avoid, fx);
+        };
+        let Some(r) = self.routing.pick(l, avoid, &mut self.rng) else {
+            // Routing hole: report the gap so the origin terminates
+            // promptly instead of waiting for its timeout.
+            self.send_range_reply(qid, origin, lo, hi, Vec::new(), hops, true, fx);
+            return None;
+        };
+        let filter = filter.clone();
+        let msg = PGridMsg::Range { qid, lo, hi, lmin: l + 1, origin, hops: hops + 1, filter };
+        fx.send(r.id, msg);
+        Some(r.id)
+    }
+
+    /// Routes a sequential range query one step from `lo`, passing over
+    /// `avoid` while another reference exists: the leaf owning `lo`
+    /// contributes its part, filtered (semi-join pushdown), and hands
+    /// over to the owner of the next key. Returns the hop it left
+    /// through.
+    #[allow(clippy::too_many_arguments)]
+    fn walk(
+        &mut self,
+        qid: QueryId,
+        lo: Key,
+        hi: Key,
+        origin: NodeId,
+        hops: u32,
+        filter: &Option<ItemFilter>,
+        avoid: Option<NodeId>,
+        fx: &mut Fx<I>,
+    ) -> Option<NodeId> {
+        match self.routing.route(lo, avoid, &mut self.rng) {
             RouteDecision::Local => {
-                let path = self.routing.path();
-                let leaf_hi = path.max_key().min(hi);
-                let items = self.store.scan_range(lo, leaf_hi, &filter);
+                let leaf_hi = self.routing.path().max_key().min(hi);
+                let items = self.store.scan_range(lo, leaf_hi, filter);
                 self.send_range_reply(qid, origin, lo, leaf_hi, items, hops, false, fx);
-                if leaf_hi < hi {
-                    // Hand over to the owner of the next key.
-                    let next_lo = leaf_hi + 1;
-                    match self.routing.route(next_lo, &mut self.rng) {
-                        RouteDecision::Forward(next, _) => fx.send(
-                            next,
-                            PGridMsg::RangeSeq {
-                                qid,
-                                lo: next_lo,
-                                hi,
-                                origin,
-                                hops: hops + 1,
-                                filter,
-                            },
-                        ),
-                        // `next_lo` is outside our leaf, so `Local` is
-                        // impossible; a stuck route aborts the remainder.
-                        RouteDecision::Local | RouteDecision::Stuck(_) => self.send_range_reply(
-                            qid,
-                            origin,
-                            next_lo,
-                            hi,
-                            Vec::new(),
-                            hops,
-                            true,
-                            fx,
-                        ),
-                    }
-                }
+                // The next key is outside this leaf: the step forwards
+                // or is stuck.
+                let next = (leaf_hi < hi).then(|| leaf_hi + 1)?;
+                self.walk(qid, next, hi, origin, hops, filter, avoid, fx)
             }
             RouteDecision::Forward(next, _) => {
+                let filter = filter.clone();
                 fx.send(next, PGridMsg::RangeSeq { qid, lo, hi, origin, hops: hops + 1, filter });
+                Some(next)
             }
             RouteDecision::Stuck(_) => {
                 self.send_range_reply(qid, origin, lo, hi, Vec::new(), hops, true, fx);
+                None
             }
         }
     }
@@ -192,33 +244,37 @@ impl<I: Item> PGridPeer<I> {
         }
     }
 
-    /// Accumulates a leaf reply at the origin; completes on full coverage.
+    /// Accumulates a leaf reply at the origin, marks the parts it
+    /// completes, and finishes the query once every part is answered.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn handle_range_reply(
         &mut self,
         qid: QueryId,
         cov_lo: Key,
         cov_hi: Key,
-        mut new_items: Vec<I>,
-        new_hops: u32,
-        new_aborted: bool,
+        mut items: Vec<I>,
+        hops: u32,
+        aborted: bool,
         fx: &mut Fx<I>,
     ) {
-        let Some(Pending::Range { lo, hi, covered, items, hops, leaves, aborted }) =
-            self.pending.get_mut(&qid)
-        else {
-            return; // late or duplicate reply
+        let Some(Pending { tracker, op: Op::Range(scan) }) = self.pending.get_mut(&qid) else {
+            return; // late reply
         };
-        covered.add(cov_lo, cov_hi);
-        items.append(&mut new_items);
-        *hops = (*hops).max(new_hops);
-        *leaves += 1;
-        *aborted |= new_aborted;
-        if covered.covers(*lo, *hi) {
-            let complete = !*aborted;
-            let (items, hops, leaves) = (std::mem::take(items), *hops, *leaves);
-            self.pending.remove(&qid);
-            fx.emit(OverlayDone::Range { qid, items, hops, complete, parts: leaves });
+        if scan.covered.covers(cov_lo, cov_hi) {
+            return; // a re-sent interval answered twice
+        }
+        scan.covered.add(cov_lo, cov_hi);
+        scan.items.append(&mut items);
+        scan.leaves += 1;
+        scan.aborted |= aborted;
+        for (i, part) in (0u32..).zip(&scan.parts) {
+            let touched = part.lo <= cov_hi && cov_lo <= part.hi;
+            if touched && scan.covered.covers(part.lo, part.hi) {
+                tracker.ack(&[i], hops);
+            }
+        }
+        if tracker.ack(&[], hops) {
+            self.finish(qid, true, fx);
         }
     }
 }
@@ -229,8 +285,9 @@ mod tests {
     use crate::config::PGridConfig;
     use crate::item::RawItem;
     use crate::msg::PeerRef;
-    use unistore_simnet::Effects;
-    use unistore_util::BitPath;
+    use crate::peer::timer::QUERY_TIMEOUT;
+    use unistore_overlay::OverlayDone;
+    use unistore_simnet::{Effects, NodeBehavior, SimTime, Timer};
 
     fn peer(id: u32, path: &str) -> PGridPeer<RawItem> {
         PGridPeer::new(NodeId(id), BitPath::parse(path).unwrap(), PGridConfig::default(), 1)
@@ -259,11 +316,11 @@ mod tests {
         assert_eq!(forwards[0], (NodeId(1), 1u64 << 63, u64::MAX, 1));
         assert_eq!(forwards[1], (NodeId(2), 1u64 << 62, (1u64 << 63) - 1, 2));
         // Local leaf "00" covers [0, 2^62-1] and was merged into pending.
-        match p.pending.get(&5) {
-            Some(Pending::Range { covered, items, leaves, .. }) => {
-                assert_eq!(covered.intervals(), &[(0, (1u64 << 62) - 1)]);
-                assert_eq!(items.len(), 1);
-                assert_eq!(*leaves, 1);
+        match p.pending.get(&5).map(|p| &p.op) {
+            Some(Op::Range(scan)) => {
+                assert_eq!(scan.covered.intervals(), &[(0, (1u64 << 62) - 1)]);
+                assert_eq!(scan.items.len(), 1);
+                assert_eq!(scan.leaves, 1);
             }
             other => panic!("unexpected pending {other:?}"),
         }
@@ -346,12 +403,101 @@ mod tests {
             })
             .collect();
         assert_eq!(fwd, vec![(NodeId(1), 1u64 << 63, hi)]);
-        match p.pending.get(&9) {
-            Some(Pending::Range { covered, items, .. }) => {
-                assert_eq!(covered.intervals(), &[(0, (1u64 << 63) - 1)]);
-                assert_eq!(items.len(), 1);
+        match p.pending.get(&9).map(|p| &p.op) {
+            Some(Op::Range(scan)) => {
+                assert_eq!(scan.covered.intervals(), &[(0, (1u64 << 63) - 1)]);
+                assert_eq!(scan.items.len(), 1);
             }
             other => panic!("unexpected pending {other:?}"),
+        }
+    }
+
+    /// `(to, lo, hi)` of every shower branch `fx` forwards.
+    fn branches(fx: &Fx<RawItem>) -> Vec<(NodeId, Key, Key)> {
+        let range = |(to, m): &(NodeId, PGridMsg<RawItem>)| match m {
+            PGridMsg::Range { lo, hi, .. } => Some((*to, *lo, *hi)),
+            _ => None,
+        };
+        fx.sends().iter().filter_map(range).collect()
+    }
+
+    fn timeout(p: &mut PGridPeer<RawItem>, qid: QueryId) -> Fx<RawItem> {
+        let mut fx = Effects::new();
+        p.on_timer(SimTime::ZERO, Timer::new(QUERY_TIMEOUT, qid), &mut fx);
+        fx
+    }
+
+    #[test]
+    fn a_timed_out_shower_resends_only_its_uncovered_sub_intervals_through_other_refs() {
+        // Peer "00": level 0 ("1…") and level 1 ("01…") each have two
+        // references.
+        let mut p = peer(0, "00");
+        for (id, path) in [(1, "10"), (2, "11"), (3, "010"), (4, "011")] {
+            p.routing_mut()
+                .add_ref(PeerRef { id: NodeId(id), path: BitPath::parse(path).unwrap() });
+        }
+        let mut fx = Effects::new();
+        p.handle_range(NodeId::EXTERNAL, 5, 0, u64::MAX, 0, NodeId(0), 0, None, &mut fx);
+        let first = branches(&fx);
+        let (half, quarter) = (1u64 << 63, 1u64 << 62);
+        assert_eq!(first.len(), 2);
+        // The "1…" half is answered by one leaf of two; the "01…" quarter
+        // by nobody.
+        p.handle_range_reply(5, half, half + quarter - 1, vec![RawItem(1)], 2, false, &mut fx);
+        let second = branches(&timeout(&mut p, 5));
+        assert_eq!(
+            second.iter().map(|&(_, lo, hi)| (lo, hi)).collect::<Vec<_>>(),
+            [(half + quarter, u64::MAX), (quarter, half - 1)],
+            "only what no reply covered, part by part"
+        );
+        for ((to, ..), (was, ..)) in second.iter().zip(&first) {
+            assert_ne!(to, was, "each part leaves through another reference of its level");
+        }
+        // The late first-attempt reply and the re-sent one overlap: the
+        // items arrive once, and the query completes.
+        let mut fx = Effects::new();
+        p.handle_range_reply(5, half + quarter, u64::MAX, vec![RawItem(2)], 2, false, &mut fx);
+        p.handle_range_reply(5, half + quarter, u64::MAX, vec![RawItem(2)], 2, false, &mut fx);
+        p.handle_range_reply(5, quarter, half - 1, vec![], 2, false, &mut fx);
+        match fx.emits() {
+            [OverlayDone::Range { items, complete: true, parts: 4, .. }] => {
+                assert_eq!(items, &[RawItem(1), RawItem(2)]);
+            }
+            other => panic!("unexpected events {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_timed_out_walk_restarts_from_its_first_uncovered_key_until_the_retries_run_out() {
+        let mut p = peer(0, "0");
+        for id in [1, 2] {
+            p.routing_mut().add_ref(PeerRef { id: NodeId(id), path: BitPath::parse("1").unwrap() });
+        }
+        let (half, hi) = (1u64 << 63, (1u64 << 63) + 5);
+        let walks = |fx: &Fx<RawItem>| -> Vec<(NodeId, Key)> {
+            let seq = |(to, m): &(NodeId, PGridMsg<RawItem>)| match m {
+                PGridMsg::RangeSeq { lo, hi: h, .. } if *h == hi => Some((*to, *lo)),
+                _ => None,
+            };
+            fx.sends().iter().filter_map(seq).collect()
+        };
+        let mut fx = Effects::new();
+        p.handle_range_seq(NodeId::EXTERNAL, 9, 0, hi, NodeId(0), 0, None, &mut fx);
+        let first = walks(&fx);
+        assert_eq!(first.len(), 1);
+        let mut hops = vec![first[0].0];
+        for _ in 0..PGridConfig::default().op_retries {
+            let again = walks(&timeout(&mut p, 9));
+            assert_eq!(again.len(), 1);
+            assert_eq!(again[0].1, half, "the local leaf is not walked again");
+            assert_ne!(Some(&again[0].0), hops.last(), "around the previous first hop");
+            hops.push(again[0].0);
+        }
+        match timeout(&mut p, 9).emits() {
+            [OverlayDone::Range { items, complete: false, parts: 1, .. }] => {
+                assert!(items.is_empty())
+            }
+            other => panic!("unexpected events {other:?}"),
         }
     }
 

@@ -85,14 +85,15 @@ impl RoutingTable {
     }
 
     /// Routing decision for `key`: a random reference at the needed
-    /// level. Bootstrap hand-offs, range scans and tombstones that
-    /// cascade past a migrated path route this way.
-    pub fn route(&self, key: Key, rng: &mut StdRng) -> RouteDecision {
+    /// level, passing over `avoid` while another exists ([`Self::pick`]).
+    /// Bootstrap hand-offs, range scans and tombstones that cascade past
+    /// a migrated path route this way.
+    pub fn route(&self, key: Key, avoid: Option<NodeId>, rng: &mut StdRng) -> RouteDecision {
         let l = self.path.common_prefix_len_key(key);
         if l == self.path.len() {
             return RouteDecision::Local;
         }
-        match self.levels[l as usize].choose(rng) {
+        match self.pick(l, avoid, rng) {
             Some(r) => RouteDecision::Forward(r.id, l),
             None => RouteDecision::Stuck(l),
         }
@@ -268,9 +269,16 @@ impl RoutingTable {
         &self.levels[l as usize]
     }
 
-    /// Picks a random ref at a level.
-    pub fn pick(&self, l: u8, rng: &mut StdRng) -> Option<PeerRef> {
-        self.levels[l as usize].choose(rng).copied()
+    /// Picks a random ref at a level, other than `avoid` (an earlier
+    /// attempt's first hop) while the level holds another.
+    pub fn pick(&self, l: u8, avoid: Option<NodeId>, rng: &mut StdRng) -> Option<PeerRef> {
+        let level = &self.levels[l as usize];
+        let Some(at) = level.iter().position(|r| Some(r.id) == avoid).filter(|_| level.len() > 1)
+        else {
+            return level.choose(rng).copied();
+        };
+        // Uniform over the others: a non-zero offset from `avoid`.
+        level.get((at + rng.gen_range(1..level.len())) % level.len()).copied()
     }
 
     /// Every stored ref (all levels), for table gossip.
@@ -505,13 +513,13 @@ pub(crate) mod tests {
         let mut r = rng();
         // Key starting 01… → local.
         let local_key = 0b01u64 << 62;
-        assert_eq!(t.route(local_key, &mut r), RouteDecision::Local);
+        assert_eq!(t.route(local_key, None, &mut r), RouteDecision::Local);
         // Key starting 1… → level 0 forward.
         let k1 = 1u64 << 63;
-        assert_eq!(t.route(k1, &mut r), RouteDecision::Forward(NodeId(1), 0));
+        assert_eq!(t.route(k1, None, &mut r), RouteDecision::Forward(NodeId(1), 0));
         // Key starting 00… → level 1, which is empty.
         let k00 = 0u64;
-        assert_eq!(t.route(k00, &mut r), RouteDecision::Stuck(1));
+        assert_eq!(t.route(k00, None, &mut r), RouteDecision::Stuck(1));
     }
 
     #[test]

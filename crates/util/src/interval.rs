@@ -5,6 +5,8 @@
 //! completes when the union equals the requested interval. This also
 //! doubles as a completeness guarantee under message loss.
 
+use std::iter::once;
+
 /// A set of disjoint, sorted, inclusive `u64` intervals with merging.
 #[derive(Clone, Debug, Default)]
 pub struct IntervalSet {
@@ -47,6 +49,16 @@ impl IntervalSet {
             merged.push(cur);
         }
         self.ivs = merged;
+    }
+
+    /// The maximal sub-intervals of `[lo, hi]` the set does not cover,
+    /// ascending (none when `lo > hi`): the spaces before, between and
+    /// after the stored intervals, clipped to `[lo, hi]`.
+    pub fn gaps(&self, lo: u64, hi: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let starts = once(Some(lo)).chain(self.ivs.iter().map(|&(_, b)| b.checked_add(1)));
+        let ends = self.ivs.iter().map(|&(a, _)| a.checked_sub(1)).chain(once(Some(hi)));
+        let clip = move |(s, e): (Option<u64>, Option<u64>)| Some((s?.max(lo), e?.min(hi)));
+        starts.zip(ends).filter_map(clip).filter(|(s, e)| s <= e)
     }
 
     /// True when a single stored interval contains `[lo, hi]`.
@@ -111,6 +123,22 @@ mod tests {
         s.add(10, 5);
         assert!(s.intervals().is_empty());
         assert_eq!(s.covered_len(), 0);
+    }
+
+    #[test]
+    fn gaps_are_the_uncovered_rest() {
+        let mut s = IntervalSet::new();
+        let gaps = |s: &IntervalSet, lo, hi| s.gaps(lo, hi).collect::<Vec<_>>();
+        assert_eq!(gaps(&s, 3, 9), [(3, 9)]);
+        s.add(10, 20);
+        s.add(30, u64::MAX);
+        assert_eq!(gaps(&s, 0, 40), [(0, 9), (21, 29)]);
+        assert_eq!(gaps(&s, 12, 25), [(21, 25)]);
+        assert_eq!(gaps(&s, 15, 18), []);
+        assert_eq!(gaps(&s, 31, u64::MAX), []);
+        assert_eq!(gaps(&s, 9, 5), [], "an inverted interval has no gaps");
+        s.add(0, 5);
+        assert_eq!(gaps(&s, 0, 12), [(6, 9)]);
     }
 
     #[test]

@@ -472,8 +472,20 @@ impl FuzzSeeds for ChordMsg<Triple> {
                 hops: 3,
                 filter: sample_filter(),
             },
-            ChordMsg::LookupReply { qid: 1, items: vec![t.clone(), t.clone()], hops: 4, ok: true },
-            ChordMsg::LookupReply { qid: 2, items: sample_triples(), hops: 3, ok: true },
+            ChordMsg::LookupReply {
+                qid: 1,
+                part: None,
+                items: vec![t.clone(), t.clone()],
+                hops: 4,
+                ok: true,
+            },
+            ChordMsg::LookupReply {
+                qid: 2,
+                part: Some(700),
+                items: sample_triples(),
+                hops: 3,
+                ok: true,
+            },
             ChordMsg::OpBatch {
                 qid: 8,
                 origin: NodeId(3),
@@ -521,12 +533,23 @@ impl FuzzSeeds for ChordMsg<Triple> {
             ChordMsg::BucketRange { qid: 3, lo: 10, hi: 90, origin: NodeId(1) },
             ChordMsg::BucketGet {
                 qid: 3,
+                part: None,
                 ring_key: 55,
                 lo: 10,
                 hi: 90,
                 origin: NodeId(1),
                 hops: 2,
                 filter: None,
+            },
+            ChordMsg::BucketGet {
+                qid: 3,
+                part: Some(2),
+                ring_key: 55,
+                lo: 10,
+                hi: 90,
+                origin: NodeId(1),
+                hops: 2,
+                filter: sample_filter(),
             },
             ChordMsg::Bcast { qid: 4, lo: 0, hi: u64::MAX, limit: 12345, hops: 1, filter: None },
             ChordMsg::BcastReply { qid: 4, items: vec![t.clone()], nodes: 17, hops: 6 },
