@@ -300,15 +300,26 @@ impl<I: Item> ChordNode<I> {
         owns(self.predecessor.1, self.ring_id, k)
     }
 
+    /// True if this node answers reads of ring position `k` from its
+    /// own store: it owns `k`, or, under replication, keeps the copy of
+    /// its predecessor's range that `k` lies in.
+    pub(crate) fn serves(&self, k: u64) -> bool {
+        self.responsible(k) || (self.cfg.replicate && self.replicates(k))
+    }
+
     /// Next hop for ring position `k`: the successor if `k` lands in
     /// `(self, succ]`, otherwise the closest preceding finger that is
     /// neither suspected dead nor `avoid` (an earlier attempt's first
-    /// hop). When the owner itself is the (suspected) successor there
-    /// is no detour — the message goes there anyway and the sender can
-    /// fail fast instead (see `handle_lookup`).
+    /// hop). A key the successor owns has no detour but one: under
+    /// replication a suspected successor's keys go to `successor2`,
+    /// which replicates them. Otherwise the message goes to the owner
+    /// anyway, and a read fails fast instead (see `route_read`).
     pub(crate) fn next_hop(&self, k: u64, avoid: Option<NodeId>) -> NodeId {
         if in_open_closed(self.ring_id, self.successor.1, k) {
-            return self.successor.0;
+            let masked = self.cfg.replicate
+                && self.successor2.0 != self.id
+                && self.liveness.is_suspected(self.successor.0);
+            return if masked { self.successor2.0 } else { self.successor.0 };
         }
         let shunned = |node: NodeId| Some(node) == avoid || self.liveness.is_suspected(node);
         for &(node, ring) in self.fingers.iter().rev() {
@@ -463,8 +474,9 @@ impl<I: Item> ChordNode<I> {
 
     /// Routes a read one step toward ring position `ring_key` — an exact
     /// lookup, or a bucket read of `range` — passing over `avoid`; the
-    /// owner answers the origin, naming `part`. The origin notes the hop
-    /// the read leaves through, for a retry to go around.
+    /// owner, or under replication its successor's copy, answers the
+    /// origin, naming `part`. The origin notes the hop the read leaves
+    /// through, for a retry to go around.
     #[allow(clippy::too_many_arguments)]
     fn route_read(
         &mut self,
@@ -478,7 +490,7 @@ impl<I: Item> ChordNode<I> {
         avoid: Option<NodeId>,
         fx: &mut Fx<I>,
     ) {
-        if self.responsible(ring_key) {
+        if self.serves(ring_key) {
             // Semi-join pushdown: drop non-matching items at the data,
             // before they are ever cloned out of the store.
             let items = match range {
@@ -488,9 +500,10 @@ impl<I: Item> ChordNode<I> {
             return self.answer_read(qid, part, origin, items, hops, true, fx);
         }
         let next = self.next_hop(ring_key, avoid);
-        // The owner itself is suspected dead: no detour can reach the
-        // data, so fail fast — the origin's retry chain can try the
-        // other index mirror now instead of waiting out the op timeout.
+        // The successor owns the key and the hop `next_hop` chose for it
+        // is suspected too: the owner without a replica, or the owner
+        // and `successor2` both. No detour can reach the data, so fail
+        // fast instead of waiting out the op timeout.
         if self.liveness.is_suspected(next)
             && in_open_closed(self.ring_id, self.successor.1, ring_key)
         {
@@ -528,9 +541,10 @@ impl<I: Item> ChordNode<I> {
     }
 
     /// Folds a read's answer at the origin. A lookup completes with it,
-    /// an explicit failure included: a suspected owner is terminal, and
-    /// the origin's retry chain tries the other index mirror. A bucket
-    /// scan marks the bucket the reply names, once.
+    /// an explicit failure included: an owner suspected with no trusted
+    /// replica behind it is terminal for this op, and the query layer
+    /// decides whether to retry. A bucket scan marks the bucket the
+    /// reply names, once.
     fn handle_lookup_reply(
         &mut self,
         qid: QueryId,
@@ -745,14 +759,15 @@ impl<I: Item> ChordNode<I> {
     }
 
     /// Places an entry directly into the local store under every index
-    /// position this node is responsible for (driver-side preloading).
+    /// position this node owns or, under replication, replicates
+    /// (driver-side preloading).
     pub fn preload(&mut self, key: Key, item: I, version: u64) {
         let rk = ring_key_exact(key);
-        if self.responsible(rk) {
+        if self.serves(rk) {
             self.store.insert(rk, key, item.clone(), version);
         }
         let bk = ring_key_bucket(key, self.cfg.bucket_depth);
-        if self.responsible(bk) {
+        if self.serves(bk) {
             self.store.insert(bk, key, item, version);
         }
     }
@@ -1258,6 +1273,92 @@ mod tests {
         let mut plain = suspecting(&[1, 2]);
         plain.cfg.replicate = false;
         assert_eq!(plain.route_op(5, 1), Some(NodeId(1)));
+    }
+
+    #[test]
+    fn a_suspected_successor_s_keys_route_to_successor2_under_replication() {
+        // k = 5: the successor (node 1) owns it, node 2 replicates it.
+        assert_eq!(suspecting(&[]).next_hop(5, None), NodeId(1), "a trusted owner");
+        assert_eq!(suspecting(&[1]).next_hop(5, None), NodeId(2), "the owner's replica");
+        assert_eq!(suspecting(&[1]).next_hop(10, Some(NodeId(2))), NodeId(2));
+        assert_eq!(suspecting(&[2]).next_hop(5, None), NodeId(1));
+        let mut plain = suspecting(&[1]);
+        plain.cfg.replicate = false;
+        assert_eq!(plain.next_hop(5, None), NodeId(1), "no replica, no detour");
+    }
+
+    /// What `n` sends on a read of `ring_key` (exact, or of the bucket
+    /// `range`) routed to it by node 5 for origin 7.
+    fn read_at(
+        n: &mut ChordNode<RawItem>,
+        ring_key: u64,
+        range: Option<(Key, Key)>,
+    ) -> Vec<(NodeId, ChordMsg<RawItem>)> {
+        let (qid, origin, hops, filter) = (3, NodeId(7), 1, None);
+        let msg = match range {
+            None => ChordMsg::Lookup { qid, ring_key, origin, hops, filter },
+            Some((lo, hi)) => {
+                ChordMsg::BucketGet { qid, part: None, ring_key, lo, hi, origin, hops, filter }
+            }
+        };
+        let mut fx = Fx::new();
+        n.on_message(SimTime::ZERO, NodeId(5), msg, &mut fx);
+        fx.sends().to_vec()
+    }
+
+    #[test]
+    fn successor2_answers_its_predecessor_s_reads_from_its_replica() {
+        let key: Key = 0x1234_5678_9abc_def0;
+        let cfg = ChordConfig { replicate: true, ..ChordConfig::default() };
+        let (rk, bk) = (ring_key_exact(key), ring_key_bucket(key, cfg.bucket_depth));
+        // Node 2 replicates `(pred2, pred]`, the range of node 1 that
+        // holds both of `key`'s index positions.
+        let (lo, hi) = (rk.min(bk), rk.max(bk));
+        let mut n = ChordNode::new(NodeId(2), hi + 10, cfg, 1);
+        n.set_topology(RingWiring {
+            predecessor: (NodeId(1), hi),
+            predecessor2: (NodeId(0), lo.wrapping_sub(1)),
+            successor: (NodeId(3), hi + 20),
+            successor2: (NodeId(4), hi + 30),
+            fingers: vec![(NodeId(3), hi + 20), (NodeId(4), hi + 30)],
+        });
+        n.preload(key, RawItem(9), 0);
+        assert_eq!(n.store().len(), 2, "the load places the replica of both indexes");
+        for (ring_key, range) in [(rk, None), (bk, Some((key, key)))] {
+            match &read_at(&mut n, ring_key, range)[..] {
+                [(NodeId(7), ChordMsg::LookupReply { qid: 3, items, ok: true, .. })] => {
+                    assert_eq!(items, &[RawItem(9)], "answered from the replica");
+                }
+                other => panic!("not answered here: {other:?}"),
+            }
+        }
+        // Without replication the node keeps no copy and serves nothing.
+        n.cfg.replicate = false;
+        for (ring_key, range) in [(rk, None), (bk, Some((key, key)))] {
+            let sent = read_at(&mut n, ring_key, range);
+            assert!(!sent.iter().any(|(to, _)| *to == NodeId(7)), "routed on: {sent:?}");
+        }
+    }
+
+    #[test]
+    fn a_read_fails_fast_only_when_both_successors_are_suspected() {
+        // k = 5: the successor (node 1) owns it, node 2 replicates it.
+        for (suspects, ring_key, range) in
+            [(&[1][..], 5, None), (&[1], 5, Some((0, Key::MAX))), (&[2], 5, None)]
+        {
+            let sent = read_at(&mut suspecting(suspects), ring_key, range);
+            let to: Vec<NodeId> = sent.iter().map(|(to, _)| *to).collect();
+            let want = if suspects == [1] { NodeId(2) } else { NodeId(1) };
+            assert_eq!(to, [want], "suspecting {suspects:?}: {sent:?}");
+        }
+        for range in [None, Some((0, Key::MAX))] {
+            match &read_at(&mut suspecting(&[1, 2]), 5, range)[..] {
+                [(NodeId(7), ChordMsg::LookupReply { ok: false, items, .. })] => {
+                    assert!(items.is_empty())
+                }
+                other => panic!("both suspected fails fast: {other:?}"),
+            }
+        }
     }
 
     /// `node()` probing every 5 s.

@@ -32,7 +32,7 @@ impl<I: Item + Send + 'static> Overlay for ChordNode<I> {
     ) -> ChordTopology {
         // The uniform hash destroys key order, so the ring cannot adapt
         // to the data distribution — the sample is ignored by design.
-        ChordTopology::plan(n_peers, cfg.bucket_depth, seed)
+        ChordTopology::plan(n_peers, cfg, seed)
     }
 
     fn spawn(topology: &ChordTopology, peer: usize, cfg: &ChordConfig, seed: u64) -> Self {
@@ -51,10 +51,19 @@ impl<I: Item + Send + 'static> Overlay for ChordNode<I> {
         ChordNode::responsible(self, ring_key_exact(key))
     }
 
+    fn serves(&self, key: Key) -> bool {
+        ChordNode::serves(self, ring_key_exact(key))
+    }
+
+    /// A key this node only replicates goes straight back to its owner,
+    /// the predecessor: routing it forward would circle the ring, and
+    /// back here whenever the owner's predecessor suspects the owner.
     fn next_hop(&mut self, key: Key, avoid: Option<NodeId>) -> Option<NodeId> {
         let rk = ring_key_exact(key);
         if ChordNode::responsible(self, rk) {
             None
+        } else if ChordNode::serves(self, rk) {
+            Some(self.predecessor.0)
         } else {
             Some(ChordNode::next_hop(self, rk, avoid))
         }
@@ -107,7 +116,7 @@ impl<I: Item + Send + 'static> Overlay for ChordNode<I> {
     /// Every write pays both the exact and the bucket index, so an
     /// inclusive `[key, key]` fetch at the bucket position returns what
     /// an exact fetch does: the bucket index is a free read replica.
-    /// Reads prefer whichever mirror is locally owned (zero hops), and
+    /// Reads prefer whichever mirror is served locally (zero hops), and
     /// otherwise alternate so a hot key's reads land on two owners.
     fn local_lookup(
         &mut self,
@@ -117,9 +126,9 @@ impl<I: Item + Send + 'static> Overlay for ChordNode<I> {
         fx: &mut Effects<ChordMsg<I>, OverlayDone<I>>,
     ) {
         let (rk, bk) = (ring_key_exact(key), ring_key_bucket(key, self.cfg.bucket_depth));
-        let via_bucket = if ChordNode::responsible(self, rk) {
+        let via_bucket = if ChordNode::serves(self, rk) {
             false
-        } else if ChordNode::responsible(self, bk) {
+        } else if ChordNode::serves(self, bk) {
             true
         } else {
             self.reads_via[1] < self.reads_via[0]
@@ -184,40 +193,56 @@ mod tests {
 
     #[test]
     fn spawned_ring_covers_every_key_once() {
-        let cfg = ChordConfig::default();
-        let topo = <ChordNode<RawItem> as Overlay>::plan(16, &cfg, None, 5);
-        let nodes: Vec<ChordNode<RawItem>> =
-            (0..16).map(|p| <ChordNode<RawItem> as Overlay>::spawn(&topo, p, &cfg, 5)).collect();
-        for key in (0..64u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)) {
-            let owners: Vec<usize> = nodes
-                .iter()
-                .enumerate()
-                .filter(|(_, n)| Overlay::responsible(*n, key))
-                .map(|(i, _)| i)
+        for replicate in [false, true] {
+            let cfg = ChordConfig { replicate, ..ChordConfig::default() };
+            let topo = <ChordNode<RawItem> as Overlay>::plan(16, &cfg, None, 5);
+            let mut nodes: Vec<ChordNode<RawItem>> = (0..16)
+                .map(|p| <ChordNode<RawItem> as Overlay>::spawn(&topo, p, &cfg, 5))
                 .collect();
-            assert_eq!(owners.len(), 1, "exactly one exact-index owner per key");
-            assert_eq!(owners[0], topo.holders(key)[0], "plan and nodes agree");
+            for key in (0..64u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)) {
+                let owners: Vec<usize> = nodes
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, n)| Overlay::responsible(*n, key))
+                    .map(|(i, _)| i)
+                    .collect();
+                assert_eq!(owners.len(), 1, "exactly one exact-index owner per key");
+                assert_eq!(owners[0], topo.holders(key)[0], "plan and nodes agree");
+                // Under replication the owner's successor serves the key
+                // too, and routes anything else about it back to the owner.
+                let owner = NodeId(owners[0] as u32);
+                for (i, n) in nodes.iter_mut().enumerate() {
+                    let replica = replicate && n.predecessor.0 == owner;
+                    assert_eq!(Overlay::serves(n, key), i == owners[0] || replica);
+                    if replica {
+                        assert_eq!(Overlay::next_hop(n, key, None), Some(owner));
+                    }
+                }
+            }
         }
     }
 
     #[test]
     fn preload_splits_across_indexes() {
-        let cfg = ChordConfig::default();
-        let topo = <ChordNode<RawItem> as Overlay>::plan(8, &cfg, None, 5);
-        let key = 42u64 << 40;
-        let holders = topo.holders(key);
-        let mut stored = 0;
-        for p in 0..8 {
-            let mut node = <ChordNode<RawItem> as Overlay>::spawn(&topo, p, &cfg, 5);
-            Overlay::preload(&mut node, key, RawItem(1), 0);
-            let len = node.store().len();
-            if holders.contains(&p) {
-                assert!(len >= 1);
-            } else {
-                assert_eq!(len, 0, "non-holders store nothing");
+        for replicate in [false, true] {
+            let cfg = ChordConfig { replicate, ..ChordConfig::default() };
+            let topo = <ChordNode<RawItem> as Overlay>::plan(8, &cfg, None, 5);
+            let key = 42u64 << 40;
+            let holders = topo.holders(key);
+            let mut stored = 0;
+            for p in 0..8 {
+                let mut node = <ChordNode<RawItem> as Overlay>::spawn(&topo, p, &cfg, 5);
+                Overlay::preload(&mut node, key, RawItem(1), 0);
+                let len = node.store().len();
+                if holders.contains(&p) {
+                    assert!(len >= 1);
+                } else {
+                    assert_eq!(len, 0, "non-holders store nothing");
+                }
+                stored += len;
             }
-            stored += len;
+            // One exact entry + one bucket entry, and each one's replica.
+            assert_eq!(stored, if replicate { 4 } else { 2 });
         }
-        assert_eq!(stored, 2, "one exact entry + one bucket entry");
     }
 }

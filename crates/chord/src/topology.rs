@@ -7,7 +7,7 @@ use unistore_simnet::NodeId;
 use unistore_util::fxhash::mix64;
 use unistore_util::Key;
 
-use crate::node::{ring_key_bucket, ring_key_exact};
+use crate::node::{ring_key_bucket, ring_key_exact, ChordConfig};
 
 /// A planned, converged Chord ring.
 #[derive(Clone, Debug)]
@@ -18,6 +18,9 @@ pub struct ChordTopology {
     pub by_id: Vec<u64>,
     /// Prefix depth of the auxiliary bucket index.
     pub bucket_depth: u8,
+    /// Whether each owner's successor keeps a copy of its range
+    /// ([`ChordConfig::replicate`]), so the load places one there too.
+    pub replicate: bool,
 }
 
 /// The wired routing state of one ring member.
@@ -43,7 +46,7 @@ pub struct RingWiring {
 impl ChordTopology {
     /// Plans a ring of `n` nodes: well-mixed, deterministic,
     /// collision-free ring ids for n ≪ 2^64.
-    pub fn plan(n: usize, bucket_depth: u8, seed: u64) -> Self {
+    pub fn plan(n: usize, cfg: &ChordConfig, seed: u64) -> Self {
         assert!(n >= 1);
         let mut ring_order: Vec<(u64, NodeId)> = (0..n)
             .map(|i| {
@@ -55,7 +58,8 @@ impl ChordTopology {
         for &(ring, id) in &ring_order {
             by_id[id.index()] = ring;
         }
-        ChordTopology { ring_order, by_id, bucket_depth }
+        let (bucket_depth, replicate) = (cfg.bucket_depth, cfg.replicate);
+        ChordTopology { ring_order, by_id, bucket_depth, replicate }
     }
 
     /// `(ring position, id)` of the node owning ring position `target`.
@@ -94,14 +98,31 @@ impl ChordTopology {
     }
 
     /// Peers holding `key` in the converged state: the owner of its
-    /// exact-index position and the owner of its bucket-index position.
+    /// exact-index position and the owner of its bucket-index position,
+    /// each followed by its successor under replication; the exact
+    /// owner first, no peer twice.
     pub fn holders_of_key(&self, key: Key) -> Vec<usize> {
-        let exact = self.successor_of(ring_key_exact(key)).1.index();
-        let bucket = self.successor_of(ring_key_bucket(key, self.bucket_depth)).1.index();
-        if exact == bucket {
-            vec![exact]
+        let (m, copies) = (self.ring_order.len(), self.copies());
+        let mut holders = Vec::with_capacity(2 * copies);
+        for rk in [ring_key_exact(key), ring_key_bucket(key, self.bucket_depth)] {
+            let pos = self.ring_order.partition_point(|&(r, _)| r < rk);
+            for i in pos..pos + copies {
+                let peer = self.ring_order[i % m].1.index();
+                if !holders.contains(&peer) {
+                    holders.push(peer);
+                }
+            }
+        }
+        holders
+    }
+
+    /// Peers holding each record: its owner, and under replication the
+    /// owner's successor.
+    fn copies(&self) -> usize {
+        if self.replicate {
+            self.ring_order.len().min(2)
         } else {
-            vec![exact, bucket]
+            1
         }
     }
 }
@@ -116,17 +137,18 @@ impl unistore_overlay::OverlayTopology for ChordTopology {
     }
 
     fn replication(&self) -> usize {
-        1
+        self.copies()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use unistore_overlay::OverlayTopology;
 
     #[test]
     fn wiring_matches_sorted_ring() {
-        let topo = ChordTopology::plan(16, 10, 3);
+        let topo = ChordTopology::plan(16, &ChordConfig::default(), 3);
         for pos in 0..16 {
             let (ring, id) = topo.ring_order[pos];
             let w = topo.wiring(id);
@@ -144,11 +166,31 @@ mod tests {
 
     #[test]
     fn holders_cover_both_indexes() {
-        let topo = ChordTopology::plan(32, 10, 9);
-        for key in (0..50u64).map(|i| i << 40) {
-            let holders = topo.holders_of_key(key);
-            assert!(!holders.is_empty() && holders.len() <= 2);
-            assert_eq!(topo.successor_of(ring_key_exact(key)).1.index(), holders[0]);
+        for replicate in [false, true] {
+            let cfg = ChordConfig { replicate, ..ChordConfig::default() };
+            let topo = ChordTopology::plan(32, &cfg, 9);
+            for key in (0..50u64).map(|i| i << 40) {
+                let holders = topo.holders_of_key(key);
+                let mut want: Vec<usize> = Vec::new();
+                for rk in [ring_key_exact(key), ring_key_bucket(key, cfg.bucket_depth)] {
+                    let (_, owner) = topo.successor_of(rk);
+                    want.push(owner.index());
+                    if replicate {
+                        // The owner's successor, which replicates its range.
+                        let (ring, _) = topo.successor_of(rk);
+                        want.push(topo.successor_of(ring.wrapping_add(1)).1.index());
+                    }
+                }
+                let mut sorted = holders.clone();
+                sorted.sort_unstable();
+                sorted.dedup();
+                assert_eq!(sorted.len(), holders.len(), "no holder twice: {holders:?}");
+                want.sort_unstable();
+                want.dedup();
+                assert_eq!(sorted, want, "owner (and successor) per index");
+                assert_eq!(topo.successor_of(ring_key_exact(key)).1.index(), holders[0]);
+            }
+            assert_eq!(topo.replication(), 1 + replicate as usize);
         }
     }
 }

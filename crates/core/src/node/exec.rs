@@ -280,16 +280,16 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
         // dropping the attempt (retry timer recovers) beats panicking.
         let Some(pattern) = mqp.root.first_scan().cloned() else { return };
 
-        // Mutant forwarding: ship the plan to the peer owning the next
+        // Mutant forwarding: ship the plan to a peer serving the next
         // scan's anchor key, unless disabled, too large, or already
-        // home. A chosen semi-join executes from here instead — its
+        // there. A chosen semi-join executes from here instead — its
         // pricing already assumed so. With the result cache on,
         // exact-match point scans also stay here: the overlay lookup
         // pulls the rows to this node, priming its cache, instead of
         // shipping the plan to the data.
         if semi_filter.is_none() && !self.plan_mode.no_forward && !self.cache_pins_scan(&pattern) {
             if let Some(key) = anchor_key(&pattern) {
-                if !self.overlay.responsible(key) && mqp.wire_size() < FORWARD_BYTE_CAP {
+                if !self.overlay.serves(key) && mqp.wire_size() < FORWARD_BYTE_CAP {
                     if let Some(next) = self.overlay.next_hop(key, avoid) {
                         if NodeId(mqp.origin) == self.id() {
                             self.attempts.forwarded(qid, next);
@@ -320,10 +320,10 @@ impl<O: Overlay<Item = Triple>> UniNode<O> {
         self.execute_scan(Wait::new(mqp, pattern), chosen, semi_filter, fx);
     }
 
-    /// Moves a forwarded plan one hop closer to the peer owning `key`,
-    /// or continues it here once this peer is responsible.
+    /// Moves a forwarded plan one hop closer to a peer serving `key`,
+    /// or continues it here once this peer serves it.
     pub(super) fn route(&mut self, key: Key, mut mqp: Mqp, fx: &mut UniFx<O::Msg>) {
-        if self.overlay.responsible(key) {
+        if self.overlay.serves(key) {
             return self.continue_plan(mqp, None, fx);
         }
         match self.overlay.next_hop(key, None) {

@@ -265,6 +265,14 @@ pub trait Overlay:
     /// Whether this peer is responsible for `key`'s primary location.
     fn responsible(&self, key: Key) -> bool;
 
+    /// Whether this peer answers reads of `key` from its own store: it
+    /// is responsible for the key, or keeps a replica of it that reads
+    /// may use. A forwarded plan stops at such a peer. Defaults to
+    /// [`Self::responsible`].
+    fn serves(&self, key: Key) -> bool {
+        self.responsible(key)
+    }
+
     /// Next hop toward the peer responsible for `key`, or `None` when
     /// the key is local or routing is stuck. Takes the longest step
     /// toward the key the routing state allows, and may spread load

@@ -60,9 +60,11 @@ impl LocalEngine {
     pub fn execute(&self, analyzed: &AnalyzedQuery) -> Relation {
         let logical = Logical::from_query(analyzed);
         let mut plan = MqpNode::from_logical(&logical);
-        let all = self.store.all().to_vec();
+        // Every scan binds over the whole store, borrowed, not copied:
+        // a copy per query was most of an oracle answer's time.
+        let all = self.store.all();
         while let Some(pattern) = plan.first_scan().cloned() {
-            let rel = bind_triples(&pattern, &all, &self.mappings);
+            let rel = bind_triples(&pattern, all, &self.mappings);
             plan.resolve_first_scan(rel);
             plan.reduce();
         }

@@ -673,7 +673,7 @@ fn anti_entropy_propagates_updates_to_lagging_replicas() {
 }
 
 mod chord_failure_detection {
-    use unistore_chord::{ChordCluster, ChordConfig, ChordTopology};
+    use unistore_chord::{ChordCluster, ChordConfig, ChordRangeMode, ChordTopology};
     use unistore_simnet::fault::{FaultPlan, Window};
     use unistore_simnet::ConstantLatency;
     use unistore_util::item::RawItem;
@@ -708,7 +708,7 @@ mod chord_failure_detection {
     #[test]
     fn a_crash_reaches_every_watcher_and_a_revival_is_forgiven_at_once() {
         let cfg = ChordConfig { ping_interval: PING, ..ChordConfig::default() };
-        let topo = ChordTopology::plan(N, cfg.bucket_depth, SEED);
+        let topo = ChordTopology::plan(N, &cfg, SEED);
         let mut c: ChordCluster<RawItem> =
             ChordCluster::build(N, cfg, ConstantLatency(LATENCY), SEED);
         // Every node learns its watchers in its first (full) round and
@@ -754,5 +754,57 @@ mod chord_failure_detection {
         let backstop = SimTime::from_micros(PERIOD_MAX.as_micros() * (cycle + 1)) + DEADLINE;
         run_until(&mut c, healed + backstop);
         assert!(c.net.node(cut).suspects(x), "the cut-off watcher found the crash itself");
+    }
+
+    /// A 64-peer ring under successor replication, probing every 5 s:
+    /// once a crashed owner's predecessor suspects it, reads of the
+    /// owner's keys go to the owner's successor, whose replica the load
+    /// placed, so a point read and a bucket scan come back complete and
+    /// oracle-exact while the owner is down.
+    #[test]
+    fn chord_reads_are_masked_by_the_successor_replica() {
+        use unistore_chord::node::{ring_key_bucket, ring_key_exact};
+        let cfg = ChordConfig { ping_interval: PING, replicate: true, ..ChordConfig::default() };
+        let depth = cfg.bucket_depth;
+        let topo = ChordTopology::plan(N, &cfg, SEED);
+        let mut c: ChordCluster<RawItem> =
+            ChordCluster::build(N, cfg, ConstantLatency(LATENCY), SEED);
+        let keys: Vec<u64> = (0..4096u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
+        for &k in &keys {
+            c.preload(k, RawItem(k));
+        }
+        // The owner of the first key's bucket, and the keys it owns
+        // exactly.
+        let bucket = keys[0] >> (64 - depth as u32);
+        let x = topo.successor_of(ring_key_bucket(keys[0], depth)).1;
+        let owned: Vec<u64> =
+            keys.iter().copied().filter(|&k| topo.successor_of(ring_key_exact(k)).1 == x).collect();
+        assert!(!owned.is_empty(), "x owns some exact positions");
+        let pred = topo.wiring(x).predecessor.0;
+        run_until(&mut c, SimTime::from_secs(30));
+
+        let crash = c.net.now();
+        c.net.schedule_down(x, crash);
+        while !c.net.node(pred).suspects(x) {
+            assert!(c.net.now() < crash + PERIOD_MAX + DEADLINE + DEADLINE + LATENCY);
+            assert!(c.net.step());
+        }
+        let origin = NodeId((x.0 + 1) % N as u32);
+        for &k in &owned {
+            let out = c.lookup(origin, k);
+            assert!(out.ok, "point read of {k:#x} failed");
+            assert_eq!(out.entries, [RawItem(k)], "point read of {k:#x}");
+        }
+        let shift = 64 - depth as u32;
+        let (lo, hi) = (bucket << shift, ((bucket + 1) << shift).wrapping_sub(1));
+        let mut want: Vec<u64> = keys.iter().copied().filter(|k| (lo..=hi).contains(k)).collect();
+        want.sort_unstable();
+        assert!(!want.is_empty());
+        let out = c.range(origin, lo, hi, ChordRangeMode::Buckets);
+        assert!(out.complete, "the bucket scan came back partial");
+        let mut got: Vec<u64> = out.entries.into_iter().map(|item| item.0).collect();
+        got.sort_unstable();
+        assert_eq!(got, want, "bucket scan");
+        assert!(!c.net.is_up(x), "x stayed down throughout");
     }
 }
