@@ -14,7 +14,8 @@ use crate::backend::{Backend, LABELS, SEED};
 use crate::snapshot::{emit, find, Row};
 use crate::{both_backends, canon};
 
-const QUERIES: [(&str, &str); 2] = [
+/// The multi-join workloads, also E6's.
+pub(crate) const QUERIES: [(&str, &str); 2] = [
     (
         "3-way join",
         "SELECT ?n,?conf WHERE {(?a,'name',?n) (?a,'has_published',?t)

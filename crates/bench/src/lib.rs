@@ -1,8 +1,9 @@
-//! The experiment harness: the paper's tables (E1–E10 and E12, [`paper`]), the
-//! seven deterministic `BENCH_*.json` snapshots CI regenerates and diffs
-//! (one module each, rendered and floor-checked by [`snapshot`]), and
-//! the same-seed [`determinism`] gate. Wall-clock measurement is not
-//! done here: that is the frozen `benchmark/` package's job.
+//! The experiment harness: the eight deterministic `BENCH_*.json`
+//! snapshots CI regenerates and diffs, among them the paper's claims
+//! E1–E10 and E12 ([`paper`]), one module each, rendered and
+//! floor-checked by [`snapshot`]; and the same-seed [`determinism`]
+//! gate, whose digests are the ninth record. Wall-clock measurement is
+//! not done here: that is the frozen `benchmark/` package's job.
 
 pub mod alloc;
 pub mod allocs;
@@ -19,17 +20,6 @@ pub mod stats;
 
 use unistore_query::Relation;
 use unistore_util::stats::percentile;
-
-/// Prints a Markdown-style table row.
-pub fn row(cells: &[String]) {
-    println!("| {} |", cells.join(" | "));
-}
-
-/// Prints a table header with separator.
-pub fn header(cols: &[&str]) {
-    row(&cols.iter().map(|c| c.to_string()).collect::<Vec<_>>());
-    println!("|{}|", cols.iter().map(|_| "---").collect::<Vec<_>>().join("|"));
-}
 
 /// Summarizes a latency sample (milliseconds) as p50/p90/p99.
 pub fn latency_summary(ms: &[f64]) -> (f64, f64, f64) {

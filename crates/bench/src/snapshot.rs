@@ -160,15 +160,23 @@ pub fn json(rows: &[Row]) -> String {
     out
 }
 
-/// Renders rows as a Markdown table headed by the first row's columns.
+/// Renders rows as Markdown tables: a header, then rows, and a new
+/// header, after a blank line, wherever a row's columns differ from the
+/// row above.
 pub fn markdown(rows: &[Row]) -> String {
-    let Some(first) = rows.first() else {
-        return String::new();
-    };
     let line = |cells: Vec<String>| format!("| {} |\n", cells.join(" | "));
-    let mut out = line(first.0.iter().map(|(column, _)| column.to_string()).collect());
-    out.push_str(&format!("|{}|\n", vec!["---"; first.0.len()].join("|")));
+    let columns = |row: &Row| row.0.iter().map(|(column, _)| *column).collect::<Vec<_>>();
+    let mut out = String::new();
+    let mut head = Vec::new();
     for row in rows {
+        if columns(row) != head {
+            head = columns(row);
+            if !out.is_empty() {
+                out.push('\n');
+            }
+            out.push_str(&line(head.iter().map(|c| c.to_string()).collect()));
+            out.push_str(&format!("|{}|\n", vec!["---"; head.len()].join("|")));
+        }
         out.push_str(&line(
             row.0
                 .iter()
@@ -275,6 +283,17 @@ mod tests {
             markdown(&[Row::new().str("backend", "P-Grid").int("n", 64).float("g", 0.5, 2)]);
         assert_eq!(table, "| backend | n | g |\n|---|---|---|\n| P-Grid | 64 | 0.50 |\n");
         assert_eq!(markdown(&[]), "");
+    }
+
+    #[test]
+    fn markdown_starts_a_new_header_when_the_columns_change() {
+        let a = Row::new().str("table", "e1").int("n", 16);
+        let b = Row::new().str("table", "e2").float("p50", 0.5, 1);
+        assert_eq!(
+            markdown(&[a.clone(), a, b]),
+            "| table | n |\n|---|---|\n| e1 | 16 |\n| e1 | 16 |\n\n\
+             | table | p50 |\n|---|---|\n| e2 | 0.5 |\n"
+        );
     }
 
     #[test]

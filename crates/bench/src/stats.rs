@@ -24,7 +24,7 @@ use unistore_store::{Triple, Tuple, Value};
 use unistore_workload::{zipf_write_batches, PubParams, PubWorld};
 
 use crate::backend::{Backend, PGrid, SEED};
-use crate::snapshot::{emit, markdown, Row};
+use crate::snapshot::{emit, Row};
 
 /// The publication drifts the sweep compares.
 const EPSILONS: [f64; 5] = [0.0, 0.01, 0.02, 0.05, 0.1];
@@ -219,7 +219,6 @@ pub fn snapshot() {
     let sweep_world =
         PubWorld::generate(&PubParams { n_authors: 1000, ..Default::default() }, SEED);
     let sweep: Vec<Row> = EPSILONS.iter().map(|&e| epsilon_row(&sweep_world, e)).collect();
-    println!("\n## Stats — publication drift ε\n\n{}", markdown(&sweep));
     let mut rows = vec![row];
     rows.extend(sweep.iter().cloned());
     emit(Path::new("BENCH_stats.json"), "Stats — runtime-insert plan quality", &rows, |_| {
